@@ -268,12 +268,12 @@ int main(int argc, char** argv) {
                     static_cast<double>(t.bytes_saved - before.bytes_saved) / 1e6);
     }
 
-    // Streamed serving (v2 framing): the same producer emits the wire
-    // segment at a time — header frame, checksummed body frames, FIN with a
-    // whole-wire FNV — so the server never materializes the response and
-    // peak producer memory is bounded by the flow-control window, not the
-    // asset. With --store this streams straight out of the mmapped master
-    // persisted by a previous run (write -> restart -> stream).
+    // Streamed serving (v2 framing): the same producer emits the wire as
+    // pieces — owned structural sections, borrowed payload views — framed as
+    // header, checksummed body frames and a FIN with a whole-wire FNV, so
+    // the uncached server never gathers the response and owns only its
+    // metadata. With --store this streams straight out of the mmapped
+    // master persisted by a previous run (write -> restart -> stream).
     {
         StreamOptions sopt;
         sopt.max_frame_bytes = 256 * 1024;

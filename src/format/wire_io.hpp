@@ -31,6 +31,21 @@ inline constexpr u64 kFnvInit = 0xcbf29ce484222325ull;
 /// ever holding the whole wire.
 u64 fnv1a(std::span<const u8> bytes, u64 state);
 
+/// FNV-1a of a whole sealed wire — one whose last 8 bytes are the LE FNV-1a
+/// of everything above them, as every container, RCS and RCR2 serializer
+/// emits — from those 8 bytes alone: the trailer's value is the running
+/// state after the payload, so folding the trailer into it finishes the
+/// whole-wire digest without a second pass. `tail` must end with the
+/// trailer (the whole wire or just its last 8 bytes).
+inline u64 sealed_fnv1a(std::span<const u8> tail) {
+    RECOIL_CHECK(tail.size() >= 8,
+                 "sealed_fnv1a: wire shorter than its trailer");
+    const auto trailer = tail.last(8);
+    u64 state = 0;
+    for (int i = 0; i < 8; ++i) state |= u64{trailer[i]} << (8 * i);
+    return fnv1a(trailer, state);
+}
+
 /// Payload storage that is either owned or a zero-copy view into bytes kept
 /// alive by an external keeper (an mmapped container file). Copies share the
 /// underlying storage, so re-serializing or combining a parsed container

@@ -36,8 +36,8 @@ struct ClientOptions {
     /// fails mid-stream after an ok header, reconnect up to this many
     /// times and resume at the received byte offset
     /// (ServeRequest::resume_offset) — reassembly stays bit-exact because
-    /// the server hashes the skipped prefix into the FIN's whole-wire
-    /// checksum. Failures before resumable progress still throw.
+    /// the FIN's checksum still covers the whole wire, skipped prefix
+    /// included. Failures before resumable progress still throw.
     u32 stream_resume_attempts = 0;
 };
 

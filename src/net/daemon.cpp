@@ -7,7 +7,6 @@
 #include <deque>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -105,10 +104,10 @@ struct LoopStats {
     std::atomic<u64> connections{0};
 };
 
-/// One event loop: its own epoll fd, connection table, stall list and wake
-/// eventfd. In SO_REUSEPORT mode every loop also owns a listener on the
-/// shared port; in hand-off mode only loop 0 does and the rest receive
-/// accepted fds through the mailbox.
+/// One event loop: its own epoll fd, connection table and wake eventfd. In
+/// SO_REUSEPORT mode every loop also owns a listener on the shared port; in
+/// hand-off mode only loop 0 does and the rest receive accepted fds through
+/// the mailbox.
 struct Loop {
     u32 index = 0;
     Fd listen_fd;
@@ -116,7 +115,6 @@ struct Loop {
     Fd wake_fd;
     bool draining = false;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
-    std::unordered_set<int> stalled;
     std::chrono::steady_clock::time_point last_idle_sweep =
         std::chrono::steady_clock::now();
     util::Mutex handoff_mu;
@@ -439,7 +437,6 @@ void Daemon::close_conn(Loop& lp, int fd) {
     auto it = lp.conns.find(fd);
     if (it == lp.conns.end()) return;
     ::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_DEL, fd, nullptr);
-    lp.stalled.erase(fd);
     lp.conns.erase(it);
     stats_->connections.fetch_sub(1, std::memory_order_relaxed);
     lp.lstats->connections.fetch_sub(1, std::memory_order_relaxed);
@@ -528,9 +525,10 @@ void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
         try {
             serve::ServeRequest req = serve::decode_request(frame);
             if (!req.asset.empty() && req.asset[0] != '!') {
-                serve::StreamOptions sopt = opt_.stream;
-                sopt.resume_offset = req.resume_offset;
-                c.stream.emplace(backend_.stream(req, sopt));
+                // Builds the whole response (a cold combine, or the wait
+                // for another request's) on this loop thread, exactly as
+                // serve_frame does for v1; the stream then only frames.
+                c.stream.emplace(backend_.stream(req, opt_.stream));
                 stats_->streamed.fetch_add(1, std::memory_order_relaxed);
                 return;
             }
@@ -544,14 +542,13 @@ void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
     stats_->note_peak_buffer(c.owned_bytes());
 }
 
-bool Daemon::pump_output(Loop& lp, Conn& c) {
+void Daemon::pump_output(Loop& lp, Conn& c) {
     // Only generate into an empty outbound buffer: one frame in flight per
     // connection is the memory bound AND the backpressure (a stream's next
-    // frame is not even produced until the previous one fully flushed).
+    // frame is not even framed until the previous one fully flushed).
     while (!c.out_pending()) {
         if (c.stream) {
-            bool would_block = false;
-            auto frame = c.stream->try_next_frame(would_block);
+            auto frame = c.stream->next_frame();
             if (frame) {
                 c.stream_out_bytes += frame->size();
                 if (opt_.debug_kill_stream_after_bytes != 0 &&
@@ -565,10 +562,9 @@ bool Daemon::pump_output(Loop& lp, Conn& c) {
                 }
                 append_net_frame(c.out, *frame);
                 stats_->note_peak_buffer(c.owned_bytes());
-                return true;
+                return;
             }
-            if (would_block) return false;  // producer not ready: park
-            c.stream.reset();               // stream complete
+            c.stream.reset();  // stream complete
             continue;
         }
         if (!c.pending.empty()) {
@@ -578,9 +574,8 @@ bool Daemon::pump_output(Loop& lp, Conn& c) {
             dispatch(lp, c, std::move(frame));
             continue;
         }
-        return true;  // nothing to do
+        return;  // nothing to do
     }
-    return true;
 }
 
 void Daemon::update_interest(Loop& lp, Conn& c) {
@@ -608,11 +603,7 @@ void Daemon::service(Loop& lp, Conn& c) {
             return;
         }
         if (!c.out_pending()) {
-            if (!pump_output(lp, c)) {  // stalled on the stream producer
-                lp.stalled.insert(fd);
-                update_interest(lp, c);
-                return;
-            }
+            pump_output(lp, c);
             if (c.out_pending()) continue;  // new frame: try to flush it
         }
         if (!read_ready(lp, c)) return;  // c is gone
@@ -654,8 +645,7 @@ void Daemon::sweep_idle(Loop& lp) {
     }
 }
 
-int Daemon::loop_timeout_ms(const Loop& lp) const {
-    if (!lp.stalled.empty()) return 2;  // stream-producer retry cadence
+int Daemon::loop_timeout_ms() const {
     if (opt_.idle_timeout.count() > 0) {
         auto quarter = opt_.idle_timeout.count() / 4;
         return static_cast<int>(std::clamp<long long>(quarter, 10, 200));
@@ -668,7 +658,7 @@ void Daemon::loop_run(Loop& lp) {
     while (!lp.draining || !lp.conns.empty()) {
         int n = ::epoll_wait(lp.epoll_fd.get(), events.data(),
                              static_cast<int>(events.size()),
-                             loop_timeout_ms(lp));
+                             loop_timeout_ms());
         if (n < 0) {
             if (errno == EINTR) continue;
             daemon_fail("epoll_wait");
@@ -717,15 +707,6 @@ void Daemon::loop_run(Loop& lp) {
         if (!lp.draining &&
             drain_requested_.load(std::memory_order_acquire))
             start_drain(lp);
-        // Retry connections parked on a not-yet-ready stream producer.
-        if (!lp.stalled.empty()) {
-            std::vector<int> retry(lp.stalled.begin(), lp.stalled.end());
-            lp.stalled.clear();
-            for (int fd : retry) {
-                auto it = lp.conns.find(fd);
-                if (it != lp.conns.end()) service(lp, *it->second);
-            }
-        }
         sweep_idle(lp);
     }
 }
@@ -736,9 +717,9 @@ void Daemon::run() {
         return;
     }
     // Loops 1..N-1 each get a dedicated named thread (they BLOCK in
-    // epoll_wait, so the work-stealing executor is off the table); loop 0
-    // runs on the caller's thread, preserving the single-loop contract
-    // that run() occupies the thread that owns the daemon.
+    // epoll_wait); loop 0 runs on the caller's thread, preserving the
+    // single-loop contract that run() occupies the thread that owns the
+    // daemon.
     util::NamedThreads threads;
     for (std::size_t i = 1; i < loops_.size(); ++i) {
         Loop* lp = loops_[i].get();
@@ -771,13 +752,13 @@ void Daemon::adopt_fd(detail::Loop&, int) {}
 void Daemon::service(detail::Loop&, detail::Conn&) {}
 bool Daemon::flush_out(detail::Loop&, detail::Conn&) { return false; }
 bool Daemon::read_ready(detail::Loop&, detail::Conn&) { return false; }
-bool Daemon::pump_output(detail::Loop&, detail::Conn&) { return false; }
+void Daemon::pump_output(detail::Loop&, detail::Conn&) {}
 void Daemon::dispatch(detail::Loop&, detail::Conn&, std::vector<u8>) {}
 void Daemon::update_interest(detail::Loop&, detail::Conn&) {}
 void Daemon::close_conn(detail::Loop&, int) {}
 void Daemon::start_drain(detail::Loop&) {}
 void Daemon::sweep_idle(detail::Loop&) {}
-int Daemon::loop_timeout_ms(const detail::Loop&) const { return 0; }
+int Daemon::loop_timeout_ms() const { return 0; }
 void Daemon::init_metrics() {}
 
 #endif

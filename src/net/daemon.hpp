@@ -12,27 +12,24 @@
 //     frames from arbitrary partial reads; complete frames queue and are
 //     dispatched one at a time (pipelining works, ordering is preserved).
 //     v1 requests go through serve_frame() (which also answers
-//     "!metrics"); requests with kAcceptStreamed become a ServeStream
-//     whose frames are pulled ONLY when the outbound buffer has fully
-//     flushed — the socket's writability is the backpressure, so
-//     per-connection owned memory stays O(max_frame) regardless of asset
-//     size or reader speed. A pull that would block on the producer parks
-//     the connection on a short-retry list instead of stalling the loop.
+//     "!metrics"); requests with kAcceptStreamed become a ServeStream, a
+//     cursor over the finished response whose frames are pulled ONLY when
+//     the outbound buffer has fully flushed — the socket's writability is
+//     the backpressure, so per-connection owned memory stays O(max_frame)
+//     regardless of asset size or reader speed. A pull never waits.
 //   - readiness modes: level-triggered (default) keeps the epoll interest
 //     mask in sync with what the connection can currently use;
 //     edge-triggered registers EPOLLIN|EPOLLOUT|EPOLLET once and tracks
 //     readable/writable flags, clearing them on EAGAIN.
 //
 // Multi-loop (DaemonOptions::loops > 1): N loops, each a dedicated OS
-// thread (util::NamedThreads — loops BLOCK in epoll_wait, so the
-// work-stealing executor, whose tasks must never block, is the wrong
-// substrate) with its OWN epoll fd, connection table and stall list —
-// independent connections never contend on one loop. The kernel load-
-// balances accepts across per-loop SO_REUSEPORT listeners sharing the
-// port; when the socket option is unavailable the daemon falls back to
-// accept-and-hand-off: loop 0 owns the single listener and deals accepted
-// fds round-robin through per-loop mailboxes (counted in
-// daemon_loop_handoffs_total).
+// thread (util::NamedThreads — loops BLOCK in epoll_wait) with its OWN
+// epoll fd and connection table — independent connections never contend
+// on one loop. The kernel load-balances accepts across per-loop
+// SO_REUSEPORT listeners sharing the port; when the socket option is
+// unavailable the daemon falls back to accept-and-hand-off: loop 0 owns the
+// single listener and deals accepted fds round-robin through per-loop
+// mailboxes (counted in daemon_loop_handoffs_total).
 //
 // Graceful drain: begin_drain() is async-signal-safe (one atomic store +
 // one write() per loop eventfd), so SIGTERM/SIGINT handlers call it
@@ -88,9 +85,8 @@ struct DaemonOptions {
     /// Drives the deterministic mid-stream kill of the resumable-stream
     /// reconnection test; never set it in production.
     u64 debug_kill_stream_after_bytes = 0;
-    /// Streamed-response knobs forwarded to serve_stream(); the daemon
-    /// pins producer-side memory through window_bytes and its own
-    /// outbound buffering through max_frame_bytes.
+    /// Streamed-response knobs forwarded to serve_stream(); max_frame_bytes
+    /// also bounds the daemon's own outbound buffering.
     serve::StreamOptions stream;
 };
 
@@ -174,14 +170,14 @@ private:
     void service(detail::Loop& lp, detail::Conn& c);
     bool flush_out(detail::Loop& lp, detail::Conn& c);  ///< false: conn died
     bool read_ready(detail::Loop& lp, detail::Conn& c); ///< false: conn died
-    /// Stream pull / dispatch; false: stalled on the producer.
-    bool pump_output(detail::Loop& lp, detail::Conn& c);
+    /// Frame the next stream frame, or dispatch the next queued request.
+    void pump_output(detail::Loop& lp, detail::Conn& c);
     void dispatch(detail::Loop& lp, detail::Conn& c, std::vector<u8> frame);
     void update_interest(detail::Loop& lp, detail::Conn& c);
     void close_conn(detail::Loop& lp, int fd);
     void start_drain(detail::Loop& lp);
     void sweep_idle(detail::Loop& lp);
-    int loop_timeout_ms(const detail::Loop& lp) const;
+    int loop_timeout_ms() const;
     void init_metrics();
 
     Backend backend_;

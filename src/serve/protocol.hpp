@@ -109,12 +109,12 @@ struct ServeRequest {
     /// Wire forms the client can decode (kAccept* bits).
     u8 accept = kAcceptAll;
     /// Resume a previously interrupted STREAMED response at this wire-byte
-    /// offset: the server re-serves the same deterministic wire but skips
-    /// the first resume_offset body-payload bytes (hashing them, so the
-    /// FIN's whole-wire checksum still covers prefix + tail and reassembly
-    /// stays bit-exact end to end). Only valid with kAcceptStreamed;
-    /// nonzero without it is rejected as bad_request. Wire-compatible:
-    /// 0 encodes exactly the pre-resume frame layout.
+    /// offset: the server re-serves the same deterministic wire from here
+    /// (the FIN's whole-wire checksum still covers prefix + tail, so
+    /// reassembly stays bit-exact end to end); an offset past the wire is
+    /// rejected as bad_request. Only valid with kAcceptStreamed; nonzero
+    /// without it is rejected as bad_request. Wire-compatible: 0 encodes
+    /// exactly the pre-resume frame layout.
     u64 resume_offset = 0;
 };
 
@@ -185,11 +185,11 @@ struct StreamHeader {
     PayloadKind payload = PayloadKind::none;
     bool cache_hit = false;
     bool coalesced = false;
-    /// Splits carried, when known at header time (cache hits, replays);
-    /// 0 for a cold stream — the FIN carries the authoritative count.
+    /// Splits carried (the FIN repeats the count).
     u32 splits = 0;
-    /// Total body payload bytes to follow, when known up front; 0 when the
-    /// producer streams cold and the total emerges at FIN time.
+    /// Total wire bytes of the response — the whole wire, also when the
+    /// stream resumes mid-way. Servers always send it; a receiver treats 0
+    /// as "not announced".
     u64 wire_bytes = 0;
     /// The producer's body-frame payload ceiling (0 = none), echoed so the
     /// consumer can size its read buffer before the first body frame.

@@ -1,11 +1,11 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "simd/dispatch.hpp"
 #include "util/error.hpp"
-#include "util/executor.hpp"
 #include "util/stopwatch.hpp"
 
 namespace recoil::serve {
@@ -36,681 +36,80 @@ WireBytes share(std::vector<u8> bytes) {
     return std::make_shared<const std::vector<u8>>(std::move(bytes));
 }
 
-/// Unwinds a solo stream's producer when the consumer abandons the stream:
-/// nothing downstream wants the remaining pieces, so production stops at
-/// the next sink write instead of running to completion.
-struct StreamCancel {};
-
-/// Unwinds the producer when the flow-control window is full: an executor
-/// task must never park its worker waiting on a consumer, so instead of
-/// blocking (what the dedicated-thread producer did) the task records its
-/// cursors, yields, and re-runs the deterministic serializer on resume.
-struct WindowFull {};
-
-}  // namespace
-
-namespace detail {
-
-/// Signals that a stream's producer task released its reference to the
-/// StreamState (and with it the Prepared's asset pin). Lives in its own
-/// shared allocation because the signal fires strictly AFTER the task
-/// dropped the state — the dedicated-thread design made "stream destroyed
-/// ⟹ asset unpinned" true by joining the producer in ~StreamState, and
-/// the governor's in-use skip relies on it (see
-/// Governor.StreamPinsItsAssetAcrossAPressurePass).
-struct ProducerSignal {
-    util::Mutex mu;
-    util::CondVar cv;
-    bool released RECOIL_GUARDED_BY(mu) = false;
-};
-
-/// Shared state behind one ServeStream: the validated request, the piece
-/// queue between the producer task and the pulling consumer (with the
-/// flow-control window), and the consumer's framing cursor. Exactly one
-/// consumer (the ServeStream) and at most one producer task execution touch
-/// it at a time; the task runs on the process-wide work-stealing executor
-/// (util::global_executor), so a server's streams cost state machines, not
-/// dedicated threads.
-struct StreamState {
-    // ---- immutable after serve_stream() returns ----
-    ContentServer* server = nullptr;
-    StreamOptions opt;
-    ServeResult head;  ///< status + stats known at stream start; wire null
-    ContentServer::Prepared prep;  ///< pins the asset for the stream's life
-    /// Request trace (inactive when telemetry is off). Only the consumer
-    /// thread opens spans on it after serve_stream() returns.
-    obs::TraceContext trace;
-    obs::Histogram* h_frame = nullptr;  ///< stream_frame_seconds (or null)
-    WireBytes cached;              ///< cache-hit (or rechecked) source
-    std::shared_ptr<Flight> flight;  ///< leader target / follower source
-    std::string flight_key;
-    bool leader = false;
-    bool put_to_cache = false;
-    u32 known_splits = 0;  ///< splits known at header time (cache hits)
-    /// A producer task backs this stream (leader or solo; cache hits and
-    /// followers replay without one).
-    bool producer_backed = false;
-    /// Set once the producer task finished AND dropped its state reference;
-    /// the finished-stream destructor waits on it so "stream destroyed ⟹
-    /// asset unpinned" holds exactly as it did when ~StreamState joined the
-    /// producer thread. Null until serve_stream arms a producer.
-    std::shared_ptr<ProducerSignal> sig;
-
-    // ---- producer/consumer queue (leader and solo streams) ----
-    util::Mutex mu;
-    util::CondVar cv_data;  ///< consumer: pieces or completion
-    std::deque<format::ByteBuffer> queue RECOIL_GUARDED_BY(mu);
-    /// Produced-not-consumed (the in-flight window).
-    u64 staged_bytes RECOIL_GUARDED_BY(mu) = 0;
-    /// Owned (non-view) subset of staged_bytes.
-    u64 staged_owned RECOIL_GUARDED_BY(mu) = 0;
-    u64 peak_staged RECOIL_GUARDED_BY(mu) = 0;
-    u64 peak_owned RECOIL_GUARDED_BY(mu) = 0;
-    u64 produced_bytes RECOIL_GUARDED_BY(mu) = 0;
-    bool producer_done RECOIL_GUARDED_BY(mu) = false;
-    /// Solo stream abandoned: stop producing.
-    bool cancelled RECOIL_GUARDED_BY(mu) = false;
-    /// Leader abandoned: finish assembly, skip queue.
-    bool draining RECOIL_GUARDED_BY(mu) = false;
-    u32 produced_splits RECOIL_GUARDED_BY(mu) = 0;
-    ErrorCode producer_code RECOIL_GUARDED_BY(mu) = ErrorCode::ok;
-    std::string producer_detail RECOIL_GUARDED_BY(mu);
-
-    // ---- resumable producer task ----
-    /// Where the producer task stands in its run/yield/resume cycle.
-    /// Transitions happen under mu, so the yield decision (task side) and
-    /// the re-enqueue decision (consumer pull / abandoning destructor)
-    /// linearize: exactly one side resubmits, or the task sees the freed
-    /// window itself. `idle` means no task exists (cache-hit and follower
-    /// streams); only yielded→queued transitions trigger a resubmit.
-    enum class TaskState : u8 { idle, queued, running, yielded, done };
-    TaskState task_state RECOIL_GUARDED_BY(mu) = TaskState::idle;
-    /// Wire bytes admitted to the consumer queue so far (high-water across
-    /// task runs). Production restarts from byte zero on every resume — the
-    /// serializers are deterministic — and the sink fast-skips everything
-    /// below this cursor, so nothing is staged twice. produced_bytes plays
-    /// the same role for flight publication (bytes the followers can see).
-    u64 staged_cursor RECOIL_GUARDED_BY(mu) = 0;
-    /// The staged_bytes level at or below which the chunk that hit
-    /// WindowFull fits. Written by the sink as it throws; read by the yield
-    /// decision and the consumer pop so a resume is scheduled exactly when
-    /// it can make progress (resuming earlier would re-run the serializer
-    /// only to hit the same wall).
-    u64 resume_need RECOIL_GUARDED_BY(mu) = 0;
-    /// Serializer seconds across all task runs (restarts re-pay the skipped
-    /// prefix; the histogram reports what was actually spent). Only the
-    /// producer task touches this, and its runs are serialized by
-    /// task_state, so no lock is needed.
-    double produce_seconds = 0.0;
-
-    // ---- consumer state (single consumer: the ServeStream) ----
-    enum class Phase : u8 { header, body, fin, finished };
-    Phase phase = Phase::header;
-    /// Adaptive frame sizing is live for this stream (producer-backed and
-    /// opted in). Replay sources keep uniform frames: their pieces are
-    /// copies/views whose owned/borrowed shape no longer distinguishes
-    /// metadata from payload.
-    bool adaptive = false;
-    /// First payload-view (borrowed) piece reached the consumer: the
-    /// metadata-dense prefix is over, frames grow to max_frame_bytes.
-    bool payload_phase = false;
-    format::ByteBuffer pending;  ///< partially framed piece
-    std::size_t pending_off = 0;
-    /// Resume skip cursor (opt.resume_offset countdown): bytes consumed
-    /// and hashed but not emitted. Consumer-only, like the framing cursor.
-    u64 skip_remaining = 0;
-    u64 replay_offset = 0;  ///< cached/follower sources: wire bytes consumed
-    u64 emitted_payload = 0;
-    u64 digest = format::kFnvInit;  ///< FNV over emitted body payloads
-    u32 seq = 0;
-    u64 frames = 0;
-    ErrorCode fin_code = ErrorCode::ok;
-    std::string fin_detail;
-    u32 fin_splits = 0;
-
-    /// One execution of the producer task: run the serializer from byte
-    /// zero with the sink skipping below the cursors, until it completes
-    /// (finish: retire the flight, cache put — returns true) or the window
-    /// fills (yield: return the worker, returns false; whoever frees the
-    /// window resubmits). The caller (submit_stream_task's lambda) owns the
-    /// release sequence after a finish: drop the state reference, fire sig,
-    /// then sign off the server's producer count.
-    bool run_task() RECOIL_EXCLUDES(mu);
-    /// The finish-side producer-count sign-off (static: it runs after the
-    /// task lambda dropped its state reference). Notifies UNDER the lock —
-    /// ~ContentServer destroys the cv as soon as the count hits zero and it
-    /// reacquires the mutex.
-    static void sign_off(ContentServer* srv) {
-        util::MutexLock lk(srv->streams_mu_);
-        --srv->active_stream_producers_;
-        srv->streams_cv_.notify_all();
-    }
-    void fail_producer(ErrorCode code, std::string detail) RECOIL_EXCLUDES(mu);
-    std::optional<format::ByteBuffer> pull_piece(
-        const std::shared_ptr<StreamState>& self, bool block, bool& end)
-        RECOIL_EXCLUDES(mu);
-};
-
-namespace {
-
-/// The producer side of a stream's queue, resumable flavor: production
-/// never blocks a worker. Every fresh piece is published to the flight's
-/// incremental assembly first (a streaming leader's coalesced followers
-/// replay bytes the moment they are produced), then admitted to the
-/// consumer queue at frame granularity behind the flow-control window.
-/// When the window is full the sink throws WindowFull instead of waiting
-/// (what the old dedicated-thread producer did): the task yields its
-/// worker, and on resume re-runs the deterministic serializer from byte
-/// zero with this sink fast-skipping everything below the cursors —
-/// published bytes are never re-published, staged bytes never re-staged.
-/// The skipped prefix costs serializer CPU, not memory (pieces are views
-/// of pinned asset storage), bounded by ceil(wire/window) passes; the
-/// window pacing itself — what keeps the flight open for followers while
-/// the consumer trickles, and peak memory at O(window) — is byte-exactly
-/// the old producer's.
-class TaskSink final : public format::WireSink {
+/// Keeps a produced wire as the pieces its serializer emitted — owned
+/// structural sections and borrowed payload views — instead of gathering
+/// them, so an uncached stream owns only the structural bytes.
+class PieceSink final : public format::WireSink {
 public:
-    explicit TaskSink(StreamState& st) RECOIL_EXCLUDES(st.mu) : st_(st) {
-        util::MutexLock lk(st_.mu);
-        pub_skip_ = st_.produced_bytes;
-        stage_skip_ = st_.staged_cursor;
-    }
-
     void write(format::ByteBuffer piece) override {
-        if (piece.empty()) return;
-        const u64 abs_lo = pos_;
-        pos_ += piece.size();
-        if (st_.leader && st_.flight != nullptr && pos_ > pub_skip_) {
-            // Publish the unseen suffix to the flight before staging:
-            // followers must never observe the queue ahead of the assembly
-            // they replay from.
-            const std::size_t from =
-                abs_lo < pub_skip_
-                    ? static_cast<std::size_t>(pub_skip_ - abs_lo)
-                    : 0;
-            format::ByteBuffer fresh =
-                piece.slice(from, piece.size() - from);
-            Flight& f = *st_.flight;
-            {
-                util::MutexLock lk(f.mu);
-                f.assembling->insert(f.assembling->end(), fresh.begin(),
-                                     fresh.end());
-                f.committed = f.assembling->size();
-            }
-            f.cv.notify_all();
-        }
-        util::MutexLock lk(st_.mu);
-        if (st_.cancelled) throw StreamCancel{};
-        st_.produced_bytes = std::max(st_.produced_bytes, pos_);
-        if (st_.draining) return;  // consumer gone; assembly suffices
-        if (pos_ <= stage_skip_) return;  // resume: already staged
-        const std::size_t from =
-            abs_lo < stage_skip_
-                ? static_cast<std::size_t>(stage_skip_ - abs_lo)
-                : 0;
-        stage_locked(piece.slice(from, piece.size() - from));
+        if (!piece.empty()) pieces.push_back(std::move(piece));
     }
-
-private:
-    /// Admit `sub` to the consumer queue at frame granularity (slices share
-    /// storage — no copies). Throws WindowFull when the window rule blocks
-    /// the next chunk; everything admitted so far stays admitted (the
-    /// cursors record it).
-    void stage_locked(format::ByteBuffer sub) RECOIL_REQUIRES(st_.mu) {
-        const u64 max_frame = st_.opt.max_frame_bytes;
-        for (std::size_t off = 0; off < sub.size();) {
-            const std::size_t n = static_cast<std::size_t>(
-                std::min<u64>(max_frame, sub.size() - off));
-            // The in-flight window: stop until the consumer frees space. A
-            // chunk larger than the window (impossible — max_frame is
-            // clamped to it, kept for safety) passes when the queue is
-            // empty.
-            if (!(st_.staged_bytes == 0 ||
-                  st_.staged_bytes + n <= st_.opt.window_bytes)) {
-                st_.resume_need = st_.opt.window_bytes >= n
-                                      ? st_.opt.window_bytes - n
-                                      : 0;
-                throw WindowFull{};
-            }
-            format::ByteBuffer chunk = sub.slice(off, n);
-            off += n;
-            st_.staged_bytes += n;
-            if (!chunk.borrowed()) st_.staged_owned += n;
-            st_.peak_staged = std::max(st_.peak_staged, st_.staged_bytes);
-            st_.peak_owned = std::max(st_.peak_owned, st_.staged_owned);
-            st_.queue.push_back(std::move(chunk));
-            st_.staged_cursor += n;
-            // Notify under the lock: WindowFull may unwind right after, and
-            // the admitted chunks must not wait for the next run to wake
-            // the consumer.
-            st_.cv_data.notify_one();
-        }
-    }
-
-    StreamState& st_;
-    u64 pos_ = 0;        ///< wire offset this run's writes have reached
-    u64 pub_skip_ = 0;   ///< bytes already published to the flight
-    u64 stage_skip_ = 0; ///< bytes already admitted to the queue
+    std::vector<format::ByteBuffer> pieces;
 };
 
+/// Whole-wire FNV of a sealed wire held as pieces: gathers the trailer (the
+/// last 8 bytes, wherever the pieces split them) for sealed_fnv1a.
+u64 sealed_digest(const std::vector<format::ByteBuffer>& pieces) {
+    std::array<u8, 8> tail{};
+    std::size_t need = tail.size();
+    for (auto it = pieces.rbegin(); it != pieces.rend() && need > 0; ++it) {
+        const std::size_t n = std::min(need, it->size());
+        need -= n;
+        std::copy(it->end() - n, it->end(), tail.begin() + need);
+    }
+    RECOIL_CHECK(need == 0, "stream: wire shorter than its trailer");
+    return format::sealed_fnv1a(tail);
+}
+
 }  // namespace
-
-bool StreamState::run_task() {
-    ContentServer& srv = *server;
-    {
-        util::MutexLock lk(mu);
-        task_state = TaskState::running;
-    }
-    bool produced = false;
-    u32 splits = 0;
-    for (;;) {
-        Stopwatch combine;
-        try {
-            TaskSink sink(*this);
-            splits = srv.produce(prep, sink);
-            produce_seconds += combine.seconds();
-            produced = true;
-        } catch (const WindowFull&) {
-            produce_seconds += combine.seconds();
-            util::MutexLock lk(mu);
-            // The consumer may have drained the window (or vanished) while
-            // the throw unwound — its pops saw task_state `running` and
-            // correctly left the resume to us. Re-check under mu: yield
-            // only if the blocked chunk still does not fit, so the
-            // yielded→queued handoff (pop side) and this decision
-            // linearize and no wakeup is lost.
-            if (!cancelled && !draining && staged_bytes != 0 &&
-                staged_bytes > resume_need) {
-                task_state = TaskState::yielded;
-                return false;  // whoever frees the window resubmits
-            }
-            continue;  // space freed or drain/cancel mode: re-run now
-        } catch (const StreamCancel&) {
-            // Solo stream abandoned; nobody consumes. Finish with nothing
-            // more to account.
-        } catch (const ProtocolError& e) {
-            fail_producer(e.code(), e.what());
-        } catch (const std::exception& e) {
-            fail_producer(ErrorCode::internal, e.what());
-        } catch (...) {
-            fail_producer(ErrorCode::internal, "stream production failed");
-        }
-        break;
-    }
-    if (produced) {
-        if (trace.active() && srv.h_combine_ != nullptr)
-            srv.h_combine_->observe(produce_seconds);
-        if (leader && flight != nullptr) {
-            ServedWire wire;
-            {
-                util::MutexLock lk(flight->mu);
-                // The assembly never mutates again: alias it as the shared
-                // wire without copying.
-                wire.wire = WireBytes(flight->assembling);
-                wire.splits = splits;
-            }
-            // The stale-put gate (see serve_shared): an asset evicted or
-            // replaced mid-stream must not re-enter the cache.
-            if (put_to_cache && srv.store_.is_current(*prep.asset))
-                srv.cache_.put(prep.key, prep.parallelism, wire.wire, splits);
-            srv.retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
-        }
-        u64 total = 0;
-        {
-            util::MutexLock lk(mu);
-            produced_splits = splits;
-            total = produced_bytes;
-        }
-        srv.wire_bytes_.fetch_add(total, std::memory_order_relaxed);
-    }
-    {
-        util::MutexLock lk(mu);
-        producer_done = true;
-        task_state = TaskState::done;
-    }
-    cv_data.notify_all();
-    // Stream production can demand-load and cache-assemble; relieve budget
-    // pressure now, while the server is still guaranteed alive (the lambda
-    // signs off the producer count only after this returns, and
-    // ~ContentServer waits for that count).
-    srv.maybe_govern();
-    return true;
-}
-
-/// Enqueue one producer task execution on the process-wide executor. The
-/// lambda owns the finish-side release sequence, in this order: drop the
-/// state reference (releasing the Prepared's asset pin — possibly the last
-/// reference, destroying the state right here; safe, there is no thread to
-/// join anymore), fire sig (so a finished-stream destructor returns only
-/// once the pin is gone), then sign off the server's producer count. The
-/// sign-off is the LAST server touch — ~ContentServer holds streams_mu_
-/// and destroys the cv as soon as the count hits zero, hence the notify
-/// happens under the lock.
-void submit_stream_task(std::shared_ptr<StreamState> st) {
-    util::global_executor().submit([self = std::move(st)]() mutable {
-        ContentServer* srv = self->server;
-        std::shared_ptr<ProducerSignal> sig = self->sig;
-        if (!self->run_task()) return;  // yielded; resubmission re-captures
-        self.reset();
-        {
-            util::MutexLock lk(sig->mu);
-            sig->released = true;
-            sig->cv.notify_all();
-        }
-        StreamState::sign_off(srv);
-    });
-}
-
-void StreamState::fail_producer(ErrorCode code, std::string detail) {
-    if (leader && flight != nullptr)
-        server->retire_flight(flight_key, flight, nullptr, code, detail);
-    server->failures_.fetch_add(1, std::memory_order_relaxed);
-    // producer_done and the consumer wakeup come from run_task's finish
-    // step: pieces admitted before the failure still drain, then the FIN
-    // reports the typed code.
-    util::MutexLock lk(mu);
-    producer_code = code;
-    producer_detail = std::move(detail);
-}
-
-/// Pull the next wire piece for the consumer. With `block` false, returns
-/// nullopt when nothing is immediately available (so a partially built
-/// frame can flush instead of stalling while holding data); sets `end` once
-/// the stream's bytes are exhausted. Producer/leader failures surface as
-/// `fin_code` (the FIN frame reports the abort), never as an exception.
-/// Draining the window is what resumes a yielded producer task: the pop
-/// that frees space resubmits it (`self` rides into the task lambda).
-std::optional<format::ByteBuffer> StreamState::pull_piece(
-    const std::shared_ptr<StreamState>& self, bool block, bool& end) {
-    const u64 max_frame = opt.max_frame_bytes;
-
-    if (cached != nullptr) {  // cache-hit source: slice the shared wire
-        if (replay_offset >= cached->size()) {
-            end = true;
-            return std::nullopt;
-        }
-        const u64 n = std::min<u64>(max_frame, cached->size() - replay_offset);
-        auto piece = format::ByteBuffer::view(
-            std::span<const u8>(cached->data() + replay_offset,
-                                static_cast<std::size_t>(n)),
-            cached);
-        replay_offset += n;
-        return piece;
-    }
-
-    if (flight != nullptr && !leader) {  // follower: replay the leader
-        Flight& f = *flight;
-        util::MutexLock lk(f.mu);
-        if (block) {
-            while (!f.done && !(f.streaming && f.committed > replay_offset))
-                f.cv.wait(f.mu);
-        } else if (!f.done && !(f.streaming && f.committed > replay_offset)) {
-            return std::nullopt;
-        }
-        if (f.failed) {
-            fin_code = f.error_code;
-            fin_detail = f.error_detail;
-            end = true;
-            return std::nullopt;
-        }
-        if (f.done) {
-            const std::vector<u8>& w = *f.wire.wire;
-            if (replay_offset >= w.size()) {
-                fin_splits = f.wire.splits;
-                end = true;
-                return std::nullopt;
-            }
-            const u64 n = std::min<u64>(max_frame, w.size() - replay_offset);
-            auto piece = format::ByteBuffer::view(
-                std::span<const u8>(w.data() + replay_offset,
-                                    static_cast<std::size_t>(n)),
-                f.wire.wire);
-            replay_offset += n;
-            return piece;
-        }
-        // Mid-assembly: copy out under the lock (the assembly vector may
-        // reallocate after we release it).
-        const u64 n = std::min<u64>(max_frame, f.committed - replay_offset);
-        std::vector<u8> bytes(
-            f.assembling->begin() + static_cast<std::ptrdiff_t>(replay_offset),
-            f.assembling->begin() +
-                static_cast<std::ptrdiff_t>(replay_offset + n));
-        replay_offset += n;
-        return format::ByteBuffer(std::move(bytes));
-    }
-
-    // Producer-backed source (leader or solo).
-    util::MutexLock lk(mu);
-    if (block)
-        while (queue.empty() && !producer_done) cv_data.wait(mu);
-    if (queue.empty()) {
-        if (!producer_done) return std::nullopt;
-        if (producer_code != ErrorCode::ok) {
-            fin_code = producer_code;
-            fin_detail = producer_detail;
-        } else {
-            fin_splits = produced_splits;
-        }
-        end = true;
-        return std::nullopt;
-    }
-    format::ByteBuffer piece = std::move(queue.front());
-    queue.pop_front();
-    staged_bytes -= piece.size();
-    if (!piece.borrowed()) staged_owned -= piece.size();
-    // The yielded→queued transition happens under mu, so it races neither
-    // the task's own yield decision (which re-checks the window under mu)
-    // nor a concurrent pop: exactly one resubmit per yield, and only once
-    // the pop actually made room for the chunk the producer is stuck on
-    // (earlier resumes would re-run the serializer into the same wall).
-    const bool resubmit =
-        task_state == TaskState::yielded &&
-        (staged_bytes == 0 || staged_bytes <= resume_need);
-    if (resubmit) task_state = TaskState::queued;
-    lk.unlock();
-    if (resubmit) submit_stream_task(self);
-    return piece;
-}
-
-}  // namespace detail
 
 // ---- ServeStream ----
 
-ServeStream::ServeStream(std::shared_ptr<detail::StreamState> st)
-    : st_(std::move(st)) {}
-
-ServeStream::ServeStream(ServeStream&&) noexcept = default;
-ServeStream& ServeStream::operator=(ServeStream&&) noexcept = default;
-
-ServeStream::~ServeStream() {
-    if (st_ == nullptr) return;
-    if (st_->phase == detail::StreamState::Phase::finished) {
-        // Fully consumed. Wait for the producer task to drop its state
-        // reference (it already finished — FIN implies producer_done), so
-        // "stream destroyed ⟹ asset unpinned" holds exactly as it did
-        // when ~StreamState joined the producer thread; the governor's
-        // in-use skip relies on it.
-        if (st_->producer_backed) {
-            detail::ProducerSignal& sig = *st_->sig;
-            util::MutexLock lk(sig.mu);
-            while (!sig.released) sig.cv.wait(sig.mu);
-        }
-        return;
-    }
-    // Abandoned mid-stream. A leader must still complete: followers replay
-    // from (and the cache entry is) the assembly, so its task switches to
-    // drain mode. A solo stream's product is wanted by nobody — cancel it.
-    // Either way this destructor never waits: a queued or running task sees
-    // the flag at its next feed step and finishes; a task yielded on the
-    // now-dead window is resubmitted here so it can. The task lambda's
-    // shared_ptr keeps the state alive, and the server's producer count
-    // (released only by the task's finish) keeps the server alive for it.
-    using TaskState = detail::StreamState::TaskState;
-    bool resubmit = false;
-    {
-        util::MutexLock lk(st_->mu);
-        if (st_->leader)
-            st_->draining = true;
-        else
-            st_->cancelled = true;
-        resubmit = st_->task_state == TaskState::yielded;
-        if (resubmit) st_->task_state = TaskState::queued;
-    }
-    if (resubmit) detail::submit_stream_task(st_);
-}
-
-const ServeResult& ServeStream::head() const noexcept { return st_->head; }
-
-bool ServeStream::done() const noexcept {
-    return st_->phase == detail::StreamState::Phase::finished;
-}
-
-u64 ServeStream::frames_emitted() const noexcept { return st_->frames; }
-
-u64 ServeStream::peak_owned_bytes() const noexcept {
-    util::MutexLock lk(st_->mu);
-    return st_->peak_owned;
-}
-
-u64 ServeStream::peak_staged_bytes() const noexcept {
-    util::MutexLock lk(st_->mu);
-    return st_->peak_staged;
-}
-
 std::optional<std::vector<u8>> ServeStream::next_frame() {
-    bool would_block = false;
-    return frame_impl(/*allow_block=*/true, would_block);
-}
-
-std::optional<std::vector<u8>> ServeStream::try_next_frame(bool& would_block) {
-    would_block = false;
-    return frame_impl(/*allow_block=*/false, would_block);
-}
-
-std::optional<std::vector<u8>> ServeStream::frame_impl(bool allow_block,
-                                                       bool& would_block) {
-    using Phase = detail::StreamState::Phase;
-    detail::StreamState& st = *st_;
-    // Per-frame production latency: how long the consumer waited for THIS
-    // frame (producer pace + framing), the distribution behind streamed
-    // tail-latency numbers.
+    if (phase_ == Phase::finished) return std::nullopt;
+    // The wire is finished, so this is framing only: stream_frame_seconds
+    // is the whole per-frame cost.
     Stopwatch frame_clock;
-    const auto emit = [&](std::vector<u8> frame) {
-        if (st.h_frame != nullptr) st.h_frame->observe(frame_clock.seconds());
-        return frame;
-    };
-
-    if (st.phase == Phase::header) {
+    std::vector<u8> frame;
+    if (phase_ == Phase::header) {
         StreamHeader h;
-        h.code = st.head.code;
-        h.detail = st.head.detail;
-        h.payload = st.head.payload;
-        h.cache_hit = st.head.stats.cache_hit;
-        h.coalesced = st.head.stats.coalesced;
-        h.splits = st.known_splits;
-        h.wire_bytes = st.head.stats.wire_bytes;
-        h.max_frame_bytes = st.opt.max_frame_bytes;
-        st.phase = st.head.ok() ? Phase::body : Phase::finished;
-        ++st.frames;
+        h.code = head_.code;
+        h.detail = head_.detail;
+        h.payload = head_.payload;
+        h.cache_hit = head_.stats.cache_hit;
+        h.coalesced = head_.stats.coalesced;
+        h.splits = head_.stats.splits_served;
+        h.wire_bytes = head_.stats.wire_bytes;
+        h.max_frame_bytes = max_frame_;
+        frame = encode_stream_header(h);
         // An error response is a single header frame: the stream ends here.
-        if (st.phase == Phase::finished) st.server->record_stream_trace(st);
-        return emit(encode_stream_header(h));
-    }
-
-    if (st.phase == Phase::body) {
-        const u64 max_frame = st.opt.max_frame_bytes;
-        // Adaptive frame sizing: structural-prefix frames are capped small
-        // so the client sees the plan early; the target jumps to max_frame
-        // once payload-view bytes begin.
-        const auto target = [&]() -> u64 {
-            if (!st.adaptive || st.payload_phase) return max_frame;
-            return std::min(max_frame, st.opt.prefix_frame_bytes);
-        };
-        std::vector<u8> payload;
-        bool end = false;
-        while (payload.size() < target()) {
-            if (st.pending_off >= st.pending.size()) {
-                auto piece = st.pull_piece(
-                    st_, /*block=*/allow_block && payload.empty(), end);
-                if (!piece.has_value()) break;
-                st.pending = std::move(*piece);
-                st.pending_off = 0;
-                if (st.adaptive && !st.payload_phase &&
-                    st.pending.borrowed()) {
-                    // Payload starts here. Flush the prefix as its own
-                    // (small) frame; an empty frame just grows the target.
-                    st.payload_phase = true;
-                    if (!payload.empty()) break;
-                }
-            }
-            if (st.skip_remaining > 0) {
-                // Resumed stream: the reconnecting client already holds
-                // these bytes. Hash them (the FIN digest covers the whole
-                // wire) and advance without emitting.
-                const std::size_t n = static_cast<std::size_t>(
-                    std::min<u64>(st.skip_remaining,
-                                  st.pending.size() - st.pending_off));
-                st.digest = format::fnv1a(
-                    std::span<const u8>(st.pending.begin() + st.pending_off,
-                                        n),
-                    st.digest);
-                st.pending_off += n;
-                st.skip_remaining -= n;
-                continue;
-            }
-            const std::size_t n =
-                std::min<std::size_t>(static_cast<std::size_t>(target()) -
-                                          payload.size(),
-                                      st.pending.size() - st.pending_off);
-            payload.insert(payload.end(), st.pending.begin() + st.pending_off,
-                           st.pending.begin() + st.pending_off + n);
-            st.pending_off += n;
+        phase_ = head_.ok() ? Phase::body : Phase::finished;
+    } else if (piece_ < pieces_.size()) {
+        const format::ByteBuffer& p = pieces_[piece_];
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<u64>(max_frame_, p.size() - off_));
+        frame = encode_stream_body(
+            seq_++, std::span<const u8>(p.data() + off_, n), max_frame_);
+        max_body_ = std::max<u64>(max_body_, n);
+        off_ += n;
+        if (off_ == p.size()) {
+            ++piece_;
+            off_ = 0;
         }
-        if (!payload.empty()) {
-            st.digest = format::fnv1a(payload, st.digest);
-            st.emitted_payload += payload.size();
-            {
-                util::MutexLock lk(st.mu);
-                const u64 held =
-                    st.staged_owned + payload.size() +
-                    (st.pending.borrowed() ? 0 : st.pending.size());
-                st.peak_owned = std::max(st.peak_owned, held);
-            }
-            ++st.frames;
-            return emit(encode_stream_body(st.seq++, payload, max_frame));
-        }
-        if (!end) {
-            // Non-blocking pull with nothing staged yet: the producer (or
-            // the leader being replayed) has not caught up. Phase is
-            // unchanged — the caller retries when its transport drains.
-            would_block = true;
-            return std::nullopt;
-        }
-        st.phase = Phase::fin;  // exhausted: fall through to the FIN
-    }
-
-    if (st.phase == Phase::fin) {
+    } else {
         StreamFin fin;
-        fin.code = st.fin_code;
-        fin.detail = st.fin_detail;
-        fin.body_frames = st.seq;
-        fin.splits = st.known_splits != 0 ? st.known_splits : st.fin_splits;
-        fin.wire_checksum = st.digest;
-        st.phase = Phase::finished;
-        ++st.frames;
-        // Follower/cached totals settle here, where the size is known; a
-        // leader/solo producer accounted its bytes at production time.
-        if (st.head.stats.coalesced) {
-            st.server->wire_bytes_.fetch_add(st.emitted_payload,
-                                             std::memory_order_relaxed);
-            st.server->bytes_saved_.fetch_add(st.emitted_payload,
-                                              std::memory_order_relaxed);
-        }
-        st.server->record_stream_trace(st);
-        return emit(encode_stream_fin(fin));
+        fin.code = ErrorCode::ok;
+        fin.body_frames = seq_;
+        fin.splits = head_.stats.splits_served;
+        fin.wire_checksum = digest_;
+        frame = encode_stream_fin(fin);
+        phase_ = Phase::finished;
     }
-
-    return std::nullopt;
+    ++frames_;
+    if (h_frame_ != nullptr) h_frame_->observe(frame_clock.seconds());
+    if (phase_ == Phase::finished)
+        server_->finish_trace(trace_, head_, trace_.elapsed());
+    return frame;
 }
 
 // ---- ContentServer ----
@@ -721,11 +120,6 @@ ContentServer::ContentServer(ServerOptions opt)
       governor_(store_, cache_, GovernorOptions{opt_.mem_budget_bytes}),
       slow_log_(opt_.slow_log_slots, opt_.slow_log_slots) {
     init_telemetry();
-}
-
-ContentServer::~ContentServer() {
-    util::MutexLock lk(streams_mu_);
-    while (active_stream_producers_ != 0) streams_cv_.wait(streams_mu_);
 }
 
 void ContentServer::init_telemetry() {
@@ -757,30 +151,10 @@ void ContentServer::init_telemetry() {
                                poll(governance_failures_));
     metrics_.register_callback("serve_coalescing_waiters", MetricKind::gauge,
                                poll(waiters_));
-    // Execution-substrate gauges: which SIMD backend dispatch selected
-    // (0=scalar 1=avx2 2=avx512) and what the stream executor is doing.
-    // Polled from the process-wide singletons at snapshot time, so every
-    // server's /metrics reports the substrate its streams actually run on.
+    // Which SIMD backend dispatch selected (0=scalar 1=avx2 2=avx512),
+    // polled from the process-wide dispatch at snapshot time.
     metrics_.register_callback("simd_backend", MetricKind::gauge, [] {
         return static_cast<u64>(simd::pick_backend());
-    });
-    metrics_.register_callback("executor_workers", MetricKind::gauge, [] {
-        return static_cast<u64>(util::global_executor().worker_count());
-    });
-    metrics_.register_callback("executor_queued_tasks", MetricKind::gauge, [] {
-        return util::global_executor().stats().queued;
-    });
-    metrics_.register_callback("executor_running_tasks", MetricKind::gauge,
-                               [] {
-        return util::global_executor().stats().running;
-    });
-    metrics_.register_callback("executor_executed_tasks_total",
-                               MetricKind::counter, [] {
-        return util::global_executor().stats().executed_total;
-    });
-    metrics_.register_callback("executor_stolen_tasks_total",
-                               MetricKind::counter, [] {
-        return util::global_executor().stats().stolen_total;
     });
     cache_.bind_metrics(&metrics_);
     governor_.bind_metrics(&metrics_);
@@ -818,22 +192,10 @@ ServeResult ContentServer::serve(const ServeRequest& req) noexcept {
     // distributions describe exactly the sampled requests.
     if (trace.active() && h_request_ != nullptr)
         h_request_->observe(res.stats.total_seconds);
-    if (res.ok()) {
-        wire_bytes_.fetch_add(res.stats.wire_bytes, std::memory_order_relaxed);
-        if (res.stats.cache_hit) {
-            cache_hits_.fetch_add(1, std::memory_order_relaxed);
-            bytes_saved_.fetch_add(res.stats.wire_bytes, std::memory_order_relaxed);
-            if (trace.active() && h_hit_ != nullptr)
-                h_hit_->observe(res.stats.total_seconds);
-        }
-        if (res.stats.coalesced) {
-            coalesced_.fetch_add(1, std::memory_order_relaxed);
-            bytes_saved_.fetch_add(res.stats.wire_bytes, std::memory_order_relaxed);
-        }
-    } else {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-    finish_trace(trace, res);
+    if (trace.active() && h_hit_ != nullptr && res.ok() && res.stats.cache_hit)
+        h_hit_->observe(res.stats.total_seconds);
+    count_outcome(res);
+    finish_trace(trace, res, res.stats.total_seconds);
     // The request may have demand-loaded an asset or grown the cache; if
     // the global budget is now exceeded, relieve the pressure before the
     // next request piles on.
@@ -841,11 +203,29 @@ ServeResult ContentServer::serve(const ServeRequest& req) noexcept {
     return res;
 }
 
+void ContentServer::count_outcome(const ServeResult& res) noexcept {
+    if (!res.ok()) {
+        failures_.fetch_add(1, std::memory_order_relaxed);
+        return;
+    }
+    const u64 bytes = res.stats.wire_bytes;
+    wire_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+    if (res.stats.cache_hit) {
+        cache_hits_.fetch_add(1, std::memory_order_relaxed);
+        bytes_saved_.fetch_add(bytes, std::memory_order_relaxed);
+    }
+    if (res.stats.coalesced) {
+        coalesced_.fetch_add(1, std::memory_order_relaxed);
+        bytes_saved_.fetch_add(bytes, std::memory_order_relaxed);
+    }
+}
+
 void ContentServer::finish_trace(const obs::TraceContext& trace,
-                                 const ServeResult& res) {
+                                 const ServeResult& res,
+                                 double total_seconds) {
     if (!trace.active()) return;
     const bool failed = !res.ok();
-    if (!slow_log_.interesting(res.stats.total_seconds, failed)) return;
+    if (!slow_log_.interesting(total_seconds, failed)) return;
     obs::TraceRecord rec;
     rec.id = trace.id();
     rec.op = trace.op();
@@ -855,32 +235,9 @@ void ContentServer::finish_trace(const obs::TraceContext& trace,
     rec.code_name = error_name(res.code);
     rec.detail = res.detail;
     rec.cache_hit = res.stats.cache_hit;
-    rec.total_seconds = res.stats.total_seconds;
+    rec.total_seconds = total_seconds;
     rec.wire_bytes = res.stats.wire_bytes;
     rec.spans = trace.spans();
-    slow_log_.record(std::move(rec));
-}
-
-void ContentServer::record_stream_trace(detail::StreamState& st) {
-    if (!st.trace.active()) return;
-    // A stream fails at the head (typed error header) or at the FIN (the
-    // producer aborted mid-way); either way the typed code is retained.
-    const bool failed = !st.head.ok() || st.fin_code != ErrorCode::ok;
-    const ErrorCode code = !st.head.ok() ? st.head.code : st.fin_code;
-    const double total = st.trace.elapsed();
-    if (!slow_log_.interesting(total, failed)) return;
-    obs::TraceRecord rec;
-    rec.id = st.trace.id();
-    rec.op = st.trace.op();
-    rec.asset = st.trace.asset();
-    rec.failed = failed;
-    rec.code = static_cast<u16>(code);
-    rec.code_name = error_name(code);
-    rec.detail = !st.head.ok() ? st.head.detail : st.fin_detail;
-    rec.cache_hit = st.head.stats.cache_hit;
-    rec.total_seconds = total;
-    rec.wire_bytes = st.emitted_payload;
-    rec.spans = st.trace.spans();
     slow_log_.record(std::move(rec));
 }
 
@@ -958,7 +315,6 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
         p.range = req.range;
         p.key = range_key(*p.asset, lo, hi);
         p.parallelism = 0;
-        p.use_cache = opt_.cache_ranges;
         p.payload = PayloadKind::range;
     } else {
         const u8 need = p.asset->payload_kind() == PayloadKind::chunked
@@ -972,16 +328,24 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
         p.parallelism =
             std::clamp(req.parallelism, u32{1}, p.asset->max_parallelism());
         p.key = asset_key(*p.asset);
-        p.use_cache = true;
         p.payload = p.asset->payload_kind();
     }
     return p;
 }
 
-u32 ContentServer::produce(const Prepared& p, format::WireSink& sink) {
-    if (p.range)
-        return p.asset->range_into(p.range->first, p.range->second, sink);
-    return p.asset->combine_into(p.parallelism, sink);
+u32 ContentServer::produce(const Prepared& p, format::WireSink& sink,
+                           ServeStats& stats, obs::TraceContext* trace) {
+    if (opt_.combine_hook) opt_.combine_hook(p.key);
+    Stopwatch combine;
+    u32 splits = 0;
+    {
+        obs::TraceContext::Scoped span(trace, "combine", h_combine_);
+        splits = p.range ? p.asset->range_into(p.range->first,
+                                                p.range->second, sink)
+                         : p.asset->combine_into(p.parallelism, sink);
+    }
+    stats.combine_seconds = combine.seconds();
+    return splits;
 }
 
 ServeResult ContentServer::serve_impl(const ServeRequest& req,
@@ -1001,12 +365,11 @@ ServeResult ContentServer::serve_impl(const ServeRequest& req,
 }
 
 bool ContentServer::acquire_flight(const std::string& flight_key,
-                                   std::shared_ptr<Flight>& flight,
-                                   bool streaming) {
+                                   std::shared_ptr<Flight>& flight) {
     util::MutexLock lk(flights_mu_);
     auto& slot = flights_[flight_key];
     if (slot == nullptr) {
-        slot = std::make_shared<Flight>(streaming);
+        slot = std::make_shared<Flight>();
         flight = slot;
         return true;
     }
@@ -1016,7 +379,7 @@ bool ContentServer::acquire_flight(const std::string& flight_key,
 
 ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
                                        obs::TraceContext* trace) {
-    if (p.use_cache) {
+    {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
         u32 splits = 0;
         if (WireBytes wire = cache_.get(p.key, p.parallelism, &splits)) {
@@ -1027,12 +390,12 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
 
     // Single-flight: the first request for a key becomes the leader and
     // combines; concurrent requests park on the flight and share its wire.
-    // (A streaming leader for the same key coalesces these waiters too:
-    // its producer retires the flight with the assembled wire.)
+    // serve_stream() comes through here too, so streamed and v1 requests
+    // for one key coalesce on the same flight.
     const std::string flight_key =
         p.key + "\nflight:" + std::to_string(p.parallelism);
     std::shared_ptr<Flight> flight;
-    const bool leader = acquire_flight(flight_key, flight, false);
+    const bool leader = acquire_flight(flight_key, flight);
 
     if (!leader) {
         obs::TraceContext::Scoped span(trace, "coalesce_wait", nullptr);
@@ -1053,7 +416,7 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     // retires). Recheck before paying for a combine, and publish the cached
     // wire to any followers already parked on this flight. The recheck is
     // the same logical request, so it must not re-feed the admission sketch.
-    if (p.use_cache) {
+    {
         u32 splits = 0;
         if (WireBytes cached = cache_.get(p.key, p.parallelism, &splits,
                                           /*record_access=*/false)) {
@@ -1065,16 +428,10 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     }
 
     ServedWire wire;
-    Stopwatch combine;
     try {
-        if (opt_.combine_hook) opt_.combine_hook(p.key);
-        {
-            obs::TraceContext::Scoped span(trace, "combine", h_combine_);
-            format::VectorSink sink;
-            wire.splits = produce(p, sink);
-            wire.wire = share(std::move(sink.out));
-        }
-        stats.combine_seconds = combine.seconds();
+        format::VectorSink sink;
+        wire.splits = produce(p, sink, stats, trace);
+        wire.wire = share(std::move(sink.out));
         // Publish to the cache before retiring the flight, so a request
         // arriving between the two hits the cache instead of recombining.
         // Inside the try: a put failure must retire the flight too, or
@@ -1087,7 +444,7 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
         // can still slip a dying entry in; its uid-scoped key can never be
         // served for the successor, so the cost is transient bytes, not
         // staleness.)
-        if (p.use_cache && store_.is_current(*p.asset))
+        if (store_.is_current(*p.asset))
             cache_.put(p.key, p.parallelism, wire.wire, wire.splits);
     } catch (const ProtocolError& e) {
         retire_flight(flight_key, flight, nullptr, e.code(), e.what());
@@ -1131,123 +488,69 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
                                         StreamOptions opt) noexcept {
     const u64 tick = requests_.fetch_add(1, std::memory_order_relaxed);
     streamed_requests_.fetch_add(1, std::memory_order_relaxed);
-    if (opt.max_frame_bytes == 0) opt.max_frame_bytes = kDefaultMaxFrameBytes;
-    opt.window_bytes = std::max(opt.window_bytes, opt.max_frame_bytes);
-    if (opt.prefix_frame_bytes == 0)
-        opt.prefix_frame_bytes = kDefaultPrefixFrameBytes;
-    opt.prefix_frame_bytes = std::min(opt.prefix_frame_bytes,
-                                      opt.max_frame_bytes);
-
-    auto st = std::make_shared<detail::StreamState>();
-    st->server = this;
-    st->opt = opt;
-    st->skip_remaining = opt.resume_offset;
+    ServeStream st;
+    st.server_ = this;
+    if (opt.max_frame_bytes != 0) st.max_frame_ = opt.max_frame_bytes;
     if (sample_tick(tick)) {
-        st->trace = obs::TraceContext("stream", req.asset);
-        st->h_frame = h_frame_;
+        st.trace_ = obs::TraceContext("stream", req.asset);
+        st.h_frame_ = h_frame_;
     }
-    const auto adopt_cache_hit = [&](WireBytes wire, u32 splits) {
-        st->cached = std::move(wire);
-        st->known_splits = splits;
-        st->head.stats.cache_hit = true;
-        st->head.stats.wire_bytes = st->cached->size();
-        cache_hits_.fetch_add(1, std::memory_order_relaxed);
-        wire_bytes_.fetch_add(st->cached->size(), std::memory_order_relaxed);
-        bytes_saved_.fetch_add(st->cached->size(), std::memory_order_relaxed);
-    };
+    ServeResult& head = st.head_;
     try {
         if ((req.accept & kAcceptStreamed) == 0)
             throw ProtocolError(
                 ErrorCode::not_acceptable,
                 "serve: client does not accept streamed responses");
-        {
-            auto span = st->trace.span("prepare", h_prepare_);
-            st->prep = prepare(req);
+        Prepared p = [&] {
+            auto span = st.trace_.span("prepare", h_prepare_);
+            return prepare(req);
+        }();
+        head.payload = p.payload;
+        std::vector<format::ByteBuffer> pieces;
+        if (opt.use_cache) {
+            ServedWire served = serve_shared(p, head.stats, &st.trace_);
+            head.stats.splits_served = served.splits;
+            pieces.push_back(
+                format::ByteBuffer::view(*served.wire, served.wire));
+        } else {
+            PieceSink sink;
+            head.stats.splits_served = produce(p, sink, head.stats, &st.trace_);
+            pieces = std::move(sink.pieces);
         }
-        st->head.payload = st->prep.payload;
-        st->head.code = ErrorCode::ok;
-        const bool use_cache = st->prep.use_cache && opt.use_cache;
-        st->put_to_cache = use_cache;
-
-        if (use_cache) {
-            u32 splits = 0;
-            if (WireBytes wire =
-                    cache_.get(st->prep.key, st->prep.parallelism, &splits)) {
-                adopt_cache_hit(std::move(wire), splits);
-                return ServeStream(std::move(st));
-            }
-
-            st->flight_key = st->prep.key + "\nflight:" +
-                             std::to_string(st->prep.parallelism);
-            st->leader = acquire_flight(st->flight_key, st->flight, true);
-            if (!st->leader) {
-                // Follower: replay the leader's already-emitted bytes from
-                // the assembly (or the finished wire) as the leader streams.
-                st->head.stats.coalesced = true;
-                coalesced_.fetch_add(1, std::memory_order_relaxed);
-                return ServeStream(std::move(st));
-            }
-            // Leader: the previous leader may have populated the cache
-            // between our miss and the flight insert. Recheck (without
-            // re-feeding the admission sketch — same logical request),
-            // publishing the cached wire to any followers already parked.
-            if (WireBytes wire =
-                    cache_.get(st->prep.key, st->prep.parallelism, &splits,
-                               /*record_access=*/false)) {
-                ServedWire served{wire, splits};
-                retire_flight(st->flight_key, st->flight, &served,
-                              ErrorCode::ok, {});
-                st->flight.reset();
-                st->leader = false;
-                adopt_cache_hit(std::move(wire), splits);
-                return ServeStream(std::move(st));
-            }
+        u64 total = 0;
+        u64 owned = 0;
+        for (const format::ByteBuffer& piece : pieces) {
+            total += piece.size();
+            if (!piece.borrowed()) owned += piece.size();
         }
-
-        // Leader or solo: produce as a resumable task on the process-wide
-        // work-stealing executor, pull-paced by the consumer through the
-        // window — no dedicated thread per stream. Registered with the
-        // server first, so ~ContentServer waits for it even if the stream
-        // is abandoned. Producer-backed streams are the only ones where
-        // adaptive frame sizing applies: the owned/borrowed shape of fresh
-        // producer pieces marks the metadata/payload boundary.
-        st->adaptive = opt.adaptive_frames;
-        if (opt_.combine_hook) opt_.combine_hook(st->prep.key);
-        {
-            util::MutexLock lk(streams_mu_);
-            ++active_stream_producers_;
-        }
-        try {
-            {
-                util::MutexLock lk(st->mu);
-                st->task_state = detail::StreamState::TaskState::queued;
+        if (req.resume_offset > total)
+            throw ProtocolError(
+                ErrorCode::bad_request,
+                "serve: resume offset " + std::to_string(req.resume_offset) +
+                    " is past the " + std::to_string(total) + " B wire");
+        st.digest_ = sealed_digest(pieces);
+        // Resume is a seek: skip the pieces the client already holds.
+        for (u64 skip = req.resume_offset; skip > 0; ++st.piece_) {
+            const u64 n = pieces[st.piece_].size();
+            if (skip < n) {
+                st.off_ = static_cast<std::size_t>(skip);
+                break;
             }
-            st->producer_backed = true;
-            st->sig = std::make_shared<detail::ProducerSignal>();
-            detail::submit_stream_task(st);
-        } catch (...) {
-            {
-                util::MutexLock lk(streams_mu_);
-                --active_stream_producers_;
-            }
-            throw;
+            skip -= n;
         }
-        return ServeStream(std::move(st));
+        st.pieces_ = std::move(pieces);
+        st.owned_ = owned;
+        st.asset_ = std::move(p.asset);
+        head.stats.wire_bytes = total;
+        head.code = ErrorCode::ok;
     } catch (const ProtocolError& e) {
-        if (st->leader && st->flight != nullptr)
-            retire_flight(st->flight_key, st->flight, nullptr, e.code(),
-                          e.what());
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        st->head = fail(e.code(), e.what());
-        return ServeStream(std::move(st));
+        head = fail(e.code(), e.what());
     } catch (const std::exception& e) {
-        if (st->leader && st->flight != nullptr)
-            retire_flight(st->flight_key, st->flight, nullptr,
-                          ErrorCode::internal, e.what());
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        st->head = fail(ErrorCode::internal, e.what());
-        return ServeStream(std::move(st));
+        head = fail(ErrorCode::internal, e.what());
     }
+    count_outcome(head);
+    maybe_govern();
+    return st;
 }
 
 std::vector<u8> ContentServer::serve_frame(

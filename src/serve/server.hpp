@@ -8,16 +8,14 @@
 // request frame in, response frame out — so a network frontend needs no
 // knowledge of assets or caching.
 //
-// serve_stream() is the pull-based side of the same pipeline: the response
-// is produced segment at a time through the asset's WireSink producer and
-// framed as v2 streamed messages, so peak frontend memory is bounded by the
-// frame size and the flow-control window, not by the wire. The materializing
-// serve() path is a thin adapter over the same producers (Asset::combine /
-// Asset::range materialize through a VectorSink) — one producer
-// implementation, two framings.
+// serve_stream() answers the same request as a v2 stream: it builds the
+// whole response up front on serve()'s own path (cache, single flight,
+// stale-put gate), or — with StreamOptions::use_cache off — as the
+// producer's piece list (owned structural sections, borrowed payload views),
+// and hands back a ServeStream that only walks those finished bytes.
+// Streaming changes the framing, never the bytes or how they are made.
 
 #include <atomic>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -46,7 +44,6 @@ struct ServerOptions {
     /// exceeded, the resource governor unloads cold demand-loadable assets
     /// (and shrinks the cache if that is not enough). 0 disables.
     u64 mem_budget_bytes = 0;
-    bool cache_ranges = true;  ///< range responses join the wire cache too
     /// Observability/test hook: invoked (if set) with the cache key at the
     /// start of every miss combine (materialized or streamed), before the
     /// wire is built.
@@ -70,125 +67,81 @@ struct ServerOptions {
     std::size_t slow_log_slots = 32;
 };
 
-/// Default ceiling for frames carrying the metadata-dense structural prefix
-/// when adaptive frame sizing is on (StreamOptions::adaptive_frames).
-inline constexpr u64 kDefaultPrefixFrameBytes = u64{8} << 10;
-
 /// Per-stream knobs of serve_stream(), negotiated per connection.
 struct StreamOptions {
     /// Body-frame payload ceiling; frames over it are never produced
     /// (encode-side frame_too_large enforcement happens below this).
     u64 max_frame_bytes = kDefaultMaxFrameBytes;
-    /// Flow-control window: at most this many wire bytes sit admitted-but-
-    /// unconsumed at once; past it the producer task yields until the
-    /// consumer drains — bounded in-flight bytes regardless of asset size.
-    /// Clamped up to max_frame_bytes.
-    u64 window_bytes = u64{4} << 20;
-    /// When false the stream never assembles a cache entry: peak producer
-    /// memory stays O(max_frame), the regime for responses too large to be
-    /// worth caching. Such streams do not coalesce (nothing shareable is
-    /// assembled) and do not consult the cache.
+    /// When false the stream bypasses the cache and the single flight: the
+    /// response is produced for this stream alone and kept as its pieces,
+    /// so owned memory stays the size of the structural sections (payload
+    /// pieces are views of the pinned asset) — the regime for responses too
+    /// large to be worth caching.
     bool use_cache = true;
-    /// Adaptive frame sizing: while a cold producer-backed stream is still
-    /// emitting the metadata-dense structural prefix (header, model, split
-    /// plan — owned pieces), frames are capped at prefix_frame_bytes so a
-    /// client can start planning its decode early; the frame that would
-    /// first carry payload-view bytes flushes the prefix, and payload
-    /// frames run at max_frame_bytes. Cache-hit and coalesced-follower
-    /// replays are unaffected (their wire already exists in full; uniform
-    /// max-size frames move it fastest). Reassembly is framing-agnostic, so
-    /// the wire stays bit-exact either way.
-    bool adaptive_frames = true;
-    /// Prefix-frame payload ceiling; clamped down to max_frame_bytes.
-    u64 prefix_frame_bytes = kDefaultPrefixFrameBytes;
-    /// Resume an interrupted stream: re-serve the same deterministic wire
-    /// but skip the first resume_offset body-payload bytes, hashing the
-    /// skipped prefix into the running digest so the FIN's whole-wire
-    /// checksum still covers prefix + tail (a reconnecting client that
-    /// kept its reassembler validates the reunited wire bit-exactly).
-    /// Body sequencing restarts at 0 for the tail. Transports populate
-    /// this from ServeRequest::resume_offset.
-    u64 resume_offset = 0;
 };
 
-namespace detail {
-struct StreamState;
-struct Flight;
-}  // namespace detail
+class ContentServer;
 
 /// A streamed response: pull protocol frames one at a time (header frame,
-/// body frames, FIN frame, then nullopt). next_frame() may block on the
-/// producer (or, for a coalesced follower, on the leader's progress) — the
-/// consumer's pull pace IS the backpressure. The stream pins its asset (and
-/// therefore every mmapped buffer its segments view), so unload()/evict()
-/// mid-stream never invalidates in-flight segments. Must not outlive the
+/// body frames, FIN frame, then nullopt). The response is finished before
+/// the stream exists, so next_frame() never waits: each body frame is
+/// encoded straight from one piece of the immutable wire (a frame may end
+/// early at a piece boundary) and resuming is a seek. The stream pins its
+/// asset (and therefore every mmapped buffer its pieces view), so
+/// unload()/evict() mid-stream never invalidates it. Must not outlive the
 /// ContentServer that created it.
 class ServeStream {
 public:
-    ~ServeStream();
-    ServeStream(ServeStream&&) noexcept;
-    ServeStream& operator=(ServeStream&&) noexcept;
+    ServeStream(ServeStream&&) noexcept = default;
+    ServeStream& operator=(ServeStream&&) noexcept = default;
     ServeStream(const ServeStream&) = delete;
     ServeStream& operator=(const ServeStream&) = delete;
 
-    /// Status + stats known at stream start; `wire` is always null. For a
-    /// cold stream, splits/wire_bytes arrive in the FIN frame instead.
-    const ServeResult& head() const noexcept;
+    /// Status and totals (wire_bytes, splits_served, cache_hit, coalesced);
+    /// `wire` is always null.
+    const ServeResult& head() const noexcept { return head_; }
     /// The next protocol frame, or nullopt once the stream is complete. An
     /// error response is a single header frame.
     std::optional<std::vector<u8>> next_frame();
-    /// Non-blocking next_frame for event-loop transports (the epoll daemon
-    /// pulls a frame only when its socket is writable): a frame when one can
-    /// be built without waiting on the producer/leader, else nullopt with
-    /// `would_block` distinguishing "not ready yet" (true) from "stream
-    /// complete" (false). Frame boundaries may differ from a fully blocking
-    /// pull (pace decides where partial frames flush); the reassembled wire
-    /// is identical either way.
-    std::optional<std::vector<u8>> try_next_frame(bool& would_block);
-    bool done() const noexcept;
-    u64 frames_emitted() const noexcept;
-    /// High-water mark of owned bytes the producer pipeline held at once
-    /// (staged structural sections + the frame under construction). Payload
-    /// views pinning existing asset storage cost no new memory and are
-    /// excluded; this is the number the bench compares against wire size.
-    u64 peak_owned_bytes() const noexcept;
-    /// High-water mark of produced-but-unconsumed wire bytes (the flow
-    /// control window's measured utilization; <= window + one frame).
-    u64 peak_staged_bytes() const noexcept;
+    bool done() const noexcept { return phase_ == Phase::finished; }
+    u64 frames_emitted() const noexcept { return frames_; }
+    /// Owned bytes the stream holds: its owned pieces plus the largest body
+    /// frame it built. Payload views of existing storage (asset units, a
+    /// shared cache entry) cost no new memory and are excluded; this is the
+    /// number the bench compares against wire size.
+    u64 peak_owned_bytes() const noexcept { return owned_ + max_body_; }
 
 private:
     friend class ContentServer;
-    explicit ServeStream(std::shared_ptr<detail::StreamState> st);
-    std::optional<std::vector<u8>> frame_impl(bool allow_block,
-                                              bool& would_block);
-    std::shared_ptr<detail::StreamState> st_;
+    ServeStream() = default;
+
+    enum class Phase : u8 { header, body, finished };
+    ContentServer* server_ = nullptr;
+    ServeResult head_;
+    std::shared_ptr<const Asset> asset_;  ///< pinned for the stream's life
+    std::vector<format::ByteBuffer> pieces_;  ///< the finished wire, in order
+    u64 max_frame_ = kDefaultMaxFrameBytes;
+    u64 digest_ = 0;  ///< whole-wire FNV, for the FIN
+    u64 owned_ = 0;   ///< bytes of the owned (non-borrowed) pieces
+    u64 max_body_ = 0;
+    std::size_t piece_ = 0;  ///< cursor: piece index and offset within it
+    std::size_t off_ = 0;
+    u32 seq_ = 0;
+    u64 frames_ = 0;
+    Phase phase_ = Phase::header;
+    obs::TraceContext trace_;  ///< inactive when telemetry is off
+    obs::Histogram* h_frame_ = nullptr;  ///< stream_frame_seconds (or null)
 };
 
 namespace detail {
 
-/// In-flight combine shared by coalesced requests for one response key.
-/// Failures are published as a typed (code, detail) pair, NOT a shared
-/// exception_ptr: rethrowing one exception object from many followers
-/// lets one thread's catch-scope destruction race another's what() read
-/// (caught by TSan). Each follower throws its own ProtocolError built
-/// from the immutable-after-done fields.
-///
-/// A STREAMING leader additionally publishes the wire incrementally:
-/// bytes [0, committed) of *assembling are stable and readable under mu,
-/// so followers replay already-emitted segments while the leader is still
-/// producing, instead of parking until the end. On completion `assembling`
-/// becomes the shared wire without copying (it never mutates again).
+/// In-flight combine shared by coalesced requests for one response key,
+/// streamed or not. Failures are published as a typed (code, detail) pair,
+/// NOT a shared exception_ptr: rethrowing one exception object from many
+/// followers lets one thread's catch-scope destruction race another's
+/// what() read (caught by TSan). Each follower throws its own
+/// ProtocolError built from the immutable-after-done fields.
 struct Flight {
-    /// The streaming mode (and with it the assembly buffer) is fixed at
-    /// construction, BEFORE the flight is published through the flights_
-    /// map — followers read `streaming` under mu, and a post-publication
-    /// write would be exactly the discipline hole the analysis exists to
-    /// reject.
-    explicit Flight(bool is_streaming)
-        : streaming(is_streaming),
-          assembling(is_streaming ? std::make_shared<std::vector<u8>>()
-                                  : nullptr) {}
-
     util::Mutex mu;
     util::CondVar cv;
     bool done RECOIL_GUARDED_BY(mu) = false;
@@ -196,12 +149,6 @@ struct Flight {
     bool failed RECOIL_GUARDED_BY(mu) = false;
     ErrorCode error_code RECOIL_GUARDED_BY(mu) = ErrorCode::internal;
     std::string error_detail RECOIL_GUARDED_BY(mu);
-    // Streaming-leader incremental assembly. The pointer is immutable; the
-    // pointed-to vector grows only under mu (bytes [0, committed) are
-    // stable and readable under mu).
-    const bool streaming;
-    const std::shared_ptr<std::vector<u8>> assembling;
-    u64 committed RECOIL_GUARDED_BY(mu) = 0;
 };
 
 }  // namespace detail
@@ -209,12 +156,6 @@ struct Flight {
 class ContentServer {
 public:
     explicit ContentServer(ServerOptions opt = {});
-    /// Blocks until every outstanding stream producer task has finished —
-    /// including background drains from abandoned leader streams — so a
-    /// producer task on the executor can never touch a dead server.
-    /// ServeStream objects themselves must still not be *used* past this
-    /// point.
-    ~ContentServer() RECOIL_EXCLUDES(streams_mu_);
 
     AssetStore& store() noexcept { return store_; }
     MetadataCache& cache() noexcept { return cache_; }
@@ -240,9 +181,12 @@ public:
     /// Serve one request as a pull-based stream of v2 frames. Requires the
     /// request to accept the streamed framing (kAcceptStreamed), on top of
     /// the payload form it would need for serve(). Never throws; failures
-    /// are a single typed header frame. Cold cacheable streams single-flight
-    /// with concurrent serve()/serve_stream() calls for the same key:
-    /// followers replay the leader's already-emitted bytes.
+    /// are a single typed header frame. The response is finished before
+    /// this returns: cacheable streams share serve()'s cache and single
+    /// flight (a cold stream combines or waits for the finished wire like
+    /// any v1 request). ServeRequest::resume_offset seeks past the bytes a
+    /// reconnecting client already holds; an offset past the wire is
+    /// bad_request.
     ServeStream serve_stream(const ServeRequest& req,
                              StreamOptions opt = {}) noexcept;
 
@@ -288,8 +232,7 @@ public:
     Totals totals() const noexcept;
 
 private:
-    friend struct detail::StreamState;
-    friend class ServeStream;  // FIN-time totals accounting
+    friend class ServeStream;  // FIN-time trace recording
     using Flight = detail::Flight;
 
     /// A validated request, ready to produce: shared by the materializing
@@ -298,15 +241,17 @@ private:
         std::shared_ptr<const Asset> asset;
         std::string key;       ///< response cache key
         u32 parallelism = 0;   ///< clamped; 0 for range requests
-        bool use_cache = true;
         PayloadKind payload = PayloadKind::none;
         std::optional<std::pair<u64, u64>> range;
     };
     /// Resolve + validate + negotiate. Throws ProtocolError (typed) on any
     /// failure; counts the request in range_requests_ when applicable.
     Prepared prepare(const ServeRequest& req);
-    /// Run the prepared production into `sink`; returns splits carried.
-    u32 produce(const Prepared& p, format::WireSink& sink);
+    /// The miss path's combine: fire combine_hook, then run the prepared
+    /// production into `sink` under the "combine" span (`trace` may be
+    /// null) and record its time in `stats`. Returns splits carried.
+    u32 produce(const Prepared& p, format::WireSink& sink, ServeStats& stats,
+                obs::TraceContext* trace);
 
     ServeResult serve_impl(const ServeRequest& req, obs::TraceContext& trace);
     /// Cache lookup + single-flight combine for one response key. `asset`
@@ -319,7 +264,7 @@ private:
     /// Insert-or-join the flight for `flight_key`. True when this caller
     /// is the leader (it must eventually retire the flight).
     bool acquire_flight(const std::string& flight_key,
-                        std::shared_ptr<Flight>& flight, bool streaming)
+                        std::shared_ptr<Flight>& flight)
         RECOIL_EXCLUDES(flights_mu_);
     /// Remove the flight from the map, publish its outcome (wire when
     /// non-null, else the typed failure) and wake every parked follower.
@@ -330,8 +275,8 @@ private:
                        const ServedWire* wire, ErrorCode error_code,
                        std::string error_detail) RECOIL_EXCLUDES(flights_mu_);
     /// Run a governance pass if the global budget is exceeded. Called at
-    /// the end of every serve and stream production — the moments usage
-    /// can have grown (demand-load, cache put).
+    /// the end of every serve and serve_stream — the moments usage can have
+    /// grown (demand-load, cache put).
     void maybe_govern() noexcept;
     /// Count a swallowed governance error AND log it as a structured slow-
     /// log failure event with the typed code attached (op "governance").
@@ -351,11 +296,13 @@ private:
         if (sample_mask_ != 0) return (tick & sample_mask_) == 0;
         return tick % opt_.sample_every == 0;
     }
-    /// Record a finished serve() into the slow-request log when it
-    /// qualifies (slow enough, or failed).
-    void finish_trace(const obs::TraceContext& trace, const ServeResult& res);
-    /// Record a finished stream (FIN emitted or error header) likewise.
-    void record_stream_trace(detail::StreamState& st);
+    /// Count a finished serve() or opened serve_stream() in the totals.
+    void count_outcome(const ServeResult& res) noexcept;
+    /// Record a finished request — a serve(), or a stream at its FIN or
+    /// error header — into the slow-request log when it qualifies (slow
+    /// enough, or failed).
+    void finish_trace(const obs::TraceContext& trace, const ServeResult& res,
+                      double total_seconds);
     /// Answer a "!metrics"/"!metrics.json" introspection request against
     /// the registry (requires kAcceptMetrics; typed errors otherwise).
     ServeResult serve_introspection(const ServeRequest& req) noexcept;
@@ -367,11 +314,6 @@ private:
     util::Mutex flights_mu_;
     std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
         RECOIL_GUARDED_BY(flights_mu_);
-    /// Outstanding serve_stream producer tasks (on the process-wide
-    /// executor — no dedicated threads); the destructor waits for zero.
-    util::Mutex streams_mu_;
-    util::CondVar streams_cv_;
-    u64 active_stream_producers_ RECOIL_GUARDED_BY(streams_mu_) = 0;
     /// The totals block below is all relaxed atomics — the documented
     /// lock-free escape for the serve hot path (totals()/sampling/metrics
     /// callbacks read them without any lock).

@@ -10,8 +10,8 @@
 #include <thread>
 #include <vector>
 
-#include "util/executor.hpp"
 #include "util/ints.hpp"
+#include "util/named_threads.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace recoil {

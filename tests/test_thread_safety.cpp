@@ -8,11 +8,11 @@
 //     handle while locked; this test races attach/rebind against readers
 //     resolving through the store and polling the registry.
 //
-//  2. ContentServer's Flight used to publish into the flights_ map first
-//     and set streaming/assembling afterwards. Both are now fixed at
-//     construction (const members); this test forces a streamed leader with
-//     a pack of mid-flight followers so any post-publication write to
-//     either field would be a follower-visible race.
+//  2. ContentServer's Flight is published through the flights_ map and
+//     read by every follower under its own mutex; streams share it with
+//     serve(). This test parks a streamed leader inside its combine until a
+//     pack of streamed followers waits on the flight, so any unguarded
+//     write to the flight's outcome would be a follower-visible race.
 
 #include <gtest/gtest.h>
 
@@ -91,49 +91,54 @@ TEST(ThreadSafety, AttachBackingRacesReadersAndMetricsPolls) {
     EXPECT_NE(snap.find("disk_assets"), std::string::npos);
 }
 
-TEST(ThreadSafety, StreamingFlightFieldsAreFixedBeforePublication) {
+TEST(ThreadSafety, StreamedFollowersShareTheLeadersFlight) {
+    constexpr unsigned kFollowers = 6;
     std::atomic<int> combines{0};
+    ContentServer* srv = nullptr;
     ServerOptions opt;
-    opt.combine_hook = [&](const std::string&) { ++combines; };
+    // The leader holds inside its combine until every follower is parked
+    // on its flight.
+    opt.combine_hook = [&](const std::string&) {
+        ++combines;
+        while (srv->coalescing_waiters() < kFollowers)
+            std::this_thread::yield();
+    };
     ContentServer server(opt);
+    srv = &server;
     server.store().encode_bytes("asset", asset_bytes(60000, 13), 16);
+    const ServeResult ref = [&] {
+        ContentServer plain;
+        plain.store().encode_bytes("asset", asset_bytes(60000, 13), 16);
+        return plain.serve({"asset", 4, std::nullopt});
+    }();
+    ASSERT_TRUE(ref.ok());
 
-    // A tiny flow-control window stalls the leader's producer almost
-    // immediately (the consumer has not pulled yet), keeping the flight
-    // open while the followers attach — each follower reads
-    // flight->streaming/assembling through its replay path mid-flight.
     StreamOptions sopt;
     sopt.max_frame_bytes = 2048;
-    sopt.window_bytes = 2048;
-    constexpr unsigned kFollowers = 6;
-    ServeStream leader =
-        server.serve_stream({"asset", 4, std::nullopt, kAcceptStream}, sopt);
-    ASSERT_TRUE(leader.head().ok()) << leader.head().detail;
-
+    const auto pull = [&server, &sopt] {
+        ServeStream s = server.serve_stream(
+            {"asset", 4, std::nullopt, kAcceptStream}, sopt);
+        StreamReassembler ra(sopt.max_frame_bytes);
+        while (auto frame = s.next_frame()) ra.feed(*frame);
+        return ra.result();
+    };
+    ServeResult leader_res;
+    std::thread leader([&] { leader_res = pull(); });
+    while (combines.load() == 0) std::this_thread::yield();
     std::vector<std::thread> pullers;
-    std::vector<u64> framed(kFollowers, 0);
-    std::vector<bool> ok(kFollowers, false);
-    for (unsigned i = 0; i < kFollowers; ++i) {
-        pullers.emplace_back([&server, &sopt, &framed, &ok, i] {
-            ServeStream s = server.serve_stream(
-                {"asset", 4, std::nullopt, kAcceptStream}, sopt);
-            u64 n = 0;
-            while (auto frame = s.next_frame()) ++n;
-            framed[i] = n;
-            ok[i] = s.head().ok() && s.done();
-        });
-    }
-    // Drive the leader only after every follower is parked on the flight:
-    // the followers' pulls gate on the assembly the leader commits.
-    u64 leader_frames = 0;
-    while (auto frame = leader.next_frame()) ++leader_frames;
+    std::vector<ServeResult> got(kFollowers);
+    for (unsigned i = 0; i < kFollowers; ++i)
+        pullers.emplace_back([&pull, &got, i] { got[i] = pull(); });
+    leader.join();
     for (auto& p : pullers) p.join();
 
-    EXPECT_EQ(combines.load(), 1);  // one producer; everyone else replayed
-    EXPECT_GE(leader_frames, 3u);   // header + >=1 body + fin
+    EXPECT_EQ(combines.load(), 1);  // one combine; everyone else waited
+    ASSERT_TRUE(leader_res.ok()) << leader_res.detail;
+    EXPECT_EQ(*leader_res.wire, *ref.wire);
     for (unsigned i = 0; i < kFollowers; ++i) {
-        EXPECT_TRUE(ok[i]) << "follower " << i;
-        EXPECT_GE(framed[i], 3u) << "follower " << i;
+        ASSERT_TRUE(got[i].ok()) << "follower " << i << ": " << got[i].detail;
+        EXPECT_TRUE(got[i].stats.coalesced) << "follower " << i;
+        EXPECT_EQ(*got[i].wire, *ref.wire) << "follower " << i;
     }
 }
 

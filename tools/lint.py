@@ -26,10 +26,11 @@ naked-mutex     No naked std::mutex / std::shared_mutex /
                 through the Clang-Thread-Safety-annotated util wrappers.
 naked-thread    No std::thread / std::jthread (or #include <thread>) under
                 src/serve/ or src/net/: request-path concurrency rides the
-                work-stealing executor (util/executor.hpp) or the decode
-                ThreadPool, so a stream costs a state machine, not an OS
-                thread. The substrates themselves (util/executor.*,
-                util/thread_pool.hpp) and tests may spawn threads.
+                sanctioned substrates — util::NamedThreads for blocking
+                loops (util/named_threads.hpp) and the decode ThreadPool —
+                so threads stay named and joined. The substrates themselves
+                (util/named_threads.hpp, util/thread_pool.hpp) and tests
+                may spawn threads.
 include-hygiene No #include <mutex> / <shared_mutex> / <condition_variable>
                 under src/ outside the wrapper header, and every src header
                 starts with #pragma once.
@@ -64,8 +65,8 @@ NAKED_TOKENS = [
 
 BANNED_INCLUDES = ["<mutex>", "<shared_mutex>", "<condition_variable>"]
 
-# Directories where dedicated threads are banned outright: every producer,
-# session worker and daemon loop must run on the executor or ThreadPool.
+# Directories where dedicated threads are banned outright: every session
+# worker and daemon loop must run on util::NamedThreads or ThreadPool.
 THREADLESS_DIRS = ("serve/", "net/")
 
 THREAD_TOKENS = ["std::thread", "std::jthread"]
@@ -195,8 +196,8 @@ def check_naked_thread(repo: Path, findings):
             for m in re.finditer(re.escape(token) + r"\b", code):
                 line = code.count("\n", 0, m.start()) + 1
                 findings.append(
-                    f"naked-thread: src/{rel}:{line}: {token} — streams and "
-                    f"sessions run on util::Executor / ThreadPool, not "
+                    f"naked-thread: src/{rel}:{line}: {token} — loops and "
+                    f"sessions run on util::NamedThreads / ThreadPool, not "
                     f"dedicated threads")
         if re.search(r"#\s*include\s*<thread>", text):
             findings.append(
