@@ -1,10 +1,9 @@
 // Serve-subsystem benchmark: warm- vs cold-cache serve latency for a
 // 2176-split asset (the paper's "Large" parallelism), byte-range wire cost,
 // single-flight coalescing under a concurrent cold stampede, aggregate
-// request throughput for a mixed fleet of client classes driven through the
-// async Session API, a cache-policy study (LRU vs SLRU vs TinyLFU-gated)
-// under scan-polluted Zipf traffic, and cold-boot-from-disk time for a
-// persistent store (mmap + zero-copy parse vs re-encoding the master).
+// request throughput for a mixed fleet of client classes served from plain
+// client threads, and cold-boot-from-disk time for a persistent store
+// (mmap + zero-copy parse vs re-encoding the master).
 // Every repeated-measurement section reports p50/p99/p999 (log2-bucket
 // histograms from the obs layer), a telemetry-overhead section pins the
 // registry's warm-hit cost at <= 2%, a range-decode sweep pins the guarded
@@ -25,7 +24,6 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -38,7 +36,7 @@
 #include "rans/indexed_model.hpp"
 #include "rans/static_model.hpp"
 #include "serve/range_wire.hpp"
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/shard_router.hpp"
 #include "serve/store.hpp"
 #include "util/xoshiro.hpp"
@@ -388,19 +386,23 @@ int main(int argc, char** argv) {
                     simd_best_speedup);
     }
 
-    // --- cold stampede: single-flight coalescing through the Session ---
+    // --- cold stampede: single-flight coalescing across client threads ---
     const unsigned stampede = 32;
     server.cache().clear();
     const auto before = server.totals();
     const auto stampede_h0 = server_hist(server, "serve_request_seconds");
     {
-        Session session(server, {8});
-        std::vector<std::shared_future<ServeResult>> futs;
-        for (unsigned i = 0; i < stampede; ++i)
-            futs.push_back(
-                session.submit(ServeRequest{"asset", 16, std::nullopt}));
+        constexpr unsigned kWorkers = 8;
+        std::vector<ServeResult> results(stampede);
         Stopwatch sw;
-        session.wait_idle();
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < kWorkers; ++t)
+            workers.emplace_back([&, t] {
+                for (unsigned i = t; i < stampede; i += kWorkers)
+                    results[i] =
+                        server.serve(ServeRequest{"asset", 16, std::nullopt});
+            });
+        for (auto& w : workers) w.join();
         const double s = sw.seconds();
         const auto after = server.totals();
         const u64 coalesced = after.coalesced_requests - before.coalesced_requests;
@@ -426,14 +428,14 @@ int main(int argc, char** argv) {
                          ", \"coalesced\": " + JsonReport::num(coalesced) +
                          ", \"cache_hits\": " + JsonReport::num(cache_hits) +
                          ", \"latency\": " + pct_json(lat) + "}");
-        for (auto& f : futs)
-            if (!f.get().ok()) {
+        for (const ServeResult& r : results)
+            if (!r.ok()) {
                 std::fprintf(stderr, "stampede serve failed\n");
                 return 1;
             }
     }
 
-    // --- mixed-fleet aggregate throughput through the async session ---
+    // --- mixed-fleet aggregate throughput across client threads ---
     std::vector<ServeRequest> mix;
     Xoshiro256 rng(7);
     for (int i = 0; i < 512; ++i) {
@@ -454,20 +456,22 @@ int main(int argc, char** argv) {
 
     const auto fleet_before = server.totals();
     const auto fleet_h0 = server_hist(server, "serve_request_seconds");
-    Session session(server, {static_cast<unsigned>(
-                        std::thread::hardware_concurrency())});
+    const unsigned fleet_workers =
+        std::max(1u, std::thread::hardware_concurrency());
     double total_s = 0;
     u64 total_bytes = 0, hits = 0;
     for (int run = 0; run < n; ++run) {
-        std::vector<std::shared_future<ServeResult>> futs;
-        futs.reserve(mix.size());
+        std::vector<ServeResult> results(mix.size());
+        std::atomic<std::size_t> next{0};
         Stopwatch sw;
-        for (const auto& r : mix) futs.push_back(session.submit(r));
-        session.wait_idle();
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < fleet_workers; ++t)
+            workers.emplace_back([&] {
+                for (std::size_t i = next++; i < mix.size(); i = next++)
+                    results[i] = server.serve(mix[i]);
+            });
+        for (auto& w : workers) w.join();
         total_s += sw.seconds();
-        std::vector<ServeResult> results;
-        results.reserve(futs.size());
-        for (auto& f : futs) results.push_back(f.get());
         const BatchStats b = summarize(results);
         if (b.failures != 0) {
             std::fprintf(stderr, "batch had %llu failures\n",
@@ -507,103 +511,6 @@ int main(int argc, char** argv) {
                             (static_cast<double>(n) *
                              static_cast<double>(mix.size()))) +
             ", \"latency\": " + pct_json(fleet_lat) + "}");
-
-    // --- cache-policy study: seeded Zipf + one-hit-wonder scan pollution,
-    // served serially (deterministic cache state) against every policy.
-    // Two thirds of the traffic is Zipf(1.2) over 32 client classes; every
-    // 3rd request is a unique byte range no one ever asks for again — the
-    // classic trace where plain LRU bleeds: it caches every scan wire and
-    // evicts the hot head to do so. SLRU confines scans to probation;
-    // TinyLFU admission rejects them outright (one observed access does
-    // not pay for a wire-sized entry). Acceptance: slru-tinylfu must beat
-    // plain LRU's byte-hit-rate.
-    double lru_byte_hit_rate = 0, best_byte_hit_rate = 0;
-    {
-        const u64 psize = std::max<u64>(size / 10, 50'000);
-        auto pdata = workload::gen_text(psize, 4242);
-        const int preqs = quick ? 300 : 900;
-        // Same generator as test_session's hit-rate regressions
-        // (workload::zipf_plan), so test and bench measure one trace model.
-        const std::vector<u32> plan =
-            workload::zipf_plan(32, static_cast<std::size_t>(preqs), 1.2,
-                                2024);
-        u64 pwire = 0;
-        {
-            ContentServer probe;
-            probe.store().encode_bytes("p", pdata, 64);
-            pwire = probe.serve(ServeRequest{"p", 1, std::nullopt})
-                        .stats.wire_bytes;
-        }
-        const u64 pcapacity = pwire * 8 + pwire / 2;
-        const u64 span = psize / 4;
-
-        std::printf("cache-policy study: %d reqs (1/3 unique scans), "
-                    "capacity ~8.5 wires\n", preqs);
-        std::printf("%-16s %8s %10s %14s %12s %10s %9s\n", "policy", "hits",
-                    "hit rate", "byte hit rate", "adm. reject", "evictions",
-                    "p99 us");
-        std::string policies_json = "[";
-        for (const char* pname :
-             {"lru", "slru", "lru-tinylfu", "slru-tinylfu"}) {
-            ServerOptions popt;
-            popt.cache_capacity_bytes = pcapacity;
-            popt.cache_policy = *parse_cache_policy(pname);
-            ContentServer psrv(popt);
-            psrv.store().encode_bytes("p", pdata, 64);
-            obs::Histogram plat;
-            for (std::size_t i = 0; i < plan.size(); ++i) {
-                ServeRequest req{"p", plan[i], std::nullopt};
-                if (workload::zipf_scan_slot(i)) {
-                    const u64 lo = workload::zipf_scan_lo(i, psize, span);
-                    req.parallelism = 1;
-                    req.range = {{lo, lo + span}};
-                }
-                Stopwatch psw;
-                auto res = psrv.serve(req);
-                plat.observe(psw.seconds());
-                if (!res.ok()) {
-                    std::fprintf(stderr, "policy serve failed: %s\n",
-                                 res.detail.c_str());
-                    return 1;
-                }
-            }
-            const auto plat_snap = hist_snap(plat);
-            const auto pt = psrv.totals();
-            const auto pc = psrv.cache().stats();
-            const double hit_rate = static_cast<double>(pt.cache_hits) /
-                                    static_cast<double>(preqs);
-            const double byte_hit_rate =
-                static_cast<double>(pc.hit_bytes) /
-                static_cast<double>(pt.wire_bytes);
-            if (std::strcmp(pname, "lru") == 0)
-                lru_byte_hit_rate = byte_hit_rate;
-            if (std::strcmp(pname, "slru-tinylfu") == 0)
-                best_byte_hit_rate = byte_hit_rate;
-            std::printf("%-16s %8llu %9.1f%% %13.1f%% %12llu %10llu %9.2f\n",
-                        pname,
-                        static_cast<unsigned long long>(pt.cache_hits),
-                        100.0 * hit_rate, 100.0 * byte_hit_rate,
-                        static_cast<unsigned long long>(
-                            pc.admission_rejected),
-                        static_cast<unsigned long long>(pc.evictions),
-                        plat_snap.p99() * 1e6);
-            if (policies_json.size() > 1) policies_json += ", ";
-            policies_json +=
-                std::string("{\"name\": \"") + pname + "\"" +
-                ", \"hits\": " + JsonReport::num(pt.cache_hits) +
-                ", \"hit_rate\": " + JsonReport::num(hit_rate) +
-                ", \"byte_hit_rate\": " + JsonReport::num(byte_hit_rate) +
-                ", \"admission_rejected\": " +
-                JsonReport::num(pc.admission_rejected) +
-                ", \"evictions\": " + JsonReport::num(pc.evictions) +
-                ", \"latency\": " + pct_json(plat_snap) + "}";
-        }
-        policies_json += "]";
-        report.field("policies", policies_json);
-        std::printf("slru-tinylfu vs lru byte-hit-rate: %.1f%% vs %.1f%% "
-                    "(acceptance: strictly better)\n\n",
-                    100.0 * best_byte_hit_rate, 100.0 * lru_byte_hit_rate);
-    }
 
     // --- streamed vs materialized production: peak bytes held by the
     // producer. The materialized path must hold the whole wire; an uncached
@@ -1224,20 +1131,13 @@ int main(int argc, char** argv) {
     report.field("metrics", server.metrics().snapshot().to_json());
 
     // The report lands BEFORE the acceptance gates: a failing run is
-    // exactly the one whose per-policy numbers are needed to debug it.
+    // exactly the one whose numbers are needed to debug it.
     if (json_path != nullptr) {
         if (!report.write(json_path)) {
             std::fprintf(stderr, "failed to write %s\n", json_path);
             return 1;
         }
         std::printf("wrote machine-readable report to %s\n", json_path);
-    }
-    if (best_byte_hit_rate <= lru_byte_hit_rate) {
-        std::fprintf(stderr,
-                     "slru-tinylfu byte-hit-rate (%.3f) did not beat plain "
-                     "LRU (%.3f) — policy acceptance failed\n",
-                     best_byte_hit_rate, lru_byte_hit_rate);
-        return 1;
     }
     if (!quick && telemetry_overhead > 0.02 && telemetry_delta_ns > 20.0) {
         std::fprintf(stderr,

@@ -16,16 +16,14 @@
 // reporting corrupt assets as typed errors instead of failing on the first
 // demand-load.
 //
-// `--cache-policy lru|slru|lru-tinylfu|slru-tinylfu` selects the response
-// cache's eviction/admission policies; `--mem-budget BYTES` (K/M/G suffixes)
-// arms the resource governor with a global budget over cache bytes +
-// resident store bytes — under pressure it unloads cold demand-loadable
+// `--mem-budget BYTES` (K/M/G suffixes) arms the resource governor with a
+// global budget over cache bytes + resident store bytes — under pressure it unloads cold demand-loadable
 // assets (pinned ones are protected) and shrinks the cache if that is not
 // enough. With both --store and --mem-budget set, a cold-asset tail is
 // served to demonstrate pressure unloads live.
 //
 // `--metrics-json PATH` dumps the unified telemetry snapshot (every serve /
-// cache / governor / store / session counter plus the per-phase latency
+// cache / governor / store counter plus the per-phase latency
 // histograms) as JSON at exit; the same snapshot is also fetched over the
 // wire via the reserved "!metrics" introspection asset to prove the
 // exposition surface works end to end. `--trace-log PATH` dumps the slow
@@ -35,10 +33,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
+#include <thread>
+#include <vector>
 
 #include "core/recoil_decoder.hpp"
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "simd/dispatch.hpp"
 #include "util/stopwatch.hpp"
@@ -90,7 +89,6 @@ u64 parse_bytes(const char* s) {
 int main(int argc, char** argv) {
     const char* store_dir = nullptr;
     bool verify_store = false;
-    CachePolicyConfig cache_policy;
     u64 mem_budget = 0;
     const char* metrics_json = nullptr;
     const char* trace_log = nullptr;
@@ -103,18 +101,6 @@ int main(int argc, char** argv) {
             store_dir = argv[++i];
         } else if (std::strcmp(argv[i], "--verify-store") == 0) {
             verify_store = true;
-        } else if (std::strcmp(argv[i], "--cache-policy") == 0) {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "--cache-policy requires a name "
-                                     "(lru|slru|lru-tinylfu|slru-tinylfu)\n");
-                return 2;
-            }
-            auto parsed = parse_cache_policy(argv[++i]);
-            if (!parsed) {
-                std::fprintf(stderr, "unknown cache policy '%s'\n", argv[i]);
-                return 2;
-            }
-            cache_policy = *parsed;
         } else if (std::strcmp(argv[i], "--mem-budget") == 0) {
             if (i + 1 >= argc ||
                 (mem_budget = parse_bytes(argv[i + 1])) == 0) {
@@ -142,11 +128,11 @@ int main(int argc, char** argv) {
     auto data = workload::gen_text(size, 2024);
 
     ServerOptions server_opt;
-    server_opt.cache_policy = cache_policy;
     server_opt.mem_budget_bytes = mem_budget;
     ContentServer server(server_opt);
-    std::printf("cache policy: %s%s\n", server.cache().policy_name().c_str(),
-                mem_budget != 0 ? ", memory governor armed" : "");
+    if (mem_budget != 0)
+        std::printf("memory governor armed: budget %llu B\n",
+                    static_cast<unsigned long long>(mem_budget));
     if (store_dir != nullptr) {
         Stopwatch open_sw;
         auto disk = std::make_shared<DiskStore>(store_dir);
@@ -245,19 +231,23 @@ int main(int argc, char** argv) {
         std::printf("\n");
     }
 
-    // Cold stampede: 24 identical cold requests through the async Session;
+    // Cold stampede: 24 identical cold requests from 8 client threads;
     // single-flight coalescing shares one combine's wire, the rest of the
     // burst hits the cache the leader populated.
     server.cache().clear();
     {
         const auto before = server.totals();
-        Session session(server, {8});
-        std::vector<std::shared_future<ServeResult>> futs;
-        for (int i = 0; i < 24; ++i)
-            futs.push_back(session.submit(ServeRequest{"asset", 16, {}}));
-        session.wait_idle();
-        for (auto& f : futs)
-            if (!f.get().ok()) return 1;
+        constexpr int kRequests = 24, kThreads = 8;
+        std::vector<ServeResult> results(kRequests);
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                for (int i = t; i < kRequests; i += kThreads)
+                    results[i] = server.serve(ServeRequest{"asset", 16, {}});
+            });
+        for (auto& th : threads) th.join();
+        for (const auto& r : results)
+            if (!r.ok()) return 1;
         const auto t = server.totals();
         std::printf("cold stampede: 24 identical requests -> %llu coalesced + "
                     "%llu cache hits, %.1f MB recombination avoided\n\n",
@@ -411,20 +401,17 @@ int main(int argc, char** argv) {
     const auto t = server.totals();
     const auto c = server.cache().stats();
     std::printf("server totals: %llu requests (%llu range), %llu cache hits, "
-                "%llu coalesced, %.1f MB saved, %llu failures; cache [%s] "
-                "holds %llu entries / %llu B (%llu evictions, %llu admission "
-                "rejections)\n",
+                "%llu coalesced, %.1f MB saved, %llu failures; cache holds "
+                "%llu entries / %llu B (%llu evictions)\n",
                 static_cast<unsigned long long>(t.requests),
                 static_cast<unsigned long long>(t.range_requests),
                 static_cast<unsigned long long>(t.cache_hits),
                 static_cast<unsigned long long>(t.coalesced_requests),
                 static_cast<double>(t.bytes_saved) / 1e6,
                 static_cast<unsigned long long>(t.failures),
-                server.cache().policy_name().c_str(),
                 static_cast<unsigned long long>(c.entries),
                 static_cast<unsigned long long>(c.bytes),
-                static_cast<unsigned long long>(c.evictions),
-                static_cast<unsigned long long>(c.admission_rejected));
+                static_cast<unsigned long long>(c.evictions));
     if (store_dir != nullptr)
         std::printf("store: %zu assets persisted in %s — rerun with the same "
                     "--store to serve them without re-encoding\n",

@@ -62,7 +62,7 @@ net::Client connect_retrying(net::ClientOptions opt,
 /// Replay a small deterministic tenant mix as paced range requests over
 /// one connection. Every (tenant, key) pair maps to a stable byte range
 /// of `asset`; scan arrivals derive a never-repeating range from their
-/// plan index, so admission policies see genuine one-hit wonders.
+/// plan index, so the server's cache sees genuine one-hit wonders.
 int bench_tenants(net::Client& client, const char* asset,
                   std::size_t requests) {
     workload::TrafficOptions topt;

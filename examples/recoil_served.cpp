@@ -56,10 +56,9 @@ u64 parse_bytes(const char* s) {
 int usage() {
     std::fprintf(stderr,
                  "usage: recoil_served [--store DIR] [--port N] [--bind ADDR]\n"
-                 "                     [--cache-policy NAME] [--mem-budget SZ]\n"
-                 "                     [--max-conns N] [--idle-timeout MS]\n"
-                 "                     [--edge-triggered] [--seed-demo]\n"
-                 "                     [--shards N] [--loops N]\n"
+                 "                     [--mem-budget SZ] [--max-conns N]\n"
+                 "                     [--idle-timeout MS] [--edge-triggered]\n"
+                 "                     [--seed-demo] [--shards N] [--loops N]\n"
                  "                     [--rebalance-every N]\n");
     return 2;
 }
@@ -99,7 +98,6 @@ int run_daemon(net::Daemon& daemon, const net::DaemonOptions& dopt) {
 int main(int argc, char** argv) {
     const char* store_dir = nullptr;
     bool seed_demo = false;
-    serve::CachePolicyConfig cache_policy;
     u64 mem_budget = 0;
     u32 shards = 1;
     u64 rebalance_every = 1024;
@@ -118,13 +116,6 @@ int main(int argc, char** argv) {
             dopt.port = static_cast<u16>(std::atoi(need("--port")));
         } else if (std::strcmp(argv[i], "--bind") == 0) {
             dopt.bind_address = need("--bind");
-        } else if (std::strcmp(argv[i], "--cache-policy") == 0) {
-            auto parsed = serve::parse_cache_policy(need("--cache-policy"));
-            if (!parsed) {
-                std::fprintf(stderr, "unknown cache policy '%s'\n", argv[i]);
-                return 2;
-            }
-            cache_policy = *parsed;
         } else if (std::strcmp(argv[i], "--mem-budget") == 0) {
             if ((mem_budget = parse_bytes(need("--mem-budget"))) == 0) {
                 std::fprintf(stderr, "--mem-budget requires a size, e.g. 64M\n");
@@ -166,7 +157,6 @@ int main(int argc, char** argv) {
             ropt.shards = shards;
             ropt.total_budget_bytes = mem_budget;
             ropt.rebalance_every = rebalance_every;
-            ropt.server.cache_policy = cache_policy;
             if (store_dir != nullptr) ropt.store_dir = store_dir;
             serve::ShardedServer router(ropt);
             if (seed_demo &&
@@ -192,7 +182,6 @@ int main(int argc, char** argv) {
         }
 
         serve::ServerOptions sopt;
-        sopt.cache_policy = cache_policy;
         sopt.mem_budget_bytes = mem_budget;
         serve::ContentServer server(sopt);
         if (store_dir != nullptr) {

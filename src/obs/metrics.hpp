@@ -6,8 +6,8 @@
 // MetricsRegistry names them: components obtain stable Counter*/Histogram*
 // pointers once (registration takes the registry mutex; recording never
 // does) or register callback metrics that are polled at snapshot time —
-// how the pre-existing stats structs (CacheStats, GovernorStats, Totals,
-// Session::Stats) surface through the registry without double-counting:
+// how the pre-existing stats structs (CacheStats, GovernorStats, Totals)
+// surface through the registry without double-counting:
 // the callback reads the same atomics/mutex-guarded counters the stats()
 // API reports, so both views are bit-identical by construction.
 //

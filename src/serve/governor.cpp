@@ -113,8 +113,8 @@ u64 ResourceGovernor::enforce() {
     }
 
     // The store alone could not get under budget (everything left is hot,
-    // pinned, in use, or unbacked): the cache absorbs the remainder through
-    // its own eviction policy.
+    // pinned, in use, or unbacked): the cache absorbs the remainder from
+    // its least-recently-used end.
     const u64 resident_now = store_.resident_bytes();
     if (cache_.current_bytes() + resident_now > budget) {
         const u64 cache_target =

@@ -6,7 +6,7 @@
 // governor UNLOADS cold demand-loadable assets — AssetStore::unload keeps
 // the backing copy and the generation, so cached responses stay valid and
 // the next request simply re-mmaps — and, if the store alone cannot get
-// under budget, shrinks the cache through its eviction policy.
+// under budget, shrinks the cache from its least-recently-used end.
 //
 // What the governor will not do:
 //   - unload a pinned asset (pin()/unpin(): per-class protection for

@@ -7,25 +7,17 @@
 
 namespace recoil::serve {
 
-MetadataCache::MetadataCache(u64 capacity_bytes, CachePolicyConfig policy)
-    : capacity_(capacity_bytes),
-      policy_cfg_(policy),
-      policy_(make_eviction_policy(policy, capacity_bytes)),
-      admission_(make_admission_policy(policy, capacity_bytes)) {}
-
 WireBytes MetadataCache::get(const std::string& asset_key, u32 parallelism,
-                             u32* splits_out, bool record_access) {
+                             u32* splits_out, bool count_miss) {
     util::MutexLock lk(mu_);
-    const Key key{asset_key, parallelism};
-    if (record_access) admission_->record(KeyHash{}(key));
-    auto it = map_.find(key);
+    auto it = map_.find(Key{asset_key, parallelism});
     if (it == map_.end()) {
-        ++stats_.misses;
+        if (count_miss) ++stats_.misses;
         return nullptr;
     }
     ++stats_.hits;
     stats_.hit_bytes += it->second.wire->size();
-    policy_->on_touch(it->second.id);
+    order_.splice(order_.begin(), order_, it->second.lru);
     if (splits_out != nullptr) *splits_out = it->second.splits;
     return it->second.wire;
 }
@@ -34,39 +26,28 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
                         WireBytes wire, u32 splits) {
     RECOIL_CHECK(wire != nullptr, "cache put: null payload");
     util::MutexLock lk(mu_);
-    const Key key{asset_key, parallelism};
+    Key key{asset_key, parallelism};
     auto it = map_.find(key);
     if (wire->size() > capacity_) {  // would evict everything for nothing
         ++stats_.rejected;
         // A resident entry under this key is now known stale: serving it
         // would hand out superseded bytes, so it goes too (not an eviction
         // — nothing displaced it for space).
-        if (it != map_.end()) {
-            set_bytes_locked(stats_.bytes - it->second.wire->size());
-            erase_entry_locked(it->second.id);
-            stats_.entries = map_.size();
-        }
+        if (it != map_.end()) erase_locked(it);
         return;
     }
     if (it != map_.end()) {
-        // Refresh: already admitted once — the gate does not re-run.
         set_bytes_locked(stats_.bytes - it->second.wire->size() +
                          wire->size());
         it->second.wire = std::move(wire);
         it->second.splits = splits;
-        policy_->on_touch(it->second.id);
-        policy_->on_resize(it->second.id, it->second.wire->size());
+        order_.splice(order_.begin(), order_, it->second.lru);
     } else {
-        if (!admission_->admit(KeyHash{}(key), wire->size())) {
-            ++stats_.admission_rejected;
-            return;
-        }
-        const EntryId id = next_id_++;
         set_bytes_locked(stats_.bytes + wire->size());
-        auto [pos, inserted] =
-            map_.emplace(key, Entry{std::move(wire), splits, id});
-        by_id_[id] = &pos->first;
-        policy_->on_insert(id, pos->second.wire->size());
+        it = map_.emplace(std::move(key), Entry{std::move(wire), splits, {}})
+                 .first;
+        order_.push_front(&it->first);
+        it->second.lru = order_.begin();
         ++stats_.insertions;
     }
     stats_.entries = map_.size();
@@ -76,25 +57,18 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
     evict_until_locked(capacity_);
 }
 
-void MetadataCache::erase_entry_locked(EntryId id) {
-    auto idx = by_id_.find(id);
-    RECOIL_CHECK(idx != by_id_.end(), "cache: unknown entry id");
-    const Key key = *idx->second;  // copy: erasing invalidates the pointer
-    by_id_.erase(idx);
-    policy_->on_erase(id);
-    map_.erase(key);
+MetadataCache::Map::iterator MetadataCache::erase_locked(Map::iterator it) {
+    set_bytes_locked(stats_.bytes - it->second.wire->size());
+    order_.erase(it->second.lru);
+    it = map_.erase(it);
+    stats_.entries = map_.size();
+    return it;
 }
 
 void MetadataCache::evict_until_locked(u64 target_bytes) {
-    while (stats_.bytes > target_bytes && !map_.empty()) {
-        const EntryId id = policy_->victim();
-        RECOIL_CHECK(id != kNoEntry, "cache: policy lost a resident entry");
-        auto idx = by_id_.find(id);
-        RECOIL_CHECK(idx != by_id_.end(), "cache: victim id unknown");
-        set_bytes_locked(stats_.bytes - map_.at(*idx->second).wire->size());
-        erase_entry_locked(id);
+    while (stats_.bytes > target_bytes && !order_.empty()) {
+        erase_locked(map_.find(*order_.back()));
         ++stats_.evictions;
-        stats_.entries = map_.size();
     }
 }
 
@@ -106,15 +80,11 @@ void MetadataCache::erase_asset(const std::string& asset_key) {
                              a.compare(0, asset_key.size(), asset_key) == 0 &&
                              a[asset_key.size()] == '\n';
         if (a == asset_key || derived) {
-            set_bytes_locked(stats_.bytes - it->second.wire->size());
-            by_id_.erase(it->second.id);
-            policy_->on_erase(it->second.id);
-            it = map_.erase(it);
+            it = erase_locked(it);
         } else {
             ++it;
         }
     }
-    stats_.entries = map_.size();
 }
 
 void MetadataCache::shrink_to(u64 target_bytes) {
@@ -125,8 +95,7 @@ void MetadataCache::shrink_to(u64 target_bytes) {
 void MetadataCache::clear() {
     util::MutexLock lk(mu_);
     map_.clear();
-    by_id_.clear();
-    policy_->clear();
+    order_.clear();
     set_bytes_locked(0);
     stats_.entries = 0;
 }
@@ -157,9 +126,6 @@ void MetadataCache::bind_metrics(obs::MetricsRegistry* reg) {
                            poll(&CacheStats::evictions));
     reg->register_callback("cache_rejected_total", MetricKind::counter,
                            poll(&CacheStats::rejected));
-    reg->register_callback("cache_admission_rejected_total",
-                           MetricKind::counter,
-                           poll(&CacheStats::admission_rejected));
     reg->register_callback("cache_peak_bytes", MetricKind::gauge,
                            poll(&CacheStats::peak_bytes));
     reg->register_callback("cache_bytes", MetricKind::gauge,

@@ -7,20 +7,15 @@
 // Range responses reuse the same cache under a derived asset key (see
 // server.cpp), hence the string key rather than an asset pointer.
 //
-// Decision-making is delegated to the pluggable policy layer
-// (cache_policy.hpp): an EvictionPolicy picks victims (LRU by default —
-// bit-exact with the historical cache — or segmented LRU) and an
-// AdmissionPolicy gates brand-new entries (admit-all by default, or a
-// size-aware TinyLFU frequency sketch). The cache owns storage, stats, and
-// the byte-capacity invariant; policies own ordering and gatekeeping.
+// One byte-capacity LRU: an entry map plus a recency list over the map's
+// keys. Hits and refreshes move an entry to the front; victims leave from
+// the back until the payload bytes fit the capacity again.
 
 #include <atomic>
-#include <memory>
+#include <list>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
-#include "serve/cache_policy.hpp"
 #include "serve/protocol.hpp"
 #include "util/ints.hpp"
 #include "util/thread_annotations.hpp"
@@ -45,10 +40,6 @@ struct CacheStats {
     /// capacity. A persistently rising value means the capacity is
     /// mis-sized for the traffic, which a silent drop used to hide.
     u64 rejected = 0;
-    /// New entries the AdmissionPolicy turned away (e.g. TinyLFU rejecting
-    /// a one-hit wonder). Distinct from `rejected`: these entries would
-    /// have fit — the policy judged them not worth the bytes.
-    u64 admission_rejected = 0;
     /// High-water mark of `bytes` over the cache's lifetime. Like the
     /// cumulative counters it survives clear() (which resets the current
     /// size, not the history), so the memory story stays observable across
@@ -60,27 +51,22 @@ struct CacheStats {
 
 class MetadataCache {
 public:
-    explicit MetadataCache(u64 capacity_bytes, CachePolicyConfig policy = {});
+    explicit MetadataCache(u64 capacity_bytes) : capacity_(capacity_bytes) {}
 
-    /// nullptr on miss. A hit refreshes the entry's position with the
-    /// eviction policy and, when `splits_out` is given, reports the split
-    /// count stored with the entry. With `record_access` (the default)
-    /// the lookup is recorded with the admission policy — that is where
-    /// its frequency sketch learns the key stream. Pass false for internal
-    /// re-lookups of the SAME logical request (the single-flight leader's
-    /// post-acquire recheck): double-recording would teach the sketch that
-    /// every cold key was seen twice, silently disarming the one-hit-
-    /// wonder gate.
+    /// nullptr on miss. A hit moves the entry to the front of the recency
+    /// list and, when `splits_out` is given, reports the split count stored
+    /// with the entry. Every hit counts; a miss counts unless `count_miss`
+    /// is false — the single-flight leader's recheck of a request whose
+    /// first lookup already counted the miss.
     WireBytes get(const std::string& asset_key, u32 parallelism,
-                  u32* splits_out = nullptr, bool record_access = true)
+                  u32* splits_out = nullptr, bool count_miss = true)
         RECOIL_EXCLUDES(mu_);
 
-    /// Insert (or refresh) an entry, evicting policy-chosen victims past
-    /// capacity. Payloads larger than the whole cache are never cached —
-    /// counted in CacheStats::rejected (an oversized refresh also drops the
-    /// now-stale resident entry rather than keep serving superseded bytes).
-    /// A NEW key must additionally pass the admission policy; a refusal
-    /// counts in CacheStats::admission_rejected. An entry exactly equal to
+    /// Insert (or refresh) an entry at the front of the recency list,
+    /// evicting from the back past capacity. Payloads larger than the whole
+    /// cache are never cached — counted in CacheStats::rejected (an
+    /// oversized refresh also drops the now-stale resident entry rather
+    /// than keep serving superseded bytes). An entry exactly equal to
     /// capacity is admitted (it fits — alone). `splits` is the work-item
     /// count the response carries, echoed back by get().
     void put(const std::string& asset_key, u32 parallelism, WireBytes wire,
@@ -91,18 +77,16 @@ public:
     /// eviction: the evictions counter is untouched.
     void erase_asset(const std::string& asset_key) RECOIL_EXCLUDES(mu_);
 
-    /// Evict policy-chosen victims until current bytes <= `target_bytes`
-    /// (counted as evictions — this is capacity pressure, from the resource
-    /// governor rather than from an insertion). The configured capacity is
-    /// unchanged: the cache may grow back.
+    /// Evict least-recently-used entries until current bytes <=
+    /// `target_bytes` (counted as evictions — this is capacity pressure,
+    /// from the resource governor rather than from an insertion). The
+    /// configured capacity is unchanged: the cache may grow back.
     void shrink_to(u64 target_bytes) RECOIL_EXCLUDES(mu_);
 
     /// Drop every entry. Resets the current-size fields (`bytes`,
     /// `entries`) only; cumulative counters (hits/misses/insertions/
-    /// evictions/rejected/admission_rejected) survive, so observability
-    /// across a clear() is not lost. Dropped entries do not count as
-    /// evictions. The admission sketch also survives: it models the access
-    /// stream, which a contents clear does not rewrite.
+    /// evictions/rejected) survive, so observability across a clear() is
+    /// not lost. Dropped entries do not count as evictions.
     void clear() RECOIL_EXCLUDES(mu_);
     CacheStats stats() const RECOIL_EXCLUDES(mu_);
     /// Publish this cache through `reg` as polled cache_* metrics (see
@@ -115,11 +99,6 @@ public:
     /// Lock-free mirror of stats().bytes for cheap pressure checks.
     u64 current_bytes() const noexcept {
         return bytes_now_.load(std::memory_order_relaxed);
-    }
-    /// Canonical "eviction[-admission]" spelling, e.g. "slru-tinylfu".
-    std::string policy_name() const { return cache_policy_name(policy_cfg_); }
-    const CachePolicyConfig& policy_config() const noexcept {
-        return policy_cfg_;
     }
 
 private:
@@ -134,28 +113,27 @@ private:
                    k.parallelism;
         }
     };
+    /// Recency order, front = most recently used. Each element points at
+    /// its entry's key inside map_ (node-based: stable under rehash).
+    using Order = std::list<const Key*>;
     struct Entry {
         WireBytes wire;
         u32 splits = 0;
-        EntryId id = kNoEntry;
+        Order::iterator lru;  ///< this entry's position in order_
     };
+    using Map = std::unordered_map<Key, Entry, KeyHash>;
 
-    /// Remove one entry (found via the by-id index) and report it to the
-    /// policy; the caller decides whether it counts as an eviction.
-    void erase_entry_locked(EntryId id) RECOIL_REQUIRES(mu_);
+    /// Unlink one entry from the map and the recency list and drop its
+    /// bytes; the caller decides whether it counts as an eviction. Returns
+    /// the map iterator after the erased entry.
+    Map::iterator erase_locked(Map::iterator it) RECOIL_REQUIRES(mu_);
     void evict_until_locked(u64 target_bytes) RECOIL_REQUIRES(mu_);
     void set_bytes_locked(u64 bytes) RECOIL_REQUIRES(mu_);
 
     mutable util::Mutex mu_;
-    u64 capacity_;           ///< immutable after construction
-    CachePolicyConfig policy_cfg_;  ///< immutable after construction
-    std::unique_ptr<EvictionPolicy> policy_ RECOIL_GUARDED_BY(mu_);
-    std::unique_ptr<AdmissionPolicy> admission_ RECOIL_GUARDED_BY(mu_);
-    std::unordered_map<Key, Entry, KeyHash> map_ RECOIL_GUARDED_BY(mu_);
-    /// Victim lookup: policy ids -> the map key holding that entry. Points
-    /// into map_ nodes (stable under rehash for node-based containers).
-    std::unordered_map<EntryId, const Key*> by_id_ RECOIL_GUARDED_BY(mu_);
-    EntryId next_id_ RECOIL_GUARDED_BY(mu_) = 1;
+    u64 capacity_;  ///< immutable after construction
+    Map map_ RECOIL_GUARDED_BY(mu_);
+    Order order_ RECOIL_GUARDED_BY(mu_);
     CacheStats stats_ RECOIL_GUARDED_BY(mu_);
     /// Lock-free mirror of stats_.bytes (documented escape): written only
     /// by set_bytes_locked() under mu_, read without it by current_bytes()

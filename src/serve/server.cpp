@@ -116,7 +116,7 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
 
 ContentServer::ContentServer(ServerOptions opt)
     : opt_(std::move(opt)),
-      cache_(opt_.cache_capacity_bytes, opt_.cache_policy),
+      cache_(opt_.cache_capacity_bytes),
       governor_(store_, cache_, GovernorOptions{opt_.mem_budget_bytes}),
       slow_log_(opt_.slow_log_slots, opt_.slow_log_slots) {
     init_telemetry();
@@ -269,7 +269,7 @@ void ContentServer::maybe_govern() noexcept {
 void ContentServer::note_governance_failure(u16 code, std::string code_name,
                                             std::string detail) noexcept {
     // Governance is best-effort relief; a failed pass (allocation
-    // exhaustion under the very pressure it relieves, or a policy
+    // exhaustion under the very pressure it relieves, or a cache
     // invariant tripping) must not take a serve path down with it — but it
     // must not vanish either: the counter surfaces in Totals, and the slow
     // log keeps WHAT failed as a structured event with the typed code.
@@ -415,11 +415,12 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
     // between our miss and the flight insert (put happens before the flight
     // retires). Recheck before paying for a combine, and publish the cached
     // wire to any followers already parked on this flight. The recheck is
-    // the same logical request, so it must not re-feed the admission sketch.
+    // the same logical request, whose miss the lookup above already
+    // counted: a recheck miss counts nothing, a recheck hit counts its hit.
     {
         u32 splits = 0;
         if (WireBytes cached = cache_.get(p.key, p.parallelism, &splits,
-                                          /*record_access=*/false)) {
+                                          /*count_miss=*/false)) {
             ServedWire wire{std::move(cached), splits};
             retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
             stats.cache_hit = true;

@@ -36,10 +36,6 @@ namespace recoil::serve {
 
 struct ServerOptions {
     u64 cache_capacity_bytes = u64{256} << 20;
-    /// Cache decision-making: eviction (lru | slru) and admission
-    /// (admit-all | tinylfu) policies. Defaults reproduce the historical
-    /// LRU cache bit-exactly.
-    CachePolicyConfig cache_policy;
     /// Global memory budget over cache bytes + resident store bytes; when
     /// exceeded, the resource governor unloads cold demand-loadable assets
     /// (and shrinks the cache if that is not enough). 0 disables.
@@ -163,9 +159,9 @@ public:
     /// never unloading — unless ServerOptions::mem_budget_bytes is set).
     /// pin()/unpin() protect per-class hot assets from pressure unloads.
     ResourceGovernor& governor() noexcept { return governor_; }
-    /// Unified telemetry directory: one snapshot() covers all five serve
-    /// subsystems (server totals, cache, governor, stores, sessions) plus
-    /// the per-phase latency histograms. Always live — see
+    /// Unified telemetry directory: one snapshot() covers all four serve
+    /// subsystems (server totals, cache, governor, stores) plus the
+    /// per-phase latency histograms. Always live — see
     /// ServerOptions::telemetry for what the knob does and does not gate.
     obs::MetricsRegistry& metrics() noexcept { return metrics_; }
     /// The N slowest and N most recent failed requests, as structured trace

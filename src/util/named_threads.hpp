@@ -3,9 +3,8 @@
 // directories where naming std::thread is banned (tools/lint.py: serve/ and
 // net/ must borrow their concurrency from util/). The two sanctioned thread
 // substrates are ThreadPool, for decode fork-join, and this helper, for
-// long-lived loops that BLOCK (epoll_wait, a condition variable): the
-// daemon's event loops and Session's workers each get a dedicated named
-// thread.
+// long-lived loops that BLOCK (epoll_wait): each of the daemon's event
+// loops gets a dedicated named thread.
 //
 // Join discipline: join_all() (or destruction) blocks until every spawned
 // thread returns. The caller is responsible for making its loops exit —

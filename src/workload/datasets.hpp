@@ -62,24 +62,10 @@ std::vector<LatentDataset> paper_latent_datasets(double scale);
 double bench_scale();
 
 /// Seed-deterministic Zipf(s) key plan over [1, keys]: the canonical skewed
-/// request trace of the serve cache study, shared by test_session's
-/// hit-rate regressions and bench_serve's policy bench so both measure the
-/// SAME traffic model (CDF inversion over a seeded xoshiro stream).
+/// request trace of the serve cache, replayed by test_cache_policy's
+/// exact-LRU hit-rate regression (CDF inversion over a seeded xoshiro
+/// stream).
 std::vector<u32> zipf_plan(u32 keys, std::size_t requests, double s,
                            u64 seed);
-
-/// The scan-pollution half of that trace model, owned here for the same
-/// reason: request slot `i` is a one-hit-wonder scan (a unique byte range
-/// nobody ever repeats) every `every`-th request...
-inline constexpr u32 kScanEvery = 3;
-inline bool zipf_scan_slot(std::size_t i, u32 every = kScanEvery) {
-    return i % every == every - 1;
-}
-/// ...and this is the unique, deterministic range start for that slot
-/// (stride 131 walks the asset without ever repeating an offset within a
-/// plan's length).
-inline u64 zipf_scan_lo(std::size_t i, u64 num_symbols, u64 span) {
-    return (static_cast<u64>(i) * 131) % (num_symbols - span);
-}
 
 }  // namespace recoil::workload

@@ -6,8 +6,8 @@
 // (Poisson or deterministic inter-arrivals), with phase modifiers for the
 // two regimes that break caches in production: a flash crowd (one key of
 // one tenant suddenly absorbs a large fraction of all traffic) and a
-// unique scan (a window of one-hit-wonder range requests that an
-// admission policy must refuse to cache). Everything is seed-deterministic
+// unique scan (a window of one-hit-wonder range requests, each a cache
+// entry nobody asks for again). Everything is seed-deterministic
 // so bench_serve's shard-scaling and tail-latency sections replay the
 // identical trace at every shard count.
 
@@ -61,7 +61,7 @@ struct TrafficOptions {
 /// One planned request. `key` is 1-based within the tenant's keyspace
 /// (key 1 is the tenant's hottest). A `scan` arrival is a one-hit-wonder:
 /// the consumer should turn it into a never-repeating range request, using
-/// `index` to derive the unique offset (zipf_scan_lo in datasets.hpp).
+/// `index` to derive the unique offset.
 struct Arrival {
     double at_seconds = 0.0;  ///< offset from trace start (open loop)
     std::size_t index = 0;    ///< position in the plan

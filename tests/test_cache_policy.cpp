@@ -1,21 +1,23 @@
-// Tests for the pluggable cache-policy layer and the resource governor:
-// LRU stays bit-exact with the historical cache (the seeded-Zipf regression
-// in test_session is the end-to-end anchor; here the counter edges are
-// pinned), segmented LRU protects reused entries from scan pollution,
-// TinyLFU admission rejects expensive one-hit wonders, and the governor
-// unloads cold demand-loadable assets under a global byte budget without
-// ever touching pinned assets or assets pinned by in-flight streams.
+// Tests for the LRU response cache and the resource governor: the cache's
+// counter edges are pinned, a seeded-Zipf trace served through
+// ContentServer::serve() hits exactly as often as a reference LRU model
+// predicts, and the governor unloads cold demand-loadable assets under a
+// global byte budget without ever touching pinned assets or assets pinned
+// by in-flight streams.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
+#include <list>
 #include <thread>
 #include <vector>
 
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
+#include "workload/datasets.hpp"
 
 namespace recoil::serve {
 namespace {
@@ -24,13 +26,6 @@ namespace fs = std::filesystem;
 
 WireBytes wire_of(u64 n, u8 fill) {
     return std::make_shared<const std::vector<u8>>(n, fill);
-}
-
-CachePolicyConfig slru_config(double protected_fraction = 0.8) {
-    CachePolicyConfig cfg;
-    cfg.eviction = EvictionKind::slru;
-    cfg.slru_protected_fraction = protected_fraction;
-    return cfg;
 }
 
 /// Fresh store directory per test; removed on destruction.
@@ -134,117 +129,98 @@ TEST(CachePolicy, HitBytesAccumulateForByteHitRate) {
     EXPECT_EQ(s.misses, 1u);
 }
 
-// ---- segmented LRU ----
+// ---- the serve path is an exact LRU ----
 
-TEST(CachePolicy, SlruScanTrafficCannotFlushTheProtectedSet) {
-    // Capacity 100, protected cap 80. Two entries are reused (promoted to
-    // protected); a stream of one-shot scan entries then churns probation
-    // without ever displacing the protected pair — under plain LRU the
-    // scans would have flushed them.
-    MetadataCache cache(100, slru_config(0.8));
-    cache.put("hot1", 1, wire_of(30, 1));
-    cache.put("hot2", 1, wire_of(30, 2));
-    ASSERT_NE(cache.get("hot1", 1), nullptr);  // promote
-    ASSERT_NE(cache.get("hot2", 1), nullptr);  // promote
-
-    for (int i = 0; i < 16; ++i)
-        cache.put("scan" + std::to_string(i), 1, wire_of(30, u8(i)));
-
-    EXPECT_NE(cache.get("hot1", 1), nullptr);
-    EXPECT_NE(cache.get("hot2", 1), nullptr);
-    // Every scan wave evicted from probation; the last scan may or may not
-    // be resident, but at most one can fit next to the protected pair.
-    EXPECT_LE(cache.stats().entries, 3u);
-    EXPECT_GE(cache.stats().evictions, 15u);
-}
-
-TEST(CachePolicy, SlruDemotesWhenProtectedOverflowsItsByteCap) {
-    // Protected cap = 60 of 100: promoting a third 30-byte entry demotes
-    // the coldest protected entry back to probation, where a scan can
-    // evict it — the cap keeps "protected" an earned, bounded status.
-    MetadataCache cache(100, slru_config(0.6));
-    cache.put("a", 1, wire_of(30, 1));
-    cache.put("b", 1, wire_of(30, 2));
-    cache.put("c", 1, wire_of(30, 3));
-    cache.get("a", 1);
-    cache.get("b", 1);
-    cache.get("c", 1);  // protected would be 90 > 60: "a" demoted
-
-    // A scan entry fills probation past capacity; the victim comes from
-    // probation: first the scan's own predecessors, then demoted "a".
-    cache.put("s1", 1, wire_of(30, 4));
-    EXPECT_EQ(cache.get("a", 1), nullptr) << "demoted entry outlived a scan";
-    EXPECT_NE(cache.get("b", 1), nullptr);
-    EXPECT_NE(cache.get("c", 1), nullptr);
-}
-
-TEST(CachePolicy, SlruEvictsFromProtectedOnlyWhenProbationIsEmpty) {
-    MetadataCache cache(100, slru_config(1.0));  // everything promotable
-    cache.put("a", 1, wire_of(50, 1));
-    cache.put("b", 1, wire_of(50, 2));
-    cache.get("a", 1);
-    cache.get("b", 1);  // both protected; probation empty
-    cache.put("c", 1, wire_of(50, 3));
-    // c sits in probation; over capacity, victim comes from probation (c
-    // itself would be next) — but first the insert pushed bytes to 150, so
-    // the probation victim is c's own segment: a and b survive.
-    EXPECT_NE(cache.get("a", 1), nullptr);
-    EXPECT_NE(cache.get("b", 1), nullptr);
-}
-
-// ---- TinyLFU admission ----
-
-TEST(CachePolicy, TinyLfuRejectsExpensiveOneHitWonders) {
-    CachePolicyConfig cfg;
-    cfg.admission = AdmissionKind::tinylfu;
-    cfg.tinylfu_small_floor = 50;
-    MetadataCache cache(1000, cfg);
-
-    // A large never-seen key is refused outright: one observed access (or
-    // none) does not justify 500 bytes.
-    cache.put("big", 1, wire_of(500, 1));
-    CacheStats s = cache.stats();
-    EXPECT_EQ(s.admission_rejected, 1u);
-    EXPECT_EQ(s.insertions, 0u);
-    EXPECT_EQ(s.entries, 0u);
-
-    // A small stranger is a cheap gamble: admitted.
-    cache.put("small", 1, wire_of(40, 2));
-    EXPECT_EQ(cache.stats().insertions, 1u);
-
-    // Demonstrated reuse admits the big key: two recorded lookups put its
-    // sketch estimate at 2.
-    EXPECT_EQ(cache.get("big", 1), nullptr);
-    EXPECT_EQ(cache.get("big", 1), nullptr);
-    cache.put("big", 1, wire_of(500, 1));
-    s = cache.stats();
-    EXPECT_EQ(s.admission_rejected, 1u);  // unchanged
-    EXPECT_EQ(s.insertions, 2u);
-    EXPECT_NE(cache.get("big", 1), nullptr);
-}
-
-TEST(CachePolicy, TinyLfuSketchEstimatesSaturateAndClear) {
-    TinyLfuAdmission lfu(/*small_floor_bytes=*/10, /*width=*/128);
-    const u64 key = 0x1234abcdu;
-    EXPECT_EQ(lfu.estimate(key), 0u);
-    for (int i = 0; i < 40; ++i) lfu.record(key);
-    EXPECT_EQ(lfu.estimate(key), 15u);  // 4-bit counters saturate
-    EXPECT_TRUE(lfu.admit(key, 1'000'000));
-    EXPECT_FALSE(lfu.admit(0x9999u, 11));  // stranger over the floor
-    EXPECT_TRUE(lfu.admit(0x9999u, 10));   // stranger at the floor
-    lfu.clear();
-    EXPECT_EQ(lfu.estimate(key), 0u);
-}
-
-TEST(CachePolicy, ParseAndNameRoundTrip) {
-    for (const char* name :
-         {"lru", "slru", "lru-tinylfu", "slru-tinylfu"}) {
-        auto cfg = parse_cache_policy(name);
-        ASSERT_TRUE(cfg.has_value()) << name;
-        EXPECT_EQ(cache_policy_name(*cfg), name);
+/// Mirror of MetadataCache's LRU discipline (hit refreshes recency; miss
+/// inserts at the front after the combine; oversized payloads skip the
+/// cache; eviction pops the tail), fed with the observed wire sizes. The
+/// serve path must agree with this model exactly.
+u64 simulate_lru_hits(const std::vector<u32>& plan, const std::vector<u64>& sizes,
+                      u64 capacity) {
+    std::list<std::pair<u32, u64>> lru;  // front = most recently used
+    u64 bytes = 0, hits = 0;
+    for (std::size_t i = 0; i < plan.size(); ++i) {
+        auto it = std::find_if(lru.begin(), lru.end(),
+                               [&](const auto& e) { return e.first == plan[i]; });
+        if (it != lru.end()) {
+            ++hits;
+            lru.splice(lru.begin(), lru, it);
+            continue;
+        }
+        if (sizes[i] > capacity) continue;
+        lru.emplace_front(plan[i], sizes[i]);
+        bytes += sizes[i];
+        while (bytes > capacity) {
+            bytes -= lru.back().second;
+            lru.pop_back();
+        }
     }
-    EXPECT_FALSE(parse_cache_policy("fifo").has_value());
-    EXPECT_FALSE(parse_cache_policy("").has_value());
+    return hits;
+}
+
+TEST(CachePolicy, ZipfTrafficHitRateIsExactAndDeterministic) {
+    // Zipf(s=1.2) traffic over 32 client classes against a cache that holds
+    // ~8 responses: the skewed head stays resident. Served serially through
+    // ContentServer::serve() with seeded xoshiro, so the hit count is exact
+    // — any change to the cache's order must consciously update this anchor.
+    constexpr u32 kKeys = 32;
+    constexpr int kRequests = 1200;
+    const auto data = asset_bytes(60000, 41);
+
+    // Shared traffic model (workload::zipf_plan): keys are parallelism
+    // classes 1..kKeys.
+    const std::vector<u32> plan = workload::zipf_plan(kKeys, kRequests, 1.2,
+                                                      2024);
+
+    // Size the cache off the real wire size so the test tracks format
+    // changes instead of hard-coding bytes.
+    u64 wire_size = 0;
+    {
+        ContentServer probe;
+        probe.store().encode_bytes("asset", data, 64);
+        wire_size = probe.serve(ServeRequest{"asset", 1, std::nullopt})
+                        .stats.wire_bytes;
+    }
+    const u64 capacity = wire_size * 8 + wire_size / 2;
+
+    auto run = [&](std::vector<u64>* sizes_out) {
+        ServerOptions opt;
+        opt.cache_capacity_bytes = capacity;
+        ContentServer server(opt);
+        server.store().encode_bytes("asset", data, 64);
+        for (const u32 key : plan) {
+            // Serial serves keep the request order (and thus LRU state)
+            // fully deterministic.
+            const ServeResult res =
+                server.serve(ServeRequest{"asset", key, std::nullopt});
+            EXPECT_TRUE(res.ok()) << res.detail;
+            if (sizes_out != nullptr) sizes_out->push_back(res.stats.wire_bytes);
+        }
+        return server.totals();
+    };
+
+    std::vector<u64> sizes;
+    const auto first = run(&sizes);
+    EXPECT_EQ(first.requests, static_cast<u64>(kRequests));
+    EXPECT_EQ(first.failures, 0u);
+    EXPECT_EQ(first.coalesced_requests, 0u);  // serial: nothing to coalesce
+
+    // The serve path's hit count must match the reference LRU model exactly.
+    const u64 expected_hits = simulate_lru_hits(plan, sizes, capacity);
+    EXPECT_EQ(first.cache_hits, expected_hits);
+
+    // Zipf concentration keeps the hot head resident: comfortably over half
+    // the traffic hits even though only ~8 of 32 classes fit.
+    const double hit_rate =
+        static_cast<double>(first.cache_hits) / static_cast<double>(kRequests);
+    EXPECT_GE(hit_rate, 0.5) << "hit rate regressed: " << hit_rate;
+    EXPECT_LT(hit_rate, 1.0);
+
+    // Bit-for-bit deterministic: a fresh identical run reproduces totals.
+    const auto second = run(nullptr);
+    EXPECT_EQ(second.cache_hits, first.cache_hits);
+    EXPECT_EQ(second.wire_bytes, first.wire_bytes);
+    EXPECT_EQ(second.bytes_saved, first.bytes_saved);
 }
 
 // ---- resource governor ----
@@ -548,33 +524,6 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(*r.wire, reference[i]);
     }
-}
-
-// ---- session stats surface ----
-
-TEST(SessionStats, CountersTrackSubmissionsCompletionsAndFrames) {
-    ContentServer server;
-    server.store().encode_bytes("asset", asset_bytes(50000, 91), 16);
-    Session session(server, {2});
-
-    EXPECT_TRUE(session.submit({"asset", 4, std::nullopt}).get().ok());
-    EXPECT_FALSE(session.submit({"missing", 4, std::nullopt}).get().ok());
-    u64 frames = 0;
-    StreamOptions sopt;
-    sopt.max_frame_bytes = 4096;
-    auto fut = session.submit_stream(
-        {"asset", 4, std::nullopt, kAcceptAll | kAcceptStreamed},
-        [&](std::span<const u8>) { ++frames; }, sopt);
-    EXPECT_TRUE(fut.get().ok());
-    session.wait_idle();
-
-    const Session::Stats s = session.stats();
-    EXPECT_EQ(s.submitted, 3u);
-    EXPECT_EQ(s.completed, 3u);
-    EXPECT_EQ(s.failed, 1u);
-    EXPECT_EQ(s.streamed, 1u);
-    EXPECT_GE(s.frames_delivered, 3u);  // header + >=1 body + FIN
-    EXPECT_EQ(s.frames_delivered, frames);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 // consistency under concurrent writers (the TSan job runs these), callback
 // metrics and replace-on-rebind, slow-request-log retention and failure
 // capture, trace span nesting, and the ContentServer integration — one
-// snapshot covering all five serve subsystems, traces for hit/miss/stream/
+// snapshot covering all four serve subsystems, traces for hit/miss/stream/
 // failed requests, the "!metrics" wire introspection surface, sampling, and
 // the telemetry=false baseline. Also pins the documented CacheStats counter
 // lifetimes (docs/serve_cache.md): which counters are cumulative across
@@ -19,7 +19,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
 #include "util/xoshiro.hpp"
@@ -297,8 +297,7 @@ const char* const kFrozenScalars[] = {
     "serve_coalescing_waiters",
     "cache_hits_total", "cache_misses_total", "cache_hit_bytes_total",
     "cache_insertions_total", "cache_evictions_total", "cache_rejected_total",
-    "cache_admission_rejected_total", "cache_peak_bytes", "cache_bytes",
-    "cache_entries", "cache_capacity_bytes",
+    "cache_peak_bytes", "cache_bytes", "cache_entries", "cache_capacity_bytes",
     "governor_budget_bytes", "governor_cache_bytes",
     "governor_resident_bytes", "governor_enforcements_total",
     "governor_unloads_total", "governor_bytes_unloaded_total",
@@ -307,9 +306,6 @@ const char* const kFrozenScalars[] = {
     "store_resident_bytes", "store_assets",
     "disk_puts_total", "disk_put_bytes_total", "disk_loads_total",
     "disk_load_bytes_total", "disk_removes_total", "disk_assets",
-    "session_submitted_total", "session_completed_total",
-    "session_failed_total", "session_streamed_total",
-    "session_frames_delivered_total",
     "simd_backend",
 };
 const char* const kFrozenHistograms[] = {
@@ -328,17 +324,13 @@ struct ObsServerFixture : ::testing::Test {
           asset(server.store().encode_bytes("asset", data, 32)) {}
 };
 
-TEST_F(ObsServerFixture, OneSnapshotCoversAllFiveSubsystems) {
+TEST_F(ObsServerFixture, OneSnapshotCoversAllFourSubsystems) {
     const fs::path dir =
         fs::temp_directory_path() / "recoil_obs_snapshot_test";
     fs::remove_all(dir);
     server.store().attach_backing(std::make_shared<DiskStore>(dir));
     server.store().encode_bytes("persisted", data, 8);  // disk write-through
-    {
-        Session session(server, {2});
-        session.submit(ServeRequest{"asset", 8, std::nullopt}).get();
-        session.wait_idle();
-    }
+    server.serve(ServeRequest{"asset", 8, std::nullopt});  // cold miss
     server.serve(ServeRequest{"asset", 8, std::nullopt});  // warm hit
 
     const auto snap = server.metrics().snapshot();
@@ -355,9 +347,6 @@ TEST_F(ObsServerFixture, OneSnapshotCoversAllFiveSubsystems) {
     EXPECT_EQ(*snap.find("cache_hits_total"), server.cache().stats().hits);
     EXPECT_EQ(*snap.find("store_assets"), server.store().size());
     EXPECT_GE(*snap.find("disk_puts_total"), 1u);
-    EXPECT_GE(*snap.find("session_submitted_total"), 1u);
-    EXPECT_EQ(*snap.find("session_completed_total"),
-              *snap.find("session_submitted_total"));
 
     // Both exposition formats render every frozen name.
     const std::string prom = snap.to_prometheus();
@@ -490,10 +479,10 @@ TEST(ObsServer, SamplingTakesTheTimedPathOneInN) {
     EXPECT_EQ(*snap.find("serve_requests_total"), 16u);
 }
 
-// Pins the counter lifetimes documented in docs/serve_cache.md: traffic and
-// admission counters are cumulative over the cache's lifetime (clear() and
-// eviction do NOT reset them); bytes/entries describe current contents and
-// peak_bytes is a lifetime high-water mark.
+// Pins the counter lifetimes documented in docs/serve_cache.md: traffic
+// counters are cumulative over the cache's lifetime (clear() and eviction do
+// NOT reset them); bytes/entries describe current contents and peak_bytes
+// is a lifetime high-water mark.
 TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
     MetadataCache cache(1 << 20);
     auto wire = [](std::size_t n) {
@@ -527,6 +516,8 @@ TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
     EXPECT_EQ(s2.rejected, 1u);
     EXPECT_EQ(s2.evictions, 0u);
     EXPECT_EQ(s2.peak_bytes, 1000u);
+    // The contents are gone: a cleared key misses.
+    EXPECT_EQ(cache.get("a", 4, nullptr), nullptr);
 
     // Eviction bumps its own cumulative counter and never rewinds others.
     MetadataCache tiny(1500);

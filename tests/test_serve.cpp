@@ -1,11 +1,18 @@
 // Tests for the serve subsystem: LRU wire cache semantics, combined-metadata
 // serving correctness (served wire decodes bit-exact against a direct full
 // decode), byte-range serving across all three asset kinds (static file,
-// indexed file, chunked stream), typed error codes, and content negotiation.
+// indexed file, chunked stream), typed error codes, content negotiation, and
+// the single flight: concurrent cold requests for one response key run
+// exactly one combine and share the wire, a leader's failure reaches every
+// follower, an eviction mid-flight keeps the wire out of the cache, and a
+// cold request counts one cache miss.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <future>
+#include <thread>
 
 #include "core/recoil_decoder.hpp"
 #include "serve/server.hpp"
@@ -613,6 +620,228 @@ TEST_F(ServeFixture, EvictionUnderPressureKeepsTheHotEntry) {
             << "hot entry evicted after one-off parallelism " << p;
     }
     EXPECT_GT(small.cache().stats().evictions, 0u);
+}
+
+// ---- single flight ----
+
+std::vector<u8> small_asset_bytes(u64 n, u64 seed) {
+    return test::geometric_symbols<u8>(n, 0.6, 256, seed);
+}
+
+/// Serve `req` from `n` threads at once. The server's combine_hook holds
+/// the leader on the future `release` feeds; this fulfils it only once the
+/// other n-1 requests are parked on the leader's flight, so every request
+/// is a cold miss on one flight — deterministically, with no sleeps.
+std::vector<ServeResult> serve_held_stampede(ContentServer& server,
+                                             const ServeRequest& req,
+                                             unsigned n,
+                                             std::promise<void>& release) {
+    std::vector<ServeResult> results(n);
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < n; ++i)
+        threads.emplace_back([&, i] { results[i] = server.serve(req); });
+    while (server.coalescing_waiters() != n - 1) std::this_thread::yield();
+    release.set_value();
+    for (auto& t : threads) t.join();
+    return results;
+}
+
+TEST(SingleFlight, ColdRequestsCoalesceIntoOneCombine) {
+    std::atomic<int> combines{0};
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    ServerOptions opt;
+    opt.combine_hook = [&](const std::string&) {
+        ++combines;
+        gate.wait();  // hold the leader until every follower is parked
+    };
+    ContentServer server(opt);
+    server.store().encode_bytes("asset", small_asset_bytes(80000, 31), 32);
+
+    constexpr unsigned kN = 8;
+    const std::vector<ServeResult> results = serve_held_stampede(
+        server, ServeRequest{"asset", 8, std::nullopt}, kN, release);
+
+    EXPECT_EQ(combines.load(), 1);  // exactly one combine ran
+    unsigned leaders = 0, followers = 0;
+    WireBytes shared_wire;
+    for (const ServeResult& res : results) {
+        ASSERT_TRUE(res.ok()) << res.detail;
+        EXPECT_FALSE(res.stats.cache_hit);
+        if (res.stats.coalesced) {
+            ++followers;
+        } else {
+            ++leaders;
+        }
+        if (shared_wire == nullptr) shared_wire = res.wire;
+        EXPECT_EQ(res.wire, shared_wire);  // the same buffer, not a copy
+    }
+    EXPECT_EQ(leaders, 1u);
+    EXPECT_EQ(followers, kN - 1);
+
+    const auto t = server.totals();
+    EXPECT_EQ(t.requests, kN);
+    EXPECT_EQ(t.coalesced_requests, kN - 1);
+    EXPECT_EQ(t.bytes_saved, (kN - 1) * shared_wire->size());
+
+    // Warm traffic: the cache returns the same shared buffer, no copy.
+    auto warm = server.serve(ServeRequest{"asset", 8, std::nullopt});
+    ASSERT_TRUE(warm.ok());
+    EXPECT_TRUE(warm.stats.cache_hit);
+    EXPECT_EQ(warm.wire, shared_wire);
+    EXPECT_EQ(combines.load(), 1);
+}
+
+TEST(SingleFlight, LeaderFailurePropagatesToEveryCoalescedRequest) {
+    // Requests park on a flight whose leader fails mid-combine: everyone
+    // must get the typed failure, and a retry must start a fresh flight.
+    std::atomic<int> combines{0};
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    ServerOptions opt;
+    opt.combine_hook = [&](const std::string&) {
+        const int n = ++combines;
+        if (n == 1) {
+            gate.wait();
+            raise("injected combine failure");
+        }
+    };
+    ContentServer server(opt);
+    server.store().encode_bytes("asset", small_asset_bytes(60000, 5), 16);
+
+    constexpr unsigned kN = 4;
+    const std::vector<ServeResult> results = serve_held_stampede(
+        server, ServeRequest{"asset", 4, std::nullopt}, kN, release);
+
+    for (const ServeResult& res : results) {
+        EXPECT_EQ(res.code, ErrorCode::internal);
+        EXPECT_NE(res.detail.find("injected"), std::string::npos);
+    }
+    EXPECT_EQ(server.totals().failures, kN);
+
+    // The failed flight is gone; a retry combines successfully.
+    auto retry = server.serve(ServeRequest{"asset", 4, std::nullopt});
+    ASSERT_TRUE(retry.ok()) << retry.detail;
+    EXPECT_EQ(combines.load(), 2);
+}
+
+TEST(SingleFlight, AColdRequestCountsOneMiss) {
+    // The leader rechecks the cache after winning the flight; that recheck
+    // is the same request, so its miss must not count a second time.
+    {
+        ContentServer server;
+        server.store().encode_bytes("asset", small_asset_bytes(60000, 7), 16);
+        ASSERT_FALSE(server.serve({"asset", 4, std::nullopt}).stats.cache_hit);
+        ASSERT_TRUE(server.serve({"asset", 4, std::nullopt}).stats.cache_hit);
+        const CacheStats s = server.cache().stats();
+        EXPECT_EQ(s.misses, 1u);
+        EXPECT_EQ(s.hits, 1u);
+    }
+    // N cold requests held on one flight: N misses (one each), no hits, and
+    // the leader's single insertion.
+    std::promise<void> release;
+    std::shared_future<void> gate = release.get_future().share();
+    ServerOptions opt;
+    opt.combine_hook = [&](const std::string&) { gate.wait(); };
+    ContentServer server(opt);
+    server.store().encode_bytes("asset", small_asset_bytes(60000, 7), 16);
+    constexpr unsigned kN = 6;
+    for (const ServeResult& res : serve_held_stampede(
+             server, ServeRequest{"asset", 4, std::nullopt}, kN, release))
+        ASSERT_TRUE(res.ok()) << res.detail;
+    const CacheStats s = server.cache().stats();
+    EXPECT_EQ(s.misses, kN);
+    EXPECT_EQ(s.hits, 0u);
+    EXPECT_EQ(s.insertions, 1u);
+}
+
+TEST(SingleFlight, EvictionMidFlightDoesNotResurrectTheCacheEntry) {
+    // Regression: a single-flight combine that finishes after evict_asset()
+    // used to put its wire back into the cache — a stale entry for a deleted
+    // asset, pinned until LRU pressure. The put must be gated on the asset
+    // still being current.
+    ContentServer* hook_target = nullptr;
+    std::atomic<int> combines{0};
+    ServerOptions opt;
+    opt.combine_hook = [&](const std::string&) {
+        // Evict while the combine is in flight (deterministic: the hook runs
+        // after the flight is registered and before the wire is built).
+        if (++combines == 1) hook_target->evict_asset("asset");
+    };
+    ContentServer server(opt);
+    hook_target = &server;
+    const auto v1 = small_asset_bytes(60000, 21);
+    server.store().encode_bytes("asset", v1, 16);
+
+    const ServeRequest req{"asset", 8, std::nullopt};
+    auto res = server.serve(req);
+    ASSERT_TRUE(res.ok()) << res.detail;  // the in-flight request completes
+    EXPECT_EQ(server.cache().stats().entries, 0u)
+        << "stale wire re-entered the cache after eviction";
+
+    // The asset is gone everywhere; a fresh add under the same name must
+    // combine anew (miss), not inherit anything from the evicted flight.
+    EXPECT_EQ(server.serve(req).code, ErrorCode::unknown_asset);
+    server.store().encode_bytes("asset", small_asset_bytes(60000, 22), 16);
+    auto fresh = server.serve(req);
+    ASSERT_TRUE(fresh.ok());
+    EXPECT_FALSE(fresh.stats.cache_hit);
+    EXPECT_EQ(combines.load(), 2);
+
+    // Replacement mid-flight is gated identically: the old generation's
+    // wire must not enter the cache under the replaced asset's key.
+    opt.combine_hook = [&](const std::string&) {
+        if (++combines == 3)
+            hook_target->store().encode_bytes("asset", v1, 16);  // replace
+    };
+    ContentServer replaced(opt);
+    hook_target = &replaced;
+    combines = 2;
+    replaced.store().encode_bytes("asset", small_asset_bytes(50000, 23), 16);
+    ASSERT_TRUE(replaced.serve(req).ok());
+    EXPECT_EQ(replaced.cache().stats().entries, 0u)
+        << "replaced-generation wire entered the cache";
+}
+
+TEST(ServeCache, OversizedPayloadsCountAsRejected) {
+    // A payload larger than the whole cache is not cached — and no longer
+    // silently: the rejected counter surfaces a mis-sized capacity.
+    ServerOptions opt;
+    opt.cache_capacity_bytes = 64;  // smaller than any real wire
+    ContentServer server(opt);
+    server.store().encode_bytes("asset", small_asset_bytes(50000, 27), 16);
+
+    const ServeRequest req{"asset", 4, std::nullopt};
+    ASSERT_TRUE(server.serve(req).ok());
+    ASSERT_TRUE(server.serve(req).ok());
+    const CacheStats s = server.cache().stats();
+    EXPECT_EQ(s.rejected, 2u);
+    EXPECT_EQ(s.entries, 0u);
+    EXPECT_EQ(s.insertions, 0u);
+    EXPECT_EQ(server.totals().cache_hits, 0u);
+}
+
+TEST(ServeCache, SummarizeCountsRequestsFailuresAndWarmHits) {
+    ContentServer server;
+    server.store().encode_bytes("asset", small_asset_bytes(100000, 13), 64);
+
+    std::vector<ServeRequest> reqs;
+    for (u32 p : {2u, 8u, 16u, 2u, 8u, 64u})
+        reqs.push_back(ServeRequest{"asset", p, std::nullopt});
+    reqs.push_back(ServeRequest{"asset", 1, {{500, 900}}});
+    reqs.push_back(ServeRequest{"missing", 1, std::nullopt});
+
+    std::vector<ServeResult> results;
+    for (const auto& r : reqs) results.push_back(server.serve(r));
+    const BatchStats batch = summarize(results);
+    EXPECT_EQ(batch.requests, reqs.size());
+    EXPECT_EQ(batch.failures, 1u);
+    EXPECT_GE(batch.max_latency_seconds, 0.0);
+
+    // A second identical round is fully warm: every valid request hits.
+    std::vector<ServeResult> warm;
+    for (const auto& r : reqs) warm.push_back(server.serve(r));
+    EXPECT_EQ(summarize(warm).cache_hits, reqs.size() - 1);
 }
 
 }  // namespace

@@ -17,12 +17,11 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 
-#include "serve/session.hpp"
+#include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
 
@@ -697,30 +696,6 @@ TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
     streams.clear();
 
     EXPECT_LE(process_thread_count(), before + static_cast<int>(2 * hw) + 8);
-}
-
-TEST_F(StreamingFixture, SessionChunkCallbackApiDeliversTheStream) {
-    const ServeRequest req{"chunked", 8, std::nullopt, kAcceptStream};
-    server.cache().clear();
-    const ServeResult ref = server.serve(req);
-
-    Session session(server, {2});
-    std::mutex mu;
-    std::vector<std::vector<u8>> frames;
-    StreamOptions opt;
-    opt.max_frame_bytes = 8192;
-    auto fut = session.submit_stream(
-        req,
-        [&](std::span<const u8> frame) {
-            std::scoped_lock lk(mu);
-            frames.emplace_back(frame.begin(), frame.end());
-        },
-        opt);
-    const ServeResult head = fut.get();
-    ASSERT_TRUE(head.ok()) << head.detail;
-    EXPECT_EQ(head.wire, nullptr);  // frames were the payload
-    const ServeResult got = reassemble(frames, opt.max_frame_bytes);
-    EXPECT_EQ(*got.wire, *ref.wire);
 }
 
 TEST(CacheGauges, PeakBytesIsAHighWaterMarkThatSurvivesClear) {

@@ -65,8 +65,8 @@ NAKED_TOKENS = [
 
 BANNED_INCLUDES = ["<mutex>", "<shared_mutex>", "<condition_variable>"]
 
-# Directories where dedicated threads are banned outright: every session
-# worker and daemon loop must run on util::NamedThreads or ThreadPool.
+# Directories where dedicated threads are banned outright: every daemon
+# loop must run on util::NamedThreads, decode work on ThreadPool.
 THREADLESS_DIRS = ("serve/", "net/")
 
 THREAD_TOKENS = ["std::thread", "std::jthread"]
@@ -196,9 +196,9 @@ def check_naked_thread(repo: Path, findings):
             for m in re.finditer(re.escape(token) + r"\b", code):
                 line = code.count("\n", 0, m.start()) + 1
                 findings.append(
-                    f"naked-thread: src/{rel}:{line}: {token} — loops and "
-                    f"sessions run on util::NamedThreads / ThreadPool, not "
-                    f"dedicated threads")
+                    f"naked-thread: src/{rel}:{line}: {token} — blocking "
+                    f"loops run on util::NamedThreads, decode work on "
+                    f"ThreadPool, not dedicated threads")
         if re.search(r"#\s*include\s*<thread>", text):
             findings.append(
                 f"naked-thread: src/{rel}: #include <thread> — nothing in "
