@@ -1058,9 +1058,10 @@ int main(int argc, char** argv) {
     }
 
     // --- multi-loop daemon: the same warm range workload the --net section
-    // measures, but with the daemon running 4 epoll loops (SO_REUSEPORT or
-    // hand-off). Informational: loopback accept distribution is kernel
-    // policy, so this reports the shape rather than gating on it.
+    // measures, but with the daemon running 4 epoll loops, each accepting
+    // on its own SO_REUSEPORT listener. Informational: loopback accept
+    // distribution is kernel policy, so this reports the shape rather than
+    // gating on it.
     if (with_net) {
         net::DaemonOptions mdopt;
         mdopt.loops = 4;
@@ -1107,19 +1108,16 @@ int main(int argc, char** argv) {
         const auto ml_snap = hist_snap(ml_lat);
         const auto mls = daemon.stats();
         std::printf(
-            "daemon multi-loop: %u loops (%s), %d conns x %d warm range "
+            "daemon multi-loop: %llu loops, %d conns x %d warm range "
             "reqs: %.0f req/s; p50/p99/p999 %.2f/%.2f/%.2f us; "
-            "%llu wakeups, %llu hand-offs\n\n",
-            mls.loops, daemon.reuseport() ? "reuseport" : "hand-off",
-            ml_conns, ml_reqs, ml_rps, ml_snap.p50() * 1e6,
-            ml_snap.p99() * 1e6, ml_snap.p999() * 1e6,
-            static_cast<unsigned long long>(mls.loop_wakeups),
-            static_cast<unsigned long long>(mls.loop_handoffs));
+            "%llu wakeups\n\n",
+            static_cast<unsigned long long>(mls.loops), ml_conns, ml_reqs,
+            ml_rps, ml_snap.p50() * 1e6, ml_snap.p99() * 1e6,
+            ml_snap.p999() * 1e6,
+            static_cast<unsigned long long>(mls.loop_wakeups));
         report.field(
             "daemon_multiloop",
             "{\"loops\": " + JsonReport::num(u64{mls.loops}) +
-                ", \"reuseport\": " +
-                (daemon.reuseport() ? "true" : "false") +
                 ", \"connections\": " + JsonReport::num(u64(ml_conns)) +
                 ", \"requests_per_s\": " + JsonReport::num(ml_rps) +
                 ", \"latency\": " + pct_json(ml_snap) + "}");

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "util/named_threads.hpp"
-#include "util/thread_annotations.hpp"
 
 #ifdef __linux__
 #include <netdb.h>
@@ -37,7 +36,6 @@ struct Daemon::AtomicStats {
     std::atomic<u64> peak_connections{0};
     std::atomic<u64> conn_buffer_peak{0};
     std::atomic<u64> loop_wakeups{0};
-    std::atomic<u64> loop_handoffs{0};
 
     void note_peak_buffer(u64 owned) noexcept {
         u64 cur = conn_buffer_peak.load(std::memory_order_relaxed);
@@ -76,7 +74,7 @@ struct Conn {
     bool writable = true;  ///< fresh sockets are writable until EAGAIN says not
     bool rd_eof = false;
     bool kill_after_flush = false;  ///< debug_kill_stream_after_bytes armed
-    u32 lt_mask = 0;  ///< currently registered epoll interest (LT mode)
+    u32 interest = 0;  ///< currently registered epoll interest mask
     u64 stream_out_bytes = 0;  ///< v2 frame bytes appended on this conn
     std::chrono::steady_clock::time_point last_activity;
 
@@ -104,10 +102,8 @@ struct LoopStats {
     std::atomic<u64> connections{0};
 };
 
-/// One event loop: its own epoll fd, connection table and wake eventfd. In
-/// SO_REUSEPORT mode every loop also owns a listener on the shared port; in
-/// hand-off mode only loop 0 does and the rest receive accepted fds through
-/// the mailbox.
+/// One event loop: its own listener on the shared port, epoll fd,
+/// connection table and drain eventfd.
 struct Loop {
     u32 index = 0;
     Fd listen_fd;
@@ -117,18 +113,7 @@ struct Loop {
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     std::chrono::steady_clock::time_point last_idle_sweep =
         std::chrono::steady_clock::now();
-    util::Mutex handoff_mu;
-    /// Accepted fds dealt to this loop by the fallback acceptor; adopted
-    /// (or refused) on the next wake.
-    std::deque<int> handoff RECOIL_GUARDED_BY(handoff_mu);
     std::shared_ptr<LoopStats> lstats = std::make_shared<LoopStats>();
-
-    ~Loop() {
-        // fds still in the mailbox never became Conns; close them here so
-        // a drain racing a hand-off cannot leak sockets.
-        util::MutexLock lk(handoff_mu);
-        for (int fd : handoff) ::close(fd);
-    }
 };
 
 }  // namespace detail
@@ -142,6 +127,9 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 /// Queued-but-undispatched request frames per connection before the loop
 /// stops reading (pipelining bound; reads resume as the queue drains).
 constexpr std::size_t kMaxPendingRequests = 64;
+/// Inbound transport-frame cap. Request frames are small; this only bounds
+/// what a hostile peer can make a connection buffer.
+constexpr u32 kMaxRequestFrame = 1u << 20;
 
 std::string errno_str(const char* op) {
     return std::string(op) + ": " + std::strerror(errno);
@@ -156,19 +144,18 @@ struct ListenResult {
     u16 port = 0;
 };
 
-/// Bind + listen (optionally with SO_REUSEPORT) and resolve the bound
-/// port. Returns nullopt on failure — the caller decides whether that
-/// means "throw" (primary listener) or "fall back" (peer listeners).
-std::optional<ListenResult> try_listen(const std::string& address, u16 port,
-                                       int backlog, bool reuseport) {
+/// Bind + listen (with SO_REUSEPORT when the port is shared by several
+/// loops) and resolve the bound port; throws NetError{daemon_error}.
+ListenResult listen_on(const std::string& address, u16 port, bool reuseport) {
     struct addrinfo hints {};
     hints.ai_family = AF_UNSPEC;
     hints.ai_socktype = SOCK_STREAM;
     hints.ai_flags = AI_PASSIVE;
     struct addrinfo* res = nullptr;
     const std::string port_str = std::to_string(port);
+    const std::string where = address + ":" + port_str;
     if (::getaddrinfo(address.c_str(), port_str.c_str(), &hints, &res) != 0)
-        return std::nullopt;
+        net_fail(NetErrorCode::daemon_error, "cannot resolve " + where);
     ListenResult out;
     for (struct addrinfo* ai = res; ai; ai = ai->ai_next) {
         Fd fd(::socket(ai->ai_family,
@@ -180,19 +167,22 @@ std::optional<ListenResult> try_listen(const std::string& address, u16 port,
         if (reuseport &&
             ::setsockopt(fd.get(), SOL_SOCKET, SO_REUSEPORT, &one,
                          sizeof(one)) != 0)
-            continue;  // kernel without SO_REUSEPORT → caller falls back
+            continue;
         if (::bind(fd.get(), ai->ai_addr, ai->ai_addrlen) != 0) continue;
-        if (::listen(fd.get(), backlog) != 0) continue;
+        if (::listen(fd.get(), SOMAXCONN) != 0) continue;
         out.fd = std::move(fd);
         break;
     }
     ::freeaddrinfo(res);
-    if (!out.fd.valid()) return std::nullopt;
+    if (!out.fd.valid())
+        net_fail(NetErrorCode::daemon_error,
+                 "cannot bind/listen on " + where +
+                     (reuseport ? " with SO_REUSEPORT" : ""));
     struct sockaddr_storage ss {};
     socklen_t slen = sizeof(ss);
     if (::getsockname(out.fd.get(), reinterpret_cast<struct sockaddr*>(&ss),
                       &slen) != 0)
-        return std::nullopt;
+        daemon_fail("getsockname");
     if (ss.ss_family == AF_INET)
         out.port = ntohs(reinterpret_cast<struct sockaddr_in*>(&ss)->sin_port);
     else if (ss.ss_family == AF_INET6)
@@ -209,68 +199,31 @@ Daemon::Daemon(Backend backend, DaemonOptions opt)
       stats_(std::make_shared<AtomicStats>()) {
     if (opt_.loops == 0) opt_.loops = 1;
     const u32 nloops = opt_.loops;
-
-    // Primary listener. For a multi-loop daemon, first try with
-    // SO_REUSEPORT so the peer loops can share the port; a kernel that
-    // refuses the option drops us into hand-off mode.
-    bool rp = nloops > 1;
-    std::optional<ListenResult> primary;
-    if (rp) {
-        primary = try_listen(opt_.bind_address, opt_.port, opt_.listen_backlog,
-                             true);
-        if (!primary) rp = false;
-    }
-    if (!primary)
-        primary = try_listen(opt_.bind_address, opt_.port, opt_.listen_backlog,
-                             false);
-    if (!primary)
-        net_fail(NetErrorCode::daemon_error,
-                 "cannot bind/listen on " + opt_.bind_address + ":" +
-                     std::to_string(opt_.port));
-    port_ = primary->port;
+    const bool reuseport = nloops > 1;
 
     loops_.reserve(nloops);
     for (u32 i = 0; i < nloops; ++i) {
         auto lp = std::make_unique<Loop>();
         lp->index = i;
-        if (i == 0) {
-            lp->listen_fd = std::move(primary->fd);
-        } else if (rp) {
-            // Peer listeners bind the RESOLVED port (opt.port may be 0).
-            auto peer = try_listen(opt_.bind_address, port_,
-                                   opt_.listen_backlog, true);
-            if (peer)
-                lp->listen_fd = std::move(peer->fd);
-            else
-                rp = false;  // keep loop 0's listener, hand off instead
-        }
+        // Loop 0 resolves opt.port (which may be 0); the others bind the
+        // port it got.
+        ListenResult l = listen_on(opt_.bind_address,
+                                   i == 0 ? opt_.port : port_, reuseport);
+        if (i == 0) port_ = l.port;
+        lp->listen_fd = std::move(l.fd);
         lp->epoll_fd = Fd(::epoll_create1(EPOLL_CLOEXEC));
         if (!lp->epoll_fd.valid()) daemon_fail("epoll_create1");
         lp->wake_fd = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
         if (!lp->wake_fd.valid()) daemon_fail("eventfd");
-        struct epoll_event ev {};
-        ev.events = EPOLLIN;
-        ev.data.fd = lp->wake_fd.get();
-        if (::epoll_ctl(lp->epoll_fd.get(), EPOLL_CTL_ADD, lp->wake_fd.get(),
-                        &ev) != 0)
-            daemon_fail("epoll_ctl(eventfd)");
-        loops_.push_back(std::move(lp));
-    }
-    // A fallback decided mid-way strips the peer listeners already bound so
-    // every accept funnels through loop 0.
-    if (!rp)
-        for (u32 i = 1; i < nloops; ++i) loops_[i]->listen_fd.reset();
-    reuseport_ = rp && nloops > 1;
-    for (auto& lp : loops_) {
-        if (lp->listen_fd.valid()) {
+        for (const int fd : {lp->wake_fd.get(), lp->listen_fd.get()}) {
             struct epoll_event ev {};
             ev.events = EPOLLIN;
-            ev.data.fd = lp->listen_fd.get();
-            if (::epoll_ctl(lp->epoll_fd.get(), EPOLL_CTL_ADD,
-                            lp->listen_fd.get(), &ev) != 0)
-                daemon_fail("epoll_ctl(listener)");
+            ev.data.fd = fd;
+            if (::epoll_ctl(lp->epoll_fd.get(), EPOLL_CTL_ADD, fd, &ev) != 0)
+                daemon_fail("epoll_ctl");
         }
         wake_fds_.push_back(lp->wake_fd.get());
+        loops_.push_back(std::move(lp));
     }
     init_metrics();
 }
@@ -302,18 +255,13 @@ void Daemon::init_metrics() {
     m.register_callback("daemon_conn_buffer_peak_bytes", MetricKind::gauge,
                         [s] { return s->conn_buffer_peak.load(); });
     // Multi-loop surface. The daemon-wide series exist at every loop
-    // count (a single-loop daemon reports loops=1, zero hand-offs) so the
-    // frozen-name checks hold for any scrape.
+    // count (a single-loop daemon reports loops=1) so the frozen-name
+    // checks hold for any scrape.
     const u64 nloops = loops_.size();
-    const u64 rp = reuseport_ ? 1 : 0;
     m.register_callback("daemon_loops", MetricKind::gauge,
                         [nloops] { return nloops; });
-    m.register_callback("daemon_loop_reuseport", MetricKind::gauge,
-                        [rp] { return rp; });
     m.register_callback("daemon_loop_wakeups_total", MetricKind::counter,
                         [s] { return s->loop_wakeups.load(); });
-    m.register_callback("daemon_loop_handoffs_total", MetricKind::counter,
-                        [s] { return s->loop_handoffs.load(); });
     // Per-loop series join the EXISTING families under a `loop="i"` label
     // (the labeled series sum to the unlabeled aggregate).
     for (const auto& lp : loops_) {
@@ -364,72 +312,43 @@ void Daemon::start_drain(Loop& lp) {
 }
 
 void Daemon::adopt_fd(Loop& lp, int fd) {
-    if (opt_.max_connections != 0 &&
-        stats_->connections.load(std::memory_order_relaxed) >=
-            opt_.max_connections) {
+    // Reserve the slot before admitting: loops adopt concurrently, and a
+    // check-then-increment would let two of them pass a full limit.
+    const u64 open =
+        stats_->connections.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (opt_.max_connections != 0 && open > opt_.max_connections) {
+        stats_->connections.fetch_sub(1, std::memory_order_relaxed);
         stats_->refused.fetch_add(1, std::memory_order_relaxed);
         ::close(fd);  // deterministic EOF for the peer
         return;
     }
     set_nodelay(fd);
-    auto conn = std::make_unique<Conn>(Fd(fd), opt_.max_request_frame);
+    auto conn = std::make_unique<Conn>(Fd(fd), kMaxRequestFrame);
     struct epoll_event ev {};
     ev.data.fd = fd;
-    if (opt_.edge_triggered) {
-        ev.events = EPOLLIN | EPOLLOUT | EPOLLET;
-    } else {
-        ev.events = EPOLLIN;
-        conn->lt_mask = EPOLLIN;
-    }
+    ev.events = EPOLLIN;
+    conn->interest = EPOLLIN;
     if (::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_ADD, fd, &ev) != 0) {
+        stats_->connections.fetch_sub(1, std::memory_order_relaxed);
         return;  // conn closes via Fd dtor
     }
     lp.conns.emplace(fd, std::move(conn));
     stats_->accepted.fetch_add(1, std::memory_order_relaxed);
     lp.lstats->accepted.fetch_add(1, std::memory_order_relaxed);
     lp.lstats->connections.fetch_add(1, std::memory_order_relaxed);
-    const u64 open =
-        stats_->connections.fetch_add(1, std::memory_order_relaxed) + 1;
     stats_->note_peak_connections(open);
-    if (lp.draining) {
-        // Adopted into a loop already draining (hand-off raced the drain):
-        // service once, which closes it as soon as it quiesces.
-        auto it = lp.conns.find(fd);
-        if (it != lp.conns.end()) service(lp, *it->second);
-    }
 }
 
 void Daemon::accept_ready(Loop& lp) {
-    const bool handoff_mode = !reuseport_ && loops_.size() > 1;
     for (;;) {
         int fd = ::accept4(lp.listen_fd.get(), nullptr, nullptr,
                            SOCK_NONBLOCK | SOCK_CLOEXEC);
-        if (fd < 0) {
-            if (errno == EINTR) continue;
-            break;  // EAGAIN, or transient (ECONNABORTED, EMFILE, ...)
-        }
-        if (!handoff_mode) {
+        if (fd >= 0) {
             adopt_fd(lp, fd);
             continue;
         }
-        // Fallback acceptor: deal round-robin across all loops (self
-        // included) through the target's mailbox + wake eventfd.
-        const u32 target = next_handoff_.fetch_add(
-                               1, std::memory_order_relaxed) %
-                           static_cast<u32>(loops_.size());
-        if (target == lp.index) {
-            adopt_fd(lp, fd);
-            continue;
-        }
-        Loop& peer = *loops_[target];
-        {
-            util::MutexLock lk(peer.handoff_mu);
-            peer.handoff.push_back(fd);
-        }
-        stats_->loop_handoffs.fetch_add(1, std::memory_order_relaxed);
-        const u64 one = 1;
-        [[maybe_unused]] ssize_t rc =
-            ::write(peer.wake_fd.get(), &one, sizeof(one));
+        if (errno == EINTR) continue;
+        break;  // EAGAIN, or transient (ECONNABORTED, EMFILE, ...)
     }
 }
 
@@ -579,19 +498,18 @@ void Daemon::pump_output(Loop& lp, Conn& c) {
 }
 
 void Daemon::update_interest(Loop& lp, Conn& c) {
-    if (opt_.edge_triggered) return;  // static mask
     u32 want = 0;
     const bool want_read = !lp.draining && !c.rd_eof && !c.out_pending() &&
                            !c.stream &&
                            c.pending.size() < kMaxPendingRequests;
     if (want_read) want |= EPOLLIN;
     if (c.out_pending()) want |= EPOLLOUT;
-    if (want == c.lt_mask) return;
+    if (want == c.interest) return;
     struct epoll_event ev {};
     ev.events = want;
     ev.data.fd = c.fd.get();
     if (::epoll_ctl(lp.epoll_fd.get(), EPOLL_CTL_MOD, c.fd.get(), &ev) == 0)
-        c.lt_mask = want;
+        c.interest = want;
 }
 
 void Daemon::service(Loop& lp, Conn& c) {
@@ -675,15 +593,6 @@ void Daemon::loop_run(Loop& lp) {
                 u64 tick = 0;
                 while (::read(lp.wake_fd.get(), &tick, sizeof(tick)) > 0) {
                 }
-                // The wake eventfd doubles as the hand-off doorbell and
-                // the drain signal: adopt mailbox fds first so a drain
-                // closes them gracefully instead of stranding them.
-                std::deque<int> batch;
-                {
-                    util::MutexLock lk(lp.handoff_mu);
-                    batch.swap(lp.handoff);
-                }
-                for (int hfd : batch) adopt_fd(lp, hfd);
                 if (drain_requested_.load(std::memory_order_acquire))
                     start_drain(lp);
                 continue;
@@ -803,7 +712,6 @@ Daemon::Stats Daemon::stats() const noexcept {
         s.conn_buffer_peak.load(std::memory_order_relaxed);
     out.loops = static_cast<u64>(loops_.size());
     out.loop_wakeups = s.loop_wakeups.load(std::memory_order_relaxed);
-    out.loop_handoffs = s.loop_handoffs.load(std::memory_order_relaxed);
     return out;
 }
 

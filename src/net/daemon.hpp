@@ -17,19 +17,16 @@
 //     the outbound buffer has fully flushed — the socket's writability is
 //     the backpressure, so per-connection owned memory stays O(max_frame)
 //     regardless of asset size or reader speed. A pull never waits.
-//   - readiness modes: level-triggered (default) keeps the epoll interest
-//     mask in sync with what the connection can currently use;
-//     edge-triggered registers EPOLLIN|EPOLLOUT|EPOLLET once and tracks
-//     readable/writable flags, clearing them on EAGAIN.
+//   - readiness: level-triggered. The epoll interest mask tracks what the
+//     connection can use right now: EPOLLIN only while the loop is willing
+//     to read, EPOLLOUT only while output is pending.
 //
 // Multi-loop (DaemonOptions::loops > 1): N loops, each a dedicated OS
 // thread (util::NamedThreads — loops BLOCK in epoll_wait) with its OWN
-// epoll fd and connection table — independent connections never contend
-// on one loop. The kernel load-balances accepts across per-loop
-// SO_REUSEPORT listeners sharing the port; when the socket option is
-// unavailable the daemon falls back to accept-and-hand-off: loop 0 owns the
-// single listener and deals accepted fds round-robin through per-loop
-// mailboxes (counted in daemon_loop_handoffs_total).
+// listener, epoll fd and connection table — independent connections never
+// contend on one loop. Every loop binds an SO_REUSEPORT listener to the
+// same port and the kernel spreads accepts across them; a multi-loop
+// daemon that cannot get SO_REUSEPORT fails construction.
 //
 // Graceful drain: begin_drain() is async-signal-safe (one atomic store +
 // one write() per loop eventfd), so SIGTERM/SIGINT handlers call it
@@ -64,21 +61,15 @@ struct DaemonOptions {
     std::string bind_address = "127.0.0.1";
     /// TCP port; 0 picks an ephemeral port (read it back via port()).
     u16 port = 0;
-    int listen_backlog = 256;
     /// Simultaneous connections ACROSS all loops; one past the limit is
     /// accepted and immediately closed (counted in refused). 0 = unlimited.
     u32 max_connections = 0;
     /// Close connections with no read/write activity for this long.
     /// 0 = never.
     std::chrono::milliseconds idle_timeout{0};
-    /// Edge-triggered epoll instead of the default level-triggered.
-    bool edge_triggered = false;
-    /// Inbound transport-frame cap (request frames are small; this only
-    /// bounds what a hostile peer can make us buffer).
-    u32 max_request_frame = 1u << 20;
     /// Event-loop threads. 1 = the classic single loop on the caller's
     /// thread. N > 1: run() spawns N-1 named threads and drives loop 0
-    /// itself; accepts spread via SO_REUSEPORT (or hand-off fallback).
+    /// itself; accepts spread via per-loop SO_REUSEPORT listeners.
     u32 loops = 1;
     /// Test hook (0 = off): once one connection has flushed at least this
     /// many outbound STREAM frame bytes, hard-close it — once per daemon.
@@ -97,9 +88,10 @@ struct Loop;
 
 class Daemon {
 public:
-    /// Binds + listens + sets up epoll and the drain eventfds; registers
-    /// daemon_* metrics in server.metrics(). Throws NetError{daemon_error}
-    /// if any of that fails. The server must outlive the daemon.
+    /// Binds + listens (one SO_REUSEPORT listener per loop when loops > 1)
+    /// + sets up epoll and the drain eventfds; registers daemon_* metrics
+    /// in server.metrics(). Throws NetError{daemon_error} if any of that
+    /// fails. The server must outlive the daemon.
     Daemon(serve::ContentServer& server, DaemonOptions opt = {});
     /// Same loop machinery fronting a ShardedServer: every request
     /// dispatches through the consistent-hash ring, "!metrics" answers
@@ -113,9 +105,6 @@ public:
     /// The port actually bound (resolves opt.port == 0). Shared by every
     /// loop listener.
     u16 port() const noexcept { return port_; }
-    /// True when per-loop SO_REUSEPORT listeners were granted (multi-loop
-    /// only); false means the accept-and-hand-off fallback is active.
-    bool reuseport() const noexcept { return reuseport_; }
 
     /// Run the event loop(s) until a drain completes. Call from the
     /// thread that owns the daemon; everything else may only call
@@ -145,7 +134,6 @@ public:
         u64 conn_buffer_peak_bytes = 0;
         u64 loops = 0;            ///< event-loop thread count
         u64 loop_wakeups = 0;     ///< epoll_wait returns across loops
-        u64 loop_handoffs = 0;    ///< fds dealt by the fallback acceptor
     };
     Stats stats() const noexcept;
 
@@ -165,7 +153,7 @@ private:
 
     void loop_run(detail::Loop& lp);
     void accept_ready(detail::Loop& lp);
-    /// Register an accepted fd with a loop (local accept or hand-off).
+    /// Admit an accepted fd into the loop, or refuse it over max_connections.
     void adopt_fd(detail::Loop& lp, int fd);
     void service(detail::Loop& lp, detail::Conn& c);
     bool flush_out(detail::Loop& lp, detail::Conn& c);  ///< false: conn died
@@ -183,14 +171,12 @@ private:
     Backend backend_;
     DaemonOptions opt_;
     u16 port_ = 0;
-    bool reuseport_ = false;
     std::vector<std::unique_ptr<detail::Loop>> loops_;
     /// Loop wake eventfds, fixed at construction so begin_drain() touches
     /// no allocating or locking path.
     std::vector<int> wake_fds_;
     std::atomic<bool> drain_requested_{false};
     std::atomic<bool> drain_counted_{false};
-    std::atomic<u32> next_handoff_{0};
     std::atomic<bool> debug_killed_{false};
     std::shared_ptr<AtomicStats> stats_;
 };

@@ -117,8 +117,7 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
 ContentServer::ContentServer(ServerOptions opt)
     : opt_(std::move(opt)),
       cache_(opt_.cache_capacity_bytes),
-      governor_(store_, cache_, GovernorOptions{opt_.mem_budget_bytes}),
-      slow_log_(opt_.slow_log_slots, opt_.slow_log_slots) {
+      governor_(store_, cache_, GovernorOptions{opt_.mem_budget_bytes}) {
     init_telemetry();
 }
 
@@ -570,8 +569,12 @@ std::vector<u8> ContentServer::serve_frame(
         // Reserved "!..." names are introspection, answered from the
         // registry — never from the store (a leading '!' is not a legal
         // store name, so no real asset is shadowed).
-        if (!req.asset.empty() && req.asset[0] == '!')
-            return encode_response(serve_introspection(req));
+        if (!req.asset.empty() && req.asset[0] == '!') {
+            ServeResult res = serve_introspection(metrics_, req);
+            requests_.fetch_add(1, std::memory_order_relaxed);
+            if (!res.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
+            return encode_response(res);
+        }
         return encode_response(serve(req));
     } catch (...) {
         // encode_response can only fail on allocation exhaustion; an empty
@@ -580,36 +583,30 @@ std::vector<u8> ContentServer::serve_frame(
     }
 }
 
-ServeResult ContentServer::serve_introspection(
-    const ServeRequest& req) noexcept {
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    ServeResult res;
+ServeResult serve_introspection(const obs::MetricsRegistry& reg,
+                                const ServeRequest& req) noexcept {
     try {
         if ((req.accept & kAcceptMetrics) == 0)
-            throw ProtocolError(
-                ErrorCode::not_acceptable,
-                "serve: introspection requires the metrics accept bit");
+            return fail(ErrorCode::not_acceptable,
+                        "serve: introspection requires the metrics accept bit");
         std::string body;
         if (req.asset == kMetricsAssetText)
-            body = metrics_.snapshot().to_prometheus();
+            body = reg.snapshot().to_prometheus();
         else if (req.asset == kMetricsAssetJson)
-            body = metrics_.snapshot().to_json();
+            body = reg.snapshot().to_json();
         else
-            throw ProtocolError(
-                ErrorCode::unknown_asset,
-                "serve: unknown introspection target '" + req.asset + "'");
+            return fail(ErrorCode::unknown_asset,
+                        "serve: unknown introspection target '" + req.asset +
+                            "'");
+        ServeResult res;
         res.code = ErrorCode::ok;
         res.payload = PayloadKind::metrics;
         res.wire = share(std::vector<u8>(body.begin(), body.end()));
         res.stats.wire_bytes = res.wire->size();
-    } catch (const ProtocolError& e) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        res = fail(e.code(), e.what());
+        return res;
     } catch (const std::exception& e) {
-        failures_.fetch_add(1, std::memory_order_relaxed);
-        res = fail(ErrorCode::internal, e.what());
+        return fail(ErrorCode::internal, e.what());
     }
-    return res;
 }
 
 bool ContentServer::evict_asset(const std::string& name) {

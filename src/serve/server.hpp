@@ -59,8 +59,6 @@ struct ServerOptions {
     /// enforces, histograms/slow-log then describe the sampled subset, and
     /// every counter/gauge stays exact (they are never sampled).
     u32 sample_every = 1;
-    /// Retention of the slow-request log: N slowest + N most recent failed.
-    std::size_t slow_log_slots = 32;
 };
 
 /// Per-stream knobs of serve_stream(), negotiated per connection.
@@ -299,10 +297,6 @@ private:
     /// enough, or failed).
     void finish_trace(const obs::TraceContext& trace, const ServeResult& res,
                       double total_seconds);
-    /// Answer a "!metrics"/"!metrics.json" introspection request against
-    /// the registry (requires kAcceptMetrics; typed errors otherwise).
-    ServeResult serve_introspection(const ServeRequest& req) noexcept;
-
     ServerOptions opt_;
     AssetStore store_;
     MetadataCache cache_;
@@ -350,5 +344,11 @@ struct BatchStats {
     double sum_latency_seconds = 0;
 };
 BatchStats summarize(std::span<const ServeResult> results);
+
+/// Answer a "!metrics"/"!metrics.json" introspection request from `reg`:
+/// ContentServer from its own registry, ShardedServer from the router's.
+/// Requires kAcceptMetrics; anything else is a typed error, never a throw.
+ServeResult serve_introspection(const obs::MetricsRegistry& reg,
+                                const ServeRequest& req) noexcept;
 
 }  // namespace recoil::serve

@@ -1,7 +1,6 @@
 #include "serve/shard_router.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "format/wire_io.hpp"
 
@@ -9,11 +8,19 @@ namespace recoil::serve {
 
 namespace {
 
+/// Ring points per shard. On 8 shards every shard's key load stays within
+/// ±35% of the mean (pinned by tests/test_shard.cpp); the ring costs
+/// shards * 128 * 16 bytes.
+constexpr u32 kVnodes = 128;
+/// Fraction of the even share every shard keeps regardless of hit-rate:
+/// rebalance moves only the remainder, so a cold shard can always warm
+/// back up.
+constexpr double kBudgetFloor = 0.25;
+
 /// FNV-1a alone clusters badly on the structured names the ring hashes
 /// ("shard-3#17", "tenant/asset-42"): measured spread over 8 shards ran
 /// past 2x the mean. A splitmix64 finalizer decorrelates the low entropy
-/// FNV leaves in the high bits; with it the 1024-vnode ring lands within
-/// ~10% of even (pinned by tests/test_shard.cpp).
+/// FNV leaves in the high bits.
 u64 mix64(u64 x) {
     x ^= x >> 30;
     x *= 0xbf58476d1ce4e5b9ULL;
@@ -28,44 +35,10 @@ u64 hash_bytes(std::string_view s) {
         {reinterpret_cast<const u8*>(s.data()), s.size()}));
 }
 
-ServeResult fail(ErrorCode code, std::string detail) {
-    ServeResult res;
-    res.code = code;
-    res.detail = std::move(detail);
-    return res;
-}
-
-/// Answer "!metrics"/"!metrics.json" from the router's registry — same
-/// contract as ContentServer's introspection, different directory: this one
-/// carries the shard_* families and the per-shard labeled series.
-ServeResult introspect(obs::MetricsRegistry& reg, const ServeRequest& req) {
-    if ((req.accept & kAcceptMetrics) == 0)
-        return fail(ErrorCode::not_acceptable,
-                    "shard router: introspection requires the metrics "
-                    "accept bit");
-    std::string body;
-    if (req.asset == kMetricsAssetText)
-        body = reg.snapshot().to_prometheus();
-    else if (req.asset == kMetricsAssetJson)
-        body = reg.snapshot().to_json();
-    else
-        return fail(ErrorCode::unknown_asset,
-                    "shard router: unknown introspection target '" +
-                        req.asset + "'");
-    ServeResult res;
-    res.code = ErrorCode::ok;
-    res.payload = PayloadKind::metrics;
-    res.wire = std::make_shared<const std::vector<u8>>(body.begin(),
-                                                       body.end());
-    res.stats.wire_bytes = res.wire->size();
-    return res;
-}
-
 }  // namespace
 
 ShardedServer::ShardedServer(ShardedOptions opt) : opt_(std::move(opt)) {
     if (opt_.shards == 0) opt_.shards = 1;
-    if (opt_.vnodes == 0) opt_.vnodes = 1;
     const u32 n = opt_.shards;
 
     // Even initial budget split; the remainder sticks to shard 0 until the
@@ -87,11 +60,11 @@ ShardedServer::ShardedServer(ShardedOptions opt) : opt_(std::move(opt)) {
         shards_.push_back(std::move(s));
     }
 
-    // The ring: vnodes points per shard, keyed by a stable derived name so
-    // the same (shards, vnodes) pair always produces the same routing.
-    ring_.reserve(static_cast<std::size_t>(n) * opt_.vnodes);
+    // The ring: kVnodes points per shard, keyed by a stable derived name
+    // so the same shard count always produces the same routing.
+    ring_.reserve(static_cast<std::size_t>(n) * kVnodes);
     for (u32 i = 0; i < n; ++i)
-        for (u32 v = 0; v < opt_.vnodes; ++v)
+        for (u32 v = 0; v < kVnodes; ++v)
             ring_.emplace_back(hash_bytes("shard-" + std::to_string(i) +
                                           "#" + std::to_string(v)),
                                i);
@@ -112,7 +85,7 @@ u32 ShardedServer::shard_of(std::string_view asset) const noexcept {
 }
 
 void ShardedServer::ensure_local(u32 home, const std::string& name) noexcept {
-    if (!opt_.peer_fetch || shards_.size() < 2) return;
+    if (shards_.size() < 2) return;
     ContentServer& server = *shards_[home].server;
     try {
         // Memory hit or a demand-load from the home partition: nothing to
@@ -152,7 +125,7 @@ void ShardedServer::note_routed() noexcept {
 
 ServeResult ShardedServer::serve(const ServeRequest& req) noexcept {
     if (!req.asset.empty() && req.asset[0] == '!')
-        return introspect(metrics_, req);
+        return serve_introspection(metrics_, req);
     const u32 home = shard_of(req.asset);
     ensure_local(home, req.asset);
     note_routed();
@@ -180,8 +153,6 @@ std::vector<u8> ShardedServer::serve_frame(
             // failure) exactly as a single server would.
             return shards_[0].server->serve_frame(request_frame);
         }
-        if (!req.asset.empty() && req.asset[0] == '!')
-            return encode_response(introspect(metrics_, req));
         return encode_response(serve(req));
     } catch (...) {
         return {};
@@ -210,13 +181,12 @@ void ShardedServer::rebalance() {
         total_delta += delta[i];
     }
 
-    // Every shard keeps `floor` (its protected fraction of the even
+    // Every shard keeps its floor (the protected fraction of the even
     // share); the remainder is dealt proportional to hit-bytes heat.
     const u64 total = opt_.total_budget_bytes;
     const u64 even = total / n;
     const u64 keep =
-        static_cast<u64>(std::clamp(opt_.budget_floor, 0.0, 1.0) *
-                         static_cast<double>(even));
+        static_cast<u64>(kBudgetFloor * static_cast<double>(even));
     const u64 spare = total - keep * n;
     std::vector<u64> next(n, keep);
     u64 dealt = 0;

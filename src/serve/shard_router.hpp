@@ -9,9 +9,10 @@
 //   * Budget coordination. The global byte budget is split across shards
 //     and periodically REBALANCED proportional to each shard's observed
 //     byte-hit-rate delta (cache hit_bytes since the last pass), with a
-//     configurable floor so a momentarily-cold shard is never starved to
-//     zero. Rebalancing retargets each shard's ResourceGovernor
-//     (set_budget) and immediately enforces on shrunk shards.
+//     fixed floor (a quarter of the even share) so a momentarily-cold
+//     shard is never starved to zero. Rebalancing retargets each shard's
+//     ResourceGovernor (set_budget) and immediately enforces on shrunk
+//     shards.
 //
 //   * Peer fetch. A shard that misses an asset everywhere locally (memory
 //     AND its own partition) pulls the ENCODED master from the owning
@@ -45,10 +46,6 @@ namespace recoil::serve {
 struct ShardedOptions {
     /// Number of independent ContentServer shards (>= 1).
     u32 shards = 2;
-    /// Ring points per shard. More vnodes tighten the key-distribution
-    /// bound (test-pinned: max/min shard load stays under 1.35 at 128
-    /// vnodes) at O(shards * vnodes * 16 bytes) of ring.
-    u32 vnodes = 128;
     /// Global memory budget split across the shard governors. 0 disables
     /// governance everywhere (ServerOptions::mem_budget_bytes on the
     /// per-shard options is ignored — the router owns the budget).
@@ -56,13 +53,6 @@ struct ShardedOptions {
     /// Routed requests between automatic rebalance passes; 0 = only
     /// explicit rebalance() calls.
     u64 rebalance_every = 0;
-    /// Fraction of the even share every shard keeps regardless of
-    /// hit-rate: rebalance moves only the (1 - floor) remainder, so a cold
-    /// shard can always warm back up.
-    double budget_floor = 0.25;
-    /// Pull missing assets from peer partitions (zero-copy) instead of
-    /// failing unknown_asset when a peer owns the master.
-    bool peer_fetch = true;
     /// Root of the partitioned disk corpus: shard i opens (and creates)
     /// `store_dir/shard-<i>`. Empty = memory-only shards (no peer fetch
     /// possible — there is no master to pull).
@@ -80,8 +70,8 @@ public:
         return static_cast<u32>(shards_.size());
     }
     /// Consistent-hash ring lookup: the shard owning `asset`. Stable under
-    /// a fixed (shards, vnodes) pair — reopening the same corpus routes
-    /// every name identically.
+    /// a fixed shard count — reopening the same corpus routes every name
+    /// identically.
     u32 shard_of(std::string_view asset) const noexcept;
     ContentServer& shard(u32 i) noexcept { return *shards_[i].server; }
     /// Router-level registry: shard_* totals plus per-shard labeled series
@@ -102,8 +92,9 @@ public:
                                               u32 prob_bits = 11);
 
     /// One budget-coordination pass: weight each shard by its cache
-    /// hit-bytes delta since the previous pass and move the above-floor
-    /// budget remainder toward the hotter shards. Shards whose budget
+    /// hit-bytes delta since the previous pass and move the budget above
+    /// every shard's floor (a quarter of its even share) toward the hotter
+    /// shards. Shards whose budget
     /// shrank are enforced immediately. No-op when total_budget_bytes is 0
     /// or there is a single shard.
     void rebalance() RECOIL_EXCLUDES(rebalance_mu_);

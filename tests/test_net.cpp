@@ -184,7 +184,6 @@ constexpr u32 kLoadConns = kLoadThreads * kLoadConnsPerThread;
 
 TEST_F(NetFixture, LoadThousandConcurrentConnectionsMixedBitExact) {
     DaemonOptions dopt;
-    dopt.listen_backlog = 1024;
     DaemonRunner runner(server, dopt);
     const u16 port = runner.daemon.port();
 
@@ -271,28 +270,6 @@ TEST_F(NetFixture, LoadThousandConcurrentConnectionsMixedBitExact) {
     EXPECT_GE(s.accepted, kLoadConns);
     EXPECT_GE(s.requests, kLoadConns);
     EXPECT_GT(s.streamed, 0u);
-}
-
-TEST_F(NetFixture, EdgeTriggeredModeServesIdentically) {
-    DaemonOptions dopt;
-    dopt.edge_triggered = true;
-    DaemonRunner runner(server, dopt);
-    ClientOptions copt;
-    copt.port = runner.daemon.port();
-    auto v1_ref = in_process(ServeRequest{"asset", 8, {}});
-    auto range_ref = in_process(ServeRequest{"asset", 4, {{100, 9'000}}});
-    for (int i = 0; i < 8; ++i) {
-        Client c(copt);
-        auto v1 = c.request(ServeRequest{"asset", 8, {}});
-        ASSERT_TRUE(v1.ok()) << v1.detail;
-        EXPECT_EQ(*v1.wire, *v1_ref.wire);
-        auto v2 = c.request_streamed(ServeRequest{"asset", 8, {}});
-        ASSERT_TRUE(v2.ok()) << v2.detail;
-        EXPECT_EQ(*v2.wire, *v1_ref.wire);
-        auto rr = c.request(ServeRequest{"asset", 4, {{100, 9'000}}});
-        ASSERT_TRUE(rr.ok()) << rr.detail;
-        EXPECT_EQ(*rr.wire, *range_ref.wire);
-    }
 }
 
 // ---- backpressure / per-connection memory ----
@@ -573,7 +550,7 @@ TEST_F(NetFixture, ResumedStreamReassemblesBitExactAfterMidStreamKill) {
 
 #ifdef RECOIL_TSAN
 constexpr u32 kLoopTestThreads = 8;
-constexpr u32 kLoopTestConnsPerThread = 4;
+constexpr u32 kLoopTestConnsPerThread = 10;
 #else
 constexpr u32 kLoopTestThreads = 16;
 constexpr u32 kLoopTestConnsPerThread = 8;
@@ -582,7 +559,6 @@ constexpr u32 kLoopTestConnsPerThread = 8;
 TEST_F(NetFixture, MultiLoopDaemonServesBitExactAndDrains) {
     DaemonOptions dopt;
     dopt.loops = 4;
-    dopt.listen_backlog = 512;
     DaemonRunner runner(server, dopt);
     const u16 port = runner.daemon.port();
 
@@ -626,12 +602,49 @@ TEST_F(NetFixture, MultiLoopDaemonServesBitExactAndDrains) {
     EXPECT_EQ(s.loops, 4u);
     EXPECT_GE(s.accepted, kConns);
     EXPECT_GE(s.requests, 2u * kConns);
-    // Wake-ups happen in both accept modes (drain uses them too, and the
-    // hand-off fallback rings one per dealt connection).
+    // The kernel's SO_REUSEPORT hash is the only accept spread. At >= 80
+    // connections over 4 loops, a loop that accepts nothing has probability
+    // at most 4 * (3/4)^80 < 1e-9.
+    static_assert(kConns >= 80);
+    const auto snap = server.metrics().snapshot();
+    for (u32 i = 0; i < 4; ++i) {
+        const u64* accepted = snap.find("daemon_accepted_total{loop=\"" +
+                                        std::to_string(i) + "\"}");
+        ASSERT_NE(accepted, nullptr);
+        EXPECT_GT(*accepted, 0u) << "loop " << i << " accepted nothing";
+    }
     runner.drain_and_join();
     auto after = runner.daemon.stats();
     EXPECT_EQ(after.drains, 1u);
     EXPECT_EQ(after.connections, 0u);
+}
+
+TEST_F(NetFixture, MultiLoopConnectionLimitHoldsAcrossLoops) {
+    // Four loops admit at once against one global limit: each reserves its
+    // slot before admitting, so no interleaving overshoots it.
+    constexpr u32 kLimit = 8;
+    constexpr u32 kConnects = 64;
+    DaemonOptions dopt;
+    dopt.loops = 4;
+    dopt.max_connections = kLimit;
+    DaemonRunner runner(server, dopt);
+
+    std::vector<Fd> held;  // every connection stays open to the end
+    for (u32 i = 0; i < kConnects; ++i)
+        held.push_back(connect_tcp("127.0.0.1", runner.daemon.port(),
+                                   Deadline::none()));
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    auto s = runner.daemon.stats();
+    while (s.accepted + s.refused < kConnects &&
+           std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        s = runner.daemon.stats();
+    }
+    EXPECT_EQ(s.accepted, kLimit);
+    EXPECT_EQ(s.refused, kConnects - kLimit);
+    EXPECT_LE(s.peak_connections, kLimit);
+    EXPECT_EQ(s.connections, kLimit);
 }
 
 TEST_F(NetFixture, MultiLoopDrainMidStreamCompletesBitExact) {

@@ -137,7 +137,6 @@ TEST(ShardRebalance, BudgetMovesTowardObservedHeat) {
     ShardedOptions opt;
     opt.shards = 2;
     opt.total_budget_bytes = kTotal;
-    opt.budget_floor = 0.25;
     ShardedServer r(opt);
 
     const auto before = r.shard_budgets();
@@ -266,7 +265,6 @@ TEST(ShardDaemon, MultiLoopShardedServingBitExactUnderLoad) {
 
     net::DaemonOptions dopt;
     dopt.loops = 4;
-    dopt.listen_backlog = 512;
     net::Daemon daemon(router, dopt);
     std::thread loop([&] { daemon.run(); });
     const u16 port = daemon.port();
