@@ -10,8 +10,11 @@
 //
 // --verify exchanges the same request over both framings and exits
 // nonzero unless the reassembled v2 wire is byte-identical to the v1
-// response — the CI smoke's end-to-end check. Connects retry for a few
-// seconds so a just-forked daemon has time to start listening.
+// response — the daemon smoke test's end-to-end check. Connects retry for
+// a few seconds so a just-forked daemon has time to start listening.
+//
+// Numeric flags must be a whole decimal number within the flag's range;
+// anything else prints the usage and exits 2 before connecting.
 //
 // --bench-tenants R replays a seed-deterministic multi-tenant open-loop
 // plan (workload::traffic_plan: 3 tenants, Zipf keys, Poisson arrivals, a
@@ -25,8 +28,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <string_view>
 #include <thread>
 
+#include "cli_flags.hpp"
 #include "net/client.hpp"
 #include "workload/traffic.hpp"
 
@@ -45,7 +51,7 @@ int usage() {
 }
 
 /// Retrying connect: a daemon forked moments ago may not be listening
-/// yet (the CI smoke starts both in one shell line).
+/// yet (a smoke script starts both in one shell line).
 net::Client connect_retrying(net::ClientOptions opt,
                              std::chrono::milliseconds budget) {
     const auto give_up = std::chrono::steady_clock::now() + budget;
@@ -163,25 +169,34 @@ int main(int argc, char** argv) {
         auto need = [&](const char* flag) -> const char* {
             if (i + 1 >= argc) {
                 std::fprintf(stderr, "%s requires a value\n", flag);
-                std::exit(2);
+                std::exit(usage());
             }
             return argv[++i];
+        };
+        auto number = [&](const char* flag, std::string_view s, u64 lo,
+                          u64 hi) -> u64 {
+            if (const auto v = cli::flag_uint(flag, s, lo, hi)) return *v;
+            std::exit(usage());
         };
         if (std::strcmp(argv[i], "--host") == 0) {
             copt.host = need("--host");
         } else if (std::strcmp(argv[i], "--port") == 0) {
-            copt.port = static_cast<u16>(std::atoi(need("--port")));
+            copt.port = static_cast<u16>(number("--port", need("--port"), 1,
+                                                65535));
         } else if (std::strcmp(argv[i], "--parallelism") == 0) {
-            parallelism = static_cast<u32>(std::atoi(need("--parallelism")));
+            parallelism = static_cast<u32>(
+                number("--parallelism", need("--parallelism"), 1,
+                       std::numeric_limits<u32>::max()));
         } else if (std::strcmp(argv[i], "--range") == 0) {
-            const char* spec = need("--range");
-            char* colon = nullptr;
-            const u64 lo = std::strtoull(spec, &colon, 10);
-            if (colon == nullptr || *colon != ':') {
+            const std::string_view spec = need("--range");
+            const auto colon = spec.find(':');
+            if (colon == std::string_view::npos) {
                 std::fprintf(stderr, "--range wants LO:HI\n");
-                return 2;
+                return usage();
             }
-            const u64 hi = std::strtoull(colon + 1, nullptr, 10);
+            const u64 max = std::numeric_limits<u64>::max();
+            const u64 lo = number("--range", spec.substr(0, colon), 0, max);
+            const u64 hi = number("--range", spec.substr(colon + 1), 0, max);
             range = {{lo, hi}};
         } else if (std::strcmp(argv[i], "--stream") == 0) {
             stream = true;
@@ -195,12 +210,8 @@ int main(int argc, char** argv) {
             metrics_json = need("--metrics-json");
         } else if (std::strcmp(argv[i], "--bench-tenants") == 0) {
             bench_requests = static_cast<std::size_t>(
-                std::strtoull(need("--bench-tenants"), nullptr, 10));
-            if (bench_requests == 0) {
-                std::fprintf(stderr,
-                             "--bench-tenants wants a request count\n");
-                return 2;
-            }
+                number("--bench-tenants", need("--bench-tenants"), 1,
+                       std::numeric_limits<std::size_t>::max()));
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
             return usage();

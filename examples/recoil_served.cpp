@@ -19,18 +19,17 @@
 //
 // `--seed-demo` encodes a small deterministic text asset ("demo", 1 MB,
 // 256-way splits) into the store at boot so the daemon can serve traffic
-// without a separately prepared store — what the CI smoke and the README
-// quick-start use.
+// without a separately prepared store — what the recoil_served_smoke ctest
+// and the README quick start use.
 
-#include <charconv>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <optional>
 
+#include "cli_flags.hpp"
 #include "net/daemon.hpp"
 #include "serve/shard_router.hpp"
 #include "serve/store.hpp"
@@ -64,17 +63,6 @@ u64 parse_bytes(const char* s) {
     const double bytes = v * static_cast<double>(mult);
     if (*end != '\0' || bytes >= 0x1p64) return 0;
     return static_cast<u64>(bytes);
-}
-
-/// The whole of `s` as a decimal integer in [lo, hi]; nullopt otherwise
-/// (empty, a sign, trailing characters, overflow, out of range).
-std::optional<u64> parse_uint(const char* s, u64 lo, u64 hi) {
-    u64 v = 0;
-    const char* end = s + std::strlen(s);
-    const auto [ptr, ec] = std::from_chars(s, end, v);
-    if (ec != std::errc{} || ptr != end || v < lo || v > hi)
-        return std::nullopt;
-    return v;
 }
 
 [[noreturn]] void usage() {
@@ -128,12 +116,8 @@ int main(int argc, char** argv) {
             return argv[++i];
         };
         auto number = [&](const char* flag, u64 lo, u64 hi) -> u64 {
-            const char* s = need(flag);
-            if (const auto v = parse_uint(s, lo, hi)) return *v;
-            std::fprintf(stderr,
-                         "%s expects an integer in [%llu, %llu], got '%s'\n",
-                         flag, static_cast<unsigned long long>(lo),
-                         static_cast<unsigned long long>(hi), s);
+            if (const auto v = cli::flag_uint(flag, need(flag), lo, hi))
+                return *v;
             usage();
         };
         if (std::strcmp(argv[i], "--store") == 0) {

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <string_view>
 
+#include "obs/json.hpp"
+
 namespace recoil::obs {
 
 double HistogramSnapshot::percentile(double q) const noexcept {
@@ -52,8 +54,6 @@ const HistogramSnapshot* MetricsSnapshot::find_histogram(
     return nullptr;
 }
 
-namespace {
-
 std::string fmt_u64(u64 v) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%llu",
@@ -67,20 +67,34 @@ std::string fmt_double(double v) {
     return buf;
 }
 
+std::string json_escape(const std::string& s) {
+    std::string out;
+    out.reserve(s.size());
+    for (char c : s) {
+        switch (c) {
+            case '"': out += "\\\""; break;
+            case '\\': out += "\\\\"; break;
+            case '\n': out += "\\n"; break;
+            case '\r': out += "\\r"; break;
+            case '\t': out += "\\t"; break;
+            default:
+                if (static_cast<unsigned char>(c) < 0x20) {
+                    char buf[8];
+                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
+                    out += buf;
+                } else {
+                    out += c;
+                }
+        }
+    }
+    return out;
+}
+
+namespace {
+
 /// Metric family name of a possibly-labeled series (`a{b="c"}` -> `a`).
 std::string_view base_name(std::string_view series) {
     return series.substr(0, series.find('{'));
-}
-
-/// JSON-escape a series name (labeled names carry `"` characters).
-std::string json_key(const std::string& name) {
-    std::string out;
-    out.reserve(name.size());
-    for (char c : name) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 }  // namespace
@@ -131,14 +145,14 @@ std::string MetricsSnapshot::to_json() const {
     for (const auto& [name, value] : counters) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        out += "\"" + json_key(name) + "\": " + fmt_u64(value);
+        out += "\"" + json_escape(name) + "\": " + fmt_u64(value);
     }
     out += "\n  },\n  \"gauges\": {";
     first = true;
     for (const auto& [name, value] : gauges) {
         out += first ? "\n    " : ",\n    ";
         first = false;
-        out += "\"" + json_key(name) + "\": " + fmt_u64(value);
+        out += "\"" + json_escape(name) + "\": " + fmt_u64(value);
     }
     out += "\n  },\n  \"histograms\": {";
     first = true;

@@ -1,7 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json.hpp"
 
 namespace recoil::obs {
 
@@ -58,42 +59,6 @@ std::vector<TraceRecord> SlowRequestLog::recent_failures() const {
 }
 
 namespace {
-
-std::string fmt_u64(u64 v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(v));
-    return buf;
-}
-
-std::string fmt_double(double v) {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.9g", v);
-    return buf;
-}
-
-std::string json_escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 void append_record(std::string& out, const TraceRecord& r) {
     out += "{\"id\": " + fmt_u64(r.id) + ", \"op\": \"" + json_escape(r.op) +

@@ -14,26 +14,6 @@ const char* kind_name(AssetKind kind) noexcept {
     return "unknown";
 }
 
-namespace {
-
-WireBytes share(std::vector<u8> bytes) {
-    return std::make_shared<const std::vector<u8>>(std::move(bytes));
-}
-
-}  // namespace
-
-ServedWire Asset::combine(u32 parallelism) const {
-    format::VectorSink sink;
-    const u32 splits = combine_into(parallelism, sink);
-    return {share(std::move(sink.out)), splits};
-}
-
-ServedWire Asset::range(u64 lo, u64 hi) const {
-    format::VectorSink sink;
-    const u32 splits = range_into(lo, hi, sink);
-    return {share(std::move(sink.out)), splits};
-}
-
 FileAsset::FileAsset(std::string name, format::RecoilFile f)
     : Asset(std::move(name), format::serialized_file_size(f),
             f.metadata.num_splits()),

@@ -62,11 +62,6 @@ public:
     /// into `sink`, one RCR2 segment at a time. Returns covering splits.
     virtual u32 range_into(u64 lo, u64 hi, format::WireSink& sink) const = 0;
 
-    /// Materializing adapters over the streaming producers above — the only
-    /// buffer assembly in the asset layer (one producer, two framings).
-    ServedWire combine(u32 parallelism) const;
-    ServedWire range(u64 lo, u64 hi) const;
-
     /// Concrete payload accessors; nullptr when the asset is another kind.
     virtual const format::RecoilFile* file() const noexcept { return nullptr; }
     virtual const stream::ChunkedStream* chunked() const noexcept { return nullptr; }

@@ -179,15 +179,6 @@ std::shared_ptr<const Asset> AssetStore::resolve(const std::string& name) {
     return ptr;
 }
 
-std::size_t AssetStore::preload() {
-    auto disk = backing();
-    if (disk == nullptr) return 0;
-    std::size_t resident = 0;
-    for (const StoredAssetInfo& info : disk->list())
-        if (resolve(info.name) != nullptr) ++resident;
-    return resident;
-}
-
 std::shared_ptr<const Asset> AssetStore::adopt(const DiskStore::Loaded& loaded) {
     std::shared_ptr<Asset> a = asset_from_mapped(loaded);
     util::WriterMutexLock lk(mu_);

@@ -55,9 +55,6 @@ public:
     /// asset exists nowhere; StoreError when the stored copy is corrupt.
     std::shared_ptr<const Asset> resolve(const std::string& name)
         RECOIL_EXCLUDES(disk_mu_, mu_);
-    /// Load every backed asset into memory (cold-boot warmup); returns the
-    /// number of assets now resident.
-    std::size_t preload() RECOIL_EXCLUDES(disk_mu_, mu_);
 
     /// Adopt an asset loaded from a FOREIGN DiskStore (the shard router's
     /// peer fetch): parse the mapped container into a zero-copy view and

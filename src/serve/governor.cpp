@@ -2,28 +2,12 @@
 
 #include <algorithm>
 #include <iterator>
+#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.hpp"
 
 namespace recoil::serve {
-
-void ResourceGovernor::pin(const std::string& name) {
-    util::MutexLock lk(mu_);
-    pinned_.insert(name);
-    futile_usage_.store(0, std::memory_order_relaxed);  // eligibility changed
-}
-
-void ResourceGovernor::unpin(const std::string& name) {
-    util::MutexLock lk(mu_);
-    pinned_.erase(name);
-    futile_usage_.store(0, std::memory_order_relaxed);  // eligibility changed
-}
-
-bool ResourceGovernor::pinned(const std::string& name) const {
-    util::MutexLock lk(mu_);
-    return pinned_.contains(name);
-}
 
 void ResourceGovernor::note_access(const std::string& name) {
     if (!enabled()) return;  // no tracking cost when there is no budget
@@ -93,10 +77,6 @@ u64 ResourceGovernor::enforce() {
     for (const auto& ranked : order) {
         const AssetStore::ResidentAsset& r = residents[ranked.second];
         if (cache_.current_bytes() + store_.resident_bytes() <= budget) break;
-        if (pinned_.contains(r.name)) {
-            ++stats_.skipped_pinned;
-            continue;
-        }
         if (!r.backed) continue;  // unload would be data loss, not relief
         if (r.external_refs > 0) {
             // An in-flight stream (or serve) pins the asset: unloading
@@ -113,7 +93,7 @@ u64 ResourceGovernor::enforce() {
     }
 
     // The store alone could not get under budget (everything left is hot,
-    // pinned, in use, or unbacked): the cache absorbs the remainder from
+    // in use, or unbacked): the cache absorbs the remainder from
     // its least-recently-used end.
     const u64 resident_now = store_.resident_bytes();
     if (cache_.current_bytes() + resident_now > budget) {
@@ -123,7 +103,7 @@ u64 ResourceGovernor::enforce() {
         cache_.shrink_to(cache_target);
     }
     // Futility latch: a pass that ends still over budget (everything left
-    // is pinned, unbacked, or in use) records the stuck usage level so the
+    // is unbacked or in use) records the stuck usage level so the
     // hot path's pressure_actionable() stops re-running identical passes
     // until something changes.
     const u64 usage_now = cache_.current_bytes() + store_.resident_bytes();
@@ -162,9 +142,6 @@ void ResourceGovernor::bind_metrics(obs::MetricsRegistry* reg) {
                            poll(&GovernorStats::bytes_unloaded));
     reg->register_callback("governor_cache_shrinks_total", MetricKind::counter,
                            poll(&GovernorStats::cache_shrinks));
-    reg->register_callback("governor_skipped_pinned_total",
-                           MetricKind::counter,
-                           poll(&GovernorStats::skipped_pinned));
     reg->register_callback("governor_skipped_in_use_total",
                            MetricKind::counter,
                            poll(&GovernorStats::skipped_in_use));

@@ -9,8 +9,6 @@
 // under budget, shrinks the cache from its least-recently-used end.
 //
 // What the governor will not do:
-//   - unload a pinned asset (pin()/unpin(): per-class protection for
-//     assets an operator knows are hot, whatever the clock says);
 //   - unload an asset that is not in the backing store (that would be data
 //     loss, not memory-pressure relief);
 //   - unload an asset with live external references — an in-flight stream
@@ -24,7 +22,6 @@
 #include <atomic>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "serve/asset_store.hpp"
 #include "serve/metadata_cache.hpp"
@@ -55,7 +52,6 @@ struct GovernorStats {
     u64 unloads = 0;         ///< assets unloaded
     u64 bytes_unloaded = 0;  ///< master bytes released by unloads
     u64 cache_shrinks = 0;   ///< passes that had to shrink the cache too
-    u64 skipped_pinned = 0;  ///< candidates protected by pin()
     u64 skipped_in_use = 0;  ///< candidates with live external references
 };
 
@@ -80,13 +76,6 @@ public:
     /// over_budget() probe / enforce() pass. 0 disables the governor.
     void set_budget(u64 budget_bytes) RECOIL_EXCLUDES(mu_);
 
-    /// Pinned assets are never unloaded by enforce(), however cold. The
-    /// per-class protection knob: pin the assets a fleet's hot classes
-    /// depend on and let the long tail absorb the pressure.
-    void pin(const std::string& name) RECOIL_EXCLUDES(mu_);
-    void unpin(const std::string& name) RECOIL_EXCLUDES(mu_);
-    bool pinned(const std::string& name) const RECOIL_EXCLUDES(mu_);
-
     /// Recency signal: the server reports every request's asset here; the
     /// enforce() pass ranks unload candidates coldest-first by this clock.
     /// Assets never reported (preloaded, idle) rank coldest of all.
@@ -100,11 +89,11 @@ public:
     }
 
     /// over_budget() AND a pass has a chance of helping. When a pass ends
-    /// still over budget (everything left is pinned, unbacked, or in use),
-    /// the stuck usage level is remembered and the hot path stops paying
-    /// for futile O(residents) passes until usage grows past it, the pin
-    /// set changes, or an explicit enforce() runs (which always executes —
-    /// and re-arms the probe if it manages to relieve anything). An asset
+    /// still over budget (everything left is unbacked or in use), the
+    /// stuck usage level is remembered and the hot path stops paying for
+    /// futile O(residents) passes until usage grows past it, the budget
+    /// changes, or an explicit enforce() runs (which always executes — and
+    /// re-arms the probe if it manages to relieve anything). An asset
     /// can also become reclaimable with NO usage change (a stream finishes
     /// and drops the last external reference), so a latched governor still
     /// retries once every kLatchedRetryPeriod probes — bounded background
@@ -142,7 +131,6 @@ private:
     std::atomic<u64> budget_;
     mutable util::Mutex mu_;
     std::unordered_map<std::string, u64> last_access_ RECOIL_GUARDED_BY(mu_);
-    std::unordered_set<std::string> pinned_ RECOIL_GUARDED_BY(mu_);
     /// clock_/futile_usage_/latched_probes_ are the documented lock-free
     /// escapes: over_budget()/pressure_actionable() run on the serve hot
     /// path and must never contend with a running enforce() pass.

@@ -361,22 +361,6 @@ u32 range_wire_into(const stream::ChunkedStream& s, u64 lo, u64 hi,
     return build_wire_into(sources, lo, hi, 1, sink);
 }
 
-BuiltRangeWire build_range_wire(const format::RecoilFile& f, u64 lo, u64 hi) {
-    BuiltRangeWire built;
-    format::VectorSink sink;
-    built.splits = range_wire_into(f, lo, hi, sink);
-    built.bytes = std::move(sink.out);
-    return built;
-}
-
-BuiltRangeWire build_range_wire(const stream::ChunkedStream& s, u64 lo, u64 hi) {
-    BuiltRangeWire built;
-    format::VectorSink sink;
-    built.splits = range_wire_into(s, lo, hi, sink);
-    built.bytes = std::move(sink.out);
-    return built;
-}
-
 RangeWireInfo inspect_range_wire(std::span<const u8> bytes) {
     return parse_range_wire(bytes).info;
 }

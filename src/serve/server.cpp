@@ -243,9 +243,9 @@ void ContentServer::finish_trace(const obs::TraceContext& trace,
 void ContentServer::maybe_govern() noexcept {
     try {
         // pressure_actionable (not just over_budget): when a pass already
-        // proved it cannot relieve the pressure (all residents pinned,
-        // unbacked, or in use), re-running it per request would serialize
-        // the serve path behind futile O(residents) scans.
+        // proved it cannot relieve the pressure (all residents unbacked or
+        // in use), re-running it per request would serialize the serve
+        // path behind futile O(residents) scans.
         if (governor_.pressure_actionable()) {
             Stopwatch pass;
             governor_.enforce();

@@ -155,7 +155,6 @@ public:
     MetadataCache& cache() noexcept { return cache_; }
     /// The resource governor over this server's store + cache (disabled —
     /// never unloading — unless ServerOptions::mem_budget_bytes is set).
-    /// pin()/unpin() protect per-class hot assets from pressure unloads.
     ResourceGovernor& governor() noexcept { return governor_; }
     /// Unified telemetry directory: one snapshot() covers all four serve
     /// subsystems (server totals, cache, governor, stores) plus the
@@ -195,11 +194,6 @@ public:
     /// a straggling flight. In-flight streams keep serving: they pin the
     /// asset's buffers.
     bool evict_asset(const std::string& name);
-
-    /// Drop an asset from memory but keep it in the backing store: the next
-    /// request demand-loads it under the same generation, so its cached
-    /// responses stay valid. Memory-pressure relief, not eviction.
-    bool unload_asset(const std::string& name) { return store_.unload(name); }
 
     /// Requests currently parked on another request's in-flight combine.
     u64 coalescing_waiters() const noexcept {

@@ -177,8 +177,7 @@ MappedFile::~MappedFile() {
     if (addr_ != nullptr) ::munmap(addr_, size_);
 }
 
-DiskStore::DiskStore(fs::path dir, DiskStoreOptions opt)
-    : dir_(std::move(dir)), opt_(opt) {
+DiskStore::DiskStore(fs::path dir) : dir_(std::move(dir)) {
     std::error_code ec;
     fs::create_directories(dir_, ec);
     if (ec || !fs::is_directory(dir_))
@@ -224,14 +223,6 @@ std::filesystem::path DiskStore::container_path(const std::string& name,
 
 std::filesystem::path DiskStore::manifest_path(const std::string& name) const {
     return dir_ / (encode_name(name) + kManifestExt);
-}
-
-std::vector<StoredAssetInfo> DiskStore::list() const {
-    util::MutexLock lk(mu_);
-    std::vector<StoredAssetInfo> out;
-    out.reserve(index_.size());
-    for (const auto& [_, info] : index_) out.push_back(info);
-    return out;
 }
 
 std::optional<StoredAssetInfo> DiskStore::info(const std::string& name) const {
@@ -303,15 +294,14 @@ std::optional<DiskStore::Loaded> DiskStore::load(const std::string& name) const 
                          std::to_string(map->bytes().size()) +
                          " B, manifest says " +
                          std::to_string(info.container_bytes) + " B");
-            if (opt_.verify_on_load &&
-                format::fnv1a(map->bytes()) != info.checksum)
+            if (format::fnv1a(map->bytes()) != info.checksum)
                 fail(StoreStatus::bad_container,
                      "store: container checksum mismatch for asset '" + name +
                          "'");
             loads_.fetch_add(1, std::memory_order_relaxed);
             load_bytes_.fetch_add(map->bytes().size(),
                                   std::memory_order_relaxed);
-            return Loaded{std::move(info), std::move(map), opt_.verify_on_load};
+            return Loaded{std::move(info), std::move(map)};
         } catch (const StoreError&) {
             // A concurrent put() may have replaced the asset (and collected
             // this generation's container) between the index read and the
@@ -352,7 +342,7 @@ DiskStore::VerifyReport DiskStore::verify() const {
             // Structural validation via the real parser: a container whose
             // checksum holds can still carry nonsense a demand-load would
             // reject (the manifest hash covers bytes, not invariants).
-            asset_from_mapped(Loaded{info, std::move(map), true});
+            asset_from_mapped(Loaded{info, std::move(map)});
         } catch (const StoreError& e) {
             report.issues.push_back({info.name, e.status(), e.what()});
         } catch (const Error& e) {
@@ -414,10 +404,10 @@ std::shared_ptr<Asset> asset_from_mapped(const DiskStore::Loaded& loaded) {
             return std::make_shared<ChunkedAsset>(
                 loaded.info.name,
                 stream::ChunkedStream::parse_view(bytes, loaded.map,
-                                                  loaded.checksum_verified));
+                                                  /*checksum_verified=*/true));
         }
         format::RecoilFile f = format::load_recoil_file_view(
-            bytes, loaded.map, loaded.checksum_verified);
+            bytes, loaded.map, /*checksum_verified=*/true);
         return std::make_shared<FileAsset>(loaded.info.name, std::move(f));
     } catch (const StoreError&) {
         throw;

@@ -84,14 +84,6 @@ struct StoredAssetInfo {
     u64 checksum = 0;         ///< FNV-1a over the whole container file
 };
 
-struct DiskStoreOptions {
-    /// Verify each container's FNV checksum against its manifest when
-    /// loading (one sequential pass over the mapped bytes). Off, corruption
-    /// is still caught by the container's own structural validation and
-    /// trailing checksum at parse time.
-    bool verify_on_load = true;
-};
-
 /// The on-disk directory: an index of manifests plus durable put/load/
 /// remove. Thread-safe; load() returns a mapping that outlives any
 /// subsequent replacement of the entry.
@@ -99,10 +91,9 @@ class DiskStore {
 public:
     /// Open the directory (creating it if absent) and index every manifest.
     /// Raises StoreError on unreadable manifests or missing/short containers.
-    explicit DiskStore(std::filesystem::path dir, DiskStoreOptions opt = {});
+    explicit DiskStore(std::filesystem::path dir);
 
     const std::filesystem::path& dir() const noexcept { return dir_; }
-    std::vector<StoredAssetInfo> list() const RECOIL_EXCLUDES(mu_);
     std::optional<StoredAssetInfo> info(const std::string& name) const
         RECOIL_EXCLUDES(mu_);
     std::size_t size() const RECOIL_EXCLUDES(mu_);
@@ -119,15 +110,15 @@ public:
              std::span<const u8> container, u64 generation)
         RECOIL_EXCLUDES(mu_);
 
+    /// A mapped container whose bytes matched the manifest's FNV checksum,
+    /// so parsers skip re-hashing them.
     struct Loaded {
         StoredAssetInfo info;
         std::shared_ptr<const MappedFile> map;  ///< keeper for zero-copy views
-        /// The mapped bytes were FNV-verified against the manifest
-        /// (verify_on_load), so parsers may skip re-hashing them.
-        bool checksum_verified = false;
     };
-    /// mmap an asset's container. nullopt when the name is not stored;
-    /// StoreError when it is stored but unreadable or corrupt.
+    /// mmap an asset's container and check it against the manifest's FNV
+    /// checksum. nullopt when the name is not stored; StoreError when it is
+    /// stored but unreadable or corrupt.
     std::optional<Loaded> load(const std::string& name) const
         RECOIL_EXCLUDES(mu_);
 
@@ -143,11 +134,11 @@ public:
         bool ok() const noexcept { return issues.empty(); }
     };
     /// Re-walk every manifest and container: mmap, FNV-check against the
-    /// manifest (regardless of verify_on_load), and structurally parse the
-    /// container. Corrupt assets come back as typed issues instead of a
-    /// throw on the first defect — the boot-time scrub a server runs so a
-    /// bad asset surfaces before its first demand-load does. Healthy assets
-    /// are untouched in memory terms: mappings are dropped on return.
+    /// manifest, and structurally parse the container. Corrupt assets come
+    /// back as typed issues instead of a throw on the first defect — the
+    /// boot-time scrub a server runs so a bad asset surfaces before its
+    /// first demand-load does. Healthy assets are untouched in memory
+    /// terms: mappings are dropped on return.
     VerifyReport verify() const RECOIL_EXCLUDES(mu_);
 
     /// Remove an asset's container and manifest. Existing mappings stay
@@ -181,7 +172,6 @@ private:
     std::filesystem::path manifest_path(const std::string& name) const;
 
     std::filesystem::path dir_;
-    DiskStoreOptions opt_;
     // mu_ guards the manifest index AND frames the on-disk commit protocol
     // (put/remove mutate files under it). The traffic counters below are
     // relaxed atomics — the documented escape that keeps stats() lock-free.

@@ -265,38 +265,16 @@ TEST(Governor, UnloadsColdestBackedAssetsFirst) {
     EXPECT_EQ(s.unloads, 1u);
     EXPECT_EQ(s.bytes_unloaded, released);
     EXPECT_EQ(s.enforcements, 1u);
+    // Under budget, a further pass is a no-op.
+    EXPECT_EQ(gov.enforce(), 0u);
+    EXPECT_NE(rig.store.find("a1"), nullptr);
+    EXPECT_EQ(gov.stats().enforcements, 1u);
 
     // Unload is pressure relief, not eviction: the asset demand-loads back
     // under the same generation, so cached response keys stay valid.
     auto back = rig.store.resolve("a0");
     ASSERT_NE(back, nullptr);
     EXPECT_TRUE(rig.store.is_current(*back));
-}
-
-TEST(Governor, PinnedAssetsRideOutPressure) {
-    TempDir dir("pinned");
-    GovernedRig rig;
-    rig.store.attach_backing(std::make_shared<DiskStore>(dir.path));
-    for (int i = 0; i < 3; ++i)
-        rig.store.encode_bytes("a" + std::to_string(i),
-                               asset_bytes(40000, 20 + i), 8);
-    const u64 resident = rig.store.resident_bytes();
-
-    // a0 is coldest AND pinned: pressure must skip it and take a1 instead.
-    ResourceGovernor gov(rig.store, rig.cache,
-                         GovernorOptions{resident - resident / 6});
-    gov.pin("a0");
-    gov.note_access("a1");
-    gov.note_access("a2");
-    gov.enforce();
-    EXPECT_NE(rig.store.find("a0"), nullptr) << "pinned asset was unloaded";
-    EXPECT_EQ(rig.store.find("a1"), nullptr);
-    EXPECT_GE(gov.stats().skipped_pinned, 1u);
-
-    gov.unpin("a0");
-    EXPECT_FALSE(gov.pinned("a0"));
-    gov.enforce();  // under budget now: no-op
-    EXPECT_NE(rig.store.find("a0"), nullptr);
 }
 
 TEST(Governor, UnbackedAssetsAreNeverUnloaded) {
@@ -349,12 +327,13 @@ TEST(Governor, CacheShrinksOnlyWhenTheStoreCannotGetUnderBudget) {
     rig.cache.put("w2", 1, wire_of(4000, 2));
     const u64 resident = rig.store.resident_bytes();
 
-    // Budget leaves room for one (pinned) asset + one cache entry: the
-    // pass unloads the unpinned asset, and — because the pinned one cannot
-    // go — the cache gives back the rest.
+    // Budget leaves room for one asset + one cache entry: the pass unloads
+    // the idle asset, and — because the held one cannot go — the cache
+    // gives back the rest.
     ResourceGovernor gov(rig.store, rig.cache,
                          GovernorOptions{resident / 2 + 4500});
-    gov.pin("b");
+    const std::shared_ptr<const Asset> held = rig.store.find("b");
+    ASSERT_NE(held, nullptr);
     gov.note_access("b");  // a is coldest
     gov.enforce();
     EXPECT_EQ(rig.store.find("a"), nullptr);
@@ -372,8 +351,7 @@ TEST(Governor, FutilePassesLatchOffTheHotPathProbe) {
     // A pass that cannot relieve the pressure (only unbacked assets) must
     // not be re-run by the hot path on every request: after a futile pass
     // pressure_actionable() goes false at the stuck usage level, and
-    // re-arms when usage grows or the pin set changes. Explicit enforce()
-    // always runs regardless.
+    // re-arms when usage grows. Explicit enforce() always runs regardless.
     GovernedRig rig;
     rig.store.encode_bytes("mem", asset_bytes(40000, 65), 8);
     ResourceGovernor gov(rig.store, rig.cache, GovernorOptions{1});
@@ -389,10 +367,6 @@ TEST(Governor, FutilePassesLatchOffTheHotPathProbe) {
     EXPECT_TRUE(gov.pressure_actionable());
     EXPECT_EQ(gov.enforce(), 0u);
     EXPECT_FALSE(gov.pressure_actionable());
-
-    // Pin-set changes re-arm the probe (eligibility may have changed).
-    gov.pin("mem");
-    EXPECT_TRUE(gov.pressure_actionable());
 }
 
 TEST(Governor, DisabledGovernorNeverActs) {

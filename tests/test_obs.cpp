@@ -301,8 +301,7 @@ const char* const kFrozenScalars[] = {
     "governor_budget_bytes", "governor_cache_bytes",
     "governor_resident_bytes", "governor_enforcements_total",
     "governor_unloads_total", "governor_bytes_unloaded_total",
-    "governor_cache_shrinks_total", "governor_skipped_pinned_total",
-    "governor_skipped_in_use_total",
+    "governor_cache_shrinks_total", "governor_skipped_in_use_total",
     "store_resident_bytes", "store_assets",
     "disk_puts_total", "disk_put_bytes_total", "disk_loads_total",
     "disk_load_bytes_total", "disk_removes_total", "disk_assets",

@@ -1,6 +1,7 @@
 // Tests for the sharded serving layer (serve/shard_router.hpp): the
 // consistent-hash ring's distribution and stability, zero-copy peer fetch
-// (bit-exact with owning-shard serving), the budget-rebalance coordinator
+// (bit-exact with owning-shard serving, corrupt peer copies skipped), the
+// budget-rebalance coordinator
 // moving memory toward observed heat, per-shard governor isolation, the
 // frozen shard_* metric names, and a multi-loop daemon fronting a
 // ShardedServer under concurrent load — every wire bit-exact with the
@@ -19,6 +20,7 @@
 #include "net/daemon.hpp"
 #include "serve/shard_router.hpp"
 #include "serve/store.hpp"
+#include "test_util.hpp"
 #include "workload/datasets.hpp"
 
 #if defined(__SANITIZE_THREAD__)
@@ -60,6 +62,13 @@ std::string name_on_shard(const ShardedServer& r, const std::string& stem,
         std::string name = stem + "-" + std::to_string(k);
         if (r.shard_of(name) == want) return name;
     }
+}
+
+/// Flip one bit in every container in shard `i`'s partition.
+void corrupt_partition(const fs::path& store_dir, u32 i) {
+    for (const auto& entry :
+         fs::directory_iterator(store_dir / ("shard-" + std::to_string(i))))
+        if (entry.path().extension() == ".rca") test::flip_bit(entry.path());
 }
 
 TEST(ShardRing, KeysSpreadWithinConsistentHashBounds) {
@@ -130,6 +139,53 @@ TEST(ShardPeerFetch, AdoptedAssetServesBitExactWithOwningShard) {
     EXPECT_FALSE(missing.ok());
     EXPECT_EQ(missing.code, ErrorCode::unknown_asset);
     EXPECT_EQ(r.totals().peer_fetch_misses, 1u);
+}
+
+TEST(ShardPeerFetch, CorruptPeerCopyIsSkipped) {
+    const auto data = workload::gen_text(120'000, 78);
+    {
+        // The only copy sits in the non-owner's partition, with one bit
+        // flipped: nothing is adopted, the request fails typed, and the
+        // fetch counts as a miss.
+        TempDir tmp;
+        ShardedOptions opt;
+        opt.shards = 2;
+        opt.store_dir = tmp.path;
+        ShardedServer r(opt);
+        const std::string name = name_on_shard(r, "flipped", 0);
+        r.shard(1).store().encode_bytes(name, data, 64);
+        corrupt_partition(tmp.path, 1);
+
+        auto res = r.serve(ServeRequest{name, 8, {}});
+        EXPECT_FALSE(res.ok());
+        EXPECT_EQ(res.code, ErrorCode::unknown_asset);
+        EXPECT_EQ(r.totals().peer_fetches, 0u);
+        EXPECT_EQ(r.totals().peer_fetch_misses, 1u);
+    }
+    {
+        // The lower-index peer holds a flipped copy, the other a good one:
+        // the fetch skips the first and adopts the second.
+        TempDir tmp;
+        ShardedOptions opt;
+        opt.shards = 3;
+        opt.store_dir = tmp.path;
+        ShardedServer r(opt);
+        const std::string name = name_on_shard(r, "flipped", 0);
+        r.shard(1).store().encode_bytes(name, data, 64);
+        corrupt_partition(tmp.path, 1);
+        r.shard(2).store().encode_bytes(name, data, 64);
+
+        ContentServer ref;
+        ref.store().encode_bytes(name, data, 64);
+        auto want = ref.serve(ServeRequest{name, 8, {}});
+        ASSERT_TRUE(want.ok()) << want.detail;
+
+        auto got = r.serve(ServeRequest{name, 8, {}});
+        ASSERT_TRUE(got.ok()) << got.detail;
+        EXPECT_EQ(*got.wire, *want.wire);
+        EXPECT_EQ(r.totals().peer_fetches, 1u);
+        EXPECT_EQ(r.totals().peer_fetch_misses, 0u);
+    }
 }
 
 TEST(ShardRebalance, BudgetMovesTowardObservedHeat) {

@@ -39,21 +39,6 @@ struct StoreFixture : ::testing::Test {
     static std::vector<u8> payload(u64 n, u64 seed) {
         return test::geometric_symbols<u8>(n, 0.6, 256, seed);
     }
-
-    /// Flip one bit in the middle of `path`.
-    static void flip_bit(const fs::path& path) {
-        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-        ASSERT_TRUE(f) << path;
-        f.seekg(0, std::ios::end);
-        const auto size = static_cast<std::streamoff>(f.tellg());
-        ASSERT_GT(size, 0);
-        f.seekg(size / 2);
-        char b = 0;
-        f.read(&b, 1);
-        b = static_cast<char>(b ^ 0x10);
-        f.seekp(size / 2);
-        f.write(&b, 1);
-    }
 };
 
 TEST_F(StoreFixture, PutListLoadRemoveRoundTrip) {
@@ -71,7 +56,6 @@ TEST_F(StoreFixture, PutListLoadRemoveRoundTrip) {
 
     auto loaded = disk->load("a");
     ASSERT_TRUE(loaded.has_value());
-    EXPECT_TRUE(loaded->checksum_verified);
     EXPECT_TRUE(std::equal(container.begin(), container.end(),
                            loaded->map->bytes().begin(),
                            loaded->map->bytes().end()));
@@ -238,7 +222,7 @@ TEST_F(StoreFixture, UnloadKeepsCachedResponsesValid) {
     ASSERT_TRUE(cold.ok());
     ASSERT_FALSE(cold.stats.cache_hit);
 
-    ASSERT_TRUE(server.unload_asset("a"));
+    ASSERT_TRUE(server.store().unload("a"));
     EXPECT_EQ(server.store().find("a"), nullptr);
     // Demand-load reconstructs the asset under the same generation, so the
     // cached response is a hit — same bytes, no recombine.
@@ -282,24 +266,18 @@ TEST_F(StoreFixture, BitFlippedContainerIsATypedError) {
     fs::path container;
     for (const auto& entry : fs::directory_iterator(dir))
         if (entry.path().extension() == ".rca") container = entry.path();
-    flip_bit(container);
+    test::flip_bit(container);
 
     // Size is unchanged, so the store opens; the flip surfaces as a typed
-    // checksum failure at load — with or without manifest verification
-    // (the container's own trailing FNV backstops the latter).
-    for (const bool verify : {true, false}) {
+    // checksum failure at load (the manifest's FNV no longer matches).
+    {
         AssetStore store;
-        store.attach_backing(
-            std::make_shared<DiskStore>(dir, DiskStoreOptions{verify}));
+        store.attach_backing(std::make_shared<DiskStore>(dir));
         try {
             (void)store.resolve("a");
-            FAIL() << "corrupt container resolved (verify_on_load=" << verify
-                   << ")";
+            FAIL() << "corrupt container resolved";
         } catch (const StoreError& e) {
             EXPECT_EQ(e.status(), StoreStatus::bad_container);
-        } catch (const Error&) {
-            // verify_on_load=false: the container parser's own checksum
-            // raises; still a typed recoil::Error, never UB.
         }
     }
 
@@ -321,7 +299,7 @@ TEST_F(StoreFixture, MangledManifestIsATypedError) {
     fs::path manifest;
     for (const auto& entry : fs::directory_iterator(dir))
         if (entry.path().extension() == ".rcm") manifest = entry.path();
-    flip_bit(manifest);
+    test::flip_bit(manifest);
     try {
         DiskStore reopened(dir);
         FAIL() << "mangled manifest must not open cleanly";
@@ -387,9 +365,9 @@ TEST_F(StoreFixture, SeededManyAssetReopenLoop) {
     for (int cycle = 0; cycle < 2; ++cycle) {
         AssetStore store;
         store.attach_backing(std::make_shared<DiskStore>(dir));
-        EXPECT_EQ(store.preload(), static_cast<std::size_t>(kAssets));
+        EXPECT_EQ(store.backing()->size(), static_cast<std::size_t>(kAssets));
         for (int i = 0; i < kAssets; ++i) {
-            auto a = store.find("asset" + std::to_string(i));
+            auto a = store.resolve("asset" + std::to_string(i));
             ASSERT_NE(a, nullptr) << i;
             ASSERT_NE(a->file(), nullptr) << i;
             auto dec = recoil_decode<Rans32, 32, u8>(

@@ -425,7 +425,7 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
     // unload() drops the in-memory asset, so the next resolve demand-loads a
     // zero-copy view of the mmapped container — the regime where mid-stream
     // lifecycle races would bite if the stream did not pin its buffers.
-    ASSERT_TRUE(server.unload_asset("asset"));
+    ASSERT_TRUE(server.store().unload("asset"));
     StreamOptions opt;
     opt.max_frame_bytes = 4096;
     opt.use_cache = false;  // stream straight from the asset's views
@@ -436,7 +436,7 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
 
     // Half-drained: drop the asset from memory, then evict it everywhere
     // (cache, memory, disk). The stream holds the asset and its mapping.
-    ASSERT_TRUE(server.unload_asset("asset"));
+    ASSERT_TRUE(server.store().unload("asset"));
     frames.push_back(*stream.next_frame());
     ASSERT_TRUE(server.evict_asset("asset"));
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));

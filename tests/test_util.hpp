@@ -1,7 +1,12 @@
 #pragma once
 // Shared helpers for the test suite: deterministic synthetic symbol streams
-// with controllable skew, and model construction shortcuts.
+// with controllable skew, model construction shortcuts, and on-disk
+// corruption.
 
+#include <gtest/gtest.h>
+
+#include <filesystem>
+#include <fstream>
 #include <span>
 #include <vector>
 
@@ -31,6 +36,21 @@ StaticModel model_for(std::span<const TSym> syms, u32 prob_bits, u32 alphabet) {
     std::vector<u64> counts(alphabet, 0);
     for (TSym s : syms) ++counts[static_cast<u32>(s)];
     return StaticModel(counts, prob_bits);
+}
+
+/// Flip one bit in the middle of the file at `path`.
+inline void flip_bit(const std::filesystem::path& path) {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f) << path;
+    f.seekg(0, std::ios::end);
+    const auto size = static_cast<std::streamoff>(f.tellg());
+    ASSERT_GT(size, 0);
+    f.seekg(size / 2);
+    char b = 0;
+    f.read(&b, 1);
+    b = static_cast<char>(b ^ 0x10);
+    f.seekp(size / 2);
+    f.write(&b, 1);
 }
 
 }  // namespace recoil::test

@@ -18,8 +18,6 @@ shard-json      With --shard-json FILE (a scrape of a --shards N daemon),
                 every name frozen in the shard/daemon-loop table of
                 docs/observability.md — plus daemon_requests_total, proving
                 the daemon families ride along — appears in the snapshot.
-trace-json      With --trace-json FILE, the trace dump carries its two
-                structural fields ("slowest", "failures").
 naked-mutex     No naked std::mutex / std::shared_mutex /
                 std::condition_variable / std lock holders under src/
                 outside util/thread_annotations.hpp: all locking goes
@@ -159,18 +157,6 @@ def check_snapshot(path: Path, names, label, findings):
             findings.append(f"{label}: MISSING metric '{name}' in {path}")
 
 
-def check_trace_json(path: Path, findings):
-    try:
-        text = path.read_text()
-        json.loads(text)
-    except (OSError, ValueError) as e:
-        findings.append(f"trace-json: cannot read {path}: {e}")
-        return
-    for field in ("slowest", "failures"):
-        if f'"{field}"' not in text:
-            findings.append(f"trace-json: MISSING trace field '{field}' in {path}")
-
-
 def check_naked_mutex(repo: Path, findings):
     for path in source_files(repo):
         rel = path.relative_to(repo / "src").as_posix()
@@ -226,7 +212,7 @@ def check_include_hygiene(repo: Path, findings):
 
 
 def run_checks(repo: Path, metrics_json=None, daemon_json=None,
-               trace_json=None, shard_json=None):
+               shard_json=None):
     findings = []
     check_frozen_names(repo, findings)
     check_naked_mutex(repo, findings)
@@ -241,8 +227,6 @@ def run_checks(repo: Path, metrics_json=None, daemon_json=None,
     if shard_json is not None:
         names = frozen_shard_names(repo) + ["daemon_requests_total"]
         check_snapshot(Path(shard_json), names, "shard-json", findings)
-    if trace_json is not None:
-        check_trace_json(Path(trace_json), findings)
     return findings
 
 
@@ -285,13 +269,12 @@ def main() -> int:
     ap.add_argument("--metrics-json", help="live registry snapshot to verify")
     ap.add_argument("--daemon-json", help="live daemon scrape to verify")
     ap.add_argument("--shard-json", help="sharded daemon scrape to verify")
-    ap.add_argument("--trace-json", help="live trace dump to verify")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
         return self_test(args.repo)
     findings = run_checks(args.repo, args.metrics_json, args.daemon_json,
-                          args.trace_json, args.shard_json)
+                          args.shard_json)
     for f in findings:
         print(f)
     if findings:
