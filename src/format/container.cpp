@@ -14,17 +14,85 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'F', '1'};
 
+constexpr u64 kFnvPrime = 0x100000001b3ull;
+
 }  // namespace
 
 u64 fnv1a(std::span<const u8> bytes, u64 state) {
     for (u8 b : bytes) {
         state ^= b;
-        state *= 0x100000001b3ull;
+        state *= kFnvPrime;
     }
     return state;
 }
 
 u64 fnv1a(std::span<const u8> bytes) { return fnv1a(bytes, kFnvInit); }
+
+void fnv1a2(std::span<const u8> bytes, u64& a, u64& b) {
+    // Locals, not the references: u8 stores may alias a u64, which would
+    // force both states through memory on every byte.
+    u64 x = a;
+    u64 y = b;
+    for (u8 c : bytes) {
+        x = (x ^ c) * kFnvPrime;
+        y = (y ^ c) * kFnvPrime;
+    }
+    a = x;
+    b = y;
+}
+
+void WireSink::write(ByteBuffer piece) {
+    bytes_ += piece.size();
+    if (frames_.bytes == 0) {
+        digest_ = fnv1a(piece, digest_);
+    } else {
+        // Hold the piece as views, cut at frame boundaries; a frame that
+        // fills has a known length and is folded at once.
+        for (std::size_t off = 0; off < piece.size();) {
+            const auto n = static_cast<std::size_t>(std::min<u64>(
+                frames_.bytes - open_bytes_, piece.size() - off));
+            open_.push_back(piece.slice(off, n));
+            open_bytes_ += n;
+            off += n;
+            if (open_bytes_ == frames_.bytes)
+                sums_.push_back(fold_open_frame(frames_.bytes));
+        }
+    }
+    keep(std::move(piece));
+}
+
+u64 WireSink::fold_open_frame(u64 len) {
+    u64 frame = frames_.header(static_cast<u32>(sums_.size()), len);
+    for (const ByteBuffer& p : open_) fnv1a2(p, digest_, frame);
+    open_.clear();
+    open_bytes_ = 0;
+    return frame;
+}
+
+void WireSink::seal() {
+    u64 frame = 0;
+    u64 room = 0;  // trailer bytes the open frame takes
+    if (frames_.bytes != 0) {
+        // The open frame's length is known now: the rest of the wire,
+        // trailer included, up to a full frame.
+        const u64 len = std::min<u64>(frames_.bytes, open_bytes_ + 8);
+        room = len - open_bytes_;
+        frame = fold_open_frame(len);
+    }
+    std::vector<u8> trailer;
+    put_u64(trailer, digest_);  // the checksum covers everything above
+    if (frames_.bytes != 0) {
+        const std::span<const u8> t(trailer);
+        sums_.push_back(fnv1a(t.first(room), frame));
+        if (room < t.size())  // the rest of the trailer is one more frame
+            sums_.push_back(fnv1a(
+                t.subspan(room),
+                frames_.header(static_cast<u32>(sums_.size()),
+                               t.size() - room)));
+    }
+    bytes_ += trailer.size();
+    keep(std::move(trailer));
+}
 
 StaticModel RecoilFile::build_static_model() const {
     const auto& p = std::get<StaticPayload>(model);
@@ -54,7 +122,6 @@ std::vector<u8> save_recoil_file(const RecoilFile& f,
 
 void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
                            WireSink& sink) {
-    HashingSink hs(sink);
     std::vector<u8> head;
     head.insert(head.end(), kMagic, kMagic + 4);
     head.push_back(2);  // version (2: unit payload aligned via pad marker)
@@ -67,12 +134,12 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
         put_u32(head, static_cast<u32>(p.freqs.size()));
         for (const auto& freq : p.freqs) put_freq_table(head, freq);
         put_u64(head, p.ids.size());
-        hs.write(std::move(head));
-        hs.write(p.ids);  // shared view of the id stream, never a copy
+        sink.write(std::move(head));
+        sink.write(p.ids);  // shared view of the id stream, never a copy
     } else {
         const auto& p = std::get<RecoilFile::StaticPayload>(f.model);
         put_freq_table(head, p.freq);
-        hs.write(std::move(head));
+        sink.write(std::move(head));
     }
 
     std::vector<u8> mid;
@@ -80,13 +147,10 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
     put_u64(mid, meta.size());
     mid.insert(mid.end(), meta.begin(), meta.end());
     put_u64(mid, f.units.size());
-    put_unit_pad(mid, hs.bytes());
-    hs.write(std::move(mid));
-    hs.write(unit_wire_bytes(f.units, 0, f.units.size()));
-
-    std::vector<u8> trailer;
-    put_u64(trailer, hs.digest());
-    sink.write(std::move(trailer));  // the checksum covers everything above
+    put_unit_pad(mid, sink.bytes());
+    sink.write(std::move(mid));
+    sink.write(unit_wire_bytes(f.units, 0, f.units.size()));
+    sink.seal();
 }
 
 namespace {

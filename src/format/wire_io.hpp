@@ -31,6 +31,21 @@ inline constexpr u64 kFnvInit = 0xcbf29ce484222325ull;
 /// ever holding the whole wire.
 u64 fnv1a(std::span<const u8> bytes, u64 state);
 
+/// Fold `bytes` into two incremental FNV-1a states in one loop, for bytes
+/// that belong to two checksums (a wire's trailer and the body frame that
+/// streams them). FNV-1a is one serial multiply chain; two independent
+/// chains interleave in the same loop for about the cost of one.
+void fnv1a2(std::span<const u8> bytes, u64& a, u64& b);
+
+/// The checksum a frame or wire ends with: its last 8 bytes, LE. Requires
+/// at least 8 bytes.
+inline u64 stored_checksum(std::span<const u8> bytes) {
+    u64 stored = 0;
+    for (int i = 0; i < 8; ++i)
+        stored |= u64{bytes[bytes.size() - 8 + i]} << (8 * i);
+    return stored;
+}
+
 /// FNV-1a of a whole sealed wire — one whose last 8 bytes are the LE FNV-1a
 /// of everything above them, as every container, RCS and RCR2 serializer
 /// emits — from those 8 bytes alone: the trailer's value is the running
@@ -40,10 +55,7 @@ u64 fnv1a(std::span<const u8> bytes, u64 state);
 inline u64 sealed_fnv1a(std::span<const u8> tail) {
     RECOIL_CHECK(tail.size() >= 8,
                  "sealed_fnv1a: wire shorter than its trailer");
-    const auto trailer = tail.last(8);
-    u64 state = 0;
-    for (int i = 0; i < 8; ++i) state |= u64{trailer[i]} << (8 * i);
-    return fnv1a(trailer, state);
+    return fnv1a(tail.last(8), stored_checksum(tail));
 }
 
 /// Payload storage that is either owned or a zero-copy view into bytes kept
@@ -114,46 +126,82 @@ private:
 using UnitBuffer = SharedBuffer<u16>;  ///< bitstream units
 using ByteBuffer = SharedBuffer<u8>;   ///< per-symbol model ids
 
-/// Push consumer of a wire under construction, fed pieces in wire order.
-/// Pieces are ByteBuffers, so producers hand out borrowed views of payload
-/// storage (mmapped bitstreams, shared id streams) without copying; only the
-/// small structural sections are owned allocations. Every serializer in the
-/// library produces through this interface — materializing a whole wire is
-/// just the VectorSink instance of it.
+/// A request for the checksums of the body frames a wire will stream in:
+/// consecutive `bytes`-sized slices of the finished wire (the last one
+/// shorter), each checksummed as FNV-1a over its frame header, then the
+/// slice. The framing layer (serve/protocol) supplies `header`: the FNV-1a
+/// state after the header of frame `seq` carrying `len` bytes, so this
+/// layer needs no knowledge of the frame format.
+struct FrameSums {
+    u64 bytes = 0;  ///< 0: no frame checksums
+    u64 (*header)(u32 seq, u64 len) = nullptr;
+};
+
+/// Push consumer of a wire under construction, fed pieces in wire order and
+/// closed by seal(), which appends the trailer every container, RCS and
+/// RCR2 wire ends with: the LE FNV-1a of every byte above it. The sink, not
+/// the serializer, hashes, so subclasses only decide where pieces go
+/// (keep()). Pieces are ByteBuffers, so producers hand out borrowed views
+/// of payload storage (mmapped bitstreams, shared id streams) without
+/// copying; only the small structural sections are owned allocations.
+/// Every serializer in the library produces through this interface —
+/// materializing a whole wire is just the VectorSink instance of it.
+///
+/// A sink built with a FrameSums request also computes every frame
+/// checksum in the same pass: each byte is folded once, into the trailer's
+/// chain and its frame's (fnv1a2). A frame's chain starts with its header,
+/// which carries the frame's length, so the sink holds the open frame's
+/// pieces as views until that length is known — once the frame is full,
+/// or at seal() for the last frame. The trailer's own 8 bytes enter only
+/// the frame chains: whole in the last frame, or split across the last two.
 class WireSink {
 public:
+    explicit WireSink(FrameSums frames = {}) : frames_(frames) {
+        RECOIL_CHECK(frames.bytes == 0 ||
+                         (frames.bytes >= 8 && frames.header != nullptr),
+                     "WireSink: a frame must hold a whole trailer");
+    }
     virtual ~WireSink() = default;
-    virtual void write(ByteBuffer piece) = 0;
+    WireSink(const WireSink&) = delete;
+    WireSink& operator=(const WireSink&) = delete;
+
+    void write(ByteBuffer piece);
+    /// Append the trailer; the last call on a sink.
+    void seal();
+    /// Bytes written so far: the absolute wire offset, which alignment pads
+    /// depend on.
+    u64 bytes() const noexcept { return bytes_; }
+    /// The requested frame checksums in frame order, complete after seal().
+    const std::vector<u64>& frame_sums() const noexcept { return sums_; }
+
+protected:
+    /// Where each piece goes, in wire order (the trailer last).
+    virtual void keep(ByteBuffer piece) = 0;
+
+private:
+    /// Fold the open frame's held pieces, now that its length `len` is
+    /// known, into the trailer chain and a new frame chain; returns the
+    /// frame chain's state.
+    u64 fold_open_frame(u64 len);
+
+    FrameSums frames_;
+    u64 digest_ = kFnvInit;
+    u64 bytes_ = 0;
+    std::vector<ByteBuffer> open_;  ///< the open frame's unhashed pieces
+    u64 open_bytes_ = 0;
+    std::vector<u64> sums_;
 };
 
 /// Materializing sink: concatenates every piece (the legacy wire shape).
 class VectorSink final : public WireSink {
 public:
-    void write(ByteBuffer piece) override {
-        out.insert(out.end(), piece.begin(), piece.end());
-    }
+    using WireSink::WireSink;
     std::vector<u8> out;
-};
-
-/// Pass-through sink folding every byte into a running FNV-1a, so a
-/// producer can emit its trailing checksum without a second pass over (or a
-/// materialized copy of) the wire. `bytes()` doubles as the absolute wire
-/// offset, which alignment pads depend on.
-class HashingSink final : public WireSink {
-public:
-    explicit HashingSink(WireSink& down) : down_(down) {}
-    void write(ByteBuffer piece) override {
-        digest_ = fnv1a(piece, digest_);
-        bytes_ += piece.size();
-        down_.write(std::move(piece));
-    }
-    u64 digest() const noexcept { return digest_; }
-    u64 bytes() const noexcept { return bytes_; }
 
 private:
-    WireSink& down_;
-    u64 digest_ = kFnvInit;
-    u64 bytes_ = 0;
+    void keep(ByteBuffer piece) override {
+        out.insert(out.end(), piece.begin(), piece.end());
+    }
 };
 
 /// The wire form of `count` units starting at `first`: a borrowed byte view
@@ -238,11 +286,8 @@ inline void append_checksum(std::vector<u8>& out) { put_u64(out, fnv1a(out)); }
 inline std::span<const u8> checked_payload(std::span<const u8> bytes,
                                            const char* ctx, bool verify = true) {
     if (bytes.size() < 16) raise(std::string(ctx) + ": too short");
-    u64 stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= u64{bytes[bytes.size() - 8 + i]} << (8 * i);
     auto payload = bytes.first(bytes.size() - 8);
-    if (verify && fnv1a(payload) != stored)
+    if (verify && fnv1a(payload) != stored_checksum(bytes))
         raise(std::string(ctx) + ": checksum mismatch");
     return payload;
 }

@@ -13,9 +13,11 @@
 // FrameReader reassembles these incrementally. It is deliberately dumb:
 // feed() appends whatever bytes arrived (one byte at a time is fine — a
 // TCP segment boundary mid-header must never surface as bad_frame), and
-// next() pops a complete protocol frame when one is buffered. Length
-// bounds are enforced as soon as the 4-byte prefix is complete so a
-// malicious peer cannot make us buffer unbounded garbage.
+// next() pops a complete protocol frame when one is buffered. Popping
+// only advances a read offset; feed() drops the consumed bytes once, so
+// one read of many pipelined frames costs O(bytes), not O(frames x
+// buffer). Length bounds are enforced as soon as the 4-byte prefix is
+// complete so a malicious peer cannot make us buffer unbounded garbage.
 
 #include <cstring>
 #include <deque>
@@ -60,6 +62,9 @@ public:
     /// mid-length-prefix. Throws NetError{frame_too_large} as soon as a
     /// complete prefix announces a frame above the cap.
     void feed(std::span<const u8> bytes) {
+        buf_.erase(buf_.begin(),
+                   buf_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
         buf_.insert(buf_.end(), bytes.begin(), bytes.end());
         check_bound();
     }
@@ -67,29 +72,33 @@ public:
     /// Pop the next complete protocol frame (without the prefix), or
     /// nullopt if more bytes are needed.
     std::optional<std::vector<u8>> next() {
-        if (buf_.size() < 4) return std::nullopt;
+        if (buffered_bytes() < 4) return std::nullopt;
         const u32 len = peek_len();
-        if (buf_.size() < 4u + len) return std::nullopt;
-        std::vector<u8> frame(buf_.begin() + 4, buf_.begin() + 4 + len);
-        buf_.erase(buf_.begin(), buf_.begin() + 4 + len);
+        if (buffered_bytes() < 4u + len) return std::nullopt;
+        const auto first =
+            buf_.begin() + static_cast<std::ptrdiff_t>(head_ + 4);
+        std::vector<u8> frame(first, first + len);
+        head_ += 4u + len;
         return frame;
     }
 
     /// True if no partial frame is buffered (clean stream boundary —
     /// used to distinguish orderly EOF from a truncated frame).
-    bool empty() const noexcept { return buf_.empty(); }
+    bool empty() const noexcept { return buffered_bytes() == 0; }
 
-    /// Bytes currently buffered (prefix included), for memory accounting.
-    std::size_t buffered_bytes() const noexcept { return buf_.size(); }
+    /// Unread bytes buffered (prefix included), for memory accounting.
+    std::size_t buffered_bytes() const noexcept { return buf_.size() - head_; }
 
 private:
+    /// Length announced by the next unread prefix; requires 4 unread bytes.
     u32 peek_len() const {
-        return static_cast<u32>(buf_[0]) | (static_cast<u32>(buf_[1]) << 8) |
-               (static_cast<u32>(buf_[2]) << 16) | (static_cast<u32>(buf_[3]) << 24);
+        const u8* p = buf_.data() + head_;
+        return static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
+               (static_cast<u32>(p[2]) << 16) | (static_cast<u32>(p[3]) << 24);
     }
 
     void check_bound() const {
-        if (buf_.size() < 4) return;
+        if (buffered_bytes() < 4) return;
         const u32 len = peek_len();
         if (len > max_frame_)
             net_fail(NetErrorCode::frame_too_large,
@@ -99,6 +108,7 @@ private:
 
     u32 max_frame_;
     std::vector<u8> buf_;
+    std::size_t head_ = 0;  ///< offset of the first unread byte in buf_
 };
 
 }  // namespace recoil::net

@@ -20,13 +20,6 @@ namespace recoil::serve {
 enum class AssetKind : u8 { static_file = 0, indexed_file = 1, chunked = 2 };
 const char* kind_name(AssetKind kind) noexcept;
 
-/// One response body: shared wire bytes plus the parallel work-item count
-/// the wire actually carries.
-struct ServedWire {
-    WireBytes wire;
-    u32 splits = 0;
-};
-
 /// One immutable encoded asset. Instances are shared const after insertion
 /// into an AssetStore, so every accessor is safe under concurrent serving.
 class Asset {

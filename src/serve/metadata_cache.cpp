@@ -7,8 +7,8 @@
 
 namespace recoil::serve {
 
-WireBytes MetadataCache::get(const std::string& asset_key, u32 parallelism,
-                             u32* splits_out, bool count_miss) {
+SharedResponse MetadataCache::get(const std::string& asset_key,
+                                  u32 parallelism, bool count_miss) {
     util::MutexLock lk(mu_);
     auto it = map_.find(Key{asset_key, parallelism});
     if (it == map_.end()) {
@@ -16,19 +16,19 @@ WireBytes MetadataCache::get(const std::string& asset_key, u32 parallelism,
         return nullptr;
     }
     ++stats_.hits;
-    stats_.hit_bytes += it->second.wire->size();
+    stats_.hit_bytes += it->second.response->wire.size();
     order_.splice(order_.begin(), order_, it->second.lru);
-    if (splits_out != nullptr) *splits_out = it->second.splits;
-    return it->second.wire;
+    return it->second.response;
 }
 
 void MetadataCache::put(const std::string& asset_key, u32 parallelism,
-                        WireBytes wire, u32 splits) {
-    RECOIL_CHECK(wire != nullptr, "cache put: null payload");
+                        SharedResponse response) {
+    RECOIL_CHECK(response != nullptr, "cache put: null payload");
     util::MutexLock lk(mu_);
     Key key{asset_key, parallelism};
     auto it = map_.find(key);
-    if (wire->size() > capacity_) {  // would evict everything for nothing
+    const u64 size = response->wire.size();
+    if (size > capacity_) {  // would evict everything for nothing
         ++stats_.rejected;
         // A resident entry under this key is now known stale: serving it
         // would hand out superseded bytes, so it goes too (not an eviction
@@ -37,14 +37,13 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
         return;
     }
     if (it != map_.end()) {
-        set_bytes_locked(stats_.bytes - it->second.wire->size() +
-                         wire->size());
-        it->second.wire = std::move(wire);
-        it->second.splits = splits;
+        set_bytes_locked(stats_.bytes - it->second.response->wire.size() +
+                         size);
+        it->second.response = std::move(response);
         order_.splice(order_.begin(), order_, it->second.lru);
     } else {
-        set_bytes_locked(stats_.bytes + wire->size());
-        it = map_.emplace(std::move(key), Entry{std::move(wire), splits, {}})
+        set_bytes_locked(stats_.bytes + size);
+        it = map_.emplace(std::move(key), Entry{std::move(response), {}})
                  .first;
         order_.push_front(&it->first);
         it->second.lru = order_.begin();
@@ -58,7 +57,7 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
 }
 
 MetadataCache::Map::iterator MetadataCache::erase_locked(Map::iterator it) {
-    set_bytes_locked(stats_.bytes - it->second.wire->size());
+    set_bytes_locked(stats_.bytes - it->second.response->wire.size());
     order_.erase(it->second.lru);
     it = map_.erase(it);
     stats_.entries = map_.size();

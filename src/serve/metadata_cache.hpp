@@ -1,9 +1,11 @@
 #pragma once
-// Cache of serialized serve responses keyed by (asset key, client
+// Cache of finished serve responses keyed by (asset key, client
 // parallelism). The §3.3 serving path is cheap but not free — combine_splits
-// walks M split points and the wire re-serialization copies the bitstream —
-// and real traffic concentrates on a few client classes (phone / laptop /
-// GPU), so the hot responses are cached whole and handed out by reference.
+// walks M split points and the wire re-serialization copies and hashes the
+// bitstream — and real traffic concentrates on a few client classes
+// (phone / laptop / GPU), so the hot responses are cached whole (wire,
+// split count and body-frame checksums: FinishedResponse) and handed out by
+// reference.
 // Range responses reuse the same cache under a derived asset key (see
 // server.cpp), hence the string key rather than an asset pointer.
 //
@@ -54,23 +56,20 @@ public:
     explicit MetadataCache(u64 capacity_bytes) : capacity_(capacity_bytes) {}
 
     /// nullptr on miss. A hit moves the entry to the front of the recency
-    /// list and, when `splits_out` is given, reports the split count stored
-    /// with the entry. Every hit counts; a miss counts unless `count_miss`
-    /// is false — the single-flight leader's recheck of a request whose
-    /// first lookup already counted the miss.
-    WireBytes get(const std::string& asset_key, u32 parallelism,
-                  u32* splits_out = nullptr, bool count_miss = true)
-        RECOIL_EXCLUDES(mu_);
+    /// list. Every hit counts; a miss counts unless `count_miss` is false —
+    /// the single-flight leader's recheck of a request whose first lookup
+    /// already counted the miss.
+    SharedResponse get(const std::string& asset_key, u32 parallelism,
+                       bool count_miss = true) RECOIL_EXCLUDES(mu_);
 
     /// Insert (or refresh) an entry at the front of the recency list,
-    /// evicting from the back past capacity. Payloads larger than the whole
-    /// cache are never cached — counted in CacheStats::rejected (an
-    /// oversized refresh also drops the now-stale resident entry rather
-    /// than keep serving superseded bytes). An entry exactly equal to
-    /// capacity is admitted (it fits — alone). `splits` is the work-item
-    /// count the response carries, echoed back by get().
-    void put(const std::string& asset_key, u32 parallelism, WireBytes wire,
-             u32 splits = 0) RECOIL_EXCLUDES(mu_);
+    /// evicting from the back past capacity. An entry costs its wire's
+    /// bytes. Wires larger than the whole cache are never cached — counted
+    /// in CacheStats::rejected (an oversized refresh also drops the
+    /// now-stale resident entry rather than keep serving superseded bytes).
+    /// An entry exactly equal to capacity is admitted (it fits — alone).
+    void put(const std::string& asset_key, u32 parallelism,
+             SharedResponse response) RECOIL_EXCLUDES(mu_);
 
     /// Drop every entry for `asset_key` (all parallelisms, and derived keys
     /// of the form "asset_key\n..." such as range responses). Not an
@@ -117,8 +116,7 @@ private:
     /// its entry's key inside map_ (node-based: stable under rehash).
     using Order = std::list<const Key*>;
     struct Entry {
-        WireBytes wire;
-        u32 splits = 0;
+        SharedResponse response;
         Order::iterator lru;  ///< this entry's position in order_
     };
     using Map = std::unordered_map<Key, Entry, KeyHash>;

@@ -33,11 +33,8 @@ constexpr u64 kStreamBodyOverhead = 4 + 1 + 1 + 1 + 4 + 8 + 8;
 std::span<const u8> verify_frame(std::span<const u8> frame, const char* ctx) {
     if (frame.size() < 16)
         fail(ErrorCode::malformed_frame, std::string(ctx) + ": frame too short");
-    u64 stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= u64{frame[frame.size() - 8 + i]} << (8 * i);
     auto payload = frame.first(frame.size() - 8);
-    if (format::fnv1a(payload) != stored)
+    if (format::fnv1a(payload) != format::stored_checksum(frame))
         fail(ErrorCode::checksum_mismatch, std::string(ctx) + ": checksum mismatch");
     return payload;
 }
@@ -263,10 +260,86 @@ namespace {
 constexpr u8 kStreamFlagCacheHit = 1;
 constexpr u8 kStreamFlagCoalesced = 2;
 
+/// Bytes of a body frame's header: preamble (magic, version, type), then
+/// reserved, seq and payload length. The payload follows it directly.
+constexpr std::size_t kStreamBodyHeader = kStreamBodyOverhead - 8;
+
 void put_stream_preamble(std::vector<u8>& out, StreamFrameType type) {
     out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
     out.push_back(kStreamVersion);
     out.push_back(static_cast<u8>(type));
+}
+
+void put_body_header(std::vector<u8>& out, u32 seq, u64 len) {
+    put_stream_preamble(out, StreamFrameType::body);
+    out.push_back(0);  // reserved
+    put_u32(out, seq);
+    put_u64(out, len);
+}
+
+/// FNV-1a state after the header of body frame `seq` carrying `len` bytes.
+u64 body_header_state(u32 seq, u64 len) {
+    std::vector<u8> head;
+    put_body_header(head, seq, len);
+    return format::fnv1a(head);
+}
+
+/// The stream preamble parser: magic and version, then the frame type.
+StreamFrameType get_stream_preamble(Cursor& c) {
+    check_magic(c, kResponseMagic, c.ctx);
+    const u8 v = c.get_u8();
+    if (v != kStreamVersion)
+        fail(ErrorCode::unsupported_version,
+             std::string(c.ctx) + ": unsupported version " + std::to_string(v));
+    const u8 type = c.get_u8();
+    if (type > static_cast<u8>(StreamFrameType::fin))
+        fail(ErrorCode::malformed_frame,
+             std::string(c.ctx) + ": unknown frame type");
+    return static_cast<StreamFrameType>(type);
+}
+
+struct BodyHeader {
+    u32 seq = 0;
+    u64 len = 0;
+};
+
+/// The body-frame header parser, after the preamble (reserved, seq,
+/// length), shared by decode_stream_frame and the reassembler's one-pass
+/// path. The negotiated ceiling is enforced on the length field, before any
+/// payload is materialized.
+BodyHeader get_body_header(Cursor& c, u64 max_frame_bytes) {
+    if (c.get_u8() != 0)
+        fail(ErrorCode::malformed_frame,
+             std::string(c.ctx) + ": reserved byte set");
+    BodyHeader h;
+    h.seq = c.get_u32();
+    h.len = c.get_u64();
+    if (max_frame_bytes != kNoFrameLimit && h.len > max_frame_bytes)
+        fail(ErrorCode::frame_too_large,
+             std::string(c.ctx) + ": " + std::to_string(h.len) +
+                 " B body exceeds the negotiated " +
+                 std::to_string(max_frame_bytes) + " B maximum");
+    if (h.len == 0)
+        fail(ErrorCode::malformed_frame,
+             std::string(c.ctx) + ": empty body frame");
+    return h;
+}
+
+/// `frame`'s header, when it parses as a body frame whose length field is
+/// the payload the frame holds; nullopt for any other frame.
+std::optional<BodyHeader> own_body_header(std::span<const u8> frame,
+                                          u64 max_frame_bytes) {
+    if (frame.size() <= kStreamBodyOverhead) return std::nullopt;
+    try {
+        Cursor c{frame.first(kStreamBodyHeader), "stream frame"};
+        if (get_stream_preamble(c) != StreamFrameType::body)
+            return std::nullopt;
+        const BodyHeader h = get_body_header(c, max_frame_bytes);
+        if (h.len != frame.size() - kStreamBodyOverhead) return std::nullopt;
+        return h;
+    } catch (const Error&) {
+        return std::nullopt;  // malformed: the verify-first path judges it
+    }
 }
 
 }  // namespace
@@ -291,7 +364,8 @@ std::vector<u8> encode_stream_header(const StreamHeader& h) {
 }
 
 std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
-                                   u64 max_frame_bytes) {
+                                   u64 max_frame_bytes,
+                                   std::optional<u64> checksum) {
     if (max_frame_bytes != kNoFrameLimit && payload.size() > max_frame_bytes)
         fail(ErrorCode::frame_too_large,
              "stream body: " + std::to_string(payload.size()) +
@@ -299,13 +373,14 @@ std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
                  std::to_string(max_frame_bytes) + " B maximum");
     std::vector<u8> out;
     out.reserve(payload.size() + kStreamBodyOverhead);
-    put_stream_preamble(out, StreamFrameType::body);
-    out.push_back(0);  // reserved
-    put_u32(out, seq);
-    put_u64(out, payload.size());
+    put_body_header(out, seq, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
-    append_checksum(out);
+    put_u64(out, checksum ? *checksum : format::fnv1a(out));
     return out;
+}
+
+format::FrameSums body_frame_sums(u64 max_frame_bytes) {
+    return {max_frame_bytes, &body_header_state};
 }
 
 std::vector<u8> encode_stream_fin(const StreamFin& fin) {
@@ -337,17 +412,8 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
     // max_frame_bytes + kMaxDetailLen + overhead.)
     auto payload = verify_frame(frame, ctx);
     return parse_frame(payload, ctx, [&](Cursor& c) {
-        check_magic(c, kResponseMagic, ctx);
-        const u8 v = c.get_u8();
-        if (v != kStreamVersion)
-            fail(ErrorCode::unsupported_version,
-                 std::string(ctx) + ": unsupported version " + std::to_string(v));
         StreamFrame f;
-        const u8 type = c.get_u8();
-        if (type > static_cast<u8>(StreamFrameType::fin))
-            fail(ErrorCode::malformed_frame,
-                 std::string(ctx) + ": unknown frame type");
-        f.type = static_cast<StreamFrameType>(type);
+        f.type = get_stream_preamble(c);
         switch (f.type) {
             case StreamFrameType::header: {
                 const u8 flags = c.get_u8();
@@ -382,20 +448,9 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
                 break;
             }
             case StreamFrameType::body: {
-                if (c.get_u8() != 0)
-                    fail(ErrorCode::malformed_frame,
-                         std::string(ctx) + ": reserved byte set");
-                f.seq = c.get_u32();
-                const u64 len = c.get_u64();
-                if (max_frame_bytes != kNoFrameLimit && len > max_frame_bytes)
-                    fail(ErrorCode::frame_too_large,
-                         std::string(ctx) + ": " + std::to_string(len) +
-                             " B body exceeds the negotiated " +
-                             std::to_string(max_frame_bytes) + " B maximum");
-                if (len == 0)
-                    fail(ErrorCode::malformed_frame,
-                         std::string(ctx) + ": empty body frame");
-                f.payload = c.get_bytes(len);
+                const BodyHeader h = get_body_header(c, max_frame_bytes);
+                f.seq = h.seq;
+                f.payload = c.get_bytes(h.len);
                 break;
             }
             case StreamFrameType::fin: {
@@ -423,6 +478,18 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
     if (done_)
         throw ProtocolError(ErrorCode::malformed_frame,
                             "stream reassembly: frame after completion");
+    if (const auto body = own_body_header(frame, max_frame_)) {
+        // One pass folds the frame checksum and the whole-wire digest.
+        const auto payload = frame.subspan(kStreamBodyHeader, body->len);
+        u64 sum = format::fnv1a(frame.first(kStreamBodyHeader));
+        u64 digest = digest_;
+        format::fnv1a2(payload, sum, digest);
+        if (sum != format::stored_checksum(frame))
+            fail(ErrorCode::checksum_mismatch,
+                 "stream frame: checksum mismatch");
+        accept_body(body->seq, payload, digest);
+        return done_;
+    }
     const StreamFrame f = decode_stream_frame(frame, max_frame_);
     switch (f.type) {
         case StreamFrameType::header: {
@@ -435,25 +502,11 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
             if (head_.code != ErrorCode::ok) done_ = true;  // error: no body
             break;
         }
-        case StreamFrameType::body: {
-            if (!have_header_)
-                throw ProtocolError(ErrorCode::malformed_frame,
-                                    "stream reassembly: body before header");
-            if (f.seq != next_seq_)
-                throw ProtocolError(
-                    ErrorCode::malformed_frame,
-                    "stream reassembly: body frame " + std::to_string(f.seq) +
-                        " arrived, expected " + std::to_string(next_seq_));
-            if (head_.wire_bytes != 0 &&
-                wire_->size() + f.payload.size() > head_.wire_bytes)
-                throw ProtocolError(ErrorCode::malformed_frame,
-                                    "stream reassembly: body bytes exceed the "
-                                    "announced wire size");
-            ++next_seq_;
-            digest_ = format::fnv1a(f.payload, digest_);
-            wire_->insert(wire_->end(), f.payload.begin(), f.payload.end());
+        case StreamFrameType::body:
+            // Not reached: a body frame that decodes is one of its own
+            // length, which the one-pass path above already took.
+            accept_body(f.seq, f.payload, format::fnv1a(f.payload, digest_));
             break;
-        }
         case StreamFrameType::fin: {
             if (!have_header_)
                 throw ProtocolError(ErrorCode::malformed_frame,
@@ -484,6 +537,26 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
         }
     }
     return done_;
+}
+
+void StreamReassembler::accept_body(u32 seq, std::span<const u8> payload,
+                                    u64 digest) {
+    if (!have_header_)
+        throw ProtocolError(ErrorCode::malformed_frame,
+                            "stream reassembly: body before header");
+    if (seq != next_seq_)
+        throw ProtocolError(
+            ErrorCode::malformed_frame,
+            "stream reassembly: body frame " + std::to_string(seq) +
+                " arrived, expected " + std::to_string(next_seq_));
+    if (head_.wire_bytes != 0 &&
+        wire_->size() + payload.size() > head_.wire_bytes)
+        throw ProtocolError(ErrorCode::malformed_frame,
+                            "stream reassembly: body bytes exceed the "
+                            "announced wire size");
+    ++next_seq_;
+    digest_ = digest;
+    wire_->insert(wire_->end(), payload.begin(), payload.end());
 }
 
 const StreamHeader& StreamReassembler::header() const {

@@ -34,6 +34,19 @@ namespace recoil::serve {
 /// out and cache eviction never invalidates a response being written.
 using WireBytes = std::shared_ptr<const std::vector<u8>>;
 
+/// A finished full-asset or range response, as a single flight publishes
+/// it and the LRU cache holds it: the wire, the split count it carries, and
+/// the checksum of each body frame it streams in at kDefaultMaxFrameBytes
+/// (body_frame_sums), computed in the pass that sealed the wire. A miss, a
+/// warm hit and a coalesced follower therefore all frame it without
+/// hashing.
+struct FinishedResponse {
+    std::vector<u8> wire;
+    u32 splits = 0;
+    std::vector<u64> frame_sums;
+};
+using SharedResponse = std::shared_ptr<const FinishedResponse>;
+
 /// Typed failure taxonomy of the serve protocol. Stable wire values: new
 /// codes may be appended, existing values never change meaning.
 enum class ErrorCode : u16 {
@@ -218,9 +231,16 @@ struct StreamFrame {
 
 std::vector<u8> encode_stream_header(const StreamHeader& h);
 /// Throws typed frame_too_large when payload exceeds `max_frame_bytes`.
+/// `checksum`, when given, is the frame's checksum computed ahead of time
+/// (a held FinishedResponse::frame_sums entry) and is written as is, so the
+/// frame costs no hash pass.
 std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
-                                   u64 max_frame_bytes = kNoFrameLimit);
+                                   u64 max_frame_bytes = kNoFrameLimit,
+                                   std::optional<u64> checksum = std::nullopt);
 std::vector<u8> encode_stream_fin(const StreamFin& fin);
+/// Request for a WireSink to compute the checksum encode_stream_body gives
+/// each body frame of its wire, streamed at `max_frame_bytes` per frame.
+format::FrameSums body_frame_sums(u64 max_frame_bytes);
 /// Parse any v2 stream frame. Throws ProtocolError on any defect; an
 /// oversized body (or whole frame) against the negotiated ceiling is typed
 /// frame_too_large.
@@ -231,6 +251,13 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
 /// header/body/FIN state machine, body-frame contiguity, the announced
 /// totals and the whole-wire checksum, then exposes the materialized
 /// ServeResult — test-enforced to be bit-exact with the v1 response.
+///
+/// A body frame whose header parses as a body frame of its own length is
+/// checked in one pass that folds its frame checksum and the whole-wire
+/// digest together; its payload enters the wire only after the checksum
+/// and sequencing checks pass, so a rejected frame leaves the reassembler
+/// unchanged. Any other frame is verified first (decode_stream_frame), so
+/// a damaged frame ends in the same typed error on either path.
 class StreamReassembler {
 public:
     explicit StreamReassembler(u64 max_frame_bytes = kNoFrameLimit)
@@ -265,6 +292,10 @@ public:
     ServeResult result() const;
 
 private:
+    /// Sequencing checks for body frame `seq`, then append its payload and
+    /// take `digest` (the whole-wire digest with the payload folded in).
+    void accept_body(u32 seq, std::span<const u8> payload, u64 digest);
+
     u64 max_frame_;
     bool have_header_ = false;
     bool done_ = false;

@@ -37,7 +37,7 @@ struct SegmentSource {
 
 /// Emit one segment covering LOCAL symbols [lo, hi) of `src`; returns the
 /// covering split count.
-u32 emit_segment(format::HashingSink& hs, const SegmentSource& src, u64 lo,
+u32 emit_segment(format::WireSink& sink, const SegmentSource& src, u64 lo,
                  u64 hi) {
     const RecoilMetadata& meta = *src.meta;
     const RangePlan plan = plan_range(meta, lo, hi);  // validates the range
@@ -89,8 +89,8 @@ u32 emit_segment(format::HashingSink& hs, const SegmentSource& src, u64 lo,
         const u64 ids_hi = plan_touch_hi(meta, plan);
         put_u64(head, ids_lo);
         put_u64(head, ids_hi - ids_lo);
-        hs.write(std::move(head));
-        hs.write(src.ids->slice(ids_lo, ids_hi - ids_lo));
+        sink.write(std::move(head));
+        sink.write(src.ids->slice(ids_lo, ids_hi - ids_lo));
         head = {};
     } else {
         put_freq_table(head, src.freq);
@@ -100,8 +100,8 @@ u32 emit_segment(format::HashingSink& hs, const SegmentSource& src, u64 lo,
     put_u64(head, meta_bytes.size());
     head.insert(head.end(), meta_bytes.begin(), meta_bytes.end());
     put_u64(head, unit_hi - unit_lo);
-    hs.write(std::move(head));
-    hs.write(format::unit_wire_bytes(*src.units, unit_lo, unit_hi - unit_lo));
+    sink.write(std::move(head));
+    sink.write(format::unit_wire_bytes(*src.units, unit_lo, unit_hi - unit_lo));
 
     return plan.last_split - plan.first_split + 1;
 }
@@ -118,7 +118,6 @@ u32 build_wire_into(std::span<const SegmentSource> sources, u64 lo, u64 hi,
     }
     RECOIL_CHECK(count > 0, "range wire: no intersecting streams");
 
-    format::HashingSink hs(sink);
     std::vector<u8> head;
     head.insert(head.end(), kMagic, kMagic + 4);
     head.push_back(kVersion);
@@ -127,7 +126,7 @@ u32 build_wire_into(std::span<const SegmentSource> sources, u64 lo, u64 hi,
     put_u64(head, lo);
     put_u64(head, hi);
     put_u32(head, count);
-    hs.write(std::move(head));
+    sink.write(std::move(head));
 
     u32 splits = 0;
     for (const SegmentSource& src : sources) {
@@ -135,12 +134,9 @@ u32 build_wire_into(std::span<const SegmentSource> sources, u64 lo, u64 hi,
         if (src.base >= hi || src.base + n <= lo) continue;
         const u64 local_lo = lo > src.base ? lo - src.base : 0;
         const u64 local_hi = std::min(hi - src.base, n);
-        splits += emit_segment(hs, src, local_lo, local_hi);
+        splits += emit_segment(sink, src, local_lo, local_hi);
     }
-
-    std::vector<u8> trailer;
-    put_u64(trailer, hs.digest());
-    sink.write(std::move(trailer));
+    sink.seal();
     return splits;
 }
 

@@ -41,10 +41,12 @@ WireBytes share(std::vector<u8> bytes) {
 /// them, so an uncached stream owns only the structural bytes.
 class PieceSink final : public format::WireSink {
 public:
-    void write(format::ByteBuffer piece) override {
+    std::vector<format::ByteBuffer> pieces;
+
+private:
+    void keep(format::ByteBuffer piece) override {
         if (!piece.empty()) pieces.push_back(std::move(piece));
     }
-    std::vector<format::ByteBuffer> pieces;
 };
 
 /// Whole-wire FNV of a sealed wire held as pieces: gathers the trailer (the
@@ -88,8 +90,11 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
         const format::ByteBuffer& p = pieces_[piece_];
         const std::size_t n = static_cast<std::size_t>(
             std::min<u64>(max_frame_, p.size() - off_));
+        const std::optional<u64> sum =
+            seq_ < sums_.size() ? std::optional<u64>(sums_[seq_])
+                                : std::nullopt;
         frame = encode_stream_body(
-            seq_++, std::span<const u8>(p.data() + off_, n), max_frame_);
+            seq_++, std::span<const u8>(p.data() + off_, n), max_frame_, sum);
         max_body_ = std::max<u64>(max_body_, n);
         off_ += n;
         if (off_ == p.size()) {
@@ -355,9 +360,9 @@ ServeResult ContentServer::serve_impl(const ServeRequest& req,
     }();
     ServeResult res;
     res.payload = p.payload;
-    ServedWire served = serve_shared(p, res.stats, &trace);
-    res.wire = std::move(served.wire);
-    res.stats.splits_served = served.splits;
+    const SharedResponse served = serve_shared(p, res.stats, &trace);
+    res.wire = WireBytes(served, &served->wire);  // shares the response
+    res.stats.splits_served = served->splits;
     res.stats.wire_bytes = res.wire->size();
     res.code = ErrorCode::ok;
     return res;
@@ -376,19 +381,20 @@ bool ContentServer::acquire_flight(const std::string& flight_key,
     return false;
 }
 
-ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
-                                       obs::TraceContext* trace) {
+SharedResponse ContentServer::serve_shared(const Prepared& p,
+                                           ServeStats& stats,
+                                           obs::TraceContext* trace) {
     {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
-        u32 splits = 0;
-        if (WireBytes wire = cache_.get(p.key, p.parallelism, &splits)) {
+        if (SharedResponse hit = cache_.get(p.key, p.parallelism)) {
             stats.cache_hit = true;
-            return {std::move(wire), splits};
+            return hit;
         }
     }
 
     // Single-flight: the first request for a key becomes the leader and
-    // combines; concurrent requests park on the flight and share its wire.
+    // combines; concurrent requests park on the flight and share its
+    // finished response.
     // serve_stream() comes through here too, so streamed and v1 requests
     // for one key coalesce on the same flight.
     const std::string flight_key =
@@ -407,31 +413,32 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
         if (flight->failed)
             throw ProtocolError(flight->error_code, flight->error_detail);
         stats.coalesced = true;
-        return flight->wire;
+        return flight->response;
     }
 
     // Won the flight — but the previous leader may have populated the cache
     // between our miss and the flight insert (put happens before the flight
     // retires). Recheck before paying for a combine, and publish the cached
-    // wire to any followers already parked on this flight. The recheck is
-    // the same logical request, whose miss the lookup above already
+    // response to any followers already parked on this flight. The recheck
+    // is the same logical request, whose miss the lookup above already
     // counted: a recheck miss counts nothing, a recheck hit counts its hit.
-    {
-        u32 splits = 0;
-        if (WireBytes cached = cache_.get(p.key, p.parallelism, &splits,
-                                          /*count_miss=*/false)) {
-            ServedWire wire{std::move(cached), splits};
-            retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
-            stats.cache_hit = true;
-            return wire;
-        }
+    if (SharedResponse cached =
+            cache_.get(p.key, p.parallelism, /*count_miss=*/false)) {
+        retire_flight(flight_key, flight, cached, ErrorCode::ok, {});
+        stats.cache_hit = true;
+        return cached;
     }
 
-    ServedWire wire;
+    SharedResponse response;
     try {
-        format::VectorSink sink;
-        wire.splits = produce(p, sink, stats, trace);
-        wire.wire = share(std::move(sink.out));
+        // The serializer's one pass also yields the body-frame checksums
+        // a default-size stream of this response sends.
+        format::VectorSink sink(body_frame_sums(kDefaultMaxFrameBytes));
+        auto made = std::make_shared<FinishedResponse>();
+        made->splits = produce(p, sink, stats, trace);
+        made->wire = std::move(sink.out);
+        made->frame_sums = sink.frame_sums();
+        response = std::move(made);
         // Publish to the cache before retiring the flight, so a request
         // arriving between the two hits the cache instead of recombining.
         // Inside the try: a put failure must retire the flight too, or
@@ -445,7 +452,7 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
         // served for the successor, so the cost is transient bytes, not
         // staleness.)
         if (store_.is_current(*p.asset))
-            cache_.put(p.key, p.parallelism, wire.wire, wire.splits);
+            cache_.put(p.key, p.parallelism, response);
     } catch (const ProtocolError& e) {
         retire_flight(flight_key, flight, nullptr, e.code(), e.what());
         throw;
@@ -458,13 +465,14 @@ ServedWire ContentServer::serve_shared(const Prepared& p, ServeStats& stats,
                       "combine failed");
         throw;
     }
-    retire_flight(flight_key, flight, &wire, ErrorCode::ok, {});
-    return wire;
+    retire_flight(flight_key, flight, response, ErrorCode::ok, {});
+    return response;
 }
 
 void ContentServer::retire_flight(const std::string& flight_key,
                                   const std::shared_ptr<Flight>& flight,
-                                  const ServedWire* wire, ErrorCode error_code,
+                                  SharedResponse response,
+                                  ErrorCode error_code,
                                   std::string error_detail) {
     {
         util::MutexLock lk(flights_mu_);
@@ -472,8 +480,8 @@ void ContentServer::retire_flight(const std::string& flight_key,
     }
     {
         util::MutexLock fl(flight->mu);
-        if (wire != nullptr) {
-            flight->wire = *wire;
+        if (response != nullptr) {
+            flight->response = std::move(response);
         } else {
             flight->failed = true;
             flight->error_code = error_code;
@@ -508,10 +516,15 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
         head.payload = p.payload;
         std::vector<format::ByteBuffer> pieces;
         if (opt.use_cache) {
-            ServedWire served = serve_shared(p, head.stats, &st.trace_);
-            head.stats.splits_served = served.splits;
-            pieces.push_back(
-                format::ByteBuffer::view(*served.wire, served.wire));
+            const SharedResponse served =
+                serve_shared(p, head.stats, &st.trace_);
+            head.stats.splits_served = served->splits;
+            pieces.push_back(format::ByteBuffer::view(served->wire, served));
+            // The held checksums match this stream's frames only at the
+            // frame size they were built for, from the wire's first byte.
+            if (st.max_frame_ == kDefaultMaxFrameBytes &&
+                req.resume_offset == 0)
+                st.sums_ = served->frame_sums;
         } else {
             PieceSink sink;
             head.stats.splits_served = produce(p, sink, head.stats, &st.trace_);
@@ -523,6 +536,10 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
             total += piece.size();
             if (!piece.borrowed()) owned += piece.size();
         }
+        RECOIL_CHECK(st.sums_.empty() ||
+                         st.sums_.size() ==
+                             (total + st.max_frame_ - 1) / st.max_frame_,
+                     "stream: held frame checksums do not fit the wire");
         if (req.resume_offset > total)
             throw ProtocolError(
                 ErrorCode::bad_request,

@@ -80,10 +80,12 @@ class ContentServer;
 /// body frames, FIN frame, then nullopt). The response is finished before
 /// the stream exists, so next_frame() never waits: each body frame is
 /// encoded straight from one piece of the immutable wire (a frame may end
-/// early at a piece boundary) and resuming is a seek. The stream pins its
-/// asset (and therefore every mmapped buffer its pieces view), so
-/// unload()/evict() mid-stream never invalidates it. Must not outlive the
-/// ContentServer that created it.
+/// early at a piece boundary) and resuming is a seek. A cached response's
+/// frames at the default frame size, from offset 0, reuse its held frame
+/// checksums and are not hashed again. The stream pins its asset (and
+/// therefore every mmapped buffer its pieces view), so unload()/evict()
+/// mid-stream never invalidates it. Must not outlive the ContentServer that
+/// created it.
 class ServeStream {
 public:
     ServeStream(ServeStream&&) noexcept = default;
@@ -114,6 +116,10 @@ private:
     ServeResult head_;
     std::shared_ptr<const Asset> asset_;  ///< pinned for the stream's life
     std::vector<format::ByteBuffer> pieces_;  ///< the finished wire, in order
+    /// Held checksums of exactly the frames this stream emits (see
+    /// FinishedResponse::frame_sums), kept alive by pieces_'s keeper; empty
+    /// when each frame is hashed as it is built.
+    std::span<const u64> sums_;
     u64 max_frame_ = kDefaultMaxFrameBytes;
     u64 digest_ = 0;  ///< whole-wire FNV, for the FIN
     u64 owned_ = 0;   ///< bytes of the owned (non-borrowed) pieces
@@ -139,7 +145,7 @@ struct Flight {
     util::Mutex mu;
     util::CondVar cv;
     bool done RECOIL_GUARDED_BY(mu) = false;
-    ServedWire wire RECOIL_GUARDED_BY(mu);
+    SharedResponse response RECOIL_GUARDED_BY(mu);
     bool failed RECOIL_GUARDED_BY(mu) = false;
     ErrorCode error_code RECOIL_GUARDED_BY(mu) = ErrorCode::internal;
     std::string error_detail RECOIL_GUARDED_BY(mu);
@@ -243,24 +249,24 @@ private:
 
     ServeResult serve_impl(const ServeRequest& req, obs::TraceContext& trace);
     /// Cache lookup + single-flight combine for one response key. `asset`
-    /// is the asset the key was derived from: after the combine, the wire
-    /// enters the cache only if that asset is still current (the
+    /// is the asset the key was derived from: after the combine, the
+    /// response enters the cache only if that asset is still current (the
     /// evict-during-flight stale-put gate). `trace` may be null (telemetry
     /// off): spans are then skipped but behavior is identical.
-    ServedWire serve_shared(const Prepared& p, ServeStats& stats,
-                            obs::TraceContext* trace);
+    SharedResponse serve_shared(const Prepared& p, ServeStats& stats,
+                                obs::TraceContext* trace);
     /// Insert-or-join the flight for `flight_key`. True when this caller
     /// is the leader (it must eventually retire the flight).
     bool acquire_flight(const std::string& flight_key,
                         std::shared_ptr<Flight>& flight)
         RECOIL_EXCLUDES(flights_mu_);
-    /// Remove the flight from the map, publish its outcome (wire when
-    /// non-null, else the typed failure) and wake every parked follower.
-    /// Every leader exit path must end here, or followers block forever on
-    /// a stranded flight.
+    /// Remove the flight from the map, publish its outcome (`response`
+    /// when non-null, else the typed failure) and wake every parked
+    /// follower. Every leader exit path must end here, or followers block
+    /// forever on a stranded flight.
     void retire_flight(const std::string& flight_key,
                        const std::shared_ptr<Flight>& flight,
-                       const ServedWire* wire, ErrorCode error_code,
+                       SharedResponse response, ErrorCode error_code,
                        std::string error_detail) RECOIL_EXCLUDES(flights_mu_);
     /// Run a governance pass if the global budget is exceeded. Called at
     /// the end of every serve and serve_stream — the moments usage can have

@@ -50,12 +50,11 @@ std::vector<u8> ChunkedStream::serialize() const {
 }
 
 void ChunkedStream::serialize_into(format::WireSink& sink) const {
-    format::HashingSink hs(sink);
     std::vector<u8> head;
     head.insert(head.end(), kMagicV2, kMagicV2 + 4);
     put_u32(head, prob_bits);
     put_u32(head, static_cast<u32>(chunks.size()));
-    hs.write(std::move(head));
+    sink.write(std::move(head));
     for (const Chunk& c : chunks) {
         std::vector<u8> section;
         put_freq_table(section, c.freq);
@@ -63,13 +62,11 @@ void ChunkedStream::serialize_into(format::WireSink& sink) const {
         put_u64(section, meta.size());
         section.insert(section.end(), meta.begin(), meta.end());
         put_u64(section, c.units.size());
-        put_unit_pad(section, hs.bytes());
-        hs.write(std::move(section));
-        hs.write(format::unit_wire_bytes(c.units, 0, c.units.size()));
+        put_unit_pad(section, sink.bytes());
+        sink.write(std::move(section));
+        sink.write(format::unit_wire_bytes(c.units, 0, c.units.size()));
     }
-    std::vector<u8> trailer;
-    put_u64(trailer, hs.digest());
-    sink.write(std::move(trailer));
+    sink.seal();
 }
 
 u64 ChunkedStream::serialized_size() const {

@@ -24,8 +24,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
-WireBytes wire_of(u64 n, u8 fill) {
-    return std::make_shared<const std::vector<u8>>(n, fill);
+SharedResponse wire_of(u64 n, u8 fill) {
+    auto r = std::make_shared<FinishedResponse>();
+    r->wire.assign(n, fill);
+    return r;
 }
 
 /// Fresh store directory per test; removed on destruction.

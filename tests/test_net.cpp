@@ -145,6 +145,57 @@ TEST(FrameReader, OversizedAnnouncementRejectedAtPrefixTime) {
     EXPECT_THROW(reader.feed(std::span<const u8>(prefix + 3, 1)), NetError);
 }
 
+TEST(FrameReader, ThousandsOfFramesInOneFeedThenASplitFrame) {
+    // Pipelined small requests arrive many to a read: popping them must
+    // yield each in order (a pop advances a read offset; feed() compacts),
+    // and a frame straddling two feeds must still reassemble.
+    constexpr u32 kFrames = 5000;
+    std::vector<u8> wire;
+    for (u32 i = 0; i < kFrames; ++i) {
+        std::vector<u8> f(35, static_cast<u8>(i));
+        for (int b = 0; b < 4; ++b) f[b] = static_cast<u8>(i >> (8 * b));
+        append_net_frame(wire, f);
+    }
+    const std::vector<u8> last(1000, 0x5a);
+    std::vector<u8> tail;
+    append_net_frame(tail, last);
+    wire.insert(wire.end(), tail.begin(), tail.begin() + 500);
+
+    FrameReader reader;
+    reader.feed(wire);
+    for (u32 i = 0; i < kFrames; ++i) {
+        auto f = reader.next();
+        ASSERT_TRUE(f) << "frame " << i;
+        ASSERT_EQ(f->size(), 35u);
+        u32 id = 0;
+        for (int b = 0; b < 4; ++b) id |= u32{(*f)[b]} << (8 * b);
+        ASSERT_EQ(id, i);
+        ASSERT_EQ(f->back(), static_cast<u8>(i));
+    }
+    EXPECT_FALSE(reader.next());
+    EXPECT_FALSE(reader.empty());
+    EXPECT_EQ(reader.buffered_bytes(), 500u);
+    reader.feed(std::span<const u8>(tail).subspan(500));
+    auto f = reader.next();
+    ASSERT_TRUE(f);
+    EXPECT_EQ(*f, last);
+    EXPECT_FALSE(reader.next());
+    EXPECT_TRUE(reader.empty());
+}
+
+TEST(FrameReader, OversizedPrefixBehindAPoppedFrameIsRejected) {
+    // The bound applies to the next unread prefix, not to a frame already
+    // popped from the front of the buffer.
+    FrameReader reader(1024);
+    std::vector<u8> wire;
+    append_net_frame(wire, std::vector<u8>(10, 0x01));
+    const u8 prefix[4] = {0x00, 0x00, 0x10, 0x00};  // announces 1 MiB
+    wire.insert(wire.end(), prefix, prefix + 3);
+    reader.feed(wire);
+    ASSERT_TRUE(reader.next());
+    EXPECT_THROW(reader.feed(std::span<const u8>(prefix + 3, 1)), NetError);
+}
+
 TEST_F(NetFixture, StreamedFramesSurviveByteAtATimeTransport) {
     // End-to-end fragmentation torture: a full v2 stream's transport bytes
     // fed one byte at a time must reassemble bit-exactly with v1.

@@ -484,13 +484,16 @@ TEST(ObsServer, SamplingTakesTheTimedPathOneInN) {
 // is a lifetime high-water mark.
 TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
     MetadataCache cache(1 << 20);
-    auto wire = [](std::size_t n) {
-        return std::make_shared<std::vector<u8>>(n, u8{7});
+    auto wire = [](std::size_t n, u32 splits) {
+        auto r = std::make_shared<FinishedResponse>();
+        r->wire.assign(n, u8{7});
+        r->splits = splits;
+        return SharedResponse(std::move(r));
     };
-    cache.get("a", 4, nullptr);           // miss
-    cache.put("a", 4, wire(1000), 4);     // insertion
-    cache.get("a", 4, nullptr);           // hit, +1000 hit bytes
-    cache.put("big", 1, wire(2 << 20), 1);  // larger than capacity: rejected
+    cache.get("a", 4);                    // miss
+    cache.put("a", 4, wire(1000, 4));     // insertion
+    cache.get("a", 4);                    // hit, +1000 hit bytes
+    cache.put("big", 1, wire(2 << 20, 1));  // larger than capacity: rejected
 
     auto s1 = cache.stats();
     EXPECT_EQ(s1.hits, 1u);
@@ -516,12 +519,12 @@ TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
     EXPECT_EQ(s2.evictions, 0u);
     EXPECT_EQ(s2.peak_bytes, 1000u);
     // The contents are gone: a cleared key misses.
-    EXPECT_EQ(cache.get("a", 4, nullptr), nullptr);
+    EXPECT_EQ(cache.get("a", 4), nullptr);
 
     // Eviction bumps its own cumulative counter and never rewinds others.
     MetadataCache tiny(1500);
-    tiny.put("x", 1, wire(1000), 1);
-    tiny.put("y", 1, wire(1000), 1);  // displaces x
+    tiny.put("x", 1, wire(1000, 1));
+    tiny.put("y", 1, wire(1000, 1));  // displaces x
     auto s3 = tiny.stats();
     EXPECT_EQ(s3.evictions, 1u);
     EXPECT_EQ(s3.insertions, 2u);

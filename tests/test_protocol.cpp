@@ -7,6 +7,7 @@
 
 #include "serve/server.hpp"
 #include "test_util.hpp"
+#include "util/xoshiro.hpp"
 
 namespace recoil::serve {
 namespace {
@@ -234,6 +235,64 @@ TEST(Protocol, ServeFrameSpeaksTheProtocolEndToEnd) {
     const auto t = server.totals();
     EXPECT_EQ(t.requests, 4u);
     EXPECT_EQ(t.failures, 2u);
+}
+
+TEST(BodyFrameSums, HeldChecksumsEqualEncodeStreamBodyAtEveryTrailerPlacement) {
+    // A sink asked for body-frame checksums folds each frame while the wire
+    // is built. Whatever the piece boundaries, every held checksum must be
+    // the one encode_stream_body computes for that F-byte slice of the
+    // sealed wire. The totals put the 8-byte trailer whole in the last
+    // frame, split across the last two, and alone in its own frame.
+    constexpr u64 F = kDefaultMaxFrameBytes;
+    std::vector<u8> data(2 * F + 16);
+    Xoshiro256 rng(17);
+    for (u8& b : data) b = static_cast<u8>(rng());
+    const auto keeper = std::make_shared<const std::vector<u8>>(data);
+    const std::span<const u8> all(*keeper);
+
+    std::vector<u64> totals;
+    for (const u64 base : {F, 2 * F})
+        for (u64 t = base - 9; t <= base + 9; ++t) totals.push_back(t);
+    for (const u64 total : totals) {
+        const u64 body = total - 8;  // bytes above the trailer
+        std::vector<u8> ref(data.begin(), data.begin() + body);
+        format::wire::append_checksum(ref);
+        std::vector<u64> want;
+        for (u64 pos = 0; pos < total; pos += F) {
+            const auto frame = encode_stream_body(
+                static_cast<u32>(want.size()),
+                std::span<const u8>(ref).subspan(pos, std::min(F, total - pos)),
+                F);
+            want.push_back(format::stored_checksum(frame));
+        }
+
+        // Piece cuts on and next to frame boundaries, plus 1-byte pieces
+        // at either end; each cut set is one way to deliver the bytes.
+        const std::vector<std::vector<u64>> layouts = {
+            {},
+            {F - 1},
+            {F},
+            {F + 1},
+            {1, F - 1, F, F + 1, 2 * F - 1, 2 * F, 2 * F + 1, body - 1},
+        };
+        for (std::size_t li = 0; li < layouts.size(); ++li) {
+            format::VectorSink sink(body_frame_sums(F));
+            u64 pos = 0;
+            for (const u64 cut : layouts[li]) {
+                if (cut <= pos || cut >= body) continue;
+                sink.write(format::ByteBuffer::view(all.subspan(pos, cut - pos),
+                                                    keeper));
+                pos = cut;
+            }
+            sink.write(
+                format::ByteBuffer::view(all.subspan(pos, body - pos), keeper));
+            sink.seal();
+            ASSERT_EQ(sink.out, ref) << "total " << total << " layout " << li;
+            EXPECT_EQ(sink.bytes(), total);
+            EXPECT_EQ(sink.frame_sums(), want)
+                << "total " << total << " layout " << li;
+        }
+    }
 }
 
 }  // namespace

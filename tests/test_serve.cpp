@@ -24,8 +24,10 @@
 namespace recoil::serve {
 namespace {
 
-std::shared_ptr<const std::vector<u8>> make_wire(std::size_t n, u8 fill) {
-    return std::make_shared<const std::vector<u8>>(n, fill);
+SharedResponse make_wire(std::size_t n, u8 fill) {
+    auto r = std::make_shared<FinishedResponse>();
+    r->wire.assign(n, fill);
+    return r;
 }
 
 TEST(MetadataCache, HitMissAndByteAccounting) {
@@ -35,7 +37,7 @@ TEST(MetadataCache, HitMissAndByteAccounting) {
     cache.put("a", 16, make_wire(400, 2));
     auto hit = cache.get("a", 8);
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->front(), 1);
+    EXPECT_EQ(hit->wire.front(), 1);
 
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.hits, 1u);

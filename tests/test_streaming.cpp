@@ -24,6 +24,7 @@
 #include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "test_util.hpp"
+#include "util/xoshiro.hpp"
 
 #if defined(__SANITIZE_THREAD__)
 #define RECOIL_TSAN 1
@@ -349,6 +350,245 @@ TEST_F(StreamingFixture, HostileMidStreamFramesAreTypedErrors) {
         StreamReassembler ra;
         ra.feed(frames[0]);
         EXPECT_THROW(ra.feed(frames.back()), ProtocolError);  // early FIN
+    }
+}
+
+/// Feed `frames` (header, bodies, FIN) to a fresh reassembler with `bad` in
+/// place of frame `at`: `bad` must be rejected with `code`, and the intact
+/// frame fed after it must still complete the stream bit-exact with `wire`.
+void expect_rejected_then_recovers(const std::vector<std::vector<u8>>& frames,
+                                   std::size_t at, const std::vector<u8>& bad,
+                                   ErrorCode code, u64 max_frame_bytes,
+                                   const std::vector<u8>& wire,
+                                   const std::string& what) {
+    StreamReassembler ra(max_frame_bytes);
+    for (std::size_t i = 0; i < at; ++i) ra.feed(frames[i]);
+    try {
+        ra.feed(bad);
+        ADD_FAILURE() << what << ": damaged frame accepted";
+    } catch (const ProtocolError& e) {
+        EXPECT_EQ(e.code(), code) << what << ": " << e.what();
+    }
+    bool done = false;
+    for (std::size_t i = at; i < frames.size(); ++i) done = ra.feed(frames[i]);
+    ASSERT_TRUE(done) << what;
+    EXPECT_TRUE(*ra.result().wire == wire) << what << ": reassembly diverges";
+}
+
+TEST_F(StreamingFixture, EveryFlippedBodyBitIsAChecksumMismatchAndLeavesTheStreamWhole) {
+    // The reassembler checks a body frame in one pass (frame checksum and
+    // whole-wire digest together). A flipped bit anywhere in a body frame
+    // (header fields, payload or checksum) must still end in
+    // checksum_mismatch, as when every frame was verified before parsing,
+    // and must leave the reassembler as it was.
+    const ServeRequest req{"static", 8, {{kN / 3, kN / 3 + 9000}},
+                           kAcceptStream};
+    const ServeResult ref = server.serve(req);
+    ASSERT_TRUE(ref.ok()) << ref.detail;
+    for (const u64 mf : {kDefaultMaxFrameBytes, u64{1024}}) {
+        StreamOptions opt;
+        opt.max_frame_bytes = mf;
+        const auto frames = collect_frames(server.serve_stream(req, opt));
+        // Every body frame of the default-size stream; one past the first
+        // (seq 1) of the small-frame stream.
+        const std::size_t first = mf == kDefaultMaxFrameBytes ? 1 : 2;
+        const std::size_t last = mf == kDefaultMaxFrameBytes ? frames.size() - 1 : 3;
+        ASSERT_GT(frames.size(), last) << "frame size " << mf;
+        for (std::size_t at = first; at < last; ++at) {
+            for (std::size_t pos = 0; pos < frames[at].size(); ++pos) {
+                auto bad = frames[at];
+                bad[pos] ^= static_cast<u8>(1u << (pos % 8));
+                expect_rejected_then_recovers(
+                    frames, at, bad, ErrorCode::checksum_mismatch, mf,
+                    *ref.wire,
+                    "frame size " + std::to_string(mf) + ", frame " +
+                        std::to_string(at) + ", byte " + std::to_string(pos));
+            }
+        }
+    }
+}
+
+TEST_F(StreamingFixture, ResealedStructuralDamageKeepsItsTypedCode) {
+    // Damage an attacker reseals passes the frame checksum, so the frame's
+    // structure and the stream's sequencing must reject it, with the code
+    // the verify-first reassembler gave.
+    const ServeRequest req{"chunked", 4, std::nullopt, kAcceptStream};
+    const ServeResult ref = server.serve(req);
+    ASSERT_TRUE(ref.ok()) << ref.detail;
+    constexpr u64 mf = 4096;
+    StreamOptions opt;
+    opt.max_frame_bytes = mf;
+    const auto frames = collect_frames(server.serve_stream(req, opt));
+    ASSERT_GE(frames.size(), 5u);
+    // Body frame layout: magic 4, version, type, reserved @6, seq u32 @7,
+    // length u64 @11, payload @19, then the checksum.
+    const std::size_t at = 2;  // seq 1, a full frame
+    const std::size_t last_body = frames.size() - 2;  // a shorter one
+    ASSERT_EQ(frames[at].size(), 19 + mf + 8);
+    ASSERT_LT(frames[last_body].size(), 19 + mf + 8);
+    const auto damaged = [&](std::size_t frame, auto edit) {
+        auto f = frames[frame];
+        f.resize(f.size() - 8);
+        edit(f);
+        f.resize(f.size() + 8);
+        return reseal(std::move(f));
+    };
+    const auto add_to_length = [](std::vector<u8>& f, i64 delta) {
+        u64 len = 0;
+        for (int i = 0; i < 8; ++i) len |= u64{f[11 + i]} << (8 * i);
+        len += static_cast<u64>(delta);
+        for (int i = 0; i < 8; ++i) f[11 + i] = static_cast<u8>(len >> (8 * i));
+    };
+    const auto grow = [&](std::vector<u8>& f) {
+        f.push_back(0xEE);
+        add_to_length(f, 1);
+    };
+    struct Case {
+        const char* what;
+        std::size_t frame;
+        std::vector<u8> bad;
+        ErrorCode code;
+    };
+    const std::vector<Case> cases = {
+        {"wrong seq", at, damaged(at, [](auto& f) { f[7] = 5; }),
+         ErrorCode::malformed_frame},
+        {"length field one past the payload", last_body,
+         damaged(last_body, [&](auto& f) { add_to_length(f, 1); }),
+         ErrorCode::malformed_frame},
+        {"length field one short of the payload", last_body,
+         damaged(last_body, [&](auto& f) { add_to_length(f, -1); }),
+         ErrorCode::malformed_frame},
+        {"length field one short of a full payload", at,
+         damaged(at, [&](auto& f) { add_to_length(f, -1); }),
+         ErrorCode::malformed_frame},
+        {"length field past the negotiated maximum", at,
+         damaged(at, [&](auto& f) { add_to_length(f, 1); }),
+         ErrorCode::frame_too_large},
+        {"reserved byte set", at, damaged(at, [](auto& f) { f[6] = 1; }),
+         ErrorCode::malformed_frame},
+        {"body over the negotiated maximum", at, damaged(at, grow),
+         ErrorCode::frame_too_large},
+        {"body past the announced wire size", last_body,
+         damaged(last_body, grow), ErrorCode::malformed_frame},
+    };
+    for (const Case& c : cases)
+        expect_rejected_then_recovers(frames, c.frame, c.bad, c.code, mf,
+                                      *ref.wire, c.what);
+}
+
+/// StreamingFixture plus wires of about 2.75 MB, three default-size (1 MiB)
+/// body frames each: the regime where a cached stream sends the checksums
+/// held with the finished response instead of hashing each frame.
+struct LargeWireFixture : StreamingFixture {
+    static constexpr u64 kBig = 2'750'000;
+    std::vector<u8> big;
+
+    LargeWireFixture() : big(kBig) {
+        Xoshiro256 rng(23);
+        for (u8& b : big) b = static_cast<u8>(rng());  // ~1 wire byte each
+        server.store().encode_bytes("big_static", big, 16);
+        server.store().add_file("big_indexed", indexed_file(big, 16));
+        stream::ChunkedEncoder enc({11, 8});
+        for (u64 off = 0; off < kBig; off += kBig / 4)
+            enc.add_chunk(std::span<const u8>(big).subspan(off, kBig / 4));
+        server.store().add_chunked("big_chunked", enc.finish());
+    }
+
+    /// Body frame `seq` as encode_stream_body builds it (hashing it) from
+    /// the slice at `pos` of `wire`.
+    static std::vector<u8> reference_body(u32 seq, const std::vector<u8>& wire,
+                                          u64 pos, u64 mf) {
+        const u64 n = std::min(mf, wire.size() - pos);
+        return encode_stream_body(
+            seq, std::span<const u8>(wire).subspan(pos, n), mf);
+    }
+
+    /// Every body frame of a stream of `wire` from byte `from` at `mf`-byte
+    /// frames equals the reference frame.
+    static void expect_reference_bodies(
+        const std::vector<std::vector<u8>>& frames, const std::vector<u8>& wire,
+        u64 from, u64 mf, const std::string& what) {
+        const u64 bodies = (wire.size() - from + mf - 1) / mf;
+        ASSERT_EQ(frames.size(), bodies + 2) << what;
+        for (u64 k = 0; k < bodies; ++k)
+            EXPECT_TRUE(frames[1 + k] ==
+                        reference_body(static_cast<u32>(k), wire,
+                                       from + k * mf, mf))
+                << what << ": body frame " << k << " differs";
+    }
+};
+
+TEST_F(LargeWireFixture, HeldFrameChecksumsReproduceEveryFrame) {
+    constexpr u64 F = kDefaultMaxFrameBytes;
+    StreamOptions small;
+    small.max_frame_bytes = 4096;
+    struct Shape {
+        const char* name;
+        std::optional<std::pair<u64, u64>> range;
+    };
+    for (const Shape& shape :
+         {Shape{"big_static", std::nullopt}, Shape{"big_indexed", std::nullopt},
+          Shape{"big_chunked", std::nullopt},
+          Shape{"big_chunked", {{1000, kBig - 1000}}}}) {
+        const ServeRequest req{shape.name, 8, shape.range, kAcceptStream};
+        const std::string what =
+            std::string(shape.name) + (shape.range ? " range" : " full");
+        const ServeResult ref = server.serve(req);
+        ASSERT_TRUE(ref.ok()) << what << ": " << ref.detail;
+        const std::vector<u8>& wire = *ref.wire;
+        ASSERT_GE(wire.size(), 2'500'000u) << what;
+
+        const auto check = [&](const char* how, ServeStream stream, u64 mf) {
+            const auto frames = collect_frames(std::move(stream));
+            expect_reference_bodies(frames, wire, 0, mf, what + " " + how);
+            const ServeResult got = reassemble(frames, mf);
+            ASSERT_TRUE(got.ok()) << what << " " << how;
+            EXPECT_TRUE(*got.wire == wire) << what << " " << how;
+        };
+        server.cache().clear();
+        ServeStream cold = server.serve_stream(req);
+        EXPECT_FALSE(cold.head().stats.cache_hit) << what;
+        check("cold", std::move(cold), F);
+        ServeStream warm = server.serve_stream(req);
+        EXPECT_TRUE(warm.head().stats.cache_hit) << what;
+        check("warm", std::move(warm), F);
+        check("4096-byte frames", server.serve_stream(req, small), 4096);
+
+        server.cache().clear();
+        std::atomic<int> combines{0};
+        hold_leader_until(1, combines);
+        std::thread leader([&] { (void)server.serve(req); });
+        while (combines.load() == 0) std::this_thread::yield();
+        ServeStream follower = server.serve_stream(req);
+        leader.join();
+        on_combine = nullptr;
+        EXPECT_TRUE(follower.head().stats.coalesced) << what;
+        check("coalesced", std::move(follower), F);
+
+        // Resumed streams are framed from the resume offset, not on the
+        // held frame boundaries, and are hashed as they are built.
+        const auto header = collect_frames(server.serve_stream(req)).front();
+        for (const u64 off : {u64{1}, F - 1, F + 1, u64{wire.size()} - 1}) {
+            ServeRequest resumed = req;
+            resumed.resume_offset = off;
+            const auto tail = collect_frames(server.serve_stream(resumed));
+            const std::string at = what + " resumed @" + std::to_string(off);
+            expect_reference_bodies(tail, wire, off, F, at);
+            StreamReassembler ra(F);
+            ra.feed(header);
+            u32 seq = 0;
+            for (u64 pos = 0; pos < off; pos += F)
+                ra.feed(encode_stream_body(
+                    seq++,
+                    std::span<const u8>(wire).subspan(pos,
+                                                      std::min(F, off - pos)),
+                    F));
+            ra.begin_resume();
+            bool done = false;
+            for (const auto& f : tail) done = ra.feed(f);
+            ASSERT_TRUE(done) << at;
+            EXPECT_TRUE(*ra.result().wire == wire) << at;
+        }
     }
 }
 
@@ -701,7 +941,9 @@ TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
 TEST(CacheGauges, PeakBytesIsAHighWaterMarkThatSurvivesClear) {
     MetadataCache cache(1000);
     auto wire = [](std::size_t n) {
-        return std::make_shared<const std::vector<u8>>(std::vector<u8>(n, 1));
+        auto r = std::make_shared<FinishedResponse>();
+        r->wire.assign(n, 1);
+        return SharedResponse(std::move(r));
     };
     cache.put("a", 1, wire(400));
     cache.put("b", 1, wire(500));
