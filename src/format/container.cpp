@@ -91,6 +91,7 @@ void WireSink::seal() {
                                t.size() - room)));
     }
     bytes_ += trailer.size();
+    digest_ = fnv1a(trailer, digest_);  // sealed_fnv1a, without re-reading
     keep(std::move(trailer));
 }
 
@@ -135,7 +136,8 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
         for (const auto& freq : p.freqs) put_freq_table(head, freq);
         put_u64(head, p.ids.size());
         sink.write(std::move(head));
-        sink.write(p.ids);  // shared view of the id stream, never a copy
+        // A borrowed view of the id stream, never a copy.
+        sink.write(ByteBuffer::view(p.ids, p.ids.keeper()));
     } else {
         const auto& p = std::get<RecoilFile::StaticPayload>(f.model);
         put_freq_table(head, p.freq);

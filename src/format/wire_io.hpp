@@ -140,10 +140,11 @@ struct FrameSums {
 /// Push consumer of a wire under construction, fed pieces in wire order and
 /// closed by seal(), which appends the trailer every container, RCS and
 /// RCR2 wire ends with: the LE FNV-1a of every byte above it. The sink, not
-/// the serializer, hashes, so subclasses only decide where pieces go
-/// (keep()). Pieces are ByteBuffers, so producers hand out borrowed views
-/// of payload storage (mmapped bitstreams, shared id streams) without
-/// copying; only the small structural sections are owned allocations.
+/// the serializer, hashes. Pieces are ByteBuffers, so producers hand out
+/// borrowed views of payload storage (mmapped bitstreams, shared id
+/// streams) without copying; only the small structural sections are owned
+/// allocations. A WireSink keeps the pieces as they come (take_pieces()):
+/// the finished wire as a piece list, whose payload is never copied.
 /// Every serializer in the library produces through this interface —
 /// materializing a whole wire is just the VectorSink instance of it.
 ///
@@ -173,10 +174,17 @@ public:
     u64 bytes() const noexcept { return bytes_; }
     /// The requested frame checksums in frame order, complete after seal().
     const std::vector<u64>& frame_sums() const noexcept { return sums_; }
+    /// FNV-1a of the whole sealed wire, trailer included; after seal().
+    u64 digest() const noexcept { return digest_; }
+    /// The non-empty pieces kept so far, in wire order (moved out).
+    std::vector<ByteBuffer> take_pieces() noexcept { return std::move(pieces_); }
 
 protected:
-    /// Where each piece goes, in wire order (the trailer last).
-    virtual void keep(ByteBuffer piece) = 0;
+    /// Where each piece goes, in wire order (the trailer last). By default
+    /// it joins the kept pieces.
+    virtual void keep(ByteBuffer piece) {
+        if (!piece.empty()) pieces_.push_back(std::move(piece));
+    }
 
 private:
     /// Fold the open frame's held pieces, now that its length `len` is
@@ -185,11 +193,12 @@ private:
     u64 fold_open_frame(u64 len);
 
     FrameSums frames_;
-    u64 digest_ = kFnvInit;
+    u64 digest_ = kFnvInit;  ///< the trailer's chain; whole wire after seal()
     u64 bytes_ = 0;
     std::vector<ByteBuffer> open_;  ///< the open frame's unhashed pieces
     u64 open_bytes_ = 0;
     std::vector<u64> sums_;
+    std::vector<ByteBuffer> pieces_;
 };
 
 /// Materializing sink: concatenates every piece (the legacy wire shape).

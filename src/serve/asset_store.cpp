@@ -1,5 +1,8 @@
 #include "serve/asset_store.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "core/recoil_encoder.hpp"
 #include "obs/metrics.hpp"
 #include "rans/symbol_stats.hpp"
@@ -40,50 +43,57 @@ void bind_disk_weak(obs::MetricsRegistry* reg,
 
 }  // namespace
 
-void AssetStore::publish_locked(std::shared_ptr<const Asset> ptr) {
-    auto& slot = assets_[ptr->name()];
-    if (slot != nullptr)
-        resident_bytes_.fetch_sub(slot->master_bytes(),
+std::shared_ptr<const Asset> AssetStore::publish(std::shared_ptr<Asset> a,
+                                                 std::optional<u64> uid) {
+    std::shared_ptr<const Asset> ptr;
+    std::shared_ptr<const Asset> replaced;
+    {
+        util::WriterMutexLock lk(mu_);
+        a->uid_ = uid.value_or(next_uid_);
+        next_uid_ = std::max(next_uid_, a->uid_ + 1);
+        ptr = std::move(a);
+        auto& slot = assets_[ptr->name()];
+        if (slot != nullptr)
+            resident_bytes_.fetch_sub(slot->master_bytes(),
+                                      std::memory_order_relaxed);
+        resident_bytes_.fetch_add(ptr->master_bytes(),
                                   std::memory_order_relaxed);
-    resident_bytes_.fetch_add(ptr->master_bytes(), std::memory_order_relaxed);
-    slot = std::move(ptr);
+        replaced = std::exchange(slot, ptr);
+    }
+    retire(replaced);
+    return ptr;
+}
+
+std::shared_ptr<const Asset> AssetStore::remove_locked(
+    const std::string& name) {
+    auto it = assets_.find(name);
+    if (it == assets_.end()) return nullptr;
+    resident_bytes_.fetch_sub(it->second->master_bytes(),
+                              std::memory_order_relaxed);
+    std::shared_ptr<const Asset> gone = std::move(it->second);
+    assets_.erase(it);
+    return gone;
 }
 
 std::shared_ptr<const Asset> AssetStore::insert(std::shared_ptr<Asset> a) {
-    {
-        // Memory-only store: publish directly, no write-through ordering.
-        util::WriterMutexLock lk(mu_);
-        if (disk_ == nullptr) {
-            a->uid_ = next_uid_++;
-            std::shared_ptr<const Asset> ptr = std::move(a);
-            publish_locked(ptr);
-            return ptr;
-        }
-    }
     // disk_mu_ orders write-throughs: two concurrent adds of one name reach
     // disk and memory in the same order, so a restart never resurrects the
-    // losing generation.
+    // losing generation (and an attach cannot land between the two).
     util::MutexLock dl(disk_mu_);
-    std::shared_ptr<DiskStore> disk;
+    const std::shared_ptr<DiskStore> disk = backing();
+    if (disk == nullptr) return publish(std::move(a), std::nullopt);
+    u64 uid = 0;
     {
         util::WriterMutexLock lk(mu_);
-        a->uid_ = next_uid_++;
-        disk = disk_;
+        uid = next_uid_++;
     }
-    if (disk != nullptr) {
-        // Serialize the master and write through durably BEFORE publishing,
-        // so a crash cannot leave a served asset that a restart forgets.
-        const std::vector<u8> container =
-            a->file() != nullptr ? format::save_recoil_file(*a->file())
-                                 : a->chunked()->serialize();
-        disk->put(a->name(), a->kind(), container, a->uid_);
-    }
-    std::shared_ptr<const Asset> ptr = std::move(a);
-    {
-        util::WriterMutexLock lk(mu_);
-        publish_locked(ptr);
-    }
-    return ptr;
+    // Serialize the master and write through durably BEFORE publishing, so
+    // a crash cannot leave a served asset that a restart forgets.
+    const std::vector<u8> container = a->file() != nullptr
+                                          ? format::save_recoil_file(*a->file())
+                                          : a->chunked()->serialize();
+    disk->put(a->name(), a->kind(), container, uid);
+    return publish(std::move(a), uid);
 }
 
 std::shared_ptr<const Asset> AssetStore::add_file(std::string name,
@@ -168,67 +178,47 @@ std::shared_ptr<const Asset> AssetStore::resolve(const std::string& name) {
     if (disk == nullptr) return nullptr;
     auto loaded = disk->load(name);
     if (!loaded) return nullptr;
-    std::shared_ptr<Asset> a = asset_from_mapped(*loaded);
-    util::WriterMutexLock lk(mu_);
-    // The persisted generation IS the uid: cache keys derived before an
-    // unload stay valid, and fresh inserts continue strictly above it.
-    a->uid_ = loaded->info.generation;
-    if (next_uid_ <= a->uid_) next_uid_ = a->uid_ + 1;
-    std::shared_ptr<const Asset> ptr = std::move(a);
-    publish_locked(ptr);
-    return ptr;
+    // The persisted generation IS the uid: it survives unload/reload cycles
+    // and restarts, and fresh inserts continue strictly above it.
+    return publish(asset_from_mapped(*loaded), loaded->info.generation);
 }
 
 std::shared_ptr<const Asset> AssetStore::adopt(const DiskStore::Loaded& loaded) {
-    std::shared_ptr<Asset> a = asset_from_mapped(loaded);
-    util::WriterMutexLock lk(mu_);
-    a->uid_ = next_uid_++;
-    std::shared_ptr<const Asset> ptr = std::move(a);
-    publish_locked(ptr);
-    return ptr;
+    return publish(asset_from_mapped(loaded), std::nullopt);
 }
 
-bool AssetStore::is_current(const Asset& a) const {
-    std::shared_ptr<DiskStore> disk;
-    {
-        util::ReaderMutexLock lk(mu_);
-        auto it = assets_.find(a.name());
-        if (it != assets_.end()) return it->second->uid() == a.uid();
-        disk = disk_;
-    }
-    if (disk == nullptr) return false;
-    const auto info = disk->info(a.name());  // index lookup, no IO
-    return info.has_value() && info->generation == a.uid();
+bool AssetStore::is_resident(const Asset& a) const {
+    util::ReaderMutexLock lk(mu_);
+    auto it = assets_.find(a.name());
+    return it != assets_.end() && it->second.get() == &a;
 }
 
 bool AssetStore::unload(const std::string& name) {
-    util::WriterMutexLock lk(mu_);
-    auto it = assets_.find(name);
-    if (it == assets_.end()) return false;
-    resident_bytes_.fetch_sub(it->second->master_bytes(),
-                              std::memory_order_relaxed);
-    assets_.erase(it);
-    return true;
+    std::shared_ptr<const Asset> gone;
+    {
+        util::WriterMutexLock lk(mu_);
+        gone = remove_locked(name);
+    }
+    retire(gone);
+    return gone != nullptr;
 }
 
 bool AssetStore::erase(const std::string& name) {
     if (backing() == nullptr) return unload(name);  // memory-only store
-    util::MutexLock dl(disk_mu_);
-    std::shared_ptr<DiskStore> disk;
+    std::shared_ptr<const Asset> gone;
     bool had = false;
     {
-        util::WriterMutexLock lk(mu_);
-        auto it = assets_.find(name);
-        if (it != assets_.end()) {
-            resident_bytes_.fetch_sub(it->second->master_bytes(),
-                                      std::memory_order_relaxed);
-            assets_.erase(it);
-            had = true;
+        util::MutexLock dl(disk_mu_);
+        std::shared_ptr<DiskStore> disk;
+        {
+            util::WriterMutexLock lk(mu_);
+            gone = remove_locked(name);
+            disk = disk_;
         }
-        disk = disk_;
+        if (disk != nullptr) had = disk->remove(name);
     }
-    if (disk != nullptr) had = disk->remove(name) || had;
-    return had;
+    retire(gone);
+    return had || gone != nullptr;
 }
 
 std::vector<AssetStore::ResidentAsset> AssetStore::residency() const {

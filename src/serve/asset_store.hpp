@@ -1,17 +1,21 @@
 #pragma once
 // Thread-safe name -> Asset map. Assets are immutable once added and held by
 // shared_ptr, so a concurrent reader's pointer stays valid across erase().
-// Re-adding a name replaces the asset under a fresh uid.
+// Re-adding a name replaces the asset under a fresh uid. Every asset that
+// leaves memory (replaced, unloaded, erased) is reported to the retire hook
+// once it has left, which is how its cache entries leave with it.
 //
 // With a backing DiskStore attached the map becomes a view of the disk
 // corpus: add_* write through durably before publishing, resolve()
 // demand-loads misses as zero-copy views of the mmapped container, and the
-// uid (generation) is carried across restarts — so MetadataCache keys stay
-// valid over unload/reload cycles and the asset corpus is bounded by disk,
+// uid (generation) is carried across unload/reload cycles and restarts —
+// an asset keeps its identity and the asset corpus is bounded by disk,
 // not RAM.
 
 #include <atomic>
+#include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -67,14 +71,21 @@ public:
     std::shared_ptr<const Asset> adopt(const DiskStore::Loaded& loaded)
         RECOIL_EXCLUDES(disk_mu_, mu_);
 
-    /// True while `a` is still the live asset under its name — in memory,
-    /// or (when unloaded) on disk under the same generation. The
-    /// single-flight stale-put gate: a wire combined from a replaced or
-    /// evicted asset must not re-enter the response cache.
-    bool is_current(const Asset& a) const RECOIL_EXCLUDES(mu_);
+    /// True while `a` itself (this instance, not just its generation) is
+    /// the in-memory asset under its name. The single-flight stale-put
+    /// gate: a response views its asset's payload, so it may enter the
+    /// cache only while the store counts that payload.
+    bool is_resident(const Asset& a) const RECOIL_EXCLUDES(mu_);
+
+    /// Called with every asset that leaves memory — replaced under its
+    /// name, unloaded or erased — after it has left. Set once, before
+    /// serving; the resource governor installs it.
+    void on_retire(std::function<void(const Asset&)> hook) {
+        retire_ = std::move(hook);
+    }
 
     /// Drop the in-memory asset but keep the backing copy: resolve()
-    /// reloads it under the same uid, so cached responses stay valid.
+    /// reloads it under the same uid.
     bool unload(const std::string& name) RECOIL_EXCLUDES(mu_);
     /// Remove the asset everywhere (memory and backing store).
     bool erase(const std::string& name) RECOIL_EXCLUDES(disk_mu_, mu_);
@@ -119,9 +130,19 @@ public:
 private:
     std::shared_ptr<const Asset> insert(std::shared_ptr<Asset> a)
         RECOIL_EXCLUDES(disk_mu_, mu_);
-    /// Publish (or replace) under mu_, keeping resident_bytes_ exact.
-    void publish_locked(std::shared_ptr<const Asset> ptr)
+    /// Publish `a` under `uid` (the next fresh uid when unset), replacing
+    /// any asset under its name and keeping resident_bytes_ exact; the
+    /// replaced asset is retired once mu_ is released.
+    std::shared_ptr<const Asset> publish(std::shared_ptr<Asset> a,
+                                         std::optional<u64> uid)
+        RECOIL_EXCLUDES(mu_);
+    /// Take `name` out of memory under mu_; returns the removed asset.
+    std::shared_ptr<const Asset> remove_locked(const std::string& name)
         RECOIL_REQUIRES(mu_);
+    /// Report an asset that left memory to the retire hook (null: none).
+    void retire(const std::shared_ptr<const Asset>& gone) const {
+        if (gone != nullptr && retire_) retire_(*gone);
+    }
 
     mutable util::SharedMutex mu_;
     /// Serializes demand-loads and write-through ordering (taken before
@@ -139,6 +160,8 @@ private:
     /// Registry bound via bind_metrics, remembered so a DiskStore attached
     /// later is bound too.
     obs::MetricsRegistry* metrics_ RECOIL_GUARDED_BY(disk_mu_) = nullptr;
+    /// Set before serving and immutable after (on_retire()): read unlocked.
+    std::function<void(const Asset&)> retire_;
 };
 
 }  // namespace recoil::serve

@@ -9,6 +9,13 @@
 
 namespace recoil::serve {
 
+ResourceGovernor::ResourceGovernor(AssetStore& store, MetadataCache& cache,
+                                   GovernorOptions opt)
+    : store_(store), cache_(cache), opt_(opt), budget_(opt.budget_bytes) {
+    store_.on_retire(
+        [&cache](const Asset& gone) { cache.erase_asset(gone.name()); });
+}
+
 void ResourceGovernor::note_access(const std::string& name) {
     if (!enabled()) return;  // no tracking cost when there is no budget
     const u64 tick = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -84,7 +91,7 @@ u64 ResourceGovernor::enforce() {
             ++stats_.skipped_in_use;
             continue;
         }
-        if (store_.unload(r.name)) {
+        if (store_.unload(r.name)) {  // its cache entries leave with it
             released += r.bytes;
             ++stats_.unloads;
             stats_.bytes_unloaded += r.bytes;

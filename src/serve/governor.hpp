@@ -2,11 +2,16 @@
 // Resource governance for the serve stack: one global byte budget spanning
 // the response cache AND the asset store's resident masters (heap or mmap),
 // so "serve this corpus from N bytes of RAM" is a single knob instead of
-// two capacities that have to be guessed in ratio. Under pressure the
-// governor UNLOADS cold demand-loadable assets — AssetStore::unload keeps
-// the backing copy and the generation, so cached responses stay valid and
-// the next request simply re-mmaps — and, if the store alone cannot get
-// under budget, shrinks the cache from its least-recently-used end.
+// two capacities that have to be guessed in ratio. Cache entries view
+// their asset's payload and are charged only their own structural bytes,
+// so an asset and the entries that view it are one unit: the governor's
+// retire hook drops an asset's entries as it leaves memory (unloaded,
+// replaced or erased), and no entry ever keeps payload alive that the
+// budget no longer counts. Under pressure the governor UNLOADS cold
+// demand-loadable assets — AssetStore::unload keeps the backing copy and
+// the generation, so the next request simply re-mmaps and recombines — and,
+// if the store alone cannot get under budget, shrinks the cache from its
+// least-recently-used end.
 //
 // What the governor will not do:
 //   - unload an asset that is not in the backing store (that would be data
@@ -57,10 +62,10 @@ struct GovernorStats {
 
 class ResourceGovernor {
 public:
+    /// Installs `store`'s retire hook: an asset leaving memory takes its
+    /// cache entries with it, whether or not a budget is set.
     ResourceGovernor(AssetStore& store, MetadataCache& cache,
-                     GovernorOptions opt)
-        : store_(store), cache_(cache), opt_(opt),
-          budget_(opt.budget_bytes) {}
+                     GovernorOptions opt);
 
     bool enabled() const noexcept {
         return budget_.load(std::memory_order_relaxed) != 0;

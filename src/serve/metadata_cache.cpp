@@ -16,7 +16,7 @@ SharedResponse MetadataCache::get(const std::string& asset_key,
         return nullptr;
     }
     ++stats_.hits;
-    stats_.hit_bytes += it->second.response->wire.size();
+    stats_.hit_bytes += it->second.response->size();
     order_.splice(order_.begin(), order_, it->second.lru);
     return it->second.response;
 }
@@ -27,7 +27,7 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
     util::MutexLock lk(mu_);
     Key key{asset_key, parallelism};
     auto it = map_.find(key);
-    const u64 size = response->wire.size();
+    const u64 size = response->owned_bytes();
     if (size > capacity_) {  // would evict everything for nothing
         ++stats_.rejected;
         // A resident entry under this key is now known stale: serving it
@@ -37,7 +37,7 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
         return;
     }
     if (it != map_.end()) {
-        set_bytes_locked(stats_.bytes - it->second.response->wire.size() +
+        set_bytes_locked(stats_.bytes - it->second.response->owned_bytes() +
                          size);
         it->second.response = std::move(response);
         order_.splice(order_.begin(), order_, it->second.lru);
@@ -57,7 +57,7 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
 }
 
 MetadataCache::Map::iterator MetadataCache::erase_locked(Map::iterator it) {
-    set_bytes_locked(stats_.bytes - it->second.response->wire.size());
+    set_bytes_locked(stats_.bytes - it->second.response->owned_bytes());
     order_.erase(it->second.lru);
     it = map_.erase(it);
     stats_.entries = map_.size();

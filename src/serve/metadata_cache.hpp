@@ -1,17 +1,21 @@
 #pragma once
 // Cache of finished serve responses keyed by (asset key, client
 // parallelism). The §3.3 serving path is cheap but not free — combine_splits
-// walks M split points and the wire re-serialization copies and hashes the
-// bitstream — and real traffic concentrates on a few client classes
-// (phone / laptop / GPU), so the hot responses are cached whole (wire,
-// split count and body-frame checksums: FinishedResponse) and handed out by
-// reference.
-// Range responses reuse the same cache under a derived asset key (see
-// server.cpp), hence the string key rather than an asset pointer.
+// walks M split points and the wire serialization hashes the bitstream —
+// and real traffic concentrates on a few client classes (phone / laptop /
+// GPU), so the hot responses are cached as finished piece lists (owned
+// structural sections, borrowed views of the asset's payload, split count
+// and body-frame checksums: FinishedResponse) and handed out by reference.
+// An entry is charged only the structural bytes it owns: the payload it
+// views is the resident asset's, counted once by the store however many
+// client classes view it — the paper's encode-once economics applied to
+// server memory. Range responses reuse the same cache under a derived
+// asset key (see server.cpp), hence the string key rather than an asset
+// pointer.
 //
 // One byte-capacity LRU: an entry map plus a recency list over the map's
 // keys. Hits and refreshes move an entry to the front; victims leave from
-// the back until the payload bytes fit the capacity again.
+// the back until the charged bytes fit the capacity again.
 
 #include <atomic>
 #include <list>
@@ -33,13 +37,14 @@ namespace recoil::serve {
 struct CacheStats {
     u64 hits = 0;
     u64 misses = 0;
-    /// Payload bytes served from the cache (the byte-hit-rate numerator:
-    /// hit_bytes / total wire bytes served). Cumulative, survives clear().
+    /// Wire bytes served from the cache (the byte-hit-rate numerator:
+    /// hit_bytes / total wire bytes served) — whole wires, not the charged
+    /// bytes. Cumulative, survives clear().
     u64 hit_bytes = 0;
     u64 insertions = 0;
     u64 evictions = 0;
-    /// Puts dropped because the payload alone exceeds the whole cache
-    /// capacity. A persistently rising value means the capacity is
+    /// Puts dropped because the entry's charge alone exceeds the whole
+    /// cache capacity. A persistently rising value means the capacity is
     /// mis-sized for the traffic, which a silent drop used to hide.
     u64 rejected = 0;
     /// High-water mark of `bytes` over the cache's lifetime. Like the
@@ -47,7 +52,7 @@ struct CacheStats {
     /// size, not the history), so the memory story stays observable across
     /// operational clears.
     u64 peak_bytes = 0;
-    u64 bytes = 0;    ///< current cached payload bytes
+    u64 bytes = 0;    ///< current charged (owned structural) bytes
     u64 entries = 0;  ///< current entry count
 };
 
@@ -63,11 +68,12 @@ public:
                        bool count_miss = true) RECOIL_EXCLUDES(mu_);
 
     /// Insert (or refresh) an entry at the front of the recency list,
-    /// evicting from the back past capacity. An entry costs its wire's
-    /// bytes. Wires larger than the whole cache are never cached — counted
-    /// in CacheStats::rejected (an oversized refresh also drops the
-    /// now-stale resident entry rather than keep serving superseded bytes).
-    /// An entry exactly equal to capacity is admitted (it fits — alone).
+    /// evicting from the back past capacity. An entry costs its response's
+    /// owned bytes (FinishedResponse::owned_bytes). Entries charged more
+    /// than the whole cache are never cached — counted in
+    /// CacheStats::rejected (an oversized refresh also drops the now-stale
+    /// resident entry rather than keep serving superseded bytes). An entry
+    /// exactly equal to capacity is admitted (it fits — alone).
     void put(const std::string& asset_key, u32 parallelism,
              SharedResponse response) RECOIL_EXCLUDES(mu_);
 

@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "format/wire_io.hpp"
@@ -97,6 +98,45 @@ const char* payload_name(PayloadKind kind) noexcept {
     return "unknown";
 }
 
+FinishedResponse::FinishedResponse(format::WireSink& sink, u32 splits)
+    : pieces_(sink.take_pieces()),
+      size_(sink.bytes()),
+      digest_(sink.digest()),
+      splits_(splits),
+      sums_(sink.frame_sums()) {
+    for (const format::ByteBuffer& p : pieces_)
+        if (!p.borrowed()) owned_ += p.size();
+}
+
+FinishedResponse::FinishedResponse(format::ByteBuffer wire, u32 splits)
+    : size_(wire.size()),
+      owned_(wire.borrowed() ? 0 : wire.size()),
+      digest_(wire.size() >= 8 ? format::sealed_fnv1a(wire) : 0),
+      splits_(splits) {
+    if (!wire.empty()) pieces_.push_back(std::move(wire));
+}
+
+std::span<const u8> FinishedResponse::bytes() const {
+    if (pieces_.size() <= 1)
+        return pieces_.empty() ? std::span<const u8>() : pieces_.front();
+    util::MutexLock lk(gather_mu_);
+    if (gathered_.empty()) {
+        gathered_.reserve(size_);
+        for (const format::ByteBuffer& p : pieces_)
+            gathered_.insert(gathered_.end(), p.begin(), p.end());
+    }
+    return gathered_;
+}
+
+bool operator==(const FinishedResponse& a, std::span<const u8> b) {
+    if (a.size_ != b.size()) return false;
+    for (const format::ByteBuffer& p : a.pieces_) {
+        if (!std::equal(p.begin(), p.end(), b.begin())) return false;
+        b = b.subspan(p.size());
+    }
+    return true;
+}
+
 std::vector<u8> encode_request(const ServeRequest& req) {
     // Fail fast on anything decode_request would reject: an unparseable
     // frame wastes a round trip and comes back as a server-side bad_request.
@@ -176,7 +216,11 @@ ServeRequest decode_request(std::span<const u8> frame) {
 }
 
 std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
+    const bool carries = res.ok() && res.wire != nullptr;
+    // One allocation for the frame, though the wire arrives piece by piece.
     std::vector<u8> out;
+    out.reserve(64 + std::min<std::size_t>(res.detail.size(), kMaxDetailLen) +
+                (carries ? res.wire->size() : 0));
     out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
     out.push_back(kProtocolVersion);
     put_u16(out, static_cast<u16>(res.code));
@@ -188,9 +232,10 @@ std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
     if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
     put_u32(out, static_cast<u32>(detail.size()));
     out.insert(out.end(), detail.begin(), detail.end());
-    if (res.ok() && res.wire != nullptr) {
+    if (carries) {
         put_u64(out, res.wire->size());
-        out.insert(out.end(), res.wire->begin(), res.wire->end());
+        for (const format::ByteBuffer& p : res.wire->pieces())
+            out.insert(out.end(), p.begin(), p.end());
     } else {
         put_u64(out, 0);
     }
@@ -245,8 +290,9 @@ ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
                  std::string(ctx) + ": payload/status mismatch");
         if (wire_len != 0) {
             auto bytes = c.get_bytes(wire_len);
-            res.wire = std::make_shared<const std::vector<u8>>(bytes.begin(),
-                                                               bytes.end());
+            res.wire = std::make_shared<const FinishedResponse>(
+                std::vector<u8>(bytes.begin(), bytes.end()),
+                res.stats.splits_served);
             res.stats.wire_bytes = wire_len;
         }
         return res;
@@ -366,15 +412,26 @@ std::vector<u8> encode_stream_header(const StreamHeader& h) {
 std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
                                    u64 max_frame_bytes,
                                    std::optional<u64> checksum) {
-    if (max_frame_bytes != kNoFrameLimit && payload.size() > max_frame_bytes)
+    return encode_stream_body(seq, std::span(&payload, 1), max_frame_bytes,
+                              checksum);
+}
+
+std::vector<u8> encode_stream_body(u32 seq,
+                                   std::span<const std::span<const u8>> parts,
+                                   u64 max_frame_bytes,
+                                   std::optional<u64> checksum) {
+    u64 len = 0;
+    for (const std::span<const u8> part : parts) len += part.size();
+    if (max_frame_bytes != kNoFrameLimit && len > max_frame_bytes)
         fail(ErrorCode::frame_too_large,
-             "stream body: " + std::to_string(payload.size()) +
+             "stream body: " + std::to_string(len) +
                  " B payload exceeds the negotiated " +
                  std::to_string(max_frame_bytes) + " B maximum");
     std::vector<u8> out;
-    out.reserve(payload.size() + kStreamBodyOverhead);
-    put_body_header(out, seq, payload.size());
-    out.insert(out.end(), payload.begin(), payload.end());
+    out.reserve(len + kStreamBodyOverhead);
+    put_body_header(out, seq, len);
+    for (const std::span<const u8> part : parts)
+        out.insert(out.end(), part.begin(), part.end());
     put_u64(out, checksum ? *checksum : format::fnv1a(out));
     return out;
 }
@@ -574,9 +631,10 @@ ServeResult StreamReassembler::result() const {
     res.stats.coalesced = head_.coalesced;
     res.stats.splits_served = splits_;
     if (res.ok()) {
-        // Alias the accumulation buffer (it never mutates after done_):
+        // View the accumulation buffer (it never mutates after done_):
         // handing out the wire costs no copy.
-        res.wire = WireBytes(wire_);
+        res.wire = std::make_shared<const FinishedResponse>(
+            format::ByteBuffer::view(*wire_, wire_), splits_);
         res.stats.wire_bytes = wire_->size();
     }
     return res;

@@ -26,24 +26,71 @@
 #include "format/wire_io.hpp"
 #include "util/error.hpp"
 #include "util/ints.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace recoil::serve {
 
-/// A served response's payload bytes, shared between the LRU cache, in-flight
-/// coalesced requests and callers, so nothing ever copies a wire to hand it
-/// out and cache eviction never invalidates a response being written.
-using WireBytes = std::shared_ptr<const std::vector<u8>>;
-
 /// A finished full-asset or range response, as a single flight publishes
-/// it and the LRU cache holds it: the wire, the split count it carries, and
-/// the checksum of each body frame it streams in at kDefaultMaxFrameBytes
-/// (body_frame_sums), computed in the pass that sealed the wire. A miss, a
-/// warm hit and a coalesced follower therefore all frame it without
-/// hashing.
-struct FinishedResponse {
-    std::vector<u8> wire;
-    u32 splits = 0;
-    std::vector<u64> frame_sums;
+/// it, the LRU cache holds it and a ServeResult shares it: the wire as the
+/// pieces its serializer emitted — owned structural sections (header,
+/// model, metadata, trailer) and borrowed views of the asset's payload —
+/// with its size, whole-wire digest, split count and the checksum of each
+/// body frame it streams in at kDefaultMaxFrameBytes (body_frame_sums),
+/// computed in the pass that sealed the wire. Caching, sharing and
+/// streaming it copy no payload, and a second client class of an asset
+/// costs only its structural bytes (owned_bytes()); a miss, a warm hit and
+/// a coalesced follower all frame it without hashing.
+///
+/// A received response (decode_response, StreamReassembler) is one
+/// contiguous piece. bytes() views a multi-piece response as one span by
+/// gathering it once, on first use, into the response: a convenience for
+/// in-process callers that want one buffer. The serving paths
+/// (encode_response, ServeStream) read the pieces and never call it.
+class FinishedResponse {
+public:
+    /// The sealed wire `sink` kept, carrying `splits` splits.
+    FinishedResponse(format::WireSink& sink, u32 splits);
+    /// One contiguous wire: a received response or a metrics body.
+    explicit FinishedResponse(format::ByteBuffer wire, u32 splits = 0);
+
+    /// The wire in order; no piece is empty.
+    const std::vector<format::ByteBuffer>& pieces() const noexcept {
+        return pieces_;
+    }
+    u64 size() const noexcept { return size_; }
+    /// Bytes of the pieces this response owns (every piece that is not a
+    /// borrowed view of an asset's payload): what a cache entry is charged.
+    u64 owned_bytes() const noexcept { return owned_; }
+    /// FNV-1a of the whole sealed wire, trailer included: the FIN's
+    /// checksum.
+    u64 digest() const noexcept { return digest_; }
+    u32 splits() const noexcept { return splits_; }
+    /// Held body-frame checksums; empty when none were computed.
+    const std::vector<u64>& frame_sums() const noexcept { return sums_; }
+
+    /// The wire as one span (gathered on first use if it has many pieces).
+    std::span<const u8> bytes() const RECOIL_EXCLUDES(gather_mu_);
+    operator std::span<const u8>() const { return bytes(); }  // NOLINT
+    const u8* begin() const { return bytes().data(); }
+    const u8* end() const { return bytes().data() + size_; }
+
+    /// Byte equality, compared piece by piece.
+    friend bool operator==(const FinishedResponse& a, std::span<const u8> b);
+    friend bool operator==(const FinishedResponse& a,
+                           const FinishedResponse& b) {
+        return a.pieces_.size() <= 1 ? b == a.bytes() : a == b.bytes();
+    }
+
+private:
+    std::vector<format::ByteBuffer> pieces_;
+    u64 size_ = 0;
+    u64 owned_ = 0;
+    u64 digest_ = 0;
+    u32 splits_ = 0;
+    std::vector<u64> sums_;
+    mutable util::Mutex gather_mu_;
+    /// Written once, under gather_mu_, then only read.
+    mutable std::vector<u8> gathered_ RECOIL_GUARDED_BY(gather_mu_);
 };
 using SharedResponse = std::shared_ptr<const FinishedResponse>;
 
@@ -148,7 +195,10 @@ struct ServeResult {
     ErrorCode code = ErrorCode::internal;
     std::string detail;  ///< human-readable elaboration of `code`
     PayloadKind payload = PayloadKind::none;
-    WireBytes wire;      ///< shared payload bytes; null on failure
+    /// The response, shared: a served one is the cache's piece list (a hit
+    /// copies nothing), a received one is one contiguous piece. Null on
+    /// failure.
+    SharedResponse wire;
     ServeStats stats;
 
     bool ok() const noexcept { return code == ErrorCode::ok; }
@@ -171,7 +221,8 @@ std::vector<u8> encode_request(const ServeRequest& req);
 ServeRequest decode_request(std::span<const u8> frame);
 
 /// Serialize a result into a framed, checksummed message ("RCRS" v1). The
-/// payload bytes ride inside the frame; server-local timing stats do not.
+/// payload bytes ride inside the frame, gathered from the response's pieces
+/// (the one copy v1 makes); server-local timing stats do not.
 /// With a negotiated `max_frame_bytes`, a frame that would exceed it throws
 /// typed frame_too_large instead of being emitted (encode-side enforcement).
 std::vector<u8> encode_response(const ServeResult& res,
@@ -235,6 +286,12 @@ std::vector<u8> encode_stream_header(const StreamHeader& h);
 /// (a held FinishedResponse::frame_sums entry) and is written as is, so the
 /// frame costs no hash pass.
 std::vector<u8> encode_stream_body(u32 seq, std::span<const u8> payload,
+                                   u64 max_frame_bytes = kNoFrameLimit,
+                                   std::optional<u64> checksum = std::nullopt);
+/// The same frame with its payload given as consecutive `parts` (a slice
+/// of a finished response that crosses piece boundaries).
+std::vector<u8> encode_stream_body(u32 seq,
+                                   std::span<const std::span<const u8>> parts,
                                    u64 max_frame_bytes = kNoFrameLimit,
                                    std::optional<u64> checksum = std::nullopt);
 std::vector<u8> encode_stream_fin(const StreamFin& fin);

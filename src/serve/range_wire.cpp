@@ -90,7 +90,9 @@ u32 emit_segment(format::WireSink& sink, const SegmentSource& src, u64 lo,
         put_u64(head, ids_lo);
         put_u64(head, ids_hi - ids_lo);
         sink.write(std::move(head));
-        sink.write(src.ids->slice(ids_lo, ids_hi - ids_lo));
+        sink.write(format::ByteBuffer::view(
+            std::span<const u8>(*src.ids).subspan(ids_lo, ids_hi - ids_lo),
+            src.ids->keeper()));
         head = {};
     } else {
         put_freq_table(head, src.freq);

@@ -1,7 +1,6 @@
 #include "serve/server.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 
 #include "simd/dispatch.hpp"
@@ -12,10 +11,11 @@ namespace recoil::serve {
 
 namespace {
 
-/// Cache keys embed the asset's store generation, so replacing an asset
-/// under the same name orphans the predecessor's entries instead of serving
-/// its bytes; the orphans age out through normal LRU eviction. Both forms
-/// start with "name\n", which is what erase_asset() prefix-matches.
+/// Cache keys embed the asset's store generation, so an entry can never be
+/// served for a successor under the same name (the predecessor's entries
+/// leave the cache with it: ResourceGovernor's retire hook). Both forms
+/// start with "name\n#uid", so erase_asset() drops every generation of a
+/// name, or one generation given asset_key().
 std::string asset_key(const Asset& a) {
     return a.name() + "\n#" + std::to_string(a.uid());
 }
@@ -30,37 +30,6 @@ ServeResult fail(ErrorCode code, std::string detail) {
     res.code = code;
     res.detail = std::move(detail);
     return res;
-}
-
-WireBytes share(std::vector<u8> bytes) {
-    return std::make_shared<const std::vector<u8>>(std::move(bytes));
-}
-
-/// Keeps a produced wire as the pieces its serializer emitted — owned
-/// structural sections and borrowed payload views — instead of gathering
-/// them, so an uncached stream owns only the structural bytes.
-class PieceSink final : public format::WireSink {
-public:
-    std::vector<format::ByteBuffer> pieces;
-
-private:
-    void keep(format::ByteBuffer piece) override {
-        if (!piece.empty()) pieces.push_back(std::move(piece));
-    }
-};
-
-/// Whole-wire FNV of a sealed wire held as pieces: gathers the trailer (the
-/// last 8 bytes, wherever the pieces split them) for sealed_fnv1a.
-u64 sealed_digest(const std::vector<format::ByteBuffer>& pieces) {
-    std::array<u8, 8> tail{};
-    std::size_t need = tail.size();
-    for (auto it = pieces.rbegin(); it != pieces.rend() && need > 0; ++it) {
-        const std::size_t n = std::min(need, it->size());
-        need -= n;
-        std::copy(it->end() - n, it->end(), tail.begin() + need);
-    }
-    RECOIL_CHECK(need == 0, "stream: wire shorter than its trailer");
-    return format::sealed_fnv1a(tail);
 }
 
 }  // namespace
@@ -86,27 +55,36 @@ std::optional<std::vector<u8>> ServeStream::next_frame() {
         frame = encode_stream_header(h);
         // An error response is a single header frame: the stream ends here.
         phase_ = head_.ok() ? Phase::body : Phase::finished;
-    } else if (piece_ < pieces_.size()) {
-        const format::ByteBuffer& p = pieces_[piece_];
-        const std::size_t n = static_cast<std::size_t>(
-            std::min<u64>(max_frame_, p.size() - off_));
+    } else if (left_ > 0) {
+        // The next max-frame slice of the wire, across as many pieces as it
+        // spans: the frame boundaries of the gathered wire, with no gather.
+        const std::vector<format::ByteBuffer>& pieces = response_->pieces();
+        const u64 n = std::min(max_frame_, left_);
+        std::vector<std::span<const u8>> parts;
+        for (u64 need = n; need > 0;) {
+            const format::ByteBuffer& p = pieces[piece_];
+            const auto take = static_cast<std::size_t>(
+                std::min<u64>(need, p.size() - off_));
+            parts.emplace_back(p.data() + off_, take);
+            need -= take;
+            off_ += take;
+            if (off_ == p.size()) {
+                ++piece_;
+                off_ = 0;
+            }
+        }
+        left_ -= n;
         const std::optional<u64> sum =
             seq_ < sums_.size() ? std::optional<u64>(sums_[seq_])
                                 : std::nullopt;
-        frame = encode_stream_body(
-            seq_++, std::span<const u8>(p.data() + off_, n), max_frame_, sum);
-        max_body_ = std::max<u64>(max_body_, n);
-        off_ += n;
-        if (off_ == p.size()) {
-            ++piece_;
-            off_ = 0;
-        }
+        frame = encode_stream_body(seq_++, parts, max_frame_, sum);
+        max_body_ = std::max(max_body_, n);
     } else {
         StreamFin fin;
         fin.code = ErrorCode::ok;
         fin.body_frames = seq_;
         fin.splits = head_.stats.splits_served;
-        fin.wire_checksum = digest_;
+        fin.wire_checksum = response_->digest();
         frame = encode_stream_fin(fin);
         phase_ = Phase::finished;
     }
@@ -360,9 +338,8 @@ ServeResult ContentServer::serve_impl(const ServeRequest& req,
     }();
     ServeResult res;
     res.payload = p.payload;
-    const SharedResponse served = serve_shared(p, res.stats, &trace);
-    res.wire = WireBytes(served, &served->wire);  // shares the response
-    res.stats.splits_served = served->splits;
+    res.wire = serve_shared(p, res.stats, &trace);  // shared, not copied
+    res.stats.splits_served = res.wire->splits();
     res.stats.wire_bytes = res.wire->size();
     res.code = ErrorCode::ok;
     return res;
@@ -431,28 +408,26 @@ SharedResponse ContentServer::serve_shared(const Prepared& p,
 
     SharedResponse response;
     try {
-        // The serializer's one pass also yields the body-frame checksums
-        // a default-size stream of this response sends.
-        format::VectorSink sink(body_frame_sums(kDefaultMaxFrameBytes));
-        auto made = std::make_shared<FinishedResponse>();
-        made->splits = produce(p, sink, stats, trace);
-        made->wire = std::move(sink.out);
-        made->frame_sums = sink.frame_sums();
-        response = std::move(made);
+        // The serializer's one pass keeps the wire as its pieces and
+        // yields the body-frame checksums a default-size stream sends.
+        format::WireSink sink(body_frame_sums(kDefaultMaxFrameBytes));
+        const u32 splits = produce(p, sink, stats, trace);
+        response = std::make_shared<const FinishedResponse>(sink, splits);
         // Publish to the cache before retiring the flight, so a request
         // arriving between the two hits the cache instead of recombining.
         // Inside the try: a put failure must retire the flight too, or
-        // followers park forever. Gated on the asset still being current:
-        // evict_asset() during the combine already purged this key's
-        // entries, and an ungated put would resurrect a wire for a deleted
-        // (or replaced) asset — stale bytes pinned until LRU pressure. The
-        // flight itself still returns the wire: those requests began before
-        // the eviction. (An eviction landing between the gate and the put
-        // can still slip a dying entry in; its uid-scoped key can never be
-        // served for the successor, so the cost is transient bytes, not
-        // staleness.)
-        if (store_.is_current(*p.asset))
+        // followers park forever. Gated on this asset instance still being
+        // resident: the entry views its payload, which the budget counts
+        // only while the asset is resident, and an unload, replacement or
+        // eviction during the combine already dropped the asset's entries.
+        // The flight itself still returns the wire: those requests began
+        // before. An unload landing between the gate and the put drops its
+        // entries before the recheck, or the recheck drops this one.
+        if (store_.is_resident(*p.asset)) {
             cache_.put(p.key, p.parallelism, response);
+            if (!store_.is_resident(*p.asset))
+                cache_.erase_asset(asset_key(*p.asset));
+        }
     } catch (const ProtocolError& e) {
         retire_flight(flight_key, flight, nullptr, e.code(), e.what());
         throw;
@@ -514,51 +489,35 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
             return prepare(req);
         }();
         head.payload = p.payload;
-        std::vector<format::ByteBuffer> pieces;
-        if (opt.use_cache) {
-            const SharedResponse served =
-                serve_shared(p, head.stats, &st.trace_);
-            head.stats.splits_served = served->splits;
-            pieces.push_back(format::ByteBuffer::view(served->wire, served));
-            // The held checksums match this stream's frames only at the
-            // frame size they were built for, from the wire's first byte.
-            if (st.max_frame_ == kDefaultMaxFrameBytes &&
-                req.resume_offset == 0)
-                st.sums_ = served->frame_sums;
-        } else {
-            PieceSink sink;
-            head.stats.splits_served = produce(p, sink, head.stats, &st.trace_);
-            pieces = std::move(sink.pieces);
-        }
-        u64 total = 0;
-        u64 owned = 0;
-        for (const format::ByteBuffer& piece : pieces) {
-            total += piece.size();
-            if (!piece.borrowed()) owned += piece.size();
-        }
-        RECOIL_CHECK(st.sums_.empty() ||
-                         st.sums_.size() ==
-                             (total + st.max_frame_ - 1) / st.max_frame_,
-                     "stream: held frame checksums do not fit the wire");
+        SharedResponse served = serve_shared(p, head.stats, &st.trace_);
+        const u64 total = served->size();
         if (req.resume_offset > total)
             throw ProtocolError(
                 ErrorCode::bad_request,
                 "serve: resume offset " + std::to_string(req.resume_offset) +
                     " is past the " + std::to_string(total) + " B wire");
-        st.digest_ = sealed_digest(pieces);
+        // The held checksums match this stream's frames only at the frame
+        // size they were built for, from the wire's first byte.
+        if (st.max_frame_ == kDefaultMaxFrameBytes && req.resume_offset == 0)
+            st.sums_ = served->frame_sums();
+        RECOIL_CHECK(st.sums_.empty() ||
+                         st.sums_.size() ==
+                             (total + st.max_frame_ - 1) / st.max_frame_,
+                     "stream: held frame checksums do not fit the wire");
         // Resume is a seek: skip the pieces the client already holds.
         for (u64 skip = req.resume_offset; skip > 0; ++st.piece_) {
-            const u64 n = pieces[st.piece_].size();
+            const u64 n = served->pieces()[st.piece_].size();
             if (skip < n) {
                 st.off_ = static_cast<std::size_t>(skip);
                 break;
             }
             skip -= n;
         }
-        st.pieces_ = std::move(pieces);
-        st.owned_ = owned;
-        st.asset_ = std::move(p.asset);
+        st.left_ = total - req.resume_offset;
+        head.stats.splits_served = served->splits();
         head.stats.wire_bytes = total;
+        st.response_ = std::move(served);
+        st.asset_ = std::move(p.asset);
         head.code = ErrorCode::ok;
     } catch (const ProtocolError& e) {
         head = fail(e.code(), e.what());
@@ -618,7 +577,8 @@ ServeResult serve_introspection(const obs::MetricsRegistry& reg,
         ServeResult res;
         res.code = ErrorCode::ok;
         res.payload = PayloadKind::metrics;
-        res.wire = share(std::vector<u8>(body.begin(), body.end()));
+        res.wire = std::make_shared<const FinishedResponse>(
+            std::vector<u8>(body.begin(), body.end()));
         res.stats.wire_bytes = res.wire->size();
         return res;
     } catch (const std::exception& e) {
@@ -627,7 +587,6 @@ ServeResult serve_introspection(const obs::MetricsRegistry& reg,
 }
 
 bool ContentServer::evict_asset(const std::string& name) {
-    cache_.erase_asset(name);
     return store_.erase(name);
 }
 

@@ -8,12 +8,12 @@
 // request frame in, response frame out — so a network frontend needs no
 // knowledge of assets or caching.
 //
-// serve_stream() answers the same request as a v2 stream: it builds the
-// whole response up front on serve()'s own path (cache, single flight,
-// stale-put gate), or — with StreamOptions::use_cache off — as the
-// producer's piece list (owned structural sections, borrowed payload views),
-// and hands back a ServeStream that only walks those finished bytes.
-// Streaming changes the framing, never the bytes or how they are made.
+// serve_stream() answers the same request as a v2 stream: it takes the
+// finished response on serve()'s own path (cache, single flight, stale-put
+// gate) — a piece list of owned structural sections and borrowed payload
+// views — and hands back a ServeStream that only walks those finished
+// bytes. Streaming changes the framing, never the bytes or how they are
+// made.
 
 #include <atomic>
 #include <functional>
@@ -66,24 +66,18 @@ struct StreamOptions {
     /// Body-frame payload ceiling; frames over it are never produced
     /// (encode-side frame_too_large enforcement happens below this).
     u64 max_frame_bytes = kDefaultMaxFrameBytes;
-    /// When false the stream bypasses the cache and the single flight: the
-    /// response is produced for this stream alone and kept as its pieces,
-    /// so owned memory stays the size of the structural sections (payload
-    /// pieces are views of the pinned asset) — the regime for responses too
-    /// large to be worth caching.
-    bool use_cache = true;
 };
 
 class ContentServer;
 
 /// A streamed response: pull protocol frames one at a time (header frame,
 /// body frames, FIN frame, then nullopt). The response is finished before
-/// the stream exists, so next_frame() never waits: each body frame is
-/// encoded straight from one piece of the immutable wire (a frame may end
-/// early at a piece boundary) and resuming is a seek. A cached response's
-/// frames at the default frame size, from offset 0, reuse its held frame
-/// checksums and are not hashed again. The stream pins its asset (and
-/// therefore every mmapped buffer its pieces view), so unload()/evict()
+/// the stream exists, so next_frame() never waits: each body frame is the
+/// next max-frame-size slice of the immutable wire, encoded straight from
+/// the pieces it spans, and resuming is a seek. Frames at the default
+/// frame size, from offset 0, reuse the response's held frame checksums
+/// and are not hashed again. The stream holds the response (and so every
+/// buffer its pieces view) and pins its asset, so unload()/evict()
 /// mid-stream never invalidates it. Must not outlive the ContentServer that
 /// created it.
 class ServeStream {
@@ -101,11 +95,14 @@ public:
     std::optional<std::vector<u8>> next_frame();
     bool done() const noexcept { return phase_ == Phase::finished; }
     u64 frames_emitted() const noexcept { return frames_; }
-    /// Owned bytes the stream holds: its owned pieces plus the largest body
-    /// frame it built. Payload views of existing storage (asset units, a
-    /// shared cache entry) cost no new memory and are excluded; this is the
+    /// Owned bytes the stream holds: its response's owned structural
+    /// pieces plus the largest body frame it built. Payload views of the
+    /// asset's storage cost no new memory and are excluded; this is the
     /// number the bench compares against wire size.
-    u64 peak_owned_bytes() const noexcept { return owned_ + max_body_; }
+    u64 peak_owned_bytes() const noexcept {
+        return (response_ != nullptr ? response_->owned_bytes() : 0) +
+               max_body_;
+    }
 
 private:
     friend class ContentServer;
@@ -115,15 +112,14 @@ private:
     ContentServer* server_ = nullptr;
     ServeResult head_;
     std::shared_ptr<const Asset> asset_;  ///< pinned for the stream's life
-    std::vector<format::ByteBuffer> pieces_;  ///< the finished wire, in order
+    SharedResponse response_;  ///< the finished wire
     /// Held checksums of exactly the frames this stream emits (see
-    /// FinishedResponse::frame_sums), kept alive by pieces_'s keeper; empty
-    /// when each frame is hashed as it is built.
+    /// FinishedResponse::frame_sums), kept alive by response_; empty when
+    /// each frame is hashed as it is built.
     std::span<const u64> sums_;
     u64 max_frame_ = kDefaultMaxFrameBytes;
-    u64 digest_ = 0;  ///< whole-wire FNV, for the FIN
-    u64 owned_ = 0;   ///< bytes of the owned (non-borrowed) pieces
     u64 max_body_ = 0;
+    u64 left_ = 0;           ///< wire bytes not yet framed
     std::size_t piece_ = 0;  ///< cursor: piece index and offset within it
     std::size_t off_ = 0;
     u32 seq_ = 0;
@@ -181,9 +177,9 @@ public:
     /// request to accept the streamed framing (kAcceptStreamed), on top of
     /// the payload form it would need for serve(). Never throws; failures
     /// are a single typed header frame. The response is finished before
-    /// this returns: cacheable streams share serve()'s cache and single
-    /// flight (a cold stream combines or waits for the finished wire like
-    /// any v1 request). ServeRequest::resume_offset seeks past the bytes a
+    /// this returns: streams share serve()'s cache and single flight (a
+    /// cold stream combines or waits for the finished wire like any v1
+    /// request). ServeRequest::resume_offset seeks past the bytes a
     /// reconnecting client already holds; an offset past the wire is
     /// bad_request.
     ServeStream serve_stream(const ServeRequest& req,
@@ -194,11 +190,12 @@ public:
     std::vector<u8> serve_frame(std::span<const u8> request_frame) noexcept;
 
     /// Remove an asset (memory AND backing store) and every cached response
-    /// derived from it. A combine already in flight for the evicted asset
+    /// derived from it (the governor's retire hook drops them as the asset
+    /// leaves memory). A combine already in flight for the evicted asset
     /// still completes for its waiting requests, but its wire is gated out
-    /// of the cache (AssetStore::is_current), so eviction is never undone by
-    /// a straggling flight. In-flight streams keep serving: they pin the
-    /// asset's buffers.
+    /// of the cache (AssetStore::is_resident), so eviction is never undone
+    /// by a straggling flight. In-flight streams keep serving: they hold
+    /// their response and pin the asset.
     bool evict_asset(const std::string& name);
 
     /// Requests currently parked on another request's in-flight combine.
@@ -248,11 +245,12 @@ private:
                 obs::TraceContext* trace);
 
     ServeResult serve_impl(const ServeRequest& req, obs::TraceContext& trace);
-    /// Cache lookup + single-flight combine for one response key. `asset`
-    /// is the asset the key was derived from: after the combine, the
-    /// response enters the cache only if that asset is still current (the
-    /// evict-during-flight stale-put gate). `trace` may be null (telemetry
-    /// off): spans are then skipped but behavior is identical.
+    /// Cache lookup + single-flight combine for one response key. After
+    /// the combine the response enters the cache only while `p.asset` is
+    /// still the resident asset under its name: an entry views that
+    /// instance's payload, which the budget counts only while it is
+    /// resident (the stale-put gate). `trace` may be null (telemetry off):
+    /// spans are then skipped but behavior is identical.
     SharedResponse serve_shared(const Prepared& p, ServeStats& stats,
                                 obs::TraceContext* trace);
     /// Insert-or-join the flight for `flight_key`. True when this caller

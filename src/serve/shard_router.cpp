@@ -12,9 +12,9 @@ namespace {
 /// ±35% of the mean (pinned by tests/test_shard.cpp); the ring costs
 /// shards * 128 * 16 bytes.
 constexpr u32 kVnodes = 128;
-/// Fraction of the even share every shard keeps regardless of hit-rate:
-/// rebalance moves only the remainder, so a cold shard can always warm
-/// back up.
+/// Fraction of the even share every shard keeps regardless of its weight:
+/// only the remainder is dealt by stored bytes or heat, so a cold shard
+/// can always warm back up.
 constexpr double kBudgetFloor = 0.25;
 
 /// FNV-1a alone clusters badly on the structured names the ring hashes
@@ -41,24 +41,29 @@ ShardedServer::ShardedServer(ShardedOptions opt) : opt_(std::move(opt)) {
     if (opt_.shards == 0) opt_.shards = 1;
     const u32 n = opt_.shards;
 
-    // Even initial budget split; the remainder sticks to shard 0 until the
-    // first rebalance pass reassigns it by observed heat.
-    const u64 even = opt_.total_budget_bytes / n;
-    budgets_.assign(n, even);
-    if (n > 0) budgets_[0] += opt_.total_budget_bytes - even * n;
-    last_hit_bytes_.assign(n, 0);
-
+    // Each shard's initial budget: its floor plus a share of the rest by
+    // the master bytes its partition stores (evenly when none stores any),
+    // so a shard whose assets fill most of the corpus starts with room to
+    // hold them. Rebalance passes then follow the observed heat.
+    std::vector<u64> stored(n, 0);
     shards_.reserve(n);
     for (u32 i = 0; i < n; ++i) {
         ServerOptions so = opt_.server;
-        so.mem_budget_bytes = budgets_[i];
+        so.mem_budget_bytes = 0;  // dealt below
         Shard s;
         s.server = std::make_unique<ContentServer>(so);
-        if (!opt_.store_dir.empty())
-            s.server->store().attach_backing(std::make_shared<DiskStore>(
-                opt_.store_dir / ("shard-" + std::to_string(i))));
+        if (!opt_.store_dir.empty()) {
+            auto disk = std::make_shared<DiskStore>(
+                opt_.store_dir / ("shard-" + std::to_string(i)));
+            stored[i] = disk->stored_bytes();
+            s.server->store().attach_backing(std::move(disk));
+        }
         shards_.push_back(std::move(s));
     }
+    budgets_ = deal(stored);
+    for (u32 i = 0; i < n; ++i)
+        shards_[i].server->governor().set_budget(budgets_[i]);
+    last_wire_bytes_.assign(n, 0);
 
     // The ring: kVnodes points per shard, keyed by a stable derived name
     // so the same shard count always produces the same routing.
@@ -167,44 +172,51 @@ std::shared_ptr<const Asset> ShardedServer::encode_bytes(
                                                       max_splits, prob_bits);
 }
 
+std::vector<u64> ShardedServer::deal(const std::vector<u64>& weight) const {
+    // Every shard keeps its floor (the protected fraction of the even
+    // share); the remainder is dealt proportional to `weight`.
+    const u32 n = static_cast<u32>(weight.size());
+    const u64 total = opt_.total_budget_bytes;
+    const u64 keep =
+        static_cast<u64>(kBudgetFloor * static_cast<double>(total / n));
+    const u64 spare = total - keep * n;
+    u64 total_weight = 0;
+    for (const u64 w : weight) total_weight += w;
+    std::vector<u64> next(n, keep);
+    u64 dealt = 0;
+    u32 heaviest = 0;
+    for (u32 i = 0; i < n; ++i) {
+        const u64 share =
+            total_weight == 0
+                ? spare / n
+                : static_cast<u64>(static_cast<double>(spare) *
+                                   (static_cast<double>(weight[i]) /
+                                    static_cast<double>(total_weight)));
+        next[i] += share;
+        dealt += share;
+        if (weight[i] > weight[heaviest]) heaviest = i;
+    }
+    // Rounding remainder goes to the heaviest shard (deterministic: lowest
+    // index on ties), keeping the dealt total exactly the global budget.
+    next[heaviest] += spare - dealt;
+    return next;
+}
+
 void ShardedServer::rebalance() {
     if (opt_.total_budget_bytes == 0 || shards_.size() < 2) return;
     util::MutexLock lk(rebalance_mu_);
     const u32 n = static_cast<u32>(shards_.size());
 
+    // Heat is the wire bytes each shard served since the last pass, hits
+    // and misses alike: a shard whose working set overflows its share
+    // misses everything, and must still be seen as hot to win room.
     std::vector<u64> delta(n, 0);
-    u64 total_delta = 0;
     for (u32 i = 0; i < n; ++i) {
-        const u64 hits = shards_[i].server->cache().stats().hit_bytes;
-        delta[i] = hits - last_hit_bytes_[i];
-        last_hit_bytes_[i] = hits;
-        total_delta += delta[i];
+        const u64 served = shards_[i].server->totals().wire_bytes;
+        delta[i] = served - last_wire_bytes_[i];
+        last_wire_bytes_[i] = served;
     }
-
-    // Every shard keeps its floor (the protected fraction of the even
-    // share); the remainder is dealt proportional to hit-bytes heat.
-    const u64 total = opt_.total_budget_bytes;
-    const u64 even = total / n;
-    const u64 keep =
-        static_cast<u64>(kBudgetFloor * static_cast<double>(even));
-    const u64 spare = total - keep * n;
-    std::vector<u64> next(n, keep);
-    u64 dealt = 0;
-    u32 hottest = 0;
-    for (u32 i = 0; i < n; ++i) {
-        const u64 share =
-            total_delta == 0
-                ? spare / n
-                : static_cast<u64>(static_cast<double>(spare) *
-                                   (static_cast<double>(delta[i]) /
-                                    static_cast<double>(total_delta)));
-        next[i] += share;
-        dealt += share;
-        if (delta[i] > delta[hottest]) hottest = i;
-    }
-    // Rounding remainder goes to the hottest shard (deterministic: lowest
-    // index on ties), keeping the dealt total exactly the global budget.
-    next[hottest] += spare - dealt;
+    const std::vector<u64> next = deal(delta);
 
     u64 moved = 0;
     std::vector<u32> shrunk;

@@ -6,13 +6,14 @@
 // cache mutex, one flight map or one governor pass. Two coordination
 // mechanisms connect the shards:
 //
-//   * Budget coordination. The global byte budget is split across shards
-//     and periodically REBALANCED proportional to each shard's observed
-//     byte-hit-rate delta (cache hit_bytes since the last pass), with a
-//     fixed floor (a quarter of the even share) so a momentarily-cold
-//     shard is never starved to zero. Rebalancing retargets each shard's
-//     ResourceGovernor (set_budget) and immediately enforces on shrunk
-//     shards.
+//   * Budget coordination. Every shard keeps a fixed floor (a quarter of
+//     the even share) so a momentarily-cold shard is never starved to
+//     zero; the rest of the global byte budget is dealt at construction by
+//     the master bytes each partition stores, then periodically
+//     REBALANCED proportional to each shard's observed heat (wire bytes
+//     served since the last pass, hits and misses alike). Rebalancing
+//     retargets each shard's ResourceGovernor (set_budget) and immediately
+//     enforces on shrunk shards.
 //
 //   * Peer fetch. A shard that misses an asset everywhere locally (memory
 //     AND its own partition) pulls the ENCODED master from the owning
@@ -46,9 +47,10 @@ namespace recoil::serve {
 struct ShardedOptions {
     /// Number of independent ContentServer shards (>= 1).
     u32 shards = 2;
-    /// Global memory budget split across the shard governors. 0 disables
-    /// governance everywhere (ServerOptions::mem_budget_bytes on the
-    /// per-shard options is ignored — the router owns the budget).
+    /// Global memory budget split across the shard governors (by stored
+    /// master bytes at construction, by served bytes at each rebalance).
+    /// 0 disables governance everywhere (ServerOptions::mem_budget_bytes on
+    /// the per-shard options is ignored — the router owns the budget).
     u64 total_budget_bytes = 0;
     /// Routed requests between automatic rebalance passes; 0 = only
     /// explicit rebalance() calls.
@@ -91,12 +93,11 @@ public:
                                               u32 max_splits,
                                               u32 prob_bits = 11);
 
-    /// One budget-coordination pass: weight each shard by its cache
-    /// hit-bytes delta since the previous pass and move the budget above
-    /// every shard's floor (a quarter of its even share) toward the hotter
-    /// shards. Shards whose budget
-    /// shrank are enforced immediately. No-op when total_budget_bytes is 0
-    /// or there is a single shard.
+    /// One budget-coordination pass: weight each shard by the wire bytes
+    /// it served since the previous pass and move the budget above every
+    /// shard's floor (a quarter of its even share) toward the hotter
+    /// shards. Shards whose budget shrank are enforced immediately. No-op
+    /// when total_budget_bytes is 0 or there is a single shard.
     void rebalance() RECOIL_EXCLUDES(rebalance_mu_);
     /// Current per-shard budgets (index = shard).
     std::vector<u64> shard_budgets() const RECOIL_EXCLUDES(rebalance_mu_);
@@ -120,6 +121,9 @@ private:
         std::unique_ptr<ContentServer> server;
     };
 
+    /// Every shard's floor plus the rest of the global budget dealt in
+    /// proportion to `weight` (evenly when every weight is 0).
+    std::vector<u64> deal(const std::vector<u64>& weight) const;
     /// Make `name` servable on its home shard before dispatch: resolve
     /// locally, then scan peer partitions and adopt (peer fetch).
     void ensure_local(u32 home, const std::string& name) noexcept;
@@ -133,8 +137,8 @@ private:
     obs::MetricsRegistry metrics_;
     mutable util::Mutex rebalance_mu_;
     std::vector<u64> budgets_ RECOIL_GUARDED_BY(rebalance_mu_);
-    /// Per-shard cache hit_bytes at the previous pass (delta baseline).
-    std::vector<u64> last_hit_bytes_ RECOIL_GUARDED_BY(rebalance_mu_);
+    /// Per-shard served wire bytes at the previous pass (delta baseline).
+    std::vector<u64> last_wire_bytes_ RECOIL_GUARDED_BY(rebalance_mu_);
     std::atomic<u64> routed_{0};
     std::atomic<u64> peer_fetches_{0};
     std::atomic<u64> peer_fetch_bytes_{0};

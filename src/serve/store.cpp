@@ -237,6 +237,13 @@ std::size_t DiskStore::size() const {
     return index_.size();
 }
 
+u64 DiskStore::stored_bytes() const {
+    util::MutexLock lk(mu_);
+    u64 bytes = 0;
+    for (const auto& [name, info] : index_) bytes += info.container_bytes;
+    return bytes;
+}
+
 u64 DiskStore::next_generation() const {
     util::MutexLock lk(mu_);
     u64 next = 1;

@@ -97,6 +97,9 @@ public:
     std::optional<StoredAssetInfo> info(const std::string& name) const
         RECOIL_EXCLUDES(mu_);
     std::size_t size() const RECOIL_EXCLUDES(mu_);
+    /// Container bytes of every stored asset: the master bytes this store
+    /// would hold resident if every asset were loaded.
+    u64 stored_bytes() const RECOIL_EXCLUDES(mu_);
     /// Smallest generation strictly above every stored asset's, so a
     /// reopened AssetStore continues the uid sequence instead of reusing one.
     u64 next_generation() const RECOIL_EXCLUDES(mu_);

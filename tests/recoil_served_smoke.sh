@@ -97,8 +97,9 @@ drain
 "$python" "$lint" --metrics-json "$work/m.json" --daemon-json "$work/m.json" ||
     fail "lint found missing names in the single-server scrape"
 
-# Governed leg: a budget below one demo master plus one response.
-boot --store "$store" --mem-budget 700K
+# Governed leg: a budget below one demo master (a cached response is
+# charged only its structural bytes, so the master is what overflows it).
+boot --store "$store" --mem-budget 400K
 run --parallelism 4 --verify demo
 run --parallelism 16 --verify demo
 run --parallelism 4 --verify demo

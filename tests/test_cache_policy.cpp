@@ -16,6 +16,7 @@
 
 #include "serve/server.hpp"
 #include "serve/store.hpp"
+#include "stream/chunked.hpp"
 #include "test_util.hpp"
 #include "workload/datasets.hpp"
 
@@ -25,9 +26,7 @@ namespace {
 namespace fs = std::filesystem;
 
 SharedResponse wire_of(u64 n, u8 fill) {
-    auto r = std::make_shared<FinishedResponse>();
-    r->wire.assign(n, fill);
-    return r;
+    return std::make_shared<const FinishedResponse>(std::vector<u8>(n, fill));
 }
 
 /// Fresh store directory per test; removed on destruction.
@@ -131,12 +130,69 @@ TEST(CachePolicy, HitBytesAccumulateForByteHitRate) {
     EXPECT_EQ(s.misses, 1u);
 }
 
+// ---- an entry is charged only its structural bytes ----
+
+TEST(CacheCharge, ASecondClassAddsOnlyItsStructuralBytes) {
+    // Entries view the asset's bitstream units (and an indexed asset's id
+    // stream), so each client class of an asset adds only its header,
+    // model, metadata and trailer to the cache's bytes, while hit_bytes
+    // still counts every wire in full.
+    const auto data = asset_bytes(120000, 17);
+    ContentServer server;
+    const auto file = server.store().encode_bytes("file", data, 64);
+    const auto indexed =
+        server.store().add_file("indexed", test::indexed_file(data, 64));
+    const auto& ids = std::get<format::RecoilFile::IndexedPayload>(
+                          indexed->file()->model)
+                          .ids;
+    stream::ChunkedEncoder enc({11, 8});
+    for (u64 off = 0; off < data.size(); off += 30000)
+        enc.add_chunk(std::span<const u8>(data).subspan(off, 30000));
+    const auto chunked = server.store().add_chunked("chunked", enc.finish());
+    u64 chunk_units = 0;
+    for (const auto& c : chunked->chunked()->chunks)
+        chunk_units += c.units.size() * 2;
+
+    struct Shape {
+        std::shared_ptr<const Asset> asset;
+        u64 unit_bytes;
+    };
+    for (const Shape& shape :
+         {Shape{file, file->file()->units.size() * 2},
+          Shape{indexed, indexed->file()->units.size() * 2 + ids.size()},
+          Shape{chunked, chunk_units}}) {
+        const std::string& name = shape.asset->name();
+        server.cache().clear();
+        u64 charged = 0;
+        for (const u32 cls : {4u, 16u}) {
+            const ServeResult res = server.serve({name, cls, std::nullopt});
+            ASSERT_TRUE(res.ok()) << name << ": " << res.detail;
+            ASSERT_FALSE(res.stats.cache_hit);
+            const u64 added = server.cache().stats().bytes - charged;
+            charged += added;
+            EXPECT_EQ(added, res.stats.wire_bytes - shape.unit_bytes)
+                << name << " class " << cls
+                << ": an entry is charged its wire minus the viewed units";
+            EXPECT_EQ(added, res.wire->owned_bytes());
+            EXPECT_LT(added * 4, res.stats.wire_bytes) << name;
+
+            const u64 hit_bytes = server.cache().stats().hit_bytes;
+            const ServeResult hit = server.serve({name, cls, std::nullopt});
+            ASSERT_TRUE(hit.stats.cache_hit);
+            EXPECT_EQ(server.cache().stats().hit_bytes - hit_bytes,
+                      hit.stats.wire_bytes)
+                << name << ": hit_bytes counts the whole wire";
+        }
+        EXPECT_EQ(server.cache().stats().entries, 2u);
+    }
+}
+
 // ---- the serve path is an exact LRU ----
 
 /// Mirror of MetadataCache's LRU discipline (hit refreshes recency; miss
-/// inserts at the front after the combine; oversized payloads skip the
-/// cache; eviction pops the tail), fed with the observed wire sizes. The
-/// serve path must agree with this model exactly.
+/// inserts at the front after the combine; oversized entries skip the
+/// cache; eviction pops the tail), fed with the observed entry charges.
+/// The serve path must agree with this model exactly.
 u64 simulate_lru_hits(const std::vector<u32>& plan, const std::vector<u64>& sizes,
                       u64 capacity) {
     std::list<std::pair<u32, u64>> lru;  // front = most recently used
@@ -174,16 +230,16 @@ TEST(CachePolicy, ZipfTrafficHitRateIsExactAndDeterministic) {
     const std::vector<u32> plan = workload::zipf_plan(kKeys, kRequests, 1.2,
                                                       2024);
 
-    // Size the cache off the real wire size so the test tracks format
-    // changes instead of hard-coding bytes.
-    u64 wire_size = 0;
+    // Size the cache off the real entry charge (the response's structural
+    // bytes) so the test tracks format changes instead of hard-coding bytes.
+    u64 entry_size = 0;
     {
         ContentServer probe;
         probe.store().encode_bytes("asset", data, 64);
-        wire_size = probe.serve(ServeRequest{"asset", 1, std::nullopt})
-                        .stats.wire_bytes;
+        entry_size = probe.serve(ServeRequest{"asset", 1, std::nullopt})
+                         .wire->owned_bytes();
     }
-    const u64 capacity = wire_size * 8 + wire_size / 2;
+    const u64 capacity = entry_size * 8 + entry_size / 2;
 
     auto run = [&](std::vector<u64>* sizes_out) {
         ServerOptions opt;
@@ -196,7 +252,8 @@ TEST(CachePolicy, ZipfTrafficHitRateIsExactAndDeterministic) {
             const ServeResult res =
                 server.serve(ServeRequest{"asset", key, std::nullopt});
             EXPECT_TRUE(res.ok()) << res.detail;
-            if (sizes_out != nullptr) sizes_out->push_back(res.stats.wire_bytes);
+            if (sizes_out != nullptr)
+                sizes_out->push_back(res.wire->owned_bytes());
         }
         return server.totals();
     };
@@ -273,10 +330,10 @@ TEST(Governor, UnloadsColdestBackedAssetsFirst) {
     EXPECT_EQ(gov.stats().enforcements, 1u);
 
     // Unload is pressure relief, not eviction: the asset demand-loads back
-    // under the same generation, so cached response keys stay valid.
+    // under the same generation.
     auto back = rig.store.resolve("a0");
     ASSERT_NE(back, nullptr);
-    EXPECT_TRUE(rig.store.is_current(*back));
+    EXPECT_TRUE(rig.store.is_resident(*back));
 }
 
 TEST(Governor, UnbackedAssetsAreNeverUnloaded) {
@@ -400,7 +457,6 @@ TEST(Governor, StreamPinsItsAssetAcrossAPressurePass) {
 
     StreamOptions sopt;
     sopt.max_frame_bytes = 4096;
-    sopt.use_cache = false;
     {
         ServeStream stream = server.serve_stream(
             {"a", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt);
@@ -430,6 +486,126 @@ TEST(Governor, StreamPinsItsAssetAcrossAPressurePass) {
     EXPECT_EQ(*back.wire, *ref.wire);
 }
 
+TEST(Governor, AnUnloadedAssetKeepsNoPayloadAliveAndReloadsBitExact) {
+    // An asset and the entries that view it are one unit: the governor
+    // skips an asset a stream pins; once none does, enforce() unloads it,
+    // its entries go with it, its mapping is freed, and the next request
+    // demand-loads and recombines the same bytes.
+    TempDir dir("unit");
+    ContentServer server;
+    server.store().attach_backing(std::make_shared<DiskStore>(dir.path));
+    server.store().encode_bytes("a", asset_bytes(60000, 91), 16);
+    std::vector<std::vector<u8>> want;
+    for (const u32 cls : {4u, 8u}) {
+        const ServeResult ref = server.serve({"a", cls, std::nullopt});
+        ASSERT_TRUE(ref.ok());
+        want.emplace_back(ref.wire->begin(), ref.wire->end());
+    }
+    ASSERT_TRUE(server.store().unload("a"));  // next resolve mmaps
+
+    std::weak_ptr<const void> mapping;
+    u64 master = 0;
+    {
+        StreamOptions sopt;
+        sopt.max_frame_bytes = 4096;
+        auto stream = server.serve_stream(
+            {"a", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt);
+        StreamReassembler client(sopt.max_frame_bytes);
+        client.feed(*stream.next_frame());
+        client.feed(*stream.next_frame());
+        {
+            const auto asset = server.store().find("a");
+            ASSERT_NE(asset, nullptr);
+            ASSERT_TRUE(asset->file()->units.borrowed());  // views the map
+            mapping = asset->file()->units.keeper();
+            master = asset->master_bytes();
+        }
+        server.governor().set_budget(master - 1);  // the asset overflows it
+        server.governor().enforce();  // the stream pins the asset: skipped
+        EXPECT_NE(server.store().find("a"), nullptr);
+        EXPECT_GE(server.governor().stats().skipped_in_use, 1u);
+        while (auto frame = stream.next_frame()) client.feed(*frame);
+        EXPECT_TRUE(*client.result().wire == want[0]);
+    }
+
+    // Both classes cached over the mapped asset, then the pressure pass.
+    server.governor().set_budget(0);
+    for (const u32 cls : {4u, 8u})
+        ASSERT_TRUE(server.serve({"a", cls, std::nullopt}).ok());
+    ASSERT_EQ(server.cache().stats().entries, 2u);
+    EXPECT_FALSE(mapping.expired());
+    const auto loads = server.store().backing()->stats().loads;
+    server.governor().set_budget(master - 1);
+    server.governor().enforce();
+    EXPECT_EQ(server.store().find("a"), nullptr);
+    EXPECT_EQ(server.governor().stats().unloads, 1u);
+    EXPECT_EQ(server.cache().stats().entries, 0u)
+        << "an entry outlived the asset it views";
+    EXPECT_TRUE(mapping.expired())
+        << "the unloaded asset's mapping is still pinned";
+
+    server.governor().set_budget(0);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const ServeResult back =
+            server.serve({"a", i == 0 ? 4u : 8u, std::nullopt});
+        ASSERT_TRUE(back.ok()) << back.detail;
+        EXPECT_FALSE(back.stats.cache_hit);
+        EXPECT_TRUE(*back.wire == want[i]);
+    }
+    EXPECT_EQ(server.store().backing()->stats().loads, loads + 1);
+}
+
+TEST(Governor, ACombineRacingAnUnloadCachesNothing) {
+    // The put gate is residency, not the generation: a combine whose asset
+    // is unloaded mid-flight still answers its request, but caches nothing,
+    // since nothing would count the payload its entry views.
+    TempDir dir("flight");
+    const auto data = asset_bytes(40000, 95);
+    ContentServer* self = nullptr;
+    ServerOptions opt;
+    opt.combine_hook = [&self](const std::string&) {
+        self->store().unload("a");
+    };
+    ContentServer server(opt);
+    self = &server;
+    server.store().attach_backing(std::make_shared<DiskStore>(dir.path));
+    server.store().encode_bytes("a", data, 16);
+
+    ContentServer ref;
+    ref.store().encode_bytes("a", data, 16);
+    const ServeResult got = server.serve({"a", 4, std::nullopt});
+    ASSERT_TRUE(got.ok()) << got.detail;
+    EXPECT_EQ(*got.wire, *ref.serve({"a", 4, std::nullopt}).wire);
+    EXPECT_EQ(server.store().find("a"), nullptr);
+    EXPECT_EQ(server.cache().stats().insertions, 0u)
+        << "an entry was cached for an unloaded asset";
+    EXPECT_EQ(server.cache().stats().entries, 0u);
+}
+
+TEST(Governor, ReAddingAnAssetLeavesNoEntryPinningThePredecessor) {
+    ContentServer server;
+    server.store().encode_bytes("x", asset_bytes(40000, 93), 16);
+    for (const u32 cls : {4u, 8u})
+        ASSERT_TRUE(server.serve({"x", cls, std::nullopt}).ok());
+    ASSERT_EQ(server.cache().stats().entries, 2u);
+    std::weak_ptr<const void> old_units =
+        server.store().find("x")->file()->units.keeper();
+
+    const auto fresh = asset_bytes(40000, 94);
+    server.store().encode_bytes("x", fresh, 16);
+    EXPECT_EQ(server.cache().stats().entries, 0u);
+    EXPECT_EQ(server.cache().stats().bytes, 0u);
+    EXPECT_TRUE(old_units.expired())
+        << "a cache entry pins the replaced asset's payload";
+
+    ContentServer ref;
+    ref.store().encode_bytes("x", fresh, 16);
+    const ServeResult got = server.serve({"x", 4, std::nullopt});
+    ASSERT_TRUE(got.ok());
+    EXPECT_FALSE(got.stats.cache_hit);
+    EXPECT_EQ(*got.wire, *ref.serve({"x", 4, std::nullopt}).wire);
+}
+
 TEST(Governor, UnloadRacingStreamsStaysBitExact) {
     // The TSan anchor: streams, materialized serves and explicit pressure
     // passes hammer the same small asset set under a budget that is always
@@ -450,7 +626,7 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
         server.store().encode_bytes(name, asset_bytes(30000, 80 + i), 8);
         const ServeResult r = server.serve({name, 4, std::nullopt});
         ASSERT_TRUE(r.ok());
-        reference[i] = *r.wire;
+        reference[i].assign(r.wire->begin(), r.wire->end());
     }
 
     std::atomic<bool> stop{false};
@@ -460,7 +636,6 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
         threads.emplace_back([&, t] {
             StreamOptions sopt;
             sopt.max_frame_bytes = 2048;
-            sopt.use_cache = (t % 2 == 0);
             for (int i = 0; i < 12; ++i) {
                 const int a = (t + i) % kAssets;
                 const std::string name = "a" + std::to_string(a);
@@ -500,6 +675,66 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
         ASSERT_TRUE(r.ok());
         EXPECT_EQ(*r.wire, reference[i]);
     }
+
+    // Second storm: a budget that holds about one asset and its entries,
+    // so the cache is not shrunk away by every pass and cache puts (four
+    // classes per asset) race the unloads. An entry leaves with its asset:
+    // afterwards no unloaded asset may be answered from the cache.
+    const u64 master = server.store().backing()->info("a0")->container_bytes;
+    server.governor().set_budget(master + master / 2);
+    stop.store(false, std::memory_order_relaxed);
+    threads.clear();
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 24; ++i) {
+                const int a = (t + i) % kAssets;
+                const std::string name = "a" + std::to_string(a);
+                const u32 cls = u32{1} << (1 + (t + i / kAssets) % 4);
+                ServeStream stream = server.serve_stream(
+                    {name, cls, std::nullopt, kAcceptAll | kAcceptStreamed});
+                StreamReassembler client;
+                try {
+                    while (auto frame = stream.next_frame())
+                        client.feed(*frame);
+                    const ServeResult got = client.result();
+                    const ServeResult mat = server.serve({name, cls, std::nullopt});
+                    if (!got.ok() || !mat.ok() || *got.wire != *mat.wire)
+                        ++failures;
+                } catch (const std::exception&) {
+                    ++failures;
+                }
+            }
+        });
+    }
+    std::thread governor2([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+            server.governor().enforce();
+            std::this_thread::yield();
+        }
+    });
+    for (auto& t : threads) t.join();
+    stop.store(true, std::memory_order_relaxed);
+    governor2.join();
+    EXPECT_EQ(failures.load(), 0);
+    EXPECT_EQ(server.totals().failures, 0u);
+    server.governor().set_budget(0);  // quiescent from here on
+    for (int i = 0; i < kAssets; ++i) {
+        const std::string name = "a" + std::to_string(i);
+        const bool resident = server.store().find(name) != nullptr;
+        const ServeResult r = server.serve({name, 4, std::nullopt});
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(*r.wire, reference[i]);
+        if (!resident) {
+            EXPECT_FALSE(r.stats.cache_hit)
+                << name << ": an entry outlived its unloaded asset";
+        }
+    }
+    // Every asset is resident and cached now; unloading each one leaves
+    // the cache empty.
+    for (int i = 0; i < kAssets; ++i)
+        ASSERT_TRUE(server.store().unload("a" + std::to_string(i)));
+    EXPECT_EQ(server.cache().stats().entries, 0u);
+    EXPECT_EQ(server.cache().stats().bytes, 0u);
 }
 
 }  // namespace

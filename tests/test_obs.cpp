@@ -485,10 +485,8 @@ TEST(ObsServer, SamplingTakesTheTimedPathOneInN) {
 TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
     MetadataCache cache(1 << 20);
     auto wire = [](std::size_t n, u32 splits) {
-        auto r = std::make_shared<FinishedResponse>();
-        r->wire.assign(n, u8{7});
-        r->splits = splits;
-        return SharedResponse(std::move(r));
+        return std::make_shared<const FinishedResponse>(
+            std::vector<u8>(n, u8{7}), splits);
     };
     cache.get("a", 4);                    // miss
     cache.put("a", 4, wire(1000, 4));     // insertion

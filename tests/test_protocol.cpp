@@ -39,7 +39,7 @@ TEST(Protocol, ResponseRoundTripsExactly) {
     ServeResult res;
     res.code = ErrorCode::ok;
     res.payload = PayloadKind::range;
-    res.wire = std::make_shared<const std::vector<u8>>(
+    res.wire = std::make_shared<const FinishedResponse>(
         std::vector<u8>{1, 2, 3, 250, 251, 252});
     res.stats.splits_served = 17;
     res.stats.cache_hit = true;
@@ -128,7 +128,7 @@ TEST(Protocol, CorruptResponseFramesAreTypedErrors) {
     ServeResult res;
     res.code = ErrorCode::ok;
     res.payload = PayloadKind::file;
-    res.wire = std::make_shared<const std::vector<u8>>(
+    res.wire = std::make_shared<const FinishedResponse>(
         test::geometric_symbols<u8>(96, 0.7, 256, 3));
     res.stats.splits_served = 4;
     expect_typed_rejection(encode_response(res),

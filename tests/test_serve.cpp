@@ -25,9 +25,7 @@ namespace recoil::serve {
 namespace {
 
 SharedResponse make_wire(std::size_t n, u8 fill) {
-    auto r = std::make_shared<FinishedResponse>();
-    r->wire.assign(n, fill);
-    return r;
+    return std::make_shared<const FinishedResponse>(std::vector<u8>(n, fill));
 }
 
 TEST(MetadataCache, HitMissAndByteAccounting) {
@@ -37,7 +35,7 @@ TEST(MetadataCache, HitMissAndByteAccounting) {
     cache.put("a", 16, make_wire(400, 2));
     auto hit = cache.get("a", 8);
     ASSERT_NE(hit, nullptr);
-    EXPECT_EQ(hit->wire.front(), 1);
+    EXPECT_EQ(hit->bytes().front(), 1);
 
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.hits, 1u);
@@ -546,7 +544,7 @@ TEST_F(ServeFixture, AcceptFlagsNegotiateTheWireForm) {
 TEST_F(ServeFixture, CorruptWireIsRejected) {
     auto res = server.serve(ServeRequest{"asset", 1, {{100, 400}}});
     ASSERT_TRUE(res.ok());
-    std::vector<u8> mangled = *res.wire;
+    std::vector<u8> mangled(res.wire->begin(), res.wire->end());
     mangled[mangled.size() / 2] ^= 0x40;
     EXPECT_THROW(decode_range_wire(mangled), Error);
     EXPECT_THROW(inspect_range_wire(std::vector<u8>{'R', 'C', 'R', '2'}), Error);
@@ -570,12 +568,12 @@ TEST_F(ServeFixture, HostileWireWithValidChecksumIsRejected) {
     // segs(4) = 28; segment base(8) flags(1) prob(1) rsvd(2) lo(8) hi(8)
     // first_split(4) = 32, then alpha(4) + 256 freq words.
     const std::size_t freq_off = 28 + 32 + 4;
-    std::vector<u8> bad_freq = *res.wire;
+    std::vector<u8> bad_freq(res.wire->begin(), res.wire->end());
     for (int i = 0; i < 4; ++i) bad_freq[freq_off + i] = 0xFF;
     EXPECT_THROW(decode_range_wire(reseal(std::move(bad_freq))), Error);
 
     const std::size_t meta_len_off = freq_off + 4 * 256;
-    std::vector<u8> bad_len = *res.wire;
+    std::vector<u8> bad_len(res.wire->begin(), res.wire->end());
     for (int i = 0; i < 8; ++i) bad_len[meta_len_off + i] = 0xFF;
     EXPECT_THROW(decode_range_wire(reseal(std::move(bad_len))), Error);
 }
@@ -606,12 +604,13 @@ TEST_F(ServeFixture, MasterBytesMatchesActualSerialization) {
 }
 
 TEST_F(ServeFixture, EvictionUnderPressureKeepsTheHotEntry) {
-    // Capacity for ~2 full responses: the repeatedly-requested class must
-    // survive a stream of one-off parallelisms.
+    // Capacity for ~2 entries (an entry is charged its structural bytes):
+    // the repeatedly-requested class must survive a stream of one-off
+    // parallelisms.
     auto probe = server.serve(ServeRequest{"asset", 16, std::nullopt});
     ASSERT_TRUE(probe.ok());
     ServerOptions opt;
-    opt.cache_capacity_bytes = probe.stats.wire_bytes * 5 / 2;
+    opt.cache_capacity_bytes = probe.wire->owned_bytes() * 5 / 2;
     ContentServer small(opt);
     small.store().add_file("asset", *asset->file());
 
@@ -666,7 +665,7 @@ TEST(SingleFlight, ColdRequestsCoalesceIntoOneCombine) {
 
     EXPECT_EQ(combines.load(), 1);  // exactly one combine ran
     unsigned leaders = 0, followers = 0;
-    WireBytes shared_wire;
+    SharedResponse shared_wire;
     for (const ServeResult& res : results) {
         ASSERT_TRUE(res.ok()) << res.detail;
         EXPECT_FALSE(res.stats.cache_hit);

@@ -227,6 +227,79 @@ TEST(ShardRebalance, BudgetMovesTowardObservedHeat) {
     EXPECT_EQ(r.shard(1).governor().budget_bytes(), after[1]);
 }
 
+TEST(ShardRebalance, AShardThatMissesEverythingGainsBudget) {
+    // Shard 0's working set overflows its share, so every one of its
+    // requests misses; shard 1 hits. Heat is the wire bytes a shard served,
+    // hit or miss, so the overflowing shard wins budget instead of being
+    // dealt only its floor at every pass.
+    TempDir tmp;
+    ShardedOptions opt;
+    opt.shards = 2;
+    opt.store_dir = tmp.path;  // unloads need a backing copy
+    opt.total_budget_bytes = 200'000;
+    ShardedServer r(opt);
+    const auto before = r.shard_budgets();
+
+    const std::string big1 = name_on_shard(r, "big1", 0);
+    const std::string big2 = name_on_shard(r, "big2", 0);
+    const std::string small = name_on_shard(r, "small", 1);
+    r.encode_bytes(big1, workload::gen_text(200'000, 5), 64);
+    r.encode_bytes(big2, workload::gen_text(200'000, 6), 64);
+    r.encode_bytes(small, workload::gen_text(2'000, 7), 8);
+    ASSERT_GT(r.shard(0).store().resident_bytes(), before[0]);
+
+    for (int i = 0; i < 8; ++i) {
+        ASSERT_TRUE(r.serve(ServeRequest{i % 2 ? big2 : big1, 8, {}}).ok());
+        ASSERT_TRUE(r.serve(ServeRequest{small, 8, {}}).ok());
+    }
+    ASSERT_EQ(r.shard(0).cache().stats().hits, 0u) << "shard 0 must thrash";
+    ASSERT_GT(r.shard(1).cache().stats().hits, 0u);
+
+    r.rebalance();
+    const auto after = r.shard_budgets();
+    EXPECT_EQ(after[0] + after[1], opt.total_budget_bytes);
+    EXPECT_GT(after[0], before[0]) << "the missing shard was starved";
+    EXPECT_GT(after[0], after[1]);
+    EXPECT_GE(after[1], static_cast<u64>(0.25 * (opt.total_budget_bytes / 2)));
+}
+
+TEST(ShardRebalance, AStoreBackedRouterSplitsItsInitialBudgetByStoredBytes) {
+    constexpr u64 kTotal = 8u << 20;
+    TempDir tmp;
+    ShardedOptions opt;
+    opt.shards = 2;
+    opt.store_dir = tmp.path;
+    opt.total_budget_bytes = kTotal;
+    {
+        ShardedServer empty(opt);  // nothing stored yet: an even split
+        const auto even = empty.shard_budgets();
+        EXPECT_EQ(even[0], kTotal / 2);
+        EXPECT_EQ(even[1], kTotal / 2);
+        empty.encode_bytes(name_on_shard(empty, "big", 0),
+                           workload::gen_text(300'000, 11), 64);
+        empty.encode_bytes(name_on_shard(empty, "small", 1),
+                           workload::gen_text(60'000, 12), 64);
+    }
+    const u64 stored0 = DiskStore(tmp.path / "shard-0").stored_bytes();
+    const u64 stored1 = DiskStore(tmp.path / "shard-1").stored_bytes();
+    ASSERT_GT(stored0, 3 * stored1);
+
+    // Reopened over the stored corpus: each shard keeps its floor (a
+    // quarter of the even share) and the rest follows the stored bytes.
+    ShardedServer r(opt);
+    const auto budgets = r.shard_budgets();
+    const u64 floor = kTotal / 2 / 4;
+    const u64 spare = kTotal - 2 * floor;
+    EXPECT_EQ(budgets[1],
+              floor + static_cast<u64>(static_cast<double>(spare) *
+                                       (static_cast<double>(stored1) /
+                                        static_cast<double>(stored0 + stored1))));
+    EXPECT_EQ(budgets[0] + budgets[1], kTotal);
+    EXPECT_GT(budgets[0], 3 * floor);
+    EXPECT_EQ(r.shard(0).governor().budget_bytes(), budgets[0]);
+    EXPECT_EQ(r.shard(1).governor().budget_bytes(), budgets[1]);
+}
+
 TEST(ShardGovernor, PressureOnOneShardLeavesPeersUntouched) {
     TempDir tmp;
     ShardedOptions opt;
@@ -309,7 +382,7 @@ TEST(ShardDaemon, MultiLoopShardedServingBitExactUnderLoad) {
     ShardedServer router(opt);
     constexpr u32 kAssets = 8;
     std::vector<std::string> names;
-    std::vector<std::shared_ptr<const std::vector<u8>>> refs;
+    std::vector<SharedResponse> refs;
     for (u32 i = 0; i < kAssets; ++i) {
         names.push_back("fleet/asset-" + std::to_string(i));
         auto data = workload::gen_text(40'000 + 1000 * i, 1000 + i);

@@ -147,10 +147,13 @@ TEST_F(StoreFixture, KillAndReopenServesEveryAssetBitExact) {
         for (const std::string& name : server.store().names()) {
             auto res = server.serve(ServeRequest{name, 4, std::nullopt});
             ASSERT_TRUE(res.ok()) << name << ": " << res.detail;
-            responses.emplace_back(name, *res.wire);
+            responses.emplace_back(
+                name, std::vector<u8>(res.wire->begin(), res.wire->end()));
             auto range = server.serve(ServeRequest{name, 1, {{10, 5000}}});
             ASSERT_TRUE(range.ok()) << name << ": " << range.detail;
-            responses.emplace_back(name + "/range", *range.wire);
+            responses.emplace_back(
+                name + "/range",
+                std::vector<u8>(range.wire->begin(), range.wire->end()));
         }
     }  // server destroyed: nothing survives but the directory
 
@@ -212,7 +215,7 @@ TEST_F(StoreFixture, GenerationCarriesAcrossRestartSoCacheKeysStayValid) {
     }
 }
 
-TEST_F(StoreFixture, UnloadKeepsCachedResponsesValid) {
+TEST_F(StoreFixture, UnloadDropsCachedResponsesAndReloadsBitExact) {
     ContentServer server;
     server.store().attach_backing(std::make_shared<DiskStore>(dir));
     server.store().encode_bytes("a", payload(50000, 4), 16);
@@ -224,12 +227,16 @@ TEST_F(StoreFixture, UnloadKeepsCachedResponsesValid) {
 
     ASSERT_TRUE(server.store().unload("a"));
     EXPECT_EQ(server.store().find("a"), nullptr);
-    // Demand-load reconstructs the asset under the same generation, so the
-    // cached response is a hit — same bytes, no recombine.
-    auto warm = server.serve(req);
-    ASSERT_TRUE(warm.ok()) << warm.detail;
-    EXPECT_TRUE(warm.stats.cache_hit);
-    EXPECT_EQ(warm.wire, cold.wire);
+    // The entry viewed the unloaded asset's payload, so it left with it.
+    // Demand-load reconstructs the asset under the same generation and the
+    // recombined response is the same bytes.
+    EXPECT_EQ(server.cache().stats().entries, 0u);
+    auto reloaded = server.serve(req);
+    ASSERT_TRUE(reloaded.ok()) << reloaded.detail;
+    EXPECT_FALSE(reloaded.stats.cache_hit);
+    EXPECT_EQ(*reloaded.wire, *cold.wire);
+    EXPECT_EQ(server.store().find("a")->uid(),
+              server.store().backing()->info("a")->generation);
     // evict_asset is the real delete: memory, cache, and disk.
     EXPECT_TRUE(server.evict_asset("a"));
     EXPECT_EQ(server.serve(req).code, ErrorCode::unknown_asset);

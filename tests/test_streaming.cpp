@@ -1,15 +1,15 @@
 // Tests for the streaming serve pipeline: a ServeStream is a cursor over the
 // finished response, framed as v2. Bit-exactness is the anchor — for every
 // asset kind (static file, indexed file, chunked), for both full-asset and
-// range requests, and for cold, warm, coalesced and uncached streams,
+// range requests, and for cold, warm and coalesced streams,
 // concatenating all streamed body frames must yield exactly the bytes of the
 // v1 materialized response, the header and FIN must announce its totals, and
 // a resumed stream must reunite with the prefix a client kept. On top of
 // that: hostile mid-stream frames surface as typed errors, unload()/evict()
-// mid-stream never invalidates in-flight pieces (the stream pins its
-// buffers), streams share serve()'s single flight, the stale-put gate holds
-// for streams, an uncached stream owns only its structural sections, and
-// thousands of live streams cost no threads.
+// mid-stream never invalidates in-flight pieces (the stream holds its
+// response and pins its asset), streams share serve()'s single flight, the
+// stale-put gate holds for streams, a stream owns only its response's
+// structural sections, and thousands of live streams cost no threads.
 
 #include <gtest/gtest.h>
 
@@ -63,32 +63,6 @@ std::vector<u8> reseal(std::vector<u8> f) {
     return f;
 }
 
-format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits) {
-    std::vector<u8> ids(syms.size());
-    for (std::size_t i = 0; i < ids.size(); ++i)
-        ids[i] = static_cast<u8>((i / 7) % 2);
-    std::vector<u64> c0(256, 1), c1(256, 1);
-    for (std::size_t i = 0; i < syms.size(); ++i)
-        (ids[i] == 0 ? c0 : c1)[syms[i]]++;
-    std::vector<StaticModel> models{StaticModel(c0, 11), StaticModel(c1, 11)};
-    format::RecoilFile f;
-    f.sym_width = 1;
-    f.prob_bits = 11;
-    format::RecoilFile::IndexedPayload p;
-    for (const StaticModel& m : models) {
-        std::vector<u32> freq(m.alphabet());
-        for (u32 s = 0; s < m.alphabet(); ++s) freq[s] = m.freq(s);
-        p.freqs.push_back(std::move(freq));
-    }
-    p.ids = ids;
-    IndexedModelSet set(std::move(models), ids);
-    auto enc = recoil_encode<Rans32, 32>(syms, set, max_splits);
-    f.metadata = std::move(enc.metadata);
-    f.units = std::move(enc.bitstream.units);
-    f.model = std::move(p);
-    return f;
-}
-
 /// One asset of every kind over the same symbol stream.
 struct StreamingFixture : ::testing::Test {
     static constexpr u64 kN = 60000;
@@ -121,7 +95,7 @@ struct StreamingFixture : ::testing::Test {
         : data(test::geometric_symbols<u8>(kN, 0.55, 256, 11)),
           server(hooked(this)) {
         server.store().encode_bytes("static", data, 16);
-        server.store().add_file("indexed", indexed_file(data, 16));
+        server.store().add_file("indexed", test::indexed_file(data, 16));
         stream::ChunkedEncoder enc({11, 8});
         for (u64 off = 0; off < kN; off += kN / 4)
             enc.add_chunk(std::span<const u8>(data).subspan(off, kN / 4));
@@ -135,8 +109,6 @@ TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
     // served, and header and FIN must announce the v1 totals.
     StreamOptions opt;
     opt.max_frame_bytes = 4096;
-    StreamOptions uncached = opt;
-    uncached.use_cache = false;
     const u64 mf = opt.max_frame_bytes;
     for (const char* name : {"static", "indexed", "chunked"}) {
         for (const bool ranged : {false, true}) {
@@ -174,7 +146,11 @@ TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
             server.cache().clear();
             check("cold", server.serve_stream(req, opt));
             check("warm", server.serve_stream(req, opt));
-            check("uncached", server.serve_stream(req, uncached));
+            // A stream holds its response, not the cache entry: clearing
+            // the cache mid-stream changes nothing.
+            ServeStream held = server.serve_stream(req, opt);
+            server.cache().clear();
+            check("entry dropped", std::move(held));
 
             // Coalesced: a v1 leader holds in its combine until the stream
             // has joined its flight.
@@ -194,13 +170,14 @@ TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
             // typed bad_request header.
             const auto original_header =
                 collect_frames(server.serve_stream(req, opt)).front();
-            for (const StreamOptions& o : {opt, uncached}) {
+            for (const bool cold : {false, true}) {
                 for (const u64 off : {u64{1}, mf - 1, mf, wire / 2, wire - 1,
                                       wire, wire + 1}) {
                     ServeRequest resumed = req;
                     resumed.resume_offset = off;
+                    if (cold) server.cache().clear();
                     const auto tail =
-                        collect_frames(server.serve_stream(resumed, o));
+                        collect_frames(server.serve_stream(resumed, opt));
                     if (off > wire) {
                         ASSERT_EQ(tail.size(), 1u) << shape << " @" << off;
                         EXPECT_EQ(decode_stream_frame(tail[0]).header.code,
@@ -359,7 +336,7 @@ TEST_F(StreamingFixture, HostileMidStreamFramesAreTypedErrors) {
 void expect_rejected_then_recovers(const std::vector<std::vector<u8>>& frames,
                                    std::size_t at, const std::vector<u8>& bad,
                                    ErrorCode code, u64 max_frame_bytes,
-                                   const std::vector<u8>& wire,
+                                   std::span<const u8> wire,
                                    const std::string& what) {
     StreamReassembler ra(max_frame_bytes);
     for (std::size_t i = 0; i < at; ++i) ra.feed(frames[i]);
@@ -487,7 +464,7 @@ struct LargeWireFixture : StreamingFixture {
         Xoshiro256 rng(23);
         for (u8& b : big) b = static_cast<u8>(rng());  // ~1 wire byte each
         server.store().encode_bytes("big_static", big, 16);
-        server.store().add_file("big_indexed", indexed_file(big, 16));
+        server.store().add_file("big_indexed", test::indexed_file(big, 16));
         stream::ChunkedEncoder enc({11, 8});
         for (u64 off = 0; off < kBig; off += kBig / 4)
             enc.add_chunk(std::span<const u8>(big).subspan(off, kBig / 4));
@@ -496,7 +473,7 @@ struct LargeWireFixture : StreamingFixture {
 
     /// Body frame `seq` as encode_stream_body builds it (hashing it) from
     /// the slice at `pos` of `wire`.
-    static std::vector<u8> reference_body(u32 seq, const std::vector<u8>& wire,
+    static std::vector<u8> reference_body(u32 seq, std::span<const u8> wire,
                                           u64 pos, u64 mf) {
         const u64 n = std::min(mf, wire.size() - pos);
         return encode_stream_body(
@@ -506,7 +483,7 @@ struct LargeWireFixture : StreamingFixture {
     /// Every body frame of a stream of `wire` from byte `from` at `mf`-byte
     /// frames equals the reference frame.
     static void expect_reference_bodies(
-        const std::vector<std::vector<u8>>& frames, const std::vector<u8>& wire,
+        const std::vector<std::vector<u8>>& frames, std::span<const u8> wire,
         u64 from, u64 mf, const std::string& what) {
         const u64 bodies = (wire.size() - from + mf - 1) / mf;
         ASSERT_EQ(frames.size(), bodies + 2) << what;
@@ -535,7 +512,7 @@ TEST_F(LargeWireFixture, HeldFrameChecksumsReproduceEveryFrame) {
             std::string(shape.name) + (shape.range ? " range" : " full");
         const ServeResult ref = server.serve(req);
         ASSERT_TRUE(ref.ok()) << what << ": " << ref.detail;
-        const std::vector<u8>& wire = *ref.wire;
+        const std::span<const u8> wire = *ref.wire;
         ASSERT_GE(wire.size(), 2'500'000u) << what;
 
         const auto check = [&](const char* how, ServeStream stream, u64 mf) {
@@ -631,7 +608,7 @@ TEST(StreamingProtocol, FrameTooLargeIsEnforcedAtBothBoundaries) {
     ServeResult res;
     res.code = ErrorCode::ok;
     res.payload = PayloadKind::file;
-    res.wire = std::make_shared<const std::vector<u8>>(
+    res.wire = std::make_shared<const FinishedResponse>(
         std::vector<u8>(4096, 0x5C));
     try {
         encode_response(res, 1000);
@@ -668,8 +645,7 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
     ASSERT_TRUE(server.store().unload("asset"));
     StreamOptions opt;
     opt.max_frame_bytes = 4096;
-    opt.use_cache = false;  // stream straight from the asset's views
-    auto stream = server.serve_stream(req, opt);
+    auto stream = server.serve_stream(req, opt);  // views the reloaded asset
     std::vector<std::vector<u8>> frames;
     frames.push_back(*stream.next_frame());  // header
     frames.push_back(*stream.next_frame());  // first body
@@ -774,8 +750,9 @@ TEST_F(StreamingFixture, AbandonedLeaderStillCompletesFollowersAndCache) {
 }
 
 TEST_F(StreamingFixture, EraseMidStreamKeepsTheStreamBitExact) {
-    // Erase the asset under a half-drained uncached stream: the stream's
-    // pinned asset must keep the storage its pieces view valid.
+    // Erase the asset under a half-drained stream: erasing drops the cache
+    // entry, and the stream's response and pinned asset must keep the
+    // storage its pieces view valid.
     const ServeRequest req{"chunked", 4, std::nullopt, kAcceptStream};
     server.cache().clear();
     const ServeResult ref =
@@ -784,8 +761,8 @@ TEST_F(StreamingFixture, EraseMidStreamKeepsTheStreamBitExact) {
 
     StreamOptions opt;
     opt.max_frame_bytes = 512;
-    opt.use_cache = false;  // solo stream: only the pin holds the asset
-    auto stream = server.serve_stream(req, opt);
+    auto stream = server.serve_stream(req, opt);  // a warm hit
+    ASSERT_TRUE(stream.head().stats.cache_hit);
     std::vector<std::vector<u8>> frames;
     frames.push_back(*stream.next_frame());  // header
     frames.push_back(*stream.next_frame());  // first body
@@ -832,7 +809,7 @@ TEST(StreamingGate, StalePutGateHoldsForStreams) {
               ErrorCode::unknown_asset);
 }
 
-TEST(StreamingMemory, UncachedStreamOwnsOnlyItsStructuralSections) {
+TEST(StreamingMemory, StreamOwnsOnlyItsStructuralSections) {
     auto data = test::geometric_symbols<u8>(1'500'000, 0.8, 256, 9);
     ContentServer server;
     server.store().encode_bytes("big", data, 64);
@@ -844,15 +821,14 @@ TEST(StreamingMemory, UncachedStreamOwnsOnlyItsStructuralSections) {
 
     StreamOptions opt;
     opt.max_frame_bytes = 16384;
-    opt.use_cache = false;  // the too-big-to-cache regime: no gathered wire
-    auto stream = server.serve_stream(req, opt);
+    auto stream = server.serve_stream(req, opt);  // the cached piece list
     std::vector<std::vector<u8>> frames;
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));
     const u64 peak_owned = stream.peak_owned_bytes();
 
     EXPECT_LT(peak_owned, wire / 8)
-        << "stream held O(wire) owned bytes; an uncached stream should hold "
-           "its structural sections plus one frame";
+        << "stream held O(wire) owned bytes; a stream should hold its "
+           "response's structural sections plus one frame";
     const ServeResult got = reassemble(frames, opt.max_frame_bytes);
     EXPECT_EQ(*got.wire, *ref.wire);
 }
@@ -900,7 +876,6 @@ TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
     // cost a thread each.
     StreamOptions sopt;
     sopt.max_frame_bytes = 256;
-    sopt.use_cache = false;
     std::vector<ServeStream> streams;
     streams.reserve(static_cast<std::size_t>(kSoakStreams));
     int peak_threads = before;
@@ -941,9 +916,8 @@ TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
 TEST(CacheGauges, PeakBytesIsAHighWaterMarkThatSurvivesClear) {
     MetadataCache cache(1000);
     auto wire = [](std::size_t n) {
-        auto r = std::make_shared<FinishedResponse>();
-        r->wire.assign(n, 1);
-        return SharedResponse(std::move(r));
+        return std::make_shared<const FinishedResponse>(
+            std::vector<u8>(n, 1));
     };
     cache.put("a", 1, wire(400));
     cache.put("b", 1, wire(500));

@@ -68,7 +68,7 @@ TEST(ThreadSafety, AttachBackingRacesReadersAndMetricsPolls) {
         readers.emplace_back([&store, &reg, &stop, t] {
             while (!stop.load(std::memory_order_relaxed)) {
                 auto a = store.resolve(t % 2 == 0 ? "a" : "b");
-                if (a != nullptr) (void)store.is_current(*a);
+                if (a != nullptr) (void)store.is_resident(*a);
                 (void)store.backing();
                 (void)store.residency();
                 (void)reg.snapshot();
