@@ -46,7 +46,9 @@ std::vector<u8> Client::roundtrip_frame(std::span<const u8> frame) {
 }
 
 serve::ServeResult Client::request(const serve::ServeRequest& req) {
-    std::vector<u8> resp = roundtrip_frame(serve::encode_request(req));
+    serve::ServeRequest v1 = req;
+    v1.accept &= static_cast<u8>(~serve::kAcceptStreamed);
+    std::vector<u8> resp = roundtrip_frame(serve::encode_request(v1));
     return serve::decode_response(resp);
 }
 

@@ -46,7 +46,8 @@ public:
     /// Connects eagerly; throws NetError{connect_failed | timeout}.
     explicit Client(ClientOptions opt);
 
-    /// v1 round-trip: one request frame out, one response frame back.
+    /// v1 round-trip: one request frame out, one response frame back. The
+    /// request goes without kAcceptStreamed, so the answer is always v1.
     serve::ServeResult request(const serve::ServeRequest& req);
 
     /// v2 round-trip: forces kAcceptStreamed onto the request, reassembles

@@ -58,10 +58,10 @@ struct Daemon::AtomicStats {
 namespace detail {
 
 /// Per-connection state machine. Owned memory is the outbound buffer (at
-/// most one transport-framed response/stream frame), the FrameReader's
-/// partial inbound frame, and queued complete request frames — each piece
-/// individually bounded, and reads stop while any response is in flight,
-/// so the total stays O(max_frame).
+/// most one transport-framed reply frame), the FrameReader's partial
+/// inbound frame, and queued complete request frames — each piece
+/// individually bounded, and reads stop while any reply is in flight, so
+/// the total stays O(max_frame).
 struct Conn {
     Fd fd;
     FrameReader reader;
@@ -69,13 +69,11 @@ struct Conn {
     std::size_t out_off = 0;
     std::deque<std::vector<u8>> pending;
     std::size_t pending_bytes = 0;
-    std::optional<serve::ServeStream> stream;
+    std::optional<serve::ServeStream> stream;  ///< the reply in flight
     bool readable = false;
     bool writable = true;  ///< fresh sockets are writable until EAGAIN says not
     bool rd_eof = false;
-    bool kill_after_flush = false;  ///< debug_kill_stream_after_bytes armed
     u32 interest = 0;  ///< currently registered epoll interest mask
-    u64 stream_out_bytes = 0;  ///< v2 frame bytes appended on this conn
     std::chrono::steady_clock::time_point last_activity;
 
     explicit Conn(Fd f, u32 max_frame)
@@ -427,38 +425,15 @@ bool Daemon::read_ready(Loop& lp, Conn& c) {
     return true;
 }
 
-void Daemon::dispatch(Loop& lp, Conn& c, std::vector<u8> frame) {
+void Daemon::dispatch(Loop& lp, Conn& c, const std::vector<u8>& frame) {
     stats_->requests.fetch_add(1, std::memory_order_relaxed);
     lp.lstats->requests.fetch_add(1, std::memory_order_relaxed);
-    // Route to the streamed path when this is a well-formed-looking v1
-    // request frame whose accept byte carries kAcceptStreamed and whose
-    // asset is real store content ('!' introspection names materialize
-    // through serve_frame). Anything else — including a request that
-    // fails to decode — goes through serve_frame, whose job is exactly
-    // to turn defects into typed v1 error frames.
-    const bool looks_v1_request =
-        frame.size() >= 8 && frame[0] == 'R' && frame[1] == 'C' &&
-        frame[2] == 'R' && frame[3] == 'Q' &&
-        frame[4] == serve::kProtocolVersion;
-    if (looks_v1_request && (frame[6] & serve::kAcceptStreamed) != 0) {
-        try {
-            serve::ServeRequest req = serve::decode_request(frame);
-            if (!req.asset.empty() && req.asset[0] != '!') {
-                // Builds the whole response (a cold combine, or the wait
-                // for another request's) on this loop thread, exactly as
-                // serve_frame does for v1; the stream then only frames.
-                c.stream.emplace(backend_.stream(req, opt_.stream));
-                stats_->streamed.fetch_add(1, std::memory_order_relaxed);
-                return;
-            }
-        } catch (const serve::ProtocolError&) {
-            // fall through: serve_frame re-parses and answers with the
-            // typed error frame the client expects
-        }
-    }
-    std::vector<u8> resp = backend_.frame(frame);
-    append_net_frame(c.out, resp);
-    stats_->note_peak_buffer(c.owned_bytes());
+    // The serve layer reads the frame and builds the whole reply here, on
+    // the loop thread (a cold combine, or the wait for another request's);
+    // the loop then only moves the reply's frames.
+    c.stream.emplace(backend_.serve_frame(frame));
+    if (c.stream->streamed())
+        stats_->streamed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Daemon::pump_output(Loop& lp, Conn& c) {
@@ -467,30 +442,19 @@ void Daemon::pump_output(Loop& lp, Conn& c) {
     // frame is not even framed until the previous one fully flushed).
     while (!c.out_pending()) {
         if (c.stream) {
-            auto frame = c.stream->next_frame();
-            if (frame) {
-                c.stream_out_bytes += frame->size();
-                if (opt_.debug_kill_stream_after_bytes != 0 &&
-                    c.stream_out_bytes >=
-                        opt_.debug_kill_stream_after_bytes &&
-                    !debug_killed_.exchange(true,
-                                            std::memory_order_relaxed)) {
-                    // Test hook: flush what we owe, then hard-close the
-                    // connection mid-stream (once per daemon).
-                    c.kill_after_flush = true;
-                }
+            if (auto frame = c.stream->next_frame()) {
                 append_net_frame(c.out, *frame);
                 stats_->note_peak_buffer(c.owned_bytes());
                 return;
             }
-            c.stream.reset();  // stream complete
+            c.stream.reset();  // reply complete
             continue;
         }
         if (!c.pending.empty()) {
             std::vector<u8> frame = std::move(c.pending.front());
             c.pending.pop_front();
             c.pending_bytes -= frame.size();
-            dispatch(lp, c, std::move(frame));
+            dispatch(lp, c, frame);
             continue;
         }
         return;  // nothing to do
@@ -516,10 +480,6 @@ void Daemon::service(Loop& lp, Conn& c) {
     const int fd = c.fd.get();
     for (;;) {
         if (!flush_out(lp, c)) return;  // c is gone
-        if (c.kill_after_flush && !c.out_pending()) {
-            close_conn(lp, fd);  // armed mid-stream kill (test hook)
-            return;
-        }
         if (!c.out_pending()) {
             pump_output(lp, c);
             if (c.out_pending()) continue;  // new frame: try to flush it
@@ -662,7 +622,7 @@ void Daemon::service(detail::Loop&, detail::Conn&) {}
 bool Daemon::flush_out(detail::Loop&, detail::Conn&) { return false; }
 bool Daemon::read_ready(detail::Loop&, detail::Conn&) { return false; }
 void Daemon::pump_output(detail::Loop&, detail::Conn&) {}
-void Daemon::dispatch(detail::Loop&, detail::Conn&, std::vector<u8>) {}
+void Daemon::dispatch(detail::Loop&, detail::Conn&, const std::vector<u8>&) {}
 void Daemon::update_interest(detail::Loop&, detail::Conn&) {}
 void Daemon::close_conn(detail::Loop&, int) {}
 void Daemon::start_drain(detail::Loop&) {}
@@ -676,20 +636,12 @@ Daemon::Daemon(serve::ContentServer& server, DaemonOptions opt)
     : Daemon(Backend{[&server](std::span<const u8> f) {
                          return server.serve_frame(f);
                      },
-                     [&server](const serve::ServeRequest& r,
-                               const serve::StreamOptions& o) {
-                         return server.serve_stream(r, o);
-                     },
                      &server.metrics()},
              std::move(opt)) {}
 
 Daemon::Daemon(serve::ShardedServer& router, DaemonOptions opt)
     : Daemon(Backend{[&router](std::span<const u8> f) {
                          return router.serve_frame(f);
-                     },
-                     [&router](const serve::ServeRequest& r,
-                               const serve::StreamOptions& o) {
-                         return router.serve_stream(r, o);
                      },
                      &router.metrics()},
              std::move(opt)) {}

@@ -11,10 +11,10 @@
 //   - per-connection state machine: a FrameReader reassembles request
 //     frames from arbitrary partial reads; complete frames queue and are
 //     dispatched one at a time (pipelining works, ordering is preserved).
-//     v1 requests go through serve_frame() (which also answers
-//     "!metrics"); requests with kAcceptStreamed become a ServeStream, a
-//     cursor over the finished response whose frames are pulled ONLY when
-//     the outbound buffer has fully flushed — the socket's writability is
+//     The daemon never reads a request: each frame goes, as is, to the
+//     backend's serve_frame(), and the reply is a ServeStream — a v2
+//     stream or one v1 response frame — whose frames are pulled ONLY when
+//     the outbound buffer has fully flushed. The socket's writability is
 //     the backpressure, so per-connection owned memory stays O(max_frame)
 //     regardless of asset size or reader speed. A pull never waits.
 //   - readiness: level-triggered. The epoll interest mask tracks what the
@@ -71,14 +71,6 @@ struct DaemonOptions {
     /// thread. N > 1: run() spawns N-1 named threads and drives loop 0
     /// itself; accepts spread via per-loop SO_REUSEPORT listeners.
     u32 loops = 1;
-    /// Test hook (0 = off): once one connection has flushed at least this
-    /// many outbound STREAM frame bytes, hard-close it — once per daemon.
-    /// Drives the deterministic mid-stream kill of the resumable-stream
-    /// reconnection test; never set it in production.
-    u64 debug_kill_stream_after_bytes = 0;
-    /// Streamed-response knobs forwarded to serve_stream(); max_frame_bytes
-    /// also bounds the daemon's own outbound buffering.
-    serve::StreamOptions stream;
 };
 
 namespace detail {
@@ -139,13 +131,11 @@ public:
 
 private:
     struct AtomicStats;
-    /// The serving backend, type-erased so one loop implementation fronts
-    /// a single ContentServer or a ShardedServer identically.
+    /// The serving backend: its serve_frame(), one call per request
+    /// frame, type-erased so one loop implementation fronts a single
+    /// ContentServer or a ShardedServer identically.
     struct Backend {
-        std::function<std::vector<u8>(std::span<const u8>)> frame;
-        std::function<serve::ServeStream(const serve::ServeRequest&,
-                                         const serve::StreamOptions&)>
-            stream;
+        std::function<serve::ServeStream(std::span<const u8>)> serve_frame;
         obs::MetricsRegistry* metrics = nullptr;
     };
 
@@ -158,9 +148,10 @@ private:
     void service(detail::Loop& lp, detail::Conn& c);
     bool flush_out(detail::Loop& lp, detail::Conn& c);  ///< false: conn died
     bool read_ready(detail::Loop& lp, detail::Conn& c); ///< false: conn died
-    /// Frame the next stream frame, or dispatch the next queued request.
+    /// Frame the next reply frame, or dispatch the next queued request.
     void pump_output(detail::Loop& lp, detail::Conn& c);
-    void dispatch(detail::Loop& lp, detail::Conn& c, std::vector<u8> frame);
+    void dispatch(detail::Loop& lp, detail::Conn& c,
+                  const std::vector<u8>& frame);
     void update_interest(detail::Loop& lp, detail::Conn& c);
     void close_conn(detail::Loop& lp, int fd);
     void start_drain(detail::Loop& lp);
@@ -177,7 +168,6 @@ private:
     std::vector<int> wake_fds_;
     std::atomic<bool> drain_requested_{false};
     std::atomic<bool> drain_counted_{false};
-    std::atomic<bool> debug_killed_{false};
     std::shared_ptr<AtomicStats> stats_;
 };
 

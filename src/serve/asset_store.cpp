@@ -240,14 +240,6 @@ std::vector<AssetStore::ResidentAsset> AssetStore::residency() const {
     return out;
 }
 
-std::vector<std::string> AssetStore::names() const {
-    util::ReaderMutexLock lk(mu_);
-    std::vector<std::string> out;
-    out.reserve(assets_.size());
-    for (const auto& [name, _] : assets_) out.push_back(name);
-    return out;
-}
-
 std::size_t AssetStore::size() const {
     util::ReaderMutexLock lk(mu_);
     return assets_.size();

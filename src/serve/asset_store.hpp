@@ -90,7 +90,6 @@ public:
     /// Remove the asset everywhere (memory and backing store).
     bool erase(const std::string& name) RECOIL_EXCLUDES(disk_mu_, mu_);
 
-    std::vector<std::string> names() const RECOIL_EXCLUDES(mu_);
     std::size_t size() const RECOIL_EXCLUDES(mu_);
 
     /// Master bytes of every in-memory asset — the store's RAM footprint as

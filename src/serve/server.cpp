@@ -36,8 +36,28 @@ ServeResult fail(ErrorCode code, std::string detail) {
 
 // ---- ServeStream ----
 
+ServeStream ServeStream::reply(const ServeResult& res) noexcept {
+    ServeStream st;
+    st.phase_ = Phase::reply;
+    try {
+        st.head_ = res;
+        st.head_.wire = nullptr;
+        st.reply_ = encode_response(res);
+    } catch (...) {
+        // Only allocation can fail here; an empty frame (rejected by any
+        // decoder) beats terminating the server.
+    }
+    st.max_body_ = st.reply_.size();
+    return st;
+}
+
 std::optional<std::vector<u8>> ServeStream::next_frame() {
     if (phase_ == Phase::finished) return std::nullopt;
+    if (phase_ == Phase::reply) {
+        phase_ = Phase::finished;
+        ++frames_;
+        return std::move(reply_);
+    }
     // The wire is finished, so this is framing only: stream_frame_seconds
     // is the whole per-frame cost.
     Stopwatch frame_clock;
@@ -101,6 +121,8 @@ ContentServer::ContentServer(ServerOptions opt)
     : opt_(std::move(opt)),
       cache_(opt_.cache_capacity_bytes),
       governor_(store_, cache_, GovernorOptions{opt_.mem_budget_bytes}) {
+    RECOIL_CHECK(opt_.max_frame_bytes >= 8,
+                 "ServerOptions: a body frame must hold a whole trailer");
     init_telemetry();
 }
 
@@ -409,8 +431,8 @@ SharedResponse ContentServer::serve_shared(const Prepared& p,
     SharedResponse response;
     try {
         // The serializer's one pass keeps the wire as its pieces and
-        // yields the body-frame checksums a default-size stream sends.
-        format::WireSink sink(body_frame_sums(kDefaultMaxFrameBytes));
+        // yields the body-frame checksums this server's streams send.
+        format::WireSink sink(body_frame_sums(opt_.max_frame_bytes));
         const u32 splits = produce(p, sink, stats, trace);
         response = std::make_shared<const FinishedResponse>(sink, splits);
         // Publish to the cache before retiring the flight, so a request
@@ -467,13 +489,12 @@ void ContentServer::retire_flight(const std::string& flight_key,
     flight->cv.notify_all();
 }
 
-ServeStream ContentServer::serve_stream(const ServeRequest& req,
-                                        StreamOptions opt) noexcept {
+ServeStream ContentServer::serve_stream(const ServeRequest& req) noexcept {
     const u64 tick = requests_.fetch_add(1, std::memory_order_relaxed);
     streamed_requests_.fetch_add(1, std::memory_order_relaxed);
     ServeStream st;
     st.server_ = this;
-    if (opt.max_frame_bytes != 0) st.max_frame_ = opt.max_frame_bytes;
+    st.max_frame_ = opt_.max_frame_bytes;
     if (sample_tick(tick)) {
         st.trace_ = obs::TraceContext("stream", req.asset);
         st.h_frame_ = h_frame_;
@@ -496,14 +517,15 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
                 ErrorCode::bad_request,
                 "serve: resume offset " + std::to_string(req.resume_offset) +
                     " is past the " + std::to_string(total) + " B wire");
-        // The held checksums match this stream's frames only at the frame
-        // size they were built for, from the wire's first byte.
-        if (st.max_frame_ == kDefaultMaxFrameBytes && req.resume_offset == 0)
+        // The held checksums are those of this stream's frames when it
+        // starts at the wire's first byte; a resumed stream's frames are
+        // cut from the resume offset instead.
+        if (req.resume_offset == 0) {
             st.sums_ = served->frame_sums();
-        RECOIL_CHECK(st.sums_.empty() ||
-                         st.sums_.size() ==
+            RECOIL_CHECK(st.sums_.size() ==
                              (total + st.max_frame_ - 1) / st.max_frame_,
-                     "stream: held frame checksums do not fit the wire");
+                         "stream: held frame checksums do not fit the wire");
+        }
         // Resume is a seek: skip the pieces the client already holds.
         for (u64 skip = req.resume_offset; skip > 0; ++st.piece_) {
             const u64 n = served->pieces()[st.piece_].size();
@@ -529,34 +551,33 @@ ServeStream ContentServer::serve_stream(const ServeRequest& req,
     return st;
 }
 
-std::vector<u8> ContentServer::serve_frame(
+ServeStream ContentServer::serve_frame(
     std::span<const u8> request_frame) noexcept {
+    ServeRequest req;
     try {
-        ServeRequest req;
-        try {
-            Stopwatch decode;
-            req = decode_request(request_frame);
-            if (h_decode_ != nullptr) h_decode_->observe(decode.seconds());
-        } catch (const ProtocolError& e) {
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            failures_.fetch_add(1, std::memory_order_relaxed);
-            return encode_response(fail(e.code(), e.what()));
-        }
-        // Reserved "!..." names are introspection, answered from the
-        // registry — never from the store (a leading '!' is not a legal
-        // store name, so no real asset is shadowed).
-        if (!req.asset.empty() && req.asset[0] == '!') {
-            ServeResult res = serve_introspection(metrics_, req);
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            if (!res.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
-            return encode_response(res);
-        }
-        return encode_response(serve(req));
-    } catch (...) {
-        // encode_response can only fail on allocation exhaustion; an empty
-        // frame (rejected by any decoder) beats terminating the server.
-        return {};
+        Stopwatch decode;
+        req = decode_request(request_frame);
+        if (h_decode_ != nullptr) h_decode_->observe(decode.seconds());
+    } catch (const ProtocolError& e) {
+        return reject(e.code(), e.what());
+    } catch (const std::exception& e) {
+        return reject(ErrorCode::internal, e.what());
     }
+    if (is_introspection(req)) {
+        ServeResult res = serve_introspection(metrics_, req);
+        requests_.fetch_add(1, std::memory_order_relaxed);
+        if (!res.ok()) failures_.fetch_add(1, std::memory_order_relaxed);
+        return ServeStream::reply(res);
+    }
+    if ((req.accept & kAcceptStreamed) != 0) return serve_stream(req);
+    return ServeStream::reply(serve(req));
+}
+
+ServeStream ContentServer::reject(ErrorCode code,
+                                  std::string detail) noexcept {
+    requests_.fetch_add(1, std::memory_order_relaxed);
+    failures_.fetch_add(1, std::memory_order_relaxed);
+    return ServeStream::reply(fail(code, std::move(detail)));
 }
 
 ServeResult serve_introspection(const obs::MetricsRegistry& reg,
@@ -584,10 +605,6 @@ ServeResult serve_introspection(const obs::MetricsRegistry& reg,
     } catch (const std::exception& e) {
         return fail(ErrorCode::internal, e.what());
     }
-}
-
-bool ContentServer::evict_asset(const std::string& name) {
-    return store_.erase(name);
 }
 
 ContentServer::Totals ContentServer::totals() const noexcept {

@@ -5,8 +5,8 @@
 // typed (protocol.hpp ErrorCode), never thrown. Concurrent cold requests for
 // the same response are single-flighted: one combine runs, everyone shares
 // the resulting wire. serve_frame() is the transport boundary — opaque
-// request frame in, response frame out — so a network frontend needs no
-// knowledge of assets or caching.
+// request frame in, the reply's frames out — so a network frontend needs
+// no knowledge of requests, assets or caching.
 //
 // serve_stream() answers the same request as a v2 stream: it takes the
 // finished response on serve()'s own path (cache, single flight, stale-put
@@ -59,24 +59,23 @@ struct ServerOptions {
     /// enforces, histograms/slow-log then describe the sampled subset, and
     /// every counter/gauge stays exact (they are never sampled).
     u32 sample_every = 1;
-};
-
-/// Per-stream knobs of serve_stream(), negotiated per connection.
-struct StreamOptions {
-    /// Body-frame payload ceiling; frames over it are never produced
-    /// (encode-side frame_too_large enforcement happens below this).
+    /// Body-frame payload size of every stream this server sends; at least
+    /// 8 (a frame holds a whole trailer). The serializer's one pass builds
+    /// each response's frame checksums at this size, so a stream from the
+    /// wire's first byte frames without hashing.
     u64 max_frame_bytes = kDefaultMaxFrameBytes;
 };
 
 class ContentServer;
 
-/// A streamed response: pull protocol frames one at a time (header frame,
-/// body frames, FIN frame, then nullopt). The response is finished before
+/// The reply to one request, pulled one protocol frame at a time: a v2
+/// stream (header frame, body frames, FIN frame) or a single v1 response
+/// frame (reply()), then nullopt. A v2 stream's response is finished before
 /// the stream exists, so next_frame() never waits: each body frame is the
 /// next max-frame-size slice of the immutable wire, encoded straight from
-/// the pieces it spans, and resuming is a seek. Frames at the default
-/// frame size, from offset 0, reuse the response's held frame checksums
-/// and are not hashed again. The stream holds the response (and so every
+/// the pieces it spans, and resuming is a seek. From the wire's first byte
+/// the frames reuse the response's held frame checksums; only a resumed
+/// stream hashes its frames. The stream holds the response (and so every
 /// buffer its pieces view) and pins its asset, so unload()/evict()
 /// mid-stream never invalidates it. Must not outlive the ContentServer that
 /// created it.
@@ -87,6 +86,9 @@ public:
     ServeStream(const ServeStream&) = delete;
     ServeStream& operator=(const ServeStream&) = delete;
 
+    /// A reply of one v1 response frame carrying `res`.
+    static ServeStream reply(const ServeResult& res) noexcept;
+
     /// Status and totals (wire_bytes, splits_served, cache_hit, coalesced);
     /// `wire` is always null.
     const ServeResult& head() const noexcept { return head_; }
@@ -94,11 +96,14 @@ public:
     /// error response is a single header frame.
     std::optional<std::vector<u8>> next_frame();
     bool done() const noexcept { return phase_ == Phase::finished; }
+    /// True for a v2 stream, false for a single v1 response frame.
+    bool streamed() const noexcept { return server_ != nullptr; }
     u64 frames_emitted() const noexcept { return frames_; }
     /// Owned bytes the stream holds: its response's owned structural
-    /// pieces plus the largest body frame it built. Payload views of the
-    /// asset's storage cost no new memory and are excluded; this is the
-    /// number the bench compares against wire size.
+    /// pieces plus the largest body frame it built (a reply(): its one
+    /// frame). Payload views of the asset's storage cost no new memory and
+    /// are excluded; this is the number the bench compares against wire
+    /// size.
     u64 peak_owned_bytes() const noexcept {
         return (response_ != nullptr ? response_->owned_bytes() : 0) +
                max_body_;
@@ -108,14 +113,16 @@ private:
     friend class ContentServer;
     ServeStream() = default;
 
-    enum class Phase : u8 { header, body, finished };
+    enum class Phase : u8 { reply, header, body, finished };
+    /// Where a v2 stream records its trace at the end; null for a reply().
     ContentServer* server_ = nullptr;
     ServeResult head_;
+    std::vector<u8> reply_;  ///< a reply()'s one v1 frame
     std::shared_ptr<const Asset> asset_;  ///< pinned for the stream's life
     SharedResponse response_;  ///< the finished wire
     /// Held checksums of exactly the frames this stream emits (see
-    /// FinishedResponse::frame_sums), kept alive by response_; empty when
-    /// each frame is hashed as it is built.
+    /// FinishedResponse::frame_sums), kept alive by response_; empty for a
+    /// resumed stream, whose frames are hashed as they are built.
     std::span<const u64> sums_;
     u64 max_frame_ = kDefaultMaxFrameBytes;
     u64 max_body_ = 0;
@@ -182,21 +189,15 @@ public:
     /// request). ServeRequest::resume_offset seeks past the bytes a
     /// reconnecting client already holds; an offset past the wire is
     /// bad_request.
-    ServeStream serve_stream(const ServeRequest& req,
-                             StreamOptions opt = {}) noexcept;
+    ServeStream serve_stream(const ServeRequest& req) noexcept;
 
-    /// Transport entry: parse a request frame, serve it, return the encoded
-    /// response frame. Malformed frames become typed error responses.
-    std::vector<u8> serve_frame(std::span<const u8> request_frame) noexcept;
-
-    /// Remove an asset (memory AND backing store) and every cached response
-    /// derived from it (the governor's retire hook drops them as the asset
-    /// leaves memory). A combine already in flight for the evicted asset
-    /// still completes for its waiting requests, but its wire is gated out
-    /// of the cache (AssetStore::is_resident), so eviction is never undone
-    /// by a straggling flight. In-flight streams keep serving: they hold
-    /// their response and pin the asset.
-    bool evict_asset(const std::string& name);
+    /// The transport entry: decode one request frame, once, and answer it.
+    /// A request that accepts the streamed framing (kAcceptStreamed) and
+    /// names store content gets serve_stream()'s v2 frames; everything else
+    /// gets one v1 response frame: a plain v1 request, "!metrics"
+    /// introspection (answered from this server's registry), and a frame
+    /// that does not decode (its typed error). Never throws.
+    ServeStream serve_frame(std::span<const u8> request_frame) noexcept;
 
     /// Requests currently parked on another request's in-flight combine.
     u64 coalescing_waiters() const noexcept {
@@ -223,8 +224,13 @@ public:
     Totals totals() const noexcept;
 
 private:
-    friend class ServeStream;  // FIN-time trace recording
+    friend class ServeStream;    // FIN-time trace recording
+    friend class ShardedServer;  // answers undecodable frames via reject()
     using Flight = detail::Flight;
+
+    /// serve_frame's answer to a frame that does not decode: a failed
+    /// request, replied to with its typed v1 error frame.
+    ServeStream reject(ErrorCode code, std::string detail) noexcept;
 
     /// A validated request, ready to produce: shared by the materializing
     /// and streaming paths so negotiation/validation cannot diverge.
@@ -342,6 +348,12 @@ struct BatchStats {
     double sum_latency_seconds = 0;
 };
 BatchStats summarize(std::span<const ServeResult> results);
+
+/// A reserved "!..." name: introspection, never store content (a leading
+/// '!' is not a legal store name, so no real asset is shadowed).
+inline bool is_introspection(const ServeRequest& req) noexcept {
+    return !req.asset.empty() && req.asset[0] == '!';
+}
 
 /// Answer a "!metrics"/"!metrics.json" introspection request from `reg`:
 /// ContentServer from its own registry, ShardedServer from the router's.

@@ -129,39 +129,36 @@ void ShardedServer::note_routed() noexcept {
 }
 
 ServeResult ShardedServer::serve(const ServeRequest& req) noexcept {
-    if (!req.asset.empty() && req.asset[0] == '!')
-        return serve_introspection(metrics_, req);
+    if (is_introspection(req)) return serve_introspection(metrics_, req);
     const u32 home = shard_of(req.asset);
     ensure_local(home, req.asset);
     note_routed();
     return shards_[home].server->serve(req);
 }
 
-ServeStream ShardedServer::serve_stream(const ServeRequest& req,
-                                        StreamOptions opt) noexcept {
+ServeStream ShardedServer::serve_stream(const ServeRequest& req) noexcept {
     const u32 home = shard_of(req.asset);
-    if (req.asset.empty() || req.asset[0] != '!') {
+    if (!is_introspection(req)) {
         ensure_local(home, req.asset);
         note_routed();
     }
-    return shards_[home].server->serve_stream(req, opt);
+    return shards_[home].server->serve_stream(req);
 }
 
-std::vector<u8> ShardedServer::serve_frame(
+ServeStream ShardedServer::serve_frame(
     std::span<const u8> request_frame) noexcept {
+    ServeRequest req;
     try {
-        ServeRequest req;
-        try {
-            req = decode_request(request_frame);
-        } catch (const ProtocolError&) {
-            // Let a shard produce the typed error frame (and count the
-            // failure) exactly as a single server would.
-            return shards_[0].server->serve_frame(request_frame);
-        }
-        return encode_response(serve(req));
-    } catch (...) {
-        return {};
+        req = decode_request(request_frame);
+    } catch (const ProtocolError& e) {
+        // A shard counts the failed request, as a single server would.
+        return shards_[0].server->reject(e.code(), e.what());
+    } catch (const std::exception& e) {
+        return shards_[0].server->reject(ErrorCode::internal, e.what());
     }
+    if ((req.accept & kAcceptStreamed) != 0 && !is_introspection(req))
+        return serve_stream(req);
+    return ServeStream::reply(serve(req));
 }
 
 std::shared_ptr<const Asset> ShardedServer::encode_bytes(

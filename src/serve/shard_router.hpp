@@ -23,10 +23,10 @@
 //     serves every asset without one re-encode. Counted in Totals.
 //
 // The router mirrors ContentServer's transport surface (serve /
-// serve_stream / serve_frame), intercepting "!metrics"/"!metrics.json"
-// introspection to answer from its OWN registry — which carries the
-// router-level shard_* families plus per-shard labeled series
-// (`shard="i"`) polled from every shard's stats.
+// serve_stream / serve_frame, which decodes each request frame once),
+// intercepting "!metrics"/"!metrics.json" introspection to answer from its
+// OWN registry — which carries the router-level shard_* families plus
+// per-shard labeled series (`shard="i"`) polled from every shard's stats.
 
 #include <atomic>
 #include <filesystem>
@@ -83,9 +83,8 @@ public:
     /// Routed serving — ContentServer's surface, one hash away.
     /// Introspection names ("!...") are answered from the ROUTER registry.
     ServeResult serve(const ServeRequest& req) noexcept;
-    ServeStream serve_stream(const ServeRequest& req,
-                             StreamOptions opt = {}) noexcept;
-    std::vector<u8> serve_frame(std::span<const u8> request_frame) noexcept;
+    ServeStream serve_stream(const ServeRequest& req) noexcept;
+    ServeStream serve_frame(std::span<const u8> request_frame) noexcept;
 
     /// Encode-once into the owning shard (and its partition, when backed).
     std::shared_ptr<const Asset> encode_bytes(std::string name,

@@ -10,7 +10,6 @@
 #include <fstream>
 
 #include "format/wire_io.hpp"
-#include "obs/metrics.hpp"
 
 namespace recoil::serve {
 
@@ -381,27 +380,6 @@ bool DiskStore::remove(const std::string& name) {
     index_.erase(it);
     removes_.fetch_add(1, std::memory_order_relaxed);
     return true;
-}
-
-void DiskStore::bind_metrics(obs::MetricsRegistry* reg) {
-    if (reg == nullptr) return;
-    // `this`-capturing callbacks: the caller guarantees the store outlives
-    // the registry (an AssetStore whose backing may be replaced binds its
-    // disk through weak_ptr-guarded callbacks instead — see
-    // AssetStore::bind_metrics).
-    using obs::MetricKind;
-    reg->register_callback("disk_puts_total", MetricKind::counter,
-                           [this] { return stats().puts; });
-    reg->register_callback("disk_put_bytes_total", MetricKind::counter,
-                           [this] { return stats().put_bytes; });
-    reg->register_callback("disk_loads_total", MetricKind::counter,
-                           [this] { return stats().loads; });
-    reg->register_callback("disk_load_bytes_total", MetricKind::counter,
-                           [this] { return stats().load_bytes; });
-    reg->register_callback("disk_removes_total", MetricKind::counter,
-                           [this] { return stats().removes; });
-    reg->register_callback("disk_assets", MetricKind::gauge,
-                           [this] { return static_cast<u64>(size()); });
 }
 
 std::shared_ptr<Asset> asset_from_mapped(const DiskStore::Loaded& loaded) {

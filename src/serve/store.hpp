@@ -165,10 +165,6 @@ public:
                 removes_.load(std::memory_order_relaxed)};
     }
 
-    /// Publish this store through `reg` as polled disk_* metrics; callbacks
-    /// read the same atomics stats() reports.
-    void bind_metrics(obs::MetricsRegistry* reg);
-
 private:
     std::filesystem::path container_path(const std::string& name,
                                          u64 generation) const;

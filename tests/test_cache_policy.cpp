@@ -447,6 +447,7 @@ TEST(Governor, StreamPinsItsAssetAcrossAPressurePass) {
     ServerOptions opt;
     opt.cache_capacity_bytes = u64{1} << 20;
     opt.mem_budget_bytes = 1;  // permanent pressure: every pass unloads all
+    opt.max_frame_bytes = 4096;
     ContentServer server(opt);
     server.store().attach_backing(std::make_shared<DiskStore>(dir.path));
     const auto data = asset_bytes(60000, 71);
@@ -455,11 +456,9 @@ TEST(Governor, StreamPinsItsAssetAcrossAPressurePass) {
     const ServeResult ref = server.serve({"a", 4, std::nullopt});
     ASSERT_TRUE(ref.ok());
 
-    StreamOptions sopt;
-    sopt.max_frame_bytes = 4096;
     {
         ServeStream stream = server.serve_stream(
-            {"a", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt);
+            {"a", 4, std::nullopt, kAcceptAll | kAcceptStreamed});
         auto first = stream.next_frame();
         ASSERT_TRUE(first.has_value());
 
@@ -470,7 +469,7 @@ TEST(Governor, StreamPinsItsAssetAcrossAPressurePass) {
             << "governor unloaded an asset pinned by an in-flight stream";
         EXPECT_GE(server.governor().stats().skipped_in_use, 1u);
 
-        StreamReassembler client(sopt.max_frame_bytes);
+        StreamReassembler client(opt.max_frame_bytes);
         client.feed(*first);
         while (auto frame = stream.next_frame()) client.feed(*frame);
         const ServeResult got = client.result();
@@ -492,7 +491,9 @@ TEST(Governor, AnUnloadedAssetKeepsNoPayloadAliveAndReloadsBitExact) {
     // its entries go with it, its mapping is freed, and the next request
     // demand-loads and recombines the same bytes.
     TempDir dir("unit");
-    ContentServer server;
+    ServerOptions opt;
+    opt.max_frame_bytes = 4096;
+    ContentServer server(opt);
     server.store().attach_backing(std::make_shared<DiskStore>(dir.path));
     server.store().encode_bytes("a", asset_bytes(60000, 91), 16);
     std::vector<std::vector<u8>> want;
@@ -506,11 +507,9 @@ TEST(Governor, AnUnloadedAssetKeepsNoPayloadAliveAndReloadsBitExact) {
     std::weak_ptr<const void> mapping;
     u64 master = 0;
     {
-        StreamOptions sopt;
-        sopt.max_frame_bytes = 4096;
         auto stream = server.serve_stream(
-            {"a", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt);
-        StreamReassembler client(sopt.max_frame_bytes);
+            {"a", 4, std::nullopt, kAcceptAll | kAcceptStreamed});
+        StreamReassembler client(opt.max_frame_bytes);
         client.feed(*stream.next_frame());
         client.feed(*stream.next_frame());
         {
@@ -616,6 +615,7 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
     ServerOptions opt;
     opt.cache_capacity_bytes = u64{256} << 10;
     opt.mem_budget_bytes = 1;
+    opt.max_frame_bytes = 2048;
     ContentServer server(opt);
     server.store().attach_backing(std::make_shared<DiskStore>(dir.path));
 
@@ -634,15 +634,12 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
     std::vector<std::thread> threads;
     for (int t = 0; t < 4; ++t) {
         threads.emplace_back([&, t] {
-            StreamOptions sopt;
-            sopt.max_frame_bytes = 2048;
             for (int i = 0; i < 12; ++i) {
                 const int a = (t + i) % kAssets;
                 const std::string name = "a" + std::to_string(a);
                 ServeStream stream = server.serve_stream(
-                    {name, 4, std::nullopt, kAcceptAll | kAcceptStreamed},
-                    sopt);
-                StreamReassembler client(sopt.max_frame_bytes);
+                    {name, 4, std::nullopt, kAcceptAll | kAcceptStreamed});
+                StreamReassembler client(opt.max_frame_bytes);
                 try {
                     while (auto frame = stream.next_frame())
                         client.feed(*frame);

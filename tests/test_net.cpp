@@ -8,14 +8,19 @@
 // started mid-stream finishes the stream bit-exactly, refuses new
 // connects, and lets run() return; (4) frame reassembly survives arbitrary
 // read fragmentation — a TCP segment boundary anywhere, including inside
-// the length prefix, must never surface as a protocol error.
+// the length prefix, must never surface as a protocol error; (5) the daemon
+// only moves bytes: over a socket, every kind of request frame gets the
+// reply serve_frame() gives in process, framed the same way.
 
 #include <gtest/gtest.h>
 
 #include <sys/resource.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
+#include <functional>
+#include <memory>
 #include <thread>
 
 #include "net/client.hpp"
@@ -56,8 +61,10 @@ struct DaemonRunner {
     Daemon daemon;
     std::thread th;
 
-    DaemonRunner(ContentServer& server, DaemonOptions opt)
-        : daemon(server, std::move(opt)), th([this] { daemon.run(); }) {}
+    /// Fronts a ContentServer or a ShardedServer.
+    template <class Backend>
+    DaemonRunner(Backend& backend, DaemonOptions opt)
+        : daemon(backend, std::move(opt)), th([this] { daemon.run(); }) {}
     ~DaemonRunner() { drain_and_join(); }
 
     void drain_and_join() {
@@ -76,6 +83,16 @@ struct NetFixture : ::testing::Test {
 
     NetFixture() : data(workload::gen_text(kAssetBytes, 424242)) {
         server.store().encode_bytes("asset", data, 64);
+    }
+
+    /// The fixture's asset on a server that streams at `max_frame`-byte
+    /// body frames.
+    std::unique_ptr<ContentServer> server_at(u64 max_frame) {
+        serve::ServerOptions opt;
+        opt.max_frame_bytes = max_frame;
+        auto s = std::make_unique<ContentServer>(opt);
+        s->store().encode_bytes("asset", data, 64);
+        return s;
     }
 
     ServeResult in_process(const ServeRequest& req) {
@@ -199,11 +216,9 @@ TEST(FrameReader, OversizedPrefixBehindAPoppedFrameIsRejected) {
 TEST_F(NetFixture, StreamedFramesSurviveByteAtATimeTransport) {
     // End-to-end fragmentation torture: a full v2 stream's transport bytes
     // fed one byte at a time must reassemble bit-exactly with v1.
-    serve::StreamOptions sopt;
-    sopt.max_frame_bytes = 4096;
-    auto stream = server.serve_stream(
-        ServeRequest{"asset", 8, {}, serve::kAcceptAll | serve::kAcceptStreamed},
-        sopt);
+    const auto small = server_at(4096);
+    auto stream = small->serve_stream(
+        ServeRequest{"asset", 8, {}, serve::kAcceptAll | serve::kAcceptStreamed});
     std::vector<u8> wire;
     while (auto f = stream.next_frame()) append_net_frame(wire, *f);
 
@@ -330,9 +345,8 @@ TEST_F(NetFixture, SlowReaderKeepsConnBufferAtMaxFrame) {
     // wire: a reader draining a trickle at a time must never make the
     // daemon buffer more than ~one transport-framed protocol frame.
     constexpr u64 kMaxFrame = 8 * 1024;
-    DaemonOptions dopt;
-    dopt.stream.max_frame_bytes = kMaxFrame;
-    DaemonRunner runner(server, dopt);
+    const auto small = server_at(kMaxFrame);
+    DaemonRunner runner(*small, {});
 
     Fd sock = connect_tcp("127.0.0.1", runner.daemon.port(), Deadline::none());
     std::vector<u8> framed;
@@ -371,10 +385,9 @@ TEST_F(NetFixture, SlowReaderKeepsConnBufferAtMaxFrame) {
 // ---- graceful drain ----
 
 TEST_F(NetFixture, DrainMidStreamCompletesBitExactRefusesNewAndExits) {
-    serve::StreamOptions sopt;
-    DaemonOptions dopt;
-    dopt.stream.max_frame_bytes = 16 * 1024;  // many frames => drain lands mid-stream
-    DaemonRunner runner(server, dopt);
+    // Many frames => the drain lands mid-stream.
+    const auto small = server_at(16 * 1024);
+    DaemonRunner runner(*small, {});
     const u16 port = runner.daemon.port();
 
     Fd sock = connect_tcp("127.0.0.1", port, Deadline::none());
@@ -553,31 +566,54 @@ TEST_F(NetFixture, PipelinedRequestsAnswerInOrder) {
 
 // ---- resumable streams ----
 
+/// What a client saw of a stream it cut once, mid-stream (see cut_once).
+struct StreamCut {
+    u64 frames = 0;  ///< stream frames seen, the cut one included
+    u64 bytes = 0;
+    bool done = false;
+};
+
+/// An on_frame callback that cuts `client`'s connection once, after about
+/// 24 KiB of stream frames: it shuts the socket down and throws
+/// NetError{closed}. The throw is needed because on Linux a shut-down socket
+/// still returns the bytes already buffered, which can be the rest of the
+/// stream.
+Client::FrameCallback cut_once(Client& client, StreamCut& cut) {
+    return [&client, &cut](std::span<const u8> frame) {
+        ++cut.frames;
+        cut.bytes += frame.size();
+        if (cut.done || cut.bytes < 24 * 1024) return;
+        cut.done = true;
+        ::shutdown(client.fd(), SHUT_RDWR);
+        net_fail(NetErrorCode::closed, "connection cut mid-stream");
+    };
+}
+
 TEST_F(NetFixture, MidStreamKillWithoutResumeBudgetThrows) {
-    // Control for the resume test: the daemon's debug hook hard-closes the
-    // connection mid-stream; a client with no resume budget must surface
-    // the transport failure, not fabricate a result.
-    DaemonOptions dopt;
-    dopt.stream.max_frame_bytes = 8 * 1024;
-    dopt.debug_kill_stream_after_bytes = 24 * 1024;
-    DaemonRunner runner(server, dopt);
+    // Control for the resume test: the connection dies mid-stream; a client
+    // with no resume budget must surface the transport failure, not
+    // fabricate a result.
+    const auto small = server_at(8 * 1024);
+    DaemonRunner runner(*small, {});
     ClientOptions copt;
     copt.port = runner.daemon.port();
     Client client(copt);
-    EXPECT_THROW(client.request_streamed(ServeRequest{
-                     "asset", 8, {}, serve::kAcceptAll | serve::kAcceptStreamed}),
+    StreamCut cut;
+    EXPECT_THROW(client.request_streamed(
+                     ServeRequest{"asset", 8, {},
+                                  serve::kAcceptAll | serve::kAcceptStreamed},
+                     cut_once(client, cut)),
                  NetError);
+    EXPECT_TRUE(cut.done);
 }
 
 TEST_F(NetFixture, ResumedStreamReassemblesBitExactAfterMidStreamKill) {
-    // The daemon kills the connection after ~24 KiB of stream frames (once
-    // per daemon); the client reconnects, re-requests at the received byte
-    // offset, and keeps feeding the SAME reassembler — prefix + tail must
-    // pass the FIN's whole-wire checksum and match v1 bit-exactly.
-    DaemonOptions dopt;
-    dopt.stream.max_frame_bytes = 8 * 1024;
-    dopt.debug_kill_stream_after_bytes = 24 * 1024;
-    DaemonRunner runner(server, dopt);
+    // The connection dies after ~24 KiB of stream frames (once); the client
+    // reconnects, re-requests at the received byte offset, and keeps
+    // feeding the SAME reassembler — prefix + tail must pass the FIN's
+    // whole-wire checksum and match v1 bit-exactly.
+    const auto small = server_at(8 * 1024);
+    DaemonRunner runner(*small, {});
 
     auto v1 = in_process(ServeRequest{"asset", 8, {}});
     ASSERT_GT(v1.wire->size(), 48u * 1024);  // the kill lands mid-stream
@@ -586,15 +622,145 @@ TEST_F(NetFixture, ResumedStreamReassemblesBitExactAfterMidStreamKill) {
     copt.port = runner.daemon.port();
     copt.stream_resume_attempts = 2;
     Client client(copt);
-    u64 frames = 0;
+    StreamCut cut;
     auto v2 = client.request_streamed(
         ServeRequest{"asset", 8, {}, serve::kAcceptAll | serve::kAcceptStreamed},
-        [&](std::span<const u8>) { ++frames; });
+        cut_once(client, cut));
     ASSERT_TRUE(v2.ok()) << v2.detail;
     EXPECT_EQ(*v2.wire, *v1.wire);
-    EXPECT_GT(frames, 0u);
+    EXPECT_GT(cut.frames, 0u);
+    EXPECT_TRUE(cut.done);
     // The kill really happened: the daemon saw the reconnect.
     EXPECT_GE(runner.daemon.stats().accepted, 2u);
+}
+
+// ---- one reply path ----
+
+TEST_F(NetFixture, MaterializedRequestWithTheStreamedBitGetsV1) {
+    // request() is the v1 call: a request that carries kAcceptStreamed
+    // still gets the v1 response, and the connection stays in step.
+    DaemonRunner runner(server, {});
+    ClientOptions copt;
+    copt.port = runner.daemon.port();
+    Client c(copt);
+    const auto v1 = in_process(ServeRequest{"asset", 8, {}});
+    const auto res = c.request(
+        ServeRequest{"asset", 8, {}, serve::kAcceptAll | serve::kAcceptStreamed});
+    ASSERT_TRUE(res.ok()) << res.detail;
+    EXPECT_EQ(*res.wire, *v1.wire);
+    // Same connection, next request.
+    const auto next = c.request(ServeRequest{"asset", 2, {}});
+    ASSERT_TRUE(next.ok()) << next.detail;
+    EXPECT_EQ(*next.wire, *in_process(ServeRequest{"asset", 2, {}}).wire);
+}
+
+/// A reply as a client sees it: how it was framed and what it carried.
+struct Reply {
+    bool streamed = false;  ///< a v2 stream, not one v1 response frame
+    ServeResult result;     ///< decoded (v1) or reassembled (v2)
+};
+
+/// Read one reply, pulling its frames from `next` until it is complete.
+Reply read_reply(const std::function<std::vector<u8>()>& next) {
+    Reply r;
+    const std::vector<u8> first = next();
+    r.streamed = first.size() > 4 && first[4] == serve::kStreamVersion;
+    if (!r.streamed) {
+        r.result = serve::decode_response(first);
+        return r;
+    }
+    serve::StreamReassembler ra;
+    for (bool done = ra.feed(first); !done;) done = ra.feed(next());
+    r.result = ra.result();
+    return r;
+}
+
+/// Send `request` to the daemon on `port` over a new connection and read
+/// the reply.
+Reply socket_reply(u16 port, std::span<const u8> request) {
+    Fd sock = connect_tcp("127.0.0.1", port, Deadline::none());
+    std::vector<u8> framed;
+    append_net_frame(framed, request);
+    send_all(sock.get(), framed, Deadline::none());
+    FrameReader reader;
+    return read_reply([&] {
+        for (;;) {
+            if (auto f = reader.next()) return std::move(*f);
+            u8 buf[64 * 1024];
+            const std::size_t n = recv_some(
+                sock.get(), buf, Deadline::after(std::chrono::seconds(30)));
+            if (n == 0) net_fail(NetErrorCode::closed, "closed mid-reply");
+            reader.feed(std::span<const u8>(buf, n));
+        }
+    });
+}
+
+/// Every kind of request frame gets the same reply from `backend`'s
+/// serve_frame() in process and from a daemon fronting it: the same
+/// framing, the same code and, for content, the same wire as `ref`.
+template <class Backend>
+void expect_daemon_replies_match_serve_frame(Backend& backend,
+                                             const ServeResult& ref,
+                                             const char* backend_name) {
+    DaemonRunner runner(backend, {});
+    const ServeRequest v1{"asset", 8, {}};
+    ServeRequest streamed = v1;
+    streamed.accept |= serve::kAcceptStreamed;
+    const ServeRequest metrics{
+        serve::kMetricsAssetText, 1, {},
+        serve::kAcceptAll | serve::kAcceptStreamed | serve::kAcceptMetrics};
+    struct Case {
+        const char* what;
+        std::vector<u8> frame;
+        bool streamed;
+        serve::ErrorCode code;
+    };
+    const std::vector<Case> cases = {
+        {"v1 request", serve::encode_request(v1), false, serve::ErrorCode::ok},
+        {"streamed request", serve::encode_request(streamed), true,
+         serve::ErrorCode::ok},
+        {"streamed !metrics request", serve::encode_request(metrics), false,
+         serve::ErrorCode::ok},
+        {"malformed frame", {'n', 'o', 'p', 'e'}, false,
+         serve::ErrorCode::malformed_frame},
+    };
+    for (const Case& c : cases) {
+        const std::string what = std::string(backend_name) + ", " + c.what;
+        serve::ServeStream st = backend.serve_frame(c.frame);
+        const Reply local = read_reply([&] {
+            auto f = st.next_frame();
+            if (!f) throw std::runtime_error("reply ended early");
+            return std::move(*f);
+        });
+        EXPECT_FALSE(st.next_frame()) << what << ": frames after the reply";
+        const Reply remote = socket_reply(runner.daemon.port(), c.frame);
+        EXPECT_EQ(local.streamed, c.streamed) << what;
+        EXPECT_EQ(remote.streamed, c.streamed) << what;
+        EXPECT_EQ(local.result.code, c.code) << what << ": "
+                                             << local.result.detail;
+        EXPECT_EQ(remote.result.code, c.code) << what << ": "
+                                              << remote.result.detail;
+        EXPECT_EQ(local.result.payload, remote.result.payload) << what;
+        if (c.code != serve::ErrorCode::ok ||
+            local.result.payload == serve::PayloadKind::metrics)
+            continue;
+        ASSERT_NE(local.result.wire, nullptr) << what;
+        ASSERT_NE(remote.result.wire, nullptr) << what;
+        EXPECT_EQ(*local.result.wire, *ref.wire) << what;
+        EXPECT_EQ(*remote.result.wire, *ref.wire) << what;
+    }
+    runner.drain_and_join();
+    EXPECT_EQ(runner.daemon.stats().streamed, 1u) << backend_name;
+}
+
+TEST_F(NetFixture, DaemonRepliesMatchServeFrameForEveryRequestKind) {
+    const auto ref = in_process(ServeRequest{"asset", 8, {}});
+    expect_daemon_replies_match_serve_frame(server, ref, "ContentServer");
+    serve::ShardedOptions opt;
+    opt.shards = 2;
+    serve::ShardedServer router(opt);
+    router.encode_bytes("asset", data, 64);
+    expect_daemon_replies_match_serve_frame(router, ref, "2-shard router");
 }
 
 // ---- multi-loop daemon ----
@@ -704,8 +870,8 @@ TEST_F(NetFixture, MultiLoopDrainMidStreamCompletesBitExact) {
     // remaining frames to arrive and reassemble bit-exactly.
     DaemonOptions dopt;
     dopt.loops = 2;
-    dopt.stream.max_frame_bytes = 4 * 1024;
-    DaemonRunner runner(server, dopt);
+    const auto small = server_at(4 * 1024);
+    DaemonRunner runner(*small, dopt);
 
     auto v1 = in_process(ServeRequest{"asset", 8, {}});
     ClientOptions copt;

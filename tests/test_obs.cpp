@@ -407,9 +407,9 @@ TEST_F(ObsServerFixture, MetricsIntrospectionSpeaksTheWireProtocol) {
     const auto before = server.totals().requests;
 
     // Prometheus text over the wire.
-    auto res = decode_response(server.serve_frame(encode_request(
+    auto res = decode_response(*server.serve_frame(encode_request(
         ServeRequest{kMetricsAssetText, 1, std::nullopt,
-                     kAcceptAll | kAcceptMetrics})));
+                     kAcceptAll | kAcceptMetrics})).next_frame());
     ASSERT_TRUE(res.ok()) << res.detail;
     EXPECT_EQ(res.payload, PayloadKind::metrics);
     ASSERT_NE(res.wire, nullptr);
@@ -419,9 +419,9 @@ TEST_F(ObsServerFixture, MetricsIntrospectionSpeaksTheWireProtocol) {
     EXPECT_NE(text.find("serve_request_seconds_count"), std::string::npos);
 
     // JSON variant.
-    auto jres = decode_response(server.serve_frame(encode_request(
+    auto jres = decode_response(*server.serve_frame(encode_request(
         ServeRequest{kMetricsAssetJson, 1, std::nullopt,
-                     kAcceptAll | kAcceptMetrics})));
+                     kAcceptAll | kAcceptMetrics})).next_frame());
     ASSERT_TRUE(jres.ok());
     const std::string json(jres.wire->begin(), jres.wire->end());
     EXPECT_NE(json.find("\"counters\""), std::string::npos);
@@ -431,14 +431,14 @@ TEST_F(ObsServerFixture, MetricsIntrospectionSpeaksTheWireProtocol) {
     EXPECT_EQ(server.totals().requests, before + 2);
 
     // Without the metrics accept bit the reserved name is not served.
-    auto denied = decode_response(server.serve_frame(encode_request(
-        ServeRequest{kMetricsAssetText, 1, std::nullopt, kAcceptAll})));
+    auto denied = decode_response(*server.serve_frame(encode_request(
+        ServeRequest{kMetricsAssetText, 1, std::nullopt, kAcceptAll})).next_frame());
     EXPECT_EQ(denied.code, ErrorCode::not_acceptable);
 
     // Unknown "!" names fail typed, and never hit the store.
-    auto unknown = decode_response(server.serve_frame(encode_request(
+    auto unknown = decode_response(*server.serve_frame(encode_request(
         ServeRequest{"!nope", 1, std::nullopt,
-                     kAcceptAll | kAcceptMetrics})));
+                     kAcceptAll | kAcceptMetrics})).next_frame());
     EXPECT_EQ(unknown.code, ErrorCode::unknown_asset);
 }
 

@@ -206,7 +206,7 @@ TEST(Protocol, ServeFrameSpeaksTheProtocolEndToEnd) {
     server.store().encode_bytes("asset", data, 16);
 
     ServeRequest req{"asset", 8, std::nullopt};
-    auto response_frame = server.serve_frame(encode_request(req));
+    auto response_frame = *server.serve_frame(encode_request(req)).next_frame();
     auto res = decode_response(response_frame);
     ASSERT_TRUE(res.ok()) << res.detail;
     EXPECT_EQ(res.payload, PayloadKind::file);
@@ -214,19 +214,19 @@ TEST(Protocol, ServeFrameSpeaksTheProtocolEndToEnd) {
     EXPECT_LE(got.metadata.num_splits(), 8u);
 
     // Unknown asset: a well-formed frame with a typed error code back.
-    auto missing = decode_response(
-        server.serve_frame(encode_request(ServeRequest{"nope", 1, std::nullopt})));
+    auto missing = decode_response(*server.serve_frame(
+        encode_request(ServeRequest{"nope", 1, std::nullopt})).next_frame());
     EXPECT_EQ(missing.code, ErrorCode::unknown_asset);
 
     // Garbage in: typed error response out, not an exception or a crash.
     const std::vector<u8> garbage{'R', 'C', 'R', 'Q', 9, 9, 9, 9, 9, 9,
                                   9,   9,   9,   9,   9, 9, 9, 9, 9, 9};
-    auto rejected = decode_response(server.serve_frame(garbage));
+    auto rejected = decode_response(*server.serve_frame(garbage).next_frame());
     EXPECT_EQ(rejected.code, ErrorCode::checksum_mismatch);
 
     // Range request over the frame boundary decodes to the right bytes.
-    auto range_res = decode_response(server.serve_frame(
-        encode_request(ServeRequest{"asset", 1, {{100, 1100}}})));
+    auto range_res = decode_response(*server.serve_frame(
+        encode_request(ServeRequest{"asset", 1, {{100, 1100}}})).next_frame());
     ASSERT_TRUE(range_res.ok()) << range_res.detail;
     EXPECT_EQ(range_res.payload, PayloadKind::range);
     auto part = decode_range_wire(*range_res.wire);
@@ -239,58 +239,65 @@ TEST(Protocol, ServeFrameSpeaksTheProtocolEndToEnd) {
 
 TEST(BodyFrameSums, HeldChecksumsEqualEncodeStreamBodyAtEveryTrailerPlacement) {
     // A sink asked for body-frame checksums folds each frame while the wire
-    // is built. Whatever the piece boundaries, every held checksum must be
-    // the one encode_stream_body computes for that F-byte slice of the
-    // sealed wire. The totals put the 8-byte trailer whole in the last
-    // frame, split across the last two, and alone in its own frame.
-    constexpr u64 F = kDefaultMaxFrameBytes;
-    std::vector<u8> data(2 * F + 16);
-    Xoshiro256 rng(17);
-    for (u8& b : data) b = static_cast<u8>(rng());
-    const auto keeper = std::make_shared<const std::vector<u8>>(data);
-    const std::span<const u8> all(*keeper);
+    // is built. Whatever the piece boundaries and the frame size (a server
+    // streams at its own, down to one trailer's 8 bytes), every held
+    // checksum must be the one encode_stream_body computes for that F-byte
+    // slice of the sealed wire. The totals put the 8-byte trailer whole in
+    // the last frame, split across the last two, and alone in its own frame.
+    for (const u64 F : {u64{8}, u64{9}, u64{17}, u64{256}, u64{4096},
+                        kDefaultMaxFrameBytes}) {
+        std::vector<u8> data(2 * F + 16);
+        Xoshiro256 rng(17);
+        for (u8& b : data) b = static_cast<u8>(rng());
+        const auto keeper = std::make_shared<const std::vector<u8>>(data);
+        const std::span<const u8> all(*keeper);
 
-    std::vector<u64> totals;
-    for (const u64 base : {F, 2 * F})
-        for (u64 t = base - 9; t <= base + 9; ++t) totals.push_back(t);
-    for (const u64 total : totals) {
-        const u64 body = total - 8;  // bytes above the trailer
-        std::vector<u8> ref(data.begin(), data.begin() + body);
-        format::wire::append_checksum(ref);
-        std::vector<u64> want;
-        for (u64 pos = 0; pos < total; pos += F) {
-            const auto frame = encode_stream_body(
-                static_cast<u32>(want.size()),
-                std::span<const u8>(ref).subspan(pos, std::min(F, total - pos)),
-                F);
-            want.push_back(format::stored_checksum(frame));
-        }
-
-        // Piece cuts on and next to frame boundaries, plus 1-byte pieces
-        // at either end; each cut set is one way to deliver the bytes.
-        const std::vector<std::vector<u64>> layouts = {
-            {},
-            {F - 1},
-            {F},
-            {F + 1},
-            {1, F - 1, F, F + 1, 2 * F - 1, 2 * F, 2 * F + 1, body - 1},
-        };
-        for (std::size_t li = 0; li < layouts.size(); ++li) {
-            format::VectorSink sink(body_frame_sums(F));
-            u64 pos = 0;
-            for (const u64 cut : layouts[li]) {
-                if (cut <= pos || cut >= body) continue;
-                sink.write(format::ByteBuffer::view(all.subspan(pos, cut - pos),
-                                                    keeper));
-                pos = cut;
+        std::vector<u64> totals;
+        for (const u64 base : {F, 2 * F})
+            for (u64 t = std::max(base, u64{17}) - 9; t <= base + 9; ++t)
+                totals.push_back(t);
+        for (const u64 total : totals) {
+            const u64 body = total - 8;  // bytes above the trailer
+            const std::string at = "frame size " + std::to_string(F) +
+                                   ", total " + std::to_string(total);
+            std::vector<u8> ref(data.begin(), data.begin() + body);
+            format::wire::append_checksum(ref);
+            std::vector<u64> want;
+            for (u64 pos = 0; pos < total; pos += F) {
+                const auto frame = encode_stream_body(
+                    static_cast<u32>(want.size()),
+                    std::span<const u8>(ref).subspan(pos,
+                                                     std::min(F, total - pos)),
+                    F);
+                want.push_back(format::stored_checksum(frame));
             }
-            sink.write(
-                format::ByteBuffer::view(all.subspan(pos, body - pos), keeper));
-            sink.seal();
-            ASSERT_EQ(sink.out, ref) << "total " << total << " layout " << li;
-            EXPECT_EQ(sink.bytes(), total);
-            EXPECT_EQ(sink.frame_sums(), want)
-                << "total " << total << " layout " << li;
+
+            // Piece cuts on and next to frame boundaries, plus 1-byte
+            // pieces at either end; each cut set is one way to deliver the
+            // bytes.
+            const std::vector<std::vector<u64>> layouts = {
+                {},
+                {F - 1},
+                {F},
+                {F + 1},
+                {1, F - 1, F, F + 1, 2 * F - 1, 2 * F, 2 * F + 1, body - 1},
+            };
+            for (std::size_t li = 0; li < layouts.size(); ++li) {
+                format::VectorSink sink(body_frame_sums(F));
+                u64 pos = 0;
+                for (const u64 cut : layouts[li]) {
+                    if (cut <= pos || cut >= body) continue;
+                    sink.write(format::ByteBuffer::view(
+                        all.subspan(pos, cut - pos), keeper));
+                    pos = cut;
+                }
+                sink.write(format::ByteBuffer::view(
+                    all.subspan(pos, body - pos), keeper));
+                sink.seal();
+                ASSERT_EQ(sink.out, ref) << at << " layout " << li;
+                EXPECT_EQ(sink.bytes(), total);
+                EXPECT_EQ(sink.frame_sums(), want) << at << " layout " << li;
+            }
         }
     }
 }

@@ -489,7 +489,7 @@ TEST_F(ServeFixture, RangeResponsesAreCachedUnderTheAssetKey) {
     EXPECT_TRUE(warm.stats.cache_hit);
     EXPECT_EQ(warm.wire, cold.wire);
 
-    server.evict_asset("asset");
+    server.store().erase("asset");
     auto gone = server.serve(req);
     EXPECT_FALSE(gone.ok());  // asset and its cached ranges are both gone
     EXPECT_EQ(gone.code, ErrorCode::unknown_asset);
@@ -757,7 +757,7 @@ TEST(SingleFlight, AColdRequestCountsOneMiss) {
 }
 
 TEST(SingleFlight, EvictionMidFlightDoesNotResurrectTheCacheEntry) {
-    // Regression: a single-flight combine that finishes after evict_asset()
+    // Regression: a single-flight combine that finishes after an erase()
     // used to put its wire back into the cache — a stale entry for a deleted
     // asset, pinned until LRU pressure. The put must be gated on the asset
     // still being current.
@@ -767,7 +767,7 @@ TEST(SingleFlight, EvictionMidFlightDoesNotResurrectTheCacheEntry) {
     opt.combine_hook = [&](const std::string&) {
         // Evict while the combine is in flight (deterministic: the hook runs
         // after the flight is registered and before the wire is built).
-        if (++combines == 1) hook_target->evict_asset("asset");
+        if (++combines == 1) hook_target->store().erase("asset");
     };
     ContentServer server(opt);
     hook_target = &server;

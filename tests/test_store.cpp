@@ -144,7 +144,8 @@ TEST_F(StoreFixture, KillAndReopenServesEveryAssetBitExact) {
             server.store().add_file("latents", std::move(f));
         }
 
-        for (const std::string& name : server.store().names()) {
+        for (const auto& resident : server.store().residency()) {
+            const std::string& name = resident.name;
             auto res = server.serve(ServeRequest{name, 4, std::nullopt});
             ASSERT_TRUE(res.ok()) << name << ": " << res.detail;
             responses.emplace_back(
@@ -237,8 +238,8 @@ TEST_F(StoreFixture, UnloadDropsCachedResponsesAndReloadsBitExact) {
     EXPECT_EQ(*reloaded.wire, *cold.wire);
     EXPECT_EQ(server.store().find("a")->uid(),
               server.store().backing()->info("a")->generation);
-    // evict_asset is the real delete: memory, cache, and disk.
-    EXPECT_TRUE(server.evict_asset("a"));
+    // erase is the real delete: memory, cache, and disk.
+    EXPECT_TRUE(server.store().erase("a"));
     EXPECT_EQ(server.serve(req).code, ErrorCode::unknown_asset);
     EXPECT_EQ(server.store().backing()->size(), 0u);
 }

@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -71,35 +72,52 @@ struct StreamingFixture : ::testing::Test {
     /// leader here until its followers have joined. Set and reset only while
     /// no request is in flight.
     std::function<void()> on_combine;
-    ContentServer server;
+    ContentServer server;  ///< streams at kDefaultMaxFrameBytes
 
-    static ServerOptions hooked(StreamingFixture* self) {
+    /// Server options whose combines run on_combine, streaming at
+    /// `max_frame`-byte body frames.
+    static ServerOptions hooked(StreamingFixture* self,
+                                u64 max_frame = kDefaultMaxFrameBytes) {
         ServerOptions opt;
         opt.combine_hook = [self](const std::string&) {
             if (self->on_combine) self->on_combine();
         };
+        opt.max_frame_bytes = max_frame;
         return opt;
     }
 
-    /// Park the combining leader until `followers` requests wait on its
-    /// flight; counts the combines in `combines`.
-    void hold_leader_until(u64 followers, std::atomic<int>& combines) {
-        on_combine = [this, followers, &combines] {
+    /// Park the leader combining on `s` until `followers` requests wait on
+    /// its flight; counts the combines in `combines`.
+    void hold_leader_until(ContentServer& s, u64 followers,
+                           std::atomic<int>& combines) {
+        on_combine = [&s, followers, &combines] {
             ++combines;
-            while (server.coalescing_waiters() < followers)
+            while (s.coalescing_waiters() < followers)
                 std::this_thread::yield();
         };
+    }
+
+    void add_assets(ContentServer& s) {
+        s.store().encode_bytes("static", data, 16);
+        s.store().add_file("indexed", test::indexed_file(data, 16));
+        stream::ChunkedEncoder enc({11, 8});
+        for (u64 off = 0; off < kN; off += kN / 4)
+            enc.add_chunk(std::span<const u8>(data).subspan(off, kN / 4));
+        s.store().add_chunked("chunked", enc.finish());
+    }
+
+    /// `server`'s assets and hook on a server that streams at
+    /// `max_frame`-byte body frames.
+    std::unique_ptr<ContentServer> server_at(u64 max_frame) {
+        auto s = std::make_unique<ContentServer>(hooked(this, max_frame));
+        add_assets(*s);
+        return s;
     }
 
     StreamingFixture()
         : data(test::geometric_symbols<u8>(kN, 0.55, 256, 11)),
           server(hooked(this)) {
-        server.store().encode_bytes("static", data, 16);
-        server.store().add_file("indexed", test::indexed_file(data, 16));
-        stream::ChunkedEncoder enc({11, 8});
-        for (u64 off = 0; off < kN; off += kN / 4)
-            enc.add_chunk(std::span<const u8>(data).subspan(off, kN / 4));
-        server.store().add_chunked("chunked", enc.finish());
+        add_assets(server);
     }
 };
 
@@ -107,17 +125,16 @@ TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
     // Small frames force many body frames; the reassembly must still equal
     // the single materialized wire byte for byte, however the stream was
     // served, and header and FIN must announce the v1 totals.
-    StreamOptions opt;
-    opt.max_frame_bytes = 4096;
-    const u64 mf = opt.max_frame_bytes;
+    constexpr u64 mf = 4096;
+    const auto small = server_at(mf);
     for (const char* name : {"static", "indexed", "chunked"}) {
         for (const bool ranged : {false, true}) {
             ServeRequest req{name, 8, std::nullopt, kAcceptStream};
             if (ranged) req.range = {{kN / 3, kN / 3 + 9000}};
             const std::string shape =
                 std::string(name) + (ranged ? " range" : " full");
-            server.cache().clear();
-            const ServeResult ref = server.serve(req);
+            small->cache().clear();
+            const ServeResult ref = small->serve(req);
             ASSERT_TRUE(ref.ok()) << shape << ": " << ref.detail;
             const u64 wire = ref.wire->size();
 
@@ -143,23 +160,23 @@ TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
                     << shape << " " << how
                     << ": streamed reassembly diverges from the v1 wire";
             };
-            server.cache().clear();
-            check("cold", server.serve_stream(req, opt));
-            check("warm", server.serve_stream(req, opt));
+            small->cache().clear();
+            check("cold", small->serve_stream(req));
+            check("warm", small->serve_stream(req));
             // A stream holds its response, not the cache entry: clearing
             // the cache mid-stream changes nothing.
-            ServeStream held = server.serve_stream(req, opt);
-            server.cache().clear();
+            ServeStream held = small->serve_stream(req);
+            small->cache().clear();
             check("entry dropped", std::move(held));
 
             // Coalesced: a v1 leader holds in its combine until the stream
             // has joined its flight.
-            server.cache().clear();
+            small->cache().clear();
             std::atomic<int> combines{0};
-            hold_leader_until(1, combines);
-            std::thread leader([&] { (void)server.serve(req); });
+            hold_leader_until(*small, 1, combines);
+            std::thread leader([&] { (void)small->serve(req); });
             while (combines.load() == 0) std::this_thread::yield();
-            ServeStream follower = server.serve_stream(req, opt);
+            ServeStream follower = small->serve_stream(req);
             leader.join();
             on_combine = nullptr;
             EXPECT_TRUE(follower.head().stats.coalesced) << shape;
@@ -169,15 +186,15 @@ TEST_F(StreamingFixture, StreamedBytesAreBitExactWithV1ForEveryKindAndShape) {
             // the tail, and prefix + tail is the v1 wire; past the end is a
             // typed bad_request header.
             const auto original_header =
-                collect_frames(server.serve_stream(req, opt)).front();
+                collect_frames(small->serve_stream(req)).front();
             for (const bool cold : {false, true}) {
                 for (const u64 off : {u64{1}, mf - 1, mf, wire / 2, wire - 1,
                                       wire, wire + 1}) {
                     ServeRequest resumed = req;
                     resumed.resume_offset = off;
-                    if (cold) server.cache().clear();
+                    if (cold) small->cache().clear();
                     const auto tail =
-                        collect_frames(server.serve_stream(resumed, opt));
+                        collect_frames(small->serve_stream(resumed));
                     if (off > wire) {
                         ASSERT_EQ(tail.size(), 1u) << shape << " @" << off;
                         EXPECT_EQ(decode_stream_frame(tail[0]).header.code,
@@ -260,10 +277,10 @@ TEST_F(StreamingFixture, ErrorsAreASingleTypedHeaderFrame) {
 }
 
 TEST_F(StreamingFixture, HostileMidStreamFramesAreTypedErrors) {
-    StreamOptions opt;
-    opt.max_frame_bytes = 4096;
-    const auto frames = collect_frames(server.serve_stream(
-        {"chunked", 4, std::nullopt, kAcceptStream}, opt));
+    constexpr u64 mf = 4096;
+    const auto small = server_at(mf);
+    const auto frames = collect_frames(small->serve_stream(
+        {"chunked", 4, std::nullopt, kAcceptStream}));
     ASSERT_GE(frames.size(), 4u);
 
     // Truncation of any frame at any boundary: typed, never a crash.
@@ -298,7 +315,7 @@ TEST_F(StreamingFixture, HostileMidStreamFramesAreTypedErrors) {
         auto bad = frames;
         bad[1][25] ^= 0x01;  // inside the body payload
         bad[1] = reseal(std::move(bad[1]));
-        StreamReassembler ra(opt.max_frame_bytes);
+        StreamReassembler ra(mf);
         try {
             for (const auto& f : bad) ra.feed(f);
             FAIL() << "resealed mid-stream corruption was accepted";
@@ -363,9 +380,7 @@ TEST_F(StreamingFixture, EveryFlippedBodyBitIsAChecksumMismatchAndLeavesTheStrea
     const ServeResult ref = server.serve(req);
     ASSERT_TRUE(ref.ok()) << ref.detail;
     for (const u64 mf : {kDefaultMaxFrameBytes, u64{1024}}) {
-        StreamOptions opt;
-        opt.max_frame_bytes = mf;
-        const auto frames = collect_frames(server.serve_stream(req, opt));
+        const auto frames = collect_frames(server_at(mf)->serve_stream(req));
         // Every body frame of the default-size stream; one past the first
         // (seq 1) of the small-frame stream.
         const std::size_t first = mf == kDefaultMaxFrameBytes ? 1 : 2;
@@ -393,9 +408,7 @@ TEST_F(StreamingFixture, ResealedStructuralDamageKeepsItsTypedCode) {
     const ServeResult ref = server.serve(req);
     ASSERT_TRUE(ref.ok()) << ref.detail;
     constexpr u64 mf = 4096;
-    StreamOptions opt;
-    opt.max_frame_bytes = mf;
-    const auto frames = collect_frames(server.serve_stream(req, opt));
+    const auto frames = collect_frames(server_at(mf)->serve_stream(req));
     ASSERT_GE(frames.size(), 5u);
     // Body frame layout: magic 4, version, type, reserved @6, seq u32 @7,
     // length u64 @11, payload @19, then the checksum.
@@ -453,9 +466,10 @@ TEST_F(StreamingFixture, ResealedStructuralDamageKeepsItsTypedCode) {
                                       *ref.wire, c.what);
 }
 
-/// StreamingFixture plus wires of about 2.75 MB, three default-size (1 MiB)
-/// body frames each: the regime where a cached stream sends the checksums
-/// held with the finished response instead of hashing each frame.
+/// StreamingFixture plus wires of about 2.75 MB: three default-size (1 MiB)
+/// body frames each, or hundreds of small ones. Every stream from the
+/// wire's first byte sends the checksums held with the finished response,
+/// built at its server's frame size, instead of hashing each frame.
 struct LargeWireFixture : StreamingFixture {
     static constexpr u64 kBig = 2'750'000;
     std::vector<u8> big;
@@ -463,12 +477,18 @@ struct LargeWireFixture : StreamingFixture {
     LargeWireFixture() : big(kBig) {
         Xoshiro256 rng(23);
         for (u8& b : big) b = static_cast<u8>(rng());  // ~1 wire byte each
-        server.store().encode_bytes("big_static", big, 16);
-        server.store().add_file("big_indexed", test::indexed_file(big, 16));
+    }
+
+    /// The big assets on a server streaming at `max_frame`-byte frames.
+    std::unique_ptr<ContentServer> big_server(u64 max_frame) {
+        auto s = std::make_unique<ContentServer>(hooked(this, max_frame));
+        s->store().encode_bytes("big_static", big, 16);
+        s->store().add_file("big_indexed", test::indexed_file(big, 16));
         stream::ChunkedEncoder enc({11, 8});
         for (u64 off = 0; off < kBig; off += kBig / 4)
             enc.add_chunk(std::span<const u8>(big).subspan(off, kBig / 4));
-        server.store().add_chunked("big_chunked", enc.finish());
+        s->store().add_chunked("big_chunked", enc.finish());
+        return s;
     }
 
     /// Body frame `seq` as encode_stream_body builds it (hashing it) from
@@ -493,80 +513,103 @@ struct LargeWireFixture : StreamingFixture {
                                        from + k * mf, mf))
                 << what << ": body frame " << k << " differs";
     }
+
+    /// Cold, warm, coalesced and resumed streams of every big shape from a
+    /// server streaming at `F`-byte frames: each body frame equals
+    /// encode_stream_body's, and the served response holds one checksum
+    /// per frame.
+    void expect_held_frames_reproduce_every_frame(u64 F) {
+        const auto framed = big_server(F);
+        struct Shape {
+            const char* name;
+            std::optional<std::pair<u64, u64>> range;
+        };
+        for (const Shape& shape :
+             {Shape{"big_static", std::nullopt},
+              Shape{"big_indexed", std::nullopt},
+              Shape{"big_chunked", std::nullopt},
+              Shape{"big_chunked", {{1000, kBig - 1000}}}}) {
+            const ServeRequest req{shape.name, 8, shape.range, kAcceptStream};
+            const std::string what = std::string(shape.name) +
+                                     (shape.range ? " range" : " full") +
+                                     " at " + std::to_string(F) + " B";
+            const ServeResult ref = framed->serve(req);
+            ASSERT_TRUE(ref.ok()) << what << ": " << ref.detail;
+            const std::span<const u8> wire = *ref.wire;
+            ASSERT_GE(wire.size(), 2'500'000u) << what;
+            EXPECT_EQ(ref.wire->frame_sums().size(),
+                      (wire.size() + F - 1) / F)
+                << what;
+
+            const auto check = [&](const char* how, ServeStream stream) {
+                const auto frames = collect_frames(std::move(stream));
+                expect_reference_bodies(frames, wire, 0, F, what + " " + how);
+                const ServeResult got = reassemble(frames, F);
+                ASSERT_TRUE(got.ok()) << what << " " << how;
+                EXPECT_TRUE(*got.wire == wire) << what << " " << how;
+            };
+            framed->cache().clear();
+            ServeStream cold = framed->serve_stream(req);
+            EXPECT_FALSE(cold.head().stats.cache_hit) << what;
+            check("cold", std::move(cold));
+            ServeStream warm = framed->serve_stream(req);
+            EXPECT_TRUE(warm.head().stats.cache_hit) << what;
+            check("warm", std::move(warm));
+
+            framed->cache().clear();
+            std::atomic<int> combines{0};
+            hold_leader_until(*framed, 1, combines);
+            std::thread leader([&] { (void)framed->serve(req); });
+            while (combines.load() == 0) std::this_thread::yield();
+            ServeStream follower = framed->serve_stream(req);
+            leader.join();
+            on_combine = nullptr;
+            EXPECT_TRUE(follower.head().stats.coalesced) << what;
+            check("coalesced", std::move(follower));
+
+            // Resumed streams are framed from the resume offset, not on the
+            // held frame boundaries, and are hashed as they are built.
+            const auto header =
+                collect_frames(framed->serve_stream(req)).front();
+            for (const u64 off :
+                 {u64{1}, F - 1, F + 1, u64{wire.size()} - 1}) {
+                ServeRequest resumed = req;
+                resumed.resume_offset = off;
+                const auto tail = collect_frames(framed->serve_stream(resumed));
+                const std::string at = what + " resumed @" + std::to_string(off);
+                expect_reference_bodies(tail, wire, off, F, at);
+                StreamReassembler ra(F);
+                ra.feed(header);
+                u32 seq = 0;
+                for (u64 pos = 0; pos < off; pos += F)
+                    ra.feed(encode_stream_body(
+                        seq++,
+                        std::span<const u8>(wire).subspan(
+                            pos, std::min(F, off - pos)),
+                        F));
+                ra.begin_resume();
+                bool done = false;
+                for (const auto& f : tail) done = ra.feed(f);
+                ASSERT_TRUE(done) << at;
+                EXPECT_TRUE(*ra.result().wire == wire) << at;
+            }
+        }
+    }
 };
 
 TEST_F(LargeWireFixture, HeldFrameChecksumsReproduceEveryFrame) {
-    constexpr u64 F = kDefaultMaxFrameBytes;
-    StreamOptions small;
-    small.max_frame_bytes = 4096;
-    struct Shape {
-        const char* name;
-        std::optional<std::pair<u64, u64>> range;
-    };
-    for (const Shape& shape :
-         {Shape{"big_static", std::nullopt}, Shape{"big_indexed", std::nullopt},
-          Shape{"big_chunked", std::nullopt},
-          Shape{"big_chunked", {{1000, kBig - 1000}}}}) {
-        const ServeRequest req{shape.name, 8, shape.range, kAcceptStream};
-        const std::string what =
-            std::string(shape.name) + (shape.range ? " range" : " full");
-        const ServeResult ref = server.serve(req);
-        ASSERT_TRUE(ref.ok()) << what << ": " << ref.detail;
-        const std::span<const u8> wire = *ref.wire;
-        ASSERT_GE(wire.size(), 2'500'000u) << what;
+    expect_held_frames_reproduce_every_frame(4096);
+    expect_held_frames_reproduce_every_frame(kDefaultMaxFrameBytes);
+}
 
-        const auto check = [&](const char* how, ServeStream stream, u64 mf) {
-            const auto frames = collect_frames(std::move(stream));
-            expect_reference_bodies(frames, wire, 0, mf, what + " " + how);
-            const ServeResult got = reassemble(frames, mf);
-            ASSERT_TRUE(got.ok()) << what << " " << how;
-            EXPECT_TRUE(*got.wire == wire) << what << " " << how;
-        };
-        server.cache().clear();
-        ServeStream cold = server.serve_stream(req);
-        EXPECT_FALSE(cold.head().stats.cache_hit) << what;
-        check("cold", std::move(cold), F);
-        ServeStream warm = server.serve_stream(req);
-        EXPECT_TRUE(warm.head().stats.cache_hit) << what;
-        check("warm", std::move(warm), F);
-        check("4096-byte frames", server.serve_stream(req, small), 4096);
-
-        server.cache().clear();
-        std::atomic<int> combines{0};
-        hold_leader_until(1, combines);
-        std::thread leader([&] { (void)server.serve(req); });
-        while (combines.load() == 0) std::this_thread::yield();
-        ServeStream follower = server.serve_stream(req);
-        leader.join();
-        on_combine = nullptr;
-        EXPECT_TRUE(follower.head().stats.coalesced) << what;
-        check("coalesced", std::move(follower), F);
-
-        // Resumed streams are framed from the resume offset, not on the
-        // held frame boundaries, and are hashed as they are built.
-        const auto header = collect_frames(server.serve_stream(req)).front();
-        for (const u64 off : {u64{1}, F - 1, F + 1, u64{wire.size()} - 1}) {
-            ServeRequest resumed = req;
-            resumed.resume_offset = off;
-            const auto tail = collect_frames(server.serve_stream(resumed));
-            const std::string at = what + " resumed @" + std::to_string(off);
-            expect_reference_bodies(tail, wire, off, F, at);
-            StreamReassembler ra(F);
-            ra.feed(header);
-            u32 seq = 0;
-            for (u64 pos = 0; pos < off; pos += F)
-                ra.feed(encode_stream_body(
-                    seq++,
-                    std::span<const u8>(wire).subspan(pos,
-                                                      std::min(F, off - pos)),
-                    F));
-            ra.begin_resume();
-            bool done = false;
-            for (const auto& f : tail) done = ra.feed(f);
-            ASSERT_TRUE(done) << at;
-            EXPECT_TRUE(*ra.result().wire == wire) << at;
-        }
-    }
+TEST(StreamingProtocol, AServerFrameHoldsAWholeTrailer) {
+    // Held checksums split the 8-byte trailer over at most two frames, so
+    // a server cannot stream at fewer than 8 bytes per frame.
+    ServerOptions opt;
+    opt.max_frame_bytes = 7;
+    EXPECT_THROW(ContentServer{opt}, Error);
+    opt.max_frame_bytes = 8;
+    EXPECT_NO_THROW(ContentServer{opt});
 }
 
 TEST(StreamingProtocol, FrameTooLargeIsEnforcedAtBothBoundaries) {
@@ -632,7 +675,9 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
     fs::remove_all(dir);
 
     auto data = test::geometric_symbols<u8>(120000, 0.6, 256, 5);
-    ContentServer server;
+    ServerOptions opt;
+    opt.max_frame_bytes = 4096;
+    ContentServer server(opt);
     server.store().attach_backing(std::make_shared<DiskStore>(dir));
     server.store().encode_bytes("asset", data, 32);
     const ServeRequest req{"asset", 8, std::nullopt, kAcceptStream};
@@ -643,9 +688,7 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
     // zero-copy view of the mmapped container — the regime where mid-stream
     // lifecycle races would bite if the stream did not pin its buffers.
     ASSERT_TRUE(server.store().unload("asset"));
-    StreamOptions opt;
-    opt.max_frame_bytes = 4096;
-    auto stream = server.serve_stream(req, opt);  // views the reloaded asset
+    auto stream = server.serve_stream(req);  // views the reloaded asset
     std::vector<std::vector<u8>> frames;
     frames.push_back(*stream.next_frame());  // header
     frames.push_back(*stream.next_frame());  // first body
@@ -654,7 +697,7 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
     // (cache, memory, disk). The stream holds the asset and its mapping.
     ASSERT_TRUE(server.store().unload("asset"));
     frames.push_back(*stream.next_frame());
-    ASSERT_TRUE(server.evict_asset("asset"));
+    ASSERT_TRUE(server.store().erase("asset"));
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));
 
     const ServeResult got = reassemble(frames, opt.max_frame_bytes);
@@ -669,25 +712,24 @@ TEST(StreamingLifecycle, UnloadAndEvictMidStreamKeepInFlightSegmentsValid) {
 
 TEST_F(StreamingFixture, StreamingLeaderCoalescesMaterializedAndStreamedFollowers) {
     const ServeRequest req{"static", 6, std::nullopt, kAcceptStream};
-    server.cache().clear();
-    const auto before = server.totals();
-    StreamOptions opt;
-    opt.max_frame_bytes = 2048;
+    constexpr u64 mf = 2048;
+    const auto small = server_at(mf);
+    const auto before = small->totals();
 
     // The streamed leader holds inside its combine until both followers —
     // one materialized, one streamed — wait on its flight.
     std::atomic<int> combines{0};
-    hold_leader_until(2, combines);
+    hold_leader_until(*small, 2, combines);
     std::vector<std::vector<u8>> leader_frames, follower_frames;
     std::thread leader(
-        [&] { leader_frames = collect_frames(server.serve_stream(req, opt)); });
+        [&] { leader_frames = collect_frames(small->serve_stream(req)); });
     while (combines.load() == 0) std::this_thread::yield();
     ServeResult follower_res;
     std::thread materialized([&] {
-        follower_res = server.serve(ServeRequest{"static", 6, std::nullopt});
+        follower_res = small->serve(ServeRequest{"static", 6, std::nullopt});
     });
     std::thread streamed([&] {
-        follower_frames = collect_frames(server.serve_stream(req, opt));
+        follower_frames = collect_frames(small->serve_stream(req));
     });
     leader.join();
     materialized.join();
@@ -696,9 +738,9 @@ TEST_F(StreamingFixture, StreamingLeaderCoalescesMaterializedAndStreamedFollower
 
     EXPECT_EQ(combines.load(), 1);
     const ServeResult got_leader =
-        reassemble(leader_frames, opt.max_frame_bytes);
+        reassemble(leader_frames, mf);
     const ServeResult got_follower =
-        reassemble(follower_frames, opt.max_frame_bytes);
+        reassemble(follower_frames, mf);
     ASSERT_TRUE(got_leader.ok());
     ASSERT_TRUE(got_follower.ok());
     ASSERT_TRUE(follower_res.ok()) << follower_res.detail;
@@ -708,33 +750,31 @@ TEST_F(StreamingFixture, StreamingLeaderCoalescesMaterializedAndStreamedFollower
     EXPECT_EQ(*got_follower.wire, *got_leader.wire);
     EXPECT_EQ(*follower_res.wire, *got_leader.wire);
 
-    const auto after = server.totals();
+    const auto after = small->totals();
     EXPECT_EQ(after.coalesced_requests - before.coalesced_requests, 2u);
     // The leader's wire became the cache entry: the next request hits.
-    auto warm = server.serve(ServeRequest{"static", 6, std::nullopt});
+    auto warm = small->serve(ServeRequest{"static", 6, std::nullopt});
     EXPECT_TRUE(warm.stats.cache_hit);
     EXPECT_EQ(*warm.wire, *got_leader.wire);
 }
 
 TEST_F(StreamingFixture, AbandonedLeaderStillCompletesFollowersAndCache) {
     const ServeRequest req{"indexed", 4, std::nullopt, kAcceptStream};
-    server.cache().clear();
-    StreamOptions opt;
-    opt.max_frame_bytes = 1024;
+    const auto small = server_at(1024);
 
     // The streamed leader holds in its combine until the follower waits,
     // then walks away after the header: the finished wire has already
     // reached the follower and the cache.
     std::atomic<int> combines{0};
-    hold_leader_until(1, combines);
+    hold_leader_until(*small, 1, combines);
     std::thread leader([&] {
-        auto stream = server.serve_stream(req, opt);
+        auto stream = small->serve_stream(req);
         (void)stream.next_frame();  // header only, then walk away
     });
     while (combines.load() == 0) std::this_thread::yield();
     ServeResult follower_res;
     std::thread follower([&] {
-        follower_res = server.serve(ServeRequest{"indexed", 4, std::nullopt});
+        follower_res = small->serve(ServeRequest{"indexed", 4, std::nullopt});
     });
     leader.join();
     follower.join();
@@ -744,7 +784,7 @@ TEST_F(StreamingFixture, AbandonedLeaderStillCompletesFollowersAndCache) {
     ASSERT_TRUE(follower_res.ok()) << follower_res.detail;
     EXPECT_TRUE(follower_res.stats.coalesced);
     const ServeResult ref =
-        server.serve(ServeRequest{"indexed", 4, std::nullopt});
+        small->serve(ServeRequest{"indexed", 4, std::nullopt});
     EXPECT_TRUE(ref.stats.cache_hit);
     EXPECT_EQ(*follower_res.wire, *ref.wire);
 }
@@ -754,23 +794,22 @@ TEST_F(StreamingFixture, EraseMidStreamKeepsTheStreamBitExact) {
     // entry, and the stream's response and pinned asset must keep the
     // storage its pieces view valid.
     const ServeRequest req{"chunked", 4, std::nullopt, kAcceptStream};
-    server.cache().clear();
+    constexpr u64 mf = 512;
+    const auto small = server_at(mf);
     const ServeResult ref =
-        server.serve(ServeRequest{"chunked", 4, std::nullopt});
+        small->serve(ServeRequest{"chunked", 4, std::nullopt});
     ASSERT_TRUE(ref.ok());
 
-    StreamOptions opt;
-    opt.max_frame_bytes = 512;
-    auto stream = server.serve_stream(req, opt);  // a warm hit
+    auto stream = small->serve_stream(req);  // a warm hit
     ASSERT_TRUE(stream.head().stats.cache_hit);
     std::vector<std::vector<u8>> frames;
     frames.push_back(*stream.next_frame());  // header
     frames.push_back(*stream.next_frame());  // first body
 
-    ASSERT_TRUE(server.store().erase("chunked"));
+    ASSERT_TRUE(small->store().erase("chunked"));
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));
 
-    const ServeResult got = reassemble(frames, opt.max_frame_bytes);
+    const ServeResult got = reassemble(frames, mf);
     ASSERT_TRUE(got.ok()) << got.detail;
     EXPECT_EQ(*got.wire, *ref.wire)
         << "draining after erase served different bytes";
@@ -792,7 +831,7 @@ TEST(StreamingGate, StalePutGateHoldsForStreams) {
     hooked_opt.combine_hook = [&](const std::string&) {
         if (!evicted) {
             evicted = true;
-            srv->evict_asset("doomed");
+            srv->store().erase("doomed");
         }
     };
     ContentServer hooked(hooked_opt);
@@ -811,7 +850,9 @@ TEST(StreamingGate, StalePutGateHoldsForStreams) {
 
 TEST(StreamingMemory, StreamOwnsOnlyItsStructuralSections) {
     auto data = test::geometric_symbols<u8>(1'500'000, 0.8, 256, 9);
-    ContentServer server;
+    ServerOptions opt;
+    opt.max_frame_bytes = 16384;
+    ContentServer server(opt);
     server.store().encode_bytes("big", data, 64);
     const ServeRequest req{"big", 64, std::nullopt, kAcceptStream};
     const ServeResult ref = server.serve(req);
@@ -819,9 +860,7 @@ TEST(StreamingMemory, StreamOwnsOnlyItsStructuralSections) {
     const u64 wire = ref.wire->size();
     ASSERT_GT(wire, u64{1} << 19);  // far above one frame
 
-    StreamOptions opt;
-    opt.max_frame_bytes = 16384;
-    auto stream = server.serve_stream(req, opt);  // the cached piece list
+    auto stream = server.serve_stream(req);  // the cached piece list
     std::vector<std::vector<u8>> frames;
     while (auto f = stream.next_frame()) frames.push_back(std::move(*f));
     const u64 peak_owned = stream.peak_owned_bytes();
@@ -858,6 +897,8 @@ constexpr int kSoakStreams = 10000;
 TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
     ServerOptions opt;
     opt.telemetry = false;
+    // Small frames so every stream below is left mid-wire.
+    opt.max_frame_bytes = 256;
     ContentServer server(opt);
     std::vector<u8> data(2000);
     for (std::size_t i = 0; i < data.size(); ++i)
@@ -871,17 +912,14 @@ TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
     unsigned hw = std::thread::hardware_concurrency();
     if (hw == 0) hw = 1;
 
-    // Small frames so every stream is left mid-wire: all kSoakStreams live
-    // streams are half-read cursors at once, which is exactly what must NOT
-    // cost a thread each.
-    StreamOptions sopt;
-    sopt.max_frame_bytes = 256;
+    // All kSoakStreams live streams are half-read cursors at once, which is
+    // exactly what must NOT cost a thread each.
     std::vector<ServeStream> streams;
     streams.reserve(static_cast<std::size_t>(kSoakStreams));
     int peak_threads = before;
     for (int i = 0; i < kSoakStreams; ++i) {
         streams.push_back(server.serve_stream(
-            {"soak", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt));
+            {"soak", 4, std::nullopt, kAcceptAll | kAcceptStreamed}));
         // Pull the header + first body frame: the stream is live mid-wire.
         ASSERT_TRUE(streams.back().next_frame().has_value());
         ASSERT_TRUE(streams.back().next_frame().has_value());
@@ -897,10 +935,10 @@ TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
     // Drain a sample of fresh streams fully and check bit-exactness end to
     // end while the live fleet is still open.
     for (int i = 0; i < 20; ++i) {
-        StreamReassembler client(sopt.max_frame_bytes);
+        StreamReassembler client(opt.max_frame_bytes);
         bool done = false;
         ServeStream fresh = server.serve_stream(
-            {"soak", 4, std::nullopt, kAcceptAll | kAcceptStreamed}, sopt);
+            {"soak", 4, std::nullopt, kAcceptAll | kAcceptStreamed});
         while (auto f = fresh.next_frame()) done = client.feed(*f);
         ASSERT_TRUE(done);
         const ServeResult got = client.result();

@@ -96,6 +96,7 @@ TEST(ThreadSafety, StreamedFollowersShareTheLeadersFlight) {
     std::atomic<int> combines{0};
     ContentServer* srv = nullptr;
     ServerOptions opt;
+    opt.max_frame_bytes = 2048;
     // The leader holds inside its combine until every follower is parked
     // on its flight.
     opt.combine_hook = [&](const std::string&) {
@@ -113,12 +114,10 @@ TEST(ThreadSafety, StreamedFollowersShareTheLeadersFlight) {
     }();
     ASSERT_TRUE(ref.ok());
 
-    StreamOptions sopt;
-    sopt.max_frame_bytes = 2048;
-    const auto pull = [&server, &sopt] {
+    const auto pull = [&server, &opt] {
         ServeStream s = server.serve_stream(
-            {"asset", 4, std::nullopt, kAcceptStream}, sopt);
-        StreamReassembler ra(sopt.max_frame_bytes);
+            {"asset", 4, std::nullopt, kAcceptStream});
+        StreamReassembler ra(opt.max_frame_bytes);
         while (auto frame = s.next_frame()) ra.feed(*frame);
         return ra.result();
     };
