@@ -70,7 +70,7 @@ inline u64 plan_touch_hi(const RecoilMetadata& meta, const RangePlan& plan) {
 /// out-of-bounds pointer UB. Shared by recoil_decode_range and the serve
 /// subsystem's range-wire decoder. Callers whose per-position side
 /// information (an indexed model's ids) exists only on a slice of positions
-/// pass a simd::GuardedSimdRangeFn bounded by that slice: vector body on
+/// pass a simd::SimdRangeFn whose id window is that slice: vector body on
 /// the interior, scalar position-exact loop near the edges.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>

@@ -4,7 +4,6 @@
 #include <array>
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -13,6 +12,7 @@
 #include "util/named_threads.hpp"
 
 #ifdef __linux__
+#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -57,21 +57,18 @@ struct Daemon::AtomicStats {
 
 namespace detail {
 
-/// Per-connection state machine. Owned memory is the outbound buffer (at
-/// most one transport-framed reply frame), the FrameReader's partial
-/// inbound frame, and queued complete request frames — each piece
-/// individually bounded, and reads stop while any reply is in flight, so
-/// the total stays O(max_frame).
+/// Per-connection state: the FrameReader, at most one reply, and the
+/// outbound buffer. Request frames wait in the reader until the reply
+/// before them finishes, and reads happen only while neither a reply nor a
+/// complete frame is waiting, so the reader holds at most one read of
+/// pipelined frames plus one partial frame and owned memory stays
+/// O(max_frame).
 struct Conn {
     Fd fd;
     FrameReader reader;
     std::vector<u8> out;
     std::size_t out_off = 0;
-    std::deque<std::vector<u8>> pending;
-    std::size_t pending_bytes = 0;
     std::optional<serve::ServeStream> stream;  ///< the reply in flight
-    bool readable = false;
-    bool writable = true;  ///< fresh sockets are writable until EAGAIN says not
     bool rd_eof = false;
     u32 interest = 0;  ///< currently registered epoll interest mask
     std::chrono::steady_clock::time_point last_activity;
@@ -82,12 +79,8 @@ struct Conn {
           last_activity(std::chrono::steady_clock::now()) {}
 
     bool out_pending() const noexcept { return out_off < out.size(); }
-    bool quiesced() const noexcept {
-        return !out_pending() && !stream && pending.empty();
-    }
     u64 owned_bytes() const noexcept {
-        return static_cast<u64>(out.size() - out_off) +
-               reader.buffered_bytes() + pending_bytes;
+        return static_cast<u64>(out.size() - out_off) + reader.buffered_bytes();
     }
 };
 
@@ -107,6 +100,9 @@ struct Loop {
     Fd listen_fd;
     Fd epoll_fd;
     Fd wake_fd;
+    /// Held so that, at the fd limit, the loop can free one fd to accept
+    /// and close the head of its backlog (see accept_ready).
+    Fd spare_fd;
     bool draining = false;
     std::unordered_map<int, std::unique_ptr<Conn>> conns;
     std::chrono::steady_clock::time_point last_idle_sweep =
@@ -122,9 +118,6 @@ using detail::Loop;
 namespace {
 
 constexpr std::size_t kReadChunk = 64 * 1024;
-/// Queued-but-undispatched request frames per connection before the loop
-/// stops reading (pipelining bound; reads resume as the queue drains).
-constexpr std::size_t kMaxPendingRequests = 64;
 /// Inbound transport-frame cap. Request frames are small; this only bounds
 /// what a hostile peer can make a connection buffer.
 constexpr u32 kMaxRequestFrame = 1u << 20;
@@ -213,6 +206,7 @@ Daemon::Daemon(Backend backend, DaemonOptions opt)
         if (!lp->epoll_fd.valid()) daemon_fail("epoll_create1");
         lp->wake_fd = Fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC));
         if (!lp->wake_fd.valid()) daemon_fail("eventfd");
+        lp->spare_fd = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
         for (const int fd : {lp->wake_fd.get(), lp->listen_fd.get()}) {
             struct epoll_event ev {};
             ev.events = EPOLLIN;
@@ -299,13 +293,13 @@ void Daemon::start_drain(Loop& lp) {
         lp.listen_fd.reset();  // new connects now refused by the kernel
     }
     // Quiesced connections (nothing received, nothing in flight) close
-    // now; the rest finish their streams/queued requests and flush.
+    // now; the rest finish their replies and received requests and flush.
     std::vector<int> fds;
     fds.reserve(lp.conns.size());
     for (auto& [fd, c] : lp.conns) fds.push_back(fd);
     for (int fd : fds) {
         auto it = lp.conns.find(fd);
-        if (it != lp.conns.end()) service(lp, *it->second);
+        if (it != lp.conns.end()) service(lp, *it->second, false);
     }
 }
 
@@ -346,7 +340,19 @@ void Daemon::accept_ready(Loop& lp) {
             continue;
         }
         if (errno == EINTR) continue;
-        break;  // EAGAIN, or transient (ECONNABORTED, EMFILE, ...)
+        if (errno != EMFILE && errno != ENFILE) break;  // EAGAIN, transient
+        // Out of fds. The listener stays readable, so leaving the backlog
+        // as it is would spin the loop: spend the spare fd to accept the
+        // head of the backlog and close it at once (the deterministic EOF
+        // of --max-conns), then take the spare back.
+        lp.spare_fd.reset();
+        fd = ::accept4(lp.listen_fd.get(), nullptr, nullptr, SOCK_CLOEXEC);
+        if (fd >= 0) {
+            ::close(fd);
+            stats_->refused.fetch_add(1, std::memory_order_relaxed);
+        }
+        lp.spare_fd = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+        if (fd < 0) break;
     }
 }
 
@@ -360,34 +366,27 @@ void Daemon::close_conn(Loop& lp, int fd) {
 }
 
 bool Daemon::flush_out(Loop& lp, Conn& c) {
-    while (c.out_pending() && c.writable) {
+    while (c.out_pending()) {
         ssize_t n = ::send(c.fd.get(), c.out.data() + c.out_off,
                            c.out.size() - c.out_off, MSG_NOSIGNAL);
         if (n > 0) {
             c.out_off += static_cast<std::size_t>(n);
             c.last_activity = std::chrono::steady_clock::now();
-            if (!c.out_pending()) {
-                c.out.clear();
-                c.out_off = 0;
-            }
             continue;
         }
-        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-            c.writable = false;
-            return true;
-        }
+        if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
         if (n < 0 && errno == EINTR) continue;
         close_conn(lp, c.fd.get());  // EPIPE/ECONNRESET/anything else
         return false;
     }
+    c.out.clear();
+    c.out_off = 0;
     return true;
 }
 
-bool Daemon::read_ready(Loop& lp, Conn& c) {
+bool Daemon::read_once(Loop& lp, Conn& c) {
     u8 buf[kReadChunk];
-    const bool willing = !lp.draining && !c.rd_eof && !c.out_pending() &&
-                         !c.stream && c.pending.size() < kMaxPendingRequests;
-    while (willing && c.readable) {
+    for (;;) {
         ssize_t n = ::recv(c.fd.get(), buf, sizeof(buf), 0);
         if (n > 0) {
             c.last_activity = std::chrono::steady_clock::now();
@@ -400,46 +399,22 @@ bool Daemon::read_ready(Loop& lp, Conn& c) {
                 close_conn(lp, c.fd.get());
                 return false;
             }
-            while (auto frame = c.reader.next()) {
-                c.pending_bytes += frame->size();
-                c.pending.push_back(std::move(*frame));
-            }
             stats_->note_peak_buffer(c.owned_bytes());
-            // Stop pulling more off the wire once enough work is queued;
-            // the kernel buffers, readable stays set, reads resume later.
-            if (c.pending.size() >= kMaxPendingRequests) break;
-            continue;
-        }
-        if (n == 0) {
-            c.rd_eof = true;
             return true;
         }
-        if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            c.readable = false;
-            return true;
-        }
+        if (n == 0) c.rd_eof = true;
+        if (n == 0 || errno == EAGAIN || errno == EWOULDBLOCK) return true;
         if (errno == EINTR) continue;
         close_conn(lp, c.fd.get());
         return false;
     }
-    return true;
-}
-
-void Daemon::dispatch(Loop& lp, Conn& c, const std::vector<u8>& frame) {
-    stats_->requests.fetch_add(1, std::memory_order_relaxed);
-    lp.lstats->requests.fetch_add(1, std::memory_order_relaxed);
-    // The serve layer reads the frame and builds the whole reply here, on
-    // the loop thread (a cold combine, or the wait for another request's);
-    // the loop then only moves the reply's frames.
-    c.stream.emplace(backend_.serve_frame(frame));
-    if (c.stream->streamed())
-        stats_->streamed.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Daemon::pump_output(Loop& lp, Conn& c) {
     // Only generate into an empty outbound buffer: one frame in flight per
     // connection is the memory bound AND the backpressure (a stream's next
-    // frame is not even framed until the previous one fully flushed).
+    // frame is not even framed until the previous one fully flushed), and
+    // a request is not popped until the reply before it is done.
     while (!c.out_pending()) {
         if (c.stream) {
             if (auto frame = c.stream->next_frame()) {
@@ -448,26 +423,23 @@ void Daemon::pump_output(Loop& lp, Conn& c) {
                 return;
             }
             c.stream.reset();  // reply complete
-            continue;
         }
-        if (!c.pending.empty()) {
-            std::vector<u8> frame = std::move(c.pending.front());
-            c.pending.pop_front();
-            c.pending_bytes -= frame.size();
-            dispatch(lp, c, frame);
-            continue;
-        }
-        return;  // nothing to do
+        auto request = c.reader.next();
+        if (!request) return;  // nothing to do
+        stats_->requests.fetch_add(1, std::memory_order_relaxed);
+        lp.lstats->requests.fetch_add(1, std::memory_order_relaxed);
+        // The serve layer reads the frame and builds the whole reply here,
+        // on the loop thread (a cold combine, or the wait for another
+        // request's); the loop then only moves the reply's frames.
+        c.stream.emplace(backend_.serve_frame(*request));
+        if (c.stream->streamed())
+            stats_->streamed.fetch_add(1, std::memory_order_relaxed);
     }
 }
 
 void Daemon::update_interest(Loop& lp, Conn& c) {
-    u32 want = 0;
-    const bool want_read = !lp.draining && !c.rd_eof && !c.out_pending() &&
-                           !c.stream &&
-                           c.pending.size() < kMaxPendingRequests;
-    if (want_read) want |= EPOLLIN;
-    if (c.out_pending()) want |= EPOLLOUT;
+    // service() returns only with output to flush or waiting for bytes.
+    const u32 want = c.out_pending() ? EPOLLOUT : EPOLLIN;
     if (want == c.interest) return;
     struct epoll_event ev {};
     ev.events = want;
@@ -476,35 +448,24 @@ void Daemon::update_interest(Loop& lp, Conn& c) {
         c.interest = want;
 }
 
-void Daemon::service(Loop& lp, Conn& c) {
-    const int fd = c.fd.get();
+void Daemon::service(Loop& lp, Conn& c, bool readable) {
     for (;;) {
         if (!flush_out(lp, c)) return;  // c is gone
-        if (!c.out_pending()) {
-            pump_output(lp, c);
-            if (c.out_pending()) continue;  // new frame: try to flush it
-        }
-        if (!read_ready(lp, c)) return;  // c is gone
-        // Progress is possible only if a queued request can dispatch into
-        // the now-empty buffer or fresh bytes arrived; both looped above.
-        if (c.out_pending() || c.stream || !c.pending.empty()) {
-            if (c.out_pending() && !c.writable) break;  // wait for EPOLLOUT
-            if (!c.out_pending() && !c.stream && !c.pending.empty())
-                continue;  // dispatch next queued request
-            if (c.stream && !c.out_pending()) continue;  // pull next frame
-            break;
-        }
-        // Fully quiesced.
+        if (c.out_pending()) break;     // wait for EPOLLOUT
+        pump_output(lp, c);
+        if (c.out_pending()) continue;  // a new frame: flush it
+        // No reply and no complete request: quiesced.
         if (c.rd_eof || lp.draining) {
-            close_conn(lp, fd);
+            close_conn(lp, c.fd.get());
             return;
         }
-        if (!c.readable) break;  // wait for bytes
-        // readable but unwilling can't happen here (quiesced => willing),
-        // so looping again makes progress; but guard against surprises.
-        break;
+        // At most one read per epoll report: a peer that keeps pipelining
+        // must wait for the next epoll_wait, as every other connection
+        // does, instead of holding the loop.
+        if (!readable) break;
+        readable = false;
+        if (!read_once(lp, c)) return;  // c is gone
     }
-    stats_->note_peak_buffer(c.owned_bytes());
     update_interest(lp, c);
 }
 
@@ -567,9 +528,7 @@ void Daemon::loop_run(Loop& lp) {
                 close_conn(lp, fd);
                 continue;
             }
-            if (ev & EPOLLIN) c.readable = true;
-            if (ev & EPOLLOUT) c.writable = true;
-            service(lp, c);
+            service(lp, c, (ev & EPOLLIN) != 0);
         }
         // Belt-and-braces: a drain flagged between wake writes still gets
         // picked up on the next timeout tick.
@@ -618,11 +577,10 @@ void Daemon::begin_drain() noexcept {}
 void Daemon::loop_run(detail::Loop&) {}
 void Daemon::accept_ready(detail::Loop&) {}
 void Daemon::adopt_fd(detail::Loop&, int) {}
-void Daemon::service(detail::Loop&, detail::Conn&) {}
+void Daemon::service(detail::Loop&, detail::Conn&, bool) {}
 bool Daemon::flush_out(detail::Loop&, detail::Conn&) { return false; }
-bool Daemon::read_ready(detail::Loop&, detail::Conn&) { return false; }
+bool Daemon::read_once(detail::Loop&, detail::Conn&) { return false; }
 void Daemon::pump_output(detail::Loop&, detail::Conn&) {}
-void Daemon::dispatch(detail::Loop&, detail::Conn&, const std::vector<u8>&) {}
 void Daemon::update_interest(detail::Loop&, detail::Conn&) {}
 void Daemon::close_conn(detail::Loop&, int) {}
 void Daemon::start_drain(detail::Loop&) {}

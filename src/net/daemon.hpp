@@ -7,19 +7,25 @@
 //   - a listener, accept4(SOCK_NONBLOCK) drained per readiness event;
 //     over-limit connections are accepted and immediately closed (counted
 //     as refused) so the peer sees a deterministic EOF, not a SYN backlog
-//     stall.
-//   - per-connection state machine: a FrameReader reassembles request
-//     frames from arbitrary partial reads; complete frames queue and are
-//     dispatched one at a time (pipelining works, ordering is preserved).
-//     The daemon never reads a request: each frame goes, as is, to the
-//     backend's serve_frame(), and the reply is a ServeStream — a v2
-//     stream or one v1 response frame — whose frames are pulled ONLY when
-//     the outbound buffer has fully flushed. The socket's writability is
-//     the backpressure, so per-connection owned memory stays O(max_frame)
-//     regardless of asset size or reader speed. A pull never waits.
-//   - readiness: level-triggered. The epoll interest mask tracks what the
-//     connection can use right now: EPOLLIN only while the loop is willing
-//     to read, EPOLLOUT only while output is pending.
+//     stall. At the fd limit the loop frees a reserved fd to do the same
+//     to the head of its backlog, so a full fd table neither spins the
+//     loop nor strands connections in the backlog.
+//   - per-connection state: a FrameReader, at most one reply, and the
+//     outbound buffer. The reader reassembles request frames from
+//     arbitrary partial reads, and they wait there until the reply before
+//     them finishes (pipelining works, ordering is preserved). The daemon
+//     never reads a request: each frame goes, as is, to the backend's
+//     serve_frame(), and the reply is a ServeStream — a v2 stream or one
+//     v1 response frame — whose frames are pulled ONLY when the outbound
+//     buffer has fully flushed. The socket's writability is the
+//     backpressure, and the socket is read only while no reply and no
+//     complete request wait, so per-connection owned memory stays
+//     O(max_frame) regardless of asset size or reader speed. A pull never
+//     waits.
+//   - readiness: level-triggered, taken from each epoll report. The
+//     interest mask is EPOLLOUT while output is pending, else EPOLLIN, and
+//     a connection reads at most once per report, so a peer that keeps
+//     pipelining cannot hold the loop.
 //
 // Multi-loop (DaemonOptions::loops > 1): N loops, each a dedicated OS
 // thread (util::NamedThreads — loops BLOCK in epoll_wait) with its OWN
@@ -112,6 +118,8 @@ public:
     /// the daemon_* registry metrics expose). Aggregated over all loops.
     struct Stats {
         u64 accepted = 0;
+        /// Accepted and closed at once: over max_connections, or at the
+        /// process fd limit.
         u64 refused = 0;
         u64 requests = 0;   ///< frames dispatched (v1 and v2 alike)
         u64 streamed = 0;   ///< of which answered as a v2 stream
@@ -121,8 +129,8 @@ public:
         u64 connections = 0;       ///< currently open (all loops)
         u64 peak_connections = 0;
         /// High-water mark of one connection's owned bytes (outbound
-        /// buffer + reader buffer + queued request frames) — the number
-        /// the slow-reader test holds against O(max_frame).
+        /// buffer + reader buffer) — the number the slow-reader test holds
+        /// against O(max_frame).
         u64 conn_buffer_peak_bytes = 0;
         u64 loops = 0;            ///< event-loop thread count
         u64 loop_wakeups = 0;     ///< epoll_wait returns across loops
@@ -145,13 +153,14 @@ private:
     void accept_ready(detail::Loop& lp);
     /// Admit an accepted fd into the loop, or refuse it over max_connections.
     void adopt_fd(detail::Loop& lp, int fd);
-    void service(detail::Loop& lp, detail::Conn& c);
-    bool flush_out(detail::Loop& lp, detail::Conn& c);  ///< false: conn died
-    bool read_ready(detail::Loop& lp, detail::Conn& c); ///< false: conn died
-    /// Frame the next reply frame, or dispatch the next queued request.
+    /// Flush, frame the next reply frame or serve the next request, and
+    /// read at most once when `readable` (the epoll report's EPOLLIN).
+    void service(detail::Loop& lp, detail::Conn& c, bool readable);
+    /// Send until EAGAIN. false: conn died.
+    bool flush_out(detail::Loop& lp, detail::Conn& c);
+    bool read_once(detail::Loop& lp, detail::Conn& c);  ///< false: conn died
+    /// Frame the next reply frame, or serve the reader's next request.
     void pump_output(detail::Loop& lp, detail::Conn& c);
-    void dispatch(detail::Loop& lp, detail::Conn& c,
-                  const std::vector<u8>& frame);
     void update_interest(detail::Loop& lp, detail::Conn& c);
     void close_conn(detail::Loop& lp, int fd);
     void start_drain(detail::Loop& lp);

@@ -290,25 +290,23 @@ std::vector<TSym> decode_range_impl(std::span<const u8> bytes,
             DecodeTables t = set.tables();
             // The slice's ids[0] is position ids_lo; rebase so the decoder's
             // absolute indexing lands on it (integer arithmetic to stay
-            // clear of out-of-bounds pointer UB). The guarded range fn keeps
-            // SIMD for the slice interior while every id access near the
-            // shipped slice's edges goes through the scalar per-symbol loop
-            // — the full-group gathers can never reach outside
+            // clear of out-of-bounds pointer UB). The range fn's id window
+            // keeps SIMD for the slice interior while every id access near
+            // the shipped slice's edges goes through the scalar per-symbol
+            // loop — the full-group gathers can never reach outside
             // [ids_lo, ids_lo + ids.size()).
             t.ids = reinterpret_cast<const u8*>(
                 reinterpret_cast<std::uintptr_t>(t.ids) -
                 static_cast<std::uintptr_t>(seg.ids_lo));
-            simd::GuardedSimdRangeFn<TSym> range_fn;
-            range_fn.backend = simd::clamp_backend(backend);
-            range_fn.valid_lo = seg.ids_lo;
-            range_fn.valid_hi = seg.ids_lo + seg.ids.size();
+            const simd::SimdRangeFn<TSym> range_fn{
+                simd::clamp_backend(backend), seg.ids_lo,
+                seg.ids_lo + seg.ids.size()};
             cover = recoil_decode_cover<Rans32, 32, TSym>(
                 std::span<const u16>(seg.units), seg.meta, t, seg.j0, seg.j1,
                 info.cover_lo, info.cover_hi, pool, range_fn);
         } else {
             StaticModel model(std::span<const u32>(seg.freqs[0]), seg.prob_bits, 0);
-            simd::SimdRangeFn<TSym> range_fn;
-            range_fn.backend = simd::clamp_backend(backend);
+            const simd::SimdRangeFn<TSym> range_fn{simd::clamp_backend(backend)};
             cover = recoil_decode_cover<Rans32, 32, TSym>(
                 std::span<const u16>(seg.units), seg.meta, model.tables(), seg.j0,
                 seg.j1, info.cover_lo, info.cover_hi, pool, range_fn);

@@ -39,55 +39,23 @@ GroupKernel<TSym> group_kernel(Backend b) {
 /// ragged edges with the scalar per-symbol loop. Mixing is safe at group
 /// boundaries; the catch-up pop pass re-establishes the kernels' entry
 /// precondition.
-template <typename TSym>
-struct SimdRangeFn {
-    Backend backend = pick_backend();
-
-    void operator()(LaneCursor<Rans32, 32>& cur, std::span<const u16> units,
-                    u64 hi, u64 lo, const DecodeTables& t, TSym* out) const {
-        if (hi < lo) return;
-        if (out == nullptr || backend == Backend::Scalar) {
-            decode_positions<Rans32, 32>(cur, units, hi, lo, t, out);
-            return;
-        }
-        // Scalar head: positions [top_aligned, hi].
-        const u64 top_aligned = (hi + 1) & ~u64{31};
-        if (top_aligned <= hi) {
-            const u64 head_lo = top_aligned > lo ? top_aligned : lo;
-            decode_positions<Rans32, 32>(cur, units, hi, head_lo, t, out);
-            if (head_lo == lo) return;
-        }
-        // Whole groups [g_lo, g_hi].
-        const u64 g_lo = (lo + 31) / 32;
-        if (top_aligned >= (g_lo + 1) * 32) {
-            const u64 g_hi = top_aligned / 32 - 1;
-            scalar_group_pops(cur.x.data(), units.data(), cur.p);  // catch-up
-            group_kernel<TSym>(backend)(cur.x.data(), units.data(), units.size(),
-                                        cur.p, g_hi, g_lo, t, out);
-        }
-        // Scalar tail: positions [lo, g_lo*32 - 1].
-        if (g_lo * 32 > lo) {
-            decode_positions<Rans32, 32>(cur, units, g_lo * 32 - 1, lo, t, out);
-        }
-    }
-};
-
-/// SimdRangeFn for decoders whose per-symbol id stream is only valid on a
-/// window [valid_lo, valid_hi) of absolute positions — the indexed range
-/// wire ships exactly the id slice its segments cover, so a full-width id
-/// gather at the slice edge would read past the shipped bytes. The guarded
-/// tail: the vector body runs only on whole groups that stay a kGuard-byte
-/// margin clear of the window's top edge, and everything nearer an edge
-/// decodes through the scalar per-symbol loop, whose id reads are position-
+///
+/// Decoders whose per-symbol id stream is valid only on a window
+/// [valid_lo, valid_hi) of absolute positions set the window — the indexed
+/// range wire ships exactly the id slice its segments cover, so a
+/// full-width id gather at the slice edge would read past the shipped
+/// bytes. The vector body then runs only on whole groups that stay a
+/// kGuard-byte margin clear of the window's top edge, and everything nearer
+/// an edge decodes through the scalar loop, whose id reads are position-
 /// exact. The kernels' in-group loads are themselves position-exact (they
 /// never reach past the group's last position), so the margin is defensive
 /// depth against future kernels with wider gathers, not a correctness
-/// requirement of the current ones.
+/// requirement of the current ones. The default window is every position.
 template <typename TSym>
-struct GuardedSimdRangeFn {
+struct SimdRangeFn {
     Backend backend = pick_backend();
-    u64 valid_lo = 0;  ///< first position with a shipped id byte
-    u64 valid_hi = 0;  ///< one past the last position with a shipped id byte
+    u64 valid_lo = 0;           ///< first position with a valid id byte
+    u64 valid_hi = ~u64{0};     ///< one past the last such position
     /// Vectorized groups end at least this many id bytes before valid_hi.
     static constexpr u64 kGuard = 32;
 

@@ -12,6 +12,9 @@
 #                 must unload masters and load them back bit-exact.
 #   sharded       4 shards on 2 loops: verify, range, a tenant mix and the
 #                 shard/daemon-loop frozen names.
+#   fd limit      a daemon booted under a low `ulimit -n` is held past its
+#                 fd limit: it must refuse the overflow with EOF, not spin
+#                 on its readable listener, and then serve again.
 #
 # Usage: recoil_served_smoke.sh SERVED CLIENT PYTHON LINT_PY
 served="$1"
@@ -38,12 +41,17 @@ fail() {
 }
 
 # boot ARGS...: start the daemon and set $port from its banner. A daemon
-# lives at most 60 s (then SIGTERM, and SIGKILL 5 s later). Each boot logs
-# to its own file, so no banner of an earlier daemon can be read.
+# lives at most 60 s (then SIGTERM, and SIGKILL 5 s later); $pid is its
+# timeout wrapper, whose one child is recoil_served. A non-empty $nofile
+# caps the daemon's open files. Each boot logs to its own file, so no
+# banner of an earlier daemon can be read.
 boot() {
     boots=$((boots + 1))
     log="$work/daemon$boots.log"
-    timeout -k 5 60 "$served" --port 0 "$@" >"$log" 2>&1 &
+    (
+        [ -z "$nofile" ] || ulimit -n "$nofile" || exit 2
+        exec timeout -k 5 60 "$served" --port 0 "$@"
+    ) >"$log" 2>&1 &
     pid=$!
     port=
     tries=0
@@ -121,5 +129,71 @@ run --metrics-json "$work/s.json"
 drain
 "$python" "$lint" --shard-json "$work/s.json" ||
     fail "lint found missing names in the sharded scrape"
+
+# Fd-limit leg: 96 connections against a daemon allowed 64 open files. The
+# listener stays readable while accept4 fails with EMFILE, so the loop must
+# accept and close the overflow itself (counted as refused) and then idle.
+nofile=64
+boot --seed-demo
+nofile=
+"$python" - "$port" "$pid" <<'PY' || fail "the fd-limit leg failed"
+import os, socket, sys, time
+
+port, wrapper = int(sys.argv[1]), int(sys.argv[2])
+
+def stat(pid):  # the fields after "(comm)" in /proc/PID/stat
+    with open("/proc/%d/stat" % pid) as f:
+        return f.read().rsplit(")", 1)[1].split()
+
+def ppid(pid):
+    try:
+        return int(stat(pid)[1])
+    except (OSError, IndexError, ValueError):
+        return None
+
+(daemon,) = [int(d) for d in os.listdir("/proc")
+             if d.isdigit() and ppid(int(d)) == wrapper]
+
+def cpu_s():
+    f = stat(daemon)
+    return (int(f[11]) + int(f[12])) / os.sysconf("SC_CLK_TCK")
+
+def fds():
+    return len(os.listdir("/proc/%d/fd" % daemon))
+
+idle_fds = fds()
+held = [socket.create_connection(("127.0.0.1", port)) for _ in range(96)]
+time.sleep(0.5)  # the loop accepts up to its limit and refuses the rest
+before = cpu_s()
+time.sleep(1.0)
+spent = cpu_s() - before
+eof = 0
+for s in held:
+    try:
+        eof += s.recv(1, socket.MSG_DONTWAIT) == b""
+    except BlockingIOError:
+        pass  # accepted: open and waiting for a request
+print("fd-limit leg: %.2f s of daemon CPU in 1 s, %d of %d held "
+      "connections read EOF" % (spent, eof, len(held)))
+for s in held:
+    s.close()
+deadline = time.monotonic() + 10
+while fds() > idle_fds and time.monotonic() < deadline:
+    time.sleep(0.02)  # the loop closes its side of each connection
+if spent > 0.2:
+    sys.exit("the daemon spun at its fd limit")
+if eof == 0:
+    sys.exit("no connection past the fd limit was refused with EOF")
+if fds() > idle_fds:
+    sys.exit("the daemon kept connections the peer closed")
+PY
+run --verify demo
+run --metrics-json "$work/f.json"
+drain
+refused=$("$python" -c 'import json, sys
+print(json.load(open(sys.argv[1]))["counters"]["daemon_refused_total"])' \
+    "$work/f.json") || fail "no daemon_refused_total in the fd-limit scrape"
+[ "$refused" -gt 0 ] || fail "the fd-limit leg refused no connection"
+echo "fd-limit leg: $refused refused"
 
 echo "recoil_served smoke: every leg passed and every daemon drained"

@@ -21,6 +21,7 @@
 #include <chrono>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "net/client.hpp"
@@ -443,6 +444,65 @@ TEST_F(NetFixture, DrainMidStreamCompletesBitExactRefusesNewAndExits) {
     EXPECT_EQ(s.connections, 0u);
 }
 
+TEST_F(NetFixture, DrainAnswersRequestsAlreadyReceived) {
+    // A streamed request and a v1 request in one write; the drain lands
+    // while the stream is in flight and the v1 request still waits in the
+    // daemon's FrameReader. The stream completes bit-exact, the v1 reply
+    // follows, then the daemon closes. The stream (8.4 MB) is about twice
+    // what loopback's socket buffers take in (a 2.1 MB stream and the
+    // reply after it fit whole), so a client that has read only its first
+    // bytes holds the stream in flight until the drain has landed.
+    serve::ServerOptions opt;
+    opt.max_frame_bytes = 16 * 1024;
+    ContentServer big(opt);
+    big.store().encode_bytes("asset", workload::gen_text(16'000'000, 99), 64);
+    const ServeRequest streamed{"asset", 8, {},
+                                serve::kAcceptAll | serve::kAcceptStreamed};
+    const ServeRequest plain{"asset", 2, {{1000, 50'000}}};
+    DaemonRunner runner(big, {});
+    Fd sock = connect_tcp("127.0.0.1", runner.daemon.port(), Deadline::none());
+    std::vector<u8> burst;
+    append_net_frame(burst, serve::encode_request(streamed));
+    append_net_frame(burst, serve::encode_request(plain));
+    send_all(sock.get(), burst, Deadline::none());
+
+    FrameReader reader;
+    serve::StreamReassembler reasm;
+    bool done = false;
+    bool drained = false;
+    std::optional<ServeResult> v1;
+    u8 buf[1024];
+    while (!v1) {
+        const std::size_t n = recv_some(
+            sock.get(), buf, Deadline::after(std::chrono::seconds(30)));
+        ASSERT_GT(n, 0u) << "EOF before the v1 reply";
+        reader.feed(std::span<const u8>(buf, n));
+        while (auto f = reader.next()) {
+            if (!done) {
+                done = reasm.feed(*f);
+                continue;
+            }
+            ASSERT_FALSE(v1) << "frames after the v1 reply";
+            v1 = serve::decode_response(*f);
+        }
+        if (!drained) {
+            ASSERT_FALSE(done) << "stream finished before the drain could land";
+            ASSERT_EQ(runner.daemon.stats().requests, 1u)
+                << "the v1 request was served before the drain could land";
+            runner.daemon.begin_drain();
+            drained = true;
+        }
+    }
+    EXPECT_EQ(*reasm.result().wire, *big.serve(ServeRequest{"asset", 8, {}}).wire);
+    ASSERT_TRUE(v1->ok()) << v1->detail;
+    EXPECT_EQ(*v1->wire, *big.serve(plain).wire);
+    EXPECT_EQ(recv_some(sock.get(), buf, Deadline::after(std::chrono::seconds(10))),
+              0u)
+        << "the daemon did not close after the last reply";
+    runner.drain_and_join();
+    EXPECT_EQ(runner.daemon.stats().requests, 2u);
+}
+
 // ---- limits & hygiene ----
 
 TEST_F(NetFixture, ConnectionLimitRefusesDeterministically) {
@@ -536,32 +596,74 @@ TEST_F(NetFixture, MetricsScrapeOverRealSocket) {
     EXPECT_NE(json.find("daemon_connections"), std::string::npos);
 }
 
-TEST_F(NetFixture, PipelinedRequestsAnswerInOrder) {
-    DaemonRunner runner(server, {});
-    Fd sock = connect_tcp("127.0.0.1", runner.daemon.port(), Deadline::none());
-    // Three requests in one write; responses must come back in order on
-    // the same connection.
-    const u32 pars[] = {2, 8, 16};
-    std::vector<u8> burst;
-    for (u32 p : pars)
-        append_net_frame(burst, serve::encode_request(ServeRequest{"asset", p, {}}));
-    send_all(sock.get(), burst, Deadline::none());
+/// Read v1 replies off `fd` until `count` have arrived, checking reply i
+/// against `refs[i % refs.size()]`.
+void expect_v1_replies_in_order(int fd, u32 count,
+                                const std::vector<ServeResult>& refs) {
     FrameReader reader;
     u32 got = 0;
     u8 buf[64 * 1024];
-    while (got < 3) {
-        const std::size_t n = recv_some(
-            sock.get(), buf, Deadline::after(std::chrono::seconds(30)));
-        ASSERT_GT(n, 0u);
+    while (got < count) {
+        const std::size_t n =
+            recv_some(fd, buf, Deadline::after(std::chrono::seconds(30)));
+        ASSERT_GT(n, 0u) << "EOF after " << got << " replies";
         reader.feed(std::span<const u8>(buf, n));
         while (auto f = reader.next()) {
+            ASSERT_LT(got, count) << "more replies than requests";
             auto res = serve::decode_response(*f);
             ASSERT_TRUE(res.ok()) << res.detail;
-            auto ref = in_process(ServeRequest{"asset", pars[got], {}});
-            EXPECT_EQ(*res.wire, *ref.wire) << "response " << got;
+            EXPECT_EQ(*res.wire, *refs[got % refs.size()].wire)
+                << "reply " << got;
             ++got;
         }
     }
+    EXPECT_TRUE(reader.empty());
+}
+
+/// `count` v1 requests cycling through `pars`, framed back to back for one
+/// write.
+std::vector<u8> pipelined_burst(const std::vector<u32>& pars, u32 count) {
+    std::vector<u8> burst;
+    for (u32 i = 0; i < count; ++i)
+        append_net_frame(burst, serve::encode_request(ServeRequest{
+                                    "asset", pars[i % pars.size()], {}}));
+    return burst;
+}
+
+TEST_F(NetFixture, PipelinedRequestsAnswerInOrder) {
+    // 200 requests in one write wait in the daemon's FrameReader, each
+    // until the reply before it is done, and come back in order on the
+    // same connection, which then still serves.
+    DaemonRunner runner(server, {});
+    Fd sock = connect_tcp("127.0.0.1", runner.daemon.port(), Deadline::none());
+    const std::vector<u32> pars = {2, 8, 16};
+    std::vector<ServeResult> refs;
+    for (u32 p : pars) refs.push_back(in_process(ServeRequest{"asset", p, {}}));
+    constexpr u32 kRequests = 200;
+    send_all(sock.get(), pipelined_burst(pars, kRequests), Deadline::none());
+    expect_v1_replies_in_order(sock.get(), kRequests, refs);
+    send_all(sock.get(), pipelined_burst(pars, 1), Deadline::none());
+    expect_v1_replies_in_order(sock.get(), 1, refs);
+    EXPECT_EQ(runner.daemon.stats().requests, kRequests + 1);
+}
+
+TEST_F(NetFixture, PipelinedRequestsThenHalfCloseAreAllAnswered) {
+    // The peer pipelines and shuts its write side at once: the EOF must not
+    // cut the requests already sent. Every reply comes back in order, then
+    // the daemon closes.
+    DaemonRunner runner(server, {});
+    Fd sock = connect_tcp("127.0.0.1", runner.daemon.port(), Deadline::none());
+    const std::vector<u32> pars = {16, 2, 8};
+    std::vector<ServeResult> refs;
+    for (u32 p : pars) refs.push_back(in_process(ServeRequest{"asset", p, {}}));
+    constexpr u32 kRequests = 50;
+    send_all(sock.get(), pipelined_burst(pars, kRequests), Deadline::none());
+    ASSERT_EQ(::shutdown(sock.get(), SHUT_WR), 0);
+    expect_v1_replies_in_order(sock.get(), kRequests, refs);
+    u8 buf[64];
+    EXPECT_EQ(recv_some(sock.get(), buf, Deadline::after(std::chrono::seconds(10))),
+              0u)
+        << "the daemon did not close after the last reply";
 }
 
 // ---- resumable streams ----

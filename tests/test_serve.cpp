@@ -444,7 +444,7 @@ TEST(RangeBoundary, OneSymbolAssetsServeTheirOnlyRange) {
 }
 
 TEST_F(RangeBoundaryFixture, SimdRangeDecodeIsBitExactWithScalarAtEveryEdge) {
-    // The vectorized range decode (SimdRangeFn, and GuardedSimdRangeFn for
+    // The vectorized range decode (SimdRangeFn, with its id window set to
     // the indexed id slice) against the pinned scalar path, swept across
     // group boundaries (the kernels work in 32-symbol groups) and slice
     // edges where the guarded tail hands over to the per-symbol loop. On a
