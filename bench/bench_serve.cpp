@@ -2,7 +2,8 @@
 // 2176-split asset (the paper's "Large" parallelism), byte-range wire cost,
 // single-flight coalescing under a concurrent cold stampede, aggregate
 // request throughput for a mixed fleet of client classes served from plain
-// client threads, and cold-boot-from-disk time for a persistent store
+// client threads, miss and hit latency while distinct ranges churn the
+// cache past its capacity, and cold-boot-from-disk time for a persistent store
 // (mmap + zero-copy parse vs re-encoding the master).
 // Every repeated-measurement section reports p50/p99/p999 (log2-bucket
 // histograms from the obs layer), a telemetry-overhead section pins the
@@ -27,6 +28,8 @@
 #include <memory>
 #include <string>
 #include <thread>
+
+#include <sys/resource.h>
 
 #include "bench_util.hpp"
 #include "core/recoil_encoder.hpp"
@@ -148,6 +151,23 @@ unsigned process_threads() {
         if (std::sscanf(line, "Threads: %u", &count) == 1) break;
     std::fclose(f);
     return count;
+}
+
+/// This process's CPU seconds (user + system) and voluntary context
+/// switches so far, from getrusage(RUSAGE_SELF).
+struct SelfUsage {
+    double cpu_s = 0;
+    u64 voluntary_switches = 0;
+};
+SelfUsage self_usage() {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto secs = [](const timeval& tv) {
+        return static_cast<double>(tv.tv_sec) +
+               static_cast<double>(tv.tv_usec) * 1e-6;
+    };
+    return {secs(ru.ru_utime) + secs(ru.ru_stime),
+            static_cast<u64>(ru.ru_nvcsw)};
 }
 
 /// Defeats dead-code elimination of the timed decode loops.
@@ -529,6 +549,108 @@ int main(int argc, char** argv) {
                             (static_cast<double>(n) *
                              static_cast<double>(mix.size()))) +
             ", \"latency\": " + pct_json(fleet_lat) + "}");
+
+    // --- cache churn at capacity: distinct byte ranges past the cache's
+    // capacity, so every miss also evicts. One thread serves the new ranges
+    // (its latency is the miss cost, eviction included) while hit workers
+    // serve a hot set of resident ranges: their latency shows how long the
+    // misses' exclusive holds of the cache keep hits waiting.
+    {
+        constexpr u64 kWidth = 64;
+        constexpr u64 kHot = 32;
+        const u64 entries = std::min<u64>(
+            quick ? 2'000
+                  : std::clamp<u64>(static_cast<u64>(500'000 * scale), 2'000,
+                                    200'000),
+            (size - kWidth) * 2 / 3);
+        const u64 churn = entries / 2;
+        const auto range_at = [](u64 i) {
+            return ServeRequest{"asset", 1, {{i, i + kWidth}}};
+        };
+        ServerOptions opt;
+        opt.telemetry = false;
+        {  // size the cache from one entry's charge: about `entries` fit
+            ContentServer probe(opt);
+            probe.store().add_file("asset", *asset->file());
+            probe.serve(range_at(0));
+            opt.cache_capacity_bytes = entries * probe.cache().stats().bytes;
+        }
+        ContentServer churner(opt);
+        churner.store().add_file("asset", *asset->file());
+        Stopwatch fill_sw;
+        for (u64 i = 0; i < entries; ++i) churner.serve(range_at(i));
+        const double fill_s = fill_sw.seconds();
+        const u64 resident = churner.cache().stats().entries;
+        const u64 evictions0 = churner.cache().stats().evictions;
+
+        const unsigned hit_workers =
+            std::clamp(std::thread::hardware_concurrency(), 2u, 4u) - 1;
+        obs::Histogram miss_h, hit_h;
+        std::atomic<bool> done{false};
+        std::atomic<u64> failures{0}, hot_misses{0};
+        // The CPUs the host delivered while the section ran: with fewer
+        // than its threads, a miss waits for a CPU, not for the cache.
+        const SelfUsage usage0 = self_usage();
+        Stopwatch churn_wall;
+        std::vector<std::thread> hitters;
+        for (unsigned t = 0; t < hit_workers; ++t)
+            hitters.emplace_back([&, t] {
+                for (u64 k = t; !done.load(std::memory_order_relaxed); ++k) {
+                    const ServeRequest req = range_at(entries - kHot + k % kHot);
+                    Stopwatch sw;
+                    const ServeResult r = churner.serve(req);
+                    hit_h.observe(sw.seconds());
+                    if (!r.ok()) failures++;
+                    if (!r.stats.cache_hit) hot_misses++;
+                }
+            });
+        for (u64 i = entries; i < entries + churn; ++i) {
+            const ServeRequest req = range_at(i);
+            Stopwatch sw;
+            const ServeResult r = churner.serve(req);
+            miss_h.observe(sw.seconds());
+            if (!r.ok() || r.stats.cache_hit) failures++;
+        }
+        done = true;
+        for (auto& h : hitters) h.join();
+        const double cpus =
+            (self_usage().cpu_s - usage0.cpu_s) / churn_wall.seconds();
+        if (failures != 0) {
+            std::fprintf(stderr, "cache churn had %llu failures\n",
+                         static_cast<unsigned long long>(failures.load()));
+            return 1;
+        }
+        const CacheStats cs = churner.cache().stats();
+        const auto miss = hist_snap(miss_h);
+        const auto hit = hist_snap(hit_h);
+        std::printf("cache churn: %llu resident ranges (filled in %.2f s), "
+                    "%llu new ones past capacity: %llu evictions\n"
+                    "  miss (eviction included): mean %.2f us, p50 %.2f us, "
+                    "p99 %.2f us, p999 %.2f us\n"
+                    "  hit (%u workers, %llu hits, %llu hot misses): p50 "
+                    "%.2f us, p99 %.2f us, p999 %.2f us; %.2f CPUs "
+                    "delivered\n\n",
+                    static_cast<unsigned long long>(resident), fill_s,
+                    static_cast<unsigned long long>(churn),
+                    static_cast<unsigned long long>(cs.evictions - evictions0),
+                    miss.mean_seconds() * 1e6, miss.p50() * 1e6,
+                    miss.p99() * 1e6, miss.p999() * 1e6, hit_workers,
+                    static_cast<unsigned long long>(hit.count),
+                    static_cast<unsigned long long>(hot_misses.load()),
+                    hit.p50() * 1e6, hit.p99() * 1e6, hit.p999() * 1e6,
+                    cpus);
+        report.field(
+            "cache_churn",
+            "{\"entries\": " + JsonReport::num(resident) +
+                ", \"fill_s\": " + JsonReport::num(fill_s) +
+                ", \"evictions\": " +
+                JsonReport::num(cs.evictions - evictions0) +
+                ", \"miss_latency\": " + pct_json(miss) +
+                ", \"hit_workers\": " + JsonReport::num(u64{hit_workers}) +
+                ", \"hot_misses\": " + JsonReport::num(hot_misses.load()) +
+                ", \"hit_latency\": " + pct_json(hit) +
+                ", \"cpus_delivered\": " + JsonReport::num(cpus) + "}");
+    }
 
     // --- streamed vs materialized production: peak bytes held by the
     // producer. A materialized (gathered) wire is the whole wire; a stream
@@ -1010,6 +1132,7 @@ int main(int argc, char** argv) {
             obs::Histogram lat;
             std::atomic<std::size_t> cursor{0};
             std::atomic<u64> shard_fails{0};
+            const SelfUsage usage0 = self_usage();
             Stopwatch wall;
             {
                 std::vector<std::thread> fleet;
@@ -1040,6 +1163,12 @@ int main(int argc, char** argv) {
                 for (auto& th : fleet) th.join();
             }
             const double wall_s = wall.seconds();
+            // Contention and the CPUs the host delivered over the replay:
+            // reported only, no gate reads them.
+            const SelfUsage usage1 = self_usage();
+            const u64 vcsw =
+                usage1.voluntary_switches - usage0.voluntary_switches;
+            const double cpus = (usage1.cpu_s - usage0.cpu_s) / wall_s;
             if (shard_fails.load() != 0) {
                 std::fprintf(stderr, "shard scaling (%u shards): %llu "
                              "failed serves\n", nshards,
@@ -1053,16 +1182,21 @@ int main(int argc, char** argv) {
             std::printf(
                 "shard scaling: %u shard%s, %u workers, %zu reqs: "
                 "%.0f req/s; p50/p99/p999 %.2f/%.2f/%.2f us "
-                "(%llu routed, %llu peer fetches)\n",
+                "(%llu routed, %llu peer fetches; %llu voluntary switches, "
+                "%.2f CPUs delivered)\n",
                 nshards, nshards == 1 ? " " : "s", workers, plan.size(),
                 rps, snap.p50() * 1e6, snap.p99() * 1e6,
                 snap.p999() * 1e6,
                 static_cast<unsigned long long>(tot.routed),
-                static_cast<unsigned long long>(tot.peer_fetches));
+                static_cast<unsigned long long>(tot.peer_fetches),
+                static_cast<unsigned long long>(vcsw), cpus);
             shard_json += first_point ? "\n    " : ",\n    ";
             first_point = false;
             shard_json += "{\"shards\": " + JsonReport::num(u64{nshards}) +
                           ", \"requests_per_s\": " + JsonReport::num(rps) +
+                          ", \"voluntary_ctx_switches\": " +
+                          JsonReport::num(vcsw) +
+                          ", \"cpus_delivered\": " + JsonReport::num(cpus) +
                           ", \"latency\": " + pct_json(snap) + "}";
             if (nshards == 1) {
                 shard1_rps = rps;

@@ -10,7 +10,8 @@
 //      previous split's anchor.
 //   3. Cross-boundary phase — decode the previous split's synchronization
 //      section (its thread discarded those), stopping at its min_index.
-// Split 0 continues to position 0 and drains the first symbol group's units.
+// Split 0 continues to position 0 and drains the first symbol group's units;
+// the drain checks the end state a valid stream must reach (drain_start).
 //
 // The phase-2/3 inner loop is pluggable (`RangeFn`) so the SIMD kernels and
 // the GPU simulator reuse this orchestration; the default is the scalar

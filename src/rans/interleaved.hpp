@@ -146,11 +146,14 @@ inline void decode_positions(LaneCursor<Cfg, NLanes>& cur,
 }
 
 /// Pop the units written by the renormalizations of the very first symbol
-/// group (positions < NLanes). The per-symbol discipline attributes the pops
-/// for W_i to position i - NLanes, which does not exist for the first group,
-/// so every decode that reaches position 0 must finish with this drain. Lanes
-/// are drained descending — the exact reverse of the group-0 write order.
-/// Afterwards every used lane is back at Cfg::lower_bound.
+/// group (positions < NLanes), then check the end state. The per-symbol
+/// discipline attributes the pops for W_i to position i - NLanes, which does
+/// not exist for the first group, so every decode that reaches position 0
+/// must finish with this drain. Lanes are drained descending — the exact
+/// reverse of the group-0 write order. Afterwards every unit must be
+/// consumed and every used lane back at Cfg::lower_bound, where encoding
+/// started it: a corrupted bitstream that decoded without an underflow ends
+/// here as a typed error, not as wrong symbols.
 template <typename Cfg = Rans32, u32 NLanes = kLanes>
 inline void drain_start(LaneCursor<Cfg, NLanes>& cur,
                         std::span<const typename Cfg::UnitT> units, u64 num_symbols) {
@@ -163,8 +166,11 @@ inline void drain_start(LaneCursor<Cfg, NLanes>& cur,
             xi = static_cast<StateT>((xi << Cfg::unit_bits) |
                                      units[static_cast<u64>(cur.p--)]);
         }
+        RECOIL_CHECK(xi == Cfg::lower_bound,
+                     "drain_start: lane state mismatch at start");
         cur.x[lane] = xi;
     }
+    RECOIL_CHECK(cur.p == -1, "drain_start: bitstream not fully consumed");
 }
 
 /// Full single-threaded decode of an interleaved bitstream (the paper's
@@ -182,7 +188,7 @@ std::vector<TSym> serial_decode(const InterleavedBitstream<Cfg, NLanes>& bs,
                                   bs.num_symbols - 1, 0, t, out.data());
     drain_start<Cfg, NLanes>(cur, std::span<const typename Cfg::UnitT>(bs.units),
                              bs.num_symbols);
-    RECOIL_CHECK(cur.p == -1, "serial_decode: bitstream not fully consumed");
+    // drain_start checked the used lanes; the unused ones must be at L too.
     for (auto xi : cur.x)
         RECOIL_CHECK(xi == Cfg::lower_bound, "serial_decode: lane state mismatch at start");
     return out;

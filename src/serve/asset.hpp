@@ -7,6 +7,7 @@
 // answer the same two questions — "combine to this parallelism" and "slice
 // this symbol range" — each producing its own wire form.
 
+#include <atomic>
 #include <memory>
 #include <string>
 
@@ -29,10 +30,20 @@ public:
     Asset& operator=(const Asset&) = delete;
 
     const std::string& name() const noexcept { return name_; }
-    /// Store-assigned generation, unique per insert. Cached responses are
-    /// keyed by (name, uid) so replacing an asset under the same name can
-    /// never serve the predecessor's bytes.
+    /// Store-assigned generation, unique per insert: a demand-loaded asset
+    /// carries its persisted generation across unload/reload cycles and
+    /// restarts.
     u64 uid() const noexcept { return uid_; }
+    /// Identity of this in-memory copy, fresh per publish (insert, demand-
+    /// load, adopt) and never reused by its store: cached responses and
+    /// single-flight combines are keyed by it, never by the uid.
+    u64 instance() const noexcept { return instance_; }
+    /// Recency tick of the last AssetStore::resolve() that returned this
+    /// asset while recency was tracked (a resource budget set); 0 when none
+    /// has (it ranks coldest).
+    u64 last_used() const noexcept {
+        return last_used_.load(std::memory_order_relaxed);
+    }
     /// Serialized size of the full-parallelism master (what a cache-less
     /// server keeps on disk).
     u64 master_bytes() const noexcept { return master_bytes_; }
@@ -66,9 +77,12 @@ protected:
           max_parallelism_(max_parallelism) {}
 
 private:
-    friend class AssetStore;  // assigns uid at insertion
+    friend class AssetStore;  // assigns the ids at insertion, stamps last_used_
     std::string name_;
     u64 uid_ = 0;
+    u64 instance_ = 0;
+    /// Documented lock-free escape: stamped by resolve() on a shared asset.
+    mutable std::atomic<u64> last_used_{0};
     u64 master_bytes_ = 0;
     u32 max_parallelism_ = 1;
 };

@@ -51,6 +51,7 @@ std::shared_ptr<const Asset> AssetStore::publish(std::shared_ptr<Asset> a,
         util::WriterMutexLock lk(mu_);
         a->uid_ = uid.value_or(next_uid_);
         next_uid_ = std::max(next_uid_, a->uid_ + 1);
+        a->instance_ = next_instance_++;
         ptr = std::move(a);
         auto& slot = assets_[ptr->name()];
         if (slot != nullptr)
@@ -164,7 +165,16 @@ std::shared_ptr<const Asset> AssetStore::find(const std::string& name) const {
 }
 
 std::shared_ptr<const Asset> AssetStore::resolve(const std::string& name) {
-    if (auto a = find(name)) return a;
+    std::shared_ptr<const Asset> a = find(name);
+    if (a == nullptr) a = demand_load(name);
+    if (a != nullptr && track_recency_.load(std::memory_order_relaxed))
+        a->last_used_.store(clock_.fetch_add(1, std::memory_order_relaxed) + 1,
+                            std::memory_order_relaxed);
+    return a;
+}
+
+std::shared_ptr<const Asset> AssetStore::demand_load(
+    const std::string& name) {
     // Nothing to demand-load without a backing store — and unknown-name
     // traffic must not contend on the load mutex.
     if (backing() == nullptr) return nullptr;
@@ -232,7 +242,8 @@ std::vector<AssetStore::ResidentAsset> AssetStore::residency() const {
             // no copy of the shared_ptr is made here, so the store counts
             // exactly once.
             out.push_back(ResidentAsset{name, asset->master_bytes(), false,
-                                        asset.use_count() - 1});
+                                        asset.use_count() - 1,
+                                        asset->last_used()});
         disk = disk_;
     }
     if (disk != nullptr)

@@ -10,7 +10,8 @@
 // demand-loads misses as zero-copy views of the mmapped container, and the
 // uid (generation) is carried across unload/reload cycles and restarts —
 // an asset keeps its identity and the asset corpus is bounded by disk,
-// not RAM.
+// not RAM. A uid may repeat across names (planted partitions, a re-attached
+// disk), so the response cache keys on Asset::instance(), fresh per publish.
 
 #include <atomic>
 #include <functional>
@@ -57,14 +58,20 @@ public:
     /// find(), then on a miss demand-load from the backing store (mmap +
     /// zero-copy parse) under the persisted generation. nullptr when the
     /// asset exists nowhere; StoreError when the stored copy is corrupt.
+    /// While recency is tracked, stamps the returned asset's last_used()
+    /// with a fresh tick (the governor ranks unload candidates by it).
     std::shared_ptr<const Asset> resolve(const std::string& name)
         RECOIL_EXCLUDES(disk_mu_, mu_);
+    /// Switch resolve()'s recency stamp: only the resource governor reads
+    /// last_used(), so it turns the stamp on while a budget is set.
+    void track_recency(bool on) noexcept {
+        track_recency_.store(on, std::memory_order_relaxed);
+    }
 
     /// Adopt an asset loaded from a FOREIGN DiskStore (the shard router's
     /// peer fetch): parse the mapped container into a zero-copy view and
-    /// publish it under a fresh local uid. Foreign generations belong to a
-    /// different uid sequence, so reusing one could alias this store's cache
-    /// keys — the fresh uid keeps key spaces disjoint. The asset is NOT
+    /// publish it under a fresh local uid (foreign generations belong to
+    /// another store's sequence). The asset is NOT
     /// written through to this store's backing (the owning partition stays
     /// the single master copy); it is therefore memory-only here and the
     /// governor will not unload it.
@@ -113,6 +120,7 @@ public:
         /// snapshot time (approximate under concurrency — a racing holder
         /// may appear or vanish; the governor treats it as a heuristic).
         long external_refs = 0;
+        u64 last_used = 0;  ///< Asset::last_used() at snapshot time
     };
     /// Snapshot of every in-memory asset. The `backed` flags are queried
     /// from the backing store after the memory snapshot is taken.
@@ -129,9 +137,13 @@ public:
 private:
     std::shared_ptr<const Asset> insert(std::shared_ptr<Asset> a)
         RECOIL_EXCLUDES(disk_mu_, mu_);
-    /// Publish `a` under `uid` (the next fresh uid when unset), replacing
-    /// any asset under its name and keeping resident_bytes_ exact; the
-    /// replaced asset is retired once mu_ is released.
+    /// resolve()'s miss path: load `name` from the backing store, if any.
+    std::shared_ptr<const Asset> demand_load(const std::string& name)
+        RECOIL_EXCLUDES(disk_mu_, mu_);
+    /// Publish `a` under `uid` (the next fresh uid when unset) and a fresh
+    /// instance, replacing any asset under its name and keeping
+    /// resident_bytes_ exact; the replaced asset is retired once mu_ is
+    /// released.
     std::shared_ptr<const Asset> publish(std::shared_ptr<Asset> a,
                                          std::optional<u64> uid)
         RECOIL_EXCLUDES(mu_);
@@ -152,6 +164,11 @@ private:
     std::unordered_map<std::string, std::shared_ptr<const Asset>> assets_
         RECOIL_GUARDED_BY(mu_);
     u64 next_uid_ RECOIL_GUARDED_BY(mu_) = 1;
+    u64 next_instance_ RECOIL_GUARDED_BY(mu_) = 1;
+    /// Recency clock behind Asset::last_used() and its switch (documented
+    /// lock-free escapes: resolve() stamps without taking mu_ exclusively).
+    std::atomic<u64> clock_{0};
+    std::atomic<bool> track_recency_{false};
     /// Lock-free mirror of the in-memory master-byte total (documented
     /// escape): maintained under mu_, read without it by the governor's
     /// pressure probe.

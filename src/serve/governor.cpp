@@ -1,8 +1,6 @@
 #include "serve/governor.hpp"
 
 #include <algorithm>
-#include <iterator>
-#include <unordered_set>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -11,24 +9,10 @@ namespace recoil::serve {
 
 ResourceGovernor::ResourceGovernor(AssetStore& store, MetadataCache& cache,
                                    GovernorOptions opt)
-    : store_(store), cache_(cache), opt_(opt), budget_(opt.budget_bytes) {
+    : store_(store), cache_(cache), budget_(opt.budget_bytes) {
     store_.on_retire(
-        [&cache](const Asset& gone) { cache.erase_asset(gone.name()); });
-}
-
-void ResourceGovernor::note_access(const std::string& name) {
-    if (!enabled()) return;  // no tracking cost when there is no budget
-    const u64 tick = clock_.fetch_add(1, std::memory_order_relaxed) + 1;
-    // Never stall a request behind a running enforce() pass: recency is a
-    // heuristic, so a dropped update is cheaper than a blocked serve.
-    if (!mu_.try_lock()) return;
-    util::MutexLock lk(mu_, util::adopt_lock);
-    // Hard cap against unbounded growth from churning asset names when no
-    // pressure pass (which prunes against residency) ever runs. Resetting
-    // the whole clock is crude but self-correcting: live assets are
-    // re-noted by their very next request.
-    if (last_access_.size() >= 65536) last_access_.clear();
-    last_access_[name] = tick;
+        [&cache](const Asset& gone) { cache.erase_asset(gone.instance()); });
+    store_.track_recency(opt.budget_bytes != 0);
 }
 
 void ResourceGovernor::set_budget(u64 budget_bytes) {
@@ -36,6 +20,7 @@ void ResourceGovernor::set_budget(u64 budget_bytes) {
     // either seen by the whole pass or by the next one, never mid-pass.
     util::MutexLock lk(mu_);
     budget_.store(budget_bytes, std::memory_order_relaxed);
+    store_.track_recency(budget_bytes != 0);
     // Re-arm the futility latch: the stuck level was measured against the
     // old budget and means nothing under the new one.
     futile_usage_.store(0, std::memory_order_relaxed);
@@ -51,38 +36,16 @@ u64 ResourceGovernor::enforce() {
     }
     ++stats_.enforcements;
 
-    // Rank unload candidates coldest-first. An asset never reported to
-    // note_access (preloaded and idle since) has tick 0: coldest of all.
+    // Rank unload candidates coldest-first. An asset no request has
+    // resolved (preloaded and idle since) has tick 0: coldest of all.
     std::vector<AssetStore::ResidentAsset> residents = store_.residency();
-
-    // The recency clock only needs entries for resident assets; names that
-    // left the store (evicted, replaced, unloaded by earlier passes) would
-    // otherwise accumulate forever.
-    if (last_access_.size() > residents.size()) {
-        std::unordered_set<std::string> live;
-        live.reserve(residents.size());
-        for (const auto& r : residents) live.insert(r.name);
-        for (auto it = last_access_.begin(); it != last_access_.end();)
-            it = live.contains(it->first) ? std::next(it)
-                                          : last_access_.erase(it);
-    }
-    // Ticks are looked up here, not in the sort comparator: the thread
-    // safety analysis checks lambda bodies as standalone functions, so a
-    // comparator touching last_access_ (guarded by mu_) would not pass.
-    std::vector<std::pair<u64, std::size_t>> order;
-    order.reserve(residents.size());
-    for (std::size_t i = 0; i < residents.size(); ++i) {
-        auto it = last_access_.find(residents[i].name);
-        order.emplace_back(it == last_access_.end() ? u64{0} : it->second, i);
-    }
-    std::stable_sort(order.begin(), order.end(),
+    std::stable_sort(residents.begin(), residents.end(),
                      [](const auto& a, const auto& b) {
-                         return a.first < b.first;
+                         return a.last_used < b.last_used;
                      });
 
     u64 released = 0;
-    for (const auto& ranked : order) {
-        const AssetStore::ResidentAsset& r = residents[ranked.second];
+    for (const AssetStore::ResidentAsset& r : residents) {
         if (cache_.current_bytes() + store_.resident_bytes() <= budget) break;
         if (!r.backed) continue;  // unload would be data loss, not relief
         if (r.external_refs > 0) {
@@ -95,7 +58,6 @@ u64 ResourceGovernor::enforce() {
             released += r.bytes;
             ++stats_.unloads;
             stats_.bytes_unloaded += r.bytes;
-            last_access_.erase(r.name);  // re-learned on reload
         }
     }
 

@@ -11,7 +11,9 @@
 // demand-loadable assets — AssetStore::unload keeps the backing copy and
 // the generation, so the next request simply re-mmaps and recombines — and,
 // if the store alone cannot get under budget, shrinks the cache from its
-// least-recently-used end.
+// least-recently-used end. Candidates are ranked by Asset::last_used(), the
+// tick AssetStore::resolve() stamps while a budget is set: the governor
+// keeps no recency state of its own.
 //
 // What the governor will not do:
 //   - unload an asset that is not in the backing store (that would be data
@@ -25,8 +27,6 @@
 //     the cost of losing that race is one re-mmap, never corruption.
 
 #include <atomic>
-#include <string>
-#include <unordered_map>
 
 #include "serve/asset_store.hpp"
 #include "serve/metadata_cache.hpp"
@@ -81,11 +81,6 @@ public:
     /// over_budget() probe / enforce() pass. 0 disables the governor.
     void set_budget(u64 budget_bytes) RECOIL_EXCLUDES(mu_);
 
-    /// Recency signal: the server reports every request's asset here; the
-    /// enforce() pass ranks unload candidates coldest-first by this clock.
-    /// Assets never reported (preloaded, idle) rank coldest of all.
-    void note_access(const std::string& name) RECOIL_EXCLUDES(mu_);
-
     /// Cheap pressure probe (two relaxed atomic loads) for the hot path.
     bool over_budget() const noexcept {
         const u64 budget = budget_.load(std::memory_order_relaxed);
@@ -115,10 +110,12 @@ public:
     }
 
     /// One governance pass: if usage exceeds the budget, unload cold
-    /// eligible assets coldest-first until under budget, then — only if
-    /// the store alone could not get there — shrink the cache to whatever
-    /// share of the budget the remaining residents leave. Serialized
-    /// internally; concurrent callers queue. Returns bytes released.
+    /// eligible assets coldest-first (oldest last_used() tick; assets no
+    /// request has resolved rank coldest of all) until under budget, then —
+    /// only if the store alone could not get there — shrink the cache to
+    /// whatever share of the budget the remaining residents leave.
+    /// Serialized internally; concurrent callers queue. Returns bytes
+    /// released.
     u64 enforce() RECOIL_EXCLUDES(mu_);
 
     GovernorStats stats() const RECOIL_EXCLUDES(mu_);
@@ -130,16 +127,13 @@ public:
 private:
     AssetStore& store_;
     MetadataCache& cache_;
-    GovernorOptions opt_;
-    /// Live budget (opt_.budget_bytes is only the initial value). Atomic so
-    /// the hot-path probes read it lock-free while set_budget retargets it.
+    /// Live budget, initially GovernorOptions::budget_bytes. Atomic so the
+    /// hot-path probes read it lock-free while set_budget retargets it.
     std::atomic<u64> budget_;
     mutable util::Mutex mu_;
-    std::unordered_map<std::string, u64> last_access_ RECOIL_GUARDED_BY(mu_);
-    /// clock_/futile_usage_/latched_probes_ are the documented lock-free
-    /// escapes: over_budget()/pressure_actionable() run on the serve hot
-    /// path and must never contend with a running enforce() pass.
-    std::atomic<u64> clock_{0};
+    /// futile_usage_/latched_probes_ are the documented lock-free escapes:
+    /// over_budget()/pressure_actionable() run on the serve hot path and
+    /// must never contend with a running enforce() pass.
     /// Usage level a pass ended at while still over budget (0 = none):
     /// the futility latch behind pressure_actionable().
     std::atomic<u64> futile_usage_{0};

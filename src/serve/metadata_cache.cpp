@@ -7,25 +7,29 @@
 
 namespace recoil::serve {
 
-SharedResponse MetadataCache::get(const std::string& asset_key,
-                                  u32 parallelism, bool count_miss) {
-    util::MutexLock lk(mu_);
-    auto it = map_.find(Key{asset_key, parallelism});
-    if (it == map_.end()) {
-        if (count_miss) ++stats_.misses;
+SharedResponse MetadataCache::get(const ResponseKey& key,
+                                  bool count_miss) const {
+    SharedResponse hit;
+    {  // held for the lookup and the stamp only: the counters need no lock
+        util::ReaderMutexLock lk(mu_);
+        auto it = map_.find(key);
+        if (it != map_.end()) {
+            it->second.tick.store(next_tick(), std::memory_order_relaxed);
+            hit = it->second.response;
+        }
+    }
+    if (hit == nullptr) {
+        if (count_miss) misses_.fetch_add(1, std::memory_order_relaxed);
         return nullptr;
     }
-    ++stats_.hits;
-    stats_.hit_bytes += it->second.response->size();
-    order_.splice(order_.begin(), order_, it->second.lru);
-    return it->second.response;
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    hit_bytes_.fetch_add(hit->size(), std::memory_order_relaxed);
+    return hit;
 }
 
-void MetadataCache::put(const std::string& asset_key, u32 parallelism,
-                        SharedResponse response) {
+void MetadataCache::put(const ResponseKey& key, SharedResponse response) {
     RECOIL_CHECK(response != nullptr, "cache put: null payload");
-    util::MutexLock lk(mu_);
-    Key key{asset_key, parallelism};
+    util::WriterMutexLock lk(mu_);
     auto it = map_.find(key);
     const u64 size = response->owned_bytes();
     if (size > capacity_) {  // would evict everything for nothing
@@ -40,13 +44,10 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
         set_bytes_locked(stats_.bytes - it->second.response->owned_bytes() +
                          size);
         it->second.response = std::move(response);
-        order_.splice(order_.begin(), order_, it->second.lru);
+        it->second.tick.store(next_tick(), std::memory_order_relaxed);
     } else {
         set_bytes_locked(stats_.bytes + size);
-        it = map_.emplace(std::move(key), Entry{std::move(response), {}})
-                 .first;
-        order_.push_front(&it->first);
-        it->second.lru = order_.begin();
+        map_.try_emplace(key, std::move(response), next_tick());
         ++stats_.insertions;
     }
     stats_.entries = map_.size();
@@ -58,58 +59,74 @@ void MetadataCache::put(const std::string& asset_key, u32 parallelism,
 
 MetadataCache::Map::iterator MetadataCache::erase_locked(Map::iterator it) {
     set_bytes_locked(stats_.bytes - it->second.response->owned_bytes());
-    order_.erase(it->second.lru);
     it = map_.erase(it);
     stats_.entries = map_.size();
     return it;
 }
 
 void MetadataCache::evict_until_locked(u64 target_bytes) {
-    while (stats_.bytes > target_bytes && !order_.empty()) {
-        erase_locked(map_.find(*order_.back()));
+    while (stats_.bytes > target_bytes) {
+        if (victims_.empty()) {  // refill: the oldest eighth, oldest last
+            for (const auto& [key, entry] : map_)
+                victims_.emplace_back(
+                    entry.tick.load(std::memory_order_relaxed), key);
+            const std::size_t batch = std::min(
+                victims_.size(), std::max<std::size_t>(64, victims_.size() / 8));
+            std::partial_sort(
+                victims_.rbegin(), victims_.rbegin() + batch, victims_.rend(),
+                [](const auto& a, const auto& b) { return a.first < b.first; });
+            victims_.erase(victims_.begin(), victims_.end() - batch);
+        }
+        // Entries outside the buffer were newer than every candidate at the
+        // refill, and a touch since takes a newer tick still: the back
+        // candidate whose tick is unchanged is the least recently used.
+        const auto [tick, key] = victims_.back();
+        victims_.pop_back();
+        auto it = map_.find(key);
+        if (it == map_.end() ||
+            it->second.tick.load(std::memory_order_relaxed) != tick)
+            continue;  // dropped or touched since the refill
+        erase_locked(it);
         ++stats_.evictions;
     }
 }
 
-void MetadataCache::erase_asset(const std::string& asset_key) {
-    util::MutexLock lk(mu_);
-    for (auto it = map_.begin(); it != map_.end();) {
-        const std::string& a = it->first.asset;
-        const bool derived = a.size() > asset_key.size() &&
-                             a.compare(0, asset_key.size(), asset_key) == 0 &&
-                             a[asset_key.size()] == '\n';
-        if (a == asset_key || derived) {
-            it = erase_locked(it);
-        } else {
-            ++it;
-        }
-    }
+void MetadataCache::erase_asset(u64 asset) {
+    util::WriterMutexLock lk(mu_);
+    for (auto it = map_.begin(); it != map_.end();)
+        it = it->first.asset == asset ? erase_locked(it) : std::next(it);
 }
 
 void MetadataCache::shrink_to(u64 target_bytes) {
-    util::MutexLock lk(mu_);
+    util::WriterMutexLock lk(mu_);
     evict_until_locked(target_bytes);
 }
 
 void MetadataCache::clear() {
-    util::MutexLock lk(mu_);
+    util::WriterMutexLock lk(mu_);
     map_.clear();
-    order_.clear();
+    victims_.clear();
     set_bytes_locked(0);
     stats_.entries = 0;
 }
 
 CacheStats MetadataCache::stats() const {
-    util::MutexLock lk(mu_);
-    return stats_;
+    CacheStats s;
+    {
+        util::ReaderMutexLock lk(mu_);
+        s = stats_;
+    }
+    s.hits = hits_.load(std::memory_order_relaxed);
+    s.misses = misses_.load(std::memory_order_relaxed);
+    s.hit_bytes = hit_bytes_.load(std::memory_order_relaxed);
+    return s;
 }
 
 void MetadataCache::bind_metrics(obs::MetricsRegistry* reg) {
     if (reg == nullptr) return;
     using obs::MetricKind;
-    // Polled callbacks reading the same stats_ the stats() API reports: the
-    // registry view is bit-identical by construction and the cache hot path
-    // gains no extra writes.
+    // Polled callbacks reading stats(): the registry view is bit-identical
+    // by construction and the cache hot path gains no extra writes.
     auto poll = [this](u64 CacheStats::* field) {
         return [this, field] { return stats().*field; };
     };

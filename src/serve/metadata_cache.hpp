@@ -1,26 +1,28 @@
 #pragma once
-// Cache of finished serve responses keyed by (asset key, client
-// parallelism). The §3.3 serving path is cheap but not free — combine_splits
-// walks M split points and the wire serialization hashes the bitstream —
-// and real traffic concentrates on a few client classes (phone / laptop /
-// GPU), so the hot responses are cached as finished piece lists (owned
-// structural sections, borrowed views of the asset's payload, split count
-// and body-frame checksums: FinishedResponse) and handed out by reference.
-// An entry is charged only the structural bytes it owns: the payload it
-// views is the resident asset's, counted once by the store however many
-// client classes view it — the paper's encode-once economics applied to
-// server memory. Range responses reuse the same cache under a derived
-// asset key (see server.cpp), hence the string key rather than an asset
-// pointer.
+// Cache of finished serve responses keyed by ResponseKey: the asset's
+// instance plus either a client parallelism or a symbol range. The §3.3 serving
+// path is cheap but not free — combine_splits walks M split points and the
+// wire serialization hashes the bitstream — and real traffic concentrates
+// on a few client classes (phone / laptop / GPU), so the hot responses are
+// cached as finished piece lists (owned structural sections, borrowed views
+// of the asset's payload, split count and body-frame checksums:
+// FinishedResponse) and handed out by reference. An entry is charged only
+// the structural bytes it owns: the payload it views is the resident
+// asset's, counted once by the store however many client classes view it —
+// the paper's encode-once economics applied to server memory.
 //
-// One byte-capacity LRU: an entry map plus a recency list over the map's
-// keys. Hits and refreshes move an entry to the front; victims leave from
-// the back until the charged bytes fit the capacity again.
+// One byte-capacity LRU over plain data: every entry carries the tick of its
+// last get() or put(), taken from one relaxed atomic clock. A hit is a
+// lookup under the lock held shared plus relaxed atomic stores; put(),
+// eviction, erase_asset() and clear() hold it exclusively. Victims come off
+// a sorted buffer of the oldest entries, refilled by one pass over the map
+// once per eighth of them (O(log n) amortized); a candidate touched since
+// the refill is skipped, so the order is exact LRU.
 
 #include <atomic>
-#include <list>
-#include <string>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "serve/protocol.hpp"
 #include "util/ints.hpp"
@@ -31,6 +33,26 @@ class MetricsRegistry;
 }
 
 namespace recoil::serve {
+
+/// Identifies one cached response: `asset` is Asset::instance(). A
+/// full-asset response has lo = hi = 0; a range response has
+/// parallelism = 0 and lo < hi.
+struct ResponseKey {
+    u64 asset = 0;
+    u32 parallelism = 0;
+    u64 lo = 0;
+    u64 hi = 0;
+    bool operator==(const ResponseKey&) const = default;
+
+    struct Hash {
+        std::size_t operator()(const ResponseKey& k) const noexcept {
+            u64 h = k.asset * 0x9e3779b97f4a7c15ull;
+            for (const u64 v : {u64{k.parallelism}, k.lo, k.hi})
+                h = (h ^ v) * 0xff51afd7ed558ccdull;
+            return static_cast<std::size_t>(h ^ (h >> 32));
+        }
+    };
+};
 
 /// Counters are cumulative over the cache's lifetime (they survive clear());
 /// `bytes`/`entries` describe the current contents only.
@@ -60,27 +82,27 @@ class MetadataCache {
 public:
     explicit MetadataCache(u64 capacity_bytes) : capacity_(capacity_bytes) {}
 
-    /// nullptr on miss. A hit moves the entry to the front of the recency
-    /// list. Every hit counts; a miss counts unless `count_miss` is false —
-    /// the single-flight leader's recheck of a request whose first lookup
+    /// nullptr on miss. A hit stamps the entry with a fresh tick; the lookup
+    /// holds the lock shared, so hits never wait for each other. Every hit
+    /// counts; a miss counts unless `count_miss` is false — the
+    /// single-flight leader's recheck of a request whose first lookup
     /// already counted the miss.
-    SharedResponse get(const std::string& asset_key, u32 parallelism,
-                       bool count_miss = true) RECOIL_EXCLUDES(mu_);
+    SharedResponse get(const ResponseKey& key, bool count_miss = true) const
+        RECOIL_EXCLUDES(mu_);
 
-    /// Insert (or refresh) an entry at the front of the recency list,
-    /// evicting from the back past capacity. An entry costs its response's
-    /// owned bytes (FinishedResponse::owned_bytes). Entries charged more
-    /// than the whole cache are never cached — counted in
-    /// CacheStats::rejected (an oversized refresh also drops the now-stale
-    /// resident entry rather than keep serving superseded bytes). An entry
-    /// exactly equal to capacity is admitted (it fits — alone).
-    void put(const std::string& asset_key, u32 parallelism,
-             SharedResponse response) RECOIL_EXCLUDES(mu_);
+    /// Insert (or refresh) an entry under a fresh tick, evicting the oldest
+    /// past capacity. An entry costs its response's owned bytes
+    /// (FinishedResponse::owned_bytes). Entries charged more than the whole
+    /// cache are never cached — counted in CacheStats::rejected (an
+    /// oversized refresh also drops the now-stale resident entry rather
+    /// than keep serving superseded bytes). An entry exactly equal to
+    /// capacity is admitted (it fits — alone).
+    void put(const ResponseKey& key, SharedResponse response)
+        RECOIL_EXCLUDES(mu_);
 
-    /// Drop every entry for `asset_key` (all parallelisms, and derived keys
-    /// of the form "asset_key\n..." such as range responses). Not an
-    /// eviction: the evictions counter is untouched.
-    void erase_asset(const std::string& asset_key) RECOIL_EXCLUDES(mu_);
+    /// Drop every entry of asset instance `asset` (all classes and ranges).
+    /// Not an eviction: the evictions counter is untouched.
+    void erase_asset(u64 asset) RECOIL_EXCLUDES(mu_);
 
     /// Evict least-recently-used entries until current bytes <=
     /// `target_bytes` (counted as evictions — this is capacity pressure,
@@ -107,38 +129,38 @@ public:
     }
 
 private:
-    struct Key {
-        std::string asset;
-        u32 parallelism;
-        bool operator==(const Key&) const = default;
-    };
-    struct KeyHash {
-        std::size_t operator()(const Key& k) const noexcept {
-            return std::hash<std::string>{}(k.asset) * 0x9e3779b97f4a7c15ull ^
-                   k.parallelism;
-        }
-    };
-    /// Recency order, front = most recently used. Each element points at
-    /// its entry's key inside map_ (node-based: stable under rehash).
-    using Order = std::list<const Key*>;
     struct Entry {
+        Entry(SharedResponse r, u64 t) : response(std::move(r)), tick(t) {}
         SharedResponse response;
-        Order::iterator lru;  ///< this entry's position in order_
+        /// Clock value of this entry's last get() or put(). Documented
+        /// escape: a hit stores it holding mu_ only shared.
+        mutable std::atomic<u64> tick;
     };
-    using Map = std::unordered_map<Key, Entry, KeyHash>;
+    using Map = std::unordered_map<ResponseKey, Entry, ResponseKey::Hash>;
 
-    /// Unlink one entry from the map and the recency list and drop its
-    /// bytes; the caller decides whether it counts as an eviction. Returns
-    /// the map iterator after the erased entry.
+    u64 next_tick() const noexcept {
+        return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
+    }
+    /// Unlink one entry and drop its bytes; the caller decides whether it
+    /// counts as an eviction. Returns the iterator after the erased entry.
     Map::iterator erase_locked(Map::iterator it) RECOIL_REQUIRES(mu_);
     void evict_until_locked(u64 target_bytes) RECOIL_REQUIRES(mu_);
     void set_bytes_locked(u64 bytes) RECOIL_REQUIRES(mu_);
 
-    mutable util::Mutex mu_;
+    mutable util::SharedMutex mu_;
     u64 capacity_;  ///< immutable after construction
     Map map_ RECOIL_GUARDED_BY(mu_);
-    Order order_ RECOIL_GUARDED_BY(mu_);
+    /// Eviction candidates as (tick at refill, key); the oldest is last.
+    std::vector<std::pair<u64, ResponseKey>> victims_ RECOIL_GUARDED_BY(mu_);
+    /// Everything but hits/misses/hit_bytes, which live in the atomics
+    /// below and are folded in by stats().
     CacheStats stats_ RECOIL_GUARDED_BY(mu_);
+    /// Documented lock-free escapes: the recency clock (get() takes a tick
+    /// under the shared lock) and the hit/miss counters (after releasing it).
+    mutable std::atomic<u64> clock_{0};
+    mutable std::atomic<u64> hits_{0};
+    mutable std::atomic<u64> misses_{0};
+    mutable std::atomic<u64> hit_bytes_{0};
     /// Lock-free mirror of stats_.bytes (documented escape): written only
     /// by set_bytes_locked() under mu_, read without it by current_bytes()
     /// so the governor's pressure probe never contends with the cache.

@@ -11,20 +11,6 @@ namespace recoil::serve {
 
 namespace {
 
-/// Cache keys embed the asset's store generation, so an entry can never be
-/// served for a successor under the same name (the predecessor's entries
-/// leave the cache with it: ResourceGovernor's retire hook). Both forms
-/// start with "name\n#uid", so erase_asset() drops every generation of a
-/// name, or one generation given asset_key().
-std::string asset_key(const Asset& a) {
-    return a.name() + "\n#" + std::to_string(a.uid());
-}
-
-std::string range_key(const Asset& a, u64 lo, u64 hi) {
-    return asset_key(a) + "\nrange:" + std::to_string(lo) + "-" +
-           std::to_string(hi);
-}
-
 ServeResult fail(ErrorCode code, std::string detail) {
     ServeResult res;
     res.code = code;
@@ -298,8 +284,9 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
     if (asset == nullptr)
         throw ProtocolError(ErrorCode::unknown_asset,
                             "serve: unknown asset '" + req.asset + "'");
-    governor_.note_access(req.asset);  // recency clock for pressure unloads
 
+    // Keyed by the asset's instance: an entry or a flight answers only for
+    // the asset copy it was built from.
     Prepared p;
     p.asset = std::move(asset);
     if (req.range) {
@@ -316,9 +303,7 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
                 "serve: range [" + std::to_string(lo) + ", " +
                     std::to_string(hi) + ") outside asset of " +
                     std::to_string(p.asset->num_symbols()) + " symbols");
-        p.range = req.range;
-        p.key = range_key(*p.asset, lo, hi);
-        p.parallelism = 0;
+        p.key = ResponseKey{p.asset->instance(), 0, lo, hi};
         p.payload = PayloadKind::range;
     } else {
         const u8 need = p.asset->payload_kind() == PayloadKind::chunked
@@ -329,9 +314,9 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
                 ErrorCode::not_acceptable,
                 std::string("serve: client does not accept ") +
                     payload_name(p.asset->payload_kind()) + " responses");
-        p.parallelism =
-            std::clamp(req.parallelism, u32{1}, p.asset->max_parallelism());
-        p.key = asset_key(*p.asset);
+        p.key = ResponseKey{
+            p.asset->instance(),
+            std::clamp(req.parallelism, u32{1}, p.asset->max_parallelism())};
         p.payload = p.asset->payload_kind();
     }
     return p;
@@ -339,14 +324,14 @@ ContentServer::Prepared ContentServer::prepare(const ServeRequest& req) {
 
 u32 ContentServer::produce(const Prepared& p, format::WireSink& sink,
                            ServeStats& stats, obs::TraceContext* trace) {
-    if (opt_.combine_hook) opt_.combine_hook(p.key);
+    if (opt_.combine_hook) opt_.combine_hook(p.asset->name());
     Stopwatch combine;
     u32 splits = 0;
     {
         obs::TraceContext::Scoped span(trace, "combine", h_combine_);
-        splits = p.range ? p.asset->range_into(p.range->first,
-                                                p.range->second, sink)
-                         : p.asset->combine_into(p.parallelism, sink);
+        splits = p.payload == PayloadKind::range
+                     ? p.asset->range_into(p.key.lo, p.key.hi, sink)
+                     : p.asset->combine_into(p.key.parallelism, sink);
     }
     stats.combine_seconds = combine.seconds();
     return splits;
@@ -367,10 +352,10 @@ ServeResult ContentServer::serve_impl(const ServeRequest& req,
     return res;
 }
 
-bool ContentServer::acquire_flight(const std::string& flight_key,
+bool ContentServer::acquire_flight(const ResponseKey& key,
                                    std::shared_ptr<Flight>& flight) {
     util::MutexLock lk(flights_mu_);
-    auto& slot = flights_[flight_key];
+    auto& slot = flights_[key];
     if (slot == nullptr) {
         slot = std::make_shared<Flight>();
         flight = slot;
@@ -385,7 +370,7 @@ SharedResponse ContentServer::serve_shared(const Prepared& p,
                                            obs::TraceContext* trace) {
     {
         obs::TraceContext::Scoped span(trace, "cache_lookup", nullptr);
-        if (SharedResponse hit = cache_.get(p.key, p.parallelism)) {
+        if (SharedResponse hit = cache_.get(p.key)) {
             stats.cache_hit = true;
             return hit;
         }
@@ -396,10 +381,8 @@ SharedResponse ContentServer::serve_shared(const Prepared& p,
     // finished response.
     // serve_stream() comes through here too, so streamed and v1 requests
     // for one key coalesce on the same flight.
-    const std::string flight_key =
-        p.key + "\nflight:" + std::to_string(p.parallelism);
     std::shared_ptr<Flight> flight;
-    const bool leader = acquire_flight(flight_key, flight);
+    const bool leader = acquire_flight(p.key, flight);
 
     if (!leader) {
         obs::TraceContext::Scoped span(trace, "coalesce_wait", nullptr);
@@ -421,9 +404,8 @@ SharedResponse ContentServer::serve_shared(const Prepared& p,
     // response to any followers already parked on this flight. The recheck
     // is the same logical request, whose miss the lookup above already
     // counted: a recheck miss counts nothing, a recheck hit counts its hit.
-    if (SharedResponse cached =
-            cache_.get(p.key, p.parallelism, /*count_miss=*/false)) {
-        retire_flight(flight_key, flight, cached, ErrorCode::ok, {});
+    if (SharedResponse cached = cache_.get(p.key, /*count_miss=*/false)) {
+        retire_flight(p.key, flight, cached, ErrorCode::ok, {});
         stats.cache_hit = true;
         return cached;
     }
@@ -446,34 +428,34 @@ SharedResponse ContentServer::serve_shared(const Prepared& p,
         // before. An unload landing between the gate and the put drops its
         // entries before the recheck, or the recheck drops this one.
         if (store_.is_resident(*p.asset)) {
-            cache_.put(p.key, p.parallelism, response);
+            cache_.put(p.key, response);
             if (!store_.is_resident(*p.asset))
-                cache_.erase_asset(asset_key(*p.asset));
+                cache_.erase_asset(p.asset->instance());
         }
     } catch (const ProtocolError& e) {
-        retire_flight(flight_key, flight, nullptr, e.code(), e.what());
+        retire_flight(p.key, flight, nullptr, e.code(), e.what());
         throw;
     } catch (const std::exception& e) {
-        retire_flight(flight_key, flight, nullptr, ErrorCode::internal,
+        retire_flight(p.key, flight, nullptr, ErrorCode::internal,
                       e.what());
         throw;
     } catch (...) {
-        retire_flight(flight_key, flight, nullptr, ErrorCode::internal,
+        retire_flight(p.key, flight, nullptr, ErrorCode::internal,
                       "combine failed");
         throw;
     }
-    retire_flight(flight_key, flight, response, ErrorCode::ok, {});
+    retire_flight(p.key, flight, response, ErrorCode::ok, {});
     return response;
 }
 
-void ContentServer::retire_flight(const std::string& flight_key,
+void ContentServer::retire_flight(const ResponseKey& key,
                                   const std::shared_ptr<Flight>& flight,
                                   SharedResponse response,
                                   ErrorCode error_code,
                                   std::string error_detail) {
     {
         util::MutexLock lk(flights_mu_);
-        flights_.erase(flight_key);
+        flights_.erase(key);
     }
     {
         util::MutexLock fl(flight->mu);

@@ -40,9 +40,9 @@ struct ServerOptions {
     /// exceeded, the resource governor unloads cold demand-loadable assets
     /// (and shrinks the cache if that is not enough). 0 disables.
     u64 mem_budget_bytes = 0;
-    /// Observability/test hook: invoked (if set) with the cache key at the
-    /// start of every miss combine (materialized or streamed), before the
-    /// wire is built.
+    /// Observability/test hook: invoked (if set) with the asset's name at
+    /// the start of every miss combine (materialized or streamed), before
+    /// the wire is built.
     std::function<void(const std::string&)> combine_hook;
     /// Hot-path telemetry: per-phase latency histograms, request traces and
     /// the slow-request log. Off, those record nothing (the overhead knob
@@ -236,10 +236,9 @@ private:
     /// and streaming paths so negotiation/validation cannot diverge.
     struct Prepared {
         std::shared_ptr<const Asset> asset;
-        std::string key;       ///< response cache key
-        u32 parallelism = 0;   ///< clamped; 0 for range requests
+        /// Cache and flight key: the clamped parallelism, or the range.
+        ResponseKey key;
         PayloadKind payload = PayloadKind::none;
-        std::optional<std::pair<u64, u64>> range;
     };
     /// Resolve + validate + negotiate. Throws ProtocolError (typed) on any
     /// failure; counts the request in range_requests_ when applicable.
@@ -259,16 +258,15 @@ private:
     /// spans are then skipped but behavior is identical.
     SharedResponse serve_shared(const Prepared& p, ServeStats& stats,
                                 obs::TraceContext* trace);
-    /// Insert-or-join the flight for `flight_key`. True when this caller
-    /// is the leader (it must eventually retire the flight).
-    bool acquire_flight(const std::string& flight_key,
-                        std::shared_ptr<Flight>& flight)
+    /// Insert-or-join the flight for `key`. True when this caller is the
+    /// leader (it must eventually retire the flight).
+    bool acquire_flight(const ResponseKey& key, std::shared_ptr<Flight>& flight)
         RECOIL_EXCLUDES(flights_mu_);
     /// Remove the flight from the map, publish its outcome (`response`
     /// when non-null, else the typed failure) and wake every parked
     /// follower. Every leader exit path must end here, or followers block
     /// forever on a stranded flight.
-    void retire_flight(const std::string& flight_key,
+    void retire_flight(const ResponseKey& key,
                        const std::shared_ptr<Flight>& flight,
                        SharedResponse response, ErrorCode error_code,
                        std::string error_detail) RECOIL_EXCLUDES(flights_mu_);
@@ -306,8 +304,8 @@ private:
     MetadataCache cache_;
     ResourceGovernor governor_;
     util::Mutex flights_mu_;
-    std::unordered_map<std::string, std::shared_ptr<Flight>> flights_
-        RECOIL_GUARDED_BY(flights_mu_);
+    std::unordered_map<ResponseKey, std::shared_ptr<Flight>, ResponseKey::Hash>
+        flights_ RECOIL_GUARDED_BY(flights_mu_);
     /// The totals block below is all relaxed atomics — the documented
     /// lock-free escape for the serve hot path (totals()/sampling/metrics
     /// callbacks read them without any lock).

@@ -95,8 +95,11 @@ void ShardedServer::ensure_local(u32 home, const std::string& name) noexcept {
     try {
         // Memory hit or a demand-load from the home partition: nothing to
         // fetch. A corrupt local copy throws — leave it for the serve path
-        // to surface as its typed StoreError.
-        if (server.store().resolve(name) != nullptr) return;
+        // to surface as its typed StoreError. find() first: only the serve
+        // path's resolve() stamps recency.
+        if (server.store().find(name) != nullptr ||
+            server.store().resolve(name) != nullptr)
+            return;
     } catch (...) {
         return;
     }

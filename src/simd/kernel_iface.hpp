@@ -16,6 +16,7 @@
 // disciplines pop the same units in the same global order.
 
 #include "rans/static_model.hpp"
+#include "util/error.hpp"
 #include "util/ints.hpp"
 
 namespace recoil::simd {
@@ -27,13 +28,16 @@ using GroupKernel = void (*)(u32* states, const u16* units, u64 num_units,
 
 /// Pop one unit for every lane with state < L: ascending needy lanes take
 /// ascending addresses ending at p. Used for kernel catch-up and as the
-/// kernels' scalar fallback near the ends of the unit buffer.
+/// kernels' scalar fallback near the ends of the unit buffer. A group that
+/// needs more units than remain below p is a typed error, as in the scalar
+/// decode_positions.
 inline void scalar_group_pops(u32* x, const u16* units, i64& p) {
     u32 needy[32];
     int k = 0;
     for (u32 lane = 0; lane < 32; ++lane) {
         if (x[lane] < (u32{1} << 16)) needy[k++] = lane;
     }
+    RECOIL_CHECK(p + 1 >= k, "scalar_group_pops: bitstream underflow");
     const i64 base = p - k + 1;
     for (int i = 0; i < k; ++i) {
         x[needy[i]] = (x[needy[i]] << 16) | units[base + i];

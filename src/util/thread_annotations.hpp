@@ -81,13 +81,6 @@
 
 namespace recoil::util {
 
-/// Tag for adopting a mutex already held by the caller (the annotated
-/// equivalent of std::adopt_lock).
-struct adopt_lock_t {
-    explicit adopt_lock_t() = default;
-};
-inline constexpr adopt_lock_t adopt_lock{};
-
 /// std::mutex with the TSA `capability` attribute. Same size, same cost;
 /// BasicLockable/Lockable, so std::unique_lock<util::Mutex> and
 /// std::condition_variable_any still accept it where generic holders are
@@ -133,39 +126,19 @@ private:
 };
 
 /// Scoped exclusive lock over util::Mutex — the annotated std::scoped_lock.
-/// Also the annotated std::unique_lock where the code needs to drop the
-/// lock early (unlock-before-notify) or adopt one taken by try_lock():
-/// unlock()/lock() track ownership so the destructor releases only if held.
+/// Held for its whole scope: code that must release early (unlock before
+/// notify) ends the scope instead.
 class RECOIL_SCOPED_CAPABILITY MutexLock {
 public:
     explicit MutexLock(Mutex& mu) RECOIL_ACQUIRE(mu) : mu_(mu) {
         mu_.lock();
     }
-    /// Adopt a lock the caller already holds (e.g. after a successful
-    /// try_lock()). The REQUIRES annotation makes the precondition checked.
-    MutexLock(Mutex& mu, adopt_lock_t) RECOIL_REQUIRES(mu) : mu_(mu) {}
-
     MutexLock(const MutexLock&) = delete;
     MutexLock& operator=(const MutexLock&) = delete;
-
-    /// Early release (the unlock-before-notify idiom).
-    void unlock() RECOIL_RELEASE() {
-        owned_ = false;
-        mu_.unlock();
-    }
-    /// Re-acquire after an early unlock().
-    void lock() RECOIL_ACQUIRE() {
-        mu_.lock();
-        owned_ = true;
-    }
-
-    ~MutexLock() RECOIL_RELEASE() {
-        if (owned_) mu_.unlock();
-    }
+    ~MutexLock() RECOIL_RELEASE() { mu_.unlock(); }
 
 private:
     Mutex& mu_;
-    bool owned_ = true;
 };
 
 /// Scoped exclusive lock over util::SharedMutex.

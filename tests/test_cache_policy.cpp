@@ -1,9 +1,10 @@
 // Tests for the LRU response cache and the resource governor: the cache's
 // counter edges are pinned, a seeded-Zipf trace served through
 // ContentServer::serve() hits exactly as often as a reference LRU model
-// predicts, and the governor unloads cold demand-loadable assets under a
+// predicts, the governor unloads cold demand-loadable assets under a
 // global byte budget without ever touching pinned assets or assets pinned
-// by in-flight streams.
+// by in-flight streams, and shared-lock hits stay exact under a storm of
+// evictions and unloads.
 
 #include <gtest/gtest.h>
 
@@ -48,32 +49,32 @@ std::vector<u8> asset_bytes(u64 n, u64 seed) {
 
 TEST(CachePolicy, ExactCapacityPayloadIsAdmittedNotRejected) {
     MetadataCache cache(100);
-    cache.put("a", 1, wire_of(40, 1));
-    cache.put("b", 1, wire_of(40, 2));
+    cache.put(test::cache_key("a", 1), wire_of(40, 1));
+    cache.put(test::cache_key("b", 1), wire_of(40, 2));
 
     // Exactly capacity: fits (alone), so it is an insertion that evicts
     // everything else — never a rejection.
-    cache.put("full", 1, wire_of(100, 3));
+    cache.put(test::cache_key("full", 1), wire_of(100, 3));
     CacheStats s = cache.stats();
     EXPECT_EQ(s.rejected, 0u);
     EXPECT_EQ(s.insertions, 3u);
     EXPECT_EQ(s.evictions, 2u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.bytes, 100u);
-    EXPECT_NE(cache.get("full", 1), nullptr);
+    EXPECT_NE(cache.get(test::cache_key("full", 1)), nullptr);
 
     // The same holds after a clear(): the capacity comparison must not
     // drift against the (reset) current size.
     cache.clear();
-    cache.put("full2", 1, wire_of(100, 4));
+    cache.put(test::cache_key("full2", 1), wire_of(100, 4));
     s = cache.stats();
     EXPECT_EQ(s.rejected, 0u);
     EXPECT_EQ(s.entries, 1u);
     EXPECT_EQ(s.bytes, 100u);
-    EXPECT_NE(cache.get("full2", 1), nullptr);
+    EXPECT_NE(cache.get(test::cache_key("full2", 1)), nullptr);
 
     // One byte over capacity IS a rejection, and not an insertion.
-    cache.put("over", 1, wire_of(101, 5));
+    cache.put(test::cache_key("over", 1), wire_of(101, 5));
     s = cache.stats();
     EXPECT_EQ(s.rejected, 1u);
     EXPECT_EQ(s.insertions, 4u);
@@ -82,48 +83,50 @@ TEST(CachePolicy, ExactCapacityPayloadIsAdmittedNotRejected) {
 
 TEST(CachePolicy, OversizedRefreshDropsTheStaleResidentEntry) {
     MetadataCache cache(100);
-    cache.put("k", 1, wire_of(40, 1));
-    ASSERT_NE(cache.get("k", 1), nullptr);
+    cache.put(test::cache_key("k", 1), wire_of(40, 1));
+    ASSERT_NE(cache.get(test::cache_key("k", 1)), nullptr);
 
     // A refresh too large to cache: the resident entry is now known stale,
     // so it must not keep being served. Counted as rejected, NOT as an
     // eviction (nothing displaced it for space).
-    cache.put("k", 1, wire_of(101, 2));
+    cache.put(test::cache_key("k", 1), wire_of(101, 2));
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.rejected, 1u);
     EXPECT_EQ(s.evictions, 0u);
     EXPECT_EQ(s.entries, 0u);
     EXPECT_EQ(s.bytes, 0u);
-    EXPECT_EQ(cache.get("k", 1), nullptr);
+    EXPECT_EQ(cache.get(test::cache_key("k", 1)), nullptr);
 }
 
 TEST(CachePolicy, ShrinkToEvictsColdestFirstAndCountsEvictions) {
     MetadataCache cache(1000);
     for (int i = 0; i < 5; ++i)
-        cache.put("k" + std::to_string(i), 1, wire_of(100, u8(i)));
-    cache.get("k0", 1);  // refresh: k0 is now the hottest
+        cache.put(test::cache_key("k" + std::to_string(i), 1),
+                  wire_of(100, u8(i)));
+    cache.get(test::cache_key("k0", 1));  // refresh: k0 is now the hottest
 
     cache.shrink_to(250);
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.entries, 2u);
     EXPECT_EQ(s.bytes, 200u);
     EXPECT_EQ(s.evictions, 3u);
-    EXPECT_NE(cache.get("k0", 1), nullptr);  // survived via recency
-    EXPECT_NE(cache.get("k4", 1), nullptr);
-    EXPECT_EQ(cache.get("k1", 1), nullptr);
+    // k0 survived via recency.
+    EXPECT_NE(cache.get(test::cache_key("k0", 1)), nullptr);
+    EXPECT_NE(cache.get(test::cache_key("k4", 1)), nullptr);
+    EXPECT_EQ(cache.get(test::cache_key("k1", 1)), nullptr);
 
     // shrink_to does not change the configured capacity: the cache grows
     // right back.
-    cache.put("k5", 1, wire_of(100, 9));
+    cache.put(test::cache_key("k5", 1), wire_of(100, 9));
     EXPECT_EQ(cache.stats().entries, 3u);
 }
 
 TEST(CachePolicy, HitBytesAccumulateForByteHitRate) {
     MetadataCache cache(1000);
-    cache.put("a", 1, wire_of(300, 1));
-    cache.get("a", 1);
-    cache.get("a", 1);
-    cache.get("missing", 1);
+    cache.put(test::cache_key("a", 1), wire_of(300, 1));
+    cache.get(test::cache_key("a", 1));
+    cache.get(test::cache_key("a", 1));
+    cache.get(test::cache_key("missing", 1));
     const CacheStats s = cache.stats();
     EXPECT_EQ(s.hits, 2u);
     EXPECT_EQ(s.hit_bytes, 600u);
@@ -307,9 +310,9 @@ TEST(Governor, UnloadsColdestBackedAssetsFirst) {
     // Recency: a0 never accessed (coldest), then a1 < a2 < a3.
     ResourceGovernor gov(rig.store, rig.cache,
                          GovernorOptions{resident - per_asset / 2});
-    gov.note_access("a1");
-    gov.note_access("a2");
-    gov.note_access("a3");
+    rig.store.resolve("a1");
+    rig.store.resolve("a2");
+    rig.store.resolve("a3");
 
     ASSERT_TRUE(gov.over_budget());
     const u64 released = gov.enforce();
@@ -342,7 +345,7 @@ TEST(Governor, UnbackedAssetsAreNeverUnloaded) {
     GovernedRig rig(/*cache_capacity=*/u64{1} << 20);
     rig.store.encode_bytes("mem0", asset_bytes(40000, 31), 8);
     rig.store.encode_bytes("mem1", asset_bytes(40000, 32), 8);
-    rig.cache.put("k", 1, wire_of(5000, 1));
+    rig.cache.put(test::cache_key("k", 1), wire_of(5000, 1));
 
     ResourceGovernor gov(rig.store, rig.cache, GovernorOptions{1});
     gov.enforce();
@@ -382,8 +385,8 @@ TEST(Governor, CacheShrinksOnlyWhenTheStoreCannotGetUnderBudget) {
     rig.store.attach_backing(std::make_shared<DiskStore>(dir.path));
     rig.store.encode_bytes("a", asset_bytes(40000, 51), 8);
     rig.store.encode_bytes("b", asset_bytes(40000, 52), 8);
-    rig.cache.put("w1", 1, wire_of(4000, 1));
-    rig.cache.put("w2", 1, wire_of(4000, 2));
+    rig.cache.put(test::cache_key("w1", 1), wire_of(4000, 1));
+    rig.cache.put(test::cache_key("w2", 1), wire_of(4000, 2));
     const u64 resident = rig.store.resident_bytes();
 
     // Budget leaves room for one asset + one cache entry: the pass unloads
@@ -393,7 +396,7 @@ TEST(Governor, CacheShrinksOnlyWhenTheStoreCannotGetUnderBudget) {
                          GovernorOptions{resident / 2 + 4500});
     const std::shared_ptr<const Asset> held = rig.store.find("b");
     ASSERT_NE(held, nullptr);
-    gov.note_access("b");  // a is coldest
+    rig.store.resolve("b");  // a is coldest
     gov.enforce();
     EXPECT_EQ(rig.store.find("a"), nullptr);
     EXPECT_NE(rig.store.find("b"), nullptr);
@@ -431,7 +434,7 @@ TEST(Governor, FutilePassesLatchOffTheHotPathProbe) {
 TEST(Governor, DisabledGovernorNeverActs) {
     GovernedRig rig;
     rig.store.encode_bytes("a", asset_bytes(30000, 61), 8);
-    rig.cache.put("k", 1, wire_of(100, 1));
+    rig.cache.put(test::cache_key("k", 1), wire_of(100, 1));
     ResourceGovernor gov(rig.store, rig.cache, GovernorOptions{0});
     EXPECT_FALSE(gov.enabled());
     EXPECT_FALSE(gov.over_budget());
@@ -732,6 +735,97 @@ TEST(Governor, UnloadRacingStreamsStaysBitExact) {
         ASSERT_TRUE(server.store().unload("a" + std::to_string(i)));
     EXPECT_EQ(server.cache().stats().entries, 0u);
     EXPECT_EQ(server.cache().stats().bytes, 0u);
+}
+
+TEST(CachePolicy, SharedLockHitsStormStaysExact) {
+    // The TSan anchor for shared-lock hits: warm full and range hits read
+    // the cache under its lock held shared while one thread serves fresh
+    // classes into a cache sized for a few entries (so puts evict), and
+    // another runs pressure passes and unloads (so entries leave with their
+    // assets and demand-loads stamp recency). Every reply must be
+    // bit-exact, and once the threads have joined the server's hit count
+    // must equal the cache's.
+    TempDir dir("storm");
+    constexpr int kAssets = 2;
+    constexpr u32 kClasses = 16;
+    constexpr u64 kLo = 1000, kHi = 5000;
+    std::vector<std::vector<u8>> data;
+    ContentServer ref;
+    for (int a = 0; a < kAssets; ++a) {
+        data.push_back(asset_bytes(30000, 97 + a));
+        ref.store().encode_bytes("s" + std::to_string(a), data.back(), 16);
+    }
+    // want[a][c]: class c's wire (1..kClasses); want[a][0]: the range.
+    std::vector<std::vector<std::vector<u8>>> want(kAssets);
+    u64 entry = 0;
+    for (int a = 0; a < kAssets; ++a) {
+        const std::string name = "s" + std::to_string(a);
+        for (u32 c = 0; c <= kClasses; ++c) {
+            ServeRequest req{name, c, std::nullopt};
+            if (c == 0) req.range = {{kLo, kHi}};
+            const ServeResult r = ref.serve(req);
+            ASSERT_TRUE(r.ok()) << r.detail;
+            want[a].emplace_back(r.wire->begin(), r.wire->end());
+            entry = std::max(entry, r.wire->owned_bytes());
+        }
+    }
+
+    ServerOptions opt;
+    opt.cache_capacity_bytes = entry * 4;
+    ContentServer server(opt);
+    server.store().attach_backing(std::make_shared<DiskStore>(dir.path));
+    for (int a = 0; a < kAssets; ++a)
+        server.store().encode_bytes("s" + std::to_string(a), data[a], 16);
+    // Pressure only once the cache is nearly full: a pass then unloads the
+    // colder asset.
+    server.governor().set_budget(server.store().resident_bytes() +
+                                 opt.cache_capacity_bytes - entry / 2);
+
+    std::atomic<bool> stop{false};
+    std::atomic<int> failures{0};
+    std::atomic<int> served{0};
+    const auto check = [&](int a, u32 c) {
+        ServeRequest req{"s" + std::to_string(a), c, std::nullopt};
+        if (c == 0) req.range = {{kLo, kHi}};
+        const ServeResult r = server.serve(req);
+        if (!r.ok() || *r.wire != want[a][c]) ++failures;
+        served.fetch_add(1, std::memory_order_relaxed);
+    };
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 3; ++t) {
+        threads.emplace_back([&, t] {
+            for (int i = 0; i < 200; ++i)
+                check((t + i) % kAssets, i % 2 == 0 ? 4u : 0u);
+        });
+    }
+    threads.emplace_back([&] {
+        for (int i = 0; i < 200; ++i)
+            check(i % kAssets, 1 + static_cast<u32>(i / kAssets) % kClasses);
+    });
+    // Explicit unloads are paced by the traffic, one per 50 requests, so
+    // however the threads are scheduled the warm keys still get hits.
+    std::thread governor([&] {
+        for (int next = 50; !stop.load(std::memory_order_relaxed);) {
+            server.governor().enforce();
+            if (served.load(std::memory_order_relaxed) >= next) {
+                const int a = next / 50 % kAssets;
+                server.store().unload("s" + std::to_string(a));
+                next += 50;
+            }
+            std::this_thread::yield();
+        }
+    });
+    for (auto& t : threads) t.join();
+    stop.store(true, std::memory_order_relaxed);
+    governor.join();
+
+    EXPECT_EQ(failures.load(), 0);
+    const ContentServer::Totals totals = server.totals();
+    EXPECT_EQ(totals.failures, 0u);
+    EXPECT_EQ(totals.requests, 800u);
+    EXPECT_GT(totals.cache_hits, 0u);
+    EXPECT_EQ(totals.cache_hits, server.cache().stats().hits);
+    EXPECT_LE(server.cache().stats().bytes, opt.cache_capacity_bytes);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include "conventional/conventional.hpp"
 #include "core/recoil_decoder.hpp"
 #include "format/container.hpp"
+#include "simd/dispatch.hpp"
 #include "test_util.hpp"
 #include "workload/datasets.hpp"
 
@@ -104,6 +105,38 @@ TEST(Container, BitFlipsDetected) {
         const u64 pos = rng.below(bad.size());
         bad[pos] ^= static_cast<u8>(1u << rng.below(8));
         EXPECT_THROW(format::load_recoil_file(bad), Error) << "pos " << pos;
+    }
+}
+
+TEST(Container, ResealedFlipsInSplitZeroAreTypedDecodeErrors) {
+    // A single-bit flip in split 0's units, resealed so the container's
+    // checksum holds, parses fine. The decode must then fail its end-state
+    // check (every unit consumed, every used lane back at L) on every
+    // backend, instead of returning wrong bytes.
+    const auto text = workload::gen_text(64 * 1024, 5);
+    auto m = test::model_for<u8>(text, 11, 256);
+    const auto enc =
+        recoil_encode<Rans32, 32>(std::span<const u8>(text), m, 16);
+    const u64 split0_units = enc.metadata.splits[0].offset + 1;
+    std::vector<simd::Backend> backends{simd::Backend::Scalar};
+    for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
+        if (simd::clamp_backend(b) == b) backends.push_back(b);
+    for (u64 i = 0; i < 18; ++i) {
+        auto bad = enc;
+        const u64 pos = (i * split0_units) / 18;
+        bad.bitstream.units[pos] ^= static_cast<u16>(1u << (i % 16));
+        const auto f = format::load_recoil_file(
+            format::save_recoil_file(format::make_recoil_file(bad, m, 1)));
+        const auto model = f.build_static_model();
+        for (const simd::Backend b : backends) {
+            const auto decode = [&] {
+                return recoil_decode<Rans32, 32, u8>(
+                    std::span<const u16>(f.units), f.metadata, model.tables(),
+                    nullptr, nullptr, simd::SimdRangeFn<u8>{b});
+            };
+            EXPECT_THROW(decode(), Error)
+                << "unit " << pos << " on " << simd::backend_name(b);
+        }
     }
 }
 

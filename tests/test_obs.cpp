@@ -488,10 +488,11 @@ TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
         return std::make_shared<const FinishedResponse>(
             std::vector<u8>(n, u8{7}), splits);
     };
-    cache.get("a", 4);                    // miss
-    cache.put("a", 4, wire(1000, 4));     // insertion
-    cache.get("a", 4);                    // hit, +1000 hit bytes
-    cache.put("big", 1, wire(2 << 20, 1));  // larger than capacity: rejected
+    cache.get(test::cache_key("a", 4));                 // miss
+    cache.put(test::cache_key("a", 4), wire(1000, 4));  // insertion
+    cache.get(test::cache_key("a", 4));                 // hit, +1000 hit bytes
+    // Larger than capacity: rejected.
+    cache.put(test::cache_key("big", 1), wire(2 << 20, 1));
 
     auto s1 = cache.stats();
     EXPECT_EQ(s1.hits, 1u);
@@ -517,12 +518,12 @@ TEST(CacheStatsLifetime, CumulativeCountersSurviveClear) {
     EXPECT_EQ(s2.evictions, 0u);
     EXPECT_EQ(s2.peak_bytes, 1000u);
     // The contents are gone: a cleared key misses.
-    EXPECT_EQ(cache.get("a", 4), nullptr);
+    EXPECT_EQ(cache.get(test::cache_key("a", 4)), nullptr);
 
     // Eviction bumps its own cumulative counter and never rewinds others.
     MetadataCache tiny(1500);
-    tiny.put("x", 1, wire(1000, 1));
-    tiny.put("y", 1, wire(1000, 1));  // displaces x
+    tiny.put(test::cache_key("x", 1), wire(1000, 1));
+    tiny.put(test::cache_key("y", 1), wire(1000, 1));  // displaces x
     auto s3 = tiny.stats();
     EXPECT_EQ(s3.evictions, 1u);
     EXPECT_EQ(s3.insertions, 2u);

@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <atomic>
 #include <future>
+#include <list>
 #include <thread>
+#include <unordered_map>
 
 #include "core/recoil_decoder.hpp"
 #include "serve/server.hpp"
@@ -30,10 +32,10 @@ SharedResponse make_wire(std::size_t n, u8 fill) {
 
 TEST(MetadataCache, HitMissAndByteAccounting) {
     MetadataCache cache(1000);
-    EXPECT_EQ(cache.get("a", 8), nullptr);
-    cache.put("a", 8, make_wire(400, 1));
-    cache.put("a", 16, make_wire(400, 2));
-    auto hit = cache.get("a", 8);
+    EXPECT_EQ(cache.get(test::cache_key("a", 8)), nullptr);
+    cache.put(test::cache_key("a", 8), make_wire(400, 1));
+    cache.put(test::cache_key("a", 16), make_wire(400, 2));
+    auto hit = cache.get(test::cache_key("a", 8));
     ASSERT_NE(hit, nullptr);
     EXPECT_EQ(hit->bytes().front(), 1);
 
@@ -46,32 +48,73 @@ TEST(MetadataCache, HitMissAndByteAccounting) {
 
 TEST(MetadataCache, LruEvictionOrderRespectsRecency) {
     MetadataCache cache(1000);
-    cache.put("a", 1, make_wire(400, 1));
-    cache.put("a", 2, make_wire(400, 2));
-    ASSERT_NE(cache.get("a", 1), nullptr);  // refresh entry 1
-    cache.put("a", 3, make_wire(400, 3));   // over capacity: evicts entry 2
-    EXPECT_NE(cache.get("a", 1), nullptr);
-    EXPECT_NE(cache.get("a", 3), nullptr);
-    EXPECT_EQ(cache.get("a", 2), nullptr);
+    cache.put(test::cache_key("a", 1), make_wire(400, 1));
+    cache.put(test::cache_key("a", 2), make_wire(400, 2));
+    ASSERT_NE(cache.get(test::cache_key("a", 1)), nullptr);  // refresh 1
+    // Over capacity: evicts entry 2.
+    cache.put(test::cache_key("a", 3), make_wire(400, 3));
+    EXPECT_NE(cache.get(test::cache_key("a", 1)), nullptr);
+    EXPECT_NE(cache.get(test::cache_key("a", 3)), nullptr);
+    EXPECT_EQ(cache.get(test::cache_key("a", 2)), nullptr);
     EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(MetadataCache, EvictionMatchesAReferenceLruPastOneVictimBatch) {
+    // 300 equal entries fit, several victim batches' worth, and seeded
+    // traffic over 900 keys mixes hits, misses and refreshes between
+    // evictions. Every lookup must agree with a list-based LRU.
+    constexpr u64 kFit = 300;
+    constexpr u64 kEntry = 16;
+    MetadataCache cache(kFit * kEntry);
+    std::list<u32> order;  // most recent first
+    std::unordered_map<u32, std::list<u32>::iterator> where;
+    Xoshiro256 rng(99);
+    for (int step = 0; step < 30000; ++step) {
+        // Half the traffic lands on a 400-key head.
+        const u32 key =
+            static_cast<u32>(rng.below(2) == 0 ? rng.below(400) : rng.below(900));
+        const ResponseKey k{1, key + 1};
+        const auto it = where.find(key);
+        ASSERT_EQ(cache.get(k) != nullptr, it != where.end()) << "step " << step;
+        if (it != where.end()) {
+            order.splice(order.begin(), order, it->second);
+            continue;
+        }
+        cache.put(k, make_wire(kEntry, 1));
+        order.push_front(key);
+        where[key] = order.begin();
+        if (order.size() > kFit) {
+            where.erase(order.back());
+            order.pop_back();
+        }
+    }
+    const CacheStats s = cache.stats();
+    EXPECT_EQ(s.entries, kFit);
+    EXPECT_EQ(s.evictions, s.insertions - kFit);
 }
 
 TEST(MetadataCache, OversizedPayloadIsNotCached) {
     MetadataCache cache(100);
-    cache.put("a", 1, make_wire(500, 1));
-    EXPECT_EQ(cache.get("a", 1), nullptr);
+    cache.put(test::cache_key("a", 1), make_wire(500, 1));
+    EXPECT_EQ(cache.get(test::cache_key("a", 1)), nullptr);
     EXPECT_EQ(cache.stats().entries, 0u);
 }
 
 TEST(MetadataCache, EraseAssetDropsDerivedKeysToo) {
+    // erase_asset(instance) drops every class and every range of that
+    // asset instance, and nothing of any other.
     MetadataCache cache(10000);
-    cache.put("a", 1, make_wire(10, 1));
-    cache.put("a\nrange:5-9", 0, make_wire(10, 2));
-    cache.put("ab", 1, make_wire(10, 3));  // prefix but not derived
-    cache.erase_asset("a");
-    EXPECT_EQ(cache.get("a", 1), nullptr);
-    EXPECT_EQ(cache.get("a\nrange:5-9", 0), nullptr);
-    EXPECT_NE(cache.get("ab", 1), nullptr);
+    const std::vector<ResponseKey> mine = {
+        {7, 1, 0, 0}, {7, 16, 0, 0}, {7, 0, 5, 9}, {7, 0, 0, 3}};
+    const std::vector<ResponseKey> others = {
+        {6, 1, 0, 0}, {8, 16, 0, 0}, {8, 0, 5, 9}};
+    for (const ResponseKey& k : mine) cache.put(k, make_wire(10, 1));
+    for (const ResponseKey& k : others) cache.put(k, make_wire(10, 2));
+    cache.erase_asset(7);
+    for (const ResponseKey& k : mine) EXPECT_EQ(cache.get(k), nullptr);
+    for (const ResponseKey& k : others) EXPECT_NE(cache.get(k), nullptr);
+    EXPECT_EQ(cache.stats().entries, others.size());
+    EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
 struct ServeFixture : ::testing::Test {

@@ -151,6 +151,26 @@ TEST(Simd, RaggedRangeAlignments) {
     }
 }
 
+TEST(Simd, GroupPopsBelowTheBitstreamAreTypedErrors) {
+    // All 32 lanes below L need 32 units, but only 4 remain below the
+    // cursor: every backend must refuse with a typed error, as the scalar
+    // per-symbol loop does, instead of reading before the bitstream.
+    auto syms = test::geometric_symbols<u8>(4096, 0.5, 256, 49);
+    auto m = test::model_for<u8>(syms, 11, 256);
+    const std::vector<u16> units = {1, 2, 3, 4};
+    std::vector<u8> out(64);
+    for (Backend b : available_backends()) {
+        simd::SimdRangeFn<u8> range{b};
+        LaneCursor<Rans32, 32> cur;
+        cur.x.fill(1);
+        cur.p = static_cast<i64>(units.size()) - 1;
+        EXPECT_THROW(range(cur, std::span<const u16>(units), 63, 0, m.tables(),
+                           out.data()),
+                     Error)
+            << simd::backend_name(b);
+    }
+}
+
 TEST(Simd, GroupDisciplineMatchesPerSymbol) {
     // The scalar *group* kernel must agree with the per-symbol loop: this is
     // the equivalence the SIMD kernels rely on (DESIGN.md §3.1).

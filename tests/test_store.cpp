@@ -216,6 +216,39 @@ TEST_F(StoreFixture, GenerationCarriesAcrossRestartSoCacheKeysStayValid) {
     }
 }
 
+TEST_F(StoreFixture, AssetsSharingAUidEachServeTheirOwnBytes) {
+    // Uids repeat across names: "x", added memory-only before the attach,
+    // takes uid 1, and "y", "a" and "b" were planted into one directory at
+    // generation 1 (as partitions merged by an operator would be). Responses
+    // are keyed by the asset instance, so each asset answers with its own
+    // bytes, cold and warm.
+    const std::pair<const char*, u64> assets[] = {
+        {"x", 11}, {"y", 12}, {"a", 13}, {"b", 14}};
+    ContentServer ref;
+    for (const auto& [name, seed] : assets)
+        ref.store().encode_bytes(name, payload(30000, seed), 8);
+    {
+        DiskStore planted(dir);
+        for (const char* name : {"y", "a", "b"})
+            planted.put(name, AssetKind::static_file,
+                        format::save_recoil_file(*ref.store().find(name)->file()),
+                        1);
+    }
+    ContentServer server;
+    server.store().encode_bytes("x", payload(30000, 11), 8);
+    server.store().attach_backing(std::make_shared<DiskStore>(dir));
+    for (const bool warm : {false, true})
+        for (const auto& [name, seed] : assets) {
+            const ServeResult got = server.serve({name, 4, std::nullopt});
+            ASSERT_TRUE(got.ok()) << got.detail;
+            EXPECT_EQ(got.stats.cache_hit, warm) << name;
+            EXPECT_EQ(*got.wire, *ref.serve({name, 4, std::nullopt}).wire)
+                << name;
+        }
+    for (const auto& [name, seed] : assets)
+        EXPECT_EQ(server.store().find(name)->uid(), 1u) << name;
+}
+
 TEST_F(StoreFixture, UnloadDropsCachedResponsesAndReloadsBitExact) {
     ContentServer server;
     server.store().attach_backing(std::make_shared<DiskStore>(dir));

@@ -957,16 +957,17 @@ TEST(CacheGauges, PeakBytesIsAHighWaterMarkThatSurvivesClear) {
         return std::make_shared<const FinishedResponse>(
             std::vector<u8>(n, 1));
     };
-    cache.put("a", 1, wire(400));
-    cache.put("b", 1, wire(500));
+    cache.put(test::cache_key("a", 1), wire(400));
+    cache.put(test::cache_key("b", 1), wire(500));
     EXPECT_EQ(cache.stats().peak_bytes, 900u);
-    cache.put("c", 1, wire(300));  // evicts down, but peak saw 1200
+    // Evicts down, but the peak saw 1200.
+    cache.put(test::cache_key("c", 1), wire(300));
     EXPECT_EQ(cache.stats().peak_bytes, 1200u);
     EXPECT_LE(cache.stats().bytes, 1000u);
     cache.clear();
     EXPECT_EQ(cache.stats().bytes, 0u);
     EXPECT_EQ(cache.stats().peak_bytes, 1200u) << "peak must survive clear()";
-    cache.put("d", 1, wire(100));
+    cache.put(test::cache_key("d", 1), wire(100));
     EXPECT_EQ(cache.stats().peak_bytes, 1200u);
 }
 

@@ -1,13 +1,14 @@
 #pragma once
 // Shared helpers for the test suite: deterministic synthetic symbol streams
-// with controllable skew, model construction shortcuts, and on-disk
-// corruption.
+// with controllable skew, model construction shortcuts, response-cache keys
+// and on-disk corruption.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "core/recoil_encoder.hpp"
@@ -15,6 +16,7 @@
 #include "rans/indexed_model.hpp"
 #include "rans/static_model.hpp"
 #include "rans/symbol_stats.hpp"
+#include "serve/metadata_cache.hpp"
 #include "util/xoshiro.hpp"
 
 namespace recoil::test {
@@ -66,6 +68,13 @@ inline format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits)
     f.units = std::move(enc.bitstream.units);
     f.model = std::move(p);
     return f;
+}
+
+/// A response-cache key for tests that name their entries: the hashed
+/// `name` stands in for an asset instance, `parallelism` is the client
+/// class.
+inline serve::ResponseKey cache_key(std::string_view name, u32 parallelism) {
+    return {std::hash<std::string_view>{}(name), parallelism};
 }
 
 /// Flip one bit in the middle of the file at `path`.
