@@ -1,16 +1,18 @@
 // Micro-benchmarks (google-benchmark): decode kernel backends, table
-// construction, metadata bit I/O. Complements the table/figure harness with
-// per-component numbers.
+// construction, metadata bit I/O, the FNV-1a checksum. Complements the
+// table/figure harness with per-component numbers.
 
 #include <benchmark/benchmark.h>
 
 #include "bench_util.hpp"
 #include "core/metadata_codec.hpp"
 #include "core/recoil_encoder.hpp"
+#include "format/wire_io.hpp"
 #include "rans/interleaved.hpp"
 #include "simd/dispatch.hpp"
 #include "tans/tans_table.hpp"
 #include "util/bitio.hpp"
+#include "util/cpu.hpp"
 
 using namespace recoil;
 
@@ -139,6 +141,31 @@ void BM_BitWriter(benchmark::State& state) {
     state.SetBytesProcessed(static_cast<i64>(state.iterations() * 4096 * 10 / 8));
 }
 BENCHMARK(BM_BitWriter);
+
+// FNV-1a, the checksum every serialize, parse, frame check and reassembly
+// pays per byte: the serial loop against the dispatched path, whose label
+// names the path this CPU took.
+void fnv_with(benchmark::State& state, u64 (*hash)(std::span<const u8>, u64)) {
+    const auto data =
+        workload::gen_text(static_cast<std::size_t>(state.range(0)), 5);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(hash(std::span<const u8>(data), format::kFnvInit));
+    state.SetBytesProcessed(static_cast<i64>(state.iterations() * data.size()));
+}
+
+void BM_Fnv1aSerial(benchmark::State& s) {
+    fnv_with(s, &format::fnv1a_serial);
+    s.SetLabel("serial");
+}
+void BM_Fnv1a(benchmark::State& s) {
+    fnv_with(s, [](std::span<const u8> b, u64 h) { return format::fnv1a(b, h); });
+    const CpuFeatures& cpu = cpu_features();
+    s.SetLabel(cpu.avx512_fnv
+                   ? std::string("bit-sliced avx512")
+                   : std::string("serial: ") + cpu.avx512_fnv_missing + " missing");
+}
+BENCHMARK(BM_Fnv1aSerial)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
+BENCHMARK(BM_Fnv1a)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
 }  // namespace
 

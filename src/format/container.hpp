@@ -20,9 +20,6 @@
 
 namespace recoil::format {
 
-/// FNV-1a 64-bit, used as the container integrity checksum.
-u64 fnv1a(std::span<const u8> bytes);
-
 struct RecoilFile {
     u8 sym_width = 1;  ///< 1 or 2 bytes per symbol
     u32 prob_bits = 0;

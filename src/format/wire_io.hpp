@@ -28,13 +28,19 @@ inline constexpr u64 kFnvInit = 0xcbf29ce484222325ull;
 /// Incremental FNV-1a: fold `bytes` into `state` (seed with kFnvInit).
 /// Hashing a buffer piece by piece yields the same digest as one pass, which
 /// is what lets a streaming wire producer emit its trailing checksum without
-/// ever holding the whole wire.
+/// ever holding the whole wire. Whole 512-byte blocks take a bit-sliced
+/// AVX-512 path where the CPU has one (docs/serve_protocol.md, "How the
+/// checksum is computed"); the digest is the serial loop's either way.
 u64 fnv1a(std::span<const u8> bytes, u64 state);
 
-/// Fold `bytes` into two incremental FNV-1a states in one loop, for bytes
+/// The byte-at-a-time FNV-1a loop: the reference every digest above equals,
+/// and the path for spans under a block, for tails and on other CPUs.
+u64 fnv1a_serial(std::span<const u8> bytes, u64 state);
+
+/// Fold `bytes` into two incremental FNV-1a states in one pass, for bytes
 /// that belong to two checksums (a wire's trailer and the body frame that
-/// streams them). FNV-1a is one serial multiply chain; two independent
-/// chains interleave in the same loop for about the cost of one.
+/// streams them). The two chains share each block's bit transpose, and the
+/// serial tail interleaves them in one loop for about the cost of one.
 void fnv1a2(std::span<const u8> bytes, u64& a, u64& b);
 
 /// The checksum a frame or wire ends with: its last 8 bytes, LE. Requires

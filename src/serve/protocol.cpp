@@ -310,6 +310,10 @@ constexpr u8 kStreamFlagCoalesced = 2;
 /// reserved, seq and payload length. The payload follows it directly.
 constexpr std::size_t kStreamBodyHeader = kStreamBodyOverhead - 8;
 
+/// The most a header's announced wire_bytes reserves up front, so a hostile
+/// header cannot allocate without bound; a longer wire grows past it.
+constexpr u64 kMaxWireReserve = u64{64} << 20;
+
 void put_stream_preamble(std::vector<u8>& out, StreamFrameType type) {
     out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
     out.push_back(kStreamVersion);
@@ -556,7 +560,10 @@ bool StreamReassembler::feed(std::span<const u8> frame) {
             have_header_ = true;
             head_ = f.header;
             splits_ = head_.splits;
-            if (head_.code != ErrorCode::ok) done_ = true;  // error: no body
+            if (head_.code != ErrorCode::ok)
+                done_ = true;  // error: no body
+            else
+                wire_->reserve(std::min(head_.wire_bytes, kMaxWireReserve));
             break;
         }
         case StreamFrameType::body:

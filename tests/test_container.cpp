@@ -10,6 +10,8 @@
 #include "format/container.hpp"
 #include "simd/dispatch.hpp"
 #include "test_util.hpp"
+#include "util/cpu.hpp"
+#include "util/xoshiro.hpp"
 #include "workload/datasets.hpp"
 
 namespace recoil {
@@ -191,6 +193,129 @@ TEST(Container, ChecksumIsFnv1a) {
     EXPECT_EQ(format::fnv1a(empty), 0xcbf29ce484222325ull);
     std::vector<u8> a{'a'};
     EXPECT_EQ(format::fnv1a(a), 0xaf63dc4c8601ec8cull);
+}
+
+// The bit-sliced FNV-1a path (whole 512-byte blocks) against the serial
+// loop. On a CPU without the path both sides are the serial loop, so these
+// cases skip and name the missing bit instead of passing.
+std::string no_fnv_fast_path() {
+    return std::string("no bit-sliced FNV-1a on this CPU: ") +
+           cpu_features().avx512_fnv_missing + " missing";
+}
+
+enum class Fill { random, zeros, ones, alternating };
+
+/// `n` bytes of `fill` starting `offset` bytes into a fresh buffer, so
+/// every alignment of the block loads is reached.
+struct FnvInput {
+    std::vector<u8> buf;
+    std::span<const u8> bytes;
+    FnvInput(std::size_t n, std::size_t offset, Fill fill, Xoshiro256& rng)
+        : buf(n + offset) {
+        for (std::size_t i = offset; i < buf.size(); ++i) {
+            switch (fill) {
+                case Fill::random: buf[i] = static_cast<u8>(rng()); break;
+                case Fill::zeros: buf[i] = 0; break;
+                case Fill::ones: buf[i] = 0xff; break;
+                case Fill::alternating: buf[i] = i % 2 == 0 ? 0 : 0xff; break;
+            }
+        }
+        bytes = std::span<const u8>(buf).subspan(offset);
+    }
+};
+
+/// fnv1a and fnv1a2 from random states equal the serial reference.
+void expect_fnv_matches_serial(std::span<const u8> bytes, Xoshiro256& rng) {
+    const u64 a = rng();
+    const u64 b = rng();
+    const u64 ref_a = format::fnv1a_serial(bytes, a);
+    const u64 ref_b = format::fnv1a_serial(bytes, b);
+    EXPECT_EQ(format::fnv1a(bytes, a), ref_a) << bytes.size() << " bytes";
+    u64 x = a;
+    u64 y = b;
+    format::fnv1a2(bytes, x, y);
+    EXPECT_EQ(x, ref_a) << bytes.size() << " bytes";
+    EXPECT_EQ(y, ref_b) << bytes.size() << " bytes";
+}
+
+constexpr Fill kFills[] = {Fill::random, Fill::zeros, Fill::ones,
+                           Fill::alternating};
+
+TEST(Container, Fnv1aFastPathMatchesSerialAtEveryLength) {
+    if (!cpu_features().avx512_fnv) GTEST_SKIP() << no_fnv_fast_path();
+    Xoshiro256 rng(0xf1a);
+    // Every length to 10,000: one fill and start offset each, in turn.
+    for (std::size_t n = 0; n <= 10000; ++n) {
+        const FnvInput in(n, n % 64, kFills[n % 4], rng);
+        expect_fnv_matches_serial(in.bytes, rng);
+    }
+    // Every start offset with every fill around the block edges.
+    for (std::size_t offset = 0; offset < 64; ++offset)
+        for (const Fill fill : kFills)
+            for (const std::size_t n :
+                 {511, 512, 513, 1023, 1024, 1025, 4096 + 37}) {
+                const FnvInput in(n, offset, fill, rng);
+                expect_fnv_matches_serial(in.bytes, rng);
+            }
+    // Multi-block spans: 1-4 MiB, odd tails, every fill.
+    const std::size_t mib = std::size_t{1} << 20;
+    const std::size_t big[] = {mib, mib + 1, 2 * mib + 511, 3 * mib + 513,
+                               4 * mib};
+    for (std::size_t i = 0; i < std::size(big); ++i) {
+        const FnvInput in(big[i], rng.below(64), kFills[i % 4], rng);
+        expect_fnv_matches_serial(in.bytes, rng);
+    }
+}
+
+TEST(Container, Fnv1aFastPathIsIncremental) {
+    if (!cpu_features().avx512_fnv) GTEST_SKIP() << no_fnv_fast_path();
+    Xoshiro256 rng(0x1ace);
+    const FnvInput in(std::size_t{1} << 16, 3, Fill::random, rng);
+    const u64 a0 = rng();
+    const u64 b0 = rng();
+    const u64 ref_a = format::fnv1a_serial(in.bytes, a0);
+    const u64 ref_b = format::fnv1a_serial(in.bytes, b0);
+    // Pieces cut at 511/512/513 and at random points: each piece's blocks
+    // start wherever the previous piece stopped.
+    std::vector<std::size_t> cuts;
+    for (std::size_t at = 0; at < in.bytes.size();) {
+        const std::size_t step =
+            cuts.size() % 4 == 3 ? rng.below(3000) : 511 + cuts.size() % 3;
+        at = std::min(in.bytes.size(), at + step);
+        cuts.push_back(at);
+    }
+    u64 a = a0;
+    u64 x = a0;
+    u64 y = b0;
+    std::size_t from = 0;
+    for (const std::size_t to : cuts) {
+        const auto piece = in.bytes.subspan(from, to - from);
+        a = format::fnv1a(piece, a);
+        format::fnv1a2(piece, x, y);
+        from = to;
+    }
+    EXPECT_EQ(a, ref_a);
+    EXPECT_EQ(x, ref_a);
+    EXPECT_EQ(y, ref_b);
+}
+
+TEST(Container, FlipsAtBlockEdgesAndInTheTailFailTheLoad) {
+    const auto bytes = format::save_recoil_file(make_file(300000, 8));
+    ASSERT_GE(bytes.size(), std::size_t{64} << 10);
+    std::vector<std::size_t> at;
+    for (std::size_t edge = 512; edge < bytes.size(); edge += 512)
+        for (const std::size_t pos : {edge - 1, edge, edge + 1})
+            if (pos < bytes.size()) at.push_back(pos);
+    // The serial tail after the last whole block of the checksummed bytes.
+    const std::size_t covered = bytes.size() - 8;
+    for (std::size_t pos = covered - covered % 512; pos < bytes.size(); ++pos)
+        at.push_back(pos);
+    Xoshiro256 rng(0xed9e);
+    for (const std::size_t pos : at) {
+        auto bad = bytes;
+        bad[pos] ^= static_cast<u8>(1u << rng.below(8));
+        EXPECT_THROW(format::load_recoil_file(bad), Error) << "byte " << pos;
+    }
 }
 
 }  // namespace

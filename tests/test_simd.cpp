@@ -12,6 +12,7 @@
 #include "rans/indexed_model.hpp"
 #include "simd/dispatch.hpp"
 #include "test_util.hpp"
+#include "util/cpu.hpp"
 
 namespace recoil {
 namespace {
@@ -51,6 +52,55 @@ TEST(Simd, BackendsAvailableOnThisHost) {
         std::cout << "available backend: " << simd::backend_name(b) << "\n";
     }
     SUCCEED();
+}
+
+TEST(Simd, CpuDetectionNeedsTheVectorStateTheOsSaves) {
+    CpuidWords all;
+    all.leaf1_ecx = 1u << 27;  // OSXSAVE
+    // AVX2, AVX512 F/DQ/BW/VL; VBMI, GFNI, VPCLMULQDQ
+    all.leaf7_ebx = (1u << 5) | (1u << 16) | (1u << 17) | (1u << 30) |
+                    (1u << 31);
+    all.leaf7_ecx = (1u << 1) | (1u << 8) | (1u << 10);
+    all.xcr0 = 0xe7;  // x87, SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
+    const CpuFeatures f = detect_cpu_features(all);
+    EXPECT_TRUE(f.avx2);
+    EXPECT_TRUE(f.avx512);
+    EXPECT_TRUE(f.avx512_fnv);
+    EXPECT_EQ(f.avx512_fnv_missing, nullptr);
+
+    // Without saved YMM state, or without OSXSAVE, no SIMD bit is set.
+    for (const u64 xcr0 : {u64{0}, u64{0x3}, u64{0x5}, u64{0xe3}}) {
+        CpuidWords w = all;
+        w.xcr0 = xcr0;
+        const CpuFeatures m = detect_cpu_features(w);
+        EXPECT_FALSE(m.avx2 || m.avx512 || m.avx512_fnv) << "xcr0 " << xcr0;
+        EXPECT_STREQ(m.avx512_fnv_missing, "XCR0.YMM");
+    }
+    CpuidWords no_xsave = all;
+    no_xsave.leaf1_ecx = 0;
+    const CpuFeatures n = detect_cpu_features(no_xsave);
+    EXPECT_FALSE(n.avx2 || n.avx512 || n.avx512_fnv);
+    EXPECT_STREQ(n.avx512_fnv_missing, "OSXSAVE");
+
+    // YMM without opmask/ZMM state: AVX2 only.
+    CpuidWords ymm = all;
+    ymm.xcr0 = 0x7;
+    const CpuFeatures y = detect_cpu_features(ymm);
+    EXPECT_TRUE(y.avx2);
+    EXPECT_FALSE(y.avx512 || y.avx512_fnv);
+    EXPECT_STREQ(y.avx512_fnv_missing, "XCR0.ZMM");
+
+    // Each bit only the hash needs: the decode kernels keep AVX-512.
+    const std::pair<unsigned, const char*> hash_bits[] = {
+        {1, "AVX512VBMI"}, {8, "GFNI"}, {10, "VPCLMULQDQ"}};
+    for (const auto& [bit, name] : hash_bits) {
+        CpuidWords w = all;
+        w.leaf7_ecx &= ~(1u << bit);
+        const CpuFeatures m = detect_cpu_features(w);
+        EXPECT_TRUE(m.avx512);
+        EXPECT_FALSE(m.avx512_fnv);
+        EXPECT_STREQ(m.avx512_fnv_missing, name);
+    }
 }
 
 TEST(Simd, PackedLutPath) {  // 8-bit symbols, n=11 -> single-gather LUT

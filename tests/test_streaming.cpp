@@ -64,6 +64,31 @@ std::vector<u8> reseal(std::vector<u8> f) {
     return f;
 }
 
+TEST(StreamReassembly, AHugeAnnouncedWireEndsInATypedShortfall) {
+    // The reassembler reserves a header's announced wire_bytes only up to a
+    // cap, so announcing 2^63 bytes cannot fail the allocation: the short
+    // body still ends in the FIN's typed malformed_frame.
+    StreamHeader h;
+    h.code = ErrorCode::ok;
+    h.payload = PayloadKind::file;
+    h.splits = 1;
+    h.wire_bytes = u64{1} << 63;
+    const std::vector<u8> body(100, 7);
+    StreamFin fin;
+    fin.body_frames = 1;
+    fin.splits = 1;
+    fin.wire_checksum = format::fnv1a(body);
+    StreamReassembler ra;
+    EXPECT_FALSE(ra.feed(encode_stream_header(h)));
+    EXPECT_FALSE(ra.feed(encode_stream_body(0, body)));
+    try {
+        ra.feed(encode_stream_fin(fin));
+        FAIL() << "a wire short of its announced size was accepted";
+    } catch (const ProtocolError& e) {
+        EXPECT_EQ(e.code(), ErrorCode::malformed_frame);
+    }
+}
+
 /// One asset of every kind over the same symbol stream.
 struct StreamingFixture : ::testing::Test {
     static constexpr u64 kN = 60000;
