@@ -6,6 +6,7 @@
 
 #include "bench_util.hpp"
 #include "core/metadata_codec.hpp"
+#include "core/recoil_decoder.hpp"
 #include "core/recoil_encoder.hpp"
 #include "format/wire_io.hpp"
 #include "rans/interleaved.hpp"
@@ -71,12 +72,45 @@ void BM_DecodeAvx2_n16(benchmark::State& s) {
 void BM_DecodeAvx512_n16(benchmark::State& s) {
     decode_with(s, fixture16(), simd::Backend::Avx512);
 }
+// The same fixture encoded at 16 splits and decoded on one thread: the
+// decoder pairs the splits, so the kernel advances two streams in lockstep.
+void decode_splits16_with(benchmark::State& state, simd::Backend b) {
+    static const auto enc = [] {
+        const KernelFixture& f = fixture11();
+        return recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 16);
+    }();
+    const KernelFixture& f = fixture11();
+    simd::SimdRangeFn<u8> range{simd::clamp_backend(b)};
+    std::vector<u8> out(f.data.size());
+    const DecodeTables t = f.model.tables();
+    for (auto _ : state) {
+        recoil_decode_into<Rans32, 32, u8>(std::span<const u16>(enc.bitstream.units),
+                                           enc.metadata, t, std::span<u8>(out),
+                                           nullptr, nullptr, range);
+        benchmark::DoNotOptimize(out.data());
+    }
+    state.SetBytesProcessed(static_cast<i64>(state.iterations() * f.data.size()));
+}
+
+void BM_DecodeSplits16_Scalar(benchmark::State& s) {
+    decode_splits16_with(s, simd::Backend::Scalar);
+}
+void BM_DecodeSplits16_Avx2(benchmark::State& s) {
+    decode_splits16_with(s, simd::Backend::Avx2);
+}
+void BM_DecodeSplits16_Avx512(benchmark::State& s) {
+    decode_splits16_with(s, simd::Backend::Avx512);
+}
+
 BENCHMARK(BM_DecodeScalar_n11);
 BENCHMARK(BM_DecodeAvx2_n11);
 BENCHMARK(BM_DecodeAvx512_n11);
 BENCHMARK(BM_DecodeScalar_n16);
 BENCHMARK(BM_DecodeAvx2_n16);
 BENCHMARK(BM_DecodeAvx512_n16);
+BENCHMARK(BM_DecodeSplits16_Scalar);
+BENCHMARK(BM_DecodeSplits16_Avx2);
+BENCHMARK(BM_DecodeSplits16_Avx512);
 
 void BM_InterleavedEncode(benchmark::State& state) {
     auto& f = fixture11();

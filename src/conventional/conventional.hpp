@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "core/recoil_decoder.hpp"  // ScalarRangeFn (shared RangeFn contract)
+#include "core/recoil_decoder.hpp"  // the shared RangeFn contract and task pairing
 #include "rans/interleaved.hpp"
 #include "util/thread_pool.hpp"
 
@@ -133,39 +133,53 @@ ConventionalEncoded<Cfg, NLanes> conventional_encode(std::span<const TSym> syms,
     return out;
 }
 
-/// Decode one partition into `out` (full-size buffer, global indices).
+/// Decode partitions [first, first + count) into `out` (full-size buffer,
+/// global indices); two partitions go through one range_fn call.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
-void conventional_decode_partition(const ConventionalEncoded<Cfg, NLanes>& enc,
-                                   const DecodeTables& t, u64 pi, TSym* out,
-                                   const RangeFn& range_fn = {}) {
-    const auto& p = enc.partitions[pi];
-    if (p.sym_count == 0) return;
-    LaneCursor<Cfg, NLanes> cur;
-    cur.x = p.final_states;
-    // The cursor addresses the full concatenated unit buffer so that global
-    // symbol positions map directly; it starts at this partition's top.
-    cur.p = static_cast<i64>(p.unit_begin + p.unit_count) - 1;
+void conventional_decode_partitions(const ConventionalEncoded<Cfg, NLanes>& enc,
+                                    const DecodeTables& t, u64 first, u32 count,
+                                    TSym* out, const RangeFn& range_fn = {}) {
+    RECOIL_CHECK(count <= 2, "conventional: at most two partitions per task");
     std::span<const typename Cfg::UnitT> units(enc.units);
-    range_fn(cur, units, p.sym_begin + p.sym_count - 1, p.sym_begin, t, out);
-    // Drain the partition's first symbol group (see drain_start): emulate a
-    // partition-local stream by draining against the global cursor.
-    const u32 used = static_cast<u32>(p.sym_count < NLanes ? p.sym_count : NLanes);
-    for (u32 lane = used; lane-- > 0;) {
-        auto xi = cur.x[lane];
-        while (xi < Cfg::lower_bound) {
-            RECOIL_CHECK(cur.p >= static_cast<i64>(p.unit_begin),
-                         "conventional: partition bitstream underflow");
-            xi = static_cast<typename Cfg::StateT>((xi << Cfg::unit_bits) |
-                                                   units[static_cast<u64>(cur.p--)]);
-        }
-        cur.x[lane] = xi;
+    LaneCursor<Cfg, NLanes> cur[2];
+    RangeRun<Cfg, NLanes, TSym> run[2] = {};
+    const typename ConventionalEncoded<Cfg, NLanes>::Partition* part[2] = {};
+    u32 n = 0;
+    for (u64 pi = first; pi < first + count; ++pi) {
+        const auto& p = enc.partitions[pi];
+        if (p.sym_count == 0) continue;
+        cur[n].x = p.final_states;
+        // The cursor addresses the full concatenated unit buffer so that
+        // global symbol positions map directly; it starts at this
+        // partition's top.
+        cur[n].p = static_cast<i64>(p.unit_begin + p.unit_count) - 1;
+        run[n] = {&cur[n], units, p.sym_begin + p.sym_count - 1, p.sym_begin, &t, out};
+        part[n++] = &p;
     }
-    RECOIL_CHECK(cur.p == static_cast<i64>(p.unit_begin) - 1,
-                 "conventional: partition not fully consumed");
+    decode_runs(range_fn, std::span<const RangeRun<Cfg, NLanes, TSym>>(run, n));
+    for (u32 i = 0; i < n; ++i) {
+        // Drain the partition's first symbol group (see drain_start): emulate
+        // a partition-local stream by draining against the global cursor.
+        const auto& p = *part[i];
+        const u32 used = static_cast<u32>(p.sym_count < NLanes ? p.sym_count : NLanes);
+        for (u32 lane = used; lane-- > 0;) {
+            auto xi = cur[i].x[lane];
+            while (xi < Cfg::lower_bound) {
+                RECOIL_CHECK(cur[i].p >= static_cast<i64>(p.unit_begin),
+                             "conventional: partition bitstream underflow");
+                xi = static_cast<typename Cfg::StateT>(
+                    (xi << Cfg::unit_bits) | units[static_cast<u64>(cur[i].p--)]);
+            }
+            cur[i].x[lane] = xi;
+        }
+        RECOIL_CHECK(cur[i].p == static_cast<i64>(p.unit_begin) - 1,
+                     "conventional: partition not fully consumed");
+    }
 }
 
-/// Decode all partitions (independently parallel across the pool) into a
+/// Decode all partitions (independently parallel across the pool, paired
+/// into tasks as Recoil splits are; see core/recoil_decoder.hpp) into a
 /// caller-provided buffer of enc.num_symbols elements.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
@@ -174,25 +188,10 @@ void conventional_decode_into(const ConventionalEncoded<Cfg, NLanes>& enc,
                               ThreadPool* pool = nullptr,
                               const RangeFn& range_fn = {}) {
     RECOIL_CHECK(out.size() >= enc.num_symbols, "conventional_decode_into: buffer too small");
-    auto run_one = [&](u64 pi) {
-        conventional_decode_partition<Cfg, NLanes, TSym>(enc, t, pi, out.data(),
-                                                         range_fn);
-    };
-    if (pool == nullptr || enc.partitions.size() == 1) {
-        for (u64 pi = 0; pi < enc.partitions.size(); ++pi) run_one(pi);
-    } else {
-        std::exception_ptr first_error;
-        util::Mutex err_mu;
-        pool->parallel_for(enc.partitions.size(), [&](u64 pi) {
-            try {
-                run_one(pi);
-            } catch (...) {
-                util::MutexLock lk(err_mu);
-                if (!first_error) first_error = std::current_exception();
-            }
-        });
-        if (first_error) std::rethrow_exception(first_error);
-    }
+    for_each_split_task(pool, enc.partitions.size(), [&](u64 first, u32 count) {
+        conventional_decode_partitions<Cfg, NLanes, TSym>(enc, t, first, count, out.data(),
+                                                          range_fn);
+    });
 }
 
 /// Allocating convenience wrapper around conventional_decode_into.

@@ -71,7 +71,8 @@ inline u64 plan_touch_hi(const RecoilMetadata& meta, const RangePlan& plan) {
 /// subsystem's range-wire decoder. Callers whose per-position side
 /// information (an indexed model's ids) exists only on a slice of positions
 /// pass a simd::SimdRangeFn whose id window is that slice: vector body on
-/// the interior, scalar position-exact loop near the edges.
+/// the interior, scalar position-exact loop near the edges. The splits pair
+/// up as in recoil_decode_into.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 std::vector<TSym> recoil_decode_cover(std::span<const typename Cfg::UnitT> units,
@@ -84,10 +85,12 @@ std::vector<TSym> recoil_decode_cover(std::span<const typename Cfg::UnitT> units
     TSym* rebased = reinterpret_cast<TSym*>(
         reinterpret_cast<std::uintptr_t>(cover.data()) -
         static_cast<std::uintptr_t>(cover_lo) * sizeof(TSym));
-    for_each_index(pool, u64{k_hi} - k_lo + 1, [&](u64 i) {
-        recoil_decode_split<Cfg, NLanes, TSym>(
-            units, meta, t, k_lo + static_cast<u32>(i), rebased, nullptr,
-            range_fn);
+    for_each_split_task(pool, u64{k_hi} - k_lo + 1, [&](u64 first, u32 count) {
+        SplitJob<Cfg, TSym> jobs[2] = {};
+        for (u32 j = 0; j < count; ++j)
+            jobs[j] = {units, &meta, &t, k_lo + static_cast<u32>(first + j), rebased};
+        recoil_decode_splits<Cfg, NLanes, TSym>(
+            std::span<const SplitJob<Cfg, TSym>>(jobs, count), range_fn);
     });
     return cover;
 }

@@ -438,11 +438,7 @@ StaticModel RecoilFile::build_static_model() const {
 
 IndexedModelSet RecoilFile::build_indexed_model() const {
     const auto& p = std::get<IndexedPayload>(model);
-    std::vector<StaticModel> models;
-    models.reserve(p.freqs.size());
-    for (const auto& f : p.freqs)
-        models.emplace_back(std::span<const u32>(f), prob_bits, 0);
-    return IndexedModelSet(std::move(models),
+    return IndexedModelSet(std::span<const std::vector<u32>>(p.freqs), prob_bits,
                            std::vector<u8>(p.ids.begin(), p.ids.end()));
 }
 
@@ -460,7 +456,7 @@ std::vector<u8> save_recoil_file(const RecoilFile& f,
 void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
                            WireSink& sink) {
     std::vector<u8> head;
-    head.insert(head.end(), kMagic, kMagic + 4);
+    put_magic(head, kMagic);
     head.push_back(2);  // version (2: unit payload aligned via pad marker)
     head.push_back(f.sym_width);
     head.push_back(f.is_indexed() ? 1 : 0);
@@ -600,7 +596,7 @@ constexpr char kConvMagic[4] = {'C', 'N', 'V', '1'};
 
 std::vector<u8> save_conventional_file(const ConventionalFile& f) {
     std::vector<u8> out;
-    out.insert(out.end(), kConvMagic, kConvMagic + 4);
+    put_magic(out, kConvMagic);
     out.push_back(1);  // version
     out.push_back(f.sym_width);
     out.push_back(static_cast<u8>(f.prob_bits));

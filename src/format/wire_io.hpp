@@ -241,6 +241,12 @@ inline void put_u32(std::vector<u8>& out, u32 v) {
 inline void put_u64(std::vector<u8>& out, u64 v) {
     for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
 }
+/// Append a 4-byte format magic. Byte pushes, not a range insert: GCC 12
+/// misreads a range insert into an empty vector as an overflow
+/// (-Wstringop-overflow).
+inline void put_magic(std::vector<u8>& out, const char (&magic)[4]) {
+    for (const char c : magic) out.push_back(static_cast<u8>(c));
+}
 
 struct Cursor {
     std::span<const u8> in;

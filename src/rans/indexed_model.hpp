@@ -16,6 +16,11 @@ public:
     /// All models must share prob_bits and alphabet size. `ids[i]` selects
     /// the model for symbol index i; ids.size() must cover the input length.
     IndexedModelSet(std::vector<StaticModel> models, std::vector<u8> ids);
+    /// The same set built straight from quantized pdfs (each summing to
+    /// 2^prob_bits, all of one alphabet size), without a StaticModel per pdf:
+    /// the decode path's rebuild.
+    IndexedModelSet(std::span<const std::vector<u32>> pdfs, u32 prob_bits,
+                    std::vector<u8> ids);
 
     u32 prob_bits() const noexcept { return prob_bits_; }
     u32 alphabet() const noexcept { return alphabet_; }

@@ -116,6 +116,19 @@ struct LaneCursor {
     i64 p = -1;  ///< index of the next unit to pop
 };
 
+/// One stream's decode range: positions [lo, hi], descending from `cur`,
+/// each symbol written to out[pos]. A RangeFn (core/recoil_decoder.hpp)
+/// decodes two independent runs in one call.
+template <typename Cfg, u32 NLanes, typename TSym>
+struct RangeRun {
+    LaneCursor<Cfg, NLanes>* cur;
+    std::span<const typename Cfg::UnitT> units;
+    u64 hi;
+    u64 lo;
+    const DecodeTables* t;
+    TSym* out;
+};
+
 /// Decode positions [lo, hi] descending under the per-symbol discipline,
 /// writing out[pos] for each when `out` is non-null (pass nullptr to discard,
 /// as the Recoil synchronization phase does). All lanes must already carry

@@ -152,7 +152,7 @@ std::vector<u8> encode_request(const ServeRequest& req) {
                      (req.accept & kAcceptStreamed) != 0,
                  "encode_request: resume_offset requires kAcceptStreamed");
     std::vector<u8> out;
-    out.insert(out.end(), kRequestMagic, kRequestMagic + 4);
+    put_magic(out, kRequestMagic);
     out.push_back(kProtocolVersion);
     out.push_back(static_cast<u8>(
         (req.range ? kRequestFlagHasRange : 0) |
@@ -221,7 +221,7 @@ std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
     std::vector<u8> out;
     out.reserve(64 + std::min<std::size_t>(res.detail.size(), kMaxDetailLen) +
                 (carries ? res.wire->size() : 0));
-    out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
+    put_magic(out, kResponseMagic);
     out.push_back(kProtocolVersion);
     put_u16(out, static_cast<u16>(res.code));
     out.push_back(static_cast<u8>(res.payload));
@@ -315,7 +315,7 @@ constexpr std::size_t kStreamBodyHeader = kStreamBodyOverhead - 8;
 constexpr u64 kMaxWireReserve = u64{64} << 20;
 
 void put_stream_preamble(std::vector<u8>& out, StreamFrameType type) {
-    out.insert(out.end(), kResponseMagic, kResponseMagic + 4);
+    put_magic(out, kResponseMagic);
     out.push_back(kStreamVersion);
     out.push_back(static_cast<u8>(type));
 }

@@ -121,7 +121,7 @@ u32 build_wire_into(std::span<const SegmentSource> sources, u64 lo, u64 hi,
     RECOIL_CHECK(count > 0, "range wire: no intersecting streams");
 
     std::vector<u8> head;
-    head.insert(head.end(), kMagic, kMagic + 4);
+    put_magic(head, kMagic);
     head.push_back(kVersion);
     head.push_back(sym_width);
     put_u16(head, 0);  // reserved

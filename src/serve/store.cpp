@@ -60,7 +60,7 @@ std::string encode_name(const std::string& name) {
 
 std::vector<u8> serialize_manifest(const StoredAssetInfo& info) {
     std::vector<u8> out;
-    out.insert(out.end(), kManifestMagic, kManifestMagic + 4);
+    put_magic(out, kManifestMagic);
     out.push_back(kManifestVersion);
     out.push_back(static_cast<u8>(info.kind));
     put_u16(out, 0);  // reserved

@@ -108,35 +108,52 @@ inline __m256i renorm8(__m256i x, __m256i needy, u32 mask8, const u16* src) {
     return _mm256_blendv_epi8(x, shifted, needy);
 }
 
-}  // namespace
-
+/// One run's registers. Run fields are copied in: the symbol stores may
+/// alias anything, and locals keep the loop from reloading them after every
+/// store.
 template <typename TSym>
-void avx2_decode_groups(u32* states, const u16* units, u64 num_units, i64& p,
-                        u64 g_hi, u64 g_lo, const DecodeTables& t, TSym* out) {
-    const u32 n = t.prob_bits;
-    const __m256i vslot_mask = _mm256_set1_epi32(static_cast<int>((u32{1} << n) - 1));
-    __m256i x[4];
-    for (int v = 0; v < 4; ++v) {
-        x[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(states + 8 * v));
+struct RunRegs {
+    DecodeTables t;
+    __m256i slot_mask, x[4], sym[4];
+    const u16* units;
+    i64 num_units, p;
+    u64 g_hi;
+    TSym* out;
+
+    explicit RunRegs(const GroupRun<TSym>& r)
+        : t(*r.t),
+          slot_mask(_mm256_set1_epi32(static_cast<int>((u32{1} << t.prob_bits) - 1))),
+          units(r.units),
+          num_units(static_cast<i64>(r.num_units)),
+          p(*r.p),
+          g_hi(r.g_hi),
+          out(r.out) {
+        for (int v = 0; v < 4; ++v)
+            x[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r.states + 8 * v));
     }
 
-    for (u64 g = g_hi + 1; g-- > g_lo;) {
-        const u64 base = g * 32;
+    /// Decode transform of group g_hi - i (all four vectors' gathers).
+    void transform(u64 i) {
+        const u64 base = (g_hi - i) * 32;
+        for (int v = 0; v < 4; ++v)
+            x[v] = transform8(x[v], base + 8 * v, t, t.prob_bits, slot_mask, &sym[v]);
+    }
+
+    /// Store group g_hi - i and pop its units.
+    void store_and_pop(u64 i) {
+        const u64 base = (g_hi - i) * 32;
         __m256i needy[4];
         u32 mask8[4];
-        u32 k = 0;
+        i64 k = 0;
         for (int v = 0; v < 4; ++v) {
-            __m256i sym;
-            x[v] = transform8(x[v], base + 8 * v, t, n, vslot_mask, &sym);
-            store_syms(out + base + 8 * v, sym);
+            store_syms(out + base + 8 * v, sym[v]);
             needy[v] = underflow_mask(x[v]);
-            mask8[v] = static_cast<u32>(
-                _mm256_movemask_ps(_mm256_castsi256_ps(needy[v])));
-            k += static_cast<u32>(__builtin_popcount(mask8[v]));
+            mask8[v] = static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(needy[v])));
+            k += __builtin_popcount(mask8[v]);
         }
-        if (k == 0) continue;
-        const i64 ubase = p - static_cast<i64>(k) + 1;
-        if (ubase >= 8 && p + 8 <= static_cast<i64>(num_units)) {
+        if (k == 0) return;
+        const i64 ubase = p - k + 1;
+        if (ubase >= 8 && p + 8 <= num_units) {
             i64 run = ubase;
             for (int v = 0; v < 4; ++v) {
                 if (mask8[v]) {
@@ -144,26 +161,54 @@ void avx2_decode_groups(u32* states, const u16* units, u64 num_units, i64& p,
                     run += __builtin_popcount(mask8[v]);
                 }
             }
-            p -= static_cast<i64>(k);
+            p -= k;
         } else {
             alignas(32) u32 tmp[32];
-            for (int v = 0; v < 4; ++v) {
+            for (int v = 0; v < 4; ++v)
                 _mm256_storeu_si256(reinterpret_cast<__m256i*>(tmp + 8 * v), x[v]);
-            }
-            scalar_group_pops(tmp, units, p);
-            for (int v = 0; v < 4; ++v) {
+            i64 q = p;
+            scalar_group_pops(tmp, units, q);
+            p = q;
+            for (int v = 0; v < 4; ++v)
                 x[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tmp + 8 * v));
-            }
         }
     }
-    for (int v = 0; v < 4; ++v) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i*>(states + 8 * v), x[v]);
+
+    void write_back(const GroupRun<TSym>& r) const {
+        for (int v = 0; v < 4; ++v)
+            _mm256_storeu_si256(reinterpret_cast<__m256i*>(r.states + 8 * v), x[v]);
+        *r.p = p;
+    }
+};
+
+/// The kernel body for R runs: every run's gathers issue before any run's
+/// stores and pops.
+template <int R, typename TSym>
+void decode_runs(const GroupRun<TSym>* runs, u64 groups) {
+    RunRegs<TSym> a(runs[0]);
+    RunRegs<TSym> b(runs[R - 1]);  // unused when R == 1
+    for (u64 i = 0; i < groups; ++i) {
+        a.transform(i);
+        if constexpr (R == 2) b.transform(i);
+        a.store_and_pop(i);
+        if constexpr (R == 2) b.store_and_pop(i);
+    }
+    a.write_back(runs[0]);
+    if constexpr (R == 2) b.write_back(runs[1]);
+}
+
+}  // namespace
+
+template <typename TSym>
+void avx2_decode_groups(std::span<const GroupRun<TSym>> runs, u64 groups) {
+    if (runs.size() == 2) {
+        decode_runs<2>(runs.data(), groups);
+    } else {
+        decode_runs<1>(runs.data(), groups);
     }
 }
 
-template void avx2_decode_groups<u8>(u32*, const u16*, u64, i64&, u64, u64,
-                                     const DecodeTables&, u8*);
-template void avx2_decode_groups<u16>(u32*, const u16*, u64, i64&, u64, u64,
-                                      const DecodeTables&, u16*);
+template void avx2_decode_groups<u8>(std::span<const GroupRun<u8>>, u64);
+template void avx2_decode_groups<u16>(std::span<const GroupRun<u16>>, u64);
 
 }  // namespace recoil::simd

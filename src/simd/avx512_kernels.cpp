@@ -1,7 +1,8 @@
 // AVX512 interleaved group decoder (§4.4 variation (3)): 16 lanes per zmm
-// vector, two vectors for the 32-lane group, unrolled twice. Requires
-// AVX512 F/BW/DQ/VL. Renormalization distribution uses VPEXPANDD: ascending
-// units load ascending into the needy lanes selected by the underflow mask.
+// vector, two vectors for the 32-lane group, one or two runs advanced in
+// lockstep. Requires AVX512 F/BW/DQ/VL. Renormalization distribution uses
+// VPEXPANDD: ascending units load ascending into the needy lanes selected by
+// the underflow mask.
 
 #include <immintrin.h>
 
@@ -10,10 +11,6 @@
 namespace recoil::simd {
 
 namespace {
-
-struct Vec16 {
-    __m512i x;
-};
 
 /// Decode transform for 16 lanes starting at symbol position `base`.
 /// Returns the new states; writes symbols as 32-bit values into `sym_out`.
@@ -65,54 +62,101 @@ inline __m512i renorm16(__m512i x, __mmask16 mask, const u16* src) {
     return _mm512_mask_blend_epi32(mask, x, shifted);
 }
 
-}  // namespace
-
+/// One run's registers. Run fields are copied in: the symbol stores may
+/// alias anything, and locals keep the loop from reloading them after every
+/// store.
 template <typename TSym>
-void avx512_decode_groups(u32* states, const u16* units, u64 num_units, i64& p,
-                          u64 g_hi, u64 g_lo, const DecodeTables& t, TSym* out) {
-    const u32 n = t.prob_bits;
-    const __m512i vslot_mask = _mm512_set1_epi32(static_cast<int>((u32{1} << n) - 1));
-    const __m512i vL = _mm512_set1_epi32(static_cast<int>(u32{1} << 16));
-    __m512i x0 = _mm512_loadu_si512(states);
-    __m512i x1 = _mm512_loadu_si512(states + 16);
+struct RunRegs {
+    DecodeTables t;
+    __m512i slot_mask, x0, x1, sym0, sym1;
+    const u16* units;
+    i64 num_units, p;
+    u64 g_hi;
+    TSym* out;
 
-    for (u64 g = g_hi + 1; g-- > g_lo;) {
-        const u64 base = g * 32;
-        __m512i sym0, sym1;
-        x0 = transform16(x0, base, t, n, vslot_mask, &sym0);
-        x1 = transform16(x1, base + 16, t, n, vslot_mask, &sym1);
+    explicit RunRegs(const GroupRun<TSym>& r)
+        : t(*r.t),
+          slot_mask(_mm512_set1_epi32(static_cast<int>((u32{1} << t.prob_bits) - 1))),
+          x0(_mm512_loadu_si512(r.states)),
+          x1(_mm512_loadu_si512(r.states + 16)),
+          units(r.units),
+          num_units(static_cast<i64>(r.num_units)),
+          p(*r.p),
+          g_hi(r.g_hi),
+          out(r.out) {}
+
+    /// Decode transform of group g_hi - i (both vectors' gathers).
+    void transform(u64 i) {
+        const u64 base = (g_hi - i) * 32;
+        x0 = transform16(x0, base, t, t.prob_bits, slot_mask, &sym0);
+        x1 = transform16(x1, base + 16, t, t.prob_bits, slot_mask, &sym1);
+    }
+
+    /// Store group g_hi - i and pop its units.
+    void store_and_pop(u64 i) {
+        const u64 base = (g_hi - i) * 32;
         store_syms(out + base, sym0);
         store_syms(out + base + 16, sym1);
-
+        const __m512i vL = _mm512_set1_epi32(static_cast<int>(u32{1} << 16));
         const __mmask16 m0 = _mm512_cmplt_epu32_mask(x0, vL);
         const __mmask16 m1 = _mm512_cmplt_epu32_mask(x1, vL);
-        const u32 k0 = static_cast<u32>(__builtin_popcount(m0));
-        const u32 k1 = static_cast<u32>(__builtin_popcount(m1));
-        const u32 k = k0 + k1;
-        if (k == 0) continue;
-        const i64 ubase = p - static_cast<i64>(k) + 1;
-        if (ubase >= 16 && p + 16 <= static_cast<i64>(num_units)) {
+        const i64 k0 = __builtin_popcount(m0);
+        const i64 k = k0 + __builtin_popcount(m1);
+        if (k == 0) return;
+        const i64 ubase = p - k + 1;
+        if (ubase >= 16 && p + 16 <= num_units) {
             // Fast path: unconditional 16-unit loads stay inside the buffer.
             if (m0) x0 = renorm16(x0, m0, units + ubase);
             if (m1) x1 = renorm16(x1, m1, units + ubase + k0);
-            p -= static_cast<i64>(k);
+            p -= k;
         } else {
             // Buffer edge: spill and use the scalar distribution.
             alignas(64) u32 tmp[32];
             _mm512_storeu_si512(tmp, x0);
             _mm512_storeu_si512(tmp + 16, x1);
-            scalar_group_pops(tmp, units, p);
+            i64 q = p;
+            scalar_group_pops(tmp, units, q);
+            p = q;
             x0 = _mm512_loadu_si512(tmp);
             x1 = _mm512_loadu_si512(tmp + 16);
         }
     }
-    _mm512_storeu_si512(states, x0);
-    _mm512_storeu_si512(states + 16, x1);
+
+    void write_back(const GroupRun<TSym>& r) const {
+        _mm512_storeu_si512(r.states, x0);
+        _mm512_storeu_si512(r.states + 16, x1);
+        *r.p = p;
+    }
+};
+
+/// The kernel body for R runs: every run's gathers issue before any run's
+/// stores and pops.
+template <int R, typename TSym>
+void decode_runs(const GroupRun<TSym>* runs, u64 groups) {
+    RunRegs<TSym> a(runs[0]);
+    RunRegs<TSym> b(runs[R - 1]);  // unused when R == 1
+    for (u64 i = 0; i < groups; ++i) {
+        a.transform(i);
+        if constexpr (R == 2) b.transform(i);
+        a.store_and_pop(i);
+        if constexpr (R == 2) b.store_and_pop(i);
+    }
+    a.write_back(runs[0]);
+    if constexpr (R == 2) b.write_back(runs[1]);
 }
 
-template void avx512_decode_groups<u8>(u32*, const u16*, u64, i64&, u64, u64,
-                                       const DecodeTables&, u8*);
-template void avx512_decode_groups<u16>(u32*, const u16*, u64, i64&, u64, u64,
-                                        const DecodeTables&, u16*);
+}  // namespace
+
+template <typename TSym>
+void avx512_decode_groups(std::span<const GroupRun<TSym>> runs, u64 groups) {
+    if (runs.size() == 2) {
+        decode_runs<2>(runs.data(), groups);
+    } else {
+        decode_runs<1>(runs.data(), groups);
+    }
+}
+
+template void avx512_decode_groups<u8>(std::span<const GroupRun<u8>>, u64);
+template void avx512_decode_groups<u16>(std::span<const GroupRun<u16>>, u64);
 
 }  // namespace recoil::simd

@@ -5,27 +5,27 @@
 namespace recoil::simd {
 
 template <typename TSym>
-void scalar_decode_groups(u32* states, const u16* units, u64 /*num_units*/, i64& p,
-                          u64 g_hi, u64 g_lo, const DecodeTables& t, TSym* out) {
-    const u32 n = t.prob_bits;
-    const u32 slot_mask = (u32{1} << n) - 1;
-    for (u64 g = g_hi + 1; g-- > g_lo;) {
-        const u64 base = g * 32;
-        for (u32 lane = 0; lane < 32; ++lane) {
-            const u32 x = states[lane];
-            const u32 slot = x & slot_mask;
-            const DecSymbol ds = t.lookup(base + lane, slot);
-            states[lane] = ds.freq * (x >> n) + slot - ds.cum;
-            out[base + lane] = static_cast<TSym>(ds.sym);
+void scalar_decode_groups(std::span<const GroupRun<TSym>> runs, u64 groups) {
+    for (const GroupRun<TSym>& run : runs) {
+        const DecodeTables& t = *run.t;
+        const u32 n = t.prob_bits;
+        const u32 slot_mask = (u32{1} << n) - 1;
+        for (u64 g = run.g_hi + 1; g-- > run.g_hi + 1 - groups;) {
+            const u64 base = g * 32;
+            for (u32 lane = 0; lane < 32; ++lane) {
+                const u32 x = run.states[lane];
+                const u32 slot = x & slot_mask;
+                const DecSymbol ds = t.lookup(base + lane, slot);
+                run.states[lane] = ds.freq * (x >> n) + slot - ds.cum;
+                run.out[base + lane] = static_cast<TSym>(ds.sym);
+            }
+            scalar_group_pops(run.states, run.units, *run.p);
         }
-        scalar_group_pops(states, units, p);
     }
 }
 
-template void scalar_decode_groups<u8>(u32*, const u16*, u64, i64&, u64, u64,
-                                       const DecodeTables&, u8*);
-template void scalar_decode_groups<u16>(u32*, const u16*, u64, i64&, u64, u64,
-                                        const DecodeTables&, u16*);
+template void scalar_decode_groups<u8>(std::span<const GroupRun<u8>>, u64);
+template void scalar_decode_groups<u16>(std::span<const GroupRun<u16>>, u64);
 
 Backend pick_backend() {
 #if defined(RECOIL_HAVE_AVX512_BUILD)

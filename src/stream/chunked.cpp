@@ -51,7 +51,7 @@ std::vector<u8> ChunkedStream::serialize() const {
 
 void ChunkedStream::serialize_into(format::WireSink& sink) const {
     std::vector<u8> head;
-    head.insert(head.end(), kMagicV2, kMagicV2 + 4);
+    put_magic(head, kMagicV2);
     put_u32(head, prob_bits);
     put_u32(head, static_cast<u32>(chunks.size()));
     sink.write(std::move(head));
@@ -154,31 +154,29 @@ std::vector<u8> decode_chunk(const Chunk& chunk, u32 prob_bits, ThreadPool* pool
 
 std::vector<u8> decode_chunked(const ChunkedStream& stream, ThreadPool* pool,
                                simd::Backend backend) {
-    // Flatten (chunk, split) pairs into one work list and prebuild models.
-    struct Task {
-        u32 chunk;
-        u32 split;
-    };
-    std::vector<Task> tasks;
-    std::vector<u64> chunk_base(stream.chunks.size() + 1, 0);
+    // Flatten every chunk's splits into one work list (adjacent items pair
+    // up into tasks, across chunk boundaries too) and prebuild the models.
+    const std::size_t n = stream.chunks.size();
     std::vector<StaticModel> models;
-    models.reserve(stream.chunks.size());
-    for (u32 ci = 0; ci < stream.chunks.size(); ++ci) {
-        const Chunk& c = stream.chunks[ci];
-        chunk_base[ci + 1] = chunk_base[ci] + c.metadata.num_symbols;
+    std::vector<DecodeTables> tables;
+    models.reserve(n);
+    tables.reserve(n);  // jobs point into it
+    std::vector<SplitJob<Rans32, u8>> jobs;
+    std::vector<u8> out(stream.total_symbols());
+    u8* base = out.data();
+    for (const Chunk& c : stream.chunks) {
         models.emplace_back(std::span<const u32>(c.freq), stream.prob_bits, 0);
-        for (u32 k = 0; k < c.metadata.num_splits(); ++k) tasks.push_back({ci, k});
+        tables.push_back(models.back().tables());
+        for (u32 k = 0; k < c.metadata.num_splits(); ++k)
+            jobs.push_back({std::span<const u16>(c.units), &c.metadata, &tables.back(), k,
+                            base});
+        base += c.metadata.num_symbols;
     }
 
-    std::vector<u8> out(chunk_base.back());
     simd::SimdRangeFn<u8> range{backend};
-    for_each_index(pool, tasks.size(), [&](u64 t) {
-        const Task task = tasks[t];
-        const Chunk& c = stream.chunks[task.chunk];
-        recoil_decode_split<Rans32, 32, u8>(
-            std::span<const u16>(c.units), c.metadata,
-            models[task.chunk].tables(), task.split,
-            out.data() + chunk_base[task.chunk], nullptr, range);
+    for_each_split_task(pool, jobs.size(), [&](u64 first, u32 count) {
+        recoil_decode_splits<Rans32, 32, u8>(
+            std::span<const SplitJob<Rans32, u8>>(jobs).subspan(first, count), range);
     });
     return out;
 }

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "rans/indexed_model.hpp"
 #include "rans/static_model.hpp"
 #include "test_util.hpp"
@@ -94,6 +96,54 @@ TEST(IndexedModel, RejectsOutOfRangeIds) {
     std::vector<StaticModel> models;
     models.emplace_back(a, 8);
     EXPECT_THROW((IndexedModelSet(std::move(models), std::vector<u8>{1})), Error);
+}
+
+TEST(IndexedModel, PdfTablesEqualStaticModelTables) {
+    // The pdf constructor fills the combined tables itself; they must equal,
+    // byte for byte, the per-model tables of StaticModels built from the
+    // same pdfs (what the set used to copy), encode entries included.
+    const u32 n = 12;
+    const u32 alphabet = 300;
+    std::vector<std::vector<u32>> pdfs;
+    std::vector<StaticModel> models;
+    for (u32 m = 0; m < 5; ++m) {
+        std::vector<u64> counts(alphabet);
+        for (u32 s = 0; s < alphabet; ++s)
+            counts[s] = (s % 7 == m) ? 0 : 1 + (u64{s} * 2654435761u + m) % 977;
+        models.emplace_back(counts, n);
+        std::vector<u32> pdf;
+        for (u32 s = 0; s < alphabet; ++s) pdf.push_back(models.back().freq(s));
+        pdfs.push_back(std::move(pdf));
+    }
+    std::vector<u8> ids(1000);
+    for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<u8>(i % 5);
+    const IndexedModelSet set(std::span<const std::vector<u32>>(pdfs), n, ids);
+    const DecodeTables t = set.tables();
+    for (u32 m = 0; m < 5; ++m) {
+        const DecodeTables ref = models[m].tables();
+        const std::size_t slots = std::size_t{1} << n;
+        EXPECT_EQ(std::memcmp(t.fc + m * slots, ref.fc, slots * 4), 0) << m;
+        EXPECT_EQ(std::memcmp(t.sym + m * slots, ref.sym, slots * 4), 0) << m;
+        const u64 at = m;  // ids[at] == m
+        for (u32 s = 0; s < alphabet; ++s) {
+            EXPECT_EQ(set.enc_lookup(at, s).freq, models[m].freq(s));
+            EXPECT_EQ(set.enc_lookup(at, s).cum, models[m].cum(s));
+            EXPECT_EQ(std::memcmp(&set.enc_fast(at, s), &models[m].enc_fast(0, s),
+                                  sizeof(EncSymbolFast)),
+                      0)
+                << m << " " << s;
+        }
+    }
+    // The StaticModel constructor builds the very same set.
+    const IndexedModelSet from_models(models, ids);
+    EXPECT_EQ(std::memcmp(from_models.tables().fc, t.fc, (std::size_t{5} << n) * 4), 0);
+    EXPECT_EQ(std::memcmp(from_models.tables().sym, t.sym, (std::size_t{5} << n) * 4), 0);
+
+    ids.back() = 5;
+    EXPECT_THROW(IndexedModelSet(std::span<const std::vector<u32>>(pdfs), n, ids), Error);
+    pdfs[2][0] += 1;
+    ids.back() = 0;
+    EXPECT_THROW(IndexedModelSet(std::span<const std::vector<u32>>(pdfs), n, ids), Error);
 }
 
 }  // namespace

@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
+#include "conventional/conventional.hpp"
+#include "core/random_access.hpp"
 #include "core/recoil_decoder.hpp"
 #include "core/recoil_encoder.hpp"
 #include "rans/indexed_model.hpp"
+#include "simd/dispatch.hpp"
+#include "stream/chunked.hpp"
 #include "test_util.hpp"
 #include "util/thread_pool.hpp"
 
@@ -177,6 +183,166 @@ TEST(RecoilDecode, TinyStreams) {
             std::span<const u16>(enc.bitstream.units), enc.metadata, m.tables());
         ASSERT_EQ(dec.size(), n);
         EXPECT_TRUE(std::equal(dec.begin(), dec.end(), syms.begin()));
+    }
+}
+
+std::vector<simd::Backend> available_backends() {
+    std::vector<simd::Backend> v{simd::Backend::Scalar};
+    for (simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
+        if (simd::clamp_backend(b) == b) v.push_back(b);
+    return v;
+}
+
+/// Exactly S splits: S - 1 of `meta`'s split points, evenly spread by index.
+RecoilMetadata with_splits(const RecoilMetadata& meta, u32 S) {
+    RecoilMetadata out = meta;
+    out.splits.clear();
+    for (u64 i = 1; i < S; ++i) out.splits.push_back(meta.splits[i * meta.splits.size() / S]);
+    return out;
+}
+
+/// Decode `meta` on every pool size and backend; each must equal `ref`.
+template <typename TSym>
+void expect_every_lane_count_matches(std::span<const u16> units, const RecoilMetadata& meta,
+                                     const DecodeTables& t, const std::vector<TSym>& ref,
+                                     const char* what) {
+    for (unsigned workers : {0u, 1u, 3u}) {
+        std::optional<ThreadPool> pool;
+        if (workers > 0) pool.emplace(workers);
+        for (simd::Backend b : available_backends()) {
+            RecoilDecodeStats stats;
+            auto dec = recoil_decode<Rans32, 32, TSym>(units, meta, t,
+                                                       pool ? &*pool : nullptr, &stats,
+                                                       simd::SimdRangeFn<TSym>{b});
+            ASSERT_TRUE(dec == ref) << what << ": S " << meta.num_splits() << ", "
+                                    << workers << " workers, "
+                                    << simd::backend_name(b);
+            EXPECT_EQ(stats.sync_symbols + stats.skipped_positions, stats.cross_symbols);
+        }
+    }
+}
+
+TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
+    // Tasks hold two splits wherever a decode has more splits than lanes;
+    // every split count, lane count and backend must decode bit-exactly.
+    const std::size_t n = 800000;
+    const std::vector<u32> split_counts = {1, 2, 3, 4, 5, 16, 17, 2176};
+    for (u32 bits : {11u, 12u, 16u}) {
+        auto syms = test::geometric_symbols<u8>(n, 0.6, 256, 300 + bits);
+        auto m = test::model_for<u8>(syms, bits, 256);
+        auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(syms), m, 2400);
+        ASSERT_GE(enc.metadata.num_splits(), 2176u);
+        const std::vector<u8> ref = serial_decode<Rans32, 32, u8>(enc.bitstream, m.tables());
+        ASSERT_EQ(ref, syms);
+        std::span<const u16> units(enc.bitstream.units);
+        for (u32 S : split_counts) {
+            const RecoilMetadata meta = with_splits(enc.metadata, S);
+            ASSERT_EQ(meta.num_splits(), S);
+            expect_every_lane_count_matches<u8>(units, meta, m.tables(), ref, "static");
+        }
+        // Pairs of very unequal length, and splits whose phase 2 is empty
+        // (the sync section starts right above the previous anchor): every
+        // such split of the full metadata, kept next to its predecessor.
+        RecoilMetadata uneven = enc.metadata;
+        uneven.splits.clear();
+        std::size_t abutting = 0;
+        for (std::size_t k = 0; k < enc.metadata.splits.size(); ++k) {
+            const bool abuts = k > 0 && enc.metadata.splits[k].min_index ==
+                                            enc.metadata.splits[k - 1].anchor_index + 1;
+            if (k == 3 || k == 4 || k == 1000 || abuts ||
+                (k + 1 < enc.metadata.splits.size() &&
+                 enc.metadata.splits[k + 1].min_index ==
+                     enc.metadata.splits[k].anchor_index + 1)) {
+                uneven.splits.push_back(enc.metadata.splits[k]);
+                abutting += abuts;
+            }
+        }
+        ASSERT_GT(abutting, 0u) << "no split with an empty phase 2 at n = " << bits;
+        expect_every_lane_count_matches<u8>(units, uneven, m.tables(), ref, "uneven");
+
+        // The conventional baseline pairs its partitions the same way.
+        if (bits != 11) continue;
+        for (u32 P : split_counts) {
+            auto conv = conventional_encode<Rans32, 32>(std::span<const u8>(syms), m, P);
+            for (unsigned workers : {0u, 1u, 3u}) {
+                std::optional<ThreadPool> pool;
+                if (workers > 0) pool.emplace(workers);
+                for (simd::Backend b : available_backends()) {
+                    auto dec = conventional_decode<Rans32, 32, u8>(
+                        conv, m.tables(), pool ? &*pool : nullptr, simd::SimdRangeFn<u8>{b});
+                    ASSERT_TRUE(dec == syms) << "conventional: P " << P << ", " << workers
+                                             << " workers, " << simd::backend_name(b);
+                }
+            }
+        }
+    }
+
+    // A u16 indexed stream, whole and through random-access windows whose
+    // SimdRangeFn id window is the slice the covering splits touch.
+    Xoshiro256 rng(399);
+    std::vector<u16> syms(n);
+    std::vector<u8> ids(n);
+    std::vector<u64> c0(1024, 1), c1(1024, 1), c2(1024, 1);
+    for (std::size_t i = 0; i < n; ++i) {
+        ids[i] = static_cast<u8>((i / 5) % 3);
+        const double q = ids[i] == 0 ? 0.5 : ids[i] == 1 ? 0.9 : 0.98;
+        u32 v = 0;
+        while (v < 1023 && rng.uniform() < q) ++v;
+        syms[i] = static_cast<u16>(v);
+        (ids[i] == 0 ? c0 : ids[i] == 1 ? c1 : c2)[v]++;
+    }
+    const IndexedModelSet set(
+        std::vector<StaticModel>{StaticModel(c0, 14), StaticModel(c1, 14), StaticModel(c2, 14)},
+        ids);
+    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 2400);
+    ASSERT_GE(enc.metadata.num_splits(), 2176u);
+    std::span<const u16> units(enc.bitstream.units);
+    for (u32 S : split_counts) {
+        const RecoilMetadata meta = with_splits(enc.metadata, S);
+        ASSERT_EQ(meta.num_splits(), S);
+        expect_every_lane_count_matches<u16>(units, meta, set.tables(), syms, "indexed");
+        for (const auto& [lo, hi] :
+             {std::pair<u64, u64>{1, 2}, {n / 3, 2 * n / 3}, {n - 100, n}}) {
+            const RangePlan plan = plan_range(meta, lo, hi);
+            for (unsigned workers : {0u, 3u}) {
+                std::optional<ThreadPool> pool;
+                if (workers > 0) pool.emplace(workers);
+                for (simd::Backend b : available_backends()) {
+                    simd::SimdRangeFn<u16> range{b};
+                    range.valid_lo = plan.cover_lo;
+                    range.valid_hi = plan_touch_hi(meta, plan);
+                    auto part = recoil_decode_range<Rans32, 32, u16>(
+                        units, meta, set.tables(), lo, hi, pool ? &*pool : nullptr, range);
+                    ASSERT_TRUE(std::equal(part.begin(), part.end(), syms.begin() + lo,
+                                           syms.begin() + hi))
+                        << "range [" << lo << ", " << hi << "), S " << S << ", " << workers
+                        << " workers, " << simd::backend_name(b);
+                }
+            }
+        }
+    }
+
+    // A chunked stream: its (chunk, split) items pair across chunk edges,
+    // each run with its own units, tables and output base.
+    stream::ChunkedEncoder chunker({11, 136});
+    std::vector<u8> all;
+    for (int c = 0; c < 16; ++c) {
+        auto chunk = test::geometric_symbols<u8>(4000 + 1499 * c, 0.3 + 0.04 * c, 256, 500 + c);
+        chunker.add_chunk(chunk);
+        all.insert(all.end(), chunk.begin(), chunk.end());
+    }
+    const stream::ChunkedStream full = chunker.finish();
+    for (u32 S : split_counts) {
+        const stream::ChunkedStream adapted = full.combined(S);
+        for (unsigned workers : {0u, 1u, 3u}) {
+            std::optional<ThreadPool> pool;
+            if (workers > 0) pool.emplace(workers);
+            for (simd::Backend b : available_backends()) {
+                ASSERT_TRUE(stream::decode_chunked(adapted, pool ? &*pool : nullptr, b) == all)
+                    << "chunked: S " << S << ", " << workers << " workers, "
+                    << simd::backend_name(b);
+            }
+        }
     }
 }
 

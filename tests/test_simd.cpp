@@ -221,6 +221,67 @@ TEST(Simd, GroupPopsBelowTheBitstreamAreTypedErrors) {
     }
 }
 
+TEST(Simd, PairedRunsMatchTwoSingleRuns) {
+    // Two independent streams with different table layouts (packed n = 11,
+    // wide n = 16), decoded as one pair and as two single runs. Stream A is
+    // group-aligned and decoded whole, so its first group pops at the top of
+    // its unit buffer and its last groups near the bottom: the kernel's
+    // buffer-edge fallback, while B, resumed mid-stream, is on the fast path.
+    // B is the longer run, so the kernel finishes it alone.
+    using Run = RangeRun<Rans32, 32, u8>;
+    auto syms_a = test::geometric_symbols<u8>(32 * 700, 0.5, 256, 51);
+    auto syms_b = test::geometric_symbols<u8>(40000 + 13, 0.7, 256, 52);
+    auto ma = test::model_for<u8>(syms_a, 11, 256);
+    auto mb = test::model_for<u8>(syms_b, 16, 256);
+    auto bs_a = interleaved_encode<Rans32, 32>(std::span<const u8>(syms_a), ma);
+    auto bs_b = interleaved_encode<Rans32, 32>(std::span<const u8>(syms_b), mb);
+    const std::span<const u16> ua(bs_a.units), ub(bs_b.units);
+    const DecodeTables ta = ma.tables(), tb = mb.tables();
+    LaneCursor<Rans32, 32> a0, b0;
+    a0.x = bs_a.final_states;
+    a0.p = static_cast<i64>(ua.size()) - 1;
+    b0.x = bs_b.final_states;
+    b0.p = static_cast<i64>(ub.size()) - 1;
+    std::vector<u8> top(syms_b.size());
+    decode_positions<Rans32, 32>(b0, ub, syms_b.size() - 1, 30005, tb, top.data());
+    const u64 hi_a = syms_a.size() - 1, hi_b = 30004, lo_b = 1003;
+
+    for (Backend b : available_backends()) {
+        const simd::SimdRangeFn<u8> range{b};
+        LaneCursor<Rans32, 32> a1 = a0, b1 = b0, a2 = a0, b2 = b0;
+        std::vector<u8> oa1(syms_a.size()), ob1(syms_b.size()), oa2(syms_a.size()),
+            ob2(syms_b.size());
+        range(a1, ua, hi_a, 0, ta, oa1.data());
+        range(b1, ub, hi_b, lo_b, tb, ob1.data());
+        range(Run{&a2, ua, hi_a, 0, &ta, oa2.data()}, Run{&b2, ub, hi_b, lo_b, &tb, ob2.data()});
+        const char* name = simd::backend_name(b);
+        EXPECT_EQ(oa2, oa1) << name;
+        EXPECT_EQ(ob2, ob1) << name;
+        EXPECT_EQ(a2.x, a1.x) << name;
+        EXPECT_EQ(a2.p, a1.p) << name;
+        EXPECT_EQ(b2.x, b1.x) << name;
+        EXPECT_EQ(b2.p, b1.p) << name;
+        EXPECT_EQ(oa2, syms_a) << name;
+        EXPECT_TRUE(std::equal(ob2.begin() + lo_b, ob2.begin() + hi_b + 1,
+                               syms_b.begin() + lo_b))
+            << name;
+        drain_start<Rans32, 32>(a2, ua, syms_a.size());
+        EXPECT_EQ(a2.p, -1) << name;
+
+        // A run that needs more units than remain below its cursor is a
+        // typed error, paired or not.
+        const std::vector<u16> few = {1, 2, 3, 4};
+        LaneCursor<Rans32, 32> bad, good = b0;
+        bad.x.fill(1);
+        bad.p = static_cast<i64>(few.size()) - 1;
+        std::vector<u8> junk(64);
+        EXPECT_THROW(range(Run{&good, ub, hi_b, lo_b, &tb, ob2.data()},
+                           Run{&bad, std::span<const u16>(few), 63, 0, &ta, junk.data()}),
+                     Error)
+            << name;
+    }
+}
+
 TEST(Simd, GroupDisciplineMatchesPerSymbol) {
     // The scalar *group* kernel must agree with the per-symbol loop: this is
     // the equivalence the SIMD kernels rely on (DESIGN.md §3.1).
@@ -229,16 +290,17 @@ TEST(Simd, GroupDisciplineMatchesPerSymbol) {
     auto bs = interleaved_encode<Rans32, 32>(std::span<const u8>(syms), m);
     auto ref = serial_decode<Rans32, 32, u8>(bs, m.tables());
 
-    simd::SimdRangeFn<u8> range{Backend::Scalar};  // uses scalar group kernel
     LaneCursor<Rans32, 32> cur;
     cur.x = bs.final_states;
     cur.p = static_cast<i64>(bs.units.size()) - 1;
     std::vector<u8> out(syms.size());
     // Force the group-kernel path regardless of backend.
     simd::scalar_group_pops(cur.x.data(), bs.units.data(), cur.p);
-    simd::scalar_decode_groups<u8>(cur.x.data(), bs.units.data(), bs.units.size(),
-                                   cur.p, syms.size() / 32 - 1, 0, m.tables(),
-                                   out.data());
+    const DecodeTables t = m.tables();
+    const simd::GroupRun<u8> run{cur.x.data(), bs.units.data(), bs.units.size(), &cur.p,
+                                 syms.size() / 32 - 1, &t, out.data()};
+    simd::scalar_decode_groups<u8>(std::span<const simd::GroupRun<u8>>(&run, 1),
+                                   syms.size() / 32);
     drain_start<Rans32, 32>(cur, std::span<const u16>(bs.units), syms.size());
     EXPECT_EQ(cur.p, -1);
     // Compare only the group-aligned prefix the group kernel covered.
