@@ -47,8 +47,9 @@ void decode_with(benchmark::State& state, KernelFixture& f, simd::Backend b) {
         LaneCursor<Rans32, 32> cur;
         cur.x = f.bs.final_states;
         cur.p = static_cast<i64>(f.bs.units.size()) - 1;
-        range(cur, std::span<const u16>(f.bs.units), f.data.size() - 1, 0, t,
-              out.data());
+        const RangeRun<Rans32, 32, u8> run{&cur, f.bs.units, f.data.size() - 1, 0, &t,
+                                           out.data()};
+        range({&run, 1});
         benchmark::DoNotOptimize(out.data());
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations() * f.data.size()));

@@ -95,6 +95,7 @@ int run_daemon(net::Daemon& daemon, const net::DaemonOptions& dopt) {
                 static_cast<unsigned long long>(s.streamed),
                 static_cast<unsigned long long>(s.refused),
                 static_cast<unsigned long long>(s.idle_closed));
+    std::fflush(stdout);  // the line marks the drain's end, not the exit's
     return 0;
 }
 

@@ -95,28 +95,13 @@ ConventionalEncoded<Cfg, NLanes> conventional_encode(std::span<const TSym> syms,
     }
 
     std::vector<InterleavedBitstream<Cfg, NLanes>> encoded(bounds.size());
-    auto encode_one = [&](u64 pi) {
+    for_each_index(pool, bounds.size(), [&](u64 pi) {
         OffsetModel shim{&model, bounds[pi].sym_begin};
         encoded[pi] = interleaved_encode<Cfg, NLanes>(
             syms.subspan(bounds[pi].sym_begin,
                          bounds[pi].sym_end - bounds[pi].sym_begin),
             shim);
-    };
-    if (pool == nullptr || bounds.size() <= 1) {
-        for (u64 pi = 0; pi < bounds.size(); ++pi) encode_one(pi);
-    } else {
-        std::exception_ptr first_error;
-        util::Mutex err_mu;
-        pool->parallel_for(bounds.size(), [&](u64 pi) {
-            try {
-                encode_one(pi);
-            } catch (...) {
-                util::MutexLock lk(err_mu);
-                if (!first_error) first_error = std::current_exception();
-            }
-        });
-        if (first_error) std::rethrow_exception(first_error);
-    }
+    });
 
     for (u64 pi = 0; pi < bounds.size(); ++pi) {
         typename ConventionalEncoded<Cfg, NLanes>::Partition p;
@@ -134,48 +119,34 @@ ConventionalEncoded<Cfg, NLanes> conventional_encode(std::span<const TSym> syms,
 }
 
 /// Decode partitions [first, first + count) into `out` (full-size buffer,
-/// global indices); two partitions go through one range_fn call.
+/// global indices) as Recoil decodes splits: each partition is one run over
+/// its own units, starting from its final states, and two partitions go
+/// through one range_fn call. Each ends in drain_start, the end-state check
+/// of a stream that reaches its start.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 void conventional_decode_partitions(const ConventionalEncoded<Cfg, NLanes>& enc,
                                     const DecodeTables& t, u64 first, u32 count,
                                     TSym* out, const RangeFn& range_fn = {}) {
     RECOIL_CHECK(count <= 2, "conventional: at most two partitions per task");
-    std::span<const typename Cfg::UnitT> units(enc.units);
     LaneCursor<Cfg, NLanes> cur[2];
     RangeRun<Cfg, NLanes, TSym> run[2] = {};
-    const typename ConventionalEncoded<Cfg, NLanes>::Partition* part[2] = {};
+    u64 num_symbols[2] = {};
     u32 n = 0;
     for (u64 pi = first; pi < first + count; ++pi) {
         const auto& p = enc.partitions[pi];
-        if (p.sym_count == 0) continue;
+        const auto units = std::span(enc.units).subspan(p.unit_begin, p.unit_count);
         cur[n].x = p.final_states;
-        // The cursor addresses the full concatenated unit buffer so that
-        // global symbol positions map directly; it starts at this
-        // partition's top.
-        cur[n].p = static_cast<i64>(p.unit_begin + p.unit_count) - 1;
-        run[n] = {&cur[n], units, p.sym_begin + p.sym_count - 1, p.sym_begin, &t, out};
-        part[n++] = &p;
-    }
-    decode_runs(range_fn, std::span<const RangeRun<Cfg, NLanes, TSym>>(run, n));
-    for (u32 i = 0; i < n; ++i) {
-        // Drain the partition's first symbol group (see drain_start): emulate
-        // a partition-local stream by draining against the global cursor.
-        const auto& p = *part[i];
-        const u32 used = static_cast<u32>(p.sym_count < NLanes ? p.sym_count : NLanes);
-        for (u32 lane = used; lane-- > 0;) {
-            auto xi = cur[i].x[lane];
-            while (xi < Cfg::lower_bound) {
-                RECOIL_CHECK(cur[i].p >= static_cast<i64>(p.unit_begin),
-                             "conventional: partition bitstream underflow");
-                xi = static_cast<typename Cfg::StateT>(
-                    (xi << Cfg::unit_bits) | units[static_cast<u64>(cur[i].p--)]);
-            }
-            cur[i].x[lane] = xi;
+        cur[n].p = static_cast<i64>(p.unit_count) - 1;
+        if (p.sym_count == 0) {  // nothing to decode, and no unit may be left
+            drain_start<Cfg, NLanes>(cur[n], units, 0);
+            continue;
         }
-        RECOIL_CHECK(cur[i].p == static_cast<i64>(p.unit_begin) - 1,
-                     "conventional: partition not fully consumed");
+        run[n] = {&cur[n], units, p.sym_begin + p.sym_count - 1, p.sym_begin, &t, out};
+        num_symbols[n++] = p.sym_count;
     }
+    range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>>(run, n));
+    for (u32 i = 0; i < n; ++i) drain_start<Cfg, NLanes>(cur[i], run[i].units, num_symbols[i]);
 }
 
 /// Decode all partitions (independently parallel across the pool, paired

@@ -68,11 +68,10 @@ inline u64 plan_touch_hi(const RecoilMetadata& meta, const RangePlan& plan) {
 /// [cover_lo, cover_hi), so all dereferences are in bounds; the rebased
 /// pointer itself is formed via integer arithmetic to stay clear of
 /// out-of-bounds pointer UB. Shared by recoil_decode_range and the serve
-/// subsystem's range-wire decoder. Callers whose per-position side
-/// information (an indexed model's ids) exists only on a slice of positions
-/// pass a simd::SimdRangeFn whose id window is that slice: vector body on
-/// the interior, scalar position-exact loop near the edges. The splits pair
-/// up as in recoil_decode_into.
+/// subsystem's range-wire decoder. Any RangeFn reads per-position side
+/// information (an indexed model's ids) only at the positions the chosen
+/// splits touch, [cover_lo, plan_touch_hi), so a slice of ids on exactly
+/// those positions suffices. The splits pair up as in recoil_decode_into.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 std::vector<TSym> recoil_decode_cover(std::span<const typename Cfg::UnitT> units,

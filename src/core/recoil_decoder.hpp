@@ -12,8 +12,6 @@
 //      those), stopping at the previous min_index. Metadata validation
 //      rejects a sync section that crosses the previous anchor, so the two
 //      phases always meet.
-// Split 0 continues to position 0 and drains the first symbol group's units;
-// the drain checks the end state a valid stream must reach (drain_start).
 //
 // Pairing: with S splits on L lanes (a pool's workers plus the caller; 1
 // without a pool) a decode runs T = max(min(S, L), ceil(S/2)) tasks, and the
@@ -22,13 +20,17 @@
 // advances them in lockstep: the SIMD group kernel is latency-bound, and a
 // second independent stream fills the cycles one stream leaves idle.
 //
-// The phase-2+3 loop is pluggable (`RangeFn`) so the SIMD kernels and the
-// GPU simulator reuse this orchestration; the default is the scalar
-// per-symbol loop. A RangeFn is callable as range_fn(cur, units, hi, lo, t,
-// out) for one range and as range_fn(a, b) for two RangeRuns.
+// The run contract, shared by every decoder (Recoil splits here, the
+// conventional baseline's partitions, chunked streams, range wires and the
+// GPU simulator): a task builds one or two RangeRuns and makes one call,
+// range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>> runs). The default
+// RangeFn is the scalar per-symbol loop; simd::SimdRangeFn plugs in the
+// group kernels. Every run that reaches its stream's start (split 0, or any
+// conventional partition) then ends in drain_start, which checks the end
+// state a valid stream must reach: every unit consumed, every used lane
+// back at L.
 
 #include <algorithm>
-#include <exception>
 #include <span>
 #include <vector>
 
@@ -38,32 +40,15 @@
 
 namespace recoil {
 
-/// Scalar range decoder: the default RangeFn. It decodes a pair one run
+/// Scalar range decoder: the default RangeFn. It decodes its runs one
 /// after the other.
 template <typename Cfg, u32 NLanes, typename TSym>
 struct ScalarRangeFn {
-    void operator()(LaneCursor<Cfg, NLanes>& cur,
-                    std::span<const typename Cfg::UnitT> units, u64 hi, u64 lo,
-                    const DecodeTables& t, TSym* out) const {
-        decode_positions<Cfg, NLanes>(cur, units, hi, lo, t, out);
-    }
-    void operator()(const RangeRun<Cfg, NLanes, TSym>& a,
-                    const RangeRun<Cfg, NLanes, TSym>& b) const {
-        for (const auto* r : {&a, &b})
-            decode_positions<Cfg, NLanes>(*r->cur, r->units, r->hi, r->lo, *r->t, r->out);
+    void operator()(std::span<const RangeRun<Cfg, NLanes, TSym>> runs) const {
+        for (const auto& r : runs)
+            decode_positions<Cfg, NLanes>(*r.cur, r.units, r.hi, r.lo, *r.t, r.out);
     }
 };
-
-/// Decode one or two independent runs through `range_fn`.
-template <typename Cfg, u32 NLanes, typename TSym, typename RangeFn>
-void decode_runs(const RangeFn& range_fn, std::span<const RangeRun<Cfg, NLanes, TSym>> runs) {
-    if (runs.size() == 2) {
-        range_fn(runs[0], runs[1]);
-    } else if (runs.size() == 1) {
-        const auto& r = runs[0];
-        range_fn(*r.cur, r.units, r.hi, r.lo, *r.t, r.out);
-    }
-}
 
 /// Run body(first, count) over the decode tasks of `items` independent
 /// items (splits, or partitions) on `pool`: T = max(min(items, L), ceil(items
@@ -104,10 +89,10 @@ namespace detail {
 template <typename Cfg, u32 NLanes, typename TSym>
 bool sync_split(const SplitJob<Cfg, TSym>& job, RangeRun<Cfg, NLanes, TSym>& run) {
     const RecoilMetadata& meta = *job.meta;
-    RECOIL_CHECK(meta.lanes == NLanes, "recoil_decode_split: lane count mismatch");
+    RECOIL_CHECK(meta.lanes == NLanes, "recoil_decode_splits: lane count mismatch");
     const u32 S = meta.num_splits();
     const u32 k = job.k;
-    RECOIL_CHECK(k < S, "recoil_decode_split: split index out of range");
+    RECOIL_CHECK(k < S, "recoil_decode_splits: split index out of range");
     const SplitPoint* prev = (k > 0) ? &meta.splits[k - 1] : nullptr;
     LaneCursor<Cfg, NLanes>& cur = *run.cur;
     RecoilDecodeStats* stats = job.stats;
@@ -170,22 +155,9 @@ void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
         if (detail::sync_split<Cfg, NLanes, TSym>(job, run[n]))
             num_symbols[n++] = job.meta->num_symbols;
     }
-    decode_runs(range_fn, std::span<const RangeRun<Cfg, NLanes, TSym>>(run, n));
+    range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>>(run, n));
     for (u32 i = 0; i < n; ++i)
         if (run[i].lo == 0) drain_start<Cfg, NLanes>(cur[i], run[i].units, num_symbols[i]);
-}
-
-/// Decode one split (index `k` of `meta.num_splits()`), writing its owned
-/// symbol range into `out` (which must have meta.num_symbols capacity).
-template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
-          typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
-void recoil_decode_split(std::span<const typename Cfg::UnitT> units,
-                         const RecoilMetadata& meta, const DecodeTables& t,
-                         u32 k, TSym* out, RecoilDecodeStats* stats = nullptr,
-                         const RangeFn& range_fn = {}) {
-    const SplitJob<Cfg, TSym> job{units, &meta, &t, k, out, stats};
-    recoil_decode_splits<Cfg, NLanes, TSym>(std::span<const SplitJob<Cfg, TSym>>(&job, 1),
-                                            range_fn);
 }
 
 /// Decode a full Recoil stream into a caller-provided buffer of

@@ -647,6 +647,15 @@ ConventionalFile load_conventional_file(std::span<const u8> bytes) {
         p.unit_count = c.get_u64();
         if (p.sym_begin != covered || p.unit_begin != units_covered)
             raise("conventional container: partitions not contiguous");
+        // Compared with what is left, so neither sum can wrap; the unit sum
+        // must then equal the payload's unit count.
+        if (p.sym_count > f.payload.num_symbols - covered ||
+            p.unit_count > ~u64{0} - units_covered)
+            raise("conventional container: partition runs past the stream");
+        // A partition's local lanes are the decoder's global lanes only when
+        // every partition before it holds whole symbol groups.
+        if (&p != &f.payload.partitions.back() && p.sym_count % kLanes != 0)
+            raise("conventional container: partition is not whole symbol groups");
         covered += p.sym_count;
         units_covered += p.unit_count;
         for (auto& s : p.final_states) s = c.get_u32();
@@ -658,7 +667,10 @@ ConventionalFile load_conventional_file(std::span<const u8> bytes) {
         raise("conventional container: unit count mismatch");
     auto units = c.get_unit_bytes(unit_count);
     f.payload.units.resize(unit_count);
-    std::memcpy(f.payload.units.data(), units.data(), unit_count * 2);
+    // A stream can encode to no units; memcpy from the (then null) slice
+    // pointer is UB even at size 0.
+    if (unit_count != 0)
+        std::memcpy(f.payload.units.data(), units.data(), unit_count * 2);
     return f;
 }
 

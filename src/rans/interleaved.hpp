@@ -118,7 +118,7 @@ struct LaneCursor {
 
 /// One stream's decode range: positions [lo, hi], descending from `cur`,
 /// each symbol written to out[pos]. A RangeFn (core/recoil_decoder.hpp)
-/// decodes two independent runs in one call.
+/// decodes one or two independent runs in one call.
 template <typename Cfg, u32 NLanes, typename TSym>
 struct RangeRun {
     LaneCursor<Cfg, NLanes>* cur;

@@ -1,6 +1,7 @@
 #include "serve/range_wire.hpp"
 
 #include <cstring>
+#include <optional>
 
 #include "core/metadata_codec.hpp"
 #include "core/random_access.hpp"
@@ -278,39 +279,31 @@ std::vector<TSym> decode_range_impl(std::span<const u8> bytes,
         raise("range wire: symbol width mismatch");
 
     std::vector<TSym> out(p.info.hi - p.info.lo);
-    for (const ParsedSegment& seg : p.segments) {
+    const simd::SimdRangeFn<TSym> range_fn{simd::clamp_backend(backend)};
+    for (ParsedSegment& seg : p.segments) {
         const RangeSegmentInfo& info = seg.info;
-        std::vector<TSym> cover;
+        // One of the two models backs the tables.
+        std::optional<IndexedModelSet> set;
+        std::optional<StaticModel> model;
+        DecodeTables t;
         if (info.indexed) {
-            std::vector<StaticModel> models;
-            models.reserve(seg.freqs.size());
-            for (const auto& f : seg.freqs)
-                models.emplace_back(std::span<const u32>(f), seg.prob_bits, 0);
-            IndexedModelSet set(std::move(models), seg.ids);
-            DecodeTables t = set.tables();
+            set.emplace(std::span<const std::vector<u32>>(seg.freqs), seg.prob_bits,
+                        std::move(seg.ids));
+            t = set->tables();
             // The slice's ids[0] is position ids_lo; rebase so the decoder's
             // absolute indexing lands on it (integer arithmetic to stay
-            // clear of out-of-bounds pointer UB). The range fn's id window
-            // keeps SIMD for the slice interior while every id access near
-            // the shipped slice's edges goes through the scalar per-symbol
-            // loop — the full-group gathers can never reach outside
-            // [ids_lo, ids_lo + ids.size()).
+            // clear of out-of-bounds pointer UB). parse_segment checked that
+            // the slice is exactly the positions the covering splits touch.
             t.ids = reinterpret_cast<const u8*>(
                 reinterpret_cast<std::uintptr_t>(t.ids) -
                 static_cast<std::uintptr_t>(seg.ids_lo));
-            const simd::SimdRangeFn<TSym> range_fn{
-                simd::clamp_backend(backend), seg.ids_lo,
-                seg.ids_lo + seg.ids.size()};
-            cover = recoil_decode_cover<Rans32, 32, TSym>(
-                std::span<const u16>(seg.units), seg.meta, t, seg.j0, seg.j1,
-                info.cover_lo, info.cover_hi, pool, range_fn);
         } else {
-            StaticModel model(std::span<const u32>(seg.freqs[0]), seg.prob_bits, 0);
-            const simd::SimdRangeFn<TSym> range_fn{simd::clamp_backend(backend)};
-            cover = recoil_decode_cover<Rans32, 32, TSym>(
-                std::span<const u16>(seg.units), seg.meta, model.tables(), seg.j0,
-                seg.j1, info.cover_lo, info.cover_hi, pool, range_fn);
+            model.emplace(std::span<const u32>(seg.freqs[0]), seg.prob_bits, 0);
+            t = model->tables();
         }
+        const std::vector<TSym> cover = recoil_decode_cover<Rans32, 32, TSym>(
+            std::span<const u16>(seg.units), seg.meta, t, seg.j0, seg.j1, info.cover_lo,
+            info.cover_hi, pool, range_fn);
         std::copy(cover.begin() + static_cast<std::ptrdiff_t>(info.lo - info.cover_lo),
                   cover.begin() + static_cast<std::ptrdiff_t>(info.hi - info.cover_lo),
                   out.begin() +

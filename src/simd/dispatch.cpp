@@ -57,24 +57,18 @@ const char* backend_name(Backend b) {
     }
 }
 
-GroupKernel<u8> group_kernel_u8(Backend b) {
+template <typename TSym>
+GroupKernel<TSym> group_kernel(Backend b) {
 #if defined(RECOIL_HAVE_AVX512_BUILD)
-    if (b == Backend::Avx512 && cpu_features().avx512) return &avx512_decode_groups<u8>;
+    if (b == Backend::Avx512 && cpu_features().avx512) return &avx512_decode_groups<TSym>;
 #endif
 #if defined(RECOIL_HAVE_AVX2_BUILD)
-    if (b != Backend::Scalar && cpu_features().avx2) return &avx2_decode_groups<u8>;
+    if (b != Backend::Scalar && cpu_features().avx2) return &avx2_decode_groups<TSym>;
 #endif
-    return &scalar_decode_groups<u8>;
+    return &scalar_decode_groups<TSym>;
 }
 
-GroupKernel<u16> group_kernel_u16(Backend b) {
-#if defined(RECOIL_HAVE_AVX512_BUILD)
-    if (b == Backend::Avx512 && cpu_features().avx512) return &avx512_decode_groups<u16>;
-#endif
-#if defined(RECOIL_HAVE_AVX2_BUILD)
-    if (b != Backend::Scalar && cpu_features().avx2) return &avx2_decode_groups<u16>;
-#endif
-    return &scalar_decode_groups<u16>;
-}
+template GroupKernel<u8> group_kernel<u8>(Backend);
+template GroupKernel<u16> group_kernel<u16>(Backend);
 
 }  // namespace recoil::simd

@@ -22,97 +22,53 @@ const char* backend_name(Backend b);
 
 /// Type-erased kernel lookup (returns the scalar reference kernel for
 /// Backend::Scalar or when the requested backend was not compiled in).
-GroupKernel<u8> group_kernel_u8(Backend b);
-GroupKernel<u16> group_kernel_u16(Backend b);
-
+/// Instantiated for u8 and u16 symbols.
 template <typename TSym>
-GroupKernel<TSym> group_kernel(Backend b) {
-    if constexpr (sizeof(TSym) == 1) {
-        return group_kernel_u8(b);
-    } else {
-        return group_kernel_u16(b);
-    }
-}
+GroupKernel<TSym> group_kernel(Backend b);
 
-/// Drop-in replacement for ScalarRangeFn (see core/recoil_decoder.hpp):
-/// decodes the interior whole groups of [lo, hi] with a SIMD kernel and the
+/// Drop-in replacement for ScalarRangeFn (see core/recoil_decoder.hpp), with
+/// its one call form: range_fn(runs) for one or two runs. It decodes the
+/// interior whole groups of each run's [lo, hi] with a SIMD kernel and the
 /// ragged edges with the scalar per-symbol loop. Mixing is safe at group
 /// boundaries; the catch-up pop pass re-establishes the kernels' entry
-/// precondition.
+/// precondition. The kernels read per-position ids only at the 32 positions
+/// of the group they decode, so a run touches ids on [lo, hi] alone, as the
+/// scalar loop does. The backend is the only setting.
 ///
 /// Two runs decode in four steps: each run's scalar head and catch-up pops;
 /// the whole groups both runs have, through one lockstep kernel call; the
-/// longer run's remaining groups alone; each run's scalar tail.
-///
-/// Decoders whose per-symbol id stream is valid only on a window
-/// [valid_lo, valid_hi) of absolute positions set the window — the indexed
-/// range wire ships exactly the id slice its segments cover, so a
-/// full-width id gather at the slice edge would read past the shipped
-/// bytes. The vector body then runs only on whole groups that stay a
-/// kGuard-byte margin clear of the window's top edge, and everything nearer
-/// an edge decodes through the scalar loop, whose id reads are position-
-/// exact. The kernels' in-group loads are themselves position-exact (they
-/// never reach past the group's last position), so the margin is defensive
-/// depth against future kernels with wider gathers, not a correctness
-/// requirement of the current ones. The default window is every position.
+/// longer run's remaining groups alone; each run's scalar tail. A run that
+/// reaches its stream's start then ends in the caller's drain_start, as on
+/// the scalar path.
 template <typename TSym>
 struct SimdRangeFn {
     using Run = RangeRun<Rans32, 32, TSym>;
 
     Backend backend = pick_backend();
-    u64 valid_lo = 0;           ///< first position with a valid id byte
-    u64 valid_hi = ~u64{0};     ///< one past the last such position
-    /// Vectorized groups end at least this many id bytes before valid_hi.
-    static constexpr u64 kGuard = 32;
 
-    void operator()(LaneCursor<Rans32, 32>& cur, std::span<const u16> units,
-                    u64 hi, u64 lo, const DecodeTables& t, TSym* out) const {
-        const Run run{&cur, units, hi, lo, &t, out};
-        decode(std::span<const Run>(&run, 1));
-    }
-
-    void operator()(const Run& a, const Run& b) const {
-        const Run runs[2] = {a, b};
-        decode(std::span<const Run>(runs));
-    }
-
-private:
-    void decode(std::span<const Run> runs) const {
+    void operator()(std::span<const Run> runs) const {
+        RECOIL_CHECK(runs.size() <= 2, "SimdRangeFn: at most two runs per call");
         GroupRun<TSym> group[2] = {};
         u64 groups[2] = {}, tail_hi[2] = {};
         const Run* owner[2] = {};
         u32 n = 0;
         // Step 1: scalar heads and catch-up pops. A run with no whole group
-        // clear of the edges decodes here entirely.
+        // decodes here entirely.
         for (const Run& r : runs) {
             if (r.hi < r.lo) continue;
-            if (r.out == nullptr || backend == Backend::Scalar) {
+            const u64 g_lo = (r.lo + 31) / 32;  // first whole group
+            const u64 g_end = (r.hi + 1) / 32;  // one past the last
+            if (r.out == nullptr || backend == Backend::Scalar || g_end <= g_lo) {
                 decode_positions<Rans32, 32>(*r.cur, r.units, r.hi, r.lo, *r.t, r.out);
                 continue;
             }
-            const u64 top_aligned = (r.hi + 1) & ~u64{31};
-            // First whole group, clamped below the id window's bottom edge
-            // (a no-op when lo >= valid_lo, which callers guarantee; kept as
-            // the same defensive depth as the top margin).
-            const u64 g_lo = std::max((r.lo + 31) / 32, (valid_lo + 31) / 32);
-            const bool has_groups = top_aligned >= (g_lo + 1) * 32;
-            // Last group whose top stays kGuard id bytes clear of valid_hi:
-            // need (g+1)*32 + kGuard <= valid_hi.
-            if (!has_groups || valid_hi < kGuard + 32 ||
-                (valid_hi - kGuard) / 32 < g_lo + 1) {
-                decode_positions<Rans32, 32>(*r.cur, r.units, r.hi, r.lo, *r.t, r.out);
-                continue;
-            }
-            const u64 g_hi =
-                std::min(top_aligned / 32 - 1, (valid_hi - kGuard) / 32 - 1);
-            // Scalar head: positions [(g_hi+1)*32, hi] (decode runs hi → lo).
-            const u64 head_lo = (g_hi + 1) * 32;
-            if (head_lo <= r.hi)
-                decode_positions<Rans32, 32>(*r.cur, r.units, r.hi, head_lo, *r.t, r.out);
+            // Scalar head: positions [g_end*32, hi] (decode runs hi → lo).
+            if (g_end * 32 <= r.hi)
+                decode_positions<Rans32, 32>(*r.cur, r.units, r.hi, g_end * 32, *r.t, r.out);
             scalar_group_pops(r.cur->x.data(), r.units.data(), r.cur->p);  // catch-up
             group[n] = {r.cur->x.data(), r.units.data(), r.units.size(), &r.cur->p,
-                        g_hi,            r.t,          r.out};
-            groups[n] = g_hi - g_lo + 1;
+                        g_end - 1,       r.t,          r.out};
+            groups[n] = g_end - g_lo;
             tail_hi[n] = g_lo * 32;  // one past the scalar tail
             owner[n++] = &r;
         }

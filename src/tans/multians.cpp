@@ -97,11 +97,7 @@ void multians_decode_into(const TansEncoded& enc, const TansTable& table,
             counts[i] = n;
             work.fetch_add(n, std::memory_order_relaxed);
         };
-        if (pool) {
-            pool->parallel_for(S, body);
-        } else {
-            for (u32 i = 0; i < S; ++i) body(i);
-        }
+        for_each_index(pool, S, body);
         // Propagate exits downward; a segment is re-decoded only if its
         // entry changed (multians' trajectory-merge check).
         converged = true;
@@ -141,16 +137,11 @@ void multians_decode_into(const TansEncoded& enc, const TansTable& table,
     }
     RECOIL_CHECK(acc == 0, "multians: symbol counts do not cover the stream");
 
-    auto write_body = [&](u64 i) {
+    for_each_index(pool, S, [&](u64 i) {
         u64 n = 0;
         run_segment<TSym>(enc, table, entries[i], u64{i} * seg_bits, &n,
                           out.data() + end_pos[i]);
-    };
-    if (pool) {
-        pool->parallel_for(S, write_body);
-    } else {
-        for (u32 i = 0; i < S; ++i) write_body(i);
-    }
+    });
     if (stats) stats->work_symbols = work.load() + enc.num_symbols;
 }
 

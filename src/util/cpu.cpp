@@ -3,8 +3,7 @@
 #include <cpuid.h>
 
 #include <cstddef>
-
-#include "util/thread_pool.hpp"
+#include <iterator>
 
 namespace recoil {
 
@@ -63,11 +62,6 @@ CpuFeatures detect_cpu_features(const CpuidWords& w) {
 const CpuFeatures& cpu_features() {
     static const CpuFeatures f = detect_cpu_features(read_cpuid_words());
     return f;
-}
-
-ThreadPool& global_pool() {
-    static ThreadPool pool;
-    return pool;
 }
 
 }  // namespace recoil

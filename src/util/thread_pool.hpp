@@ -124,9 +124,6 @@ private:
     bool stopping_ RECOIL_GUARDED_BY(mu_) = false;
 };
 
-/// Process-wide pool used by decode paths when the caller does not supply one.
-ThreadPool& global_pool();
-
 /// Run body(i) for i in [0, count): inline when `pool` is null or the count
 /// is 1, otherwise across the pool with the first worker exception rethrown
 /// in the caller. The shared loop of every parallel decode path.

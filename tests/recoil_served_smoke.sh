@@ -68,13 +68,35 @@ boot() {
     echo "booted recoil_served $* on port $port"
 }
 
+# secs T: seconds from $t0 to the nanosecond stamp T ("-" without one).
+secs() {
+    [ -n "$1" ] || { echo -; return; }
+    ms=$((($1 - t0) / 1000000))
+    printf '%d.%03d' $((ms / 1000)) $((ms % 1000))
+}
+
 # drain: SIGTERM the daemon; it must finish its drain and exit 0 (a hung
-# drain runs into the timeout and exits 124).
+# drain runs into the timeout and exits 124). Prints the seconds from
+# SIGTERM to the daemon's `drained:` line (polled every 10 ms) and to its
+# exit, so a daemon its wrapper kills shows which of the two was slow.
 drain() {
+    t0=$(date +%s%N)
     kill -TERM "$pid"
+    (
+        until grep -q '^drained:' "$log"; do sleep 0.01; done
+        date +%s%N >"$log.drained"
+    ) &
+    watch=$!
     wait "$pid"
     rc=$?
+    t_exit=$(date +%s%N)
     pid=
+    grep -q '^drained:' "$log" || kill "$watch" 2>/dev/null
+    wait "$watch"
+    t_drained=$(cat "$log.drained" 2>/dev/null)
+    # A line the poll saw only after the exit was there by the exit.
+    [ -n "$t_drained" ] && [ "$t_drained" -gt "$t_exit" ] && t_drained=$t_exit
+    echo "drain: drained: line after $(secs "$t_drained") s, exit after $(secs "$t_exit") s"
     [ "$rc" -eq 0 ] || fail "recoil_served exited $rc after SIGTERM"
     grep -q '^drained:' "$log" || fail "recoil_served did not drain"
 }

@@ -129,10 +129,11 @@ TEST(RecoilDecode, EachSplitDecodesItsOwnRange) {
     const u32 S = enc.metadata.num_splits();
     ASSERT_GT(S, 1u);
     std::vector<int> covered(syms.size(), 0);
+    const DecodeTables t = m.tables();
     for (u32 k = 0; k < S; ++k) {
         std::vector<u8> buf(syms.size(), 0xEE);
-        recoil_decode_split<Rans32, 32, u8>(std::span<const u16>(enc.bitstream.units),
-                                            enc.metadata, m.tables(), k, buf.data());
+        const SplitJob<Rans32, u8> job{enc.bitstream.units, &enc.metadata, &t, k, buf.data()};
+        recoil_decode_splits<Rans32, 32, u8>({&job, 1});
         for (std::size_t i = 0; i < syms.size(); ++i) {
             if (buf[i] != 0xEE || syms[i] == 0xEE) {
                 // Position written (or coincidentally matching the sentinel —
@@ -277,8 +278,7 @@ TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
         }
     }
 
-    // A u16 indexed stream, whole and through random-access windows whose
-    // SimdRangeFn id window is the slice the covering splits touch.
+    // A u16 indexed stream, whole and through random-access windows.
     Xoshiro256 rng(399);
     std::vector<u16> syms(n);
     std::vector<u8> ids(n);
@@ -303,14 +303,11 @@ TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
         expect_every_lane_count_matches<u16>(units, meta, set.tables(), syms, "indexed");
         for (const auto& [lo, hi] :
              {std::pair<u64, u64>{1, 2}, {n / 3, 2 * n / 3}, {n - 100, n}}) {
-            const RangePlan plan = plan_range(meta, lo, hi);
             for (unsigned workers : {0u, 3u}) {
                 std::optional<ThreadPool> pool;
                 if (workers > 0) pool.emplace(workers);
                 for (simd::Backend b : available_backends()) {
-                    simd::SimdRangeFn<u16> range{b};
-                    range.valid_lo = plan.cover_lo;
-                    range.valid_hi = plan_touch_hi(meta, plan);
+                    const simd::SimdRangeFn<u16> range{b};
                     auto part = recoil_decode_range<Rans32, 32, u16>(
                         units, meta, set.tables(), lo, hi, pool ? &*pool : nullptr, range);
                     ASSERT_TRUE(std::equal(part.begin(), part.end(), syms.begin() + lo,

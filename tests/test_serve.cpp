@@ -487,12 +487,12 @@ TEST(RangeBoundary, OneSymbolAssetsServeTheirOnlyRange) {
 }
 
 TEST_F(RangeBoundaryFixture, SimdRangeDecodeIsBitExactWithScalarAtEveryEdge) {
-    // The vectorized range decode (SimdRangeFn, with its id window set to
-    // the indexed id slice) against the pinned scalar path, swept across
-    // group boundaries (the kernels work in 32-symbol groups) and slice
-    // edges where the guarded tail hands over to the per-symbol loop. On a
-    // host without AVX the two decodes collapse to the same path and the
-    // sweep still pins wire-vs-source bit-exactness.
+    // The vectorized range decode (SimdRangeFn over the indexed id slice)
+    // against the pinned scalar path, swept across group boundaries (the
+    // kernels work in 32-symbol groups) and slice edges, where the scalar
+    // head and tail hand over to the kernels. On a host without AVX the two
+    // decodes collapse to the same path and the sweep still pins
+    // wire-vs-source bit-exactness.
     const simd::Backend best = simd::pick_backend();
     const std::vector<u64> los = {0,      1,          31,         32,
                                   33,     63,         64,         65,

@@ -192,8 +192,9 @@ TEST(Simd, RaggedRangeAlignments) {
                 decode_positions<Rans32, 32>(cur, std::span<const u16>(bs.units), hi,
                                              hi - hi_off + 1, m.tables(), out.data());
             }
-            range(cur, std::span<const u16>(bs.units), hi - hi_off, 0, m.tables(),
-                  out.data());
+            const DecodeTables t = m.tables();
+            const RangeRun<Rans32, 32, u8> run{&cur, bs.units, hi - hi_off, 0, &t, out.data()};
+            range({&run, 1});
             drain_start<Rans32, 32>(cur, std::span<const u16>(bs.units), syms.size());
             EXPECT_EQ(cur.p, -1) << simd::backend_name(b) << " off " << hi_off;
             EXPECT_EQ(out, ref) << simd::backend_name(b) << " off " << hi_off;
@@ -214,9 +215,9 @@ TEST(Simd, GroupPopsBelowTheBitstreamAreTypedErrors) {
         LaneCursor<Rans32, 32> cur;
         cur.x.fill(1);
         cur.p = static_cast<i64>(units.size()) - 1;
-        EXPECT_THROW(range(cur, std::span<const u16>(units), 63, 0, m.tables(),
-                           out.data()),
-                     Error)
+        const DecodeTables t = m.tables();
+        const RangeRun<Rans32, 32, u8> run{&cur, units, 63, 0, &t, out.data()};
+        EXPECT_THROW(range({&run, 1}), Error)
             << simd::backend_name(b);
     }
 }
@@ -251,9 +252,13 @@ TEST(Simd, PairedRunsMatchTwoSingleRuns) {
         LaneCursor<Rans32, 32> a1 = a0, b1 = b0, a2 = a0, b2 = b0;
         std::vector<u8> oa1(syms_a.size()), ob1(syms_b.size()), oa2(syms_a.size()),
             ob2(syms_b.size());
-        range(a1, ua, hi_a, 0, ta, oa1.data());
-        range(b1, ub, hi_b, lo_b, tb, ob1.data());
-        range(Run{&a2, ua, hi_a, 0, &ta, oa2.data()}, Run{&b2, ub, hi_b, lo_b, &tb, ob2.data()});
+        const Run a1_run{&a1, ua, hi_a, 0, &ta, oa1.data()};
+        const Run b1_run{&b1, ub, hi_b, lo_b, &tb, ob1.data()};
+        const Run pair[2] = {{&a2, ua, hi_a, 0, &ta, oa2.data()},
+                             {&b2, ub, hi_b, lo_b, &tb, ob2.data()}};
+        range({&a1_run, 1});
+        range({&b1_run, 1});
+        range(pair);
         const char* name = simd::backend_name(b);
         EXPECT_EQ(oa2, oa1) << name;
         EXPECT_EQ(ob2, ob1) << name;
@@ -275,9 +280,9 @@ TEST(Simd, PairedRunsMatchTwoSingleRuns) {
         bad.x.fill(1);
         bad.p = static_cast<i64>(few.size()) - 1;
         std::vector<u8> junk(64);
-        EXPECT_THROW(range(Run{&good, ub, hi_b, lo_b, &tb, ob2.data()},
-                           Run{&bad, std::span<const u16>(few), 63, 0, &ta, junk.data()}),
-                     Error)
+        const Run good_bad[2] = {{&good, ub, hi_b, lo_b, &tb, ob2.data()},
+                                 {&bad, few, 63, 0, &ta, junk.data()}};
+        EXPECT_THROW(range(good_bad), Error)
             << name;
     }
 }

@@ -69,12 +69,5 @@ TEST(ThreadPool, LargeFanOut) {
     EXPECT_EQ(count.load(), 100000u);
 }
 
-TEST(ThreadPool, GlobalPoolSingleton) {
-    ThreadPool& a = global_pool();
-    ThreadPool& b = global_pool();
-    EXPECT_EQ(&a, &b);
-    EXPECT_GE(a.size(), 1u);
-}
-
 }  // namespace
 }  // namespace recoil
