@@ -107,7 +107,7 @@ obs::HistogramSnapshot hist_snap(const obs::Histogram& h) {
     return s;
 }
 
-/// Named server histogram as a snapshot; empty when absent (telemetry off).
+/// Named server histogram as a snapshot; empty when absent (sample_every 0).
 obs::HistogramSnapshot server_hist(ContentServer& server, const char* name) {
     const auto snap = server.metrics().snapshot();
     const auto* h = snap.find_histogram(name);
@@ -568,7 +568,7 @@ int main(int argc, char** argv) {
             return ServeRequest{"asset", 1, {{i, i + kWidth}}};
         };
         ServerOptions opt;
-        opt.telemetry = false;
+        opt.sample_every = 0;
         {  // size the cache from one entry's charge: about `entries` fit
             ContentServer probe(opt);
             probe.store().add_file("asset", *asset->file());
@@ -920,9 +920,8 @@ int main(int argc, char** argv) {
         const ServeRequest req{"asset", 16, std::nullopt};
         const int reps = quick ? 2000 : 20000;
         const u32 kSample = 64;
-        auto make_server = [&](bool telemetry, u32 sample_every) {
+        auto make_server = [&](u32 sample_every) {
             ServerOptions topt;
-            topt.telemetry = telemetry;
             topt.sample_every = sample_every;
             auto tsrv = std::make_unique<ContentServer>(topt);
             tsrv->store().add_file("asset", *asset->file());
@@ -930,9 +929,9 @@ int main(int argc, char** argv) {
             return tsrv;
         };
         std::unique_ptr<ContentServer> servers[3] = {
-            make_server(false, 1),        // telemetry disabled
-            make_server(true, kSample),   // sampled 1-in-64 (the gate)
-            make_server(true, 1)};        // full per-request tracing
+            make_server(0),        // telemetry disabled
+            make_server(kSample),  // sampled 1-in-64 (the gate)
+            make_server(1)};       // full per-request tracing
         double best[3] = {1e30, 1e30, 1e30};
         for (int round = 0; round < 9; ++round)
             for (int slot = 0; slot < 3; ++slot) {

@@ -84,10 +84,14 @@ int main() {
                                 : static_cast<i64>(splits[k].anchor_index);
         const i64 mn = last ? anchor + 1 : static_cast<i64>(splits[k].min_index);
         std::printf("thread %u:", k);
-        if (!last) std::printf(" sync [%lld..%lld] (discarded);", mn, anchor);
-        std::printf(" decode [%lld..%lld];", prev_anchor + 1,
-                    last ? anchor : mn - 1);
-        if (k > 0) std::printf(" cross-boundary [%lld..%lld]", prev_min, prev_anchor);
+        if (!last)
+            std::printf(" sync [%lld..%lld] (discarded);", static_cast<long long>(mn),
+                        static_cast<long long>(anchor));
+        std::printf(" decode [%lld..%lld];", static_cast<long long>(prev_anchor + 1),
+                    static_cast<long long>(last ? anchor : mn - 1));
+        if (k > 0)
+            std::printf(" cross-boundary [%lld..%lld]", static_cast<long long>(prev_min),
+                        static_cast<long long>(prev_anchor));
         std::printf("\n");
         prev_anchor = anchor;
         prev_min = mn;

@@ -57,7 +57,7 @@ int self_demo() {
     std::printf("compressed %zu -> %zu bytes (%.1f%%)\n", data.size(), rcf.size(),
                 100.0 * static_cast<double>(rcf.size()) / data.size());
     auto f = format::load_recoil_file(rcf);
-    auto served = format::serve_combined(f, 4);
+    auto served = format::save_recoil_file(f, combine_splits(f.metadata, 4));
     std::printf("served 4-way metadata: %zu bytes on the wire\n", served.size());
     auto out = decompress(served, 4);
     std::printf("round trip: %s\n", out == data ? "OK" : "MISMATCH");
@@ -92,7 +92,8 @@ int main(int argc, char** argv) {
         }
         if (mode == "serve" && argc >= 5) {
             auto f = format::load_recoil_file(read_file(argv[2]));
-            auto served = format::serve_combined(f, static_cast<u32>(std::atoi(argv[4])));
+            auto served = format::save_recoil_file(
+                f, combine_splits(f.metadata, static_cast<u32>(std::atoi(argv[4]))));
             write_file(argv[3], served);
             std::printf("served %s with %s splits: %zu bytes\n", argv[2], argv[4],
                         served.size());

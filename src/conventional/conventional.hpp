@@ -67,12 +67,7 @@ ConventionalEncoded<Cfg, NLanes> conventional_encode(std::span<const TSym> syms,
         const Model* m;
         u64 base;
         u32 prob_bits() const noexcept { return m->prob_bits(); }
-        EncSymbol enc_lookup(u64 i, u32 s) const noexcept {
-            return m->enc_lookup(base + i, s);
-        }
-        decltype(auto) enc_fast(u64 i, u32 s) const noexcept
-            requires requires(const Model& mm) { mm.enc_fast(u64{0}, u32{0}); }
-        {
+        const EncSymbolFast& enc_fast(u64 i, u32 s) const noexcept {
             return m->enc_fast(base + i, s);
         }
     };

@@ -565,10 +565,6 @@ u64 serialized_file_size(const RecoilFile& f) {
     return n + 8;  // checksum
 }
 
-std::vector<u8> serve_combined(const RecoilFile& f, u32 target_splits) {
-    return save_recoil_file(f, combine_splits(f.metadata, target_splits));
-}
-
 template <typename Model>
 RecoilFile make_recoil_file(const RecoilEncoded<Rans32, 32>& enc, const Model& model,
                             u8 sym_width) {
@@ -589,89 +585,5 @@ RecoilFile make_recoil_file(const RecoilEncoded<Rans32, 32>& enc, const Model& m
 
 template RecoilFile make_recoil_file<StaticModel>(const RecoilEncoded<Rans32, 32>&,
                                                   const StaticModel&, u8);
-
-namespace {
-constexpr char kConvMagic[4] = {'C', 'N', 'V', '1'};
-}
-
-std::vector<u8> save_conventional_file(const ConventionalFile& f) {
-    std::vector<u8> out;
-    put_magic(out, kConvMagic);
-    out.push_back(1);  // version
-    out.push_back(f.sym_width);
-    out.push_back(static_cast<u8>(f.prob_bits));
-    out.push_back(0);
-    put_freq_table(out, f.freq);
-    put_u64(out, f.payload.num_symbols);
-    put_u64(out, f.payload.partitions.size());
-    for (const auto& p : f.payload.partitions) {
-        put_u64(out, p.sym_begin);
-        put_u64(out, p.sym_count);
-        put_u64(out, p.unit_begin);
-        put_u64(out, p.unit_count);
-        for (u32 s : p.final_states) put_u32(out, s);
-    }
-    put_u64(out, f.payload.units.size());
-    const auto* ub = reinterpret_cast<const u8*>(f.payload.units.data());
-    out.insert(out.end(), ub, ub + f.payload.units.size() * 2);
-    append_checksum(out);
-    return out;
-}
-
-ConventionalFile load_conventional_file(std::span<const u8> bytes) {
-    Cursor c{checked_payload(bytes, "conventional container"),
-             "conventional container"};
-    if (std::memcmp(c.get_bytes(4).data(), kConvMagic, 4) != 0)
-        raise("conventional container: bad magic");
-    if (c.get_u8() != 1) raise("conventional container: unsupported version");
-    ConventionalFile f;
-    f.sym_width = c.get_u8();
-    if (f.sym_width != 1 && f.sym_width != 2)
-        raise("conventional container: bad symbol width");
-    f.prob_bits = c.get_u8();
-    if (f.prob_bits < 1 || f.prob_bits > 16)
-        raise("conventional container: bad prob_bits");
-    (void)c.get_u8();
-    f.freq = get_freq_table(c, f.prob_bits);
-    f.payload.num_symbols = c.get_u64();
-    const u64 parts = c.get_u64();
-    if (parts == 0 || parts > (u64{1} << 24))
-        raise("conventional container: bad partition count");
-    f.payload.partitions.resize(parts);
-    u64 covered = 0;
-    u64 units_covered = 0;
-    for (auto& p : f.payload.partitions) {
-        p.sym_begin = c.get_u64();
-        p.sym_count = c.get_u64();
-        p.unit_begin = c.get_u64();
-        p.unit_count = c.get_u64();
-        if (p.sym_begin != covered || p.unit_begin != units_covered)
-            raise("conventional container: partitions not contiguous");
-        // Compared with what is left, so neither sum can wrap; the unit sum
-        // must then equal the payload's unit count.
-        if (p.sym_count > f.payload.num_symbols - covered ||
-            p.unit_count > ~u64{0} - units_covered)
-            raise("conventional container: partition runs past the stream");
-        // A partition's local lanes are the decoder's global lanes only when
-        // every partition before it holds whole symbol groups.
-        if (&p != &f.payload.partitions.back() && p.sym_count % kLanes != 0)
-            raise("conventional container: partition is not whole symbol groups");
-        covered += p.sym_count;
-        units_covered += p.unit_count;
-        for (auto& s : p.final_states) s = c.get_u32();
-    }
-    if (covered != f.payload.num_symbols)
-        raise("conventional container: partitions do not cover the stream");
-    const u64 unit_count = c.get_u64();
-    if (unit_count != units_covered)
-        raise("conventional container: unit count mismatch");
-    auto units = c.get_unit_bytes(unit_count);
-    f.payload.units.resize(unit_count);
-    // A stream can encode to no units; memcpy from the (then null) slice
-    // pointer is UB even at size 0.
-    if (unit_count != 0)
-        std::memcpy(f.payload.units.data(), units.data(), unit_count * 2);
-    return f;
-}
 
 }  // namespace recoil::format

@@ -12,7 +12,6 @@
 #include <variant>
 #include <vector>
 
-#include "conventional/conventional.hpp"
 #include "core/metadata.hpp"
 #include "core/recoil_encoder.hpp"
 #include "format/wire_io.hpp"
@@ -82,26 +81,9 @@ RecoilFile load_recoil_file_view(std::span<const u8> bytes,
 /// the O(bitstream) buffer (only the metadata is encoded to measure it).
 u64 serialized_file_size(const RecoilFile& f);
 
-/// Serve a client with `target_splits` parallel capacity (§3.3): combines
-/// metadata in O(M) and re-serializes; the bitstream bytes are shared.
-std::vector<u8> serve_combined(const RecoilFile& f, u32 target_splits);
-
 /// Convenience builders for the common encode paths.
 template <typename Model>
 RecoilFile make_recoil_file(const RecoilEncoded<Rans32, 32>& enc, const Model& model,
                             u8 sym_width);
-
-/// Wire format for the conventional baseline (B): offset table + final
-/// states + concatenated sub-bitstreams. Exists so the baseline is a
-/// shippable artifact too and the size comparisons are container-to-container.
-struct ConventionalFile {
-    u8 sym_width = 1;
-    u32 prob_bits = 0;
-    std::vector<u32> freq;
-    ConventionalEncoded<Rans32, 32> payload;
-};
-
-std::vector<u8> save_conventional_file(const ConventionalFile& f);
-ConventionalFile load_conventional_file(std::span<const u8> bytes);
 
 }  // namespace recoil::format

@@ -1,6 +1,5 @@
 #include "obs/metrics.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <string_view>
 
@@ -183,20 +182,6 @@ std::string MetricsSnapshot::to_json() const {
     return out;
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-    util::MutexLock lk(mu_);
-    auto& slot = counters_[name];
-    if (slot == nullptr) slot = std::make_unique<Counter>();
-    return *slot;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-    util::MutexLock lk(mu_);
-    auto& slot = gauges_[name];
-    if (slot == nullptr) slot = std::make_unique<Gauge>();
-    return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name) {
     util::MutexLock lk(mu_);
     auto& slot = histograms_[name];
@@ -224,22 +209,15 @@ void MetricsRegistry::register_callback(const std::string& name,
 MetricsSnapshot MetricsRegistry::snapshot() const {
     MetricsSnapshot snap;
     util::MutexLock lk(mu_);
-    snap.counters.reserve(counters_.size());
-    for (const auto& [name, c] : counters_)
-        snap.counters.emplace_back(name, c->value());
-    snap.gauges.reserve(gauges_.size());
-    for (const auto& [name, g] : gauges_)
-        snap.gauges.emplace_back(name, g->value());
     // Callbacks are invoked under the registry mutex: registration order is
     // stable and a component being re-bound concurrently cannot interleave
-    // with the poll. Callbacks must not call back into this registry.
+    // with the poll. Callbacks must not call back into this registry. The
+    // map walks names in order, so both lists come out sorted.
     for (const auto& [name, kg] : callbacks_) {
         const u64 v = kg.second ? kg.second() : 0;
         (kg.first == MetricKind::counter ? snap.counters : snap.gauges)
             .emplace_back(name, v);
     }
-    std::sort(snap.counters.begin(), snap.counters.end());
-    std::sort(snap.gauges.begin(), snap.gauges.end());
     snap.histograms.reserve(histograms_.size());
     for (const auto& [name, h] : histograms_) {
         HistogramSnapshot hs;

@@ -1,15 +1,14 @@
 #pragma once
-// Lock-cheap metrics substrate for the serve stack. Three primitives —
-// monotonic Counter, set-to-current Gauge, and a fixed-bucket log2-scale
-// latency Histogram — all built on relaxed atomics, so a hot serve path
-// records a sample with one or two fetch_adds and never takes a lock. The
-// MetricsRegistry names them: components obtain stable Counter*/Histogram*
-// pointers once (registration takes the registry mutex; recording never
-// does) or register callback metrics that are polled at snapshot time —
-// how the pre-existing stats structs (CacheStats, GovernorStats, Totals)
-// surface through the registry without double-counting:
-// the callback reads the same atomics/mutex-guarded counters the stats()
-// API reports, so both views are bit-identical by construction.
+// Lock-cheap metrics substrate for the serve stack. Counters and gauges are
+// polled callbacks: a component registers a function over the stats it
+// keeps anyway (CacheStats, GovernorStats, Totals, ...), and the registry
+// invokes it at snapshot time only, so the callback and the component's
+// stats() API read the same atomics/mutex-guarded counters and both views
+// are bit-identical by construction, with no second set of hot-path
+// writes. Latencies go into a fixed-bucket log2-scale Histogram built on
+// relaxed atomics: a hot serve path records a sample with three fetch_adds
+// through a stable Histogram* it obtained once (registration takes the
+// registry mutex; recording never does).
 //
 // snapshot() produces a MetricsSnapshot: a point-in-time copy renderable
 // as Prometheus text exposition or JSON. Consistency contract: each metric
@@ -34,29 +33,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace recoil::obs {
-
-/// Monotonic event count. Relaxed increments: ordering between counters is
-/// not promised, totals are.
-class Counter {
-public:
-    void inc(u64 n = 1) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
-    u64 value() const noexcept { return v_.load(std::memory_order_relaxed); }
-
-private:
-    std::atomic<u64> v_{0};
-};
-
-/// Last-written level (bytes resident, entries held, ...).
-class Gauge {
-public:
-    void set(u64 v) noexcept { v_.store(v, std::memory_order_relaxed); }
-    void add(u64 n) noexcept { v_.fetch_add(n, std::memory_order_relaxed); }
-    void sub(u64 n) noexcept { v_.fetch_sub(n, std::memory_order_relaxed); }
-    u64 value() const noexcept { return v_.load(std::memory_order_relaxed); }
-
-private:
-    std::atomic<u64> v_{0};
-};
 
 /// Fixed-bucket log-scale latency histogram. Bucket i holds samples in
 /// [2^i, 2^(i+1)) nanoseconds (bucket 0 additionally holds 0 ns; the last
@@ -153,18 +129,16 @@ struct MetricsSnapshot {
     std::string to_json() const;
 };
 
-/// Named metric directory. counter()/gauge()/histogram() are get-or-create
-/// and return references stable for the registry's lifetime (hold the
-/// pointer; never re-look-up on a hot path). register_callback() attaches a
-/// polled metric: the function is invoked at snapshot() time only — the
+/// Named metric directory. histogram() is get-or-create and returns a
+/// reference stable for the registry's lifetime (hold the pointer; never
+/// re-look-up on a hot path). register_callback() attaches a polled
+/// counter or gauge: the function is invoked at snapshot() time only — the
 /// mechanism by which existing stats structs join the registry without a
 /// second set of hot-path writes. Re-registering a callback name replaces
 /// it (a replaced component, e.g. a re-attached DiskStore, takes over its
 /// names).
 class MetricsRegistry {
 public:
-    Counter& counter(const std::string& name) RECOIL_EXCLUDES(mu_);
-    Gauge& gauge(const std::string& name) RECOIL_EXCLUDES(mu_);
     Histogram& histogram(const std::string& name) RECOIL_EXCLUDES(mu_);
 
     using Callback = std::function<u64()>;
@@ -181,15 +155,11 @@ public:
     MetricsSnapshot snapshot() const RECOIL_EXCLUDES(mu_);
 
 private:
-    // mu_ guards the name->metric directory only. The metric objects
-    // themselves (Counter/Gauge/Histogram) are relaxed atomics recorded
-    // against via stable pointers — the documented lock-free escape that
-    // keeps the serve hot path from ever taking this mutex.
+    // mu_ guards the name->metric directory only. The histograms
+    // themselves are relaxed atomics recorded against via stable pointers —
+    // the documented lock-free escape that keeps the serve hot path from
+    // ever taking this mutex.
     mutable util::Mutex mu_;
-    std::map<std::string, std::unique_ptr<Counter>> counters_
-        RECOIL_GUARDED_BY(mu_);
-    std::map<std::string, std::unique_ptr<Gauge>> gauges_
-        RECOIL_GUARDED_BY(mu_);
     std::map<std::string, std::unique_ptr<Histogram>> histograms_
         RECOIL_GUARDED_BY(mu_);
     std::map<std::string, std::pair<MetricKind, Callback>> callbacks_

@@ -3,7 +3,7 @@
 // through ContentServer::prepare -> cache lookup -> combine/stream
 // production -> governor pass, recording a span (name, start offset,
 // duration, nesting depth) per phase into a small inline array — no heap
-// on the hot path, and an inactive context (telemetry disabled) costs two
+// on the hot path, and an inactive context (request not sampled) costs two
 // pointer writes total. Spans double as the histogram feed: a Scoped span
 // given a Histogram* observes its own duration on close, so the per-phase
 // latency distributions and the trace come from the same clock reads.
@@ -68,9 +68,9 @@ public:
     /// out of scope and, when `h` is non-null, observes the duration into
     /// the histogram — the trace and the latency distribution come from the
     /// same clock reads (offsets on the trace's own clock; no second
-    /// stopwatch). On an inactive trace (telemetry off, or this request not
-    /// sampled) the span is a complete no-op: no clock read, no histogram
-    /// sample — which is what makes request sampling actually free, and
+    /// stopwatch). On an inactive trace (this request not sampled) the
+    /// span is a complete no-op: no clock read, no histogram sample —
+    /// which is what makes request sampling actually free, and
     /// means the per-phase histograms describe exactly the sampled
     /// requests.
     class Scoped {

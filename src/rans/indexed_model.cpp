@@ -45,8 +45,6 @@ IndexedModelSet::IndexedModelSet(std::span<const std::vector<u32>> pdfs, u32 pro
     // appended rather than zero-filled first.
     fc_.reserve(slots * model_count_);
     sym_.reserve(slots * model_count_);
-    enc_freq_.resize(u64{alphabet_ + 1} * model_count_);
-    enc_cum_.resize(u64{alphabet_ + 1} * model_count_);
     fast_.reserve(u64{alphabet_} * model_count_);
     for (u32 m = 0; m < model_count_; ++m) {
         u32 cum = 0;
@@ -54,8 +52,6 @@ IndexedModelSet::IndexedModelSet(std::span<const std::vector<u32>> pdfs, u32 pro
             const u32 f = pdfs[m][s];
             fc_.insert(fc_.end(), f, ((f - 1) << 16) | cum);
             sym_.insert(sym_.end(), f, s);
-            enc_freq_[u64{m} * (alphabet_ + 1) + s] = f;
-            enc_cum_[u64{m} * (alphabet_ + 1) + s] = cum;
             fast_.push_back(EncSymbolFast::make(f, cum, prob_bits_));
             cum += f;
         }

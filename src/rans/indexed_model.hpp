@@ -27,11 +27,6 @@ public:
     u32 model_count() const noexcept { return model_count_; }
     std::span<const u8> ids() const noexcept { return ids_; }
 
-    EncSymbol enc_lookup(u64 sym_index, u32 sym) const noexcept {
-        const u64 base = u64{ids_[sym_index]} * (alphabet_ + 1);
-        return EncSymbol{enc_freq_[base + sym], enc_cum_[base + sym]};
-    }
-
     /// Division-free encode entry for the model selected at `sym_index`.
     const EncSymbolFast& enc_fast(u64 sym_index, u32 sym) const noexcept {
         return fast_[u64{ids_[sym_index]} * alphabet_ + sym];
@@ -59,8 +54,6 @@ private:
     // (id << prob_bits) | slot.
     std::vector<u32> fc_;
     std::vector<u32> sym_;
-    std::vector<u32> enc_freq_;  // (alphabet+1) stride per model
-    std::vector<u32> enc_cum_;
     std::vector<EncSymbolFast> fast_;  // alphabet stride per model
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string_view>
 
 #include "format/wire_io.hpp"
 
@@ -67,6 +68,22 @@ void check_version(Cursor& c, const char* ctx) {
     if (v != kProtocolVersion)
         fail(ErrorCode::unsupported_version,
              std::string(ctx) + ": unsupported version " + std::to_string(v));
+}
+
+/// The `detail` field of a v1 response, a v2 header and a FIN: a u32
+/// length, then the text, cut to kMaxDetailLen bytes.
+void put_detail(std::vector<u8>& out, std::string_view detail) {
+    detail = detail.substr(0, kMaxDetailLen);
+    put_u32(out, static_cast<u32>(detail.size()));
+    out.insert(out.end(), detail.begin(), detail.end());
+}
+
+std::string get_detail(Cursor& c) {
+    const u32 len = c.get_u32();
+    if (len > kMaxDetailLen)
+        fail(ErrorCode::malformed_frame, std::string(c.ctx) + ": detail too long");
+    const auto bytes = c.get_bytes(len);
+    return std::string(bytes.begin(), bytes.end());
 }
 
 }  // namespace
@@ -228,10 +245,7 @@ std::vector<u8> encode_response(const ServeResult& res, u64 max_frame_bytes) {
     out.push_back(static_cast<u8>((res.stats.cache_hit ? kResponseFlagCacheHit : 0) |
                                   (res.stats.coalesced ? kResponseFlagCoalesced : 0)));
     put_u32(out, res.stats.splits_served);
-    std::string detail = res.detail;
-    if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
-    put_u32(out, static_cast<u32>(detail.size()));
-    out.insert(out.end(), detail.begin(), detail.end());
+    put_detail(out, res.detail);
     if (carries) {
         put_u64(out, res.wire->size());
         for (const format::ByteBuffer& p : res.wire->pieces())
@@ -276,11 +290,7 @@ ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
         res.stats.cache_hit = (flags & kResponseFlagCacheHit) != 0;
         res.stats.coalesced = (flags & kResponseFlagCoalesced) != 0;
         res.stats.splits_served = c.get_u32();
-        const u32 detail_len = c.get_u32();
-        if (detail_len > kMaxDetailLen)
-            fail(ErrorCode::malformed_frame, std::string(ctx) + ": detail too long");
-        auto detail = c.get_bytes(detail_len);
-        res.detail.assign(detail.begin(), detail.end());
+        res.detail = get_detail(c);
         const u64 wire_len = c.get_u64();
         // Success carries exactly one payload; errors carry none. Enforcing
         // the correlation keeps transports from trusting half-formed frames.
@@ -405,10 +415,7 @@ std::vector<u8> encode_stream_header(const StreamHeader& h) {
     put_u32(out, h.splits);
     put_u64(out, h.wire_bytes);
     put_u64(out, h.max_frame_bytes);
-    std::string detail = h.detail;
-    if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
-    put_u32(out, static_cast<u32>(detail.size()));
-    out.insert(out.end(), detail.begin(), detail.end());
+    put_detail(out, h.detail);
     append_checksum(out);
     return out;
 }
@@ -452,10 +459,7 @@ std::vector<u8> encode_stream_fin(const StreamFin& fin) {
     put_u32(out, fin.body_frames);
     put_u32(out, fin.splits);
     put_u64(out, fin.wire_checksum);
-    std::string detail = fin.detail;
-    if (detail.size() > kMaxDetailLen) detail.resize(kMaxDetailLen);
-    put_u32(out, static_cast<u32>(detail.size()));
-    out.insert(out.end(), detail.begin(), detail.end());
+    put_detail(out, fin.detail);
     append_checksum(out);
     return out;
 }
@@ -496,12 +500,7 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
                 f.header.splits = c.get_u32();
                 f.header.wire_bytes = c.get_u64();
                 f.header.max_frame_bytes = c.get_u64();
-                const u32 detail_len = c.get_u32();
-                if (detail_len > kMaxDetailLen)
-                    fail(ErrorCode::malformed_frame,
-                         std::string(ctx) + ": detail too long");
-                auto detail = c.get_bytes(detail_len);
-                f.header.detail.assign(detail.begin(), detail.end());
+                f.header.detail = get_detail(c);
                 const bool err = f.header.code != ErrorCode::ok;
                 if (err != (f.header.payload == PayloadKind::none))
                     fail(ErrorCode::malformed_frame,
@@ -522,12 +521,7 @@ StreamFrame decode_stream_frame(std::span<const u8> frame,
                 f.fin.body_frames = c.get_u32();
                 f.fin.splits = c.get_u32();
                 f.fin.wire_checksum = c.get_u64();
-                const u32 detail_len = c.get_u32();
-                if (detail_len > kMaxDetailLen)
-                    fail(ErrorCode::malformed_frame,
-                         std::string(ctx) + ": detail too long");
-                auto detail = c.get_bytes(detail_len);
-                f.fin.detail.assign(detail.begin(), detail.end());
+                f.fin.detail = get_detail(c);
                 break;
             }
         }

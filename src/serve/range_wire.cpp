@@ -271,13 +271,10 @@ ParsedRange parse_range_wire(std::span<const u8> bytes) {
     return p;
 }
 
+/// The [lo, hi) symbols of a parsed wire whose sym_width is sizeof(TSym).
 template <typename TSym>
-std::vector<TSym> decode_range_impl(std::span<const u8> bytes,
-                                    ThreadPool* pool, simd::Backend backend) {
-    ParsedRange p = parse_range_wire(bytes);
-    if (p.info.sym_width != sizeof(TSym))
-        raise("range wire: symbol width mismatch");
-
+std::vector<TSym> decode_segments(ParsedRange& p, ThreadPool* pool,
+                                  simd::Backend backend) {
     std::vector<TSym> out(p.info.hi - p.info.lo);
     const simd::SimdRangeFn<TSym> range_fn{simd::clamp_backend(backend)};
     for (ParsedSegment& seg : p.segments) {
@@ -356,13 +353,13 @@ RangeWireInfo inspect_range_wire(std::span<const u8> bytes) {
 
 std::vector<u8> decode_range_wire(std::span<const u8> bytes, ThreadPool* pool,
                                   simd::Backend backend) {
-    return decode_range_impl<u8>(bytes, pool, backend);
-}
-
-std::vector<u16> decode_range_wire_u16(std::span<const u8> bytes,
-                                       ThreadPool* pool,
-                                       simd::Backend backend) {
-    return decode_range_impl<u16>(bytes, pool, backend);
+    ParsedRange p = parse_range_wire(bytes);
+    if (p.info.sym_width == 1) return decode_segments<u8>(p, pool, backend);
+    const std::vector<u16> syms = decode_segments<u16>(p, pool, backend);
+    std::vector<u8> out;
+    out.reserve(2 * syms.size());
+    for (const u16 s : syms) put_u16(out, s);
+    return out;
 }
 
 }  // namespace recoil::serve

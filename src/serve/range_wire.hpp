@@ -68,16 +68,15 @@ u32 range_wire_into(const stream::ChunkedStream& s, u64 lo, u64 hi,
 RangeWireInfo inspect_range_wire(std::span<const u8> bytes);
 
 /// Client side: parse, validate and decode, returning exactly the [lo, hi)
-/// symbols. The u8/u16 variant must match the wire's sym_width. `backend`
-/// selects the range-decode kernel (clamped to what this build/CPU has):
-/// the default is the best available; tests and benches pass
-/// simd::Backend::Scalar to pin the reference path and prove the vector
-/// body bit-exact against it.
+/// symbols as bytes at the wire's sym_width: one byte per symbol on an
+/// 8-bit wire; on a 16-bit wire each symbol becomes two little-endian
+/// bytes (the encoding the unit payload has), so symbol lo + i sits at
+/// bytes [2i, 2i + 2). `backend` selects the range-decode kernel (clamped
+/// to what this build/CPU has): the default is the best available; tests
+/// and benches pass simd::Backend::Scalar to pin the reference path and
+/// prove the vector body bit-exact against it.
 std::vector<u8> decode_range_wire(std::span<const u8> bytes,
                                   ThreadPool* pool = nullptr,
                                   simd::Backend backend = simd::pick_backend());
-std::vector<u16> decode_range_wire_u16(std::span<const u8> bytes,
-                                       ThreadPool* pool = nullptr,
-                                       simd::Backend backend = simd::pick_backend());
 
 }  // namespace recoil::serve

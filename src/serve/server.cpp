@@ -115,8 +115,8 @@ ContentServer::ContentServer(ServerOptions opt)
 void ContentServer::init_telemetry() {
     using obs::MetricKind;
     // The serve totals as polled callbacks over the same atomics totals()
-    // reads — registered regardless of the telemetry knob: polling costs
-    // nothing until someone snapshots.
+    // reads — registered regardless of sampling: polling costs nothing
+    // until someone snapshots.
     const auto poll = [this](const std::atomic<u64>& v) {
         return [&v] { return v.load(std::memory_order_relaxed); };
     };
@@ -153,7 +153,7 @@ void ContentServer::init_telemetry() {
         opt_.sample_every > 1 && std::has_single_bit(u64{opt_.sample_every})
             ? u64{opt_.sample_every} - 1
             : 0;
-    if (!opt_.telemetry) return;
+    if (opt_.sample_every == 0) return;
     h_request_ = &metrics_.histogram("serve_request_seconds");
     h_prepare_ = &metrics_.histogram("serve_prepare_seconds");
     h_decode_ = &metrics_.histogram("serve_decode_seconds");
@@ -264,7 +264,7 @@ void ContentServer::note_governance_failure(u16 code, std::string code_name,
     // must not vanish either: the counter surfaces in Totals, and the slow
     // log keeps WHAT failed as a structured event with the typed code.
     governance_failures_.fetch_add(1, std::memory_order_relaxed);
-    if (!opt_.telemetry) return;
+    if (opt_.sample_every == 0) return;
     try {
         obs::TraceRecord rec;
         rec.id = obs::next_trace_id();

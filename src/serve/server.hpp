@@ -44,12 +44,6 @@ struct ServerOptions {
     /// the start of every miss combine (materialized or streamed), before
     /// the wire is built.
     std::function<void(const std::string&)> combine_hook;
-    /// Hot-path telemetry: per-phase latency histograms, request traces and
-    /// the slow-request log. Off, those record nothing (the overhead knob
-    /// bench_serve measures against); the metrics REGISTRY itself stays live
-    /// either way — counters/gauges are polled callbacks over stats the
-    /// server maintains regardless, so snapshots keep working.
-    bool telemetry = true;
     /// Take the TIMED telemetry path (trace spans, per-phase histograms,
     /// slow-log consideration) for 1 of every N requests. 1 (default) =
     /// full fidelity: every request is traced, at an absolute cost of a few
@@ -57,7 +51,12 @@ struct ServerOptions {
     /// themselves sub-microsecond. For that in-process regime set 32+: the
     /// amortized cost drops under the 2% warm-hit budget bench_serve
     /// enforces, histograms/slow-log then describe the sampled subset, and
-    /// every counter/gauge stays exact (they are never sampled).
+    /// every counter/gauge stays exact (they are never sampled). 0 = never:
+    /// no histogram is created, nothing is traced and the slow-request log
+    /// records nothing (the baseline bench_serve measures overhead
+    /// against); the metrics REGISTRY stays live either way — counters and
+    /// gauges are polled callbacks over stats the server maintains
+    /// regardless, so snapshots keep working.
     u32 sample_every = 1;
     /// Body-frame payload size of every stream this server sends; at least
     /// 8 (a frame holds a whole trailer). The serializer's one pass builds
@@ -132,7 +131,7 @@ private:
     u32 seq_ = 0;
     u64 frames_ = 0;
     Phase phase_ = Phase::header;
-    obs::TraceContext trace_;  ///< inactive when telemetry is off
+    obs::TraceContext trace_;  ///< inactive unless this request is sampled
     obs::Histogram* h_frame_ = nullptr;  ///< stream_frame_seconds (or null)
 };
 
@@ -168,10 +167,10 @@ public:
     /// Unified telemetry directory: one snapshot() covers all four serve
     /// subsystems (server totals, cache, governor, stores) plus the
     /// per-phase latency histograms. Always live — see
-    /// ServerOptions::telemetry for what the knob does and does not gate.
+    /// ServerOptions::sample_every for what sampling does and does not gate.
     obs::MetricsRegistry& metrics() noexcept { return metrics_; }
     /// The N slowest and N most recent failed requests, as structured trace
-    /// events (populated only with ServerOptions::telemetry on).
+    /// events (populated only while ServerOptions::sample_every is not 0).
     const obs::SlowRequestLog& slow_log() const noexcept { return slow_log_; }
 
     /// Serve one request. Never throws: failures come back as a typed
@@ -254,7 +253,7 @@ private:
     /// the combine the response enters the cache only while `p.asset` is
     /// still the resident asset under its name: an entry views that
     /// instance's payload, which the budget counts only while it is
-    /// resident (the stale-put gate). `trace` may be null (telemetry off):
+    /// resident (the stale-put gate). `trace` may be null (not sampled):
     /// spans are then skipped but behavior is identical.
     SharedResponse serve_shared(const Prepared& p, ServeStats& stats,
                                 obs::TraceContext* trace);
@@ -279,16 +278,15 @@ private:
     void note_governance_failure(u16 code, std::string code_name,
                                  std::string detail) noexcept;
     /// Register the serve_* callback metrics, bind the subsystems, and
-    /// (telemetry on) create the per-phase histograms.
+    /// (sample_every not 0) create the per-phase histograms.
     void init_telemetry();
     /// True when the request holding requests_ tick `tick` should take the
-    /// timed path (active trace + histograms): telemetry on, and the
-    /// 1-in-sample_every toss hits. Piggybacks on the totals counter the
-    /// serve path bumps anyway — sampling adds zero extra atomics — and
-    /// power-of-two rates (the sane choices) go through a divide-free mask.
+    /// timed path (active trace + histograms): the 1-in-sample_every toss
+    /// hits (never for 0). Piggybacks on the totals counter the serve path
+    /// bumps anyway — sampling adds zero extra atomics — and power-of-two
+    /// rates (the sane choices) go through a divide-free mask.
     bool sample_tick(u64 tick) const noexcept {
-        if (!opt_.telemetry) return false;
-        if (opt_.sample_every <= 1) return true;
+        if (opt_.sample_every <= 1) return opt_.sample_every == 1;
         if (sample_mask_ != 0) return (tick & sample_mask_) == 0;
         return tick % opt_.sample_every == 0;
     }
@@ -322,8 +320,8 @@ private:
     u64 sample_mask_ = 0;  ///< sample_every-1 when a power of two, else 0
     obs::MetricsRegistry metrics_;
     obs::SlowRequestLog slow_log_;
-    /// Per-phase histograms, created by init_telemetry() when
-    /// ServerOptions::telemetry is on; null otherwise, and every recording
+    /// Per-phase histograms, created by init_telemetry() unless
+    /// ServerOptions::sample_every is 0; null then, and every recording
     /// site checks — the whole hot-path cost of the off state is a few
     /// null tests.
     obs::Histogram* h_request_ = nullptr;  ///< serve_request_seconds

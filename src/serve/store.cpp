@@ -139,6 +139,22 @@ void write_file_durable(const fs::path& final_path, std::span<const u8> bytes) {
     }
 }
 
+/// Map the container at `path` and check it against its manifest entry
+/// `info`: the size and the FNV-1a checksum. A mismatch is bad_container.
+std::shared_ptr<const MappedFile> map_checked(const fs::path& path,
+                                              const StoredAssetInfo& info) {
+    auto map = MappedFile::map(path);
+    if (map->bytes().size() != info.container_bytes)
+        fail(StoreStatus::bad_container,
+             "store: container for asset '" + info.name + "' is " +
+                 std::to_string(map->bytes().size()) + " B, manifest says " +
+                 std::to_string(info.container_bytes) + " B");
+    if (format::fnv1a(map->bytes()) != info.checksum)
+        fail(StoreStatus::bad_container,
+             "store: container checksum mismatch for asset '" + info.name + "'");
+    return map;
+}
+
 }  // namespace
 
 const char* store_status_name(StoreStatus status) noexcept {
@@ -293,17 +309,7 @@ std::optional<DiskStore::Loaded> DiskStore::load(const std::string& name) const 
             info = it->second;
         }
         try {
-            auto map = MappedFile::map(container_path(name, info.generation));
-            if (map->bytes().size() != info.container_bytes)
-                fail(StoreStatus::bad_container,
-                     "store: container for asset '" + name + "' is " +
-                         std::to_string(map->bytes().size()) +
-                         " B, manifest says " +
-                         std::to_string(info.container_bytes) + " B");
-            if (format::fnv1a(map->bytes()) != info.checksum)
-                fail(StoreStatus::bad_container,
-                     "store: container checksum mismatch for asset '" + name +
-                         "'");
+            auto map = map_checked(container_path(name, info.generation), info);
             loads_.fetch_add(1, std::memory_order_relaxed);
             load_bytes_.fetch_add(map->bytes().size(),
                                   std::memory_order_relaxed);
@@ -334,17 +340,7 @@ DiskStore::VerifyReport DiskStore::verify() const {
     for (const StoredAssetInfo& info : assets) {
         ++report.checked;
         try {
-            auto map = MappedFile::map(container_path(info.name, info.generation));
-            if (map->bytes().size() != info.container_bytes)
-                fail(StoreStatus::bad_container,
-                     "store: container for asset '" + info.name + "' is " +
-                         std::to_string(map->bytes().size()) +
-                         " B, manifest says " +
-                         std::to_string(info.container_bytes) + " B");
-            if (format::fnv1a(map->bytes()) != info.checksum)
-                fail(StoreStatus::bad_container,
-                     "store: container checksum mismatch for asset '" +
-                         info.name + "'");
+            auto map = map_checked(container_path(info.name, info.generation), info);
             // Structural validation via the real parser: a container whose
             // checksum holds can still carry nonsense a demand-load would
             // reject (the manifest hash covers bytes, not invariants).

@@ -5,7 +5,6 @@
 
 #include <cmath>
 
-#include "conventional/conventional.hpp"
 #include "core/recoil_decoder.hpp"
 #include "format/container.hpp"
 #include "simd/dispatch.hpp"
@@ -16,28 +15,6 @@
 
 namespace recoil {
 namespace {
-
-/// Every backend this build and CPU can run.
-std::vector<simd::Backend> backends() {
-    std::vector<simd::Backend> v{simd::Backend::Scalar};
-    for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
-        if (simd::clamp_backend(b) == b) v.push_back(b);
-    return v;
-}
-
-format::ConventionalFile conventional_file(std::span<const u8> syms, const StaticModel& m,
-                                           u32 partitions) {
-    format::ConventionalFile f;
-    f.sym_width = 1;
-    f.prob_bits = m.prob_bits();
-    for (u32 s = 0; s < m.alphabet(); ++s) f.freq.push_back(m.freq(s));
-    f.payload = conventional_encode<Rans32, 32>(syms, m, partitions);
-    return f;
-}
-
-format::ConventionalFile reload(const format::ConventionalFile& f) {
-    return format::load_conventional_file(format::save_conventional_file(f));
-}
 
 format::RecoilFile make_file(std::size_t n, u32 max_splits) {
     auto syms = test::geometric_symbols<u8>(n, 0.6, 256, n + max_splits);
@@ -75,7 +52,7 @@ TEST(Container, ServeCombinedShrinksAndDecodes) {
     auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(syms), m, 256);
     auto f = format::make_recoil_file(enc, m, 1);
     auto large = format::save_recoil_file(f);
-    auto small = format::serve_combined(f, 8);
+    auto small = format::save_recoil_file(f, combine_splits(f.metadata, 8));
     EXPECT_LT(small.size(), large.size());
     auto g = format::load_recoil_file(small);
     EXPECT_LE(g.metadata.num_splits(), 8u);
@@ -171,124 +148,6 @@ TEST(Container, TruncationDetected) {
                              bytes.size() - 1}) {
         std::vector<u8> t(bytes.begin(), bytes.begin() + keep);
         EXPECT_THROW(format::load_recoil_file(t), Error) << keep;
-    }
-}
-
-TEST(Container, ConventionalFileRoundTrip) {
-    auto syms = test::geometric_symbols<u8>(120000, 0.6, 256, 70);
-    auto m = test::model_for<u8>(syms, 11, 256);
-    format::ConventionalFile f;
-    f.sym_width = 1;
-    f.prob_bits = 11;
-    f.freq.resize(256);
-    for (u32 s = 0; s < 256; ++s) f.freq[s] = m.freq(s);
-    f.payload = conventional_encode<Rans32, 32>(std::span<const u8>(syms), m, 24);
-
-    auto bytes = format::save_conventional_file(f);
-    auto g = format::load_conventional_file(bytes);
-    EXPECT_EQ(g.payload.partitions.size(), f.payload.partitions.size());
-    StaticModel model(std::span<const u32>(g.freq), g.prob_bits, 0);
-    auto dec = conventional_decode<Rans32, 32, u8>(g.payload, model.tables());
-    EXPECT_TRUE(std::equal(dec.begin(), dec.end(), syms.begin()));
-}
-
-TEST(Container, ConventionalFileCorruptionDetected) {
-    auto syms = test::geometric_symbols<u8>(40000, 0.5, 256, 71);
-    auto m = test::model_for<u8>(syms, 11, 256);
-    format::ConventionalFile f;
-    f.sym_width = 1;
-    f.prob_bits = 11;
-    f.freq.resize(256);
-    for (u32 s = 0; s < 256; ++s) f.freq[s] = m.freq(s);
-    f.payload = conventional_encode<Rans32, 32>(std::span<const u8>(syms), m, 8);
-    auto bytes = format::save_conventional_file(f);
-    Xoshiro256 rng(72);
-    for (int iter = 0; iter < 20; ++iter) {
-        auto bad = bytes;
-        bad[rng.below(bad.size())] ^= static_cast<u8>(1u << rng.below(8));
-        EXPECT_THROW(format::load_conventional_file(bad), Error);
-    }
-}
-
-TEST(Container, ConventionalPartitionsThatWrapAreRejected) {
-    // Partition counts are u64s on the wire. Counts that run past the
-    // stream and wrap the running sums back to the right totals, or a
-    // partition before the last that is not whole 32-symbol groups, must
-    // fail the load: the decoder hands each partition its own unit slice
-    // and maps its positions to lanes globally.
-    const auto syms = test::geometric_symbols<u8>(64, 0.5, 256, 73);
-    const auto f = conventional_file(syms, test::model_for<u8>(syms, 11, 256), 2);
-    ASSERT_EQ(f.payload.partitions.size(), 2u);
-    ASSERT_NO_THROW(reload(f));
-    const u64 units = f.payload.units.size();
-
-    auto wrap_symbols = [&](format::ConventionalFile& g) {
-        auto& p = g.payload.partitions;
-        p[0].sym_count = 0 - u64{32};
-        p[1].sym_begin = p[0].sym_count;
-        p[1].sym_count = 96;  // the sum wraps to 64
-    };
-    auto wrap_units = [&](format::ConventionalFile& g) {
-        auto& p = g.payload.partitions;
-        p[0].unit_count = 0 - u64{101};
-        p[1].unit_begin = p[0].unit_count;
-        p[1].unit_count = units + 101;  // the sum wraps to `units`
-    };
-    auto both = f, symbols_only = f, units_only = f, ragged = f;
-    wrap_symbols(both);
-    wrap_units(both);
-    wrap_symbols(symbols_only);
-    wrap_units(units_only);
-    ragged.payload.partitions[0].sym_count = 31;
-    ragged.payload.partitions[1].sym_begin = 31;
-    ragged.payload.partitions[1].sym_count = 33;
-    EXPECT_THROW(reload(both), Error);
-    EXPECT_THROW(reload(symbols_only), Error);
-    EXPECT_THROW(reload(units_only), Error);
-    EXPECT_THROW(reload(ragged), Error);
-}
-
-TEST(Container, ConventionalFileWithoutUnitsRoundTrips) {
-    // 40 copies of a frequent symbol in 2 partitions: no lane renormalizes,
-    // so the stream has no units at all, and still saves, loads and decodes.
-    const std::vector<u8> syms(40, 'a');
-    std::vector<u64> counts(256, 1);
-    counts['a'] = 1000;
-    const StaticModel m(counts, 11);
-    const auto f = conventional_file(syms, m, 2);
-    ASSERT_EQ(f.payload.partitions.size(), 2u);
-    ASSERT_TRUE(f.payload.units.empty());
-    const auto g = reload(f);
-    for (const simd::Backend b : backends()) {
-        EXPECT_EQ((conventional_decode<Rans32, 32, u8>(g.payload, m.tables(), nullptr,
-                                                       simd::SimdRangeFn<u8>{b})),
-                  syms)
-            << simd::backend_name(b);
-    }
-}
-
-TEST(Container, ResealedFlipsInConventionalPartitionsAreTypedDecodeErrors) {
-    // The conventional twin of ResealedFlipsInSplitZeroAreTypedDecodeErrors:
-    // a single-bit flip in any partition's units, resealed, must fail that
-    // partition's end-state check (every unit consumed, every used lane
-    // back at L) on every backend, instead of returning wrong bytes.
-    const auto text = workload::gen_text(64 * 1024, 5);
-    const auto m = test::model_for<u8>(text, 11, 256);
-    const auto f = conventional_file(text, m, 16);
-    ASSERT_EQ(f.payload.partitions.size(), 16u);
-    const u64 n = f.payload.units.size();
-    for (u64 i = 0; i < 200; ++i) {
-        auto bad = f;
-        const u64 pos = (i * n) / 200;
-        bad.payload.units[pos] ^= static_cast<u16>(1u << (i % 16));
-        const auto g = reload(bad);
-        for (const simd::Backend b : backends()) {
-            const auto decode = [&] {
-                return conventional_decode<Rans32, 32, u8>(g.payload, m.tables(), nullptr,
-                                                           simd::SimdRangeFn<u8>{b});
-            };
-            EXPECT_THROW(decode(), Error) << "unit " << pos << " on " << simd::backend_name(b);
-        }
     }
 }
 

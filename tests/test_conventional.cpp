@@ -4,10 +4,20 @@
 
 #include "conventional/conventional.hpp"
 #include "rans/indexed_model.hpp"
+#include "simd/dispatch.hpp"
 #include "test_util.hpp"
+#include "workload/datasets.hpp"
 
 namespace recoil {
 namespace {
+
+/// Every backend this build and CPU can run.
+std::vector<simd::Backend> backends() {
+    std::vector<simd::Backend> v{simd::Backend::Scalar};
+    for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
+        if (simd::clamp_backend(b) == b) v.push_back(b);
+    return v;
+}
 
 TEST(Conventional, RoundTripAcrossPartitionCounts) {
     auto syms = test::geometric_symbols<u8>(200000, 0.6, 256, 31);
@@ -107,6 +117,48 @@ TEST(Conventional, SixteenBitSymbols) {
     auto enc = conventional_encode<Rans32, 32>(std::span<const u16>(syms), m, 32);
     auto dec = conventional_decode<Rans32, 32, u16>(enc, m.tables());
     EXPECT_TRUE(std::equal(dec.begin(), dec.end(), syms.begin()));
+}
+
+TEST(Conventional, StreamWithoutUnitsDecodesOnEveryBackend) {
+    // 40 copies of a frequent symbol in 2 partitions: no lane renormalizes,
+    // so the stream has no units at all, and still decodes.
+    const std::vector<u8> syms(40, 'a');
+    std::vector<u64> counts(256, 1);
+    counts['a'] = 1000;
+    const StaticModel m(counts, 11);
+    const auto enc = conventional_encode<Rans32, 32>(std::span<const u8>(syms), m, 2);
+    ASSERT_EQ(enc.partitions.size(), 2u);
+    ASSERT_TRUE(enc.units.empty());
+    for (const simd::Backend b : backends()) {
+        EXPECT_EQ((conventional_decode<Rans32, 32, u8>(enc, m.tables(), nullptr,
+                                                       simd::SimdRangeFn<u8>{b})),
+                  syms)
+            << simd::backend_name(b);
+    }
+}
+
+TEST(Conventional, FlippedUnitsInAnyPartitionAreTypedDecodeErrors) {
+    // The conventional twin of the container suite's split-0 flips: a
+    // single-bit flip in any partition's units must fail that partition's
+    // end-state check (every unit consumed, every used lane back at L) on
+    // every backend, instead of returning wrong bytes.
+    const auto text = workload::gen_text(64 * 1024, 5);
+    const auto m = test::model_for<u8>(text, 11, 256);
+    const auto enc = conventional_encode<Rans32, 32>(std::span<const u8>(text), m, 16);
+    ASSERT_EQ(enc.partitions.size(), 16u);
+    const u64 n = enc.units.size();
+    for (u64 i = 0; i < 200; ++i) {
+        auto bad = enc;
+        const u64 pos = (i * n) / 200;
+        bad.units[pos] ^= static_cast<u16>(1u << (i % 16));
+        for (const simd::Backend b : backends()) {
+            const auto decode = [&] {
+                return conventional_decode<Rans32, 32, u8>(bad, m.tables(), nullptr,
+                                                           simd::SimdRangeFn<u8>{b});
+            };
+            EXPECT_THROW(decode(), Error) << "unit " << pos << " on " << simd::backend_name(b);
+        }
+    }
 }
 
 }  // namespace

@@ -133,7 +133,7 @@ TEST(EndToEnd, ServerWirePathWithChecksums) {
     auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(data), model, 256);
     auto file = format::make_recoil_file(enc, model, 1);
     for (u32 cap : {1u, 3u, 64u}) {
-        auto wire = format::serve_combined(file, cap);
+        auto wire = format::save_recoil_file(file, combine_splits(file.metadata, cap));
         auto got = format::load_recoil_file(wire);
         auto m = got.build_static_model();
         auto dec = recoil_decode<Rans32, 32, u8>(std::span<const u16>(got.units),

@@ -523,6 +523,67 @@ TEST_F(RangeBoundaryFixture, SimdRangeDecodeIsBitExactWithScalarAtEveryEdge) {
     }
 }
 
+TEST(RangeServe, SixteenBitIndexedRangesDecodeToTheSourceBytes) {
+    // A two-model indexed asset of 16-bit symbols (about one in seven
+    // above 255): every range decodes, on every backend, to the source's
+    // little-endian bytes [2 lo, 2 hi).
+    constexpr u64 kN = 40000;
+    constexpr u32 kAlphabet = 1024;
+    const auto narrow = test::geometric_symbols<u16>(kN, 0.9, kAlphabet, 21);
+    const auto wide = test::geometric_symbols<u16>(kN, 0.995, kAlphabet, 22);
+    std::vector<u16> syms(kN);
+    std::vector<u8> ids(kN);
+    std::vector<u64> c0(kAlphabet, 1), c1(kAlphabet, 1);
+    std::vector<u8> source;
+    for (u64 i = 0; i < kN; ++i) {
+        ids[i] = static_cast<u8>((i / 13) % 2);
+        syms[i] = ids[i] == 0 ? narrow[i] : wide[i];
+        (ids[i] == 0 ? c0 : c1)[syms[i]]++;
+        source.push_back(static_cast<u8>(syms[i] & 0xff));
+        source.push_back(static_cast<u8>(syms[i] >> 8));
+    }
+    std::vector<StaticModel> models{StaticModel(c0, 15), StaticModel(c1, 15)};
+    format::RecoilFile f;
+    f.sym_width = 2;
+    f.prob_bits = 15;
+    format::RecoilFile::IndexedPayload payload;
+    for (const StaticModel& m : models) {
+        std::vector<u32> freq(m.alphabet());
+        for (u32 s = 0; s < m.alphabet(); ++s) freq[s] = m.freq(s);
+        payload.freqs.push_back(std::move(freq));
+    }
+    payload.ids = ids;
+    IndexedModelSet set(std::move(models), ids);
+    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 32);
+    f.metadata = std::move(enc.metadata);
+    f.units = std::move(enc.bitstream.units);
+    f.model = std::move(payload);
+    ContentServer server;
+    server.store().add_file("latents16", std::move(f));
+
+    std::vector<simd::Backend> backends{simd::Backend::Scalar};
+    for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
+        if (simd::clamp_backend(b) == b) backends.push_back(b);
+    std::vector<std::pair<u64, u64>> ranges = {{0, 1}, {kN - 1, kN}, {0, kN}};
+    Xoshiro256 rng(23);
+    for (int iter = 0; iter < 12; ++iter) {
+        const u64 lo = rng.below(kN - 1);
+        ranges.push_back({lo, lo + 1 + rng.below(std::min<u64>(kN - lo, 6000))});
+    }
+    ThreadPool pool(2);
+    for (auto [lo, hi] : ranges) {
+        auto res = server.serve(ServeRequest{"latents16", 1, {{lo, hi}}});
+        ASSERT_TRUE(res.ok()) << res.detail << " [" << lo << ", " << hi << ")";
+        ASSERT_EQ(inspect_range_wire(*res.wire).sym_width, 2);
+        for (const simd::Backend b : backends) {
+            const auto part = decode_range_wire(*res.wire, &pool, b);
+            ASSERT_EQ(part.size(), 2 * (hi - lo)) << simd::backend_name(b);
+            EXPECT_TRUE(std::equal(part.begin(), part.end(), source.begin() + 2 * lo))
+                << "[" << lo << ", " << hi << ") on " << simd::backend_name(b);
+        }
+    }
+}
+
 TEST_F(ServeFixture, RangeResponsesAreCachedUnderTheAssetKey) {
     const ServeRequest req{"asset", 1, {{1000, 2000}}};
     auto cold = server.serve(req);

@@ -921,7 +921,7 @@ constexpr int kSoakStreams = 10000;
 
 TEST(StreamingSoak, TenThousandStreamsCostNoThreads) {
     ServerOptions opt;
-    opt.telemetry = false;
+    opt.sample_every = 0;
     // Small frames so every stream below is left mid-wire.
     opt.max_frame_bytes = 256;
     ContentServer server(opt);

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <thread>
 
 #include "util/thread_pool.hpp"
 
@@ -47,9 +49,8 @@ TEST(ThreadPool, ActuallyParallel) {
         int p = peak.load();
         while (now > p && !peak.compare_exchange_weak(p, now)) {
         }
-        // Busy-wait a little so tasks overlap.
-        for (volatile int spin = 0; spin < 2000000; ++spin) {
-        }
+        // Hold the task a little so tasks overlap.
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
         concurrent.fetch_sub(1);
     });
     EXPECT_GT(peak.load(), 1);

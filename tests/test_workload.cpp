@@ -103,7 +103,7 @@ TEST(Workload, LatentsModelsCompressNearConditionalEntropy) {
     // model on this data (the point of adaptive coding).
     double adaptive_bits = 0;
     for (std::size_t i = 0; i < ds.symbols.size(); ++i) {
-        const auto e = models.enc_lookup(i, ds.symbols[i]);
+        const auto& e = models.enc_fast(i, ds.symbols[i]);
         ASSERT_GT(e.freq, 0u);
         adaptive_bits += 16.0 - std::log2(static_cast<double>(e.freq));
     }
