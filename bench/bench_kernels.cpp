@@ -73,12 +73,15 @@ void BM_DecodeAvx2_n16(benchmark::State& s) {
 void BM_DecodeAvx512_n16(benchmark::State& s) {
     decode_with(s, fixture16(), simd::Backend::Avx512);
 }
-// The same fixture encoded at 16 splits and decoded on one thread: the
-// decoder pairs the splits, so the kernel advances two streams in lockstep.
-void decode_splits16_with(benchmark::State& state, simd::Backend b) {
+// The same fixture encoded at 16 and at 2,176 splits (the paper's GPU
+// class) and decoded on one thread: the decoder pairs the splits, so the
+// kernel advances two streams in lockstep, each through its split's
+// synchronization groups and then its decoding range.
+template <u32 kSplits>
+void decode_splits_with(benchmark::State& state, simd::Backend b) {
     static const auto enc = [] {
         const KernelFixture& f = fixture11();
-        return recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 16);
+        return recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, kSplits);
     }();
     const KernelFixture& f = fixture11();
     simd::SimdRangeFn<u8> range{simd::clamp_backend(b)};
@@ -94,13 +97,22 @@ void decode_splits16_with(benchmark::State& state, simd::Backend b) {
 }
 
 void BM_DecodeSplits16_Scalar(benchmark::State& s) {
-    decode_splits16_with(s, simd::Backend::Scalar);
+    decode_splits_with<16>(s, simd::Backend::Scalar);
 }
 void BM_DecodeSplits16_Avx2(benchmark::State& s) {
-    decode_splits16_with(s, simd::Backend::Avx2);
+    decode_splits_with<16>(s, simd::Backend::Avx2);
 }
 void BM_DecodeSplits16_Avx512(benchmark::State& s) {
-    decode_splits16_with(s, simd::Backend::Avx512);
+    decode_splits_with<16>(s, simd::Backend::Avx512);
+}
+void BM_DecodeSplits2176_Scalar(benchmark::State& s) {
+    decode_splits_with<2176>(s, simd::Backend::Scalar);
+}
+void BM_DecodeSplits2176_Avx2(benchmark::State& s) {
+    decode_splits_with<2176>(s, simd::Backend::Avx2);
+}
+void BM_DecodeSplits2176_Avx512(benchmark::State& s) {
+    decode_splits_with<2176>(s, simd::Backend::Avx512);
 }
 
 BENCHMARK(BM_DecodeScalar_n11);
@@ -112,6 +124,9 @@ BENCHMARK(BM_DecodeAvx512_n16);
 BENCHMARK(BM_DecodeSplits16_Scalar);
 BENCHMARK(BM_DecodeSplits16_Avx2);
 BENCHMARK(BM_DecodeSplits16_Avx512);
+BENCHMARK(BM_DecodeSplits2176_Scalar);
+BENCHMARK(BM_DecodeSplits2176_Avx2);
+BENCHMARK(BM_DecodeSplits2176_Avx512);
 
 void BM_InterleavedEncode(benchmark::State& state) {
     auto& f = fixture11();
@@ -136,21 +151,40 @@ void BM_SplitPlanning(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitPlanning)->Arg(16)->Arg(256)->Arg(2176);
 
+// The 2,176-split metadata of the n = 11 fixture: the wire form a
+// class-2176 client receives, written and parsed.
+const RecoilMetadata& metadata2176() {
+    static const RecoilMetadata meta = [] {
+        auto& f = fixture11();
+        return recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 2176)
+            .metadata;
+    }();
+    return meta;
+}
+
 void BM_MetadataSerialize(benchmark::State& state) {
-    auto& f = fixture11();
-    auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 2176);
+    const RecoilMetadata& meta = metadata2176();
     for (auto _ : state) {
-        auto bytes = serialize_metadata(enc.metadata);
+        auto bytes = serialize_metadata(meta);
         benchmark::DoNotOptimize(bytes.data());
     }
 }
 BENCHMARK(BM_MetadataSerialize);
 
-void BM_CombineSplits(benchmark::State& state) {
-    auto& f = fixture11();
-    auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 2176);
+void BM_MetadataDeserialize(benchmark::State& state) {
+    const std::vector<u8> bytes = serialize_metadata(metadata2176());
     for (auto _ : state) {
-        auto combined = combine_splits(enc.metadata, 16);
+        auto meta = deserialize_metadata(bytes);
+        benchmark::DoNotOptimize(meta.splits.data());
+    }
+    state.SetBytesProcessed(static_cast<i64>(state.iterations() * bytes.size()));
+}
+BENCHMARK(BM_MetadataDeserialize);
+
+void BM_CombineSplits(benchmark::State& state) {
+    const RecoilMetadata& meta = metadata2176();
+    for (auto _ : state) {
+        auto combined = combine_splits(meta, 16);
         benchmark::DoNotOptimize(combined.splits.data());
     }
 }

@@ -1,6 +1,7 @@
 #include "core/metadata_codec.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "util/bitio.hpp"
@@ -13,34 +14,123 @@ namespace {
 constexpr u32 kGlobalLenBits = 5;  // series elements up to 32-bit magnitudes
 constexpr u32 kLaneLenBits = 4;    // series elements up to 16-bit magnitudes
 
+// A signed element is its magnitude in maxbits bits, then a sign bit: one
+// (maxbits + 1)-bit field, LSB-first.
 void write_signed_series(BitWriter& bw, std::span<const i64> vals, u32 len_bits) {
-    u32 maxbits = 1;
-    for (i64 v : vals) maxbits = std::max(maxbits, bits_for(static_cast<u64>(v < 0 ? -v : v)));
+    std::vector<u64> fields(vals.size());
+    u64 all = 0;
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        fields[i] = static_cast<u64>(vals[i] < 0 ? -vals[i] : vals[i]);
+        all |= fields[i];
+    }
+    const u32 maxbits = bits_for(all);  // the widest magnitude's width
     RECOIL_CHECK(maxbits <= (u32{1} << len_bits), "metadata series element too wide");
     bw.put(maxbits - 1, len_bits);
-    for (i64 v : vals) bw.put_signed(v, maxbits);
+    for (std::size_t i = 0; i < vals.size(); ++i) fields[i] |= u64{vals[i] < 0} << maxbits;
+    bw.put_all(std::span<const u64>(fields), maxbits + 1);
 }
 
 std::vector<i64> read_signed_series(BitReader& br, std::size_t count, u32 len_bits) {
     const u32 maxbits = static_cast<u32>(br.get(len_bits)) + 1;
+    std::vector<u64> fields(count);
+    br.get_all(std::span<u64>(fields), maxbits + 1);
     std::vector<i64> vals(count);
-    for (auto& v : vals) v = br.get_signed(maxbits);
+    for (std::size_t i = 0; i < count; ++i) {
+        const i64 mag = static_cast<i64>(fields[i] & ((u64{1} << maxbits) - 1));
+        vals[i] = fields[i] >> maxbits ? -mag : mag;
+    }
     return vals;
 }
 
 void write_unsigned_series(BitWriter& bw, std::span<const u64> vals, u32 len_bits) {
-    u32 maxbits = 1;
-    for (u64 v : vals) maxbits = std::max(maxbits, bits_for(v));
+    u64 all = 0;
+    for (u64 v : vals) all |= v;
+    const u32 maxbits = bits_for(all);  // the widest element's width
     RECOIL_CHECK(maxbits <= (u32{1} << len_bits), "metadata series element too wide");
     bw.put(maxbits - 1, len_bits);
-    for (u64 v : vals) bw.put(v, maxbits);
+    bw.put_all(vals, maxbits);
 }
 
-std::vector<u64> read_unsigned_series(BitReader& br, std::size_t count, u32 len_bits) {
+void read_unsigned_series(BitReader& br, std::span<u64> vals, u32 len_bits) {
     const u32 maxbits = static_cast<u32>(br.get(len_bits)) + 1;
-    std::vector<u64> vals(count);
-    for (auto& v : vals) v = br.get(maxbits);
-    return vals;
+    br.get_all(vals, maxbits);
+}
+
+/// Division by the lane count without a divide (Granlund and Montgomery):
+/// lanes = odd << shift, and the inverse of odd mod 2^64 turns the quotient
+/// of an exact multiple of lanes into one multiply.
+struct LaneDivider {
+    u32 shift;
+    u64 inv;    ///< odd * inv == 1 (mod 2^64)
+    u64 limit;  ///< (2^64 - 1) / odd
+
+    explicit LaneDivider(u32 lanes)
+        : shift(static_cast<u32>(std::countr_zero(lanes))), inv(lanes >> shift),
+          limit(~u64{0} / (lanes >> shift)) {
+        const u64 odd = lanes >> shift;
+        for (int i = 0; i < 5; ++i) inv *= 2 - odd * inv;  // 3 -> 96 correct bits
+    }
+
+    /// d / lanes, for d a multiple of lanes.
+    u64 exact(u64 d) const noexcept { return (d >> shift) * inv; }
+    /// Whether lanes divides d.
+    bool divides(u64 d) const noexcept {
+        return ((d & ((u64{1} << shift) - 1)) == 0) & ((d >> shift) * inv <= limit);
+    }
+};
+
+/// validate_metadata's rules, in its order. With check_lanes false the
+/// per-lane rules are skipped: states below the bound, lane-aligned
+/// indices, and min/anchor equal to the lane extremes, all of which
+/// deserialize_metadata's reconstruction satisfies by construction.
+void validate(const RecoilMetadata& meta, bool check_lanes) {
+    if (meta.lanes == 0) raise("metadata: zero lanes");
+    if (meta.final_states.size() != meta.lanes) raise("metadata: final state count");
+    if (meta.state_store_bits < 8 || meta.state_store_bits > 31)
+        raise("metadata: bad state width");
+    const u32 lower_bound_log2 = meta.state_store_bits;
+    const LaneDivider div(meta.lanes);
+    i64 prev_anchor = -1;
+    u64 prev_offset = 0;
+    bool first = true;
+    for (const SplitPoint& sp : meta.splits) {
+        if (sp.states.size() != meta.lanes || sp.indices.size() != meta.lanes)
+            raise("metadata: lane array size mismatch");
+        if (sp.offset >= meta.num_units) raise("metadata: split offset out of range");
+        if (!first && sp.offset <= prev_offset) raise("metadata: offsets not increasing");
+        if (sp.anchor_index >= meta.num_symbols) raise("metadata: anchor out of range");
+        if (static_cast<i64>(sp.min_index) <= prev_anchor)
+            raise("metadata: sync section crosses previous anchor");
+        if (check_lanes) {
+            auto state_ok = [&](u32 l) { return sp.states[l] < (u32{1} << lower_bound_log2); };
+            // indices[l] % lanes == l, as l < lanes
+            auto index_ok = [&](u32 l) {
+                return (sp.indices[l] >= l) & div.divides(sp.indices[l] - l);
+            };
+            // No call in the loop, so its state stays in registers; a broken
+            // rule is named afterwards, the first lane's first rule.
+            bool ok = true;
+            u64 min_index = std::numeric_limits<u64>::max();
+            u64 max_index = 0;
+            for (u32 l = 0; l < meta.lanes; ++l) {
+                ok &= state_ok(l) & index_ok(l);
+                min_index = std::min(min_index, sp.indices[l]);
+                max_index = std::max(max_index, sp.indices[l]);
+            }
+            for (u32 l = 0; !ok; ++l) {
+                if (!state_ok(l)) raise("metadata: intermediate state above lower bound");
+                if (!index_ok(l)) raise("metadata: lane index misaligned");
+            }
+            if (min_index != sp.min_index || max_index != sp.anchor_index)
+                raise("metadata: min/anchor inconsistent with lane indices");
+        }
+        prev_anchor = static_cast<i64>(sp.anchor_index);
+        prev_offset = sp.offset;
+        first = false;
+    }
+    if (!meta.splits.empty() &&
+        meta.splits.back().anchor_index + 1 >= meta.num_symbols)
+        raise("metadata: last split leaves no symbols for the final thread");
 }
 
 void put_u64(std::vector<u8>& out, u64 v) {
@@ -60,7 +150,8 @@ u64 get_u64(std::span<const u8> in, std::size_t& pos) {
 std::vector<u8> serialize_metadata(const RecoilMetadata& meta) {
     validate_metadata(meta);
     std::vector<u8> out;
-    out.reserve(64 + meta.splits.size() * (meta.lanes * meta.state_store_bits / 8 + 16));
+    out.reserve(64 + 4 * meta.lanes +
+                meta.splits.size() * (meta.lanes * meta.state_store_bits / 8 + 16));
 
     // ---- fixed header -----------------------------------------------------
     out.push_back('R');
@@ -82,7 +173,7 @@ std::vector<u8> serialize_metadata(const RecoilMetadata& meta) {
     }
 
     // ---- bit-packed difference series ------------------------------------
-    BitWriter bw;
+    BitWriter bw(std::move(out));
     const u64 M = meta.num_splits();
     const u64 entries = meta.splits.size();
     if (entries > 0) {
@@ -101,19 +192,19 @@ std::vector<u8> serialize_metadata(const RecoilMetadata& meta) {
         write_signed_series(bw, off_diffs, kGlobalLenBits);
         write_signed_series(bw, grp_diffs, kGlobalLenBits);
 
+        // Validated: indices[l] = group * lanes + l, so each lane's group is
+        // an exact quotient.
+        const LaneDivider div(meta.lanes);
+        std::vector<u64> lane_diffs(meta.lanes);
         for (const SplitPoint& sp : meta.splits) {
+            bw.put_all(std::span<const u32>(sp.states), meta.state_store_bits);
             const u64 anchor_group = sp.anchor_index / meta.lanes;
-            std::vector<u64> lane_diffs(meta.lanes);
-            for (u32 l = 0; l < meta.lanes; ++l) {
-                bw.put(sp.states[l], meta.state_store_bits);
-                lane_diffs[l] = anchor_group - sp.indices[l] / meta.lanes;
-            }
+            for (u32 l = 0; l < meta.lanes; ++l)
+                lane_diffs[l] = anchor_group - div.exact(sp.indices[l] - l);
             write_unsigned_series(bw, lane_diffs, kLaneLenBits);
         }
     }
-    std::vector<u8> packed = bw.finish();
-    out.insert(out.end(), packed.begin(), packed.end());
-    return out;
+    return bw.finish();
 }
 
 RecoilMetadata deserialize_metadata(std::span<const u8> bytes) {
@@ -150,6 +241,7 @@ RecoilMetadata deserialize_metadata(std::span<const u8> bytes) {
         const auto off_diffs = read_signed_series(br, entries, kGlobalLenBits);
         const auto grp_diffs = read_signed_series(br, entries, kGlobalLenBits);
         meta.splits.resize(entries);
+        std::vector<u64> lane_diffs(meta.lanes);
         for (u64 i = 0; i < entries; ++i) {
             SplitPoint& sp = meta.splits[i];
             const i64 off = static_cast<i64>((i + 1) * expected_unit) + off_diffs[i];
@@ -158,12 +250,10 @@ RecoilMetadata deserialize_metadata(std::span<const u8> bytes) {
             sp.offset = static_cast<u64>(off);
             sp.states.resize(meta.lanes);
             sp.indices.resize(meta.lanes);
+            br.get_all(std::span<u32>(sp.states), meta.state_store_bits);
+            read_unsigned_series(br, lane_diffs, kLaneLenBits);
             u64 min_index = std::numeric_limits<u64>::max();
             u64 max_index = 0;
-            for (u32 l = 0; l < meta.lanes; ++l) {
-                sp.states[l] = static_cast<u32>(br.get(meta.state_store_bits));
-            }
-            const auto lane_diffs = read_unsigned_series(br, meta.lanes, kLaneLenBits);
             for (u32 l = 0; l < meta.lanes; ++l) {
                 const i64 lane_grp = grp - static_cast<i64>(lane_diffs[l]);
                 if (lane_grp < 0) raise("metadata: negative lane group");
@@ -177,45 +267,10 @@ RecoilMetadata deserialize_metadata(std::span<const u8> bytes) {
                 raise("metadata: anchor group mismatch");
         }
     }
-    validate_metadata(meta);
+    validate(meta, false);  // the per-lane rules hold by construction
     return meta;
 }
 
-void validate_metadata(const RecoilMetadata& meta) {
-    if (meta.lanes == 0) raise("metadata: zero lanes");
-    if (meta.final_states.size() != meta.lanes) raise("metadata: final state count");
-    if (meta.state_store_bits < 8 || meta.state_store_bits > 31)
-        raise("metadata: bad state width");
-    const u32 lower_bound_log2 = meta.state_store_bits;
-    i64 prev_anchor = -1;
-    u64 prev_offset = 0;
-    bool first = true;
-    for (const SplitPoint& sp : meta.splits) {
-        if (sp.states.size() != meta.lanes || sp.indices.size() != meta.lanes)
-            raise("metadata: lane array size mismatch");
-        if (sp.offset >= meta.num_units) raise("metadata: split offset out of range");
-        if (!first && sp.offset <= prev_offset) raise("metadata: offsets not increasing");
-        if (sp.anchor_index >= meta.num_symbols) raise("metadata: anchor out of range");
-        if (static_cast<i64>(sp.min_index) <= prev_anchor)
-            raise("metadata: sync section crosses previous anchor");
-        u64 min_index = std::numeric_limits<u64>::max();
-        u64 max_index = 0;
-        for (u32 l = 0; l < meta.lanes; ++l) {
-            if (sp.states[l] >= (u32{1} << lower_bound_log2))
-                raise("metadata: intermediate state above lower bound");
-            if (sp.indices[l] % meta.lanes != l) raise("metadata: lane index misaligned");
-            min_index = std::min(min_index, sp.indices[l]);
-            max_index = std::max(max_index, sp.indices[l]);
-        }
-        if (min_index != sp.min_index || max_index != sp.anchor_index)
-            raise("metadata: min/anchor inconsistent with lane indices");
-        prev_anchor = static_cast<i64>(sp.anchor_index);
-        prev_offset = sp.offset;
-        first = false;
-    }
-    if (!meta.splits.empty() &&
-        meta.splits.back().anchor_index + 1 >= meta.num_symbols)
-        raise("metadata: last split leaves no symbols for the final thread");
-}
+void validate_metadata(const RecoilMetadata& meta) { validate(meta, true); }
 
 }  // namespace recoil

@@ -1,34 +1,37 @@
 #pragma once
-// The Recoil 3-phase parallel decoder (§4.1). Each split is an independent
-// work item:
-//   1. Synchronization phase — walk positions anchor..min_index descending,
-//      initializing each lane when its recorded symbol index is reached
-//      (state only, no read: the stored state is < L, so the lane's first
-//      per-symbol decode pops at exactly the recorded offset) and decoding
-//      positions whose lane is live; outputs are discarded.
-//   2+3. Decoding and cross-boundary phases, one contiguous range — ordinary
-//      interleaved decode from just below the split's own sync section down
-//      through the previous split's sync section (its thread discarded
-//      those), stopping at the previous min_index. Metadata validation
-//      rejects a sync section that crosses the previous anchor, so the two
-//      phases always meet.
+// The Recoil 3-phase parallel decoder (§4.1). Each split is one run of the
+// shared run contract (rans/interleaved.hpp's RangeRun), entered at its
+// split point and decoded from its anchor down to the previous split's
+// min_index:
+//   1. Synchronization phase — positions anchor..min_index. Lane l joins at
+//      its recorded symbol index with its recorded state (state only, no
+//      read: the stored state is < L, so the lane's first decode pops at
+//      exactly the recorded offset); positions above a lane's index are
+//      skipped, and every output is discarded.
+//   2+3. Decoding and cross-boundary phases — the same run continues with
+//      every lane live from min_index - 1 down through the previous split's
+//      sync section (its thread discarded those) and stores its symbols,
+//      stopping at the previous min_index. Metadata validation rejects a
+//      sync section that crosses the previous anchor, so the phases meet.
+// The last split has no entry: it starts fully live from the header's
+// final states at the end of the bitstream.
 //
 // Pairing: with S splits on L lanes (a pool's workers plus the caller; 1
 // without a pool) a decode runs T = max(min(S, L), ceil(S/2)) tasks, and the
-// first S - T of them hold two adjacent splits. A task runs phase 1 of each
-// of its splits, then hands both phase-2+3 ranges to one RangeFn call, which
-// advances them in lockstep: the SIMD group kernel is latency-bound, and a
-// second independent stream fills the cycles one stream leaves idle.
+// first S - T of them hold two adjacent splits. A task hands both runs to
+// one RangeFn call, which advances them in lockstep: the SIMD group kernel
+// is latency-bound, and a second independent stream fills the cycles one
+// stream leaves idle.
 //
 // The run contract, shared by every decoder (Recoil splits here, the
 // conventional baseline's partitions, chunked streams, range wires and the
 // GPU simulator): a task builds one or two RangeRuns and makes one call,
 // range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>> runs). The default
-// RangeFn is the scalar per-symbol loop; simd::SimdRangeFn plugs in the
-// group kernels. Every run that reaches its stream's start (split 0, or any
-// conventional partition) then ends in drain_start, which checks the end
-// state a valid stream must reach: every unit consumed, every used lane
-// back at L.
+// RangeFn is the scalar per-symbol loop; simd::SimdRangeFn runs every phase
+// of every run in one masked group kernel. Every run that reaches its
+// stream's start (split 0, or any conventional partition) then ends in
+// drain_start, which checks the end state a valid stream must reach: every
+// unit consumed, every used lane back at L.
 
 #include <algorithm>
 #include <span>
@@ -40,15 +43,48 @@
 
 namespace recoil {
 
-/// Scalar range decoder: the default RangeFn. It decodes its runs one
-/// after the other.
+/// Scalar range decoder: the default RangeFn and the per-symbol reference
+/// every SIMD backend is tested against. It decodes its runs one after the
+/// other; a run with an entry first walks its synchronization section one
+/// position at a time.
 template <typename Cfg, u32 NLanes, typename TSym>
 struct ScalarRangeFn {
     void operator()(std::span<const RangeRun<Cfg, NLanes, TSym>> runs) const {
-        for (const auto& r : runs)
-            decode_positions<Cfg, NLanes>(*r.cur, r.units, r.hi, r.lo, *r.t, r.out);
+        for (const auto& r : runs) {
+            u64 hi = r.hi;
+            if (r.entry != nullptr) {
+                const SplitPoint& sp = *r.entry;
+                for (u64 pos = hi + 1; pos-- > sp.min_index;) {
+                    const u32 lane = static_cast<u32>(pos % NLanes);
+                    if (pos > sp.indices[lane]) continue;  // lane not yet recoverable
+                    if (pos == sp.indices[lane])
+                        r.cur->x[lane] = static_cast<typename Cfg::StateT>(sp.states[lane]);
+                    decode_positions<Cfg, NLanes, TSym>(*r.cur, r.units, pos, pos, *r.t,
+                                                        nullptr);
+                }
+                if (sp.min_index <= r.lo) continue;
+                hi = sp.min_index - 1;
+            }
+            decode_positions<Cfg, NLanes>(*r.cur, r.units, hi, r.lo, *r.t, r.out);
+        }
     }
 };
+
+/// Add split k's synchronization work to `stats`, from its metadata alone
+/// (O(lanes)): of its sync section's positions, lane l decodes the ones at
+/// or below its recorded index (sync_symbols) and skips the rest
+/// (skipped_positions); the split's run re-decodes split k - 1's whole sync
+/// section (cross_symbols).
+template <u32 NLanes>
+void add_sync_stats(const RecoilMetadata& meta, u32 k, RecoilDecodeStats& stats) {
+    if (k > 0) stats.cross_symbols += meta.splits[k - 1].sync_symbols();
+    if (k + 1 >= meta.num_splits()) return;  // the last split has no sync section
+    const SplitPoint& sp = meta.splits[k];
+    u64 live = 0;
+    for (u32 l = 0; l < NLanes; ++l) live += (sp.indices[l] - sp.min_index) / NLanes + 1;
+    stats.sync_symbols += live;
+    stats.skipped_positions += sp.sync_symbols() - live;
+}
 
 /// Run body(first, count) over the decode tasks of `items` independent
 /// items (splits, or partitions) on `pool`: T = max(min(items, L), ceil(items
@@ -77,70 +113,12 @@ struct SplitJob {
     const DecodeTables* t;
     u32 k;
     TSym* out;
-    RecoilDecodeStats* stats = nullptr;
 };
 
-namespace detail {
-
-/// Phase 1 of `job`'s split. Returns false when nothing is left to decode
-/// (an empty stream, or a sync section that reaches the stream start, drained
-/// here); otherwise `run` (whose cursor the caller set) holds the split's
-/// phase-2+3 range.
-template <typename Cfg, u32 NLanes, typename TSym>
-bool sync_split(const SplitJob<Cfg, TSym>& job, RangeRun<Cfg, NLanes, TSym>& run) {
-    const RecoilMetadata& meta = *job.meta;
-    RECOIL_CHECK(meta.lanes == NLanes, "recoil_decode_splits: lane count mismatch");
-    const u32 S = meta.num_splits();
-    const u32 k = job.k;
-    RECOIL_CHECK(k < S, "recoil_decode_splits: split index out of range");
-    const SplitPoint* prev = (k > 0) ? &meta.splits[k - 1] : nullptr;
-    LaneCursor<Cfg, NLanes>& cur = *run.cur;
-    RecoilDecodeStats* stats = job.stats;
-
-    if (k == S - 1) {
-        // Final split: starts fully initialized from the header's states.
-        for (u32 l = 0; l < NLanes; ++l)
-            cur.x[l] = static_cast<typename Cfg::StateT>(meta.final_states[l]);
-        cur.p = static_cast<i64>(meta.num_units) - 1;
-        if (meta.num_symbols == 0) return false;
-        run.hi = meta.num_symbols - 1;
-    } else {
-        const SplitPoint& sp = meta.splits[k];
-        cur.p = static_cast<i64>(sp.offset);
-        bool live[NLanes] = {};
-        for (u64 pos = sp.anchor_index + 1; pos-- > sp.min_index;) {
-            const u32 lane = static_cast<u32>(pos % NLanes);
-            if (!live[lane]) {
-                if (sp.indices[lane] != pos) {
-                    if (stats) ++stats->skipped_positions;
-                    continue;  // lane not yet recoverable here
-                }
-                cur.x[lane] = static_cast<typename Cfg::StateT>(sp.states[lane]);
-                live[lane] = true;
-            }
-            decode_positions<Cfg, NLanes, TSym>(cur, job.units, pos, pos, *job.t, nullptr);
-            if (stats) ++stats->sync_symbols;
-        }
-        if (sp.min_index == 0) {
-            // Degenerate: the sync section reaches the stream start.
-            drain_start<Cfg, NLanes>(cur, job.units, meta.num_symbols);
-            return false;
-        }
-        run.hi = sp.min_index - 1;
-    }
-    run.lo = prev ? prev->min_index : 0;
-    if (prev && stats) stats->cross_symbols += prev->sync_symbols();
-    run.units = job.units;
-    run.t = job.t;
-    run.out = job.out;
-    return true;
-}
-
-}  // namespace detail
-
-/// Decode one or two splits, possibly of different streams: phase 1 of
-/// each, then both phase-2+3 ranges through one range_fn call, then the
-/// drain of each range that reaches position 0.
+/// Decode one or two splits, possibly of different streams: one run per
+/// split (entered at its split point, or fully live for the last split),
+/// both through one range_fn call, then the drain of each run that reaches
+/// position 0.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
@@ -151,9 +129,26 @@ void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
     u64 num_symbols[2] = {};
     u32 n = 0;
     for (const auto& job : jobs) {
-        run[n].cur = &cur[n];
-        if (detail::sync_split<Cfg, NLanes, TSym>(job, run[n]))
-            num_symbols[n++] = job.meta->num_symbols;
+        const RecoilMetadata& meta = *job.meta;
+        RECOIL_CHECK(meta.lanes == NLanes, "recoil_decode_splits: lane count mismatch");
+        const u32 S = meta.num_splits();
+        RECOIL_CHECK(job.k < S, "recoil_decode_splits: split index out of range");
+        if (meta.num_symbols == 0) continue;  // an empty stream has nothing to decode
+        RangeRun<Cfg, NLanes, TSym>& r = run[n];
+        r = {&cur[n], job.units, 0, job.k > 0 ? meta.splits[job.k - 1].min_index : 0,
+             job.t, job.out};
+        if (job.k == S - 1) {
+            for (u32 l = 0; l < NLanes; ++l)
+                cur[n].x[l] = static_cast<typename Cfg::StateT>(meta.final_states[l]);
+            cur[n].p = static_cast<i64>(meta.num_units) - 1;
+            r.hi = meta.num_symbols - 1;
+        } else {
+            const SplitPoint& sp = meta.splits[job.k];
+            cur[n].p = static_cast<i64>(sp.offset);
+            r.hi = sp.anchor_index;
+            r.entry = &sp;
+        }
+        num_symbols[n++] = meta.num_symbols;
     }
     range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>>(run, n));
     for (u32 i = 0; i < n; ++i)
@@ -176,24 +171,15 @@ void recoil_decode_into(std::span<const typename Cfg::UnitT> units,
                         const RangeFn& range_fn = {}) {
     RECOIL_CHECK(out.size() >= meta.num_symbols, "recoil_decode_into: buffer too small");
     const u32 S = meta.num_splits();
-    std::vector<RecoilDecodeStats> per_split(stats ? S : 0);
-
     for_each_split_task(pool, S, [&](u64 first, u32 count) {
         SplitJob<Cfg, TSym> jobs[2] = {};
         for (u32 j = 0; j < count; ++j)
-            jobs[j] = {units, &meta, &t, static_cast<u32>(first + j), out.data(),
-                       stats ? &per_split[first + j] : nullptr};
+            jobs[j] = {units, &meta, &t, static_cast<u32>(first + j), out.data()};
         recoil_decode_splits<Cfg, NLanes, TSym>(
             std::span<const SplitJob<Cfg, TSym>>(jobs, count), range_fn);
     });
-
-    if (stats) {
-        for (const auto& s : per_split) {
-            stats->sync_symbols += s.sync_symbols;
-            stats->cross_symbols += s.cross_symbols;
-            stats->skipped_positions += s.skipped_positions;
-        }
-    }
+    if (stats && meta.num_symbols > 0)
+        for (u32 k = 0; k < S; ++k) add_sync_stats<NLanes>(meta, k, *stats);
 }
 
 /// Allocating convenience wrapper around recoil_decode_into.

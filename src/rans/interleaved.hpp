@@ -9,9 +9,10 @@
 //    the reverse of write order. The scalar paths use the per-symbol
 //    grouping: decode position i = [pop while x_lane < L, then T'_i]. The
 //    pops performed before T'_i restore the unit(s) written by W_{i+NLanes}
-//    of the same lane. The SIMD paths use the equivalent per-group grouping
-//    (see simd/kernel_iface.hpp); the two can be mixed at group boundaries
-//    because the `x < L` test is the entire bookkeeping.
+//    of the same lane. The SIMD paths apply the same grouping one 32-lane
+//    group at a time (pop every needy lane, then T' on every lane; see
+//    simd/kernel_iface.hpp), so a run enters and leaves them as a
+//    per-symbol cursor: the `x < L` test is the entire bookkeeping.
 //  * Lane states start at Cfg::lower_bound, so a full decode ends with every
 //    lane back at lower_bound — a cheap integrity check.
 //
@@ -116,8 +117,16 @@ struct LaneCursor {
     i64 p = -1;  ///< index of the next unit to pop
 };
 
+struct SplitPoint;  // core/metadata.hpp
+
 /// One stream's decode range: positions [lo, hi], descending from `cur`,
-/// each symbol written to out[pos]. A RangeFn (core/recoil_decoder.hpp)
+/// each symbol written to out[pos]. A run without an entry starts fully
+/// live: every lane of `cur` holds a valid state for its next position. A
+/// run with an entry is a Recoil split (§4.1): hi is the entry's anchor,
+/// cur.p its unit offset, and lane l joins at its recorded index with its
+/// recorded state; positions at or above the entry's min_index are decoded
+/// and discarded (the next split's thread writes them). Either way the run
+/// ends as a per-symbol cursor at lo. A RangeFn (core/recoil_decoder.hpp)
 /// decodes one or two independent runs in one call.
 template <typename Cfg, u32 NLanes, typename TSym>
 struct RangeRun {
@@ -127,12 +136,13 @@ struct RangeRun {
     u64 lo;
     const DecodeTables* t;
     TSym* out;
+    const SplitPoint* entry = nullptr;
 };
 
 /// Decode positions [lo, hi] descending under the per-symbol discipline,
 /// writing out[pos] for each when `out` is non-null (pass nullptr to discard,
-/// as the Recoil synchronization phase does). All lanes must already carry
-/// valid states for their next position in this range.
+/// as the scalar Recoil synchronization phase does). All lanes must already
+/// carry valid states for their next position in this range.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym>
 inline void decode_positions(LaneCursor<Cfg, NLanes>& cur,
                              std::span<const typename Cfg::UnitT> units,

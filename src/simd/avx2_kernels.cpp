@@ -2,7 +2,11 @@
 // vector, manually unrolled four times for the 32-lane group. Without
 // VPEXPANDD, renormalization distribution uses a 256-entry permutation LUT
 // indexed by the underflow movemask: ascending loaded units are routed to
-// ascending needy lanes by VPERMD.
+// ascending needy lanes by VPERMD. A masked group (simd/kernel_iface.hpp)
+// holds its active lanes as blendv masks: the underflow masks and hence the
+// LUT pops are restricted to them, the transform blends into them, and the
+// ids and symbol stores of the active lanes go through a small buffer, as
+// AVX2 has no byte-masked load or store.
 
 #include <immintrin.h>
 
@@ -43,7 +47,9 @@ inline __m256i underflow_mask(__m256i x) {
     return _mm256_cmpgt_epi32(lim, _mm256_xor_si256(x, kSignFlip));
 }
 
-inline __m256i transform8(__m256i x, u64 base, const DecodeTables& t, u32 n,
+/// Decode transform for 8 lanes; `ids` points at their 8 model ids
+/// (unused when the tables have none).
+inline __m256i transform8(__m256i x, const u8* ids, const DecodeTables& t, u32 n,
                           __m256i vslot_mask, __m256i* sym_out) {
     const __m256i slot = _mm256_and_si256(x, vslot_mask);
     __m256i f, c, sym;
@@ -56,8 +62,7 @@ inline __m256i transform8(__m256i x, u64 base, const DecodeTables& t, u32 n,
     } else {
         __m256i idx = slot;
         if (t.ids != nullptr) {
-            const __m128i raw =
-                _mm_loadl_epi64(reinterpret_cast<const __m128i*>(t.ids + base));
+            const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(ids));
             const __m256i id = _mm256_cvtepu8_epi32(raw);
             idx = _mm256_add_epi32(_mm256_slli_epi32(id, static_cast<int>(n)), slot);
         }
@@ -70,6 +75,13 @@ inline __m256i transform8(__m256i x, u64 base, const DecodeTables& t, u32 n,
     *sym_out = sym;
     const __m256i xq = _mm256_srli_epi32(x, static_cast<int>(n));
     return _mm256_add_epi32(_mm256_mullo_epi32(f, xq), _mm256_sub_epi32(slot, c));
+}
+
+/// All-ones in lane j where bit j of `bits8` is set.
+inline __m256i lanes_of(u32 bits8) {
+    const __m256i bit = _mm256_setr_epi32(1, 2, 4, 8, 16, 32, 64, 128);
+    return _mm256_cmpeq_epi32(
+        _mm256_and_si256(_mm256_set1_epi32(static_cast<int>(bits8)), bit), bit);
 }
 
 /// Narrow 8x u32 (values < 256) to 8 bytes and store.
@@ -117,8 +129,11 @@ struct RunRegs {
     __m256i slot_mask, x[4], sym[4];
     const u16* units;
     i64 num_units, p;
-    u64 g_hi;
     TSym* out;
+    const u32* entry_states;
+    const u32* entry_steps;
+    GroupSteps s;
+    u32 act_bits = ~u32{0}, store_bits = ~u32{0};
 
     explicit RunRegs(const GroupRun<TSym>& r)
         : t(*r.t),
@@ -126,28 +141,54 @@ struct RunRegs {
           units(r.units),
           num_units(static_cast<i64>(r.num_units)),
           p(*r.p),
-          g_hi(r.g_hi),
-          out(r.out) {
+          out(r.out),
+          entry_states(r.entry_states),
+          entry_steps(r.entry_steps),
+          s(r) {
         for (int v = 0; v < 4; ++v)
             x[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(r.states + 8 * v));
     }
 
-    /// Decode transform of group g_hi - i (all four vectors' gathers).
-    void transform(u64 i) {
-        const u64 base = (g_hi - i) * 32;
-        for (int v = 0; v < 4; ++v)
-            x[v] = transform8(x[v], base + 8 * v, t, t.prob_bits, slot_mask, &sym[v]);
+    /// Step i's masks: in a masked group, the lanes joining there take their
+    /// entry states, and the active and storing lanes are computed; in an
+    /// interior group (one with a masked partner) every lane is both.
+    void prepare(u64 i) {
+        if (!s.masked(i)) {
+            act_bits = store_bits = ~u32{0};
+            return;
+        }
+        act_bits = s.in_range(i);
+        if (i < s.sync_steps) {
+            const __m256i vi = _mm256_set1_epi32(static_cast<int>(i));
+            u32 live = 0;
+            for (int v = 0; v < 4; ++v) {
+                const __m256i e =
+                    _mm256_loadu_si256(reinterpret_cast<const __m256i*>(entry_steps + 8 * v));
+                const __m256i joins = _mm256_cmpeq_epi32(e, vi);
+                const __m256i state = _mm256_loadu_si256(
+                    reinterpret_cast<const __m256i*>(entry_states + 8 * v));
+                x[v] = _mm256_blendv_epi8(x[v], state, joins);
+                const __m256i is_live = _mm256_cmpeq_epi32(_mm256_max_epu32(e, vi), vi);
+                live |= static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(is_live)))
+                        << (8 * v);
+            }
+            act_bits &= live;
+        }
+        store_bits = act_bits & s.storing(i);
     }
 
-    /// Store group g_hi - i and pop its units.
-    void store_and_pop(u64 i) {
-        const u64 base = (g_hi - i) * 32;
+    /// All-ones in vector v's active lanes.
+    __m256i active(int v) const { return lanes_of(act_bits >> (8 * v) & 0xff); }
+
+    /// Pop one unit for every (active) lane below L.
+    template <bool kMasked>
+    void pop() {
         __m256i needy[4];
         u32 mask8[4];
         i64 k = 0;
         for (int v = 0; v < 4; ++v) {
-            store_syms(out + base + 8 * v, sym[v]);
             needy[v] = underflow_mask(x[v]);
+            if constexpr (kMasked) needy[v] = _mm256_and_si256(needy[v], active(v));
             mask8[v] = static_cast<u32>(_mm256_movemask_ps(_mm256_castsi256_ps(needy[v])));
             k += __builtin_popcount(mask8[v]);
         }
@@ -167,10 +208,47 @@ struct RunRegs {
             for (int v = 0; v < 4; ++v)
                 _mm256_storeu_si256(reinterpret_cast<__m256i*>(tmp + 8 * v), x[v]);
             i64 q = p;
-            scalar_group_pops(tmp, units, q);
+            scalar_group_pops(tmp, units, q, kMasked ? act_bits : ~u32{0});
             p = q;
             for (int v = 0; v < 4; ++v)
                 x[v] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(tmp + 8 * v));
+        }
+    }
+
+    /// Decode transform of step i's group (all four vectors' gathers).
+    template <bool kMasked>
+    void transform(u64 i) {
+        const u64 base = s.base(i);
+        alignas(32) u8 ids[32];
+        const u8* id_src = ids;
+        if (t.ids != nullptr) {
+            if constexpr (kMasked) {
+                for (u32 lane = 0; lane < 32; ++lane)
+                    ids[lane] = (act_bits >> lane & 1) != 0 ? t.ids[base + lane] : 0;
+            } else {
+                id_src = t.ids + base;
+            }
+        }
+        for (int v = 0; v < 4; ++v) {
+            const __m256i next =
+                transform8(x[v], id_src + 8 * v, t, t.prob_bits, slot_mask, &sym[v]);
+            x[v] = kMasked ? _mm256_blendv_epi8(x[v], next, active(v)) : next;
+        }
+    }
+
+    /// Store step i's symbols (the storing lanes' only, when kMasked).
+    template <bool kMasked>
+    void store(u64 i) {
+        const u64 base = s.base(i);
+        if constexpr (kMasked) {
+            alignas(32) u32 syms[32];
+            for (int v = 0; v < 4; ++v)
+                _mm256_store_si256(reinterpret_cast<__m256i*>(syms + 8 * v), sym[v]);
+            for (u32 lane = 0; lane < 32; ++lane)
+                if ((store_bits >> lane & 1) != 0)
+                    out[base + lane] = static_cast<TSym>(syms[lane]);
+        } else {
+            for (int v = 0; v < 4; ++v) store_syms(out + base + 8 * v, sym[v]);
         }
     }
 
@@ -181,34 +259,14 @@ struct RunRegs {
     }
 };
 
-/// The kernel body for R runs: every run's gathers issue before any run's
-/// stores and pops.
-template <int R, typename TSym>
-void decode_runs(const GroupRun<TSym>* runs, u64 groups) {
-    RunRegs<TSym> a(runs[0]);
-    RunRegs<TSym> b(runs[R - 1]);  // unused when R == 1
-    for (u64 i = 0; i < groups; ++i) {
-        a.transform(i);
-        if constexpr (R == 2) b.transform(i);
-        a.store_and_pop(i);
-        if constexpr (R == 2) b.store_and_pop(i);
-    }
-    a.write_back(runs[0]);
-    if constexpr (R == 2) b.write_back(runs[1]);
-}
-
 }  // namespace
 
 template <typename TSym>
-void avx2_decode_groups(std::span<const GroupRun<TSym>> runs, u64 groups) {
-    if (runs.size() == 2) {
-        decode_runs<2>(runs.data(), groups);
-    } else {
-        decode_runs<1>(runs.data(), groups);
-    }
+void avx2_decode_groups(std::span<const GroupRun<TSym>> runs) {
+    run_group_steps<RunRegs<TSym>>(runs);
 }
 
-template void avx2_decode_groups<u8>(std::span<const GroupRun<u8>>, u64);
-template void avx2_decode_groups<u16>(std::span<const GroupRun<u16>>, u64);
+template void avx2_decode_groups<u8>(std::span<const GroupRun<u8>>);
+template void avx2_decode_groups<u16>(std::span<const GroupRun<u16>>);
 
 }  // namespace recoil::simd

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <span>
 
+#include "core/metadata.hpp"
 #include "rans/interleaved.hpp"
 #include "simd/kernel_iface.hpp"
 
@@ -27,19 +28,13 @@ template <typename TSym>
 GroupKernel<TSym> group_kernel(Backend b);
 
 /// Drop-in replacement for ScalarRangeFn (see core/recoil_decoder.hpp), with
-/// its one call form: range_fn(runs) for one or two runs. It decodes the
-/// interior whole groups of each run's [lo, hi] with a SIMD kernel and the
-/// ragged edges with the scalar per-symbol loop. Mixing is safe at group
-/// boundaries; the catch-up pop pass re-establishes the kernels' entry
-/// precondition. The kernels read per-position ids only at the 32 positions
-/// of the group they decode, so a run touches ids on [lo, hi] alone, as the
-/// scalar loop does. The backend is the only setting.
-///
-/// Two runs decode in four steps: each run's scalar head and catch-up pops;
-/// the whole groups both runs have, through one lockstep kernel call; the
-/// longer run's remaining groups alone; each run's scalar tail. A run that
-/// reaches its stream's start then ends in the caller's drain_start, as on
-/// the scalar path.
+/// its one call form: range_fn(runs) for one or two runs. It hands every run
+/// whole to one group-kernel call: a split's synchronization groups, its
+/// decoding range and the ragged groups at either end all run in the masked
+/// kernel step, two runs in lockstep (simd/kernel_iface.hpp). A run enters
+/// and leaves the kernel as a per-symbol cursor; one that reaches its
+/// stream's start then ends in the caller's drain_start, as on the scalar
+/// path. The backend is the only setting.
 template <typename TSym>
 struct SimdRangeFn {
     using Run = RangeRun<Rans32, 32, TSym>;
@@ -49,46 +44,26 @@ struct SimdRangeFn {
     void operator()(std::span<const Run> runs) const {
         RECOIL_CHECK(runs.size() <= 2, "SimdRangeFn: at most two runs per call");
         GroupRun<TSym> group[2] = {};
-        u64 groups[2] = {}, tail_hi[2] = {};
-        const Run* owner[2] = {};
+        u32 entry_steps[2][32];
         u32 n = 0;
-        // Step 1: scalar heads and catch-up pops. A run with no whole group
-        // decodes here entirely.
         for (const Run& r : runs) {
             if (r.hi < r.lo) continue;
-            const u64 g_lo = (r.lo + 31) / 32;  // first whole group
-            const u64 g_end = (r.hi + 1) / 32;  // one past the last
-            if (r.out == nullptr || backend == Backend::Scalar || g_end <= g_lo) {
-                decode_positions<Rans32, 32>(*r.cur, r.units, r.hi, r.lo, *r.t, r.out);
-                continue;
+            GroupRun<TSym>& g = group[n];
+            g = {r.cur->x.data(), r.units.data(), r.units.size(), &r.cur->p, r.t, r.out,
+                 r.lo, r.hi, r.hi + 1};
+            if (r.entry != nullptr) {
+                // A lane joins in its recorded index's group. The wire bounds
+                // a lane's distance from the anchor group to 16 bits.
+                const SplitPoint& sp = *r.entry;
+                for (u32 l = 0; l < 32; ++l)
+                    entry_steps[n][l] = static_cast<u32>(r.hi / 32 - sp.indices[l] / 32);
+                g.store_hi = std::min(sp.min_index, g.store_hi);
+                g.entry_states = sp.states.data();
+                g.entry_steps = entry_steps[n];
             }
-            // Scalar head: positions [g_end*32, hi] (decode runs hi → lo).
-            if (g_end * 32 <= r.hi)
-                decode_positions<Rans32, 32>(*r.cur, r.units, r.hi, g_end * 32, *r.t, r.out);
-            scalar_group_pops(r.cur->x.data(), r.units.data(), r.cur->p);  // catch-up
-            group[n] = {r.cur->x.data(), r.units.data(), r.units.size(), &r.cur->p,
-                        g_end - 1,       r.t,          r.out};
-            groups[n] = g_end - g_lo;
-            tail_hi[n] = g_lo * 32;  // one past the scalar tail
-            owner[n++] = &r;
+            ++n;
         }
-        const GroupKernel<TSym> kernel = group_kernel<TSym>(backend);
-        // Step 2: the groups both runs have, in lockstep.
-        const u64 common = n == 2 ? std::min(groups[0], groups[1]) : 0;
-        if (common > 0) kernel(std::span<const GroupRun<TSym>>(group, 2), common);
-        // Steps 3 and 4: the longer run's remaining groups, then the tails.
-        for (u32 i = 0; i < n; ++i) {
-            if (groups[i] > common) {
-                group[i].g_hi -= common;
-                kernel(std::span<const GroupRun<TSym>>(&group[i], 1), groups[i] - common);
-            }
-        }
-        for (u32 i = 0; i < n; ++i) {
-            const Run& r = *owner[i];
-            if (tail_hi[i] > r.lo)
-                decode_positions<Rans32, 32>(*r.cur, r.units, tail_hi[i] - 1, r.lo, *r.t,
-                                             r.out);
-        }
+        group_kernel<TSym>(backend)(std::span<const GroupRun<TSym>>(group, n));
     }
 };
 

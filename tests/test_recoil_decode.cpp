@@ -223,6 +223,52 @@ void expect_every_lane_count_matches(std::span<const u16> units, const RecoilMet
     }
 }
 
+TEST(RecoilDecode, SyncStatsMatchTheirDefinition) {
+    // Brute force over every synchronization-section position: a position
+    // whose lane has joined (it lies at or below the lane's recorded index)
+    // is decoded and discarded (sync_symbols), any other is skipped
+    // (skipped_positions), and each split after the first re-decodes its
+    // predecessor's whole section (cross_symbols). Every backend and pool
+    // size must report exactly that.
+    const auto syms = test::geometric_symbols<u8>(800000, 0.6, 256, 311);
+    const auto m = test::model_for<u8>(syms, 11, 256);
+    const auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(syms), m, 2400);
+    ASSERT_GE(enc.metadata.num_splits(), 2176u);
+    const std::span<const u16> units(enc.bitstream.units);
+    for (u32 S : {16u, 2176u}) {
+        const RecoilMetadata meta = with_splits(enc.metadata, S);
+        RecoilDecodeStats want;
+        for (u32 k = 0; k + 1 < S; ++k) {
+            const SplitPoint& sp = meta.splits[k];
+            for (u64 pos = sp.min_index; pos <= sp.anchor_index; ++pos)
+                ++(pos <= sp.indices[pos % 32] ? want.sync_symbols : want.skipped_positions);
+            want.cross_symbols += sp.anchor_index - sp.min_index + 1;
+        }
+        ASSERT_GT(want.skipped_positions, 0u);
+        auto expect_stats = [&](const RecoilDecodeStats& got, const char* what) {
+            EXPECT_EQ(got.sync_symbols, want.sync_symbols) << what << ", S " << S;
+            EXPECT_EQ(got.skipped_positions, want.skipped_positions) << what << ", S " << S;
+            EXPECT_EQ(got.cross_symbols, want.cross_symbols) << what << ", S " << S;
+        };
+        RecoilDecodeStats scalar;
+        const auto ref = recoil_decode<Rans32, 32, u8>(units, meta, m.tables(), nullptr, &scalar);
+        ASSERT_TRUE(ref == syms);
+        expect_stats(scalar, "ScalarRangeFn");
+        for (unsigned workers : {0u, 3u}) {
+            std::optional<ThreadPool> pool;
+            if (workers > 0) pool.emplace(workers);
+            for (simd::Backend b : available_backends()) {
+                RecoilDecodeStats got;
+                const auto dec = recoil_decode<Rans32, 32, u8>(
+                    units, meta, m.tables(), pool ? &*pool : nullptr, &got,
+                    simd::SimdRangeFn<u8>{b});
+                ASSERT_TRUE(dec == syms) << simd::backend_name(b);
+                expect_stats(got, simd::backend_name(b));
+            }
+        }
+    }
+}
+
 TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
     // Tasks hold two splits wherever a decode has more splits than lanes;
     // every split count, lane count and backend must decode bit-exactly.

@@ -5,6 +5,7 @@
 
 #include "core/metadata_codec.hpp"
 #include "core/recoil_encoder.hpp"
+#include "format/wire_io.hpp"
 #include "test_util.hpp"
 
 namespace recoil {
@@ -39,6 +40,49 @@ TEST(MetadataCodec, RoundTripExact) {
         auto back = deserialize_metadata(bytes);
         expect_equal(meta, back);
     }
+}
+
+TEST(MetadataCodec, WritesTheGoldenBytes) {
+    // The codec's bytes are the wire format: any change to how it packs must
+    // write exactly these. Size and FNV-1a digest of serialize_metadata for
+    // a seeded encode cut to exactly 16 and 2,176 splits (16-bit units,
+    // 16-bit states; S - 1 of its split points, evenly spread), and of a 64-split
+    // encode of byte units (23-bit states), recorded from the
+    // one-field-at-a-time packer; each must also parse back to its source
+    // and reserialize to the same bytes.
+    const auto syms = test::geometric_symbols<u8>(800000, 0.6, 256, 2176);
+    const auto m = test::model_for<u8>(syms, 11, 256);
+    struct Golden {
+        RecoilMetadata meta;
+        std::size_t size;
+        u64 digest;
+    };
+    const RecoilMetadata full =
+        recoil_encode<Rans32, 32>(std::span<const u8>(syms), m, 2400).metadata;
+    auto cut = [&](u32 S) {
+        RecoilMetadata out = full;
+        out.splits.clear();
+        for (u64 i = 1; i < S; ++i)
+            out.splits.push_back(full.splits[i * full.splits.size() / S]);
+        return out;
+    };
+    const Golden golden[] = {
+        {cut(16), 1374, 53582791848828902ull},
+        {cut(2176), 177419, 8390972732955904841ull},
+        {recoil_encode<Rans32x8, 32>(std::span<const u8>(syms), m, 64).metadata, 6799,
+         17242900648814122974ull},
+    };
+    for (const Golden& g : golden) {
+        const u32 S = g.meta.num_splits();
+        const auto bytes = serialize_metadata(g.meta);
+        EXPECT_EQ(bytes.size(), g.size) << S << " splits";
+        EXPECT_EQ(format::fnv1a(bytes), g.digest) << S << " splits";
+        const RecoilMetadata back = deserialize_metadata(bytes);
+        expect_equal(g.meta, back);
+        EXPECT_EQ(serialize_metadata(back), bytes) << S << " splits";
+    }
+    EXPECT_EQ(golden[0].meta.num_splits(), 16u);
+    EXPECT_EQ(golden[1].meta.num_splits(), 2176u);
 }
 
 TEST(MetadataCodec, RoundTripSkewedData) {

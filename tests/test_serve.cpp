@@ -555,6 +555,7 @@ TEST(RangeServe, SixteenBitIndexedRangesDecodeToTheSourceBytes) {
     payload.ids = ids;
     IndexedModelSet set(std::move(models), ids);
     auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 32);
+    const std::vector<SplitPoint> splits = enc.metadata.splits;
     f.metadata = std::move(enc.metadata);
     f.units = std::move(enc.bitstream.units);
     f.model = std::move(payload);
@@ -569,6 +570,20 @@ TEST(RangeServe, SixteenBitIndexedRangesDecodeToTheSourceBytes) {
     for (int iter = 0; iter < 12; ++iter) {
         const u64 lo = rng.below(kN - 1);
         ranges.push_back({lo, lo + 1 + rng.below(std::min<u64>(kN - lo, 6000))});
+    }
+    // Next to split boundaries (where one split's writes end and the next's
+    // begin), lo and hi at every offset within a group: the covering runs'
+    // masked top and bottom groups read only the ids of the exact slice the
+    // wire carries.
+    ASSERT_GE(splits.size(), 3u);
+    for (const std::size_t k : {std::size_t{0}, splits.size() / 2, splits.size() - 1}) {
+        const u64 g = splits[k].min_index / 32;
+        ASSERT_GE(g, 1u);
+        ASSERT_LE(32 * (g + 2), kN);
+        for (u64 o = 0; o < 32; ++o) {
+            ranges.push_back({32 * (g - 1) + o, 32 * (g + 1) + o + 1});
+            ranges.push_back({32 * g + o, 32 * g + o + 1});
+        }
     }
     ThreadPool pool(2);
     for (auto [lo, hi] : ranges) {

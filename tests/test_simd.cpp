@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <set>
+#include <string>
 
 #include "conventional/conventional.hpp"
 #include "core/recoil_decoder.hpp"
@@ -170,8 +172,9 @@ TEST(Simd, HighlySkewedRenormBursts) {
 }
 
 TEST(Simd, RaggedRangeAlignments) {
-    // Exercise the scalar-head / kernel / scalar-tail composition at every
-    // alignment of both ends.
+    // Hand a per-symbol cursor to the kernel at every alignment of the top:
+    // the ragged top group runs masked, and the run leaves as a per-symbol
+    // cursor that drain_start accepts.
     auto syms = test::geometric_symbols<u8>(4096 + 77, 0.5, 256, 46);
     auto m = test::model_for<u8>(syms, 11, 256);
     auto bs = interleaved_encode<Rans32, 32>(std::span<const u8>(syms), m);
@@ -300,17 +303,227 @@ TEST(Simd, GroupDisciplineMatchesPerSymbol) {
     cur.p = static_cast<i64>(bs.units.size()) - 1;
     std::vector<u8> out(syms.size());
     // Force the group-kernel path regardless of backend.
-    simd::scalar_group_pops(cur.x.data(), bs.units.data(), cur.p);
     const DecodeTables t = m.tables();
     const simd::GroupRun<u8> run{cur.x.data(), bs.units.data(), bs.units.size(), &cur.p,
-                                 syms.size() / 32 - 1, &t, out.data()};
-    simd::scalar_decode_groups<u8>(std::span<const simd::GroupRun<u8>>(&run, 1),
-                                   syms.size() / 32);
+                                 &t, out.data(), 0, syms.size() - 1, syms.size()};
+    simd::scalar_decode_groups<u8>(std::span<const simd::GroupRun<u8>>(&run, 1));
     drain_start<Rans32, 32>(cur, std::span<const u16>(bs.units), syms.size());
     EXPECT_EQ(cur.p, -1);
     // Compare only the group-aligned prefix the group kernel covered.
     const std::size_t covered = (syms.size() / 32) * 32;
     for (std::size_t i = 0; i < covered; ++i) ASSERT_EQ(out[i], ref[i]) << i;
+}
+
+/// One run of the edge tests below, and its own tables (an indexed run may
+/// carry an id slice of exactly its positions).
+struct EdgeRun {
+    LaneCursor<Rans32, 32> start;
+    std::span<const u16> units;
+    u64 lo, hi;
+    DecodeTables t;
+    const SplitPoint* entry = nullptr;
+};
+
+template <typename TSym>
+struct EdgeResult {
+    std::vector<TSym> out;  ///< positions [lo, hi] of the runs, rebased
+    std::vector<LaneCursor<Rans32, 32>> exit;
+};
+
+/// Decode one or two runs in one call of `fn` into a buffer of exactly the
+/// positions they span (prefilled with `fill`): any store outside them is a
+/// heap overflow, and the exit cursors are the per-symbol cursors at lo.
+template <typename TSym, typename Fn>
+EdgeResult<TSym> decode_edge(const Fn& fn, std::span<const EdgeRun> runs) {
+    u64 lo = runs[0].lo, hi = runs[0].hi;
+    for (const auto& r : runs) {
+        lo = std::min(lo, r.lo);
+        hi = std::max(hi, r.hi);
+    }
+    EdgeResult<TSym> res;
+    res.out.assign(hi - lo + 1, static_cast<TSym>(0x5a));
+    TSym* rebased = reinterpret_cast<TSym*>(reinterpret_cast<std::uintptr_t>(res.out.data()) -
+                                            static_cast<std::uintptr_t>(lo) * sizeof(TSym));
+    for (const auto& r : runs) res.exit.push_back(r.start);
+    std::vector<RangeRun<Rans32, 32, TSym>> rr;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        rr.push_back({&res.exit[i], runs[i].units, runs[i].hi, runs[i].lo, &runs[i].t, rebased,
+                      runs[i].entry});
+    fn(std::span<const RangeRun<Rans32, 32, TSym>>(rr));
+    return res;
+}
+
+/// Every backend, on these runs singly and (when two) paired, must store
+/// what the per-symbol reference stores and leave its exit cursors.
+template <typename TSym>
+void expect_edges_match(std::span<const EdgeRun> runs, const std::string& what) {
+    const ScalarRangeFn<Rans32, 32, TSym> scalar;
+    std::vector<EdgeResult<TSym>> single_ref;
+    for (const auto& r : runs) single_ref.push_back(decode_edge<TSym>(scalar, {&r, 1}));
+    const EdgeResult<TSym> pair_ref = decode_edge<TSym>(scalar, runs);
+    for (Backend b : available_backends()) {
+        const simd::SimdRangeFn<TSym> range{b};
+        const std::string name = what + " on " + simd::backend_name(b);
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const auto got = decode_edge<TSym>(range, {&runs[i], 1});
+            ASSERT_TRUE(got.out == single_ref[i].out) << name << ", run " << i;
+            EXPECT_EQ(got.exit[0].x, single_ref[i].exit[0].x) << name << ", run " << i;
+            EXPECT_EQ(got.exit[0].p, single_ref[i].exit[0].p) << name << ", run " << i;
+        }
+        if (runs.size() < 2) continue;
+        const auto got = decode_edge<TSym>(range, runs);
+        ASSERT_TRUE(got.out == pair_ref.out) << name << ", paired";
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            EXPECT_EQ(got.exit[i].x, pair_ref.exit[i].x) << name << ", paired run " << i;
+            EXPECT_EQ(got.exit[i].p, pair_ref.exit[i].p) << name << ", paired run " << i;
+        }
+    }
+}
+
+/// The masked-kernel edge checks for one table layout.
+template <typename TSym, typename Model>
+void check_masked_edges(std::span<const TSym> syms, const Model& m, const char* layout) {
+    const DecodeTables t = m.tables();
+    const auto enc = recoil_encode<Rans32, 32>(syms, m, 2400);
+    ASSERT_GE(enc.metadata.num_splits(), 2176u) << layout;
+    RecoilMetadata meta = enc.metadata;  // exactly 2,176 splits, evenly spread
+    meta.splits.clear();
+    for (u64 i = 1; i < 2176; ++i)
+        meta.splits.push_back(enc.metadata.splits[i * enc.metadata.splits.size() / 2176]);
+    const std::span<const u16> units(enc.bitstream.units);
+
+    // Every split as the decoder runs it: entered at its split point (the
+    // last fully live), alone and paired with the next, whose
+    // synchronization section differs in length.
+    const u32 S = meta.num_splits();
+    auto split_run = [&](u32 k) {
+        EdgeRun r{{}, units, k > 0 ? meta.splits[k - 1].min_index : 0, 0, t};
+        if (k + 1 == S) {
+            std::copy(enc.bitstream.final_states.begin(), enc.bitstream.final_states.end(),
+                      r.start.x.begin());
+            r.start.p = static_cast<i64>(units.size()) - 1;
+            r.hi = syms.size() - 1;
+        } else {
+            r.start.p = static_cast<i64>(meta.splits[k].offset);
+            r.hi = meta.splits[k].anchor_index;
+            r.entry = &meta.splits[k];
+        }
+        return r;
+    };
+    std::set<u64> min_res, anchor_res, lo_res;
+    u32 uneven = 0;
+    for (u32 k = 0; k + 1 < S; ++k) {
+        const EdgeRun pair[2] = {split_run(k), split_run(k + 1)};
+        expect_edges_match<TSym>(pair, std::string(layout) + ", splits " + std::to_string(k));
+        const SplitPoint& sp = meta.splits[k];
+        min_res.insert(sp.min_index % 32);
+        anchor_res.insert(sp.anchor_index % 32);
+        lo_res.insert(pair[0].lo % 32);
+        if (k + 2 < S && sp.anchor_index / 32 - sp.min_index / 32 !=
+                             meta.splits[k + 1].anchor_index / 32 - meta.splits[k + 1].min_index / 32)
+            ++uneven;
+        if (testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_EQ(min_res.size(), 32u) << layout;
+    EXPECT_EQ(anchor_res.size(), 32u) << layout;
+    EXPECT_EQ(lo_res.size(), 32u) << layout;
+    EXPECT_GT(uneven, 0u) << layout;
+
+    // The whole stream, with its synchronization statistics.
+    RecoilDecodeStats want;
+    const auto ref = recoil_decode<Rans32, 32, TSym>(units, meta, t, nullptr, &want);
+    ASSERT_TRUE(std::equal(ref.begin(), ref.end(), syms.begin())) << layout;
+    for (Backend b : available_backends()) {
+        RecoilDecodeStats got;
+        const auto dec =
+            recoil_decode<Rans32, 32, TSym>(units, meta, t, nullptr, &got, simd::SimdRangeFn<TSym>{b});
+        EXPECT_TRUE(dec == ref) << layout << " on " << simd::backend_name(b);
+        EXPECT_EQ(got.sync_symbols, want.sync_symbols) << layout << " on " << simd::backend_name(b);
+        EXPECT_EQ(got.skipped_positions, want.skipped_positions) << layout;
+        EXPECT_EQ(got.cross_symbols, want.cross_symbols) << layout;
+    }
+
+    // Fully live runs over [lo, hi] with lo and hi at every offset within a
+    // group, entered as the per-symbol cursor at hi; an indexed run reads an
+    // id slice of exactly [lo, hi + 1). at[pos] is the cursor ready to
+    // decode pos.
+    const u64 n = 32 * 64;
+    std::vector<LaneCursor<Rans32, 32>> at(n);
+    LaneCursor<Rans32, 32> cur;
+    std::copy(enc.bitstream.final_states.begin(), enc.bitstream.final_states.end(), cur.x.begin());
+    cur.p = static_cast<i64>(units.size()) - 1;
+    decode_positions<Rans32, 32, TSym>(cur, units, syms.size() - 1, n, t, nullptr);
+    for (u64 pos = n; pos-- > 0;) {
+        at[pos] = cur;
+        decode_positions<Rans32, 32, TSym>(cur, units, pos, pos, t, nullptr);
+    }
+    std::vector<std::vector<u8>> slices;
+    slices.reserve(2);
+    auto window = [&](u64 lo, u64 hi) {
+        EdgeRun r{at[hi], units, lo, hi, t};
+        if (t.ids != nullptr) {
+            slices.emplace_back(t.ids + lo, t.ids + hi + 1);
+            r.t.ids = reinterpret_cast<const u8*>(
+                reinterpret_cast<std::uintptr_t>(slices.back().data()) -
+                static_cast<std::uintptr_t>(lo));
+        }
+        return r;
+    };
+    for (u64 lo_off = 0; lo_off < 32; ++lo_off) {
+        for (u64 hi_off = 0; hi_off < 32; ++hi_off) {
+            slices.clear();
+            const u64 near_hi = 32 * 50 + hi_off + (hi_off < lo_off ? 32 : 0);
+            const EdgeRun pair[2] = {window(32 * 40 + lo_off, 32 * 44 + hi_off),
+                                           window(32 * 50 + lo_off, near_hi)};
+            expect_edges_match<TSym>(pair, std::string(layout) + ", offsets " +
+                                               std::to_string(lo_off) + "/" +
+                                               std::to_string(hi_off));
+            if (testing::Test::HasFatalFailure()) return;
+            // The reference itself ends at the cursor it would hand on.
+            const auto ref_run = decode_edge<TSym>(ScalarRangeFn<Rans32, 32, TSym>{}, {&pair[0], 1});
+            EXPECT_EQ(ref_run.exit[0].x, at[pair[0].lo - 1].x);
+            EXPECT_EQ(ref_run.exit[0].p, at[pair[0].lo - 1].p);
+        }
+    }
+}
+
+TEST(Simd, MaskedKernelMatchesThePerSymbolReferenceAtEveryEdge) {
+    // Every phase of every run goes through the masked group kernel: a
+    // split's synchronization groups (lanes joining at their recorded
+    // index), the seam group at its min_index, the bottom group at the
+    // previous split's min_index, a ragged top, and range edges at every
+    // offset within a group. Outputs, exit cursors and statistics must
+    // equal the per-symbol ScalarRangeFn's for packed (u8, n = 11), wide
+    // (u8, n = 16) and indexed (u16) tables, with single and paired runs.
+    const std::size_t n = 800000;
+    {
+        auto syms = test::geometric_symbols<u8>(n, 0.6, 256, 601);
+        auto m = test::model_for<u8>(syms, 11, 256);
+        ASSERT_NE(m.tables().packed, nullptr);
+        check_masked_edges<u8>(syms, m, "packed");
+    }
+    {
+        auto syms = test::geometric_symbols<u8>(n, 0.7, 256, 602);
+        auto m = test::model_for<u8>(syms, 16, 256);
+        ASSERT_EQ(m.tables().packed, nullptr);
+        check_masked_edges<u8>(syms, m, "wide");
+    }
+    Xoshiro256 rng(603);
+    std::vector<u16> syms(n);
+    std::vector<u8> ids(n);
+    std::vector<std::vector<u64>> counts(3, std::vector<u64>(1024, 1));
+    for (std::size_t i = 0; i < n; ++i) {
+        ids[i] = static_cast<u8>((i / 5) % 3);
+        const double q = ids[i] == 0 ? 0.5 : ids[i] == 1 ? 0.9 : 0.98;
+        u32 v = 0;
+        while (v < 1023 && rng.uniform() < q) ++v;
+        syms[i] = static_cast<u16>(v);
+        ++counts[ids[i]][v];
+    }
+    std::vector<StaticModel> models;
+    for (const auto& c : counts) models.emplace_back(c, 14);
+    const IndexedModelSet set(std::move(models), ids);
+    check_masked_edges<u16>(syms, set, "indexed");
 }
 
 TEST(Simd, ConventionalWithSimdRange) {
