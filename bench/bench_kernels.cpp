@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark): decode kernel backends, table
-// construction, metadata bit I/O, the FNV-1a checksum. Complements the
-// table/figure harness with per-component numbers.
+// construction, metadata bit I/O, the FNV-1a checksum, serializing a
+// container per client class. Complements the table/figure harness with
+// per-component numbers.
 
 #include <benchmark/benchmark.h>
 
@@ -8,6 +9,8 @@
 #include "core/metadata_codec.hpp"
 #include "core/recoil_decoder.hpp"
 #include "core/recoil_encoder.hpp"
+#include "core/split_planner.hpp"
+#include "format/container.hpp"
 #include "format/wire_io.hpp"
 #include "rans/interleaved.hpp"
 #include "simd/dispatch.hpp"
@@ -151,16 +154,20 @@ void BM_SplitPlanning(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitPlanning)->Arg(16)->Arg(256)->Arg(2176);
 
-// The 2,176-split metadata of the n = 11 fixture: the wire form a
-// class-2176 client receives, written and parsed.
-const RecoilMetadata& metadata2176() {
-    static const RecoilMetadata meta = [] {
+// The n = 11 fixture as a 2,176-split container: the asset a server adapts
+// to each client class. Its metadata is the wire form a class-2176 client
+// receives, written and parsed.
+const format::RecoilFile& file2176() {
+    static const format::RecoilFile file = [] {
         auto& f = fixture11();
-        return recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 2176)
-            .metadata;
+        return format::make_recoil_file(
+            recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, 2176),
+            f.model, 1);
     }();
-    return meta;
+    return file;
 }
+
+const RecoilMetadata& metadata2176() { return file2176().metadata; }
 
 void BM_MetadataSerialize(benchmark::State& state) {
     const RecoilMetadata& meta = metadata2176();
@@ -190,6 +197,25 @@ void BM_CombineSplits(benchmark::State& state) {
 }
 BENCHMARK(BM_CombineSplits);
 
+// One adapted wire: the container serialized into a VectorSink at the
+// class's metadata. After the first iteration the unit payload's checksum
+// memo is warm, as it is for every fetch of a served asset after its first.
+void BM_SaveRecoilFile(benchmark::State& state) {
+    const format::RecoilFile& file = file2176();
+    const RecoilMetadata meta =
+        combine_splits(file.metadata, static_cast<u32>(state.range(0)));
+    std::size_t wire = 0;
+    for (auto _ : state) {
+        format::VectorSink sink;
+        format::save_recoil_file_into(file, meta, sink);
+        wire = sink.out.size();
+        benchmark::DoNotOptimize(sink.out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetBytesProcessed(static_cast<i64>(state.iterations() * wire));
+}
+BENCHMARK(BM_SaveRecoilFile)->Arg(1)->Arg(16)->Arg(2176);
+
 void BM_TansTableBuild(benchmark::State& state) {
     auto& f = fixture11();
     auto pdf = quantize_pdf(histogram(f.data), static_cast<u32>(state.range(0)));
@@ -213,7 +239,8 @@ BENCHMARK(BM_BitWriter);
 
 // FNV-1a, the checksum every serialize, parse, frame check and reassembly
 // pays per byte: the serial loop against the dispatched path, whose label
-// names the path this CPU took.
+// names the path this CPU took, and the two-chain pass a framed miss and
+// the client's reassembly take.
 void fnv_with(benchmark::State& state, u64 (*hash)(std::span<const u8>, u64)) {
     const auto data =
         workload::gen_text(static_cast<std::size_t>(state.range(0)), 5);
@@ -233,8 +260,20 @@ void BM_Fnv1a(benchmark::State& s) {
                    ? std::string("bit-sliced avx512")
                    : std::string("serial: ") + cpu.avx512_fnv_missing + " missing");
 }
+void BM_Fnv1a2(benchmark::State& s) {
+    const auto data = workload::gen_text(static_cast<std::size_t>(s.range(0)), 5);
+    for (auto _ : s) {
+        u64 a = format::kFnvInit;
+        u64 b = ~format::kFnvInit;
+        format::fnv1a2(std::span<const u8>(data), a, b);
+        benchmark::DoNotOptimize(a);
+        benchmark::DoNotOptimize(b);
+    }
+    s.SetBytesProcessed(static_cast<i64>(s.iterations() * data.size()));
+}
 BENCHMARK(BM_Fnv1aSerial)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
 BENCHMARK(BM_Fnv1a)->Arg(4 << 10)->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
+BENCHMARK(BM_Fnv1a2)->Arg(64 << 10)->Arg(1 << 20)->Arg(4 << 20);
 
 }  // namespace
 

@@ -17,8 +17,6 @@ namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'F', '1'};
 
-constexpr u64 kFnvPrime = 0x100000001b3ull;
-
 constexpr std::size_t kFnvBlock = 512;
 
 // ---- Bit-sliced FNV-1a (AVX-512) -------------------------------------------
@@ -377,10 +375,20 @@ void fnv1a2(std::span<const u8> bytes, u64& a, u64& b) {
     b = y;
 }
 
+u64 FnvMemo::fold(std::span<const u8> bytes, u64 state) const {
+    if (const auto after = recall(state)) return *after;
+    const u64 after = fnv1a(bytes, state);
+    const auto low = static_cast<unsigned>(state & 0xff);
+    g_[low].store(after - state * pn_, std::memory_order_relaxed);
+    known_[low / 64].fetch_or(u64{1} << (low % 64), std::memory_order_release);
+    return after;
+}
+
 void WireSink::write(ByteBuffer piece) {
     bytes_ += piece.size();
     if (frames_.bytes == 0) {
-        digest_ = fnv1a(piece, digest_);
+        digest_ = piece.memo() != nullptr ? piece.memo()->fold(piece, digest_)
+                                          : fnv1a(piece, digest_);
     } else {
         // Hold the piece as views, cut at frame boundaries; a frame that
         // fills has a known length and is folded at once.
@@ -428,7 +436,7 @@ void WireSink::seal() {
     }
     bytes_ += trailer.size();
     digest_ = fnv1a(trailer, digest_);  // sealed_fnv1a, without re-reading
-    keep(std::move(trailer));
+    keep(ByteBuffer::section(std::move(trailer)));
 }
 
 StaticModel RecoilFile::build_static_model() const {
@@ -469,7 +477,7 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
         put_u64(head, p.ids.size());
         sink.write(std::move(head));
         // A borrowed view of the id stream, never a copy.
-        sink.write(ByteBuffer::view(p.ids, p.ids.keeper()));
+        sink.write(p.ids.as_bytes());
     } else {
         const auto& p = std::get<RecoilFile::StaticPayload>(f.model);
         put_freq_table(head, p.freq);
@@ -483,7 +491,7 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
     put_u64(mid, f.units.size());
     put_unit_pad(mid, sink.bytes());
     sink.write(std::move(mid));
-    sink.write(unit_wire_bytes(f.units, 0, f.units.size()));
+    sink.write(f.units.as_bytes());
     sink.seal();
 }
 

@@ -7,9 +7,11 @@
 // can reach a model's table builder.
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -25,6 +27,9 @@ u64 fnv1a(std::span<const u8> bytes);
 /// FNV-1a offset basis: the initial state of an incremental hash.
 inline constexpr u64 kFnvInit = 0xcbf29ce484222325ull;
 
+/// FNV-1a 64-bit prime P: a step is h' = (h ^ b) * P.
+inline constexpr u64 kFnvPrime = 0x100000001b3ull;
+
 /// Incremental FNV-1a: fold `bytes` into `state` (seed with kFnvInit).
 /// Hashing a buffer piece by piece yields the same digest as one pass, which
 /// is what lets a streaming wire producer emit its trailing checksum without
@@ -39,9 +44,45 @@ u64 fnv1a_serial(std::span<const u8> bytes, u64 state);
 
 /// Fold `bytes` into two incremental FNV-1a states in one pass, for bytes
 /// that belong to two checksums (a wire's trailer and the body frame that
-/// streams them). The two chains share each block's bit transpose, and the
-/// serial tail interleaves them in one loop for about the cost of one.
+/// streams them). The two chains share each block's bit transpose but walk
+/// their own bit planes, so a pass costs about 1.9x one fnv1a pass: less
+/// than two passes, far more than one.
 void fnv1a2(std::span<const u8> bytes, u64& a, u64& b);
+
+/// What folding one payload's n bytes does to any FNV-1a state, learned
+/// from the folds made so far. n steps take h to h * P^n + G, and G depends
+/// on h only through its low byte: only the low byte meets the xor, and the
+/// low byte's own chain never sees the high bits (docs/serve_protocol.md,
+/// "How the checksum is computed"). So a payload has at most 256 values of
+/// G, each learned from the first fold at its low byte; a later fold at
+/// that low byte costs one multiply. Lock-free: any number of threads may
+/// fold one payload at once, and two that learn the same G store the same
+/// value. 2 KiB per payload.
+class FnvMemo {
+public:
+    explicit FnvMemo(u64 n) {
+        for (u64 base = kFnvPrime; n != 0; n >>= 1, base *= base)
+            if ((n & 1) != 0) pn_ *= base;
+    }
+
+    /// `state` after the payload's bytes, when this low byte has been met.
+    std::optional<u64> recall(u64 state) const {
+        const auto low = static_cast<unsigned>(state & 0xff);
+        if ((known_[low / 64].load(std::memory_order_acquire) &
+             (u64{1} << (low % 64))) == 0)
+            return std::nullopt;
+        return state * pn_ + g_[low].load(std::memory_order_relaxed);
+    }
+
+    /// Fold the payload's `bytes` into `state`: recalled in O(1), or one
+    /// fnv1a pass that the memo learns from.
+    u64 fold(std::span<const u8> bytes, u64 state) const;
+
+private:
+    u64 pn_ = 1;  ///< P^n
+    mutable std::atomic<u64> known_[4] = {};  ///< bit L: g_[L] is set
+    mutable std::atomic<u64> g_[256] = {};
+};
 
 /// The checksum a frame or wire ends with: its last 8 bytes, LE. Requires
 /// at least 8 bytes.
@@ -69,29 +110,41 @@ inline u64 sealed_fnv1a(std::span<const u8> tail) {
 /// underlying storage, so re-serializing or combining a parsed container
 /// never duplicates the bitstream. The keeper outlives every view, which is
 /// what makes handing spans of a mapping around safe.
+///
+/// A buffer made over storage (an owned vector, or view()) carries an
+/// FnvMemo of its bytes, shared by every copy and every full-range slice()
+/// or as_bytes() of it, so an unframed wire that reaches the payload at a
+/// low byte an earlier wire met folds it in O(1). A slice of part of the
+/// buffer carries none, and neither does a section(): the structural bytes
+/// a serializer builds for one wire.
 template <typename T>
 class SharedBuffer {
 public:
     SharedBuffer() = default;
-    SharedBuffer(std::vector<T> own) {  // NOLINT: implicit by design
-        auto v = std::make_shared<const std::vector<T>>(std::move(own));
-        view_ = std::span<const T>(v->data(), v->size());
-        keeper_ = std::move(v);
-    }
+    SharedBuffer(std::vector<T> own)  // NOLINT: implicit by design
+        : SharedBuffer(std::move(own), true) {}
     SharedBuffer& operator=(std::vector<T> own) {
         *this = SharedBuffer(std::move(own));
         return *this;
     }
 
     /// View over caller-kept bytes; `keeper` must own the storage `s` points
-    /// into and is retained for the buffer's lifetime.
+    /// into and is retained for the buffer's lifetime. The bytes must not
+    /// change while the buffer lives: its memo keeps what they first hashed
+    /// to.
     static SharedBuffer view(std::span<const T> s,
                              std::shared_ptr<const void> keeper) {
         SharedBuffer b;
         b.view_ = s;
         b.keeper_ = std::move(keeper);
+        b.memo_ = std::make_shared<const FnvMemo>(s.size_bytes());
         b.borrowed_ = true;
         return b;
+    }
+
+    /// Owned bytes without a memo: a structural section built for one wire.
+    static SharedBuffer section(std::vector<T> own) {
+        return SharedBuffer(std::move(own), false);
     }
 
     const T* data() const noexcept { return view_.data(); }
@@ -109,13 +162,32 @@ public:
     /// The storage owner this buffer retains (shared vector or mapped file).
     std::shared_ptr<const void> keeper() const noexcept { return keeper_; }
 
+    /// The checksum memo of these exact bytes, or null.
+    const std::shared_ptr<const FnvMemo>& memo() const noexcept {
+        return memo_;
+    }
+
     /// Sub-range view sharing this buffer's storage and keeper — never a
-    /// copy, so slicing a payload for piecewise emission is free.
+    /// copy, so slicing a payload for piecewise emission is free. The whole
+    /// range keeps the memo; part of it has none.
     SharedBuffer slice(std::size_t pos, std::size_t n) const {
-        SharedBuffer b;
+        SharedBuffer b = *this;
         b.view_ = view_.subspan(pos, n);
+        if (b.view_.size() != view_.size()) b.memo_ = nullptr;
+        return b;
+    }
+
+    /// The bytes as a borrowed view: the wire form of a payload piece
+    /// (little-endian u16s are their own wire encoding). It shares this
+    /// buffer's storage, keeper and memo, and owns nothing a response is
+    /// charged for.
+    SharedBuffer<u8> as_bytes() const {
+        SharedBuffer<u8> b;
+        b.view_ = std::span<const u8>(
+            reinterpret_cast<const u8*>(view_.data()), view_.size_bytes());
         b.keeper_ = keeper_;
-        b.borrowed_ = borrowed_;
+        b.memo_ = memo_;
+        b.borrowed_ = true;
         return b;
     }
 
@@ -124,8 +196,20 @@ public:
     }
 
 private:
+    template <typename>
+    friend class SharedBuffer;
+
+    SharedBuffer(std::vector<T> own, bool memo)
+        : memo_(memo ? std::make_shared<const FnvMemo>(own.size() * sizeof(T))
+                     : nullptr) {
+        auto v = std::make_shared<const std::vector<T>>(std::move(own));
+        view_ = std::span<const T>(v->data(), v->size());
+        keeper_ = std::move(v);
+    }
+
     std::span<const T> view_;
     std::shared_ptr<const void> keeper_;
+    std::shared_ptr<const FnvMemo> memo_;
     bool borrowed_ = false;
 };
 
@@ -154,13 +238,19 @@ struct FrameSums {
 /// Every serializer in the library produces through this interface —
 /// materializing a whole wire is just the VectorSink instance of it.
 ///
+/// A piece that carries an FnvMemo (a whole payload) enters an unframed
+/// sink's trailer chain through it: in O(1) once the payload has been
+/// folded at that state's low byte, otherwise in the one fnv1a pass the
+/// memo learns from.
+///
 /// A sink built with a FrameSums request also computes every frame
-/// checksum in the same pass: each byte is folded once, into the trailer's
-/// chain and its frame's (fnv1a2). A frame's chain starts with its header,
-/// which carries the frame's length, so the sink holds the open frame's
-/// pieces as views until that length is known — once the frame is full,
-/// or at seal() for the last frame. The trailer's own 8 bytes enter only
-/// the frame chains: whole in the last frame, or split across the last two.
+/// checksum in the same pass: each byte is read once and folded into the
+/// trailer's chain and its frame's (fnv1a2, about 1.9x one fnv1a pass). It
+/// ignores memos. A frame's chain starts with its header, which carries the
+/// frame's length, so the sink holds the open frame's pieces as views until
+/// that length is known — once the frame is full, or at seal() for the
+/// last frame. The trailer's own 8 bytes enter only the frame chains: whole
+/// in the last frame, or split across the last two.
 class WireSink {
 public:
     explicit WireSink(FrameSums frames = {}) : frames_(frames) {
@@ -173,6 +263,10 @@ public:
     WireSink& operator=(const WireSink&) = delete;
 
     void write(ByteBuffer piece);
+    /// A structural section built for this wire: owned, with no memo.
+    void write(std::vector<u8> section) {
+        write(ByteBuffer::section(std::move(section)));
+    }
     /// Append the trailer; the last call on a sink.
     void seal();
     /// Bytes written so far: the absolute wire offset, which alignment pads
@@ -218,17 +312,6 @@ private:
         out.insert(out.end(), piece.begin(), piece.end());
     }
 };
-
-/// The wire form of `count` units starting at `first`: a borrowed byte view
-/// of the unit storage (little-endian u16s are their own wire encoding —
-/// the same reinterpretation every materializing serializer already does).
-inline ByteBuffer unit_wire_bytes(const UnitBuffer& units, u64 first,
-                                  u64 count) {
-    return ByteBuffer::view(
-        std::span<const u8>(
-            reinterpret_cast<const u8*>(units.data() + first), count * 2),
-        units.keeper());
-}
 
 namespace wire {
 

@@ -301,7 +301,7 @@ ServeResult decode_response(std::span<const u8> frame, u64 max_frame_bytes) {
         if (wire_len != 0) {
             auto bytes = c.get_bytes(wire_len);
             res.wire = std::make_shared<const FinishedResponse>(
-                std::vector<u8>(bytes.begin(), bytes.end()),
+                format::ByteBuffer::section({bytes.begin(), bytes.end()}),
                 res.stats.splits_served);
             res.stats.wire_bytes = wire_len;
         }

@@ -91,9 +91,7 @@ u32 emit_segment(format::WireSink& sink, const SegmentSource& src, u64 lo,
         put_u64(head, ids_lo);
         put_u64(head, ids_hi - ids_lo);
         sink.write(std::move(head));
-        sink.write(format::ByteBuffer::view(
-            std::span<const u8>(*src.ids).subspan(ids_lo, ids_hi - ids_lo),
-            src.ids->keeper()));
+        sink.write(src.ids->slice(ids_lo, ids_hi - ids_lo).as_bytes());
         head = {};
     } else {
         put_freq_table(head, src.freq);
@@ -104,7 +102,7 @@ u32 emit_segment(format::WireSink& sink, const SegmentSource& src, u64 lo,
     head.insert(head.end(), meta_bytes.begin(), meta_bytes.end());
     put_u64(head, unit_hi - unit_lo);
     sink.write(std::move(head));
-    sink.write(format::unit_wire_bytes(*src.units, unit_lo, unit_hi - unit_lo));
+    sink.write(src.units->slice(unit_lo, unit_hi - unit_lo).as_bytes());
 
     return plan.last_split - plan.first_split + 1;
 }

@@ -581,7 +581,7 @@ ServeResult serve_introspection(const obs::MetricsRegistry& reg,
         res.code = ErrorCode::ok;
         res.payload = PayloadKind::metrics;
         res.wire = std::make_shared<const FinishedResponse>(
-            std::vector<u8>(body.begin(), body.end()));
+            format::ByteBuffer::section({body.begin(), body.end()}));
         res.stats.wire_bytes = res.wire->size();
         return res;
     } catch (const std::exception& e) {

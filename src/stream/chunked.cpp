@@ -64,7 +64,7 @@ void ChunkedStream::serialize_into(format::WireSink& sink) const {
         put_u64(section, c.units.size());
         put_unit_pad(section, sink.bytes());
         sink.write(std::move(section));
-        sink.write(format::unit_wire_bytes(c.units, 0, c.units.size()));
+        sink.write(c.units.as_bytes());
     }
     sink.seal();
 }

@@ -8,6 +8,7 @@
 #include "core/recoil_decoder.hpp"
 #include "format/container.hpp"
 #include "simd/dispatch.hpp"
+#include "stream/chunked.hpp"
 #include "test_util.hpp"
 #include "util/cpu.hpp"
 #include "util/xoshiro.hpp"
@@ -278,6 +279,178 @@ TEST(Container, FlipsAtBlockEdgesAndInTheTailFailTheLoad) {
         auto bad = bytes;
         bad[pos] ^= static_cast<u8>(1u << rng.below(8));
         EXPECT_THROW(format::load_recoil_file(bad), Error) << "byte " << pos;
+    }
+}
+
+// The FNV-1a memo (FnvMemo): folding a payload through it equals the serial
+// hash from every low byte, cold (the fold it learns from) and warm (the
+// O(1) recall), and it travels with the payload's copies and full-range
+// views only.
+TEST(Container, FnvMemoFoldEqualsTheSerialHash) {
+    Xoshiro256 rng(0x3e30);
+    const std::size_t sizes[] = {0,    1,    511,           512,
+                                 513,  4095, (64 << 10) + 3, (1 << 20) + 7};
+    for (const std::size_t n : sizes) {
+        std::vector<u8> bytes(n);
+        for (u8& b : bytes) b = static_cast<u8>(rng());
+        const format::ByteBuffer payload(bytes);
+        ASSERT_NE(payload.memo(), nullptr);
+        for (unsigned low = 0; low < 256; ++low) {
+            const u64 cold = (rng() & ~u64{0xff}) | low;
+            const u64 warm = (rng() & ~u64{0xff}) | low;
+            EXPECT_FALSE(payload.memo()->recall(cold).has_value());
+            EXPECT_EQ(payload.memo()->fold(payload, cold),
+                      format::fnv1a_serial(payload, cold))
+                << n << " bytes, low byte " << low;
+            ASSERT_TRUE(payload.memo()->recall(warm).has_value());
+            EXPECT_EQ(payload.memo()->fold(payload, warm),
+                      format::fnv1a_serial(payload, warm))
+                << n << " bytes, low byte " << low;
+        }
+    }
+}
+
+TEST(Container, FnvMemoTravelsWithCopiesAndWholeViewsOnly) {
+    Xoshiro256 rng(0x3e31);
+    std::vector<u16> units(40000);
+    for (u16& u : units) u = static_cast<u16>(rng());
+    const format::UnitBuffer payload(units);
+    const auto& memo = payload.memo();
+    ASSERT_NE(memo, nullptr);
+
+    // Copies and full-range views share the memo.
+    const format::UnitBuffer copy = payload;
+    EXPECT_EQ(copy.memo(), memo);
+    EXPECT_EQ(payload.slice(0, payload.size()).memo(), memo);
+    const format::ByteBuffer wire = payload.as_bytes();
+    EXPECT_EQ(wire.memo(), memo);
+    EXPECT_TRUE(wire.borrowed());
+    const u64 state = rng();
+    EXPECT_EQ(wire.memo()->fold(wire, state),
+              format::fnv1a_serial(wire, state));
+    EXPECT_TRUE(copy.memo()->recall(state ^ 0xff00).has_value());
+
+    // A part of the payload, and a structural section, carry none: a sink
+    // folds them like fnv1a.
+    const format::ByteBuffer part =
+        payload.slice(1, payload.size() - 2).as_bytes();
+    EXPECT_EQ(part.memo(), nullptr);
+    EXPECT_EQ(payload.slice(1, 5).memo(), nullptr);
+    EXPECT_EQ(format::ByteBuffer::section({1, 2, 3}).memo(), nullptr);
+    format::VectorSink sink;
+    sink.write(part);
+    sink.seal();
+    EXPECT_EQ(format::stored_checksum(sink.out),
+              format::fnv1a_serial(part, format::kFnvInit));
+}
+
+TEST(Container, AMemoSealsTheBytesItFirstHashed) {
+    // A payload that changes after its first fold (a mapped master that
+    // rots) keeps the checksum of its first bytes: the wire fails the
+    // client's verify instead of carrying the new bytes under a fresh
+    // checksum.
+    auto f = make_file(50000, 8);
+    auto storage = std::make_shared<std::vector<u16>>(f.units.begin(),
+                                                      f.units.end());
+    f.units = format::UnitBuffer::view(*storage, storage);
+    const auto good = format::save_recoil_file(f);
+    EXPECT_NO_THROW(format::load_recoil_file(good));
+    (*storage)[storage->size() / 2] ^= 0x10;
+    EXPECT_THROW(format::load_recoil_file(format::save_recoil_file(f)), Error);
+}
+
+/// bench_kernels' kind of input at a test's size: text, 11-bit model,
+/// encoded at up to 2,176 splits.
+format::RecoilFile golden_text_file() {
+    const auto text = workload::gen_text(600000, 11);
+    const auto m = test::model_for<u8>(text, 11, 256);
+    const auto enc =
+        recoil_encode<Rans32, 32>(std::span<const u8>(text), m, 2176);
+    return format::make_recoil_file(enc, m, 1);
+}
+
+/// Two models over 16-bit symbols, switched every 7 symbols.
+format::RecoilFile golden_indexed_u16_file() {
+    const auto syms = test::geometric_symbols<u16>(300000, 0.97, 1024, 16);
+    std::vector<u8> ids(syms.size());
+    for (std::size_t i = 0; i < ids.size(); ++i)
+        ids[i] = static_cast<u8>((i / 7) % 2);
+    std::vector<u64> c0(1024, 1), c1(1024, 1);
+    for (std::size_t i = 0; i < syms.size(); ++i)
+        (ids[i] == 0 ? c0 : c1)[syms[i]] += 1 + ids[i];
+    std::vector<StaticModel> models{StaticModel(c0, 14), StaticModel(c1, 14)};
+    format::RecoilFile f;
+    f.sym_width = 2;
+    f.prob_bits = 14;
+    format::RecoilFile::IndexedPayload p;
+    for (const StaticModel& m : models) {
+        std::vector<u32> freq(m.alphabet());
+        for (u32 s = 0; s < m.alphabet(); ++s) freq[s] = m.freq(s);
+        p.freqs.push_back(std::move(freq));
+    }
+    p.ids = ids;
+    IndexedModelSet set(std::move(models), ids);
+    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 2176);
+    f.metadata = std::move(enc.metadata);
+    f.units = std::move(enc.bitstream.units);
+    f.model = std::move(p);
+    return f;
+}
+
+/// Four text chunks of 150,000 bytes, up to 1,024 splits each.
+stream::ChunkedStream golden_chunked() {
+    const auto text = workload::gen_text(600000, 12);
+    stream::ChunkedEncoder enc({11, 1024});
+    for (std::size_t off = 0; off < text.size(); off += 150000)
+        enc.add_chunk(std::span<const u8>(text).subspan(off, 150000));
+    return enc.finish();
+}
+
+/// Size and FNV-1a of a wire, recorded from the serializer before the memo.
+struct GoldenWire {
+    u32 cls;
+    std::size_t size;
+    u64 digest;
+};
+
+void expect_golden(const std::vector<u8>& wire, const GoldenWire& g,
+                   const char* what, const char* memo) {
+    EXPECT_EQ(wire.size(), g.size) << what << " class " << g.cls << ", " << memo;
+    EXPECT_EQ(format::fnv1a_serial(wire, format::kFnvInit), g.digest)
+        << what << " class " << g.cls << ", " << memo;
+}
+
+TEST(Container, WiresMatchTheGoldenBytesWithTheMemoColdAndWarm) {
+    const GoldenWire text[] = {{1, 316310, 14041638572878020346ull},
+                               {4, 316544, 12726587831415258615ull},
+                               {16, 317478, 15495339199960873429ull},
+                               {2176, 488056, 1121593194908430516ull}};
+    const GoldenWire indexed[] = {{1, 561252, 16221014175750321225ull},
+                                  {4, 561474, 17406335222387321771ull},
+                                  {16, 562364, 11791822323678086874ull},
+                                  {2176, 725466, 9545991381336729811ull}};
+    const GoldenWire chunked[] = {{1, 319782, 4258982311212589518ull},
+                                  {16, 320698, 4725460018370241970ull},
+                                  {2176, 488970, 6126537713971966398ull}};
+    const struct {
+        const char* name;
+        format::RecoilFile file;
+        std::span<const GoldenWire> golden;
+    } files[] = {{"text", golden_text_file(), text},
+                 {"indexed u16", golden_indexed_u16_file(), indexed}};
+    for (const auto& [name, file, golden] : files) {
+        ASSERT_EQ(file.metadata.num_splits(), 2176u) << name;
+        for (const GoldenWire& g : golden) {
+            const RecoilMetadata meta = combine_splits(file.metadata, g.cls);
+            expect_golden(format::save_recoil_file(file, meta), g, name, "cold");
+            expect_golden(format::save_recoil_file(file, meta), g, name, "warm");
+        }
+    }
+    const stream::ChunkedStream stream = golden_chunked();
+    for (const GoldenWire& g : chunked) {
+        const stream::ChunkedStream combined = stream.combined(g.cls);
+        expect_golden(combined.serialize(), g, "chunked", "cold");
+        expect_golden(combined.serialize(), g, "chunked", "warm");
     }
 }
 

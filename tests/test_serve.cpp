@@ -964,5 +964,114 @@ TEST(ServeCache, SummarizeCountsRequestsFailuresAndWarmHits) {
     EXPECT_EQ(summarize(warm).cache_hits, reqs.size() - 1);
 }
 
+/// `f` over fresh copies of its payload: new buffers, so cold memos.
+format::RecoilFile with_fresh_payload(format::RecoilFile f) {
+    f.units = std::vector<u16>(f.units.begin(), f.units.end());
+    if (f.is_indexed()) {
+        auto& p = std::get<format::RecoilFile::IndexedPayload>(f.model);
+        p.ids = std::vector<u8>(p.ids.begin(), p.ids.end());
+    }
+    return f;
+}
+
+TEST(ServeMemo, MissFrameSumsAndDigestAreTheSerialHashOfTheWire) {
+    // Every frame sum and the whole-wire digest of a miss must be the
+    // serial hash of the gathered wire, frame by frame: for each kind of
+    // wire, at frame sizes that cut through the payload, with the payload
+    // memos cold (the first server) and warm (a second server over the
+    // same payload buffers, its cache empty, after each full wire was
+    // serialized once without frames, which fills the memos at the states
+    // the served wires reach them with).
+    const auto text = workload::gen_text(2600000, 21);
+    const auto m = test::model_for<u8>(text, 11, 256);
+    const format::RecoilFile file = format::make_recoil_file(
+        recoil_encode<Rans32, 32>(std::span<const u8>(text), m, 64), m, 1);
+    const auto syms = test::geometric_symbols<u8>(200000, 0.6, 256, 5);
+    const format::RecoilFile indexed = test::indexed_file(syms, 16);
+    stream::ChunkedEncoder chunks({11, 16});
+    for (u64 off = 0; off < 600000; off += 200000)
+        chunks.add_chunk(std::span<const u8>(text).subspan(off, 200000));
+    const stream::ChunkedStream chunked = chunks.finish();
+
+    struct Request {
+        const char* name;
+        u32 cls;
+        std::optional<std::pair<u64, u64>> range;
+    };
+    const Request requests[] = {
+        {"static", 1, std::nullopt},
+        {"static", 16, std::nullopt},
+        {"static", 1, {{0, text.size()}}},
+        {"static", 1, {{1000, 900000}}},
+        {"indexed", 4, std::nullopt},
+        {"indexed", 1, {{0, syms.size()}}},
+        {"indexed", 1, {{5000, 150000}}},
+        {"chunked", 8, std::nullopt},
+        {"chunked", 1, {{100000, 500000}}},
+    };
+    for (const u64 F : {u64{4} << 10, u64{1} << 20}) {
+        ServerOptions opt;
+        opt.max_frame_bytes = F;
+        ContentServer cold(opt);
+        ContentServer warm(opt);
+        // Fresh buffers per frame size, shared by both servers.
+        const format::RecoilFile f = with_fresh_payload(file);
+        const format::RecoilFile g = with_fresh_payload(indexed);
+        stream::ChunkedStream c = chunked;
+        for (stream::Chunk& ch : c.chunks)
+            ch.units = std::vector<u16>(ch.units.begin(), ch.units.end());
+        for (ContentServer* s : {&cold, &warm}) {
+            s->store().add_file("static", f);
+            s->store().add_file("indexed", g);
+            s->store().add_chunked("chunked", c);
+        }
+        const format::FrameSums frames = body_frame_sums(F);
+        const auto warm_memo = [](const format::UnitBuffer& units) {
+            for (u64 low = 0; low < 256; ++low)
+                if (units.memo()->recall(low)) return true;
+            return false;
+        };
+        for (ContentServer* s : {&cold, &warm}) {
+            if (s == &warm) {
+                for (const Request& r : requests) {
+                    if (r.range) continue;
+                    if (std::string(r.name) == "chunked") {
+                        c.combined(r.cls).serialize();
+                        continue;
+                    }
+                    const format::RecoilFile& h =
+                        std::string(r.name) == "static" ? f : g;
+                    format::save_recoil_file(
+                        h, combine_splits(h.metadata, r.cls));
+                }
+                ASSERT_TRUE(warm_memo(f.units) && warm_memo(g.units) &&
+                            warm_memo(c.chunks.back().units));
+            }
+            for (const Request& r : requests) {
+                const std::string at =
+                    std::string(r.name) + " class " + std::to_string(r.cls) +
+                    (r.range ? " range" : "") + ", frames of " +
+                    std::to_string(F) + (s == &cold ? ", cold" : ", warm");
+                const auto res =
+                    s->serve(ServeRequest{r.name, r.cls, r.range});
+                ASSERT_TRUE(res.ok()) << at << ": " << res.detail;
+                EXPECT_FALSE(res.stats.cache_hit) << at;
+                const std::span<const u8> wire = res.wire->bytes();
+                EXPECT_EQ(res.wire->digest(),
+                          format::fnv1a_serial(wire, format::kFnvInit))
+                    << at;
+                std::vector<u64> want;
+                for (u64 pos = 0; pos < wire.size(); pos += F) {
+                    const u64 len = std::min<u64>(F, wire.size() - pos);
+                    want.push_back(format::fnv1a_serial(
+                        wire.subspan(pos, len),
+                        frames.header(static_cast<u32>(want.size()), len)));
+                }
+                EXPECT_EQ(res.wire->frame_sums(), want) << at;
+            }
+        }
+    }
+}
+
 }  // namespace
 }  // namespace recoil::serve

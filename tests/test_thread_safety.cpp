@@ -13,6 +13,11 @@
 //     serve(). This test parks a streamed leader inside its combine until a
 //     pack of streamed followers waits on the flight, so any unguarded
 //     write to the flight's outcome would be a follower-visible race.
+//
+//  3. A payload's FnvMemo is read and filled without a lock by every
+//     thread that serializes the payload into an unframed sink. Threads
+//     fold one payload from the same states at once, so they learn and
+//     recall the same low bytes concurrently.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "format/wire_io.hpp"
 #include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "test_util.hpp"
@@ -139,6 +145,32 @@ TEST(ThreadSafety, StreamedFollowersShareTheLeadersFlight) {
         EXPECT_TRUE(got[i].stats.coalesced) << "follower " << i;
         EXPECT_EQ(*got[i].wire, *ref.wire) << "follower " << i;
     }
+}
+
+TEST(ThreadSafety, ThreadsFoldOnePayloadThroughItsMemoAtOnce) {
+    constexpr unsigned kThreads = 4;
+    constexpr unsigned kStates = 64;
+    const format::ByteBuffer payload(asset_bytes((64 << 10) + 3, 13));
+    std::vector<u64> states(kStates);
+    std::vector<u64> want(kStates);
+    for (unsigned i = 0; i < kStates; ++i) {
+        // Four high-bit variants of each of 16 low bytes.
+        states[i] = (0x9e3779b97f4a7c15ull * (i + 1) & ~u64{0xff}) | (i % 16);
+        want[i] = format::fnv1a_serial(payload, states[i]);
+    }
+    std::atomic<unsigned> ready{0};
+    std::vector<std::vector<u64>> got(kThreads, std::vector<u64>(kStates));
+    std::vector<std::thread> threads;
+    for (unsigned t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < kThreads) std::this_thread::yield();
+            for (unsigned i = 0; i < kStates; ++i)
+                got[t][i] = payload.memo()->fold(payload, states[i]);
+        });
+    for (auto& th : threads) th.join();
+    for (unsigned t = 0; t < kThreads; ++t)
+        EXPECT_EQ(got[t], want) << "thread " << t;
 }
 
 }  // namespace
