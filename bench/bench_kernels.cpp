@@ -1,9 +1,11 @@
-// Micro-benchmarks (google-benchmark): decode kernel backends, table
-// construction, metadata bit I/O, the FNV-1a checksum, serializing a
-// container per client class. Complements the table/figure harness with
-// per-component numbers.
+// Micro-benchmarks (google-benchmark): decode kernel backends, decode and
+// tANS table construction, metadata bit I/O, the FNV-1a checksum,
+// serializing a container per client class. Complements the table/figure
+// harness with per-component numbers.
 
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "bench_util.hpp"
 #include "core/metadata_codec.hpp"
@@ -130,6 +132,80 @@ BENCHMARK(BM_DecodeSplits16_Avx512);
 BENCHMARK(BM_DecodeSplits2176_Scalar);
 BENCHMARK(BM_DecodeSplits2176_Avx2);
 BENCHMARK(BM_DecodeSplits2176_Avx512);
+
+// Decode tables built from pdfs, what a client pays before its first
+// symbol: the decode-only model every decoder builds (decode_model) beside
+// the encoder-side models that also yield them. Static: the n = 11 text pdf,
+// or StaticModel (RecoilFile::build_static_model). Latent: perfbench's
+// latent payload shape, 16 pdfs x 4,096 symbols at n = 14 with 2 MiB of
+// ids, whose ids are checked once; or IndexedModelSet as
+// RecoilFile::build_indexed_model builds it, with an id copy and an encode
+// entry per pdf and symbol.
+enum class Tables { decode_model, encoder_model };
+
+void observe(const DecodeTables& t) {
+    benchmark::DoNotOptimize(t.fc);
+    benchmark::DoNotOptimize(t.sym);
+    benchmark::ClobberMemory();
+}
+
+void BM_DecodeTables_Static(benchmark::State& state, Tables via) {
+    const StaticModel& text = fixture11().model;
+    std::vector<std::vector<u32>> pdf(1);
+    for (u32 s = 0; s < text.alphabet(); ++s) pdf[0].push_back(text.freq(s));
+    for (auto _ : state) {
+        if (via == Tables::decode_model) {
+            const DecodeModel m(pdf, 11);
+            observe(m.tables());
+        } else {
+            const StaticModel m(std::span<const u32>(pdf[0]), 11, 0);
+            observe(m.tables());
+        }
+    }
+}
+BENCHMARK_CAPTURE(BM_DecodeTables_Static, decode_model, Tables::decode_model);
+BENCHMARK_CAPTURE(BM_DecodeTables_Static, static_model, Tables::encoder_model);
+
+struct LatentPdfs {
+    std::vector<std::vector<u32>> pdfs;
+    std::vector<u8> ids;
+};
+
+const LatentPdfs& latent_pdfs() {
+    static const LatentPdfs l = [] {
+        constexpr u32 kProbBits = 14;
+        auto ds = workload::gen_latents("div2k801", u64{1} << 21, 2.2, 1, 16);
+        LatentPdfs out;
+        for (const double sigma : ds.bin_sigma) {
+            std::vector<u64> counts(ds.alphabet);
+            const double inv2s2 = 1.0 / (2.0 * sigma * sigma);
+            for (u32 s = 0; s < ds.alphabet; ++s) {
+                const double r =
+                    static_cast<double>(static_cast<i32>(s) - workload::kLatentOffset);
+                counts[s] = 1 + static_cast<u64>(std::exp(-r * r * inv2s2) * 1e12);
+            }
+            out.pdfs.push_back(quantize_pdf(counts, kProbBits));
+        }
+        out.ids = std::move(ds.ids);
+        return out;
+    }();
+    return l;
+}
+
+void BM_DecodeTables_Latent(benchmark::State& state, Tables via) {
+    const LatentPdfs& l = latent_pdfs();
+    for (auto _ : state) {
+        if (via == Tables::decode_model) {
+            const DecodeModel m(l.pdfs, 14, l.ids);
+            observe(m.tables(l.ids.data()));
+        } else {
+            const IndexedModelSet m(l.pdfs, 14, std::vector<u8>(l.ids.begin(), l.ids.end()));
+            observe(m.tables());
+        }
+    }
+}
+BENCHMARK_CAPTURE(BM_DecodeTables_Latent, decode_model, Tables::decode_model);
+BENCHMARK_CAPTURE(BM_DecodeTables_Latent, indexed_model_set, Tables::encoder_model);
 
 void BM_InterleavedEncode(benchmark::State& state) {
     auto& f = fixture11();

@@ -2,18 +2,20 @@
 //   recoil_file_cli c <input> <output.rcf> [max_splits]   compress
 //   recoil_file_cli d <input.rcf> <output> [threads]      decompress
 //   recoil_file_cli serve <input.rcf> <output.rcf> <M>    combine splits
-// With no arguments, runs a self-demo on a temporary buffer.
+// `d` decodes static and indexed containers; 16-bit symbols come out as two
+// little-endian bytes each. With no arguments, runs a self-demo on a
+// temporary buffer.
 
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/recoil_decoder.hpp"
+#include "core/recoil_encoder.hpp"
 #include "format/container.hpp"
 #include "rans/symbol_stats.hpp"
-#include "simd/dispatch.hpp"
 #include "util/thread_pool.hpp"
 #include "workload/datasets.hpp"
 
@@ -42,12 +44,8 @@ std::vector<u8> compress(std::span<const u8> data, u32 max_splits) {
 }
 
 std::vector<u8> decompress(std::span<const u8> bytes, unsigned threads) {
-    auto f = format::load_recoil_file(bytes);
-    auto model = f.build_static_model();
     ThreadPool pool(threads);
-    simd::SimdRangeFn<u8> range;
-    return recoil_decode<Rans32, 32, u8>(std::span<const u16>(f.units), f.metadata,
-                                         model.tables(), &pool, nullptr, range);
+    return format::decode_file(format::load_recoil_file(bytes), &pool);
 }
 
 int self_demo() {
@@ -104,7 +102,7 @@ int main(int argc, char** argv) {
                      "[threads] | serve <in.rcf> <out.rcf> <M>\n",
                      argv[0]);
         return 2;
-    } catch (const Error& e) {
+    } catch (const std::exception& e) {  // recoil::Error, bad_alloc, ...
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
     }

@@ -5,6 +5,7 @@
 #include <immintrin.h>
 
 #include "core/metadata_codec.hpp"
+#include "core/recoil_decoder.hpp"
 #include "format/wire_io.hpp"
 #include "util/cpu.hpp"
 #include "util/error.hpp"
@@ -541,7 +542,20 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
     f.units = get_unit_buffer(c, unit_count, keeper);
     if (f.metadata.num_units != unit_count)
         raise("container: metadata/bitstream length mismatch");
+    if (indexed && std::get<RecoilFile::IndexedPayload>(f.model).ids.size() <
+                       f.metadata.num_symbols)
+        raise("container: id stream shorter than the symbol stream");
     return f;
+}
+
+template <typename TSym>
+std::vector<TSym> decode_symbols(const RecoilFile& f, const DecodeTables& t,
+                                 ThreadPool* pool, simd::Backend backend) {
+    std::vector<TSym> out(f.metadata.num_symbols);
+    recoil_decode_into<Rans32, 32, TSym>(std::span<const u16>(f.units), f.metadata, t,
+                                         std::span<TSym>(out), pool, nullptr,
+                                         simd::SimdRangeFn<TSym>{backend});
+    return out;
 }
 
 }  // namespace
@@ -554,6 +568,21 @@ RecoilFile load_recoil_file_view(std::span<const u8> bytes,
                                  std::shared_ptr<const void> keeper,
                                  bool checksum_verified) {
     return load_recoil_file_impl(bytes, keeper, checksum_verified);
+}
+
+std::vector<u8> decode_file(const RecoilFile& f, ThreadPool* pool,
+                            simd::Backend backend) {
+    const auto* indexed = std::get_if<RecoilFile::IndexedPayload>(&f.model);
+    if (indexed != nullptr && indexed->ids.size() < f.metadata.num_symbols)
+        raise("container: id stream shorter than the symbol stream");
+    const DecodeModel model =
+        indexed != nullptr
+            ? DecodeModel(indexed->freqs, f.prob_bits, indexed->ids)
+            : DecodeModel({&std::get<RecoilFile::StaticPayload>(f.model).freq, 1},
+                          f.prob_bits);
+    const DecodeTables t = model.tables(indexed != nullptr ? indexed->ids.data() : nullptr);
+    if (f.sym_width == 1) return decode_symbols<u8>(f, t, pool, backend);
+    return le_bytes(decode_symbols<u16>(f, t, pool, backend));
 }
 
 u64 serialized_file_size(const RecoilFile& f) {

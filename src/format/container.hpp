@@ -16,6 +16,8 @@
 #include "core/recoil_encoder.hpp"
 #include "format/wire_io.hpp"
 #include "rans/indexed_model.hpp"
+#include "simd/dispatch.hpp"
+#include "util/thread_pool.hpp"
 
 namespace recoil::format {
 
@@ -39,7 +41,8 @@ struct RecoilFile {
     /// path exists for its sake).
     UnitBuffer units;
 
-    /// Rebuild the decode-side model objects.
+    /// Rebuild the model objects, encode tables included (decode_file needs
+    /// neither: it builds decode-only tables from the pdfs).
     StaticModel build_static_model() const;
     IndexedModelSet build_indexed_model() const;
     bool is_indexed() const noexcept {
@@ -47,8 +50,9 @@ struct RecoilFile {
     }
 };
 
-/// Serialize/parse. Parsing validates structure, metadata invariants and the
-/// checksum; corrupt input raises recoil::Error. save writes container
+/// Serialize/parse. Parsing validates structure, metadata invariants (an
+/// indexed payload's id stream covers every symbol) and the checksum;
+/// corrupt input raises recoil::Error. save writes container
 /// version 2 (unit payload padded to an even offset); load accepts v1 too.
 std::vector<u8> save_recoil_file(const RecoilFile& f);
 /// Serialize `f`'s model and bitstream with `metadata` substituted — the
@@ -76,6 +80,16 @@ RecoilFile load_recoil_file(std::span<const u8> bytes);
 RecoilFile load_recoil_file_view(std::span<const u8> bytes,
                                  std::shared_ptr<const void> keeper,
                                  bool checksum_verified = false);
+
+/// Decode a parsed container into its bytes: one byte per symbol at
+/// sym_width 1, two little-endian bytes per symbol at sym_width 2 (as
+/// serve::decode_range_wire). Static and indexed payloads alike: the tables
+/// come from the payload's pdfs (DecodeModel) and the payload's ids are
+/// borrowed, not copied. An id stream shorter than the symbol stream or an
+/// id past the model count raises recoil::Error. A `backend` this build or
+/// CPU lacks falls back to the next best (simd::group_kernel).
+std::vector<u8> decode_file(const RecoilFile& f, ThreadPool* pool = nullptr,
+                            simd::Backend backend = simd::pick_backend());
 
 /// Exact byte count save_recoil_file would produce, without materializing
 /// the O(bitstream) buffer (only the metadata is encoded to measure it).

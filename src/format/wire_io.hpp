@@ -321,6 +321,13 @@ inline void put_u16(std::vector<u8>& out, u16 v) {
 inline void put_u32(std::vector<u8>& out, u32 v) {
     for (int i = 0; i < 4; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
 }
+/// Decoded 16-bit symbols as bytes: two little-endian bytes per symbol.
+inline std::vector<u8> le_bytes(std::span<const u16> syms) {
+    std::vector<u8> out;
+    out.reserve(2 * syms.size());
+    for (const u16 s : syms) put_u16(out, s);
+    return out;
+}
 inline void put_u64(std::vector<u8>& out, u64 v) {
     for (int i = 0; i < 8; ++i) out.push_back(static_cast<u8>(v >> (8 * i)));
 }

@@ -1,9 +1,11 @@
 #pragma once
 // Static (order-0) probability model: one quantized distribution shared by
-// every symbol position. Provides the encode lookup (freq, cum) and the slot
-// decode LUT (Equation 2's symbol search) in the table layouts consumed by
-// both the scalar and SIMD decoders.
+// every symbol position. Provides the encode lookup (freq, cum); the slot
+// decode LUT (Equation 2's symbol search), in the table layout consumed by
+// both the scalar and SIMD decoders, comes from DecodeModel, the decode-only
+// builder every decoder uses.
 
+#include <bit>
 #include <memory>
 #include <span>
 #include <vector>
@@ -50,8 +52,7 @@ struct EncSymbolFast {
             e.rcp_shift = 0;
             e.bias = cum + (u32{1} << prob_bits) - 1;
         } else {
-            u32 shift = 0;
-            while (freq > (u32{1} << shift)) ++shift;
+            const auto shift = static_cast<u32>(std::bit_width(freq - 1));  // ceil(log2)
             e.rcp_freq = static_cast<u64>(
                 ((static_cast<unsigned __int128>(1) << (shift + 63)) + freq - 1) /
                 freq);
@@ -92,6 +93,44 @@ struct DecodeTables {
     }
 };
 
+/// Decode-only model: the DecodeTables of one quantized pdf, or of a family
+/// of pdfs selected per symbol index (§3.1), built straight from the pdfs
+/// with no encoder state. Every decoder builds its tables here; StaticModel
+/// and IndexedModelSet take theirs from it.
+class DecodeModel {
+public:
+    /// `pdfs`: 1 to 256 pdfs (ids are 8-bit), all of one alphabet size, each
+    /// summing to 2^prob_bits. `ids`: the ids the tables will be read with,
+    /// if any; each must name one of the pdfs. Anything else raises
+    /// recoil::Error. The packed table is built for one pdf of at most 256
+    /// symbols at prob_bits <= 12.
+    DecodeModel(std::span<const std::vector<u32>> pdfs, u32 prob_bits,
+                std::span<const u8> ids = {});
+
+    u32 model_count() const noexcept { return model_count_; }
+
+    /// The tables, with `ids` mapping symbol index -> pdf (nullptr for one
+    /// pdf); pass the ids the constructor checked. `packed` is set only
+    /// without ids.
+    DecodeTables tables(const u8* ids = nullptr) const noexcept {
+        DecodeTables t;
+        t.fc = fc_.data();
+        t.sym = sym_.data();
+        t.packed = ids == nullptr && !packed_.empty() ? packed_.data() : nullptr;
+        t.ids = ids;
+        t.prob_bits = prob_bits_;
+        return t;
+    }
+
+private:
+    u32 prob_bits_;
+    u32 model_count_;
+    // Per slot, pdf after pdf, so tables gather at (id << prob_bits) | slot.
+    std::vector<u32> fc_;      // ((freq-1)<<16)|cum
+    std::vector<u32> sym_;     // symbol
+    std::vector<u32> packed_;  // ((freq-1)<<20)|(cum<<8)|sym, when applicable
+};
+
 class StaticModel {
 public:
     /// Build from raw counts (quantizes internally).
@@ -115,34 +154,20 @@ public:
         return fast_[sym];
     }
 
-    /// Decode-side lookup; `sym_index` ignored (static model).
-    DecSymbol dec_lookup(u64 sym_index, u32 slot) const noexcept {
-        return tables().lookup(sym_index, slot);
-    }
-
-    DecodeTables tables() const noexcept {
-        DecodeTables t;
-        t.fc = fc_.data();
-        t.sym = sym_.data();
-        t.packed = packed_.empty() ? nullptr : packed_.data();
-        t.prob_bits = prob_bits_;
-        return t;
-    }
+    DecodeTables tables() const noexcept { return decode_.tables(); }
 
     /// Shannon cost, in bits, of coding `counts` with this model (for tests
     /// and the compression-rate benches).
     double cross_entropy_bits(std::span<const u64> counts) const;
 
 private:
-    void build_luts();
+    void build_fast();
 
     u32 prob_bits_;
     std::vector<u32> freq_;
     std::vector<u32> cum_;    // size alphabet + 1
-    std::vector<u32> fc_;     // per-slot ((freq-1)<<16)|cum
-    std::vector<u32> sym_;    // per-slot symbol
-    std::vector<u32> packed_; // per-slot packed entry when applicable
     std::vector<EncSymbolFast> fast_;  // per-symbol division-free entries
+    DecodeModel decode_;      // built from freq_
 };
 
 }  // namespace recoil

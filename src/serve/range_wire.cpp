@@ -1,12 +1,11 @@
 #include "serve/range_wire.hpp"
 
 #include <cstring>
-#include <optional>
 
 #include "core/metadata_codec.hpp"
 #include "core/random_access.hpp"
 #include "format/wire_io.hpp"
-#include "rans/indexed_model.hpp"
+#include "rans/static_model.hpp"
 #include "simd/dispatch.hpp"
 #include "util/error.hpp"
 
@@ -146,7 +145,7 @@ struct ParsedSegment {
     RangeSegmentInfo info;
     u32 prob_bits = 0;
     std::vector<std::vector<u32>> freqs;  ///< one table unless indexed
-    std::vector<u8> ids;                  ///< indexed: slice starting at ids_lo
+    std::span<const u8> ids;  ///< indexed: the wire's slice, starting at ids_lo
     u64 ids_lo = 0;
     RecoilMetadata meta;  ///< slice metadata: absolute symbols, rebased units
     std::vector<u16> units;
@@ -182,8 +181,7 @@ ParsedSegment parse_segment(Cursor& c) {
         for (auto& f : p.freqs) f = get_freq_table(c, p.prob_bits);
         p.ids_lo = c.get_u64();
         ids_len = c.get_u64();
-        auto ids = c.get_bytes(ids_len);
-        p.ids.assign(ids.begin(), ids.end());
+        p.ids = c.get_bytes(ids_len);
     } else {
         p.freqs.push_back(get_freq_table(c, p.prob_bits));
     }
@@ -271,31 +269,24 @@ ParsedRange parse_range_wire(std::span<const u8> bytes) {
 
 /// The [lo, hi) symbols of a parsed wire whose sym_width is sizeof(TSym).
 template <typename TSym>
-std::vector<TSym> decode_segments(ParsedRange& p, ThreadPool* pool,
+std::vector<TSym> decode_segments(const ParsedRange& p, ThreadPool* pool,
                                   simd::Backend backend) {
     std::vector<TSym> out(p.info.hi - p.info.lo);
     const simd::SimdRangeFn<TSym> range_fn{simd::clamp_backend(backend)};
-    for (ParsedSegment& seg : p.segments) {
+    for (const ParsedSegment& seg : p.segments) {
         const RangeSegmentInfo& info = seg.info;
-        // One of the two models backs the tables.
-        std::optional<IndexedModelSet> set;
-        std::optional<StaticModel> model;
-        DecodeTables t;
+        const DecodeModel model(seg.freqs, seg.prob_bits, seg.ids);
+        const u8* ids = nullptr;
         if (info.indexed) {
-            set.emplace(std::span<const std::vector<u32>>(seg.freqs), seg.prob_bits,
-                        std::move(seg.ids));
-            t = set->tables();
             // The slice's ids[0] is position ids_lo; rebase so the decoder's
             // absolute indexing lands on it (integer arithmetic to stay
             // clear of out-of-bounds pointer UB). parse_segment checked that
             // the slice is exactly the positions the covering splits touch.
-            t.ids = reinterpret_cast<const u8*>(
-                reinterpret_cast<std::uintptr_t>(t.ids) -
+            ids = reinterpret_cast<const u8*>(
+                reinterpret_cast<std::uintptr_t>(seg.ids.data()) -
                 static_cast<std::uintptr_t>(seg.ids_lo));
-        } else {
-            model.emplace(std::span<const u32>(seg.freqs[0]), seg.prob_bits, 0);
-            t = model->tables();
         }
+        const DecodeTables t = model.tables(ids);
         const std::vector<TSym> cover = recoil_decode_cover<Rans32, 32, TSym>(
             std::span<const u16>(seg.units), seg.meta, t, seg.j0, seg.j1, info.cover_lo,
             info.cover_hi, pool, range_fn);
@@ -351,13 +342,9 @@ RangeWireInfo inspect_range_wire(std::span<const u8> bytes) {
 
 std::vector<u8> decode_range_wire(std::span<const u8> bytes, ThreadPool* pool,
                                   simd::Backend backend) {
-    ParsedRange p = parse_range_wire(bytes);
+    const ParsedRange p = parse_range_wire(bytes);
     if (p.info.sym_width == 1) return decode_segments<u8>(p, pool, backend);
-    const std::vector<u16> syms = decode_segments<u16>(p, pool, backend);
-    std::vector<u8> out;
-    out.reserve(2 * syms.size());
-    for (const u16 s : syms) put_u16(out, s);
-    return out;
+    return le_bytes(decode_segments<u16>(p, pool, backend));
 }
 
 }  // namespace recoil::serve

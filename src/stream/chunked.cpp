@@ -145,7 +145,7 @@ ChunkedStream ChunkedStream::combined(u32 target_parallelism) const {
 
 std::vector<u8> decode_chunk(const Chunk& chunk, u32 prob_bits, ThreadPool* pool,
                              simd::Backend backend) {
-    StaticModel model(std::span<const u32>(chunk.freq), prob_bits, 0);
+    const DecodeModel model({&chunk.freq, 1}, prob_bits);
     simd::SimdRangeFn<u8> range{backend};
     return recoil_decode<Rans32, 32, u8>(std::span<const u16>(chunk.units),
                                          chunk.metadata, model.tables(), pool,
@@ -155,9 +155,9 @@ std::vector<u8> decode_chunk(const Chunk& chunk, u32 prob_bits, ThreadPool* pool
 std::vector<u8> decode_chunked(const ChunkedStream& stream, ThreadPool* pool,
                                simd::Backend backend) {
     // Flatten every chunk's splits into one work list (adjacent items pair
-    // up into tasks, across chunk boundaries too) and prebuild the models.
+    // up into tasks, across chunk boundaries too) and prebuild the tables.
     const std::size_t n = stream.chunks.size();
-    std::vector<StaticModel> models;
+    std::vector<DecodeModel> models;
     std::vector<DecodeTables> tables;
     models.reserve(n);
     tables.reserve(n);  // jobs point into it
@@ -165,7 +165,8 @@ std::vector<u8> decode_chunked(const ChunkedStream& stream, ThreadPool* pool,
     std::vector<u8> out(stream.total_symbols());
     u8* base = out.data();
     for (const Chunk& c : stream.chunks) {
-        models.emplace_back(std::span<const u32>(c.freq), stream.prob_bits, 0);
+        models.emplace_back(std::span<const std::vector<u32>>(&c.freq, 1),
+                            stream.prob_bits);
         tables.push_back(models.back().tables());
         for (u32 k = 0; k < c.metadata.num_splits(); ++k)
             jobs.push_back({std::span<const u16>(c.units), &c.metadata, &tables.back(), k,

@@ -1,12 +1,14 @@
-// Container format tests: round-trip, the §3.3 serving path, and failure
-// injection (bit flips anywhere must be detected by the checksum).
+// Container format tests: round-trip, the one-call decode (decode_file) of
+// every payload shape, the §3.3 serving path, and failure injection (bit
+// flips anywhere must be detected by the checksum; hostile id streams are
+// typed errors).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/recoil_decoder.hpp"
 #include "format/container.hpp"
+#include "serve/range_wire.hpp"
 #include "simd/dispatch.hpp"
 #include "stream/chunked.hpp"
 #include "test_util.hpp"
@@ -16,6 +18,14 @@
 
 namespace recoil {
 namespace {
+
+/// Every backend this build and CPU grant, scalar first.
+std::vector<simd::Backend> granted_backends() {
+    std::vector<simd::Backend> backends{simd::Backend::Scalar};
+    for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
+        if (simd::clamp_backend(b) == b) backends.push_back(b);
+    return backends;
+}
 
 format::RecoilFile make_file(std::size_t n, u32 max_splits) {
     auto syms = test::geometric_symbols<u8>(n, 0.6, 256, n + max_splits);
@@ -41,9 +51,7 @@ TEST(Container, DecodeAfterLoad) {
     auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(syms), m, 16);
     auto bytes = format::save_recoil_file(format::make_recoil_file(enc, m, 1));
     auto f = format::load_recoil_file(bytes);
-    auto model = f.build_static_model();
-    auto dec = recoil_decode<Rans32, 32, u8>(std::span<const u16>(f.units),
-                                             f.metadata, model.tables());
+    auto dec = format::decode_file(f);
     EXPECT_TRUE(std::equal(dec.begin(), dec.end(), syms.begin()));
 }
 
@@ -57,24 +65,23 @@ TEST(Container, ServeCombinedShrinksAndDecodes) {
     EXPECT_LT(small.size(), large.size());
     auto g = format::load_recoil_file(small);
     EXPECT_LE(g.metadata.num_splits(), 8u);
-    auto model = g.build_static_model();
-    auto dec = recoil_decode<Rans32, 32, u8>(std::span<const u16>(g.units),
-                                             g.metadata, model.tables());
+    auto dec = format::decode_file(g);
     EXPECT_TRUE(std::equal(dec.begin(), dec.end(), syms.begin()));
 }
 
-TEST(Container, IndexedModelRoundTrip) {
-    auto ds = workload::gen_latents("t", 60000, 2.0, 63);
+/// The latent dataset as an indexed u16 file at n = 16, carrying the
+/// generating pdfs (what a real hyperprior decoder would reconstruct from
+/// side information).
+format::RecoilFile latent_file(const workload::LatentDataset& ds, u32 max_splits) {
     auto models = ds.build_models(16);
-    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(ds.symbols), models, 16);
+    auto enc =
+        recoil_encode<Rans32, 32>(std::span<const u16>(ds.symbols), models, max_splits);
 
     format::RecoilFile f;
     f.sym_width = 2;
     f.prob_bits = 16;
     f.metadata = enc.metadata;
     f.units = enc.bitstream.units;
-    // Serialize the generating pdfs (what a real hyperprior decoder would
-    // reconstruct from side information).
     format::RecoilFile::IndexedPayload payload;
     for (double sigma : ds.bin_sigma) {
         std::vector<u64> counts(workload::kLatentAlphabet);
@@ -88,14 +95,19 @@ TEST(Container, IndexedModelRoundTrip) {
     }
     payload.ids = ds.ids;
     f.model = std::move(payload);
+    return f;
+}
+
+TEST(Container, IndexedModelRoundTrip) {
+    auto ds = workload::gen_latents("t", 60000, 2.0, 63);
+    const format::RecoilFile f = latent_file(ds, 16);
 
     auto bytes = format::save_recoil_file(f);
     auto g = format::load_recoil_file(bytes);
     ASSERT_TRUE(g.is_indexed());
-    auto set = g.build_indexed_model();
-    auto dec = recoil_decode<Rans32, 32, u16>(std::span<const u16>(g.units),
-                                              g.metadata, set.tables());
-    EXPECT_TRUE(std::equal(dec.begin(), dec.end(), ds.symbols.begin()));
+    auto dec = format::decode_file(g);  // two little-endian bytes per symbol
+    const auto want = format::wire::le_bytes(ds.symbols);
+    EXPECT_TRUE(std::equal(dec.begin(), dec.end(), want.begin()));
 }
 
 TEST(Container, BitFlipsDetected) {
@@ -120,22 +132,15 @@ TEST(Container, ResealedFlipsInSplitZeroAreTypedDecodeErrors) {
     const auto enc =
         recoil_encode<Rans32, 32>(std::span<const u8>(text), m, 16);
     const u64 split0_units = enc.metadata.splits[0].offset + 1;
-    std::vector<simd::Backend> backends{simd::Backend::Scalar};
-    for (const simd::Backend b : {simd::Backend::Avx2, simd::Backend::Avx512})
-        if (simd::clamp_backend(b) == b) backends.push_back(b);
+    const std::vector<simd::Backend> backends = granted_backends();
     for (u64 i = 0; i < 18; ++i) {
         auto bad = enc;
         const u64 pos = (i * split0_units) / 18;
         bad.bitstream.units[pos] ^= static_cast<u16>(1u << (i % 16));
         const auto f = format::load_recoil_file(
             format::save_recoil_file(format::make_recoil_file(bad, m, 1)));
-        const auto model = f.build_static_model();
         for (const simd::Backend b : backends) {
-            const auto decode = [&] {
-                return recoil_decode<Rans32, 32, u8>(
-                    std::span<const u16>(f.units), f.metadata, model.tables(),
-                    nullptr, nullptr, simd::SimdRangeFn<u8>{b});
-            };
+            const auto decode = [&] { return format::decode_file(f, nullptr, b); };
             EXPECT_THROW(decode(), Error)
                 << "unit " << pos << " on " << simd::backend_name(b);
         }
@@ -369,9 +374,15 @@ format::RecoilFile golden_text_file() {
     return format::make_recoil_file(enc, m, 1);
 }
 
-/// Two models over 16-bit symbols, switched every 7 symbols.
-format::RecoilFile golden_indexed_u16_file() {
-    const auto syms = test::geometric_symbols<u16>(300000, 0.97, 1024, 16);
+/// Two models over 16-bit symbols, switched every 7 symbols, with the
+/// symbols they code.
+struct IndexedU16 {
+    std::vector<u16> syms;
+    format::RecoilFile file;
+};
+
+IndexedU16 indexed_u16(std::size_t n, u32 max_splits) {
+    const auto syms = test::geometric_symbols<u16>(n, 0.97, 1024, 16);
     std::vector<u8> ids(syms.size());
     for (std::size_t i = 0; i < ids.size(); ++i)
         ids[i] = static_cast<u8>((i / 7) % 2);
@@ -390,12 +401,14 @@ format::RecoilFile golden_indexed_u16_file() {
     }
     p.ids = ids;
     IndexedModelSet set(std::move(models), ids);
-    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 2176);
+    auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, max_splits);
     f.metadata = std::move(enc.metadata);
     f.units = std::move(enc.bitstream.units);
     f.model = std::move(p);
-    return f;
+    return {syms, std::move(f)};
 }
+
+format::RecoilFile golden_indexed_u16_file() { return indexed_u16(300000, 2176).file; }
 
 /// Four text chunks of 150,000 bytes, up to 1,024 splits each.
 stream::ChunkedStream golden_chunked() {
@@ -452,6 +465,93 @@ TEST(Container, WiresMatchTheGoldenBytesWithTheMemoColdAndWarm) {
         expect_golden(combined.serialize(), g, "chunked", "cold");
         expect_golden(combined.serialize(), g, "chunked", "warm");
     }
+}
+
+
+TEST(Container, DecodeFileDecodesEveryShape) {
+    // One call for every payload shape: static u8 at n = 11 (the packed
+    // table), static u8 at n = 16 (the wide tables) and a two-model indexed
+    // u16 file (two little-endian bytes per symbol), each served at one
+    // split, 16 and all it has, on every backend, with and without a pool.
+    const auto text = workload::gen_text(200000, 21);
+    struct Shape {
+        const char* name;
+        format::RecoilFile file;
+        std::vector<u8> bytes;
+    };
+    std::vector<Shape> shapes;
+    for (const u32 n : {11u, 16u}) {
+        const auto m = test::model_for<u8>(text, n, 256);
+        const auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(text), m, 256);
+        shapes.push_back({n == 11 ? "static n=11" : "static n=16",
+                          format::make_recoil_file(enc, m, 1), text});
+        const auto& pdf = std::get<format::RecoilFile::StaticPayload>(
+                              shapes.back().file.model).freq;
+        EXPECT_EQ(DecodeModel({&pdf, 1}, n).tables().packed != nullptr, n == 11);
+    }
+    IndexedU16 indexed = indexed_u16(100000, 256);
+    shapes.push_back({"indexed u16", std::move(indexed.file),
+                      format::wire::le_bytes(indexed.syms)});
+
+    ThreadPool pool(3);
+    for (const Shape& shape : shapes) {
+        const u32 all = shape.file.metadata.num_splits();
+        ASSERT_GT(all, 16u) << shape.name;
+        for (const u32 cls : {1u, 16u, all}) {
+            const auto f = format::load_recoil_file(format::save_recoil_file(
+                shape.file, combine_splits(shape.file.metadata, cls)));
+            for (const simd::Backend b : granted_backends())
+                for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool})
+                    EXPECT_EQ(format::decode_file(f, p, b), shape.bytes)
+                        << shape.name << ", class " << cls << ", "
+                        << simd::backend_name(b) << (p ? ", 3 workers" : ", no pool");
+        }
+    }
+}
+
+TEST(Container, HostileIdStreamsAreTypedErrors) {
+    // An attacker can recompute any checksum, so an indexed container's id
+    // stream must be checked against the symbols and the model family it
+    // selects: a short stream, or an id naming no model, is a typed error
+    // and never a read past the ids or the tables.
+    const auto ds = workload::gen_latents("t", 60000, 2.0, 63);
+    const format::RecoilFile f = latent_file(ds, 16);
+    const auto& payload = std::get<format::RecoilFile::IndexedPayload>(f.model);
+    const auto models = static_cast<u8>(payload.freqs.size());
+
+    // 16 ids for 60,000 symbols, sealed: neither parse accepts it.
+    format::RecoilFile short_ids = f;
+    std::get<format::RecoilFile::IndexedPayload>(short_ids.model).ids =
+        std::vector<u8>(ds.ids.begin(), ds.ids.begin() + 16);
+    const auto sealed = std::make_shared<const std::vector<u8>>(
+        format::save_recoil_file(short_ids));
+    EXPECT_THROW(format::load_recoil_file(*sealed), Error);
+    EXPECT_THROW(format::load_recoil_file_view(*sealed, sealed), Error);
+    EXPECT_THROW(format::decode_file(short_ids), Error);
+
+    // An id equal to the model count parses (the container does not know
+    // the range) and fails its decode.
+    format::RecoilFile bad_id = f;
+    std::vector<u8> ids(ds.ids.begin(), ds.ids.end());
+    ids[ids.size() / 2] = models;
+    std::get<format::RecoilFile::IndexedPayload>(bad_id.model).ids = ids;
+    const auto parsed = format::load_recoil_file(format::save_recoil_file(bad_id));
+    EXPECT_THROW(format::decode_file(parsed), Error);
+
+    // The same id in a range wire's id slice, resealed.
+    format::VectorSink sink;
+    serve::range_wire_into(f, 20000, 30000, sink);
+    std::vector<u8> wire = std::move(sink.out);
+    ASSERT_NO_THROW(serve::decode_range_wire(wire));
+    // RCR2: a 28-byte header; the segment's 32-byte head, the model count,
+    // each freq table (count + entries), then ids_lo and the id count.
+    std::size_t at = 28 + 32 + 4;
+    for (const auto& pdf : payload.freqs) at += 4 + 4 * pdf.size();
+    u64 ids_lo = 0;
+    for (int i = 0; i < 8; ++i) ids_lo |= u64{wire[at + i]} << (8 * i);
+    ASSERT_EQ(ids_lo, serve::inspect_range_wire(wire).segments.at(0).cover_lo);
+    wire[at + 16] = models;  // the slice's first id
+    EXPECT_THROW(serve::decode_range_wire(test::reseal(std::move(wire))), Error);
 }
 
 }  // namespace

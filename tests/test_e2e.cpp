@@ -134,10 +134,7 @@ TEST(EndToEnd, ServerWirePathWithChecksums) {
     auto file = format::make_recoil_file(enc, model, 1);
     for (u32 cap : {1u, 3u, 64u}) {
         auto wire = format::save_recoil_file(file, combine_splits(file.metadata, cap));
-        auto got = format::load_recoil_file(wire);
-        auto m = got.build_static_model();
-        auto dec = recoil_decode<Rans32, 32, u8>(std::span<const u16>(got.units),
-                                                 got.metadata, m.tables());
+        auto dec = format::decode_file(format::load_recoil_file(wire));
         ASSERT_TRUE(std::equal(dec.begin(), dec.end(), data.begin())) << cap;
     }
 }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
 
 #include "rans/indexed_model.hpp"
 #include "rans/static_model.hpp"
@@ -18,7 +19,7 @@ TEST(StaticModel, LookupInvariants) {
     StaticModel m(counts, 11);
     // Every slot decodes to the symbol whose [cum, cum+freq) contains it.
     for (u32 slot = 0; slot < (1u << 11); ++slot) {
-        DecSymbol d = m.dec_lookup(0, slot);
+        DecSymbol d = m.tables().lookup(0, slot);
         EXPECT_LE(m.cum(d.sym), slot);
         EXPECT_LT(slot, m.cum(d.sym) + m.freq(d.sym));
         EXPECT_EQ(d.freq, m.freq(d.sym));
@@ -32,7 +33,7 @@ TEST(StaticModel, EncDecConsistent) {
     for (u32 s = 0; s < 256; ++s) {
         if (m.freq(s) == 0) continue;
         EncSymbol e = m.enc_lookup(0, s);
-        DecSymbol d = m.dec_lookup(0, e.cum);
+        DecSymbol d = m.tables().lookup(0, e.cum);
         EXPECT_EQ(d.sym, s);
     }
 }
@@ -77,9 +78,9 @@ TEST(IndexedModel, SelectsPerIndex) {
     EXPECT_GT(set.enc_fast(0, 0).freq, set.enc_fast(1, 0).freq);
     EXPECT_GT(set.enc_fast(1, 1).freq, set.enc_fast(0, 1).freq);
     // Decode table dispatches on the index too.
-    DecSymbol d0 = set.dec_lookup(0, 10);
+    DecSymbol d0 = set.tables().lookup(0, 10);
     EXPECT_EQ(d0.sym, 0u);
-    DecSymbol d1 = set.dec_lookup(1, 10);
+    DecSymbol d1 = set.tables().lookup(1, 10);
     EXPECT_EQ(d1.sym, 1u);
 }
 
@@ -137,11 +138,46 @@ TEST(IndexedModel, PdfTablesEqualStaticModelTables) {
     EXPECT_EQ(std::memcmp(from_models.tables().fc, t.fc, (std::size_t{5} << n) * 4), 0);
     EXPECT_EQ(std::memcmp(from_models.tables().sym, t.sym, (std::size_t{5} << n) * 4), 0);
 
+    // The decode-only model builds the same tables: the family's slot for
+    // slot, and one pdf's as StaticModel builds them, packed table included.
+    const DecodeModel family(pdfs, n, ids);
+    const DecodeTables d = family.tables(ids.data());
+    EXPECT_EQ(d.ids, ids.data());
+    EXPECT_EQ(d.packed, nullptr);
+    for (std::size_t i = 0; i < (std::size_t{5} << n); ++i) {
+        EXPECT_EQ(d.fc[i], t.fc[i]) << i;
+        EXPECT_EQ(d.sym[i], t.sym[i]) << i;
+    }
+    std::vector<u64> counts(256);
+    for (u32 s = 0; s < 256; ++s) counts[s] = 1 + s % 13;
+    const StaticModel packable(counts, n);  // 256 symbols at n = 12
+    ASSERT_NE(packable.tables().packed, nullptr);
+    for (const StaticModel* model : {&std::as_const(models[0]), &packable}) {
+        std::vector<std::vector<u32>> pdf(1);
+        for (u32 s = 0; s < model->alphabet(); ++s) pdf[0].push_back(model->freq(s));
+        const DecodeModel single(pdf, n);
+        const DecodeTables st = single.tables();
+        const DecodeTables ref = model->tables();
+        EXPECT_EQ(st.ids, nullptr);
+        ASSERT_EQ(st.packed == nullptr, ref.packed == nullptr) << model->alphabet();
+        for (std::size_t slot = 0; slot < (std::size_t{1} << n); ++slot) {
+            EXPECT_EQ(st.fc[slot], ref.fc[slot]) << slot;
+            EXPECT_EQ(st.sym[slot], ref.sym[slot]) << slot;
+            if (ref.packed != nullptr) {
+                EXPECT_EQ(st.packed[slot], ref.packed[slot]) << slot;
+            }
+        }
+        // Never a packed table beside ids.
+        EXPECT_EQ(single.tables(ids.data()).packed, nullptr);
+    }
+
     ids.back() = 5;
     EXPECT_THROW(IndexedModelSet(std::span<const std::vector<u32>>(pdfs), n, ids), Error);
+    EXPECT_THROW(DecodeModel(pdfs, n, ids), Error);
     pdfs[2][0] += 1;
     ids.back() = 0;
     EXPECT_THROW(IndexedModelSet(std::span<const std::vector<u32>>(pdfs), n, ids), Error);
+    EXPECT_THROW(DecodeModel(pdfs, n), Error);
 }
 
 }  // namespace

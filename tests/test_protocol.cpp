@@ -135,14 +135,6 @@ TEST(Protocol, CorruptResponseFramesAreTypedErrors) {
                            [](const std::vector<u8>& f) { decode_response(f); });
 }
 
-/// Recompute the FNV trailer after tampering, as an attacker can.
-std::vector<u8> reseal(std::vector<u8> f) {
-    f.resize(f.size() - 8);
-    const u64 sum = format::fnv1a(f);
-    for (int i = 0; i < 8; ++i) f.push_back(static_cast<u8>(sum >> (8 * i)));
-    return f;
-}
-
 TEST(Protocol, AppendedErrorCodesArePreservedNotRejected) {
     // The contract lets servers append new codes without a version bump; a
     // v1 client must surface them, not reject the frame as malformed.
@@ -152,7 +144,7 @@ TEST(Protocol, AppendedErrorCodesArePreservedNotRejected) {
     auto frame = encode_response(res);
     frame[5] = 200;  // low byte of the u16 code at offset 5
     frame[6] = 0;
-    const ServeResult got = decode_response(reseal(std::move(frame)));
+    const ServeResult got = decode_response(test::reseal(std::move(frame)));
     EXPECT_EQ(static_cast<u16>(got.code), 200u);
     EXPECT_FALSE(got.ok());
     EXPECT_STREQ(error_name(got.code), "unknown");
@@ -167,7 +159,7 @@ TEST(Protocol, ResealedHostileFramesStillRejected) {
     auto bad_version = good;
     bad_version[4] = 99;
     EXPECT_THROW(
-        try { decode_request(reseal(bad_version)); } catch (const ProtocolError& e) {
+        try { decode_request(test::reseal(bad_version)); } catch (const ProtocolError& e) {
             EXPECT_EQ(e.code(), ErrorCode::unsupported_version);
             throw;
         },
@@ -176,7 +168,7 @@ TEST(Protocol, ResealedHostileFramesStillRejected) {
     auto bad_accept = good;
     bad_accept[6] = 0;  // accepts nothing
     EXPECT_THROW(
-        try { decode_request(reseal(bad_accept)); } catch (const ProtocolError& e) {
+        try { decode_request(test::reseal(bad_accept)); } catch (const ProtocolError& e) {
             EXPECT_EQ(e.code(), ErrorCode::bad_request);
             throw;
         },
@@ -184,7 +176,7 @@ TEST(Protocol, ResealedHostileFramesStillRejected) {
 
     auto bad_name_len = good;  // name length wraps past the frame
     for (int i = 0; i < 4; ++i) bad_name_len[12 + i] = 0xFF;
-    EXPECT_THROW(decode_request(reseal(bad_name_len)), ProtocolError);
+    EXPECT_THROW(decode_request(test::reseal(bad_name_len)), ProtocolError);
 
     // An ok response claiming no payload (or an error smuggling one) is
     // structurally inconsistent.
@@ -193,7 +185,7 @@ TEST(Protocol, ResealedHostileFramesStillRejected) {
     auto frame = encode_response(err);
     frame[5] = 0;  // code -> ok, but payload_kind stays none
     EXPECT_THROW(
-        try { decode_response(reseal(frame)); } catch (const ProtocolError& e) {
+        try { decode_response(test::reseal(frame)); } catch (const ProtocolError& e) {
             EXPECT_EQ(e.code(), ErrorCode::malformed_frame);
             throw;
         },

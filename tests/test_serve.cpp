@@ -16,7 +16,6 @@
 #include <thread>
 #include <unordered_map>
 
-#include "core/recoil_decoder.hpp"
 #include "serve/server.hpp"
 #include "simd/dispatch.hpp"
 #include "test_util.hpp"
@@ -130,13 +129,8 @@ struct ServeFixture : ::testing::Test {
           asset(server.store().encode_bytes("asset", data, kMaxSplits)) {}
 
     std::vector<u8> decode_full_wire(std::span<const u8> wire) {
-        auto got = format::load_recoil_file(wire);
-        auto model = got.build_static_model();
         ThreadPool pool(2);
-        simd::SimdRangeFn<u8> range;
-        return recoil_decode<Rans32, 32, u8>(std::span<const u16>(got.units),
-                                             got.metadata, model.tables(), &pool,
-                                             nullptr, range);
+        return format::decode_file(format::load_recoil_file(wire), &pool);
     }
 };
 
@@ -173,9 +167,8 @@ TEST_F(ServeFixture, SecondRequestIsACacheHitWithIdenticalBytes) {
 }
 
 TEST_F(ServeFixture, CombinedWireDecodesBitExactAtEveryParallelism) {
-    const std::vector<u8> direct = recoil_decode<Rans32, 32, u8>(
-        std::span<const u16>(asset->file()->units), asset->file()->metadata,
-        asset->file()->build_static_model().tables());
+    const std::vector<u8> direct =
+        format::decode_file(*asset->file(), nullptr, simd::Backend::Scalar);
     ASSERT_EQ(direct, data);
 
     for (u32 p : {1u, 2u, 7u, 16u, 64u, 5000u}) {
@@ -356,9 +349,7 @@ TEST_F(IndexedServeFixture, IndexedAssetServesCombinedWires) {
         ASSERT_TRUE(res.ok()) << res.detail;
         auto got = format::load_recoil_file(*res.wire);
         ASSERT_TRUE(got.is_indexed());
-        auto set = got.build_indexed_model();
-        auto dec = recoil_decode<Rans32, 32, u8>(std::span<const u16>(got.units),
-                                                 got.metadata, set.tables());
+        auto dec = format::decode_file(got);
         EXPECT_EQ(dec, syms) << "parallelism " << p;
     }
 }
@@ -675,26 +666,18 @@ TEST_F(ServeFixture, HostileWireWithValidChecksumIsRejected) {
     // and wrap-around length fields must both be rejected, not decoded.
     auto res = server.serve(ServeRequest{"asset", 1, {{100, 400}}});
     ASSERT_TRUE(res.ok());
-    auto reseal = [](std::vector<u8> w) {
-        const u64 sum = format::fnv1a(
-            std::span<const u8>(w.data(), w.size() - 8));
-        for (int i = 0; i < 8; ++i)
-            w[w.size() - 8 + i] = static_cast<u8>(sum >> (8 * i));
-        return w;
-    };
-
     // RCR2 layout: header magic(4) ver(1) sym(1) rsvd(2) lo(8) hi(8)
     // segs(4) = 28; segment base(8) flags(1) prob(1) rsvd(2) lo(8) hi(8)
     // first_split(4) = 32, then alpha(4) + 256 freq words.
     const std::size_t freq_off = 28 + 32 + 4;
     std::vector<u8> bad_freq(res.wire->begin(), res.wire->end());
     for (int i = 0; i < 4; ++i) bad_freq[freq_off + i] = 0xFF;
-    EXPECT_THROW(decode_range_wire(reseal(std::move(bad_freq))), Error);
+    EXPECT_THROW(decode_range_wire(test::reseal(std::move(bad_freq))), Error);
 
     const std::size_t meta_len_off = freq_off + 4 * 256;
     std::vector<u8> bad_len(res.wire->begin(), res.wire->end());
     for (int i = 0; i < 8; ++i) bad_len[meta_len_off + i] = 0xFF;
-    EXPECT_THROW(decode_range_wire(reseal(std::move(bad_len))), Error);
+    EXPECT_THROW(decode_range_wire(test::reseal(std::move(bad_len))), Error);
 }
 
 TEST_F(ServeFixture, ReplacingAnAssetInvalidatesCachedResponses) {

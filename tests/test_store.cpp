@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 
-#include "core/recoil_decoder.hpp"
 #include "serve/server.hpp"
 #include "serve/store.hpp"
 #include "stream/chunked.hpp"
@@ -190,9 +189,7 @@ TEST_F(StoreFixture, DemandLoadIsZeroCopyAndDecodesBitExact) {
     // the serving path on top of it) is a borrowed view, not a copy.
     EXPECT_TRUE(a->file()->units.borrowed());
 
-    auto dec = recoil_decode<Rans32, 32, u8>(
-        std::span<const u16>(a->file()->units), a->file()->metadata,
-        a->file()->build_static_model().tables());
+    auto dec = format::decode_file(*a->file());
     EXPECT_EQ(dec, data);
 }
 
@@ -411,9 +408,7 @@ TEST_F(StoreFixture, SeededManyAssetReopenLoop) {
             auto a = store.resolve("asset" + std::to_string(i));
             ASSERT_NE(a, nullptr) << i;
             ASSERT_NE(a->file(), nullptr) << i;
-            auto dec = recoil_decode<Rans32, 32, u8>(
-                std::span<const u16>(a->file()->units), a->file()->metadata,
-                a->file()->build_static_model().tables());
+            auto dec = format::decode_file(*a->file());
             EXPECT_EQ(dec, originals[static_cast<std::size_t>(i)])
                 << "asset " << i << " cycle " << cycle;
         }

@@ -56,14 +56,6 @@ ServeResult reassemble(const std::vector<std::vector<u8>>& frames,
     return ra.result();
 }
 
-/// Recompute the FNV trailer after tampering, as an attacker can.
-std::vector<u8> reseal(std::vector<u8> f) {
-    f.resize(f.size() - 8);
-    const u64 sum = format::fnv1a(f);
-    for (int i = 0; i < 8; ++i) f.push_back(static_cast<u8>(sum >> (8 * i)));
-    return f;
-}
-
 TEST(StreamReassembly, AHugeAnnouncedWireEndsInATypedShortfall) {
     // The reassembler reserves a header's announced wire_bytes only up to a
     // cap, so announcing 2^63 bytes cannot fail the allocation: the short
@@ -339,7 +331,7 @@ TEST_F(StreamingFixture, HostileMidStreamFramesAreTypedErrors) {
     {
         auto bad = frames;
         bad[1][25] ^= 0x01;  // inside the body payload
-        bad[1] = reseal(std::move(bad[1]));
+        bad[1] = test::reseal(std::move(bad[1]));
         StreamReassembler ra(mf);
         try {
             for (const auto& f : bad) ra.feed(f);
@@ -446,7 +438,7 @@ TEST_F(StreamingFixture, ResealedStructuralDamageKeepsItsTypedCode) {
         f.resize(f.size() - 8);
         edit(f);
         f.resize(f.size() + 8);
-        return reseal(std::move(f));
+        return test::reseal(std::move(f));
     };
     const auto add_to_length = [](std::vector<u8>& f, i64 delta) {
         u64 len = 0;

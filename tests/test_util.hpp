@@ -1,7 +1,7 @@
 #pragma once
 // Shared helpers for the test suite: deterministic synthetic symbol streams
-// with controllable skew, model construction shortcuts, response-cache keys
-// and on-disk corruption.
+// with controllable skew, model construction shortcuts, response-cache keys,
+// resealed wires and on-disk corruption.
 
 #include <gtest/gtest.h>
 
@@ -75,6 +75,16 @@ inline format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits)
 /// class.
 inline serve::ResponseKey cache_key(std::string_view name, u32 parallelism) {
     return {std::hash<std::string_view>{}(name), parallelism};
+}
+
+/// Recompute a wire's FNV-1a trailer after tampering, as an attacker can.
+/// `erase`, not `resize`: GCC 12 misreads the shrinking resize as an
+/// overflow (-Wstringop-overflow) in the sanitize build.
+inline std::vector<u8> reseal(std::vector<u8> w) {
+    w.erase(w.end() - 8, w.end());
+    const u64 sum = format::fnv1a(w);
+    for (int i = 0; i < 8; ++i) w.push_back(static_cast<u8>(sum >> (8 * i)));
+    return w;
 }
 
 /// Flip one bit in the middle of the file at `path`.
