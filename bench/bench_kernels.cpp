@@ -14,6 +14,7 @@
 #include "core/split_planner.hpp"
 #include "format/container.hpp"
 #include "format/wire_io.hpp"
+#include "rans/indexed_model.hpp"
 #include "rans/interleaved.hpp"
 #include "simd/dispatch.hpp"
 #include "tans/tans_table.hpp"
@@ -44,8 +45,25 @@ KernelFixture& fixture16() {
     return f;
 }
 
+/// The name of the kernel `b` runs on this host, or, when this host or
+/// build lacks it, nullptr after skipping the point with what is missing.
+const char* granted(benchmark::State& state, simd::Backend b) {
+    if (simd::clamp_backend(b) == b) return simd::backend_name(b);
+    const CpuFeatures& cpu = cpu_features();
+    const char* missing = b == simd::Backend::Avx512 && !cpu.avx512 ? cpu.avx512_missing
+                          : b == simd::Backend::Avx2 && !cpu.avx2   ? "AVX2"
+                                                                    : nullptr;
+    const std::string why = std::string(simd::backend_name(b)) + " not granted: " +
+                            (missing != nullptr ? std::string(missing) + " missing"
+                                                : std::string("kernel not compiled in"));
+    state.SkipWithError(why.c_str());
+    return nullptr;
+}
+
 void decode_with(benchmark::State& state, KernelFixture& f, simd::Backend b) {
-    simd::SimdRangeFn<u8> range{simd::clamp_backend(b)};
+    const char* name = granted(state, b);
+    if (name == nullptr) return;
+    simd::SimdRangeFn<u8> range{b};
     std::vector<u8> out(f.data.size());
     const DecodeTables t = f.model.tables();
     for (auto _ : state) {
@@ -58,6 +76,7 @@ void decode_with(benchmark::State& state, KernelFixture& f, simd::Backend b) {
         benchmark::DoNotOptimize(out.data());
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations() * f.data.size()));
+    state.SetLabel(name);
 }
 
 void BM_DecodeScalar_n11(benchmark::State& s) {
@@ -79,17 +98,20 @@ void BM_DecodeAvx512_n16(benchmark::State& s) {
     decode_with(s, fixture16(), simd::Backend::Avx512);
 }
 // The same fixture encoded at 16 and at 2,176 splits (the paper's GPU
-// class) and decoded on one thread: the decoder pairs the splits, so the
-// kernel advances two streams in lockstep, each through its split's
-// synchronization groups and then its decoding range.
+// class) and decoded on one thread: the decoder groups the splits into
+// tasks of up to four runs, which the kernel advances in lockstep, four at
+// a time (AVX512) or two (AVX2), each through its split's synchronization
+// groups and then its decoding range.
 template <u32 kSplits>
 void decode_splits_with(benchmark::State& state, simd::Backend b) {
+    const char* name = granted(state, b);
+    if (name == nullptr) return;
     static const auto enc = [] {
         const KernelFixture& f = fixture11();
         return recoil_encode<Rans32, 32>(std::span<const u8>(f.data), f.model, kSplits);
     }();
     const KernelFixture& f = fixture11();
-    simd::SimdRangeFn<u8> range{simd::clamp_backend(b)};
+    simd::SimdRangeFn<u8> range{b};
     std::vector<u8> out(f.data.size());
     const DecodeTables t = f.model.tables();
     for (auto _ : state) {
@@ -99,6 +121,7 @@ void decode_splits_with(benchmark::State& state, simd::Backend b) {
         benchmark::DoNotOptimize(out.data());
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations() * f.data.size()));
+    state.SetLabel(name);
 }
 
 void BM_DecodeSplits16_Scalar(benchmark::State& s) {
@@ -169,6 +192,7 @@ BENCHMARK_CAPTURE(BM_DecodeTables_Static, static_model, Tables::encoder_model);
 struct LatentPdfs {
     std::vector<std::vector<u32>> pdfs;
     std::vector<u8> ids;
+    std::vector<u16> symbols;
 };
 
 const LatentPdfs& latent_pdfs() {
@@ -187,6 +211,7 @@ const LatentPdfs& latent_pdfs() {
             out.pdfs.push_back(quantize_pdf(counts, kProbBits));
         }
         out.ids = std::move(ds.ids);
+        out.symbols = std::move(ds.symbols);
         return out;
     }();
     return l;
@@ -206,6 +231,39 @@ void BM_DecodeTables_Latent(benchmark::State& state, Tables via) {
 }
 BENCHMARK_CAPTURE(BM_DecodeTables_Latent, decode_model, Tables::decode_model);
 BENCHMARK_CAPTURE(BM_DecodeTables_Latent, indexed_model_set, Tables::encoder_model);
+
+// The latent payload decoded on one thread at 1, 16 and 2,176 splits: 16-bit
+// symbols through two-gather tables indexed by per-symbol model ids, the
+// path of perfbench's latent fetches.
+void decode_latent_with(benchmark::State& state, simd::Backend b) {
+    const char* name = granted(state, b);
+    if (name == nullptr) return;
+    const LatentPdfs& l = latent_pdfs();
+    static const auto enc = [&] {
+        const IndexedModelSet set(l.pdfs, 14, l.ids);
+        return recoil_encode<Rans32, 32>(std::span<const u16>(l.symbols), set, 2176);
+    }();
+    const RecoilMetadata meta = combine_splits(enc.metadata, static_cast<u32>(state.range(0)));
+    const DecodeModel model(l.pdfs, 14, l.ids);
+    const DecodeTables t = model.tables(l.ids.data());
+    const simd::SimdRangeFn<u16> range{b};
+    std::vector<u16> out(l.symbols.size());
+    for (auto _ : state) {
+        recoil_decode_into<Rans32, 32, u16>(std::span<const u16>(enc.bitstream.units), meta, t,
+                                            std::span<u16>(out), nullptr, nullptr, range);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    if (out != l.symbols) state.SkipWithError("latent decode mismatch");
+    state.SetBytesProcessed(static_cast<i64>(state.iterations() * out.size() * 2));
+    state.SetLabel(name);
+}
+void BM_DecodeLatent_Avx2(benchmark::State& s) { decode_latent_with(s, simd::Backend::Avx2); }
+void BM_DecodeLatent_Avx512(benchmark::State& s) {
+    decode_latent_with(s, simd::Backend::Avx512);
+}
+BENCHMARK(BM_DecodeLatent_Avx2)->Arg(1)->Arg(16)->Arg(2176);
+BENCHMARK(BM_DecodeLatent_Avx512)->Arg(1)->Arg(16)->Arg(2176);
 
 void BM_InterleavedEncode(benchmark::State& state) {
     auto& f = fixture11();
@@ -332,9 +390,8 @@ void BM_Fnv1aSerial(benchmark::State& s) {
 void BM_Fnv1a(benchmark::State& s) {
     fnv_with(s, [](std::span<const u8> b, u64 h) { return format::fnv1a(b, h); });
     const CpuFeatures& cpu = cpu_features();
-    s.SetLabel(cpu.avx512_fnv
-                   ? std::string("bit-sliced avx512")
-                   : std::string("serial: ") + cpu.avx512_fnv_missing + " missing");
+    s.SetLabel(cpu.avx512 ? std::string("bit-sliced avx512")
+                          : std::string("serial: ") + cpu.avx512_missing + " missing");
 }
 void BM_Fnv1a2(benchmark::State& s) {
     const auto data = workload::gen_text(static_cast<std::size_t>(s.range(0)), 5);

@@ -14,7 +14,7 @@
 #include <span>
 #include <vector>
 
-#include "core/recoil_decoder.hpp"  // the shared RangeFn contract and task pairing
+#include "core/recoil_decoder.hpp"  // the shared RangeFn contract and task grouping
 #include "rans/interleaved.hpp"
 #include "util/thread_pool.hpp"
 
@@ -115,18 +115,18 @@ ConventionalEncoded<Cfg, NLanes> conventional_encode(std::span<const TSym> syms,
 
 /// Decode partitions [first, first + count) into `out` (full-size buffer,
 /// global indices) as Recoil decodes splits: each partition is one run over
-/// its own units, starting from its final states, and two partitions go
-/// through one range_fn call. Each ends in drain_start, the end-state check
-/// of a stream that reaches its start.
+/// its own units, starting from its final states, and up to kMaxRangeRuns
+/// partitions go through one range_fn call. Each ends in drain_start, the
+/// end-state check of a stream that reaches its start.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 void conventional_decode_partitions(const ConventionalEncoded<Cfg, NLanes>& enc,
                                     const DecodeTables& t, u64 first, u32 count,
                                     TSym* out, const RangeFn& range_fn = {}) {
-    RECOIL_CHECK(count <= 2, "conventional: at most two partitions per task");
-    LaneCursor<Cfg, NLanes> cur[2];
-    RangeRun<Cfg, NLanes, TSym> run[2] = {};
-    u64 num_symbols[2] = {};
+    RECOIL_CHECK(count <= kMaxRangeRuns, "conventional: at most four partitions per task");
+    LaneCursor<Cfg, NLanes> cur[kMaxRangeRuns];
+    RangeRun<Cfg, NLanes, TSym> run[kMaxRangeRuns] = {};
+    u64 num_symbols[kMaxRangeRuns] = {};
     u32 n = 0;
     for (u64 pi = first; pi < first + count; ++pi) {
         const auto& p = enc.partitions[pi];
@@ -144,7 +144,7 @@ void conventional_decode_partitions(const ConventionalEncoded<Cfg, NLanes>& enc,
     for (u32 i = 0; i < n; ++i) drain_start<Cfg, NLanes>(cur[i], run[i].units, num_symbols[i]);
 }
 
-/// Decode all partitions (independently parallel across the pool, paired
+/// Decode all partitions (independently parallel across the pool, grouped
 /// into tasks as Recoil splits are; see core/recoil_decoder.hpp) into a
 /// caller-provided buffer of enc.num_symbols elements.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,

@@ -71,7 +71,8 @@ inline u64 plan_touch_hi(const RecoilMetadata& meta, const RangePlan& plan) {
 /// subsystem's range-wire decoder. Any RangeFn reads per-position side
 /// information (an indexed model's ids) only at the positions the chosen
 /// splits touch, [cover_lo, plan_touch_hi), so a slice of ids on exactly
-/// those positions suffices. The splits pair up as in recoil_decode_into.
+/// those positions suffices. The splits group into tasks as in
+/// recoil_decode_into.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 std::vector<TSym> recoil_decode_cover(std::span<const typename Cfg::UnitT> units,
@@ -85,7 +86,7 @@ std::vector<TSym> recoil_decode_cover(std::span<const typename Cfg::UnitT> units
         reinterpret_cast<std::uintptr_t>(cover.data()) -
         static_cast<std::uintptr_t>(cover_lo) * sizeof(TSym));
     for_each_split_task(pool, u64{k_hi} - k_lo + 1, [&](u64 first, u32 count) {
-        SplitJob<Cfg, TSym> jobs[2] = {};
+        SplitJob<Cfg, TSym> jobs[kMaxRangeRuns] = {};
         for (u32 j = 0; j < count; ++j)
             jobs[j] = {units, &meta, &t, k_lo + static_cast<u32>(first + j), rebased};
         recoil_decode_splits<Cfg, NLanes, TSym>(

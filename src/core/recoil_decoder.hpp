@@ -16,22 +16,23 @@
 // The last split has no entry: it starts fully live from the header's
 // final states at the end of the bitstream.
 //
-// Pairing: with S splits on L lanes (a pool's workers plus the caller; 1
-// without a pool) a decode runs T = max(min(S, L), ceil(S/2)) tasks, and the
-// first S - T of them hold two adjacent splits. A task hands both runs to
-// one RangeFn call, which advances them in lockstep: the SIMD group kernel
-// is latency-bound, and a second independent stream fills the cycles one
-// stream leaves idle.
+// Grouping: with S splits on L lanes (a pool's workers plus the caller; 1
+// without a pool) a decode runs T = max(min(S, L), ceil(S/4)) tasks, each
+// holding S/T adjacent splits, rounded down or up (4 = kMaxRangeRuns). A
+// task hands its runs to one RangeFn call, and the kernel picks how many
+// advance in lockstep: the SIMD group kernel is latency-bound, and more
+// independent streams fill the cycles one stream leaves idle
+// (simd/kernel_iface.hpp).
 //
 // The run contract, shared by every decoder (Recoil splits here, the
 // conventional baseline's partitions, chunked streams, range wires and the
-// GPU simulator): a task builds one or two RangeRuns and makes one call,
-// range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>> runs). The default
-// RangeFn is the scalar per-symbol loop; simd::SimdRangeFn runs every phase
-// of every run in one masked group kernel. Every run that reaches its
-// stream's start (split 0, or any conventional partition) then ends in
-// drain_start, which checks the end state a valid stream must reach: every
-// unit consumed, every used lane back at L.
+// GPU simulator): a task builds up to kMaxRangeRuns RangeRuns and makes
+// one call, range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>> runs).
+// The default RangeFn is the scalar per-symbol loop; simd::SimdRangeFn runs
+// every phase of every run in one masked group kernel. Every run that
+// reaches its stream's start (split 0, or any conventional partition) then
+// ends in drain_start, which checks the end state a valid stream must
+// reach: every unit consumed, every used lane back at L.
 
 #include <algorithm>
 #include <span>
@@ -88,19 +89,16 @@ void add_sync_stats(const RecoilMetadata& meta, u32 k, RecoilDecodeStats& stats)
 
 /// Run body(first, count) over the decode tasks of `items` independent
 /// items (splits, or partitions) on `pool`: T = max(min(items, L), ceil(items
-/// / 2)) tasks for L lanes, the first items - T of them holding the two
-/// adjacent items first and first + 1 (count 2), the rest one (count 1).
+/// / kMaxRangeRuns)) tasks for L lanes, task i holding the `count` adjacent
+/// items from `first`, items / T of them or one more.
 template <typename Body>
 void for_each_split_task(ThreadPool* pool, u64 items, const Body& body) {
     const u64 lanes = pool == nullptr ? 1 : u64{pool->size()} + 1;
-    const u64 tasks = std::max(std::min(items, lanes), (items + 1) / 2);
-    const u64 pairs = items - tasks;
+    const u64 tasks = std::max(std::min(items, lanes), ceil_div<u64>(items, kMaxRangeRuns));
+    if (tasks == 0) return;
+    const u64 each = items / tasks, longer = items % tasks;
     for_each_index(pool, tasks, [&](u64 i) {
-        if (i < pairs) {
-            body(2 * i, u32{2});
-        } else {
-            body(pairs + i, u32{1});
-        }
+        body(i * each + std::min(i, longer), static_cast<u32>(each + (i < longer)));
     });
 }
 
@@ -115,18 +113,19 @@ struct SplitJob {
     TSym* out;
 };
 
-/// Decode one or two splits, possibly of different streams: one run per
-/// split (entered at its split point, or fully live for the last split),
-/// both through one range_fn call, then the drain of each run that reaches
+/// Decode up to kMaxRangeRuns splits, possibly of different streams: one run
+/// per split (entered at its split point, or fully live for the last split),
+/// all through one range_fn call, then the drain of each run that reaches
 /// position 0.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
                           const RangeFn& range_fn = {}) {
-    RECOIL_CHECK(jobs.size() <= 2, "recoil_decode_splits: at most two splits per task");
-    LaneCursor<Cfg, NLanes> cur[2];
-    RangeRun<Cfg, NLanes, TSym> run[2] = {};
-    u64 num_symbols[2] = {};
+    RECOIL_CHECK(jobs.size() <= kMaxRangeRuns,
+                 "recoil_decode_splits: at most four splits per task");
+    LaneCursor<Cfg, NLanes> cur[kMaxRangeRuns];
+    RangeRun<Cfg, NLanes, TSym> run[kMaxRangeRuns] = {};
+    u64 num_symbols[kMaxRangeRuns] = {};
     u32 n = 0;
     for (const auto& job : jobs) {
         const RecoilMetadata& meta = *job.meta;
@@ -159,9 +158,9 @@ void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
 /// meta.num_symbols elements (the benches use this to measure decode work
 /// only, as the paper measures kernel execution). `pool == nullptr` decodes
 /// splits serially on the calling thread (still exercising the 3-phase
-/// logic); otherwise split tasks run across the pool. Either way splits pair
-/// up as the header describes. Exceptions from workers are rethrown to the
-/// caller.
+/// logic); otherwise split tasks run across the pool. Either way splits group
+/// into tasks as the header describes. Exceptions from workers are rethrown
+/// to the caller.
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym,
           typename RangeFn = ScalarRangeFn<Cfg, NLanes, TSym>>
 void recoil_decode_into(std::span<const typename Cfg::UnitT> units,
@@ -172,7 +171,7 @@ void recoil_decode_into(std::span<const typename Cfg::UnitT> units,
     RECOIL_CHECK(out.size() >= meta.num_symbols, "recoil_decode_into: buffer too small");
     const u32 S = meta.num_splits();
     for_each_split_task(pool, S, [&](u64 first, u32 count) {
-        SplitJob<Cfg, TSym> jobs[2] = {};
+        SplitJob<Cfg, TSym> jobs[kMaxRangeRuns] = {};
         for (u32 j = 0; j < count; ++j)
             jobs[j] = {units, &meta, &t, static_cast<u32>(first + j), out.data()};
         recoil_decode_splits<Cfg, NLanes, TSym>(

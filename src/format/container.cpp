@@ -337,8 +337,7 @@ RECOIL_FNV_AVX512 void fnv1a_blocks(const u8* p, std::size_t blocks,
 /// Bytes of an n-byte span the bit-sliced path takes: whole blocks, when
 /// this CPU has the path; the serial loop hashes the rest.
 std::size_t fnv_block_bytes(std::size_t n) {
-    return n >= kFnvBlock && cpu_features().avx512_fnv ? n - n % kFnvBlock
-                                                       : 0;
+    return n >= kFnvBlock && cpu_features().avx512 ? n - n % kFnvBlock : 0;
 }
 
 }  // namespace
@@ -522,7 +521,8 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
         const u32 k = c.get_u32();
         if (k == 0 || k > 256) raise("container: bad model count");
         p.freqs.resize(k);
-        for (auto& freq : p.freqs) freq = get_freq_table(c, f.prob_bits);
+        for (auto& freq : p.freqs)
+            freq = get_freq_table(c, f.prob_bits, max_alphabet(f.sym_width));
         const u64 ids_len = c.get_u64();
         auto ids = c.get_bytes(ids_len);
         if (keeper != nullptr)
@@ -531,7 +531,8 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
             p.ids = std::vector<u8>(ids.begin(), ids.end());
         f.model = std::move(p);
     } else {
-        f.model = RecoilFile::StaticPayload{get_freq_table(c, f.prob_bits)};
+        f.model = RecoilFile::StaticPayload{
+            get_freq_table(c, f.prob_bits, max_alphabet(f.sym_width))};
     }
 
     const u64 meta_len = c.get_u64();
@@ -608,6 +609,9 @@ RecoilFile make_recoil_file(const RecoilEncoded<Rans32, 32>& enc, const Model& m
     static_assert(std::is_same_v<Model, StaticModel>,
                   "indexed models carry external pdfs; assemble RecoilFile "
                   "with IndexedPayload manually");
+    if ((sym_width != 1 && sym_width != 2) || model.alphabet() > max_alphabet(sym_width))
+        raise("make_recoil_file: " + std::to_string(model.alphabet()) +
+              " symbols do not fit a sym_width of " + std::to_string(sym_width));
     RecoilFile f;
     f.sym_width = sym_width;
     f.prob_bits = model.prob_bits();

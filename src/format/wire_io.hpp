@@ -449,13 +449,17 @@ inline void put_freq_table(std::vector<u8>& out, std::span<const u32> freq) {
     for (u32 f : freq) put_u32(out, f);
 }
 
+/// The largest alphabet a wire of `sym_width`-byte symbols can carry.
+inline u32 max_alphabet(u32 sym_width) { return u32{1} << (8 * sym_width); }
+
 /// Parse a freq table and require it to be a valid quantized pdf for
 /// `prob_bits` (entries summing to exactly 2^prob_bits), so hostile values
-/// cannot overflow the decode-side cumulative tables.
-inline std::vector<u32> get_freq_table(Cursor& c, u32 prob_bits) {
+/// cannot overflow the decode-side cumulative tables, over at most
+/// `max_alphabet` symbols (see max_alphabet(sym_width)), so no symbol
+/// decodes past the width its output stores.
+inline std::vector<u32> get_freq_table(Cursor& c, u32 prob_bits, u32 max_alphabet) {
     const u32 n = c.get_u32();
-    if (n == 0 || n > (u32{1} << 20))
-        raise(std::string(c.ctx) + ": bad alphabet size");
+    if (n == 0 || n > max_alphabet) raise(std::string(c.ctx) + ": bad alphabet size");
     std::vector<u32> freq(n);
     u64 total = 0;
     for (auto& f : freq) {

@@ -119,6 +119,9 @@ struct LaneCursor {
 
 struct SplitPoint;  // core/metadata.hpp
 
+/// Most runs one RangeFn call decodes.
+inline constexpr u32 kMaxRangeRuns = 4;
+
 /// One stream's decode range: positions [lo, hi], descending from `cur`,
 /// each symbol written to out[pos]. A run without an entry starts fully
 /// live: every lane of `cur` holds a valid state for its next position. A
@@ -127,7 +130,7 @@ struct SplitPoint;  // core/metadata.hpp
 /// recorded state; positions at or above the entry's min_index are decoded
 /// and discarded (the next split's thread writes them). Either way the run
 /// ends as a per-symbol cursor at lo. A RangeFn (core/recoil_decoder.hpp)
-/// decodes one or two independent runs in one call.
+/// decodes up to kMaxRangeRuns independent runs in one call.
 template <typename Cfg, u32 NLanes, typename TSym>
 struct RangeRun {
     LaneCursor<Cfg, NLanes>* cur;

@@ -157,7 +157,8 @@ struct ParsedRange {
     std::vector<ParsedSegment> segments;
 };
 
-ParsedSegment parse_segment(Cursor& c) {
+/// One segment of a wire whose symbols are `sym_width` bytes wide.
+ParsedSegment parse_segment(Cursor& c, u32 sym_width) {
     ParsedSegment p;
     RangeSegmentInfo& info = p.info;
     info.base = c.get_u64();
@@ -178,12 +179,12 @@ ParsedSegment parse_segment(Cursor& c) {
         const u32 k = c.get_u32();
         if (k == 0 || k > 256) raise("range wire: bad model count");
         p.freqs.resize(k);
-        for (auto& f : p.freqs) f = get_freq_table(c, p.prob_bits);
+        for (auto& f : p.freqs) f = get_freq_table(c, p.prob_bits, max_alphabet(sym_width));
         p.ids_lo = c.get_u64();
         ids_len = c.get_u64();
         p.ids = c.get_bytes(ids_len);
     } else {
-        p.freqs.push_back(get_freq_table(c, p.prob_bits));
+        p.freqs.push_back(get_freq_table(c, p.prob_bits, max_alphabet(sym_width)));
     }
 
     const u64 meta_len = c.get_u64();
@@ -253,7 +254,7 @@ ParsedRange parse_range_wire(std::span<const u8> bytes) {
     // segment starts where the previous one ended.
     u64 expected = info.lo;
     for (u32 i = 0; i < count; ++i) {
-        ParsedSegment seg = parse_segment(c);
+        ParsedSegment seg = parse_segment(c, info.sym_width);
         if (seg.info.lo > expected || seg.info.base != expected - seg.info.lo)
             raise("range wire: segments do not tile the range");
         if (seg.info.hi > info.hi - seg.info.base)

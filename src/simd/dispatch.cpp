@@ -7,6 +7,10 @@
 
 namespace recoil::simd {
 
+void group_pops_underflow() {
+    raise("recoil invariant failed: scalar_group_pops: bitstream underflow");
+}
+
 template <typename TSym>
 void scalar_decode_groups(std::span<const GroupRun<TSym>> runs) {
     for (const GroupRun<TSym>& run : runs) {
@@ -93,10 +97,12 @@ const char* backend_name(Backend b) {
 template <typename TSym>
 GroupKernel<TSym> group_kernel(Backend b) {
 #if defined(RECOIL_HAVE_AVX512_BUILD)
-    if (b == Backend::Avx512 && cpu_features().avx512) return &avx512_decode_groups<TSym>;
+    if (b == Backend::Avx512 && cpu_features().avx512)
+        return static_cast<GroupKernel<TSym>>(&avx512_decode_groups);
 #endif
 #if defined(RECOIL_HAVE_AVX2_BUILD)
-    if (b != Backend::Scalar && cpu_features().avx2) return &avx2_decode_groups<TSym>;
+    if (b != Backend::Scalar && cpu_features().avx2)
+        return static_cast<GroupKernel<TSym>>(&avx2_decode_groups);
 #endif
     return &scalar_decode_groups<TSym>;
 }

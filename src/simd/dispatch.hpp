@@ -28,13 +28,13 @@ template <typename TSym>
 GroupKernel<TSym> group_kernel(Backend b);
 
 /// Drop-in replacement for ScalarRangeFn (see core/recoil_decoder.hpp), with
-/// its one call form: range_fn(runs) for one or two runs. It hands every run
-/// whole to one group-kernel call: a split's synchronization groups, its
-/// decoding range and the ragged groups at either end all run in the masked
-/// kernel step, two runs in lockstep (simd/kernel_iface.hpp). A run enters
-/// and leaves the kernel as a per-symbol cursor; one that reaches its
-/// stream's start then ends in the caller's drain_start, as on the scalar
-/// path. The backend is the only setting.
+/// its one call form: range_fn(runs) for up to kMaxRangeRuns runs. It hands
+/// every run whole to one group-kernel call: a split's synchronization
+/// groups, its decoding range and the ragged groups at either end all run in
+/// the masked kernel step, the runs in lockstep (simd/kernel_iface.hpp). A
+/// run enters and leaves the kernel as a per-symbol cursor; one that reaches
+/// its stream's start then ends in the caller's drain_start, as on the
+/// scalar path. The backend is the only setting.
 template <typename TSym>
 struct SimdRangeFn {
     using Run = RangeRun<Rans32, 32, TSym>;
@@ -42,9 +42,9 @@ struct SimdRangeFn {
     Backend backend = pick_backend();
 
     void operator()(std::span<const Run> runs) const {
-        RECOIL_CHECK(runs.size() <= 2, "SimdRangeFn: at most two runs per call");
-        GroupRun<TSym> group[2] = {};
-        u32 entry_steps[2][32];
+        RECOIL_CHECK(runs.size() <= kMaxRangeRuns, "SimdRangeFn: at most four runs per call");
+        GroupRun<TSym> group[kMaxRangeRuns] = {};
+        u32 entry_steps[kMaxRangeRuns][32];
         u32 n = 0;
         for (const Run& r : runs) {
             if (r.hi < r.lo) continue;

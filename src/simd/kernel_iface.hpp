@@ -4,14 +4,18 @@
 // 16-bit units, L = 2^16, prob_bits <= 16 so renormalization is single-step)
 // and 32 lanes.
 //
-// A kernel call decodes one or two runs whole. A run is one stream's decode
-// range [lo, hi]: its 32 lane states, its unit buffer and cursor, its tables
-// and output base, the positions it stores, and, for a Recoil split, the
-// state and group at which each lane joins. Two runs are independent streams
-// (two splits, two partitions, or splits of two chunks); the kernel decodes
-// them in lockstep, the longer run's remaining groups alone, so the second
-// run's gathers issue while the first run's transform chain waits, and each
-// run's own pops keep their order.
+// A kernel call decodes up to kMaxRangeRuns runs whole. A run is one
+// stream's decode range [lo, hi]: its 32 lane states, its unit buffer and
+// cursor, its tables and output base, the positions it stores, and, for a
+// Recoil split, the state and group at which each lane joins. The runs of a
+// call are independent streams (splits, partitions, or splits of several
+// chunks); a vector kernel decodes them in lockstep, so one run's gathers
+// issue while another's transform chain waits, and each run's own pops keep
+// their order. When the shortest run ends it drops out and the rest go on
+// together. run_group_steps below is that step loop for every vector
+// backend; each backend gives it one body per run count and picks how many
+// runs share a lockstep: up to four on the AVX512 kernel with one-gather
+// (packed) tables, two on two-gather tables and on AVX2.
 //
 // Discipline (per group; see rans/interleaved.hpp): step i of a run decodes
 // group g = hi / 32 - i, down to the group of lo. In each step
@@ -31,21 +35,22 @@
 //
 // Masks are needed only in a run's synchronization groups, the seam group
 // at store_hi, a ragged top and the bottom group (GroupSteps::masked); the
-// interior groups, where every lane is active and stores, take the unmasked
-// body. Per-position ids are read for active lanes only, so a run touches
-// ids on [lo, hi] alone, as the scalar loop does.
+// steps interior to every run in lockstep take the unmasked body.
+// Per-position ids are read for active lanes only, so a run touches ids on
+// [lo, hi] alone, as the scalar loop does.
 //
-// Pops take vector loads of 16 (AVX512) or 8 (AVX2) units. Each run tests
-// its own buffer edges; a run whose loads would leave its unit buffer pops
-// that group through scalar_group_pops instead, which raises a typed
-// underflow error exactly as the scalar loop does.
+// Pops load at most 16 (AVX512) or 8 (AVX2) units past a vector's first.
+// Each run tests its own buffer edges; a run whose loads would leave its
+// unit buffer pops that group through scalar_group_pops instead, which
+// raises a typed underflow error exactly as the scalar loop does.
 
 #include <algorithm>
+#include <cstddef>
 #include <span>
 #include <type_traits>
 
+#include "rans/interleaved.hpp"
 #include "rans/static_model.hpp"
-#include "util/error.hpp"
 #include "util/ints.hpp"
 
 namespace recoil::simd {
@@ -69,9 +74,18 @@ struct GroupRun {
     const u32* entry_steps = nullptr;
 };
 
-/// Decode each run (one or two) from hi down to lo.
+/// Decode each run (at most kMaxRangeRuns) from hi down to lo.
 template <typename TSym>
 using GroupKernel = void (*)(std::span<const GroupRun<TSym>> runs);
+
+/// Raises the typed error of a group that needs more units than remain
+/// below its cursor. Out of line in simd/dispatch.cpp, so no kernel object
+/// carries the error's code.
+[[noreturn]] void group_pops_underflow();
+
+// The helpers below have internal linkage: each kernel object keeps its own
+// copies, built for its ISA, which no other object binds to.
+namespace {
 
 /// Bit l set for each lane l of the group at position `base` (a multiple of
 /// 32) whose position base + l lies in [from, to).
@@ -85,14 +99,15 @@ inline u32 lanes_between(u64 base, u64 from, u64 to) {
 /// top - i, for i in [0, steps). Steps in [mask_top, mask_bot) are interior
 /// groups: every lane live, inside [lo, hi] and stored.
 struct GroupSteps {
-    u64 lo, hi, store_hi;
-    u64 top, steps, mask_top, mask_bot;
-    u64 sync_steps;  ///< steps that may take entry states (0 without an entry)
+    u64 lo = 0, hi = 0, store_hi = 0;
+    u64 top = 0, steps = 0, mask_top = 0, mask_bot = 0;
+    u64 sync_steps = 0;  ///< steps that may take entry states (0 without an entry)
 
+    GroupSteps() = default;
     template <typename TSym>
     explicit GroupSteps(const GroupRun<TSym>& r)
         : lo(r.lo), hi(r.hi), store_hi(r.store_hi), top(r.hi / 32),
-          steps(top - r.lo / 32 + 1), sync_steps(0) {
+          steps(top - r.lo / 32 + 1) {
         // Interior groups g: 32g >= lo and 32g + 32 <= store_hi. Below
         // store_hi every lane is live (an entry's min_index bounds it).
         const u64 a = (lo + 31) / 32, b = store_hi / 32;
@@ -113,14 +128,18 @@ struct GroupSteps {
 /// Pop one unit for every lane in `active` with state < L: ascending needy
 /// lanes take ascending addresses ending at p. The kernels' scalar fallback
 /// near the ends of the unit buffer. A group that needs more units than
-/// remain below p is a typed error, as in the scalar decode_positions.
-inline void scalar_group_pops(u32* x, const u16* units, i64& p, u32 active) {
+/// remain below p is a typed error, as in the scalar decode_positions. It
+/// is inlined into every kernel body: an out-of-line call in the pop costs
+/// the AVX2 single-stream loop about 12%, and GCC's own choice varies from
+/// body to body.
+__attribute__((always_inline)) inline void scalar_group_pops(u32* x, const u16* units, i64& p,
+                                                             u32 active) {
     u32 needy[32];
     int k = 0;
     for (u32 lane = 0; lane < 32; ++lane) {
         if ((active >> lane & 1) != 0 && x[lane] < (u32{1} << 16)) needy[k++] = lane;
     }
-    RECOIL_CHECK(p + 1 >= k, "scalar_group_pops: bitstream underflow");
+    if (p + 1 < k) group_pops_underflow();
     const i64 base = p - k + 1;
     for (int i = 0; i < k; ++i) {
         x[needy[i]] = (x[needy[i]] << 16) | units[base + i];
@@ -128,61 +147,66 @@ inline void scalar_group_pops(u32* x, const u16* units, i64& p, u32 active) {
     p -= k;
 }
 
-/// The step loop of the vector backends. `Regs` holds one run in registers:
-/// built from its GroupRun, it exposes its GroupSteps `s`, prepare(i) (the
-/// masks and entries of step i), pop<kMasked>(), transform<kMasked>(i),
-/// store<kMasked>(i) and write_back(run). Two runs share their first
-/// min(steps) steps in lockstep, every run's pops and gathers issuing before
-/// any run's stores, and the longer run finishes alone. Masked and interior
-/// steps run in separate loops, so the interior loop holds the unmasked body
-/// alone.
-template <typename Regs, typename TSym>
-void run_group_steps(std::span<const GroupRun<TSym>> runs) {
-    auto both = [](auto masked, Regs& a, Regs& b, u64 i) {
-        constexpr bool kMasked = decltype(masked)::value;
-        if constexpr (kMasked) {
-            a.prepare(i);
-            b.prepare(i);
-        }
-        a.template pop<kMasked>();
-        b.template pop<kMasked>();
-        a.template transform<kMasked>(i);
-        b.template transform<kMasked>(i);
-        a.template store<kMasked>(i);
-        b.template store<kMasked>(i);
-    };
-    auto one = [](auto masked, Regs& a, u64 i) {
-        constexpr bool kMasked = decltype(masked)::value;
-        if constexpr (kMasked) a.prepare(i);
-        a.template pop<kMasked>();
-        a.template transform<kMasked>(i);
-        a.template store<kMasked>(i);
-    };
-    using Masked = std::true_type;
-    using Plain = std::false_type;
-    u64 done = 0;
-    if (runs.size() == 2) {
-        Regs a(runs[0]), b(runs[1]);
-        done = std::min(a.s.steps, b.s.steps);
-        const u64 from = std::min(std::max(a.s.mask_top, b.s.mask_top), done);
-        const u64 to = std::max(from, std::min({a.s.mask_bot, b.s.mask_bot, done}));
-        u64 i = 0;
-        for (; i < from; ++i) both(Masked{}, a, b, i);
-        for (; i < to; ++i) both(Plain{}, a, b, i);
-        for (; i < done; ++i) both(Masked{}, a, b, i);
-        a.write_back(runs[0]);
-        b.write_back(runs[1]);
+/// A run and its schedule, as a lockstep body reads them.
+template <typename TSym>
+struct ScheduledRun {
+    const GroupRun<TSym>* run = nullptr;
+    GroupSteps s;
+};
+
+/// The steps a lockstep body advances its runs through: [from, to), of
+/// which [plain_from, plain_to) are interior to every one of them.
+struct StepWindow {
+    u64 from, plain_from, plain_to, to;
+};
+
+/// f(std::integral_constant<std::size_t, n>{}) for n in [1, kWidth].
+template <std::size_t kWidth, typename F>
+void with_width(std::size_t n, const F& f) {
+    if constexpr (kWidth > 1) {
+        if (n < kWidth) return with_width<kWidth - 1>(n, f);
     }
-    for (const GroupRun<TSym>& r : runs) {
-        Regs a(r);
-        if (done >= a.s.steps) continue;
-        u64 i = done;
-        for (; i < a.s.mask_top; ++i) one(Masked{}, a, i);
-        for (; i < a.s.mask_bot; ++i) one(Plain{}, a, i);
-        for (; i < a.s.steps; ++i) one(Masked{}, a, i);
-        a.write_back(r);
+    f(std::integral_constant<std::size_t, kWidth>{});
+}
+
+/// The step loop of the vector backends. Up to kWidth runs advance in
+/// lockstep: body(live, window, width) decodes the steps [window.from,
+/// window.to) of the `width` runs live[0..width) together, where `width` is
+/// a std::integral_constant, so a backend gives each width its own body. The
+/// runs go in order of their step counts; when the shortest ends it drops
+/// out and the rest continue one run narrower. More than kWidth runs go
+/// kWidth at a time.
+template <std::size_t kWidth, typename TSym, typename Body>
+void run_group_steps(std::span<const GroupRun<TSym>> runs, const Body& body) {
+    static_assert(kWidth >= 1 && kWidth <= kMaxRangeRuns);
+    for (std::size_t first = 0; first < runs.size(); first += kWidth) {
+        const std::size_t n = std::min(kWidth, runs.size() - first);
+        ScheduledRun<TSym> sched[kWidth];
+        const ScheduledRun<TSym>* live[kWidth];
+        for (std::size_t k = 0; k < n; ++k) {
+            sched[k] = {&runs[first + k], GroupSteps(runs[first + k])};
+            std::size_t j = k;
+            for (; j > 0 && live[j - 1]->s.steps > sched[k].s.steps; --j) live[j] = live[j - 1];
+            live[j] = &sched[k];
+        }
+        u64 done = 0;
+        for (std::size_t k = 0; k < n; ++k) {
+            const u64 to = live[k]->s.steps;
+            if (to <= done) continue;
+            u64 a = done, b = to;
+            for (std::size_t j = k; j < n; ++j) {
+                a = std::max(a, live[j]->s.mask_top);
+                b = std::min(b, live[j]->s.mask_bot);
+            }
+            a = std::min(a, to);
+            const StepWindow w{done, a, std::max(a, b), to};
+            with_width<kWidth>(n - k, [&](auto width) { body(live + k, w, width); });
+            done = to;
+        }
     }
 }
+
+}  // namespace
 
 /// Reference (portable) group kernel, one run after the other: the
 /// contract above, lane by lane, and the oracle of the vector backends.
@@ -192,12 +216,12 @@ void scalar_decode_groups(std::span<const GroupRun<TSym>> runs);
 // Architecture-specific kernels; compiled only when the build enables them
 // (runtime-dispatched via simd/dispatch.hpp).
 #if defined(RECOIL_HAVE_AVX2_BUILD)
-template <typename TSym>
-void avx2_decode_groups(std::span<const GroupRun<TSym>> runs);
+void avx2_decode_groups(std::span<const GroupRun<u8>> runs);
+void avx2_decode_groups(std::span<const GroupRun<u16>> runs);
 #endif
 #if defined(RECOIL_HAVE_AVX512_BUILD)
-template <typename TSym>
-void avx512_decode_groups(std::span<const GroupRun<TSym>> runs);
+void avx512_decode_groups(std::span<const GroupRun<u8>> runs);
+void avx512_decode_groups(std::span<const GroupRun<u16>> runs);
 #endif
 
 }  // namespace recoil::simd

@@ -1,5 +1,6 @@
 #include "stream/chunked.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <exception>
 
@@ -98,7 +99,7 @@ ChunkedStream parse_impl(std::span<const u8> bytes,
     if (n > (u32{1} << 24)) raise("chunked: absurd chunk count");
     s.chunks.resize(n);
     for (Chunk& ch : s.chunks) {
-        ch.freq = get_freq_table(c, s.prob_bits);
+        ch.freq = get_freq_table(c, s.prob_bits, max_alphabet(1));  // chunks carry bytes
         const u64 mlen = c.get_u64();
         ch.metadata = deserialize_metadata(c.get_bytes(mlen));
         const u64 ulen = c.get_u64();
@@ -154,8 +155,8 @@ std::vector<u8> decode_chunk(const Chunk& chunk, u32 prob_bits, ThreadPool* pool
 
 std::vector<u8> decode_chunked(const ChunkedStream& stream, ThreadPool* pool,
                                simd::Backend backend) {
-    // Flatten every chunk's splits into one work list (adjacent items pair
-    // up into tasks, across chunk boundaries too) and prebuild the tables.
+    // Flatten every chunk's splits into one work list (adjacent items group
+    // into tasks, across chunk boundaries too) and prebuild the tables.
     const std::size_t n = stream.chunks.size();
     std::vector<DecodeModel> models;
     std::vector<DecodeTables> tables;

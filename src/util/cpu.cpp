@@ -34,8 +34,7 @@ CpuFeatures detect_cpu_features(const CpuidWords& w) {
         const char* name;
         bool met;
     };
-    // In the order avx512_fnv_missing names them; the first two guard AVX2
-    // and the first seven AVX-512.
+    // In the order avx512_missing names them; the first two guard AVX2.
     const Need needs[] = {
         {"OSXSAVE", has(w.leaf1_ecx, 27)},
         {"XCR0.YMM", (w.xcr0 & 0x06) == 0x06},
@@ -45,6 +44,8 @@ CpuFeatures detect_cpu_features(const CpuidWords& w) {
         {"AVX512BW", has(w.leaf7_ebx, 30)},
         {"AVX512VL", has(w.leaf7_ebx, 31)},
         {"AVX512VBMI", has(w.leaf7_ecx, 1)},
+        {"AVX512VBMI2", has(w.leaf7_ecx, 6)},
+        {"BMI2", has(w.leaf7_ebx, 8)},
         {"GFNI", has(w.leaf7_ecx, 8)},
         {"VPCLMULQDQ", has(w.leaf7_ecx, 10)},
     };
@@ -53,9 +54,8 @@ CpuFeatures detect_cpu_features(const CpuidWords& w) {
 
     CpuFeatures f;
     f.avx2 = met >= 2 && has(w.leaf7_ebx, 5);
-    f.avx512 = met >= 7;
-    f.avx512_fnv = met == std::size(needs);
-    if (!f.avx512_fnv) f.avx512_fnv_missing = needs[met].name;
+    f.avx512 = met == std::size(needs);
+    if (!f.avx512) f.avx512_missing = needs[met].name;
     return f;
 }
 

@@ -7,12 +7,13 @@ namespace recoil {
 
 struct CpuFeatures {
     bool avx2 = false;
-    bool avx512 = false;  // F + BW + DQ + VL, the set the AVX512 kernels need
-    /// avx512 plus VBMI, GFNI and VPCLMULQDQ: the bit-sliced FNV-1a
-    /// (format/container.cpp).
-    bool avx512_fnv = false;
-    /// The first bit avx512_fnv lacks, by name; nullptr when it is set.
-    const char* avx512_fnv_missing = nullptr;
+    /// AVX512 F/DQ/BW/VL, VBMI, VBMI2, GFNI and VPCLMULQDQ, with BMI2: the
+    /// decode kernel (simd/avx512_kernels.cpp) and the bit-sliced FNV-1a
+    /// (format/container.cpp). Ice Lake and later have them; Skylake-SP and
+    /// Cascade Lake take the AVX2 kernel and the serial checksum.
+    bool avx512 = false;
+    /// The first feature avx512 lacks, by name; nullptr when it is set.
+    const char* avx512_missing = nullptr;
 };
 
 /// The words detection reads. A SIMD bit counts only when the OS saves the
@@ -21,8 +22,8 @@ struct CpuFeatures {
 /// OSXSAVE is clear, since XGETBV faults then.
 struct CpuidWords {
     u32 leaf1_ecx = 0;
-    u32 leaf7_ebx = 0;  ///< leaf 7, subleaf 0
-    u32 leaf7_ecx = 0;
+    u32 leaf7_ebx = 0;  ///< leaf 7, subleaf 0 (AVX2, BMI2, AVX512 F/DQ/BW/VL)
+    u32 leaf7_ecx = 0;  ///< VBMI, VBMI2, GFNI, VPCLMULQDQ
     u64 xcr0 = 0;
 };
 

@@ -169,7 +169,7 @@ TEST(Container, ChecksumIsFnv1a) {
 // cases skip and name the missing bit instead of passing.
 std::string no_fnv_fast_path() {
     return std::string("no bit-sliced FNV-1a on this CPU: ") +
-           cpu_features().avx512_fnv_missing + " missing";
+           cpu_features().avx512_missing + " missing";
 }
 
 enum class Fill { random, zeros, ones, alternating };
@@ -211,7 +211,7 @@ constexpr Fill kFills[] = {Fill::random, Fill::zeros, Fill::ones,
                            Fill::alternating};
 
 TEST(Container, Fnv1aFastPathMatchesSerialAtEveryLength) {
-    if (!cpu_features().avx512_fnv) GTEST_SKIP() << no_fnv_fast_path();
+    if (!cpu_features().avx512) GTEST_SKIP() << no_fnv_fast_path();
     Xoshiro256 rng(0xf1a);
     // Every length to 10,000: one fill and start offset each, in turn.
     for (std::size_t n = 0; n <= 10000; ++n) {
@@ -237,7 +237,7 @@ TEST(Container, Fnv1aFastPathMatchesSerialAtEveryLength) {
 }
 
 TEST(Container, Fnv1aFastPathIsIncremental) {
-    if (!cpu_features().avx512_fnv) GTEST_SKIP() << no_fnv_fast_path();
+    if (!cpu_features().avx512) GTEST_SKIP() << no_fnv_fast_path();
     Xoshiro256 rng(0x1ace);
     const FnvInput in(std::size_t{1} << 16, 3, Fill::random, rng);
     const u64 a0 = rng();
@@ -552,6 +552,48 @@ TEST(Container, HostileIdStreamsAreTypedErrors) {
     ASSERT_EQ(ids_lo, serve::inspect_range_wire(wire).segments.at(0).cover_lo);
     wire[at + 16] = models;  // the slice's first id
     EXPECT_THROW(serve::decode_range_wire(test::reseal(std::move(wire))), Error);
+}
+
+TEST(Container, AnAlphabetWiderThanTheSymbolsIsATypedError) {
+    // 5,000 symbols over a 300-symbol pdf, sealed with one byte per symbol:
+    // every symbol past 255 would decode to its low byte. Each parser takes
+    // at most the alphabet the wire's width carries (256 at sym_width 1,
+    // and for every chunk of a chunked stream), and make_recoil_file will
+    // not write such a container.
+    auto refuses = [](auto&& parse) {
+        try {
+            parse();
+        } catch (const Error& e) {
+            return std::string(e.what()).find("bad alphabet size") != std::string::npos;
+        }
+        return false;
+    };
+    const auto syms = test::geometric_symbols<u16>(5000, 0.99, 300, 71);
+    ASSERT_GT(*std::max_element(syms.begin(), syms.end()), 255);
+    const StaticModel m = test::model_for<u16>(syms, 12, 300);
+    const auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), m, 4);
+    EXPECT_THROW(format::make_recoil_file(enc, m, 1), Error);
+    format::RecoilFile f = format::make_recoil_file(enc, m, 2);
+    ASSERT_EQ(format::decode_file(format::load_recoil_file(format::save_recoil_file(f))),
+              format::wire::le_bytes(std::span<const u16>(syms)));
+
+    f.sym_width = 1;
+    const auto sealed =
+        std::make_shared<const std::vector<u8>>(format::save_recoil_file(f));
+    EXPECT_TRUE(refuses([&] { (void)format::load_recoil_file(*sealed); }));
+    EXPECT_TRUE(refuses([&] { (void)format::load_recoil_file_view(*sealed, sealed); }));
+    format::VectorSink sink;
+    serve::range_wire_into(f, 1000, 4000, sink);
+    EXPECT_TRUE(refuses([&] { (void)serve::decode_range_wire(sink.out); }));
+
+    // A chunk's pdf of 300 symbols.
+    stream::ChunkedEncoder chunker({12, 8000});
+    chunker.add_chunk(test::geometric_symbols<u8>(20000, 0.6, 256, 72));
+    stream::ChunkedStream cs = chunker.finish();
+    ASSERT_NO_THROW((void)stream::ChunkedStream::parse(cs.serialize()));
+    cs.chunks[0].freq.clear();
+    for (u32 s = 0; s < m.alphabet(); ++s) cs.chunks[0].freq.push_back(m.freq(s));
+    EXPECT_TRUE(refuses([&] { (void)stream::ChunkedStream::parse(cs.serialize()); }));
 }
 
 }  // namespace

@@ -270,10 +270,12 @@ TEST(RecoilDecode, SyncStatsMatchTheirDefinition) {
 }
 
 TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
-    // Tasks hold two splits wherever a decode has more splits than lanes;
-    // every split count, lane count and backend must decode bit-exactly.
+    // Tasks hold up to four splits wherever a decode has more splits than
+    // lanes; every split count, lane count and backend must decode
+    // bit-exactly. With 1, 2 and 4 lanes, S = 1 to 9 gives every task size
+    // from 1 to 4 and every remainder.
     const std::size_t n = 800000;
-    const std::vector<u32> split_counts = {1, 2, 3, 4, 5, 16, 17, 2176};
+    const std::vector<u32> split_counts = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 2176};
     for (u32 bits : {11u, 12u, 16u}) {
         auto syms = test::geometric_symbols<u8>(n, 0.6, 256, 300 + bits);
         auto m = test::model_for<u8>(syms, bits, 256);

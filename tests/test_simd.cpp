@@ -59,50 +59,66 @@ TEST(Simd, BackendsAvailableOnThisHost) {
 TEST(Simd, CpuDetectionNeedsTheVectorStateTheOsSaves) {
     CpuidWords all;
     all.leaf1_ecx = 1u << 27;  // OSXSAVE
-    // AVX2, AVX512 F/DQ/BW/VL; VBMI, GFNI, VPCLMULQDQ
-    all.leaf7_ebx = (1u << 5) | (1u << 16) | (1u << 17) | (1u << 30) |
+    // AVX2, BMI2, AVX512 F/DQ/BW/VL; VBMI, VBMI2, GFNI, VPCLMULQDQ
+    all.leaf7_ebx = (1u << 5) | (1u << 8) | (1u << 16) | (1u << 17) | (1u << 30) |
                     (1u << 31);
-    all.leaf7_ecx = (1u << 1) | (1u << 8) | (1u << 10);
+    all.leaf7_ecx = (1u << 1) | (1u << 6) | (1u << 8) | (1u << 10);
     all.xcr0 = 0xe7;  // x87, SSE, AVX, opmask, ZMM_Hi256, Hi16_ZMM
     const CpuFeatures f = detect_cpu_features(all);
     EXPECT_TRUE(f.avx2);
     EXPECT_TRUE(f.avx512);
-    EXPECT_TRUE(f.avx512_fnv);
-    EXPECT_EQ(f.avx512_fnv_missing, nullptr);
+    EXPECT_EQ(f.avx512_missing, nullptr);
 
     // Without saved YMM state, or without OSXSAVE, no SIMD bit is set.
     for (const u64 xcr0 : {u64{0}, u64{0x3}, u64{0x5}, u64{0xe3}}) {
         CpuidWords w = all;
         w.xcr0 = xcr0;
         const CpuFeatures m = detect_cpu_features(w);
-        EXPECT_FALSE(m.avx2 || m.avx512 || m.avx512_fnv) << "xcr0 " << xcr0;
-        EXPECT_STREQ(m.avx512_fnv_missing, "XCR0.YMM");
+        EXPECT_FALSE(m.avx2 || m.avx512) << "xcr0 " << xcr0;
+        EXPECT_STREQ(m.avx512_missing, "XCR0.YMM");
     }
     CpuidWords no_xsave = all;
     no_xsave.leaf1_ecx = 0;
     const CpuFeatures n = detect_cpu_features(no_xsave);
-    EXPECT_FALSE(n.avx2 || n.avx512 || n.avx512_fnv);
-    EXPECT_STREQ(n.avx512_fnv_missing, "OSXSAVE");
+    EXPECT_FALSE(n.avx2 || n.avx512);
+    EXPECT_STREQ(n.avx512_missing, "OSXSAVE");
 
     // YMM without opmask/ZMM state: AVX2 only.
     CpuidWords ymm = all;
     ymm.xcr0 = 0x7;
     const CpuFeatures y = detect_cpu_features(ymm);
     EXPECT_TRUE(y.avx2);
-    EXPECT_FALSE(y.avx512 || y.avx512_fnv);
-    EXPECT_STREQ(y.avx512_fnv_missing, "XCR0.ZMM");
+    EXPECT_FALSE(y.avx512);
+    EXPECT_STREQ(y.avx512_missing, "XCR0.ZMM");
 
-    // Each bit only the hash needs: the decode kernels keep AVX-512.
-    const std::pair<unsigned, const char*> hash_bits[] = {
-        {1, "AVX512VBMI"}, {8, "GFNI"}, {10, "VPCLMULQDQ"}};
-    for (const auto& [bit, name] : hash_bits) {
+    // The decode kernel and the hash share one bit: without any of the
+    // further features either needs, the CPU takes the AVX2 kernel.
+    struct Further {
+        u32 CpuidWords::*word;
+        unsigned bit;
+        const char* name;
+    };
+    const Further further[] = {{&CpuidWords::leaf7_ecx, 1, "AVX512VBMI"},
+                               {&CpuidWords::leaf7_ecx, 6, "AVX512VBMI2"},
+                               {&CpuidWords::leaf7_ebx, 8, "BMI2"},
+                               {&CpuidWords::leaf7_ecx, 8, "GFNI"},
+                               {&CpuidWords::leaf7_ecx, 10, "VPCLMULQDQ"}};
+    for (const Further& b : further) {
         CpuidWords w = all;
-        w.leaf7_ecx &= ~(1u << bit);
+        w.*b.word &= ~(1u << b.bit);
         const CpuFeatures m = detect_cpu_features(w);
-        EXPECT_TRUE(m.avx512);
-        EXPECT_FALSE(m.avx512_fnv);
-        EXPECT_STREQ(m.avx512_fnv_missing, name);
+        EXPECT_TRUE(m.avx2) << b.name;
+        EXPECT_FALSE(m.avx512) << b.name;
+        EXPECT_STREQ(m.avx512_missing, b.name);
     }
+
+    // Skylake-SP and Cascade Lake: AVX512 F/DQ/BW/VL without VBMI or VBMI2.
+    CpuidWords skx = all;
+    skx.leaf7_ecx = 0;
+    const CpuFeatures k = detect_cpu_features(skx);
+    EXPECT_TRUE(k.avx2);
+    EXPECT_FALSE(k.avx512);
+    EXPECT_STREQ(k.avx512_missing, "AVX512VBMI");
 }
 
 TEST(Simd, PackedLutPath) {  // 8-bit symbols, n=11 -> single-gather LUT
@@ -225,6 +241,145 @@ TEST(Simd, GroupPopsBelowTheBitstreamAreTypedErrors) {
     }
 }
 
+/// One run of the edge tests below, and its own tables (an indexed run may
+/// carry an id slice of exactly its positions).
+struct EdgeRun {
+    LaneCursor<Rans32, 32> start;
+    std::span<const u16> units;
+    u64 lo, hi;
+    DecodeTables t;
+    const SplitPoint* entry = nullptr;
+};
+
+template <typename TSym>
+struct EdgeResult {
+    std::vector<TSym> out;  ///< positions [lo, hi] of the runs, rebased
+    std::vector<LaneCursor<Rans32, 32>> exit;
+};
+
+/// Decode up to four runs in one call of `fn` into a buffer of exactly the
+/// positions they span (prefilled with `fill`): any store outside them is a
+/// heap overflow, and the exit cursors are the per-symbol cursors at lo.
+template <typename TSym, typename Fn>
+EdgeResult<TSym> decode_edge(const Fn& fn, std::span<const EdgeRun> runs) {
+    u64 lo = runs[0].lo, hi = runs[0].hi;
+    for (const auto& r : runs) {
+        lo = std::min(lo, r.lo);
+        hi = std::max(hi, r.hi);
+    }
+    EdgeResult<TSym> res;
+    res.out.assign(hi - lo + 1, static_cast<TSym>(0x5a));
+    TSym* rebased = reinterpret_cast<TSym*>(reinterpret_cast<std::uintptr_t>(res.out.data()) -
+                                            static_cast<std::uintptr_t>(lo) * sizeof(TSym));
+    for (const auto& r : runs) res.exit.push_back(r.start);
+    std::vector<RangeRun<Rans32, 32, TSym>> rr;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        rr.push_back({&res.exit[i], runs[i].units, runs[i].hi, runs[i].lo, &runs[i].t, rebased,
+                      runs[i].entry});
+    fn(std::span<const RangeRun<Rans32, 32, TSym>>(rr));
+    return res;
+}
+
+/// Every backend, on these runs singly and (when several) in one call, must
+/// store what the per-symbol reference stores and leave its exit cursors.
+template <typename TSym>
+void expect_edges_match(std::span<const EdgeRun> runs, const std::string& what) {
+    const ScalarRangeFn<Rans32, 32, TSym> scalar;
+    std::vector<EdgeResult<TSym>> single_ref;
+    for (const auto& r : runs) single_ref.push_back(decode_edge<TSym>(scalar, {&r, 1}));
+    const EdgeResult<TSym> pair_ref = decode_edge<TSym>(scalar, runs);
+    for (Backend b : available_backends()) {
+        const simd::SimdRangeFn<TSym> range{b};
+        const std::string name = what + " on " + simd::backend_name(b);
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            const auto got = decode_edge<TSym>(range, {&runs[i], 1});
+            ASSERT_TRUE(got.out == single_ref[i].out) << name << ", run " << i;
+            EXPECT_EQ(got.exit[0].x, single_ref[i].exit[0].x) << name << ", run " << i;
+            EXPECT_EQ(got.exit[0].p, single_ref[i].exit[0].p) << name << ", run " << i;
+        }
+        if (runs.size() < 2) continue;
+        const auto got = decode_edge<TSym>(range, runs);
+        ASSERT_TRUE(got.out == pair_ref.out) << name << ", paired";
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            EXPECT_EQ(got.exit[i].x, pair_ref.exit[i].x) << name << ", paired run " << i;
+            EXPECT_EQ(got.exit[i].p, pair_ref.exit[i].p) << name << ", paired run " << i;
+        }
+    }
+}
+
+/// Split k of a Recoil stream as the decoder runs it: entered at its split
+/// point with its synchronization entries, or, for the last split, fully
+/// live from the final states at the top of the unit buffer.
+EdgeRun split_edge_run(const RecoilEncoded<Rans32, 32>& enc, const RecoilMetadata& meta,
+                       const DecodeTables& t, u32 k) {
+    const std::span<const u16> units(enc.bitstream.units);
+    EdgeRun r{{}, units, k > 0 ? meta.splits[k - 1].min_index : 0, 0, t};
+    if (k + 1 == meta.num_splits()) {
+        std::copy(enc.bitstream.final_states.begin(), enc.bitstream.final_states.end(),
+                  r.start.x.begin());
+        r.start.p = static_cast<i64>(units.size()) - 1;
+        r.hi = meta.num_symbols - 1;
+    } else {
+        r.start.p = static_cast<i64>(meta.splits[k].offset);
+        r.hi = meta.splits[k].anchor_index;
+        r.entry = &meta.splits[k];
+    }
+    return r;
+}
+
+/// Three and four runs in one call (Simd.PairedRunsMatchTwoSingleRuns), of
+/// `TSym` symbols: Recoil splits of a stream on packed tables (n = 11, 256
+/// symbols) and of one on wide tables (n = 16, `alphabet` symbols).
+template <typename TSym>
+void expect_grouped_splits(u32 alphabet, u64 seed, const std::string& what) {
+    const std::size_t n = 60000;
+    const auto sp = test::geometric_symbols<TSym>(n, 0.6, 256, seed);
+    const auto sw = test::geometric_symbols<TSym>(n, 0.97, alphabet, seed + 1);
+    const StaticModel mp = test::model_for<TSym>(sp, 11, 256);
+    const StaticModel mw = test::model_for<TSym>(sw, 16, alphabet);
+    const DecodeTables tp = mp.tables(), tw = mw.tables();
+    ASSERT_NE(tp.packed, nullptr) << what;
+    ASSERT_EQ(tw.packed, nullptr) << what;
+    const auto ep = recoil_encode<Rans32, 32>(std::span<const TSym>(sp), mp, 12);
+    const auto ew = recoil_encode<Rans32, 32>(std::span<const TSym>(sw), mw, 12);
+    ASSERT_GE(ep.metadata.num_splits(), 8u) << what;
+    ASSERT_GE(ew.metadata.num_splits(), 8u) << what;
+    // Splits of very unequal length: the kernel drops each run as it ends.
+    RecoilMetadata mpu = ep.metadata, mwu = ew.metadata;
+    mpu.splits = {ep.metadata.splits[0], ep.metadata.splits[1], ep.metadata.splits[3],
+                  ep.metadata.splits[6]};
+    mwu.splits = {ew.metadata.splits[0], ew.metadata.splits[2], ew.metadata.splits[3]};
+    auto p = [&](u32 k) { return split_edge_run(ep, mpu, tp, k); };
+    auto w = [&](u32 k) { return split_edge_run(ew, mwu, tw, k); };
+    ASSERT_EQ(mpu.num_splits(), 5u);
+    ASSERT_EQ(mwu.num_splits(), 4u);
+
+    // Split 0 ends at the bottom of its unit buffer and the last split
+    // starts at the top: their edge groups pop through the scalar fallback.
+    const EdgeRun three[] = {p(2), p(0), p(1)};
+    expect_edges_match<TSym>(three, what + ", three packed splits");
+    const EdgeRun four[] = {p(3), p(1), p(4), p(2)};
+    expect_edges_match<TSym>(four, what + ", four packed splits");
+    const EdgeRun four_wide[] = {w(0), w(3), w(1), w(2)};
+    expect_edges_match<TSym>(four_wide, what + ", four wide splits");
+    // Packed and wide side by side; P's stored positions lie below W's.
+    const EdgeRun mixed[] = {p(1), w(3), p(0), w(2)};
+    expect_edges_match<TSym>(mixed, what + ", packed and wide splits");
+
+    // A run that needs more units than remain below its cursor is a typed
+    // error, also as the third of four.
+    const std::vector<u16> few = {1, 2, 3, 4};
+    EdgeRun bad{{}, few, 0, 63, tp};
+    bad.start.x.fill(1);
+    bad.start.p = static_cast<i64>(few.size()) - 1;
+    const EdgeRun with_bad[] = {p(1), p(2), bad, p(3)};
+    for (Backend b : available_backends()) {
+        const simd::SimdRangeFn<TSym> range{b};
+        EXPECT_THROW(decode_edge<TSym>(range, with_bad), Error)
+            << what << " on " << simd::backend_name(b);
+    }
+}
+
 TEST(Simd, PairedRunsMatchTwoSingleRuns) {
     // Two independent streams with different table layouts (packed n = 11,
     // wide n = 16), decoded as one pair and as two single runs. Stream A is
@@ -288,6 +443,13 @@ TEST(Simd, PairedRunsMatchTwoSingleRuns) {
         EXPECT_THROW(range(good_bad), Error)
             << name;
     }
+
+    // Three and four runs in one call, each set against the per-symbol
+    // reference alone and together: unequal Recoil splits with
+    // synchronization entries, buffer edges, packed and wide tables, u8 and
+    // u16, and an underflow in the third run.
+    expect_grouped_splits<u8>(256, 53, "u8");
+    expect_grouped_splits<u16>(1024, 55, "u16");
 }
 
 TEST(Simd, GroupDisciplineMatchesPerSymbol) {
@@ -314,72 +476,6 @@ TEST(Simd, GroupDisciplineMatchesPerSymbol) {
     for (std::size_t i = 0; i < covered; ++i) ASSERT_EQ(out[i], ref[i]) << i;
 }
 
-/// One run of the edge tests below, and its own tables (an indexed run may
-/// carry an id slice of exactly its positions).
-struct EdgeRun {
-    LaneCursor<Rans32, 32> start;
-    std::span<const u16> units;
-    u64 lo, hi;
-    DecodeTables t;
-    const SplitPoint* entry = nullptr;
-};
-
-template <typename TSym>
-struct EdgeResult {
-    std::vector<TSym> out;  ///< positions [lo, hi] of the runs, rebased
-    std::vector<LaneCursor<Rans32, 32>> exit;
-};
-
-/// Decode one or two runs in one call of `fn` into a buffer of exactly the
-/// positions they span (prefilled with `fill`): any store outside them is a
-/// heap overflow, and the exit cursors are the per-symbol cursors at lo.
-template <typename TSym, typename Fn>
-EdgeResult<TSym> decode_edge(const Fn& fn, std::span<const EdgeRun> runs) {
-    u64 lo = runs[0].lo, hi = runs[0].hi;
-    for (const auto& r : runs) {
-        lo = std::min(lo, r.lo);
-        hi = std::max(hi, r.hi);
-    }
-    EdgeResult<TSym> res;
-    res.out.assign(hi - lo + 1, static_cast<TSym>(0x5a));
-    TSym* rebased = reinterpret_cast<TSym*>(reinterpret_cast<std::uintptr_t>(res.out.data()) -
-                                            static_cast<std::uintptr_t>(lo) * sizeof(TSym));
-    for (const auto& r : runs) res.exit.push_back(r.start);
-    std::vector<RangeRun<Rans32, 32, TSym>> rr;
-    for (std::size_t i = 0; i < runs.size(); ++i)
-        rr.push_back({&res.exit[i], runs[i].units, runs[i].hi, runs[i].lo, &runs[i].t, rebased,
-                      runs[i].entry});
-    fn(std::span<const RangeRun<Rans32, 32, TSym>>(rr));
-    return res;
-}
-
-/// Every backend, on these runs singly and (when two) paired, must store
-/// what the per-symbol reference stores and leave its exit cursors.
-template <typename TSym>
-void expect_edges_match(std::span<const EdgeRun> runs, const std::string& what) {
-    const ScalarRangeFn<Rans32, 32, TSym> scalar;
-    std::vector<EdgeResult<TSym>> single_ref;
-    for (const auto& r : runs) single_ref.push_back(decode_edge<TSym>(scalar, {&r, 1}));
-    const EdgeResult<TSym> pair_ref = decode_edge<TSym>(scalar, runs);
-    for (Backend b : available_backends()) {
-        const simd::SimdRangeFn<TSym> range{b};
-        const std::string name = what + " on " + simd::backend_name(b);
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            const auto got = decode_edge<TSym>(range, {&runs[i], 1});
-            ASSERT_TRUE(got.out == single_ref[i].out) << name << ", run " << i;
-            EXPECT_EQ(got.exit[0].x, single_ref[i].exit[0].x) << name << ", run " << i;
-            EXPECT_EQ(got.exit[0].p, single_ref[i].exit[0].p) << name << ", run " << i;
-        }
-        if (runs.size() < 2) continue;
-        const auto got = decode_edge<TSym>(range, runs);
-        ASSERT_TRUE(got.out == pair_ref.out) << name << ", paired";
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            EXPECT_EQ(got.exit[i].x, pair_ref.exit[i].x) << name << ", paired run " << i;
-            EXPECT_EQ(got.exit[i].p, pair_ref.exit[i].p) << name << ", paired run " << i;
-        }
-    }
-}
-
 /// The masked-kernel edge checks for one table layout.
 template <typename TSym, typename Model>
 void check_masked_edges(std::span<const TSym> syms, const Model& m, const char* layout) {
@@ -396,20 +492,7 @@ void check_masked_edges(std::span<const TSym> syms, const Model& m, const char* 
     // last fully live), alone and paired with the next, whose
     // synchronization section differs in length.
     const u32 S = meta.num_splits();
-    auto split_run = [&](u32 k) {
-        EdgeRun r{{}, units, k > 0 ? meta.splits[k - 1].min_index : 0, 0, t};
-        if (k + 1 == S) {
-            std::copy(enc.bitstream.final_states.begin(), enc.bitstream.final_states.end(),
-                      r.start.x.begin());
-            r.start.p = static_cast<i64>(units.size()) - 1;
-            r.hi = syms.size() - 1;
-        } else {
-            r.start.p = static_cast<i64>(meta.splits[k].offset);
-            r.hi = meta.splits[k].anchor_index;
-            r.entry = &meta.splits[k];
-        }
-        return r;
-    };
+    auto split_run = [&](u32 k) { return split_edge_run(enc, meta, t, k); };
     std::set<u64> min_res, anchor_res, lo_res;
     u32 uneven = 0;
     for (u32 k = 0; k + 1 < S; ++k) {

@@ -328,6 +328,28 @@ TEST_F(StoreFixture, BitFlippedContainerIsATypedError) {
     EXPECT_NE(res.detail.find("checksum"), std::string::npos) << res.detail;
 }
 
+TEST_F(StoreFixture, AnAlphabetWiderThanTheSymbolsIsATypedError) {
+    // A sealed one-byte container over a 300-symbol pdf (see
+    // Container.AnAlphabetWiderThanTheSymbolsIsATypedError): its checksum
+    // matches, and its load fails as a bad container instead of serving
+    // symbols cut to their low byte.
+    const auto syms = test::geometric_symbols<u16>(5000, 0.99, 300, 71);
+    const StaticModel m = test::model_for<u16>(syms, 12, 300);
+    format::RecoilFile f = format::make_recoil_file(
+        recoil_encode<Rans32, 32>(std::span<const u16>(syms), m, 4), m, 2);
+    f.sym_width = 1;
+    DiskStore(dir).put("wide", AssetKind::static_file, format::save_recoil_file(f), 1);
+
+    AssetStore store;
+    store.attach_backing(std::make_shared<DiskStore>(dir));
+    try {
+        (void)store.resolve("wide");
+        FAIL() << "a container whose alphabet exceeds its width resolved";
+    } catch (const StoreError& e) {
+        EXPECT_EQ(e.status(), StoreStatus::bad_container);
+    }
+}
+
 TEST_F(StoreFixture, MangledManifestIsATypedError) {
     {
         AssetStore store;
