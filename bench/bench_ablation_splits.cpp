@@ -18,12 +18,6 @@ namespace {
 /// Naive planner: first valid candidate at/after each ideal boundary.
 std::vector<SplitPoint> naive_plan(std::span<const RenormEvent> events,
                                    u64 num_symbols, u32 max_splits, u32 lanes) {
-    PlannerOptions opt;
-    opt.window_below = 0.0;   // degenerate window => first valid candidate
-    opt.window_above = 10.0;  // (H still computed but no better option seen
-                              // before the window closes at the first event)
-    // A window of [ideal, ideal] would starve; emulate "first valid" by
-    // scanning manually instead.
     std::vector<SplitPoint> out;
     std::vector<u64> lane_idx(lanes, ~u64{0});
     std::vector<u32> lane_state(lanes, 0);

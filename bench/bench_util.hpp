@@ -60,7 +60,7 @@ inline std::string pct(double part, double base) {
     return buf;
 }
 
-/// Paper parallelism levels: Large = 2176 splits (fully loading the modeled
+/// Paper parallelism levels: Large = 2176 splits (fully loading the paper's
 /// RTX 2080 Ti: 68 SMs x 8 blocks x 4 warps), Small = 16 (a 16-core CPU).
 inline constexpr u32 kLargeSplits = 2176;
 inline constexpr u32 kSmallSplits = 16;

@@ -1,11 +1,13 @@
 // Walkthrough of the paper's worked example (Figures 4-6, Tables 1-2) on a
 // real 4-lane encode: shows the recorded renormalization events, a backward
 // scan, the per-split metadata with its expectation-difference encoding, and
-// the three decode phases with their symbol ranges.
+// the three decode phases with their symbol ranges, then decodes the
+// stream with that metadata and exits 1 unless every symbol comes back.
 
 #include <cstdio>
 
 #include "core/metadata_codec.hpp"
+#include "core/recoil_decoder.hpp"
 #include "core/recoil_encoder.hpp"
 #include "rans/symbol_stats.hpp"
 #include "util/xoshiro.hpp"
@@ -96,5 +98,11 @@ int main() {
         prev_anchor = anchor;
         prev_min = mn;
     }
-    return 0;
+
+    const auto decoded = recoil_decode<Rans32, kL, u8>(std::span<const u16>(bs.units),
+                                                       meta, model.tables());
+    const bool ok = decoded == syms;
+    std::printf("\nround trip over %u splits: %s\n", meta.num_splits(),
+                ok ? "OK" : "MISMATCH");
+    return ok ? 0 : 1;
 }

@@ -36,7 +36,7 @@ struct RecoilMetadata {
     u32 num_splits() const noexcept { return static_cast<u32>(splits.size()) + 1; }
 };
 
-/// Decode-side statistics used by the benches and the GPU simulator.
+/// Decode-side synchronization statistics, reported by recoil_decode_into.
 struct RecoilDecodeStats {
     u64 sync_symbols = 0;      ///< discarded synchronization-phase decodes
     u64 cross_symbols = 0;     ///< cross-boundary phase decodes

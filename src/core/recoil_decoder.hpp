@@ -25,9 +25,9 @@
 // (simd/kernel_iface.hpp).
 //
 // The run contract, shared by every decoder (Recoil splits here, the
-// conventional baseline's partitions, chunked streams, range wires and the
-// GPU simulator): a task builds up to kMaxRangeRuns RangeRuns and makes
-// one call, range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>> runs).
+// conventional baseline's partitions, chunked streams and range wires): a
+// task builds up to kMaxRangeRuns RangeRuns and makes one call,
+// range_fn(std::span<const RangeRun<Cfg, NLanes, TSym>> runs).
 // The default RangeFn is the scalar per-symbol loop; simd::SimdRangeFn runs
 // every phase of every run in one masked group kernel. Every run that
 // reaches its stream's start (split 0, or any conventional partition) then

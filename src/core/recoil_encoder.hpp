@@ -25,12 +25,11 @@ struct RecoilEncoded {
 /// less-parallel decoders via combine_splits().
 template <typename Cfg = Rans32, u32 NLanes = kLanes, typename TSym, typename Model>
 RecoilEncoded<Cfg, NLanes> recoil_encode(std::span<const TSym> syms, const Model& model,
-                                         u32 max_splits,
-                                         const PlannerOptions& opt = {}) {
+                                         u32 max_splits) {
     RecoilEncoded<Cfg, NLanes> out;
     // Streaming planner: split points are chosen while encoding, so the
     // renormalization events are never materialized.
-    OnlinePlanner planner(syms.size(), max_splits, NLanes, opt);
+    OnlinePlanner planner(syms.size(), max_splits, NLanes);
     out.bitstream = interleaved_encode<Cfg, NLanes>(syms, model, &planner);
 
     RecoilMetadata& meta = out.metadata;

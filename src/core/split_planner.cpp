@@ -5,10 +5,9 @@
 namespace recoil {
 
 std::vector<SplitPoint> plan_splits(std::span<const RenormEvent> events,
-                                    u64 num_symbols, u32 max_splits, u32 lanes,
-                                    const PlannerOptions& opt) {
+                                    u64 num_symbols, u32 max_splits, u32 lanes) {
     if (max_splits <= 1 || num_symbols == 0 || events.empty()) return {};
-    OnlinePlanner planner(num_symbols, max_splits, lanes, opt);
+    OnlinePlanner planner(num_symbols, max_splits, lanes);
     for (const RenormEvent& e : events) planner.push_back(e);
     return planner.finish();
 }

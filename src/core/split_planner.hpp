@@ -15,15 +15,13 @@
 
 namespace recoil {
 
-struct PlannerOptions {
-    /// Candidate window, as fractions of the per-split target T, searched
-    /// around each split's absolute ideal position k*N/M. Anchoring the
-    /// window at the absolute position (rather than previous anchor + T)
-    /// keeps the schedule from drifting: H's optimum lies near T + ts/2, so
-    /// relative targeting would overshoot by ts/2 per split.
-    double window_below = 0.50;
-    double window_above = 0.90;
-};
+/// Candidate window, as fractions of the per-split target T, searched around
+/// each split's absolute ideal position k*N/M. Anchoring the window at the
+/// absolute position (rather than previous anchor + T) keeps the schedule
+/// from drifting: H's optimum lies near T + ts/2, so relative targeting
+/// would overshoot by ts/2 per split.
+inline constexpr double kWindowBelow = 0.50;
+inline constexpr double kWindowAbove = 0.90;
 
 namespace detail {
 
@@ -70,12 +68,10 @@ struct LaneTracker {
 /// which the 3-phase decoder requires.
 class OnlinePlanner {
 public:
-    OnlinePlanner(u64 num_symbols, u32 max_splits, u32 lanes,
-                  const PlannerOptions& opt = {})
+    OnlinePlanner(u64 num_symbols, u32 max_splits, u32 lanes)
         : num_symbols_(num_symbols),
           max_splits_(std::max(max_splits, 1u)),
           lanes_(lanes),
-          opt_(opt),
           target_(static_cast<i64>(
               ceil_div<u64>(std::max<u64>(num_symbols, 1), max_splits_))),
           tracker_(lanes) {
@@ -134,9 +130,9 @@ private:
         if (done()) return;
         const i64 ideal = static_cast<i64>(u64{k_} * num_symbols_ / max_splits_);
         lo_ = std::max<i64>(prev_anchor_ + 1,
-                            ideal - static_cast<i64>(target_ * opt_.window_below));
+                            ideal - static_cast<i64>(target_ * kWindowBelow));
         hi_ = std::max<i64>(lo_ + 1,
-                            ideal + static_cast<i64>(target_ * opt_.window_above));
+                            ideal + static_cast<i64>(target_ * kWindowAbove));
     }
 
     void commit() {
@@ -153,7 +149,6 @@ private:
     u64 num_symbols_;
     u32 max_splits_;
     u32 lanes_;
-    PlannerOptions opt_;
     i64 target_;
     detail::LaneTracker tracker_;
 
@@ -170,8 +165,7 @@ private:
 /// chosen split points in ascending anchor order; fewer than requested may
 /// be returned if the stream is too short or too incompressible.
 std::vector<SplitPoint> plan_splits(std::span<const RenormEvent> events,
-                                    u64 num_symbols, u32 max_splits, u32 lanes,
-                                    const PlannerOptions& opt = {});
+                                    u64 num_symbols, u32 max_splits, u32 lanes);
 
 /// Decoder-adaptive scaling (§3.3): reduce metadata to at most
 /// `target_splits` splits by dropping interior entries, keeping the kept

@@ -17,6 +17,7 @@ using namespace wire;
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'F', '1'};
+constexpr u8 kVersion = 2;  ///< unit payload aligned via a pad marker
 
 constexpr std::size_t kFnvBlock = 512;
 
@@ -465,7 +466,7 @@ void save_recoil_file_into(const RecoilFile& f, const RecoilMetadata& metadata,
                            WireSink& sink) {
     std::vector<u8> head;
     put_magic(head, kMagic);
-    head.push_back(2);  // version (2: unit payload aligned via pad marker)
+    head.push_back(kVersion);
     head.push_back(f.sym_width);
     head.push_back(f.is_indexed() ? 1 : 0);
     head.push_back(static_cast<u8>(f.prob_bits));
@@ -506,8 +507,7 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
              "container"};
     if (std::memcmp(c.get_bytes(4).data(), kMagic, 4) != 0)
         raise("container: bad magic");
-    const u8 version = c.get_u8();
-    if (version != 1 && version != 2) raise("container: unsupported version");
+    if (c.get_u8() != kVersion) raise("container: unsupported version");
 
     RecoilFile f;
     f.sym_width = c.get_u8();
@@ -539,7 +539,7 @@ RecoilFile load_recoil_file_impl(std::span<const u8> bytes,
     f.metadata = deserialize_metadata(c.get_bytes(meta_len));
 
     const u64 unit_count = c.get_u64();
-    if (version >= 2) skip_unit_pad(c);
+    skip_unit_pad(c);
     f.units = get_unit_buffer(c, unit_count, keeper);
     if (f.metadata.num_units != unit_count)
         raise("container: metadata/bitstream length mismatch");

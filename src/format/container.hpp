@@ -52,8 +52,8 @@ struct RecoilFile {
 
 /// Serialize/parse. Parsing validates structure, metadata invariants (an
 /// indexed payload's id stream covers every symbol) and the checksum;
-/// corrupt input raises recoil::Error. save writes container
-/// version 2 (unit payload padded to an even offset); load accepts v1 too.
+/// corrupt input raises recoil::Error. Containers are version 2 (unit
+/// payload padded to an even offset); load rejects any other version.
 std::vector<u8> save_recoil_file(const RecoilFile& f);
 /// Serialize `f`'s model and bitstream with `metadata` substituted — the
 /// §3.3 serving path's shape (combine metadata, keep everything else)
@@ -73,10 +73,10 @@ RecoilFile load_recoil_file(std::span<const u8> bytes);
 /// Parse `bytes` without copying the bitstream or id stream: the returned
 /// file's `units`/`ids` are views into `bytes`, and `keeper` (which must own
 /// the storage behind `bytes`, e.g. a serve::MappedFile) is retained by
-/// those views. Misaligned unit payloads (v1 containers at an odd offset)
-/// fall back to an owned copy. `checksum_verified` true skips re-hashing
-/// when the caller already validated these exact bytes (a store manifest
-/// checksum); structural validation always runs.
+/// those views. A unit payload at an odd address (bytes the keeper holds
+/// at an odd offset) falls back to an owned copy. `checksum_verified` true
+/// skips re-hashing when the caller already validated these exact bytes (a
+/// store manifest checksum); structural validation always runs.
 RecoilFile load_recoil_file_view(std::span<const u8> bytes,
                                  std::shared_ptr<const void> keeper,
                                  bool checksum_verified = false);

@@ -129,7 +129,7 @@ private:
 /// deliberately NOT part of kAcceptAll so default requests stay wire-
 /// compatible with v1 servers, which reject unknown accept bits.
 inline constexpr u8 kAcceptFile = 1;     ///< RecoilFile containers (RCF1)
-inline constexpr u8 kAcceptChunked = 2;  ///< ChunkedStream containers (RCS1)
+inline constexpr u8 kAcceptChunked = 2;  ///< ChunkedStream containers (RCS2)
 inline constexpr u8 kAcceptRange = 4;    ///< multi-segment range wires (RCR2)
 inline constexpr u8 kAcceptStreamed = 8; ///< v2 streamed response framing
 /// Introspection capability: the client understands metrics payloads served

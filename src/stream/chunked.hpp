@@ -58,8 +58,8 @@ struct ChunkedStream {
     std::vector<u64> chunk_offsets() const;
 
     /// Serialize with integrity checksum; parse validates everything.
-    /// serialize writes the RCS2 layout (per-chunk unit payloads padded to
-    /// even offsets); parse accepts RCS1 too. serialize is a materializing
+    /// Both use the RCS2 layout (per-chunk unit payloads padded to even
+    /// offsets); parse rejects any other magic. serialize is a materializing
     /// adapter over serialize_into (one producer, two framings).
     std::vector<u8> serialize() const;
     /// Streaming producer: emit the RCS2 wire into `sink` piece by piece —

@@ -1,9 +1,9 @@
 #pragma once
 // Dataset generators reproducing the paper's evaluation inputs (Table 4).
-// Everything is synthetic and seed-deterministic; see DESIGN.md §2 for the
-// substitution rationale (enwik/dickens/webster -> Markov text with matched
-// order-0 entropy; DIV2K latents -> Gaussian residuals with a hyperprior-like
-// scale field).
+// Everything is synthetic and seed-deterministic: the paper's corpora are
+// not redistributable, so each stands in with matched statistics
+// (enwik/dickens/webster -> Markov text with matched order-0 entropy; DIV2K
+// latents -> Gaussian residuals with a hyperprior-like scale field).
 
 #include <functional>
 #include <string>

@@ -157,6 +157,49 @@ TEST(Container, TruncationDetected) {
     }
 }
 
+/// `w` without the pad marker before its trailing payload of `units` u16
+/// units: the layout of a version 1 container or an RCS1 stream.
+std::vector<u8> without_unit_pad(std::vector<u8> w, u64 units) {
+    const auto at = static_cast<std::ptrdiff_t>(w.size() - 8 - 2 * units);
+    const std::ptrdiff_t pad = w[at - 2] == 1 ? 2 : 1;  // the marker {1, 0} or {0}
+    w.erase(w.begin() + at - pad, w.begin() + at);
+    return w;
+}
+
+/// The message `parse` raises, or "" when it accepts its input.
+template <typename Parse>
+std::string error_of(Parse&& parse) {
+    try {
+        parse();
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Container, PrePadFormsAreRejected) {
+    // Version 1 containers and RCS1 streams had no pad marker before the
+    // unit payload. Nothing writes either form, and no parser reads it.
+    const auto f = make_file(50000, 8);
+    auto v1 = without_unit_pad(format::save_recoil_file(f), f.units.size());
+    v1[4] = 1;  // the version byte follows the magic
+    const auto sealed =
+        std::make_shared<const std::vector<u8>>(test::reseal(std::move(v1)));
+    EXPECT_EQ(error_of([&] { (void)format::load_recoil_file(*sealed); }),
+              "container: unsupported version");
+    EXPECT_EQ(error_of([&] { (void)format::load_recoil_file_view(*sealed, sealed); }),
+              "container: unsupported version");
+
+    stream::ChunkedEncoder chunker({11, 8});
+    chunker.add_chunk(test::geometric_symbols<u8>(20000, 0.6, 256, 73));
+    const stream::ChunkedStream cs = chunker.finish();
+    auto rcs1 = without_unit_pad(cs.serialize(), cs.chunks[0].units.size());
+    rcs1[3] = '1';  // RCS2 -> RCS1
+    rcs1 = test::reseal(std::move(rcs1));
+    EXPECT_EQ(error_of([&] { (void)stream::ChunkedStream::parse(rcs1); }),
+              "chunked: bad magic");
+}
+
 TEST(Container, ChecksumIsFnv1a) {
     std::vector<u8> empty;
     EXPECT_EQ(format::fnv1a(empty), 0xcbf29ce484222325ull);
@@ -433,6 +476,33 @@ void expect_golden(const std::vector<u8>& wire, const GoldenWire& g,
         << what << " class " << g.cls << ", " << memo;
 }
 
+/// Size and FNV-1a of the RCR2 wire for symbols [lo, hi).
+struct GoldenRange {
+    u64 lo, hi;
+    std::size_t size;
+    u64 digest;
+};
+
+/// Check `asset`'s range wires against `golden`: the first range inside
+/// split 0, the second across a mid-stream split boundary, the third
+/// reaching the end.
+template <typename Asset>
+void expect_golden_ranges(const Asset& asset, std::span<const GoldenRange, 3> golden,
+                          const char* what) {
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        const GoldenRange& g = golden[i];
+        format::VectorSink sink;
+        serve::range_wire_into(asset, g.lo, g.hi, sink);
+        const serve::RangeWireInfo info = serve::inspect_range_wire(sink.out);
+        if (i == 0) EXPECT_EQ(info.splits_served, 1u) << what;
+        if (i == 1) EXPECT_GE(info.splits_served, 2u) << what;
+        if (i == 2) EXPECT_TRUE(info.segments.back().includes_final) << what;
+        EXPECT_EQ(sink.out.size(), g.size) << what << " [" << g.lo << ", " << g.hi << ")";
+        EXPECT_EQ(format::fnv1a_serial(sink.out, format::kFnvInit), g.digest)
+            << what << " [" << g.lo << ", " << g.hi << ")";
+    }
+}
+
 TEST(Container, WiresMatchTheGoldenBytesWithTheMemoColdAndWarm) {
     const GoldenWire text[] = {{1, 316310, 14041638572878020346ull},
                                {4, 316544, 12726587831415258615ull},
@@ -465,6 +535,21 @@ TEST(Container, WiresMatchTheGoldenBytesWithTheMemoColdAndWarm) {
         expect_golden(combined.serialize(), g, "chunked", "cold");
         expect_golden(combined.serialize(), g, "chunked", "warm");
     }
+
+    // RCR2 range wires cut from the same masters. The chunked stream's
+    // middle range crosses the edge between its second and third chunks.
+    const GoldenRange text_ranges[] = {{10, 60, 1541, 17224095809923788725ull},
+                                       {299800, 300200, 2162, 12098594866598619689ull},
+                                       {599500, 600000, 1947, 11442388736364565922ull}};
+    const GoldenRange indexed_ranges[] = {{10, 60, 8830, 16691996656469187081ull},
+                                          {149800, 150200, 10056, 17790912856066401571ull},
+                                          {299500, 300000, 9732, 13924481207295042962ull}};
+    const GoldenRange chunked_ranges[] = {{10, 30, 1414, 9417136544434911038ull},
+                                          {299800, 300200, 3095, 15796458906861999228ull},
+                                          {599500, 600000, 1830, 8337163141584550042ull}};
+    expect_golden_ranges(files[0].file, text_ranges, "text range");
+    expect_golden_ranges(files[1].file, indexed_ranges, "indexed u16 range");
+    expect_golden_ranges(stream, chunked_ranges, "chunked range");
 }
 
 
@@ -561,12 +646,7 @@ TEST(Container, AnAlphabetWiderThanTheSymbolsIsATypedError) {
     // and for every chunk of a chunked stream), and make_recoil_file will
     // not write such a container.
     auto refuses = [](auto&& parse) {
-        try {
-            parse();
-        } catch (const Error& e) {
-            return std::string(e.what()).find("bad alphabet size") != std::string::npos;
-        }
-        return false;
+        return error_of(parse).find("bad alphabet size") != std::string::npos;
     };
     const auto syms = test::geometric_symbols<u16>(5000, 0.99, 300, 71);
     ASSERT_GT(*std::max_element(syms.begin(), syms.end()), 255);

@@ -367,6 +367,16 @@ TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
         }
     }
 
+    // A u16 static stream at n = 16 (the wide tables), as encoded: 48 splits.
+    const auto wide = test::geometric_symbols<u16>(150000, 0.97, 4096, 74);
+    const auto wide_model = test::model_for<u16>(wide, 16, 4096);
+    const auto wide_enc =
+        recoil_encode<Rans32, 32>(std::span<const u16>(wide), wide_model, 48);
+    ASSERT_EQ(wide_enc.metadata.num_splits(), 48u);
+    expect_every_lane_count_matches<u16>(std::span<const u16>(wide_enc.bitstream.units),
+                                         wide_enc.metadata, wide_model.tables(), wide,
+                                         "static u16");
+
     // A chunked stream: its (chunk, split) items pair across chunk edges,
     // each run with its own units, tables and output base.
     stream::ChunkedEncoder chunker({11, 136});

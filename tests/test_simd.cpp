@@ -453,8 +453,10 @@ TEST(Simd, PairedRunsMatchTwoSingleRuns) {
 }
 
 TEST(Simd, GroupDisciplineMatchesPerSymbol) {
-    // The scalar *group* kernel must agree with the per-symbol loop: this is
-    // the equivalence the SIMD kernels rely on (DESIGN.md §3.1).
+    // The scalar *group* kernel must agree with the per-symbol loop: the
+    // SIMD kernels decode a whole 32-lane group per step, popping units in
+    // lane order before the transform, which is correct only because that
+    // pops the same units in the same order as one symbol at a time.
     auto syms = test::geometric_symbols<u8>(64000, 0.4, 256, 47);
     auto m = test::model_for<u8>(syms, 12, 256);
     auto bs = interleaved_encode<Rans32, 32>(std::span<const u8>(syms), m);
