@@ -16,9 +16,9 @@ using namespace recoil;
 namespace {
 
 /// Naive planner: first valid candidate at/after each ideal boundary.
-std::vector<SplitPoint> naive_plan(std::span<const RenormEvent> events,
-                                   u64 num_symbols, u32 max_splits, u32 lanes) {
-    std::vector<SplitPoint> out;
+SplitTable naive_plan(std::span<const RenormEvent> events, u64 num_symbols,
+                      u32 max_splits, u32 lanes) {
+    SplitTable out;
     std::vector<u64> lane_idx(lanes, ~u64{0});
     std::vector<u32> lane_state(lanes, 0);
     std::vector<u64> lane_off(lanes, 0);
@@ -37,13 +37,7 @@ std::vector<SplitPoint> naive_plan(std::span<const RenormEvent> events,
             if (e.sym_index < ideal || seen < lanes) continue;
             const u64 mn = *std::min_element(lane_idx.begin(), lane_idx.end());
             if (static_cast<i64>(mn) <= prev_anchor) continue;
-            SplitPoint sp;
-            sp.offset = e.offset;
-            sp.anchor_index = e.sym_index;
-            sp.min_index = mn;
-            sp.states.assign(lane_state.begin(), lane_state.end());
-            sp.indices.assign(lane_idx.begin(), lane_idx.end());
-            out.push_back(std::move(sp));
+            out.push_back({e.offset, e.sym_index, mn, lane_state, lane_idx});
             prev_anchor = static_cast<i64>(e.sym_index);
             placed = true;
         }
@@ -57,7 +51,8 @@ void report(const char* name, const RecoilMetadata& meta,
             ThreadPool& pool) {
     u64 sync_total = 0, max_t = 0;
     i64 prev = -1;
-    for (const auto& sp : meta.splits) {
+    for (std::size_t k = 0; k < meta.splits.size(); ++k) {
+        const SplitRow sp = meta.split(k);
         sync_total += sp.sync_symbols();
         max_t = std::max(max_t, sp.anchor_index - prev);
         prev = static_cast<i64>(sp.anchor_index);

@@ -29,9 +29,10 @@ int main() {
             auto enc = recoil_encode<Rans32, 32>(std::span<const u8>(data), model, splits);
             if (enc.metadata.splits.empty()) continue;
             u64 total_sync = 0, max_sync = 0;
-            for (const auto& sp : enc.metadata.splits) {
-                total_sync += sp.sync_symbols();
-                max_sync = std::max(max_sync, sp.sync_symbols());
+            for (std::size_t k = 0; k < enc.metadata.splits.size(); ++k) {
+                const u64 sync = enc.metadata.split(k).sync_symbols();
+                total_sync += sync;
+                max_sync = std::max(max_sync, sync);
             }
             RecoilDecodeStats stats;
             std::vector<u8> out(data.size());

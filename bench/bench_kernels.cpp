@@ -283,7 +283,7 @@ void BM_SplitPlanning(benchmark::State& state) {
     for (auto _ : state) {
         auto splits = plan_splits(events, bs.num_symbols,
                                   static_cast<u32>(state.range(0)), 32);
-        benchmark::DoNotOptimize(splits.data());
+        benchmark::DoNotOptimize(splits);
     }
 }
 BENCHMARK(BM_SplitPlanning)->Arg(16)->Arg(256)->Arg(2176);
@@ -316,20 +316,22 @@ void BM_MetadataDeserialize(benchmark::State& state) {
     const std::vector<u8> bytes = serialize_metadata(metadata2176());
     for (auto _ : state) {
         auto meta = deserialize_metadata(bytes);
-        benchmark::DoNotOptimize(meta.splits.data());
+        benchmark::DoNotOptimize(meta);
     }
     state.SetBytesProcessed(static_cast<i64>(state.iterations() * bytes.size()));
 }
 BENCHMARK(BM_MetadataDeserialize);
 
+// The 2,176-split metadata adapted to a client class: a row gather at 16,
+// the whole table copied at 2,176.
 void BM_CombineSplits(benchmark::State& state) {
     const RecoilMetadata& meta = metadata2176();
     for (auto _ : state) {
-        auto combined = combine_splits(meta, 16);
-        benchmark::DoNotOptimize(combined.splits.data());
+        auto combined = combine_splits(meta, static_cast<u32>(state.range(0)));
+        benchmark::DoNotOptimize(combined);
     }
 }
-BENCHMARK(BM_CombineSplits);
+BENCHMARK(BM_CombineSplits)->Arg(16)->Arg(2176);
 
 // One adapted wire: the container serialized into a VectorSink at the
 // class's metadata. After the first iteration the unit payload's checksum

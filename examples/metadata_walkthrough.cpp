@@ -37,18 +37,17 @@ int main() {
                     static_cast<unsigned long long>(e.offset), e.state);
     }
 
-    auto splits = plan_splits(events, syms.size(), 4, kL);
     RecoilMetadata meta;
     meta.lanes = kL;
     meta.state_store_bits = 16;
     meta.num_symbols = syms.size();
     meta.num_units = bs.units.size();
     meta.final_states.assign(bs.final_states.begin(), bs.final_states.end());
-    meta.splits = splits;
+    meta.splits = plan_splits(events, syms.size(), 4, kL);
 
     std::printf("\nsplit points (paper Table 2 layout):\n");
-    for (std::size_t i = 0; i < splits.size(); ++i) {
-        const auto& sp = splits[i];
+    for (std::size_t i = 0; i < meta.splits.size(); ++i) {
+        const SplitRow sp = meta.split(i);
         std::printf("split %zu: bitstream offset %llu, sync section [%llu..%llu] "
                     "(%llu symbols)\n",
                     i + 1, static_cast<unsigned long long>(sp.offset),
@@ -73,18 +72,18 @@ int main() {
     std::printf("\nserialized metadata: %zu bytes total (%.1f bytes/split beyond "
                 "header+final states)\n",
                 bytes.size(),
-                splits.empty()
+                meta.splits.empty()
                     ? 0.0
                     : (static_cast<double>(bytes.size()) - 32 - kL * 4) /
-                          static_cast<double>(splits.size()));
+                          static_cast<double>(meta.splits.size()));
 
     std::printf("\ndecode phases per thread (paper Fig. 6):\n");
     i64 prev_anchor = -1, prev_min = -1;
     for (u32 k = 0; k < meta.num_splits(); ++k) {
         const bool last = k == meta.num_splits() - 1;
         const i64 anchor = last ? static_cast<i64>(syms.size()) - 1
-                                : static_cast<i64>(splits[k].anchor_index);
-        const i64 mn = last ? anchor + 1 : static_cast<i64>(splits[k].min_index);
+                                : static_cast<i64>(meta.splits.anchor_index[k]);
+        const i64 mn = last ? anchor + 1 : static_cast<i64>(meta.splits.min_index[k]);
         std::printf("thread %u:", k);
         if (!last)
             std::printf(" sync [%lld..%lld] (discarded);", static_cast<long long>(mn),

@@ -30,16 +30,17 @@ void write_signed_series(BitWriter& bw, std::span<const i64> vals, u32 len_bits)
     bw.put_all(std::span<const u64>(fields), maxbits + 1);
 }
 
-std::vector<i64> read_signed_series(BitReader& br, std::size_t count, u32 len_bits) {
+/// Read a series written by write_signed_series of differences against
+/// (i + 1) * expected, reconstructing each value in place in `out`.
+void read_signed_series(BitReader& br, std::span<u64> out, u32 len_bits, u64 expected) {
     const u32 maxbits = static_cast<u32>(br.get(len_bits)) + 1;
-    std::vector<u64> fields(count);
-    br.get_all(std::span<u64>(fields), maxbits + 1);
-    std::vector<i64> vals(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        const i64 mag = static_cast<i64>(fields[i] & ((u64{1} << maxbits) - 1));
-        vals[i] = fields[i] >> maxbits ? -mag : mag;
+    br.get_all(out, maxbits + 1);
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        const i64 mag = static_cast<i64>(out[i] & ((u64{1} << maxbits) - 1));
+        const i64 v = static_cast<i64>((i + 1) * expected) + (out[i] >> maxbits ? -mag : mag);
+        if (v < 0) raise("metadata: negative reconstructed value");
+        out[i] = static_cast<u64>(v);
     }
-    return vals;
 }
 
 void write_unsigned_series(BitWriter& bw, std::span<const u64> vals, u32 len_bits) {
@@ -89,15 +90,18 @@ void validate(const RecoilMetadata& meta, bool check_lanes) {
     if (meta.state_store_bits < 8 || meta.state_store_bits > 31)
         raise("metadata: bad state width");
     const u32 lower_bound_log2 = meta.state_store_bits;
+    const SplitTable& t = meta.splits;
+    const std::size_t rows = t.size();
+    if (t.anchor_index.size() != rows || t.min_index.size() != rows ||
+        t.states.size() != rows * meta.lanes || t.indices.size() != rows * meta.lanes)
+        raise("metadata: lane array size mismatch");
     const LaneDivider div(meta.lanes);
     i64 prev_anchor = -1;
     u64 prev_offset = 0;
-    bool first = true;
-    for (const SplitPoint& sp : meta.splits) {
-        if (sp.states.size() != meta.lanes || sp.indices.size() != meta.lanes)
-            raise("metadata: lane array size mismatch");
+    for (std::size_t k = 0; k < rows; ++k) {
+        const SplitRow sp = meta.split(k);
         if (sp.offset >= meta.num_units) raise("metadata: split offset out of range");
-        if (!first && sp.offset <= prev_offset) raise("metadata: offsets not increasing");
+        if (k > 0 && sp.offset <= prev_offset) raise("metadata: offsets not increasing");
         if (sp.anchor_index >= meta.num_symbols) raise("metadata: anchor out of range");
         if (static_cast<i64>(sp.min_index) <= prev_anchor)
             raise("metadata: sync section crosses previous anchor");
@@ -126,10 +130,8 @@ void validate(const RecoilMetadata& meta, bool check_lanes) {
         }
         prev_anchor = static_cast<i64>(sp.anchor_index);
         prev_offset = sp.offset;
-        first = false;
     }
-    if (!meta.splits.empty() &&
-        meta.splits.back().anchor_index + 1 >= meta.num_symbols)
+    if (rows > 0 && t.anchor_index.back() + 1 >= meta.num_symbols)
         raise("metadata: last split leaves no symbols for the final thread");
 }
 
@@ -183,10 +185,9 @@ std::vector<u8> serialize_metadata(const RecoilMetadata& meta) {
 
         std::vector<i64> off_diffs(entries), grp_diffs(entries);
         for (u64 i = 0; i < entries; ++i) {
-            const SplitPoint& sp = meta.splits[i];
-            off_diffs[i] = static_cast<i64>(sp.offset) -
+            off_diffs[i] = static_cast<i64>(meta.splits.offset[i]) -
                            static_cast<i64>((i + 1) * expected_unit);
-            grp_diffs[i] = static_cast<i64>(sp.anchor_index / meta.lanes) -
+            grp_diffs[i] = static_cast<i64>(meta.splits.anchor_index[i] / meta.lanes) -
                            static_cast<i64>((i + 1) * expected_group);
         }
         write_signed_series(bw, off_diffs, kGlobalLenBits);
@@ -196,8 +197,9 @@ std::vector<u8> serialize_metadata(const RecoilMetadata& meta) {
         // an exact quotient.
         const LaneDivider div(meta.lanes);
         std::vector<u64> lane_diffs(meta.lanes);
-        for (const SplitPoint& sp : meta.splits) {
-            bw.put_all(std::span<const u32>(sp.states), meta.state_store_bits);
+        for (u64 i = 0; i < entries; ++i) {
+            const SplitRow sp = meta.split(i);
+            bw.put_all(sp.states, meta.state_store_bits);
             const u64 anchor_group = sp.anchor_index / meta.lanes;
             for (u32 l = 0; l < meta.lanes; ++l)
                 lane_diffs[l] = anchor_group - div.exact(sp.indices[l] - l);
@@ -234,37 +236,40 @@ RecoilMetadata deserialize_metadata(std::span<const u8> bytes) {
 
     const u64 entries = M - 1;
     if (entries > 0) {
-        BitReader br(bytes.subspan(pos));
-        const u64 expected_unit = ceil_div<u64>(meta.num_units, M);
+        // Every split carries at least its lanes' states, so a count its
+        // remaining bits cannot hold fails before any column is sized by it.
+        const std::span<const u8> rest = bytes.subspan(pos);
+        if (entries * meta.lanes * meta.state_store_bits > 8 * u64{rest.size()})
+            raise("metadata: split count exceeds the bytes");
+        SplitTable& t = meta.splits;
+        t.offset.resize(entries);
+        t.anchor_index.resize(entries);
+        t.min_index.resize(entries);
+        t.states.resize(entries * meta.lanes);
+        t.indices.resize(entries * meta.lanes);
+        // Each series is unpacked straight into its column. anchor_index
+        // holds each split's anchor group until its lanes are read.
+        BitReader br(rest);
         const u64 groups = ceil_div<u64>(meta.num_symbols, meta.lanes);
-        const u64 expected_group = ceil_div<u64>(groups, M);
-        const auto off_diffs = read_signed_series(br, entries, kGlobalLenBits);
-        const auto grp_diffs = read_signed_series(br, entries, kGlobalLenBits);
-        meta.splits.resize(entries);
-        std::vector<u64> lane_diffs(meta.lanes);
+        read_signed_series(br, t.offset, kGlobalLenBits, ceil_div<u64>(meta.num_units, M));
+        read_signed_series(br, t.anchor_index, kGlobalLenBits, ceil_div<u64>(groups, M));
         for (u64 i = 0; i < entries; ++i) {
-            SplitPoint& sp = meta.splits[i];
-            const i64 off = static_cast<i64>((i + 1) * expected_unit) + off_diffs[i];
-            const i64 grp = static_cast<i64>((i + 1) * expected_group) + grp_diffs[i];
-            if (off < 0 || grp < 0) raise("metadata: negative reconstructed value");
-            sp.offset = static_cast<u64>(off);
-            sp.states.resize(meta.lanes);
-            sp.indices.resize(meta.lanes);
-            br.get_all(std::span<u32>(sp.states), meta.state_store_bits);
-            read_unsigned_series(br, lane_diffs, kLaneLenBits);
+            const u64 grp = t.anchor_index[i];
+            const std::span<u64> indices(t.indices.data() + i * meta.lanes, meta.lanes);
+            br.get_all(std::span<u32>(t.states.data() + i * meta.lanes, meta.lanes),
+                       meta.state_store_bits);
+            read_unsigned_series(br, indices, kLaneLenBits);  // anchor group - lane group
             u64 min_index = std::numeric_limits<u64>::max();
             u64 max_index = 0;
             for (u32 l = 0; l < meta.lanes; ++l) {
-                const i64 lane_grp = grp - static_cast<i64>(lane_diffs[l]);
-                if (lane_grp < 0) raise("metadata: negative lane group");
-                sp.indices[l] = static_cast<u64>(lane_grp) * meta.lanes + l;
-                min_index = std::min(min_index, sp.indices[l]);
-                max_index = std::max(max_index, sp.indices[l]);
+                if (indices[l] > grp) raise("metadata: negative lane group");
+                indices[l] = (grp - indices[l]) * meta.lanes + l;
+                min_index = std::min(min_index, indices[l]);
+                max_index = std::max(max_index, indices[l]);
             }
-            sp.anchor_index = max_index;
-            sp.min_index = min_index;
-            if (sp.anchor_index / meta.lanes != static_cast<u64>(grp))
-                raise("metadata: anchor group mismatch");
+            t.anchor_index[i] = max_index;
+            t.min_index[i] = min_index;
+            if (max_index / meta.lanes != grp) raise("metadata: anchor group mismatch");
         }
     }
     validate(meta, false);  // the per-lane rules hold by construction

@@ -18,6 +18,10 @@
 
 namespace recoil {
 
+/// The fewest bytes serialized metadata can take: its 32-byte header and
+/// one lane's final state.
+inline constexpr std::size_t kMinMetadataBytes = 36;
+
 /// Serialize metadata to bytes. Throws recoil::Error if a difference exceeds
 /// the representable width (only possible on pathological inputs).
 std::vector<u8> serialize_metadata(const RecoilMetadata& meta);

@@ -29,24 +29,18 @@ struct RangePlan {
 inline RangePlan plan_range(const RecoilMetadata& meta, u64 lo, u64 hi) {
     RECOIL_CHECK(lo < hi && hi <= meta.num_symbols, "plan_range: bad range");
     const u32 S = meta.num_splits();
-    auto owner = [&](u64 pos) {
-        // min_index is strictly ascending (validated), so the first split
-        // whose min_index exceeds pos is a binary search, not an O(S) scan —
-        // this runs on every range request and S reaches 2176+.
-        auto it = std::upper_bound(
-            meta.splits.begin(), meta.splits.end(), pos,
-            [](u64 p, const SplitPoint& sp) { return p < sp.min_index; });
-        return static_cast<u32>(it - meta.splits.begin());  // S-1 past the end
+    // min_index is strictly ascending (validated), so the first split whose
+    // min_index exceeds pos is a binary search over that column, not an
+    // O(S) scan: this runs on every range request and S reaches 2176+.
+    const std::vector<u64>& mins = meta.splits.min_index;
+    auto owner = [&](u64 pos) {  // S - 1 past the end
+        return static_cast<u32>(std::upper_bound(mins.begin(), mins.end(), pos) - mins.begin());
     };
     RangePlan plan;
     plan.first_split = owner(lo);
     plan.last_split = owner(hi - 1);
-    plan.cover_lo = plan.first_split == 0
-                        ? 0
-                        : meta.splits[plan.first_split - 1].min_index;
-    plan.cover_hi = plan.last_split >= S - 1
-                        ? meta.num_symbols
-                        : meta.splits[plan.last_split].min_index;
+    plan.cover_lo = plan.first_split == 0 ? 0 : mins[plan.first_split - 1];
+    plan.cover_hi = plan.last_split >= S - 1 ? meta.num_symbols : mins[plan.last_split];
     return plan;
 }
 
@@ -58,7 +52,7 @@ inline RangePlan plan_range(const RecoilMetadata& meta, u64 lo, u64 hi) {
 inline u64 plan_touch_hi(const RecoilMetadata& meta, const RangePlan& plan) {
     return plan.last_split >= meta.num_splits() - 1
                ? meta.num_symbols
-               : meta.splits[plan.last_split].anchor_index + 1;
+               : meta.splits.anchor_index[plan.last_split] + 1;
 }
 
 /// Decode splits [k_lo, k_hi] of `meta` into a fresh buffer covering

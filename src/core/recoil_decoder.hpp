@@ -54,7 +54,7 @@ struct ScalarRangeFn {
         for (const auto& r : runs) {
             u64 hi = r.hi;
             if (r.entry != nullptr) {
-                const SplitPoint& sp = *r.entry;
+                const SplitRow& sp = *r.entry;
                 for (u64 pos = hi + 1; pos-- > sp.min_index;) {
                     const u32 lane = static_cast<u32>(pos % NLanes);
                     if (pos > sp.indices[lane]) continue;  // lane not yet recoverable
@@ -78,9 +78,9 @@ struct ScalarRangeFn {
 /// section (cross_symbols).
 template <u32 NLanes>
 void add_sync_stats(const RecoilMetadata& meta, u32 k, RecoilDecodeStats& stats) {
-    if (k > 0) stats.cross_symbols += meta.splits[k - 1].sync_symbols();
+    if (k > 0) stats.cross_symbols += meta.split(k - 1).sync_symbols();
     if (k + 1 >= meta.num_splits()) return;  // the last split has no sync section
-    const SplitPoint& sp = meta.splits[k];
+    const SplitRow sp = meta.split(k);
     u64 live = 0;
     for (u32 l = 0; l < NLanes; ++l) live += (sp.indices[l] - sp.min_index) / NLanes + 1;
     stats.sync_symbols += live;
@@ -124,6 +124,7 @@ void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
     RECOIL_CHECK(jobs.size() <= kMaxRangeRuns,
                  "recoil_decode_splits: at most four splits per task");
     LaneCursor<Cfg, NLanes> cur[kMaxRangeRuns];
+    SplitRow entry[kMaxRangeRuns];
     RangeRun<Cfg, NLanes, TSym> run[kMaxRangeRuns] = {};
     u64 num_symbols[kMaxRangeRuns] = {};
     u32 n = 0;
@@ -134,7 +135,7 @@ void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
         RECOIL_CHECK(job.k < S, "recoil_decode_splits: split index out of range");
         if (meta.num_symbols == 0) continue;  // an empty stream has nothing to decode
         RangeRun<Cfg, NLanes, TSym>& r = run[n];
-        r = {&cur[n], job.units, 0, job.k > 0 ? meta.splits[job.k - 1].min_index : 0,
+        r = {&cur[n], job.units, 0, job.k > 0 ? meta.splits.min_index[job.k - 1] : 0,
              job.t, job.out};
         if (job.k == S - 1) {
             for (u32 l = 0; l < NLanes; ++l)
@@ -142,10 +143,10 @@ void recoil_decode_splits(std::span<const SplitJob<Cfg, TSym>> jobs,
             cur[n].p = static_cast<i64>(meta.num_units) - 1;
             r.hi = meta.num_symbols - 1;
         } else {
-            const SplitPoint& sp = meta.splits[job.k];
-            cur[n].p = static_cast<i64>(sp.offset);
-            r.hi = sp.anchor_index;
-            r.entry = &sp;
+            entry[n] = meta.split(job.k);
+            cur[n].p = static_cast<i64>(entry[n].offset);
+            r.hi = entry[n].anchor_index;
+            r.entry = &entry[n];
         }
         num_symbols[n++] = meta.num_symbols;
     }

@@ -4,8 +4,8 @@
 
 namespace recoil {
 
-std::vector<SplitPoint> plan_splits(std::span<const RenormEvent> events,
-                                    u64 num_symbols, u32 max_splits, u32 lanes) {
+SplitTable plan_splits(std::span<const RenormEvent> events, u64 num_symbols,
+                       u32 max_splits, u32 lanes) {
     if (max_splits <= 1 || num_symbols == 0 || events.empty()) return {};
     OnlinePlanner planner(num_symbols, max_splits, lanes);
     for (const RenormEvent& e : events) planner.push_back(e);
@@ -27,28 +27,26 @@ RecoilMetadata combine_splits(const RecoilMetadata& meta, u32 target_splits) {
     // Keep the interior anchors nearest to the ideal equal-symbol boundaries
     // i * N / target. Dropping entries never invalidates metadata: gaps only
     // grow, so min_index > previous-kept-anchor still holds.
-    out.splits.reserve(target_splits - 1);
+    const std::vector<u64>& anchor = meta.splits.anchor_index;
+    out.splits.reserve(target_splits - 1, meta.lanes);
     std::size_t cursor = 0;
     for (u32 i = 1; i < target_splits; ++i) {
         const u64 ideal = meta.num_symbols / target_splits * i;
         // First split with anchor >= ideal (splits are ascending).
-        while (cursor < meta.splits.size() &&
-               meta.splits[cursor].anchor_index < ideal)
-            ++cursor;
+        while (cursor < anchor.size() && anchor[cursor] < ideal) ++cursor;
         std::size_t pick;
         if (cursor == 0) {
             pick = 0;
-        } else if (cursor >= meta.splits.size()) {
-            pick = meta.splits.size() - 1;
+        } else if (cursor >= anchor.size()) {
+            pick = anchor.size() - 1;
         } else {
-            const u64 over = meta.splits[cursor].anchor_index - ideal;
-            const u64 under = ideal - meta.splits[cursor - 1].anchor_index;
+            const u64 over = anchor[cursor] - ideal;
+            const u64 under = ideal - anchor[cursor - 1];
             pick = (under <= over) ? cursor - 1 : cursor;
         }
-        if (!out.splits.empty() &&
-            meta.splits[pick].anchor_index <= out.splits.back().anchor_index)
+        if (!out.splits.empty() && anchor[pick] <= out.splits.anchor_index.back())
             continue;  // already used; a denser target than available entries
-        out.splits.push_back(meta.splits[pick]);
+        out.splits.push_back(meta.split(pick));
     }
     return out;
 }

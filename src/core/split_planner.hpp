@@ -31,21 +31,17 @@ namespace detail {
 struct LaneTracker {
     std::vector<u64> index;
     std::vector<u32> state;
-    std::vector<u64> offset;
     u32 seen = 0;  // number of lanes with at least one event
     u32 min_lane = 0;
 
     explicit LaneTracker(u32 lanes)
-        : index(lanes, std::numeric_limits<u64>::max()),
-          state(lanes, 0),
-          offset(lanes, 0) {}
+        : index(lanes, std::numeric_limits<u64>::max()), state(lanes, 0) {}
 
     void update(const RenormEvent& e) {
         if (index[e.lane] == std::numeric_limits<u64>::max()) ++seen;
         const bool was_min = e.lane == min_lane;
         index[e.lane] = e.sym_index;
         state[e.lane] = e.state;
-        offset[e.lane] = e.offset;
         if (was_min) {
             u32 best = 0;
             for (u32 l = 1; l < index.size(); ++l)
@@ -96,11 +92,11 @@ public:
             const i64 h = habs(t - target_) + habs(t - ts - target_);  // Def. 4.1
             if (h < best_h_) {
                 best_h_ = h;
-                best_.offset = e.offset;
-                best_.anchor_index = e.sym_index;
-                best_.min_index = static_cast<u64>(min_index);
-                best_.states = tracker_.state;
-                best_.indices = tracker_.index;
+                best_offset_ = e.offset;
+                best_anchor_ = e.sym_index;
+                best_min_ = static_cast<u64>(min_index);
+                best_states_ = tracker_.state;
+                best_indices_ = tracker_.index;
                 have_best_ = true;
             }
         }
@@ -117,7 +113,7 @@ public:
     }
 
     /// Commit any pending candidate and return the split points (ascending).
-    std::vector<SplitPoint> finish() {
+    SplitTable finish() {
         if (!done() && have_best_) commit();
         return std::move(out_);
     }
@@ -136,9 +132,8 @@ private:
     }
 
     void commit() {
-        prev_anchor_ = static_cast<i64>(best_.anchor_index);
-        out_.push_back(std::move(best_));
-        best_ = SplitPoint{};
+        prev_anchor_ = static_cast<i64>(best_anchor_);
+        out_.push_back({best_offset_, best_anchor_, best_min_, best_states_, best_indices_});
         have_best_ = false;
         best_h_ = std::numeric_limits<i64>::max();
         ++k_;
@@ -157,20 +152,23 @@ private:
     i64 lo_ = 0, hi_ = 0;
     bool have_best_ = false;
     i64 best_h_ = std::numeric_limits<i64>::max();
-    SplitPoint best_;
-    std::vector<SplitPoint> out_;
+    u64 best_offset_ = 0, best_anchor_ = 0, best_min_ = 0;
+    std::vector<u32> best_states_;
+    std::vector<u64> best_indices_;
+    SplitTable out_;
 };
 
 /// Plan from a materialized event list (wraps OnlinePlanner). Returns the
 /// chosen split points in ascending anchor order; fewer than requested may
 /// be returned if the stream is too short or too incompressible.
-std::vector<SplitPoint> plan_splits(std::span<const RenormEvent> events,
-                                    u64 num_symbols, u32 max_splits, u32 lanes);
+SplitTable plan_splits(std::span<const RenormEvent> events, u64 num_symbols,
+                       u32 max_splits, u32 lanes);
 
 /// Decoder-adaptive scaling (§3.3): reduce metadata to at most
 /// `target_splits` splits by dropping interior entries, keeping the kept
 /// anchors as close as possible to the ideal equal-symbol boundaries.
-/// O(M) over metadata only; the bitstream is untouched.
+/// O(M) over metadata only, a gather of the kept rows into columns sized
+/// once; the bitstream is untouched.
 RecoilMetadata combine_splits(const RecoilMetadata& meta, u32 target_splits);
 
 }  // namespace recoil

@@ -379,6 +379,13 @@ struct Cursor {
         pos += n;
         return s;
     }
+    /// Reject a header's count of items that each take at least `min_bytes`
+    /// when the remaining bytes cannot hold them, before anything is sized
+    /// by the count.
+    void need_items(u64 count, std::size_t min_bytes, const char* what) const {
+        if (count > (in.size() - pos) / min_bytes)
+            raise(std::string(ctx) + ": " + what + " count exceeds the bytes");
+    }
     /// Bytes of `count` 16-bit units; guards the count*2 multiply against
     /// wrapping before the bounds check.
     std::span<const u8> get_unit_bytes(u64 count) {

@@ -117,7 +117,7 @@ struct LaneCursor {
     i64 p = -1;  ///< index of the next unit to pop
 };
 
-struct SplitPoint;  // core/metadata.hpp
+struct SplitRow;  // core/metadata.hpp
 
 /// Most runs one RangeFn call decodes.
 inline constexpr u32 kMaxRangeRuns = 4;
@@ -139,7 +139,7 @@ struct RangeRun {
     u64 lo;
     const DecodeTables* t;
     TSym* out;
-    const SplitPoint* entry = nullptr;
+    const SplitRow* entry = nullptr;
 };
 
 /// Decode positions [lo, hi] descending under the per-symbol discipline,

@@ -20,6 +20,10 @@ constexpr u8 kVersion = 2;
 constexpr u8 kFlagHasPrev = 1;
 constexpr u8 kFlagIncludesFinal = 2;
 constexpr u8 kFlagIndexed = 4;
+/// The fewest bytes one segment can take: base, flags, prob_bits, reserved,
+/// lo, hi and first_split (32), a one-symbol freq table (8), the metadata
+/// length (8) and smallest metadata, and the unit count (8).
+constexpr std::size_t kMinSegmentBytes = 32 + 8 + 8 + kMinMetadataBytes + 8;
 
 /// One stream a segment is cut from: metadata + units + model payload.
 /// `freqs`/`ids` are set for indexed-model streams, `freq` otherwise. Units
@@ -49,9 +53,9 @@ u32 emit_segment(format::WireSink& sink, const SegmentSource& src, u64 lo,
     // Unit slice bounds (see header comment for why these are safe).
     const u64 unit_lo = plan.first_split <= 1
                             ? 0
-                            : meta.splits[plan.first_split - 2].offset + 1;
+                            : meta.splits.offset[plan.first_split - 2] + 1;
     const u64 unit_hi = includes_final ? meta.num_units
-                                       : meta.splits[plan.last_split].offset + 1;
+                                       : meta.splits.offset[plan.last_split] + 1;
 
     RecoilMetadata sub;
     sub.lanes = meta.lanes;
@@ -62,11 +66,10 @@ u32 emit_segment(format::WireSink& sink, const SegmentSource& src, u64 lo,
     const u32 entry_lo = has_prev ? plan.first_split - 1 : plan.first_split;
     const u32 entry_hi =  // exclusive; the final split has no entry of its own
         includes_final ? S - 1 : plan.last_split + 1;
-    for (u32 i = entry_lo; i < entry_hi; ++i) {
-        SplitPoint sp = meta.splits[i];
-        sp.offset -= unit_lo;
-        sub.splits.push_back(std::move(sp));
-    }
+    // Rows [entry_lo, entry_hi), with their offsets rebased to the slice.
+    sub.splits.reserve(entry_hi - entry_lo, meta.lanes);
+    for (u32 i = entry_lo; i < entry_hi; ++i) sub.splits.push_back(meta.split(i));
+    for (u64& offset : sub.splits.offset) offset -= unit_lo;
 
     std::vector<u8> head;
     put_u64(head, src.base);
@@ -211,9 +214,9 @@ ParsedSegment parse_segment(Cursor& c, u32 sym_width) {
     if (p.j1 < p.j0 || p.j1 >= slice_splits)
         raise("range wire: no decodable splits");
     info.splits_served = p.j1 - p.j0 + 1;
-    info.cover_lo = info.has_prev ? p.meta.splits.front().min_index : 0;
+    info.cover_lo = info.has_prev ? p.meta.splits.min_index.front() : 0;
     info.cover_hi = info.includes_final ? p.meta.num_symbols
-                                        : p.meta.splits.back().min_index;
+                                        : p.meta.splits.min_index.back();
     if (info.lo < info.cover_lo || info.hi > info.cover_hi ||
         info.lo >= info.hi)
         raise("range wire: requested range outside slice coverage");
@@ -222,7 +225,7 @@ ParsedSegment parse_segment(Cursor& c, u32 sym_width) {
         // shipped split's anchor (what synchronization touches), exactly.
         const u64 touch_hi = info.includes_final
                                  ? p.meta.num_symbols
-                                 : p.meta.splits.back().anchor_index + 1;
+                                 : p.meta.splits.anchor_index.back() + 1;
         if (p.ids_lo != info.cover_lo || touch_hi < p.ids_lo ||
             ids_len != touch_hi - p.ids_lo)
             raise("range wire: model id slice does not match coverage");
@@ -247,8 +250,8 @@ ParsedRange parse_range_wire(std::span<const u8> bytes) {
     if (info.lo >= info.hi) raise("range wire: empty range");
 
     const u32 count = c.get_u32();
-    if (count == 0 || count > (u32{1} << 24))
-        raise("range wire: bad segment count");
+    if (count == 0) raise("range wire: bad segment count");
+    c.need_items(count, kMinSegmentBytes, "segment");
     p.segments.reserve(count);
     // Segments must tile [lo, hi) exactly, in order, with no gaps: the next
     // segment starts where the previous one ended.

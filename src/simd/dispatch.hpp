@@ -54,7 +54,7 @@ struct SimdRangeFn {
             if (r.entry != nullptr) {
                 // A lane joins in its recorded index's group. The wire bounds
                 // a lane's distance from the anchor group to 16 bits.
-                const SplitPoint& sp = *r.entry;
+                const SplitRow& sp = *r.entry;
                 for (u32 l = 0; l < 32; ++l)
                     entry_steps[n][l] = static_cast<u32>(r.hi / 32 - sp.indices[l] / 32);
                 g.store_hi = std::min(sp.min_index, g.store_hi);

@@ -20,6 +20,10 @@ using namespace format::wire;
 namespace {
 
 constexpr char kMagic[4] = {'R', 'C', 'S', '2'};  ///< padded unit payloads
+/// The fewest bytes one chunk can take: a one-symbol freq table (8), the
+/// metadata length (8) and smallest metadata, the unit count (8) and a pad
+/// marker (1).
+constexpr std::size_t kMinChunkBytes = 8 + 8 + kMinMetadataBytes + 8 + 1;
 
 }  // namespace
 
@@ -92,7 +96,7 @@ ChunkedStream parse_impl(std::span<const u8> bytes,
     s.prob_bits = c.get_u32();
     if (s.prob_bits < 1 || s.prob_bits > 16) raise("chunked: bad prob_bits");
     const u32 n = c.get_u32();
-    if (n > (u32{1} << 24)) raise("chunked: absurd chunk count");
+    c.need_items(n, kMinChunkBytes, "chunk");
     s.chunks.resize(n);
     for (Chunk& ch : s.chunks) {
         ch.freq = get_freq_table(c, s.prob_bits, max_alphabet(1));  // chunks carry bytes

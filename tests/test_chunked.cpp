@@ -103,6 +103,12 @@ TEST(Chunked, CorruptionDetected) {
     }
     std::vector<u8> truncated(bytes.begin(), bytes.begin() + bytes.size() / 3);
     EXPECT_THROW(ChunkedStream::parse(truncated), Error);
+    // A chunk count (bytes 8-11) the bytes cannot hold, resealed: it fails
+    // before the chunk list is sized by it.
+    const auto many = test::reseal(test::with_le(bytes, 8, u32{1} << 20));
+    EXPECT_NE(test::error_of([&] { (void)ChunkedStream::parse(many); })
+                  .find("chunked: chunk count exceeds the bytes"),
+              std::string::npos);
 }
 
 TEST(Chunked, SingleTinyChunk) {

@@ -131,7 +131,7 @@ TEST(Container, ResealedFlipsInSplitZeroAreTypedDecodeErrors) {
     auto m = test::model_for<u8>(text, 11, 256);
     const auto enc =
         recoil_encode<Rans32, 32>(std::span<const u8>(text), m, 16);
-    const u64 split0_units = enc.metadata.splits[0].offset + 1;
+    const u64 split0_units = enc.metadata.splits.offset[0] + 1;
     const std::vector<simd::Backend> backends = granted_backends();
     for (u64 i = 0; i < 18; ++i) {
         auto bad = enc;
@@ -166,17 +166,6 @@ std::vector<u8> without_unit_pad(std::vector<u8> w, u64 units) {
     return w;
 }
 
-/// The message `parse` raises, or "" when it accepts its input.
-template <typename Parse>
-std::string error_of(Parse&& parse) {
-    try {
-        parse();
-    } catch (const Error& e) {
-        return e.what();
-    }
-    return "";
-}
-
 TEST(Container, PrePadFormsAreRejected) {
     // Version 1 containers and RCS1 streams had no pad marker before the
     // unit payload. Nothing writes either form, and no parser reads it.
@@ -185,9 +174,9 @@ TEST(Container, PrePadFormsAreRejected) {
     v1[4] = 1;  // the version byte follows the magic
     const auto sealed =
         std::make_shared<const std::vector<u8>>(test::reseal(std::move(v1)));
-    EXPECT_EQ(error_of([&] { (void)format::load_recoil_file(*sealed); }),
+    EXPECT_EQ(test::error_of([&] { (void)format::load_recoil_file(*sealed); }),
               "container: unsupported version");
-    EXPECT_EQ(error_of([&] { (void)format::load_recoil_file_view(*sealed, sealed); }),
+    EXPECT_EQ(test::error_of([&] { (void)format::load_recoil_file_view(*sealed, sealed); }),
               "container: unsupported version");
 
     stream::ChunkedEncoder chunker({11, 8});
@@ -196,7 +185,7 @@ TEST(Container, PrePadFormsAreRejected) {
     auto rcs1 = without_unit_pad(cs.serialize(), cs.chunks[0].units.size());
     rcs1[3] = '1';  // RCS2 -> RCS1
     rcs1 = test::reseal(std::move(rcs1));
-    EXPECT_EQ(error_of([&] { (void)stream::ChunkedStream::parse(rcs1); }),
+    EXPECT_EQ(test::error_of([&] { (void)stream::ChunkedStream::parse(rcs1); }),
               "chunked: bad magic");
 }
 
@@ -646,7 +635,7 @@ TEST(Container, AnAlphabetWiderThanTheSymbolsIsATypedError) {
     // and for every chunk of a chunked stream), and make_recoil_file will
     // not write such a container.
     auto refuses = [](auto&& parse) {
-        return error_of(parse).find("bad alphabet size") != std::string::npos;
+        return test::error_of(parse).find("bad alphabet size") != std::string::npos;
     };
     const auto syms = test::geometric_symbols<u16>(5000, 0.99, 300, 71);
     ASSERT_GT(*std::max_element(syms.begin(), syms.end()), 255);

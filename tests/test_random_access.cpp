@@ -57,9 +57,10 @@ TEST(RandomAccess, SyncSectionBoundaries) {
     // Ranges exactly on sync-section and anchor boundaries — ownership edges.
     Fixture f(250000, 32, 204);
     std::span<const u16> units(f.enc.bitstream.units);
-    for (const auto& sp : f.enc.metadata.splits) {
-        for (u64 pos : {sp.min_index, sp.anchor_index, sp.min_index - 1,
-                        sp.anchor_index + 1}) {
+    const SplitTable& splits = f.enc.metadata.splits;
+    for (std::size_t k = 0; k < splits.size(); ++k) {
+        const u64 mn = splits.min_index[k], anchor = splits.anchor_index[k];
+        for (u64 pos : {mn, anchor, mn - 1, anchor + 1}) {
             if (pos >= f.syms.size()) continue;
             auto part = recoil_decode_range<Rans32, 32, u8>(
                 units, f.enc.metadata, f.model.tables(), pos, pos + 1);

@@ -194,14 +194,6 @@ std::vector<simd::Backend> available_backends() {
     return v;
 }
 
-/// Exactly S splits: S - 1 of `meta`'s split points, evenly spread by index.
-RecoilMetadata with_splits(const RecoilMetadata& meta, u32 S) {
-    RecoilMetadata out = meta;
-    out.splits.clear();
-    for (u64 i = 1; i < S; ++i) out.splits.push_back(meta.splits[i * meta.splits.size() / S]);
-    return out;
-}
-
 /// Decode `meta` on every pool size and backend; each must equal `ref`.
 template <typename TSym>
 void expect_every_lane_count_matches(std::span<const u16> units, const RecoilMetadata& meta,
@@ -236,10 +228,10 @@ TEST(RecoilDecode, SyncStatsMatchTheirDefinition) {
     ASSERT_GE(enc.metadata.num_splits(), 2176u);
     const std::span<const u16> units(enc.bitstream.units);
     for (u32 S : {16u, 2176u}) {
-        const RecoilMetadata meta = with_splits(enc.metadata, S);
+        const RecoilMetadata meta = test::with_splits(enc.metadata, S);
         RecoilDecodeStats want;
         for (u32 k = 0; k + 1 < S; ++k) {
-            const SplitPoint& sp = meta.splits[k];
+            const SplitRow sp = meta.split(k);
             for (u64 pos = sp.min_index; pos <= sp.anchor_index; ++pos)
                 ++(pos <= sp.indices[pos % 32] ? want.sync_symbols : want.skipped_positions);
             want.cross_symbols += sp.anchor_index - sp.min_index + 1;
@@ -285,27 +277,26 @@ TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
         ASSERT_EQ(ref, syms);
         std::span<const u16> units(enc.bitstream.units);
         for (u32 S : split_counts) {
-            const RecoilMetadata meta = with_splits(enc.metadata, S);
+            const RecoilMetadata meta = test::with_splits(enc.metadata, S);
             ASSERT_EQ(meta.num_splits(), S);
             expect_every_lane_count_matches<u8>(units, meta, m.tables(), ref, "static");
         }
         // Pairs of very unequal length, and splits whose phase 2 is empty
         // (the sync section starts right above the previous anchor): every
         // such split of the full metadata, kept next to its predecessor.
-        RecoilMetadata uneven = enc.metadata;
-        uneven.splits.clear();
+        const std::vector<u64>& mins = enc.metadata.splits.min_index;
+        const std::vector<u64>& anchors = enc.metadata.splits.anchor_index;
+        std::vector<u64> rows;
         std::size_t abutting = 0;
-        for (std::size_t k = 0; k < enc.metadata.splits.size(); ++k) {
-            const bool abuts = k > 0 && enc.metadata.splits[k].min_index ==
-                                            enc.metadata.splits[k - 1].anchor_index + 1;
+        for (std::size_t k = 0; k < mins.size(); ++k) {
+            const bool abuts = k > 0 && mins[k] == anchors[k - 1] + 1;
             if (k == 3 || k == 4 || k == 1000 || abuts ||
-                (k + 1 < enc.metadata.splits.size() &&
-                 enc.metadata.splits[k + 1].min_index ==
-                     enc.metadata.splits[k].anchor_index + 1)) {
-                uneven.splits.push_back(enc.metadata.splits[k]);
+                (k + 1 < mins.size() && mins[k + 1] == anchors[k] + 1)) {
+                rows.push_back(k);
                 abutting += abuts;
             }
         }
+        const RecoilMetadata uneven = test::keep_splits(enc.metadata, rows);
         ASSERT_GT(abutting, 0u) << "no split with an empty phase 2 at n = " << bits;
         expect_every_lane_count_matches<u8>(units, uneven, m.tables(), ref, "uneven");
 
@@ -346,7 +337,7 @@ TEST(RecoilDecode, PairedSplitsMatchSerialOnEveryBackend) {
     ASSERT_GE(enc.metadata.num_splits(), 2176u);
     std::span<const u16> units(enc.bitstream.units);
     for (u32 S : split_counts) {
-        const RecoilMetadata meta = with_splits(enc.metadata, S);
+        const RecoilMetadata meta = test::with_splits(enc.metadata, S);
         ASSERT_EQ(meta.num_splits(), S);
         expect_every_lane_count_matches<u16>(units, meta, set.tables(), syms, "indexed");
         for (const auto& [lo, hi] :

@@ -23,14 +23,11 @@ void expect_equal(const RecoilMetadata& a, const RecoilMetadata& b) {
     EXPECT_EQ(a.num_symbols, b.num_symbols);
     EXPECT_EQ(a.num_units, b.num_units);
     EXPECT_EQ(a.final_states, b.final_states);
-    ASSERT_EQ(a.splits.size(), b.splits.size());
-    for (std::size_t i = 0; i < a.splits.size(); ++i) {
-        EXPECT_EQ(a.splits[i].offset, b.splits[i].offset) << i;
-        EXPECT_EQ(a.splits[i].anchor_index, b.splits[i].anchor_index) << i;
-        EXPECT_EQ(a.splits[i].min_index, b.splits[i].min_index) << i;
-        EXPECT_EQ(a.splits[i].states, b.splits[i].states) << i;
-        EXPECT_EQ(a.splits[i].indices, b.splits[i].indices) << i;
-    }
+    EXPECT_EQ(a.splits.offset, b.splits.offset);
+    EXPECT_EQ(a.splits.anchor_index, b.splits.anchor_index);
+    EXPECT_EQ(a.splits.min_index, b.splits.min_index);
+    EXPECT_EQ(a.splits.states, b.splits.states);
+    EXPECT_EQ(a.splits.indices, b.splits.indices);
 }
 
 TEST(MetadataCodec, RoundTripExact) {
@@ -59,16 +56,9 @@ TEST(MetadataCodec, WritesTheGoldenBytes) {
     };
     const RecoilMetadata full =
         recoil_encode<Rans32, 32>(std::span<const u8>(syms), m, 2400).metadata;
-    auto cut = [&](u32 S) {
-        RecoilMetadata out = full;
-        out.splits.clear();
-        for (u64 i = 1; i < S; ++i)
-            out.splits.push_back(full.splits[i * full.splits.size() / S]);
-        return out;
-    };
     const Golden golden[] = {
-        {cut(16), 1374, 53582791848828902ull},
-        {cut(2176), 177419, 8390972732955904841ull},
+        {test::with_splits(full, 16), 1374, 53582791848828902ull},
+        {test::with_splits(full, 2176), 177419, 8390972732955904841ull},
         {recoil_encode<Rans32x8, 32>(std::span<const u8>(syms), m, 64).metadata, 6799,
          17242900648814122974ull},
     };
@@ -132,27 +122,32 @@ TEST(MetadataCodec, ValidateRejectsBrokenInvariants) {
     ASSERT_GE(meta.splits.size(), 2u);
     {
         auto bad = meta;
-        bad.splits[1].offset = bad.splits[0].offset;  // non-increasing offsets
+        bad.splits.offset[1] = bad.splits.offset[0];  // non-increasing offsets
         EXPECT_THROW(validate_metadata(bad), Error);
     }
     {
         auto bad = meta;
-        bad.splits[0].states[3] = Rans32::lower_bound;  // state above bound
+        bad.splits.states[3] = Rans32::lower_bound;  // split 0's lane 3 above bound
         EXPECT_THROW(validate_metadata(bad), Error);
     }
     {
         auto bad = meta;
-        bad.splits[1].min_index = bad.splits[0].anchor_index;  // crossing sync
+        bad.splits.min_index[1] = bad.splits.anchor_index[0];  // crossing sync
         EXPECT_THROW(validate_metadata(bad), Error);
     }
     {
         auto bad = meta;
-        bad.splits[0].indices[5] += 1;  // lane misalignment
+        bad.splits.indices[5] += 1;  // split 0's lane 5 misaligned
         EXPECT_THROW(validate_metadata(bad), Error);
     }
     {
         auto bad = meta;
-        bad.splits[0].anchor_index = bad.num_symbols;  // out of range
+        bad.splits.anchor_index[0] = bad.num_symbols;  // out of range
+        EXPECT_THROW(validate_metadata(bad), Error);
+    }
+    {
+        auto bad = meta;
+        bad.splits.states.pop_back();  // a column shorter than its rows
         EXPECT_THROW(validate_metadata(bad), Error);
     }
 }
@@ -169,6 +164,15 @@ TEST(MetadataCodec, HeaderFieldCorruptionRejected) {
         auto bad = bytes;
         bad[5] = 40;  // absurd state width
         EXPECT_THROW(deserialize_metadata(bad), Error);
+    }
+    // A split count (bytes 24-31) the bytes cannot hold fails before any
+    // column is sized by it: every split carries at least its lanes' states.
+    for (const u64 M : {u64{1} << 32, (u64{1} << 26) + 1}) {
+        const auto bad = test::with_le(bytes, 24, M);
+        EXPECT_NE(test::error_of([&] { (void)deserialize_metadata(bad); })
+                      .find("metadata: split count exceeds the bytes"),
+                  std::string::npos)
+            << M << " splits";
     }
 }
 

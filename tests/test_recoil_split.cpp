@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/split_planner.hpp"
 #include "rans/interleaved.hpp"
 #include "test_util.hpp"
@@ -10,9 +12,11 @@
 namespace recoil {
 namespace {
 
+/// A planned stream: its bitstream and its metadata, whose split table
+/// plan_splits filled.
 struct Planned {
     InterleavedBitstream<Rans32, 32> bs;
-    std::vector<SplitPoint> splits;
+    RecoilMetadata meta;
     u64 n;
 };
 
@@ -22,16 +26,26 @@ Planned plan(std::size_t n, double q, u32 max_splits, u32 prob_bits = 11) {
     RenormEventList events;
     Planned p;
     p.bs = interleaved_encode<Rans32, 32>(std::span<const u8>(syms), m, &events);
-    p.splits = plan_splits(events, n, max_splits, 32);
+    p.meta.lanes = 32;
+    p.meta.state_store_bits = 16;
+    p.meta.num_symbols = n;
+    p.meta.num_units = p.bs.units.size();
+    p.meta.final_states.assign(p.bs.final_states.begin(), p.bs.final_states.end());
+    p.meta.splits = plan_splits(events, n, max_splits, 32);
     p.n = n;
     return p;
 }
 
-void check_validity(const std::vector<SplitPoint>& splits, u64 n) {
+void check_validity(const RecoilMetadata& meta, u64 n) {
+    const SplitTable& t = meta.splits;
+    ASSERT_EQ(t.anchor_index.size(), t.size());
+    ASSERT_EQ(t.min_index.size(), t.size());
+    ASSERT_EQ(t.states.size(), 32 * t.size());
+    ASSERT_EQ(t.indices.size(), 32 * t.size());
     i64 prev_anchor = -1;
     u64 prev_offset = 0;
-    for (std::size_t i = 0; i < splits.size(); ++i) {
-        const auto& sp = splits[i];
+    for (std::size_t i = 0; i < t.size(); ++i) {
+        const SplitRow sp = meta.split(i);
         EXPECT_LT(sp.anchor_index, n);
         EXPECT_GT(static_cast<i64>(sp.min_index), prev_anchor)
             << "sync section crosses previous anchor at split " << i;
@@ -39,8 +53,6 @@ void check_validity(const std::vector<SplitPoint>& splits, u64 n) {
         if (i > 0) {
             EXPECT_GT(sp.offset, prev_offset);
         }
-        ASSERT_EQ(sp.states.size(), 32u);
-        ASSERT_EQ(sp.indices.size(), 32u);
         u64 mn = ~u64{0}, mx = 0;
         for (u32 l = 0; l < 32; ++l) {
             EXPECT_LT(sp.states[l], Rans32::lower_bound);
@@ -57,26 +69,26 @@ void check_validity(const std::vector<SplitPoint>& splits, u64 n) {
 
 TEST(SplitPlanner, ProducesRequestedSplits) {
     auto p = plan(200000, 0.6, 16);
-    EXPECT_EQ(p.splits.size(), 15u);
-    check_validity(p.splits, p.n);
+    EXPECT_EQ(p.meta.splits.size(), 15u);
+    check_validity(p.meta, p.n);
 }
 
 TEST(SplitPlanner, ManySplits) {
     auto p = plan(500000, 0.6, 256);
-    EXPECT_GE(p.splits.size(), 250u);
-    check_validity(p.splits, p.n);
+    EXPECT_GE(p.meta.splits.size(), 250u);
+    check_validity(p.meta, p.n);
 }
 
 TEST(SplitPlanner, WorkloadBalanced) {
     auto p = plan(400000, 0.5, 32);
-    ASSERT_EQ(p.splits.size(), 31u);
+    ASSERT_EQ(p.meta.splits.size(), 31u);
     const i64 target = 400000 / 32;
     i64 prev = -1;
-    for (const auto& sp : p.splits) {
-        const i64 t = static_cast<i64>(sp.anchor_index) - prev;
+    for (const u64 anchor : p.meta.splits.anchor_index) {
+        const i64 t = static_cast<i64>(anchor) - prev;
         EXPECT_GT(t, target / 2);
         EXPECT_LT(t, target * 2);
-        prev = static_cast<i64>(sp.anchor_index);
+        prev = static_cast<i64>(anchor);
     }
     // Last implicit split gets the balance too.
     EXPECT_GT(static_cast<i64>(p.n) - 1 - prev, target / 4);
@@ -86,8 +98,8 @@ TEST(SplitPlanner, SyncSectionsSmall) {
     auto p = plan(400000, 0.5, 32);
     // With q=0.5 byte data each lane renormalizes every couple of its own
     // symbols, so sync sections should be a tiny fraction of the split size.
-    for (const auto& sp : p.splits) {
-        EXPECT_LT(sp.sync_symbols(), 2000u);
+    for (std::size_t k = 0; k < p.meta.splits.size(); ++k) {
+        EXPECT_LT(p.meta.split(k).sync_symbols(), 2000u);
     }
 }
 
@@ -95,44 +107,38 @@ TEST(SplitPlanner, HighlyCompressibleDataStillValid) {
     // q=0.02: ~all symbols are 0, renormalizations are rare and sync
     // sections large relative to splits; validity must still hold.
     auto p = plan(300000, 0.02, 16);
-    check_validity(p.splits, p.n);
-    EXPECT_GE(p.splits.size(), 4u);
+    check_validity(p.meta, p.n);
+    EXPECT_GE(p.meta.splits.size(), 4u);
 }
 
 TEST(SplitPlanner, MaxSplitsOneMeansNoMetadata) {
     auto p = plan(10000, 0.5, 1);
-    EXPECT_TRUE(p.splits.empty());
+    EXPECT_TRUE(p.meta.splits.empty());
 }
 
 TEST(SplitPlanner, ShortStreamDegradesGracefully) {
     auto p = plan(100, 0.5, 64);
-    check_validity(p.splits, p.n);  // may be few or none, but must be valid
+    check_validity(p.meta, p.n);  // may be few or none, but must be valid
 }
 
 TEST(SplitPlanner, MoreSplitsThanRenormPointsDegrades) {
     auto p = plan(2000, 0.02, 512);
-    check_validity(p.splits, p.n);
-    EXPECT_LT(p.splits.size(), 511u);
+    check_validity(p.meta, p.n);
+    EXPECT_LT(p.meta.splits.size(), 511u);
 }
 
 TEST(CombineSplits, KeepsBalanceAndValidity) {
     auto p = plan(500000, 0.6, 256);
-    RecoilMetadata meta;
-    meta.lanes = 32;
-    meta.state_store_bits = 16;
-    meta.num_symbols = p.n;
-    meta.num_units = p.bs.units.size();
-    meta.final_states.assign(p.bs.final_states.begin(), p.bs.final_states.end());
-    meta.splits = p.splits;
+    const RecoilMetadata& meta = p.meta;
 
     for (u32 target : {128u, 16u, 4u, 2u, 1u}) {
         auto combined = combine_splits(meta, target);
         EXPECT_LE(combined.num_splits(), target);
-        check_validity(combined.splits, p.n);
+        check_validity(combined, p.n);
         // Balance: anchors near ideal boundaries.
         for (std::size_t i = 0; i < combined.splits.size(); ++i) {
             const double ideal = static_cast<double>(p.n) / target * (i + 1);
-            EXPECT_NEAR(static_cast<double>(combined.splits[i].anchor_index), ideal,
+            EXPECT_NEAR(static_cast<double>(combined.splits.anchor_index[i]), ideal,
                         static_cast<double>(p.n) / target * 0.6);
         }
     }
@@ -140,32 +146,25 @@ TEST(CombineSplits, KeepsBalanceAndValidity) {
 
 TEST(CombineSplits, TargetLargerThanAvailableIsIdentity) {
     auto p = plan(100000, 0.6, 8);
-    RecoilMetadata meta;
-    meta.lanes = 32;
-    meta.state_store_bits = 16;
-    meta.num_symbols = p.n;
-    meta.num_units = p.bs.units.size();
-    meta.final_states.assign(p.bs.final_states.begin(), p.bs.final_states.end());
-    meta.splits = p.splits;
+    const RecoilMetadata& meta = p.meta;
     auto combined = combine_splits(meta, 9999);
     EXPECT_EQ(combined.splits.size(), meta.splits.size());
 }
 
 TEST(CombineSplits, KeptEntriesAreSubsetOfOriginal) {
     auto p = plan(300000, 0.5, 64);
-    RecoilMetadata meta;
-    meta.lanes = 32;
-    meta.state_store_bits = 16;
-    meta.num_symbols = p.n;
-    meta.num_units = p.bs.units.size();
-    meta.final_states.assign(p.bs.final_states.begin(), p.bs.final_states.end());
-    meta.splits = p.splits;
+    const RecoilMetadata& meta = p.meta;
     auto combined = combine_splits(meta, 8);
-    for (const auto& sp : combined.splits) {
+    for (std::size_t i = 0; i < combined.splits.size(); ++i) {
+        const SplitRow sp = combined.split(i);
         bool found = false;
-        for (const auto& orig : meta.splits)
-            if (orig.anchor_index == sp.anchor_index && orig.offset == sp.offset)
+        for (std::size_t k = 0; k < meta.splits.size(); ++k) {
+            const SplitRow orig = meta.split(k);
+            if (orig.anchor_index == sp.anchor_index && orig.offset == sp.offset &&
+                std::ranges::equal(orig.states, sp.states) &&
+                std::ranges::equal(orig.indices, sp.indices))
                 found = true;
+        }
         EXPECT_TRUE(found) << "combining must only drop entries, never synthesize";
     }
 }

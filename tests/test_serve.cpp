@@ -232,9 +232,9 @@ TEST_F(ServeFixture, RangeEdgeCases) {
         {kSymbols - 1, kSymbols},      // single symbol at the stream end
         {kSymbols / 2, kSymbols / 2 + 1},
         {0, kSymbols},                 // full range
-        {meta.splits[2].min_index, meta.splits[3].min_index},  // one whole split
-        {meta.splits[2].min_index + 5, meta.splits[3].min_index - 5},  // inside it
-        {meta.splits.back().min_index, kSymbols},  // final split only
+        {meta.splits.min_index[2], meta.splits.min_index[3]},  // one whole split
+        {meta.splits.min_index[2] + 5, meta.splits.min_index[3] - 5},  // inside it
+        {meta.splits.min_index.back(), kSymbols},  // final split only
     };
     for (auto [lo, hi] : ranges) {
         auto res = server.serve(ServeRequest{"asset", 1, {{lo, hi}}});
@@ -253,8 +253,8 @@ TEST_F(ServeFixture, RangeEdgeCases) {
 
     // A range confined to one split ships a fragment, not the asset.
     auto res = server.serve(
-        ServeRequest{"asset", 1, {{meta.splits[2].min_index + 5,
-                                   meta.splits[3].min_index - 5}}});
+        ServeRequest{"asset", 1, {{meta.splits.min_index[2] + 5,
+                                   meta.splits.min_index[3] - 5}}});
     ASSERT_TRUE(res.ok());
     EXPECT_LT(res.stats.wire_bytes, asset->master_bytes() / 4);
     EXPECT_LE(res.stats.splits_served, 3u);
@@ -546,7 +546,7 @@ TEST(RangeServe, SixteenBitIndexedRangesDecodeToTheSourceBytes) {
     payload.ids = ids;
     IndexedModelSet set(std::move(models), ids);
     auto enc = recoil_encode<Rans32, 32>(std::span<const u16>(syms), set, 32);
-    const std::vector<SplitPoint> splits = enc.metadata.splits;
+    const std::vector<u64> split_mins = enc.metadata.splits.min_index;
     f.metadata = std::move(enc.metadata);
     f.units = std::move(enc.bitstream.units);
     f.model = std::move(payload);
@@ -566,9 +566,10 @@ TEST(RangeServe, SixteenBitIndexedRangesDecodeToTheSourceBytes) {
     // begin), lo and hi at every offset within a group: the covering runs'
     // masked top and bottom groups read only the ids of the exact slice the
     // wire carries.
-    ASSERT_GE(splits.size(), 3u);
-    for (const std::size_t k : {std::size_t{0}, splits.size() / 2, splits.size() - 1}) {
-        const u64 g = splits[k].min_index / 32;
+    ASSERT_GE(split_mins.size(), 3u);
+    for (const std::size_t k :
+         {std::size_t{0}, split_mins.size() / 2, split_mins.size() - 1}) {
+        const u64 g = split_mins[k] / 32;
         ASSERT_GE(g, 1u);
         ASSERT_LE(32 * (g + 2), kN);
         for (u64 o = 0; o < 32; ++o) {
@@ -678,6 +679,14 @@ TEST_F(ServeFixture, HostileWireWithValidChecksumIsRejected) {
     std::vector<u8> bad_len(res.wire->begin(), res.wire->end());
     for (int i = 0; i < 8; ++i) bad_len[meta_len_off + i] = 0xFF;
     EXPECT_THROW(decode_range_wire(test::reseal(std::move(bad_len))), Error);
+
+    // A segment count (bytes 24-27) the bytes cannot hold fails before the
+    // segment list is sized by it.
+    const auto many = test::reseal(
+        test::with_le(std::vector<u8>(res.wire->begin(), res.wire->end()), 24, u32{1} << 20));
+    EXPECT_NE(test::error_of([&] { (void)decode_range_wire(many); })
+                  .find("range wire: segment count exceeds the bytes"),
+              std::string::npos);
 }
 
 TEST_F(ServeFixture, ReplacingAnAssetInvalidatesCachedResponses) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <iostream>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -248,7 +249,7 @@ struct EdgeRun {
     std::span<const u16> units;
     u64 lo, hi;
     DecodeTables t;
-    const SplitPoint* entry = nullptr;
+    std::optional<SplitRow> entry = std::nullopt;
 };
 
 template <typename TSym>
@@ -275,7 +276,7 @@ EdgeResult<TSym> decode_edge(const Fn& fn, std::span<const EdgeRun> runs) {
     std::vector<RangeRun<Rans32, 32, TSym>> rr;
     for (std::size_t i = 0; i < runs.size(); ++i)
         rr.push_back({&res.exit[i], runs[i].units, runs[i].hi, runs[i].lo, &runs[i].t, rebased,
-                      runs[i].entry});
+                      runs[i].entry ? &*runs[i].entry : nullptr});
     fn(std::span<const RangeRun<Rans32, 32, TSym>>(rr));
     return res;
 }
@@ -313,16 +314,16 @@ void expect_edges_match(std::span<const EdgeRun> runs, const std::string& what) 
 EdgeRun split_edge_run(const RecoilEncoded<Rans32, 32>& enc, const RecoilMetadata& meta,
                        const DecodeTables& t, u32 k) {
     const std::span<const u16> units(enc.bitstream.units);
-    EdgeRun r{{}, units, k > 0 ? meta.splits[k - 1].min_index : 0, 0, t};
+    EdgeRun r{{}, units, k > 0 ? meta.splits.min_index[k - 1] : 0, 0, t};
     if (k + 1 == meta.num_splits()) {
         std::copy(enc.bitstream.final_states.begin(), enc.bitstream.final_states.end(),
                   r.start.x.begin());
         r.start.p = static_cast<i64>(units.size()) - 1;
         r.hi = meta.num_symbols - 1;
     } else {
-        r.start.p = static_cast<i64>(meta.splits[k].offset);
-        r.hi = meta.splits[k].anchor_index;
-        r.entry = &meta.splits[k];
+        r.entry = meta.split(k);
+        r.start.p = static_cast<i64>(r.entry->offset);
+        r.hi = r.entry->anchor_index;
     }
     return r;
 }
@@ -345,10 +346,9 @@ void expect_grouped_splits(u32 alphabet, u64 seed, const std::string& what) {
     ASSERT_GE(ep.metadata.num_splits(), 8u) << what;
     ASSERT_GE(ew.metadata.num_splits(), 8u) << what;
     // Splits of very unequal length: the kernel drops each run as it ends.
-    RecoilMetadata mpu = ep.metadata, mwu = ew.metadata;
-    mpu.splits = {ep.metadata.splits[0], ep.metadata.splits[1], ep.metadata.splits[3],
-                  ep.metadata.splits[6]};
-    mwu.splits = {ew.metadata.splits[0], ew.metadata.splits[2], ew.metadata.splits[3]};
+    const u64 prows[] = {0, 1, 3, 6}, wrows[] = {0, 2, 3};
+    const RecoilMetadata mpu = test::keep_splits(ep.metadata, prows);
+    const RecoilMetadata mwu = test::keep_splits(ew.metadata, wrows);
     auto p = [&](u32 k) { return split_edge_run(ep, mpu, tp, k); };
     auto w = [&](u32 k) { return split_edge_run(ew, mwu, tw, k); };
     ASSERT_EQ(mpu.num_splits(), 5u);
@@ -484,10 +484,7 @@ void check_masked_edges(std::span<const TSym> syms, const Model& m, const char* 
     const DecodeTables t = m.tables();
     const auto enc = recoil_encode<Rans32, 32>(syms, m, 2400);
     ASSERT_GE(enc.metadata.num_splits(), 2176u) << layout;
-    RecoilMetadata meta = enc.metadata;  // exactly 2,176 splits, evenly spread
-    meta.splits.clear();
-    for (u64 i = 1; i < 2176; ++i)
-        meta.splits.push_back(enc.metadata.splits[i * enc.metadata.splits.size() / 2176]);
+    const RecoilMetadata meta = test::with_splits(enc.metadata, 2176);
     const std::span<const u16> units(enc.bitstream.units);
 
     // Every split as the decoder runs it: entered at its split point (the
@@ -500,12 +497,12 @@ void check_masked_edges(std::span<const TSym> syms, const Model& m, const char* 
     for (u32 k = 0; k + 1 < S; ++k) {
         const EdgeRun pair[2] = {split_run(k), split_run(k + 1)};
         expect_edges_match<TSym>(pair, std::string(layout) + ", splits " + std::to_string(k));
-        const SplitPoint& sp = meta.splits[k];
+        const SplitRow sp = meta.split(k);
         min_res.insert(sp.min_index % 32);
         anchor_res.insert(sp.anchor_index % 32);
         lo_res.insert(pair[0].lo % 32);
         if (k + 2 < S && sp.anchor_index / 32 - sp.min_index / 32 !=
-                             meta.splits[k + 1].anchor_index / 32 - meta.splits[k + 1].min_index / 32)
+                             meta.split(k + 1).anchor_index / 32 - meta.split(k + 1).min_index / 32)
             ++uneven;
         if (testing::Test::HasFatalFailure()) return;
     }

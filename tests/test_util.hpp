@@ -8,6 +8,7 @@
 #include <filesystem>
 #include <fstream>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -43,6 +44,21 @@ StaticModel model_for(std::span<const TSym> syms, u32 prob_bits, u32 alphabet) {
     return StaticModel(counts, prob_bits);
 }
 
+/// `meta` with only the split rows `rows` (ascending) of its table.
+inline RecoilMetadata keep_splits(const RecoilMetadata& meta, std::span<const u64> rows) {
+    RecoilMetadata out = meta;
+    out.splits.clear();
+    for (const u64 k : rows) out.splits.push_back(meta.split(k));
+    return out;
+}
+
+/// Exactly S splits: S - 1 of `meta`'s split points, evenly spread by index.
+inline RecoilMetadata with_splits(const RecoilMetadata& meta, u32 S) {
+    std::vector<u64> rows;
+    for (u64 i = 1; i < S; ++i) rows.push_back(i * meta.splits.size() / S);
+    return keep_splits(meta, rows);
+}
+
 /// An indexed-model (two-model) file over byte symbols, `max_splits`-way.
 inline format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits) {
     std::vector<u8> ids(syms.size());
@@ -75,6 +91,24 @@ inline format::RecoilFile indexed_file(std::span<const u8> syms, u32 max_splits)
 /// class.
 inline serve::ResponseKey cache_key(std::string_view name, u32 parallelism) {
     return {std::hash<std::string_view>{}(name), parallelism};
+}
+
+/// The message `parse` raises, or "" when it accepts its input.
+template <typename Parse>
+std::string error_of(Parse&& parse) {
+    try {
+        parse();
+    } catch (const Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+/// `w` with the little-endian u64 or u32 at `at` set to `v`.
+template <typename T>
+std::vector<u8> with_le(std::vector<u8> w, std::size_t at, T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i) w[at + i] = static_cast<u8>(v >> (8 * i));
+    return w;
 }
 
 /// Recompute a wire's FNV-1a trailer after tampering, as an attacker can.
